@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-smoke bench-smoke-json bench-json bench-compare corpus-smoke corpus-rows routing-check lint-examples flow-examples batch-examples delta-examples serve-examples clean
+.PHONY: build test bench bench-smoke bench-smoke-json bench-json bench-compare corpus-smoke corpus-rows routing-check lint-examples flow-examples batch-examples delta-examples serve-examples perfbench-smoke clean
 
 # Output path for bench-json; override to record a new baseline, e.g.
 #   make bench-json OUT=BENCH_PR2.json
@@ -153,6 +153,19 @@ serve-examples:
 	@grep -c '"ok":true' /tmp/serve_run1.out | grep -qx 10 \
 	  || { echo "FAIL: expected 10 ok responses"; cat /tmp/serve_run1.out; exit 1; }
 	@echo "ok: serve session (byte-identical runs, 3 hits / 2 misses, hits verified)"
+
+# End-to-end correctness gate: both perfbench workloads, two seconds
+# each, through the real serve daemon. The load client checks every
+# answer against the pure-exact oracle (Core.Exact in Exact_mode);
+# timings are printed, not gated. Both result lines must read
+# "correct":true and "failed":0.
+perfbench-smoke:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 2 --trace 0 \
+	  > /tmp/perfbench_smoke.out
+	@test "$$(grep -c '^{"correct":true,.*"failed":0,' /tmp/perfbench_smoke.out)" = 2 \
+	  || { echo "FAIL: perfbench-smoke result lines"; \
+	       grep '^{' /tmp/perfbench_smoke.out; exit 1; }
+	@echo "ok: perfbench-smoke (both workloads correct, no failed requests)"
 
 clean:
 	dune clean

@@ -25,8 +25,7 @@ let timed f =
   let v = f () in
   (v, Sys.time () -. t0)
 
-(* Fast-solver LP values are dyadic approximations with huge
-   denominators; print those as decimals. *)
+(* LP values with huge denominators print as decimals. *)
 let rat_str q =
   if Bigint.num_bits (Q.den q) > 20 then Printf.sprintf "%.3f" (Q.to_float q)
   else Q.to_string q

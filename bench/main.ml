@@ -14,8 +14,7 @@
                                                matching regex R (Str syntax)
    dune exec bench/main.exe -- --lp-mode M  -- simplex route for the
                                                engine-driven ILP kernels:
-                                               exact|hybrid|float
-                                               (default hybrid)
+                                               exact|hybrid (default hybrid)
    dune exec bench/main.exe -- --compare A B -- per-kernel speedups between
                                                two bench-json files *)
 
@@ -185,15 +184,13 @@ let timing_tests ~lp_mode () =
   in
   let card_x = lp_x card_inst in
   (* Pivot-kernel pair: the same gadget LP cold-solved by the dense
-     float tableau and by the sparse hybrid path, isolating the revised
-     simplex + certification win from the surrounding engine and
+     rational tableau and by the sparse hybrid path, isolating the
+     revised simplex + certification win from the surrounding engine and
      branch-and-bound machinery (run with --filter simplex). *)
   let card_lp_relaxed =
     Lp.Problem.relax (Core.Card_lp.build card_inst).Core.Card_lp.problem
   in
   [
-    stage_m "simplex_dense_float" (fun m ->
-        ignore (Lp.Simplex.Fast.solve ~metrics:m card_lp_relaxed));
     stage_m "simplex_dense_exact" (fun m ->
         ignore (Lp.Simplex.Exact.solve ~metrics:m card_lp_relaxed));
     stage_m "simplex_sparse_hybrid" (fun m ->
@@ -218,10 +215,6 @@ let timing_tests ~lp_mode () =
              ~visible:chain_visible));
     stage "e04_greedy_gap" (fun () ->
         ignore (Core.Greedy.solve (Experiments.example5_instance 8)));
-    stage_m "e05_card_lp_fast" (fun m ->
-        ignore
-          (Core.Card_lp.lp_relaxation ~mode:Lp.Simplex.Float_mode ~metrics:m
-             card_inst));
     (* "exact" is the exact-result route: since the hybrid overhaul that
        is float basis hunting + certification, not rational pivoting
        (which e05_card_lp_pure_exact still times). *)
@@ -584,7 +577,7 @@ let () =
             | Some m -> m
             | None ->
                 Printf.eprintf
-                  "bench: bad --lp-mode %S (want exact|hybrid|float)\n" s;
+                  "bench: bad --lp-mode %S (want exact|hybrid)\n" s;
                 exit 2)
       in
       let filter =

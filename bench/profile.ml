@@ -28,7 +28,6 @@ let () =
     sf.Lp.Sform.m sf.Lp.Sform.m0 sf.Lp.Sform.ncols;
 
   time "ilp hybrid solve" 20 (fun () -> Lp.Ilp.Hybrid.solve ip);
-  time "ilp fast solve" 20 (fun () -> Lp.Ilp.Fast.solve ip);
   time "ilp exact solve" 5 (fun () -> Lp.Ilp.Exact.solve ip);
 
   time "sform.make" 100 (fun () -> Lp.Sform.make relaxed);
@@ -58,12 +57,9 @@ let () =
   time "certify (cache hit)" 100 (fun () ->
       Lp.Certify.check ~cache sf ~rhs ~lb:relaxed.Lp.Problem.lb ~basis);
   time "hybrid lp solve" 100 (fun () -> Lp.Simplex.Hybrid.solve relaxed);
-  time "fast lp solve" 100 (fun () -> Lp.Simplex.Fast.solve relaxed);
   time "exact lp solve" 20 (fun () -> Lp.Simplex.Exact.solve relaxed);
 
   time "e12 core.exact hybrid" 20 (fun () -> Core.Exact.solve inst);
-  time "e12 core.exact float" 20 (fun () ->
-      Core.Exact.solve ~mode:Lp.Simplex.Float_mode inst);
   time "e12 engine hybrid" 20 (fun () ->
       Core.Engine.run
         {
@@ -91,7 +87,6 @@ let () =
   time "card ilp hybrid" 20 (fun () -> Lp.Ilp.Hybrid.solve card_ip);
   let card_relaxed = Lp.Problem.relax card_ip in
   time "card lp hybrid" 100 (fun () -> Lp.Simplex.Hybrid.solve card_relaxed);
-  time "card lp fast" 100 (fun () -> Lp.Simplex.Fast.solve card_relaxed);
   let card_rhs =
     match
       Lp.Sform.rhs card_sf ~lb:card_relaxed.Lp.Problem.lb
@@ -120,14 +115,11 @@ let () =
   time "e14 reduction build" 200 (fun () -> Reductions.Sc_general.of_set_cover sc);
   let e14 = Reductions.Sc_general.of_set_cover sc in
   time "e14 solve hybrid" 100 (fun () -> Core.Exact.solve e14);
-  time "e14 solve float" 100 (fun () ->
-      Core.Exact.solve ~mode:Lp.Simplex.Float_mode e14);
   time "e14 solve exact" 50 (fun () ->
       Core.Exact.solve ~mode:Lp.Simplex.Exact_mode e14);
   let e14_ip = (Core.Set_lp.build e14).Core.Set_lp.problem in
   time "e14 set_lp build" 200 (fun () -> Core.Set_lp.build e14);
   time "e14 ilp hybrid" 100 (fun () -> Lp.Ilp.Hybrid.solve e14_ip);
-  time "e14 ilp fast" 100 (fun () -> Lp.Ilp.Fast.solve e14_ip);
   time "e14 ilp exact" 50 (fun () -> Lp.Ilp.Exact.solve e14_ip);
   print_newline ();
   time "e15 reduction build" 200 (fun () -> Reductions.Lc_general.of_label_cover lc);

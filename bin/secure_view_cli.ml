@@ -45,17 +45,9 @@ let write_all path text =
       Out_channel.output_string oc text;
       Out_channel.output_char oc '\n')
 
-(* Numeric option values arrive as strings and are parsed by hand so a
-   malformed value exits 2 (Serve.Request.Usage) like every other bad
-   input, instead of cmdliner's 124. *)
-let parse_int ~what s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None ->
-      fail_with
-        (Serve.Request.Usage
-           (Printf.sprintf "%s must be an integer, got %S" what s))
-
+(* Cmdliner's [float] converter accepts "nan" and "inf"; options that
+   must be finite arrive as strings and are checked here, exiting 2
+   (Serve.Request.Usage) like every other bad input. *)
 let parse_float ~what s =
   match float_of_string_opt s with
   | Some f when Float.is_finite f -> f
@@ -243,17 +235,14 @@ let lp_mode_arg =
       [
         ("exact", Lp.Simplex.Exact_mode);
         ("hybrid", Lp.Simplex.Hybrid_mode);
-        ("float", Lp.Simplex.Float_mode);
-        ("fast", Lp.Simplex.Float_mode);
       ]
   in
   Arg.(value & opt modes Lp.Simplex.Hybrid_mode
        & info [ "lp-mode"; "solver" ] ~docv:"MODE"
            ~doc:"Simplex route for the LP relaxations: $(b,exact) (rational \
-                 pivoting, the reference), $(b,hybrid) (default: float basis \
-                 hunting, exactly certified — same answers as exact), or \
-                 $(b,float) (approximate; results are tagged lp.inexact). \
-                 $(b,fast) is accepted as a legacy spelling of $(b,float).")
+                 pivoting, the reference) or $(b,hybrid) (default: float \
+                 basis hunting, exactly certified — same answers as \
+                 exact).")
 
 let jobs_arg =
   Arg.(value & opt int 1
@@ -786,11 +775,11 @@ let serve_cmd =
 (* corpus ---------------------------------------------------------------- *)
 
 let corpus_cmd =
-  let seed_opt_arg =
-    Arg.(value & opt (some string) None
+  let corpus_seed_arg =
+    Arg.(value & opt int 42
          & info [ "seed" ] ~docv:"N"
              ~doc:"Corpus seed; the whole instance set derives from it \
-                   deterministically (default 42).")
+                   deterministically.")
   in
   let smoke_arg =
     Arg.(value & flag
@@ -821,10 +810,7 @@ let corpus_cmd =
              ~doc:"Redact the time_ms fields so the row output is \
                    byte-reproducible across runs.")
   in
-  let run seed_s smoke list_only deadline_s out no_times =
-    let seed =
-      match seed_s with None -> 42 | Some s -> parse_int ~what:"seed" s
-    in
+  let run seed smoke list_only deadline_s out no_times =
     let deadline_ms = Option.map (parse_float ~what:"deadline") deadline_s in
     let recs = Svbench.Corpus.generate ~smoke ~seed () in
     let doc =
@@ -842,7 +828,7 @@ let corpus_cmd =
              crossed with size, constraint-form and public-fraction axes) \
              and measure every registered solver on every instance, one \
              JSON row per (instance, method).")
-    Term.(const run $ seed_opt_arg $ smoke_arg $ list_arg $ deadline_opt_arg
+    Term.(const run $ corpus_seed_arg $ smoke_arg $ list_arg $ deadline_opt_arg
           $ out_arg $ no_times_arg)
 
 (* tune ------------------------------------------------------------------ *)
@@ -982,20 +968,28 @@ let () =
   setup_logging (Array.exists (( = ) "--verbose") Sys.argv);
   let argv = Array.of_list (List.filter (( <> ) "--verbose") (Array.to_list Sys.argv)) in
   let doc = "provenance views for module privacy (PODS 2011 reproduction)" in
+  (* The exit contract is Serve.Request's 0/1/2/3: a command line that
+     fails to parse is malformed input (2, not cmdliner's 124) and an
+     escaped exception is an internal error (3, not 125). *)
   exit
-    (Cmd.eval ~argv
-       (Cmd.group (Cmd.info "secure_view_cli" ~doc)
-          [
-            show_cmd;
-            lint_cmd;
-            analyze_cmd;
-            solve_cmd;
-            batch_cmd;
-            check_cmd;
-            flow_cmd;
-            delta_cmd;
-            serve_cmd;
-            corpus_cmd;
-            tune_cmd;
-            tradeoff_cmd;
-          ]))
+    (match
+       Cmd.eval_value ~argv
+         (Cmd.group (Cmd.info "secure_view_cli" ~doc)
+            [
+              show_cmd;
+              lint_cmd;
+              analyze_cmd;
+              solve_cmd;
+              batch_cmd;
+              check_cmd;
+              flow_cmd;
+              delta_cmd;
+              serve_cmd;
+              corpus_cmd;
+              tune_cmd;
+              tradeoff_cmd;
+            ])
+     with
+    | Ok (`Ok () | `Version | `Help) -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> 3)

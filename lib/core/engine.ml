@@ -48,14 +48,6 @@ let default_request inst =
     metrics = Svutil.Metrics.nop;
   }
 
-(* The rounding guarantees (Theorems 5 and 6) need exact x values, so
-   the rounding solvers never run their relaxation in pure floats: an
-   explicit [Float_mode] request is upgraded to the hybrid route, which
-   is float-priced but returns exact rationals. *)
-let rounding_mode = function
-  | Lp.Simplex.Float_mode -> Lp.Simplex.Hybrid_mode
-  | m -> m
-
 type solved_state = { solved_inst : Instance.t; canon : string Lazy.t }
 
 type result = {
@@ -141,9 +133,9 @@ end
 module Round_card_solver = struct
   let name = "round-card"
 
-  (* Algorithm 1 (Theorem 5). The relaxation must return exact
-     rationals ([rounding_mode]): the rounding guarantee does not
-     survive float round-off of the x values. *)
+  (* Algorithm 1 (Theorem 5). Both LP routes return exact rationals,
+     which the rounding guarantee needs: it does not survive float
+     round-off of the x values. *)
   let solve (req : request) =
     let phases = ref [] in
     if not (Exact.all_cardinality req.inst) then
@@ -158,7 +150,7 @@ module Round_card_solver = struct
       let deadline = D.of_ms_opt req.deadline_ms in
       match
         phase req.metrics phases "lp" (fun () ->
-            Card_lp.lp_relaxation ~mode:(rounding_mode req.lp_mode) ~deadline
+            Card_lp.lp_relaxation ~mode:req.lp_mode ~deadline
               ~metrics:req.metrics req.inst)
       with
       | exception D.Expired ->
@@ -192,7 +184,7 @@ module Round_set_solver = struct
     let deadline = D.of_ms_opt req.deadline_ms in
     match
       phase req.metrics phases "lp" (fun () ->
-          Set_lp.lp_relaxation ~mode:(rounding_mode req.lp_mode) ~deadline
+          Set_lp.lp_relaxation ~mode:req.lp_mode ~deadline
             ~metrics:req.metrics req.inst)
     with
     | exception D.Expired ->
@@ -245,9 +237,6 @@ module Exact_solver = struct
         ("deadline_hit", string_of_bool st.deadline_hit);
         ("lp_mode", Lp.Simplex.mode_to_string req.lp_mode);
       ]
-      @ (if req.lp_mode = Lp.Simplex.Float_mode then
-           [ ("lp.inexact", "true") ]
-         else [])
       @
       match st.root_bound with
       | Some b -> [ ("root_bound", Rat.to_string b) ]
@@ -459,31 +448,17 @@ let clamp f m =
   | Auto -> Exact
   | m -> m
 
-(* The PR-4 hand-set strategy. Thresholds: instances with at most
-   [brute_attrs] attributes enumerate faster than they presolve; below
-   [tight_deadline_ms] a branch-and-bound run cannot finish a root LP
-   reliably, so an LP-rounding method matched to the constraint form
-   (or greedy as last resort) is the best use of the budget. *)
+(* The PR-4 hand-set strategy, as a table value so it can be evaluated,
+   compared and serialized like any challenger. Thresholds: instances
+   with at most [brute_attrs] attributes enumerate faster than they
+   presolve; below [tight_deadline_ms] a branch-and-bound run cannot
+   finish a root LP reliably, so an LP-rounding method matched to the
+   constraint form (or greedy as last resort) is the best use of the
+   budget. Its last rule always fires, so it is also the fall-through
+   for tables whose rules all miss. *)
 let brute_attrs = 10
 let tight_deadline_ms = 25.
 
-let hand_set_route f ~deadline_ms =
-  if f.f_attrs <= brute_attrs && f.f_attrs <= Exact.brute_force_limit then
-    Brute
-  else
-    let tight =
-      match deadline_ms with Some b -> b < tight_deadline_ms | None -> false
-    in
-    if tight then
-      if f.f_card_frac >= 1.0 then Round_card
-      else if f.f_lmax <= 3 then Round_set
-      else Greedy
-    else Exact
-
-(* The same strategy as a table value, so it can be evaluated, compared
-   and serialized like any challenger. [route] on it agrees with
-   [hand_set_route] on every instance (the clamps make rule 1 respect
-   the brute-force limit). *)
 let hand_set_routing =
   let g g_feat g_cmp g_val = { g_feat; g_cmp; g_val } in
   {
@@ -521,17 +496,23 @@ let route_explain table f ~deadline_ms =
       (meth_to_string r.route)
       (if m <> r.route then ", clamped to " ^ meth_to_string m else "")
   in
-  let rec go i = function
-    | [] ->
-        let m = clamp f (hand_set_route f ~deadline_ms) in
-        (m, Printf.sprintf "%s: fall-through to hand-set" table.r_name)
+  let rec first_match i = function
+    | [] -> None
     | r :: rest ->
-        if List.for_all (guard_holds f ~deadline_ms) r.guards then
-          let m = clamp f r.route in
-          (m, Printf.sprintf "%s: rule %d (%s)" table.r_name i (describe r m))
-        else go (i + 1) rest
+        if List.for_all (guard_holds f ~deadline_ms) r.guards then Some (i, r)
+        else first_match (i + 1) rest
   in
-  go 1 table.rules
+  match first_match 1 table.rules with
+  | Some (i, r) ->
+      let m = clamp f r.route in
+      (m, Printf.sprintf "%s: rule %d (%s)" table.r_name i (describe r m))
+  | None ->
+      let m =
+        match first_match 1 hand_set_routing.rules with
+        | Some (_, r) -> clamp f r.route
+        | None -> Exact (* unreachable: the last hand-set rule has no guards *)
+      in
+      (m, Printf.sprintf "%s: fall-through to hand-set" table.r_name)
 
 let route table f ~deadline_ms = fst (route_explain table f ~deadline_ms)
 

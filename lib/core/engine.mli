@@ -37,9 +37,9 @@ type request = {
           [proven_optimal = false] — it never raises. *)
   node_limit : int;  (** branch-and-bound node budget (exact method) *)
   lp_mode : Lp.Simplex.mode;
-      (** simplex route for the LP relaxations. The rounding methods
-          upgrade {!Lp.Simplex.Float_mode} to {!Lp.Simplex.Hybrid_mode}:
-          their approximation guarantees need exact x values. *)
+      (** simplex route for the LP relaxations. Both routes return
+          exact rationals, which the rounding methods' approximation
+          guarantees need. *)
   jobs : int;  (** concurrent branch-and-bound node evaluations *)
   seed : int;  (** RNG seed for randomized rounding trials *)
   trials : int;  (** rounding trials; the cheapest solution wins *)

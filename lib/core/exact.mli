@@ -30,8 +30,8 @@ val solve :
   outcome option
 (** [None] when the instance is infeasible. [mode] picks the simplex
     route for the node relaxations (default {!Lp.Simplex.Hybrid_mode}:
-    exact answers, float basis hunting; {!Lp.Simplex.Float_mode} is the
-    historical approximate route and ticks [lp.inexact]). [jobs]
+    exact answers, float basis hunting; {!Lp.Simplex.Exact_mode} pivots
+    in rationals throughout and gives the same answers). [jobs]
     evaluates that many branch-and-bound nodes concurrently (default 1;
     the answer does not depend on it). The search is seeded with the
     greedy solution as a strict cutoff, so a run that proves the seed

@@ -4,8 +4,6 @@ type result =
   | Unbounded
 
 module type SOLVER = sig
-  val integral_eps : Rat.t
-
   val solve :
     ?deadline:Svutil.Deadline.t ->
     ?metrics:Svutil.Metrics.t ->
@@ -34,7 +32,7 @@ let src = Logs.Src.create "secure_view.simplex" ~doc:"Two-phase simplex solver"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-module Make (F : Field.S) : SOLVER = struct
+module Exact : SOLVER = struct
   let iteration_limit = 200_000
 
   (* Deadline polls read the clock once per this many pivots: cheap
@@ -51,54 +49,57 @@ module Make (F : Field.S) : SOLVER = struct
      improving step; any cycle is all-degenerate, so this terminates. *)
   let degenerate_streak_limit = 40
 
-  (* Under the float field the warm tableau accumulates rounding drift;
-     rebuild it from the pristine copy periodically. *)
-  let rebuild_period = 256
-
-  let integral_eps = if F.exact then Rat.zero else Rat.of_ints 1 1_000_000
-
-  let lt a b = F.compare a b < 0
-  let gt a b = F.compare a b > 0
-
   (* The tableau works over shifted variables [y_i = x_i - lb_i >= 0];
      upper bounds become explicit rows. Columns are: [0..n-1] structural,
      then slacks, then artificials. *)
   type tableau = {
     ncols : int;
     first_art : int;  (** columns >= first_art are artificial *)
-    a : F.t array array;  (** m rows *)
-    b : F.t array;
+    a : Rat.t array array;  (** m rows *)
+    b : Rat.t array;
     basis : int array;
   }
 
-  (* Row elimination goes through the field's [row_axpy]/[row_div]
-     kernels: the float instance runs monomorphic unboxed loops, the
-     exact instance skips zero entries so every skipped multiply is a
-     skipped bignum allocation. *)
+  (* The pivot's inner loops ([dst <- dst - f * src], [dst <- dst / pv])
+     skip zero entries: the gadget programs are sparse, and every
+     skipped multiply is a skipped bignum allocation. *)
+  let row_axpy f src dst =
+    for j = 0 to Array.length dst - 1 do
+      let p = Array.unsafe_get src j in
+      if not (Rat.is_zero p) then
+        Array.unsafe_set dst j (Rat.sub (Array.unsafe_get dst j) (Rat.mul f p))
+    done
+
+  let row_div dst pv =
+    for j = 0 to Array.length dst - 1 do
+      let v = Array.unsafe_get dst j in
+      if not (Rat.is_zero v) then Array.unsafe_set dst j (Rat.div v pv)
+    done
+
   let pivot t ~rc ~row ~col =
     let m = Array.length t.b in
     let arow = t.a.(row) in
     let pv = arow.(col) in
-    if F.compare pv F.one <> 0 then begin
-      F.row_div arow pv;
-      t.b.(row) <- F.div t.b.(row) pv
+    if Rat.compare pv Rat.one <> 0 then begin
+      row_div arow pv;
+      t.b.(row) <- Rat.div t.b.(row) pv
     end;
-    arow.(col) <- F.one;
+    arow.(col) <- Rat.one;
     for i = 0 to m - 1 do
       if i <> row then begin
         let ai = t.a.(i) in
         let f = ai.(col) in
-        if not (F.is_zero f) then begin
-          F.row_axpy f arow ai;
-          ai.(col) <- F.zero;
-          t.b.(i) <- F.sub t.b.(i) (F.mul f t.b.(row))
+        if not (Rat.is_zero f) then begin
+          row_axpy f arow ai;
+          ai.(col) <- Rat.zero;
+          t.b.(i) <- Rat.sub t.b.(i) (Rat.mul f t.b.(row))
         end
       end
     done;
     let f = rc.(col) in
-    if not (F.is_zero f) then begin
-      F.row_axpy f arow rc;
-      rc.(col) <- F.zero
+    if not (Rat.is_zero f) then begin
+      row_axpy f arow rc;
+      rc.(col) <- Rat.zero
     end;
     t.basis.(row) <- col
 
@@ -108,13 +109,13 @@ module Make (F : Field.S) : SOLVER = struct
     let rc = Array.copy cost in
     for i = 0 to m - 1 do
       let cb = cost.(t.basis.(i)) in
-      if not (F.is_zero cb) then F.row_axpy cb t.a.(i) rc
+      if not (Rat.is_zero cb) then row_axpy cb t.a.(i) rc
     done;
     rc
 
   let objective_value t cost =
-    let z = ref F.zero in
-    Array.iteri (fun i bi -> z := F.add !z (F.mul cost.(t.basis.(i)) bi)) t.b;
+    let z = ref Rat.zero in
+    Array.iteri (fun i bi -> z := Rat.add !z (Rat.mul cost.(t.basis.(i)) bi)) t.b;
     !z
 
   (* Minimize [cost] over the tableau, entering only [allowed] columns.
@@ -143,16 +144,16 @@ module Make (F : Field.S) : SOLVER = struct
       if !degen > degenerate_streak_limit then (
         try
           for j = 0 to t.ncols - 1 do
-            if allowed j && lt rc.(j) F.zero then begin
+            if allowed j && Rat.lt rc.(j) Rat.zero then begin
               entering := j;
               raise Exit
             end
           done
         with Exit -> ())
       else begin
-        let best = ref F.zero in
+        let best = ref Rat.zero in
         for j = 0 to t.ncols - 1 do
-          if allowed j && lt rc.(j) !best then begin
+          if allowed j && Rat.lt rc.(j) !best then begin
             entering := j;
             best := rc.(j)
           end
@@ -162,12 +163,12 @@ module Make (F : Field.S) : SOLVER = struct
       else begin
         let col = !entering in
         let row = ref (-1) in
-        let best = ref F.zero in
+        let best = ref Rat.zero in
         for i = 0 to m - 1 do
-          if gt t.a.(i).(col) F.zero then begin
-            let ratio = F.div t.b.(i) t.a.(i).(col) in
-            if !row < 0 || lt ratio !best
-               || (F.compare ratio !best = 0 && t.basis.(i) < t.basis.(!row))
+          if Rat.gt t.a.(i).(col) Rat.zero then begin
+            let ratio = Rat.div t.b.(i) t.a.(i).(col) in
+            if !row < 0 || Rat.lt ratio !best
+               || (Rat.compare ratio !best = 0 && t.basis.(i) < t.basis.(!row))
             then begin
               row := i;
               best := ratio
@@ -176,7 +177,7 @@ module Make (F : Field.S) : SOLVER = struct
         done;
         if !row < 0 then `Unbounded
         else begin
-          if F.is_zero !best then incr degen else degen := 0;
+          if Rat.is_zero !best then incr degen else degen := 0;
           pivot t ~rc ~row:!row ~col;
           incr pivots;
           loop (iter + 1)
@@ -208,49 +209,49 @@ module Make (F : Field.S) : SOLVER = struct
         0 rows
     in
     let first_art = n + n_slack in
-    let a0 = Array.init m (fun _ -> Array.make first_art F.zero) in
-    let b = Array.make m F.zero in
+    let a0 = Array.init m (fun _ -> Array.make first_art Rat.zero) in
+    let b = Array.make m Rat.zero in
     let slack_of_row = Array.make m (-1) in
     let next_slack = ref n in
     Array.iteri
       (fun i (expr, cmp, rhs) ->
-        List.iter (fun (v, c) -> a0.(i).(v) <- F.of_rat c) (Linexpr.to_list expr);
-        b.(i) <- F.of_rat rhs;
+        List.iter (fun (v, c) -> a0.(i).(v) <- c) (Linexpr.to_list expr);
+        b.(i) <- rhs;
         (match cmp with
         | Problem.Le ->
-            a0.(i).(!next_slack) <- F.one;
+            a0.(i).(!next_slack) <- Rat.one;
             slack_of_row.(i) <- !next_slack;
             incr next_slack
         | Problem.Ge ->
-            a0.(i).(!next_slack) <- F.neg F.one;
+            a0.(i).(!next_slack) <- Rat.minus_one;
             slack_of_row.(i) <- !next_slack;
             incr next_slack
         | Problem.Eq -> ());
         (* Make the right-hand side non-negative. *)
-        if lt b.(i) F.zero then begin
+        if Rat.lt b.(i) Rat.zero then begin
           for j = 0 to first_art - 1 do
-            a0.(i).(j) <- F.neg a0.(i).(j)
+            a0.(i).(j) <- Rat.neg a0.(i).(j)
           done;
-          b.(i) <- F.neg b.(i)
+          b.(i) <- Rat.neg b.(i)
         end)
       rows;
     (* A row whose slack has coefficient +1 can start with the slack
        basic; every other row gets an artificial variable. *)
     let needs_art i =
-      slack_of_row.(i) < 0 || F.compare a0.(i).(slack_of_row.(i)) F.one <> 0
+      slack_of_row.(i) < 0 || Rat.compare a0.(i).(slack_of_row.(i)) Rat.one <> 0
     in
     let n_art = ref 0 in
     for i = 0 to m - 1 do
       if needs_art i then incr n_art
     done;
     let ncols = first_art + !n_art in
-    let a = Array.init m (fun i -> Array.append a0.(i) (Array.make !n_art F.zero)) in
+    let a = Array.init m (fun i -> Array.append a0.(i) (Array.make !n_art Rat.zero)) in
     let basis = Array.make m (-1) in
     let unit_col = Array.make m (-1) in
     let next_art = ref first_art in
     for i = 0 to m - 1 do
       if needs_art i then begin
-        a.(i).(!next_art) <- F.one;
+        a.(i).(!next_art) <- Rat.one;
         basis.(i) <- !next_art;
         unit_col.(i) <- !next_art;
         incr next_art
@@ -266,14 +267,14 @@ module Make (F : Field.S) : SOLVER = struct
   let two_phase t ~deadline ~metrics ~n_art ~cost2 =
     let m = Array.length t.b in
     if n_art > 0 then begin
-      let cost1 = Array.make t.ncols F.zero in
+      let cost1 = Array.make t.ncols Rat.zero in
       for j = t.first_art to t.ncols - 1 do
-        cost1.(j) <- F.one
+        cost1.(j) <- Rat.one
       done;
       (match optimize t ~deadline ~metrics ~cost:cost1 ~allowed:(fun _ -> true) with
       | `Unbounded -> assert false (* phase-1 objective is bounded below by 0 *)
       | `Optimal -> ());
-      if gt (objective_value t cost1) F.zero then `Infeasible
+      if Rat.gt (objective_value t cost1) Rat.zero then `Infeasible
       else begin
         (* Drive remaining artificials out of the basis where possible. *)
         for i = 0 to m - 1 do
@@ -281,14 +282,14 @@ module Make (F : Field.S) : SOLVER = struct
             let col = ref (-1) in
             (try
                for j = 0 to t.first_art - 1 do
-                 if not (F.is_zero t.a.(i).(j)) then begin
+                 if not (Rat.is_zero t.a.(i).(j)) then begin
                    col := j;
                    raise Exit
                  end
                done
              with Exit -> ());
             if !col >= 0 then begin
-              let rc = Array.make t.ncols F.zero in
+              let rc = Array.make t.ncols Rat.zero in
               pivot t ~rc ~row:i ~col:!col
             end
             (* Otherwise the row is redundant; the artificial stays basic
@@ -303,24 +304,20 @@ module Make (F : Field.S) : SOLVER = struct
   (* Read structural values off an optimal tableau (shifted by [lb0]). *)
   let extract t ~n ~lb0 ~objective =
     let y = Array.make n Rat.zero in
-    Array.iteri (fun i v -> if v < n then y.(v) <- F.to_rat t.b.(i)) t.basis;
+    Array.iteri (fun i v -> if v < n then y.(v) <- t.b.(i)) t.basis;
     let x = Array.init n (fun i -> Rat.add y.(i) lb0.(i)) in
     let obj = Linexpr.eval objective (fun v -> x.(v)) in
     Optimal { objective = obj; values = x }
 
   let phase2_cost ~ncols objective =
-    let cost2 = Array.make ncols F.zero in
-    List.iter (fun (v, c) -> cost2.(v) <- F.of_rat c) (Linexpr.to_list objective);
+    let cost2 = Array.make ncols Rat.zero in
+    List.iter (fun (v, c) -> cost2.(v) <- c) (Linexpr.to_list objective);
     cost2
 
   let solve ?(deadline = Svutil.Deadline.none) ?(metrics = Svutil.Metrics.nop)
       (s : Problem.snapshot) =
     let n = s.n in
     Svutil.Metrics.tick metrics "simplex.cold_starts";
-    (* Float-field results pass through a dyadic approximation; flag
-       them so callers can tell certified-exact from approximate
-       output. *)
-    if not F.exact then Svutil.Metrics.tick metrics "lp.inexact";
     try
       (* Shift: y_i = x_i - lb_i. *)
       let shift_rhs expr rhs =
@@ -369,19 +366,13 @@ module Make (F : Field.S) : SOLVER = struct
     prob : Problem.snapshot;
     lb0 : Rat.t array;  (** root lower bounds: the tableau's shift *)
     t : tableau;
-    cost2 : F.t array;
+    cost2 : Rat.t array;
     unit_col : int array;
-    b0 : F.t array;  (** right-hand side currently applied, per row *)
+    b0 : Rat.t array;  (** right-hand side currently applied, per row *)
     lb_row : int array;  (** row carrying var i's lower bound, or -1 *)
     ub_row : int array;
-    (* Pristine post-build state, for drift-shedding rebuilds under the
-       float field. *)
-    a_init : F.t array array;
-    b_init : F.t array;
-    basis_init : int array;
     root : result;  (** the root optimum found at creation time *)
     metrics : Svutil.Metrics.t;
-    mutable solves : int;
     mutable ok : bool;  (** false: give up on warm starts, always cold-solve *)
   }
 
@@ -434,9 +425,6 @@ module Make (F : Field.S) : SOLVER = struct
         let rows = Array.of_list (base_rows @ List.rev !extra) in
         let t, n_art, unit_col = build_tableau ~n rows in
         let b0 = Array.copy t.b in
-        let a_init = Array.map Array.copy t.a in
-        let b_init = Array.copy t.b in
-        let basis_init = Array.copy t.basis in
         let cost2 = phase2_cost ~ncols:t.ncols s.objective in
         match two_phase t ~deadline ~metrics ~n_art ~cost2 with
         | `Infeasible | `Unbounded -> None
@@ -451,34 +439,13 @@ module Make (F : Field.S) : SOLVER = struct
                 b0;
                 lb_row;
                 ub_row;
-                a_init;
-                b_init;
-                basis_init;
                 root = extract t ~n ~lb0 ~objective:s.objective;
                 metrics;
-                solves = 0;
                 ok = true;
               }
       with Bad_bounds -> None
 
   let warm_root w = w.root
-
-  (* Reset the live tableau to its pristine post-build state and re-run
-     the two-phase solve at root bounds, shedding accumulated float
-     error. *)
-  let rebuild ~deadline w =
-    let t = w.t in
-    let m = Array.length t.b in
-    for i = 0 to m - 1 do
-      Array.blit w.a_init.(i) 0 t.a.(i) 0 t.ncols
-    done;
-    Array.blit w.b_init 0 t.b 0 m;
-    Array.blit w.basis_init 0 t.basis 0 m;
-    Array.blit w.b_init 0 w.b0 0 m;
-    let n_art = t.ncols - t.first_art in
-    match two_phase t ~deadline ~metrics:w.metrics ~n_art ~cost2:w.cost2 with
-    | `Optimal -> true
-    | `Infeasible | `Unbounded -> false
 
   exception Not_applicable
 
@@ -490,13 +457,12 @@ module Make (F : Field.S) : SOLVER = struct
     let t = w.t in
     let m = Array.length t.b in
     let apply r rhs =
-      let rhs = F.of_rat rhs in
-      if F.compare rhs w.b0.(r) <> 0 then begin
-        let d = F.sub rhs w.b0.(r) in
+      if Rat.compare rhs w.b0.(r) <> 0 then begin
+        let d = Rat.sub rhs w.b0.(r) in
         let c = w.unit_col.(r) in
         for k = 0 to m - 1 do
           let v = t.a.(k).(c) in
-          if not (F.is_zero v) then t.b.(k) <- F.add t.b.(k) (F.mul d v)
+          if not (Rat.is_zero v) then t.b.(k) <- Rat.add t.b.(k) (Rat.mul d v)
         done;
         w.b0.(r) <- rhs
       end
@@ -511,7 +477,7 @@ module Make (F : Field.S) : SOLVER = struct
     done
 
   (* Bounded dual simplex (Bland's rule in the dual), then a primal
-     cleanup pass for any float drift in the reduced costs. *)
+     pass over whatever negative reduced costs the dual pass left. *)
   let reoptimize ~deadline w =
     let t = w.t in
     let m = Array.length t.b in
@@ -531,19 +497,19 @@ module Make (F : Field.S) : SOLVER = struct
         end;
         let row = ref (-1) in
         for i = 0 to m - 1 do
-          if lt t.b.(i) F.zero && (!row < 0 || t.basis.(i) < t.basis.(!row)) then
+          if Rat.lt t.b.(i) Rat.zero && (!row < 0 || t.basis.(i) < t.basis.(!row)) then
             row := i
         done;
         if !row < 0 then `Primal_feasible
         else begin
           let arow = t.a.(!row) in
           let col = ref (-1) in
-          let best = ref F.zero in
+          let best = ref Rat.zero in
           for j = 0 to t.first_art - 1 do
             let arj = arow.(j) in
-            if lt arj F.zero then begin
-              let ratio = F.div rc.(j) (F.neg arj) in
-              if !col < 0 || lt ratio !best then begin
+            if Rat.lt arj Rat.zero then begin
+              let ratio = Rat.div rc.(j) (Rat.neg arj) in
+              if !col < 0 || Rat.lt ratio !best then begin
                 col := j;
                 best := ratio
               end
@@ -577,8 +543,8 @@ module Make (F : Field.S) : SOLVER = struct
         with
         | `Optimal -> `Optimal
         | `Unbounded ->
-            (* Nodes of a bounded root can't be unbounded; treat as a
-               numerical failure and let the cold solver decide. *)
+            (* Nodes of a bounded root can't be unbounded; let the
+               cold solver decide. *)
             `Fail)
 
   let warm_solve ?(deadline = Svutil.Deadline.none) w ~lb ~ub =
@@ -588,35 +554,24 @@ module Make (F : Field.S) : SOLVER = struct
     if not w.ok then cold ()
     else begin
       Svutil.Metrics.tick w.metrics "simplex.warm_starts";
-      if not F.exact then Svutil.Metrics.tick w.metrics "lp.inexact";
-      w.solves <- w.solves + 1;
-      if (not F.exact) && w.solves mod rebuild_period = 0 && not (rebuild ~deadline w)
-      then begin
-        w.ok <- false;
-        cold ()
-      end
-      else
-        match apply_bounds w ~lb ~ub with
-        | exception Not_applicable ->
-            w.ok <- false;
-            cold ()
-        | () -> (
-            match reoptimize ~deadline w with
-            | `Optimal ->
-                extract w.t ~n:w.prob.Problem.n ~lb0:w.lb0
-                  ~objective:w.prob.Problem.objective
-            | `Infeasible -> Infeasible
-            | `Fail ->
-                Log.debug (fun f -> f "warm reoptimize failed; cold fallback");
-                (* The partially-pivoted tableau is still a consistent
-                   basis for the applied bounds, so later warm solves can
-                   continue from it. *)
-                cold ())
+      match apply_bounds w ~lb ~ub with
+      | exception Not_applicable ->
+          w.ok <- false;
+          cold ()
+      | () -> (
+          match reoptimize ~deadline w with
+          | `Optimal ->
+              extract w.t ~n:w.prob.Problem.n ~lb0:w.lb0
+                ~objective:w.prob.Problem.objective
+          | `Infeasible -> Infeasible
+          | `Fail ->
+              Log.debug (fun f -> f "warm reoptimize failed; cold fallback");
+              (* The partially-pivoted tableau is still a consistent
+                 basis for the applied bounds, so later warm solves can
+                 continue from it. *)
+              cold ())
     end
 end
-
-module Exact = Make (Field.Rat_field)
-module Fast = Make (Field.Float_field)
 
 (* {2 Hybrid-precision solver}
 
@@ -627,8 +582,6 @@ module Fast = Make (Field.Float_field)
    two-phase solver above.  Results are exact rationals either way;
    the float pass is pure heuristics. *)
 module Hybrid : SOLVER = struct
-  let integral_eps = Rat.zero
-
   let fallback ~deadline ~metrics s =
     Svutil.Metrics.tick metrics "certify.fallbacks";
     Exact.solve ~deadline ~metrics s
@@ -699,20 +652,15 @@ module Hybrid : SOLVER = struct
       ~lb ~ub s
 end
 
-type mode = Exact_mode | Hybrid_mode | Float_mode
+type mode = Exact_mode | Hybrid_mode
 
 let solver_of_mode : mode -> (module SOLVER) = function
   | Exact_mode -> (module Exact)
   | Hybrid_mode -> (module Hybrid)
-  | Float_mode -> (module Fast)
 
-let mode_to_string = function
-  | Exact_mode -> "exact"
-  | Hybrid_mode -> "hybrid"
-  | Float_mode -> "float"
+let mode_to_string = function Exact_mode -> "exact" | Hybrid_mode -> "hybrid"
 
 let mode_of_string = function
   | "exact" -> Some Exact_mode
   | "hybrid" -> Some Hybrid_mode
-  | "float" | "fast" -> Some Float_mode
   | _ -> None

@@ -1,20 +1,14 @@
 (** Two-phase primal simplex with warm-started dual reoptimization.
 
-    The solver is generic over the scalar {!Field.S}: {!Exact} runs over
-    exact rationals and is the reference used by the paper-faithful
-    experiments; {!Fast} runs over floats with an epsilon tolerance and
-    is used for larger benchmark sweeps. Both report results as exact
-    rationals ({!Field.Float_field.to_rat} introduces a dyadic
-    approximation in the fast instance; such results tick the
-    [lp.inexact] metrics counter).
-
-    {!Hybrid} is the third instance: a double-precision revised-simplex
-    pass ({!Fsimplex}) hunts for the optimal basis, {!Certify}
-    refactorizes that basis once in exact rationals and accepts or
-    repairs it, and only a failed certification falls back to the exact
-    two-phase path. Its results are exact rationals — equal to
-    {!Exact}'s optima — at a fraction of the pivoting cost, which is
-    why it is the default exact route ({!Hybrid_mode}).
+    Two solvers, both returning exact rationals. {!Exact} pivots a dense
+    tableau over exact rationals and is the reference used by the
+    paper-faithful experiments and the differential tests. {!Hybrid}
+    runs a double-precision revised-simplex pass ({!Fsimplex}) to hunt
+    for the optimal basis, {!Certify} refactorizes that basis once in
+    exact rationals and accepts or repairs it, and only a failed
+    certification falls back to {!Exact}. Its results equal {!Exact}'s
+    optima at a fraction of the pivoting cost, which is why it is the
+    default route ({!Hybrid_mode}).
 
     Pivot selection is Dantzig's rule with a Bland fallback during
     degenerate streaks (anti-cycling), and the inner pivot loops skip
@@ -30,11 +24,6 @@ type result =
   | Unbounded
 
 module type SOLVER = sig
-  val integral_eps : Rat.t
-  (** Integrality tolerance appropriate for this solver's scalar field:
-      zero for exact rationals (optima are never perturbed by snapping),
-      [1e-6] for floats. *)
-
   val solve :
     ?deadline:Svutil.Deadline.t ->
     ?metrics:Svutil.Metrics.t ->
@@ -92,32 +81,26 @@ module type SOLVER = sig
       domain at a time. *)
 end
 
-module Make (_ : Field.S) : SOLVER
-
 module Exact : SOLVER
-module Fast : SOLVER
 
 module Hybrid : SOLVER
 (** Float-first basis hunting with exact certification: exact-rational
-    results ([integral_eps = 0]) whose per-solve cost is dominated by
-    the double-precision pass whenever certification accepts.  Metrics:
+    results whose per-solve cost is dominated by the double-precision
+    pass whenever certification accepts.  Metrics:
     [simplex.hybrid.float_pivots], [certify.accepts], [certify.repairs],
     [certify.cache_hits], and [certify.fallbacks] (each fallback also
     runs the {!Exact} counters). *)
 
 (** {1 Solver selection} *)
 
-type mode = Exact_mode | Hybrid_mode | Float_mode
-(** The three LP routes, as selected by [--lp-mode]: pure exact
-    rationals, hybrid (exact results, float basis hunting — the
-    default), and pure floats (fast, approximate, ticks
-    [lp.inexact]). *)
+type mode = Exact_mode | Hybrid_mode
+(** The two LP routes, as selected by [--lp-mode]: pure exact rationals,
+    and hybrid (exact results, float basis hunting — the default). *)
 
 val solver_of_mode : mode -> (module SOLVER)
 
 val mode_to_string : mode -> string
-(** ["exact"], ["hybrid"], ["float"]. *)
+(** ["exact"], ["hybrid"]. *)
 
 val mode_of_string : string -> mode option
-(** Inverse of {!mode_to_string}; also accepts ["fast"] for
-    {!Float_mode} (the historical [--solver fast] spelling). *)
+(** Inverse of {!mode_to_string}. *)

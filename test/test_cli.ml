@@ -301,7 +301,19 @@ let test_exit_codes () =
     "gamma 4\nattr x\nattr y\nmodule m private inputs x outputs y\n\
      row m 0 -> 1\nrow m 1 -> 0\n" (fun unreachable ->
       Alcotest.(check int) "static preflight failure" 1
-        (run_cli_code [ "solve"; unreachable ]))
+        (run_cli_code [ "solve"; unreachable ]));
+  (* Command lines cmdliner rejects are malformed input too. *)
+  List.iter
+    (fun (label, args) ->
+      Alcotest.(check int) label 2
+        (run_cli_code ("solve" :: example "fig1.swf" :: args)))
+    [
+      ("unknown --lp-mode", [ "--lp-mode"; "bogus" ]);
+      ("removed --lp-mode float", [ "--lp-mode"; "float" ]);
+      ("unknown method", [ "-m"; "bogus" ]);
+      ("non-integer --jobs", [ "--jobs"; "x" ]);
+      ("unknown flag", [ "--no-such-flag" ]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* delta --json --verify --metrics json                                *)

@@ -301,19 +301,26 @@ let test_clamps () =
   Alcotest.(check string) "round-card clamps to round-set on sets"
     "round-set"
     (E.meth_to_string (E.route card_table sets ~deadline_ms:None));
-  (* An empty table falls through to the hand-set strategy. *)
+  (* An empty table falls through to the hand-set strategy, on every
+     one of its branches. *)
   let empty = { E.r_name = "empty"; rules = [] } in
-  Alcotest.(check string) "empty table falls through to hand-set (brute)"
-    "brute"
-    (E.meth_to_string (E.route empty (mk_feats 4) ~deadline_ms:None));
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  let m, why = E.route_explain empty (mk_feats 4) ~deadline_ms:None in
-  Alcotest.(check bool) "explain names the fall-through" true
-    (m = E.Brute && contains why "fall-through")
+  let sets lmax = { (mk_feats 30) with E.f_card_frac = 0.5; f_lmax = lmax } in
+  List.iter
+    (fun (label, f, deadline_ms, want) ->
+      let m, why = E.route_explain empty f ~deadline_ms in
+      Alcotest.(check string)
+        ("empty table falls through to hand-set: " ^ label)
+        want (E.meth_to_string m);
+      Alcotest.(check string) ("explain names the fall-through: " ^ label)
+        "empty: fall-through to hand-set" why)
+    [
+      ("<= 10 attrs", mk_feats 4, None, "brute");
+      ("tight deadline, all-card", mk_feats 30, Some 10., "round-card");
+      ("tight deadline, lmax <= 3", sets 3, Some 10., "round-set");
+      ("tight deadline, lmax > 3", sets 4, Some 10., "greedy");
+      ("no deadline", sets 4, None, "exact");
+      ("deadline at the threshold", mk_feats 30, Some 25., "exact");
+    ]
 
 let () =
   Alcotest.run "corpus"

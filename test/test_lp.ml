@@ -36,7 +36,7 @@ let feasible (s : P.snapshot) values =
        s.P.constraints
 
 (* ------------------------------------------------------------------ *)
-(* Simplex unit tests (run against both scalar fields)                 *)
+(* Simplex unit tests (run against both solvers)                       *)
 (* ------------------------------------------------------------------ *)
 
 let simplex_cases =
@@ -122,19 +122,14 @@ let simplex_cases =
       `Obj (Q.of_int 18) );
   ]
 
-let simplex_tests (module S : Lp.Simplex.SOLVER) exact =
+let simplex_tests (module S : Lp.Simplex.SOLVER) =
   List.map
     (fun (name, snap, expected) ->
       Alcotest.test_case name `Quick (fun () ->
           match (S.solve snap, expected) with
           | Lp.Simplex.Optimal { objective; values }, `Obj want ->
-              if exact then begin
-                check_q "objective" want objective;
-                Alcotest.(check bool) "solution feasible" true (feasible snap values)
-              end
-              else
-                Alcotest.(check (float 1e-6))
-                  "objective" (Q.to_float want) (Q.to_float objective)
+              check_q "objective" want objective;
+              Alcotest.(check bool) "solution feasible" true (feasible snap values)
           | Lp.Simplex.Infeasible, `Infeasible -> ()
           | Lp.Simplex.Unbounded, `Unbounded -> ()
           | got, _ ->
@@ -221,22 +216,14 @@ let test_certify_fallback_singular () =
   | Lp.Certify.Cert_fail -> ()
   | _ -> Alcotest.fail "expected Cert_fail on a singular basis"
 
-let test_inexact_marker () =
-  (* Satellite: Fast's dyadic results are tagged [lp.inexact]; Hybrid's
-     exact results are not, even though its float pass did pivot. *)
+let test_exact_after_float_pivots () =
+  (* Hybrid's float pass pivots, yet the answer is the exact rational
+     optimum, not a float approximation of it. *)
   let s = (fun (_, snap, _) -> snap) (List.nth simplex_cases 1) in
-  let mf = Svutil.Metrics.create () in
-  (match Lp.Simplex.Fast.solve ~metrics:mf s with
-  | Lp.Simplex.Optimal _ -> ()
-  | _ -> Alcotest.fail "fast should solve");
-  Alcotest.(check bool) "fast ticks lp.inexact" true
-    (Svutil.Metrics.counter_value mf "lp.inexact" > 0);
   let mh = Svutil.Metrics.create () in
   (match Lp.Simplex.Hybrid.solve ~metrics:mh s with
   | Lp.Simplex.Optimal { objective; _ } -> check_q "hybrid optimum" (Q.of_ints 34 5) objective
   | _ -> Alcotest.fail "hybrid should solve");
-  Alcotest.(check int) "hybrid result is exact" 0
-    (Svutil.Metrics.counter_value mh "lp.inexact");
   Alcotest.(check bool) "hybrid pivoted in floats" true
     (Svutil.Metrics.counter_value mh "simplex.hybrid.float_pivots" > 0)
 
@@ -246,7 +233,8 @@ let certify_tests =
     Alcotest.test_case "repair primal-feasible basis" `Quick test_certify_repair_primal;
     Alcotest.test_case "repair dual-feasible basis" `Quick test_certify_repair_dual;
     Alcotest.test_case "fail on singular basis" `Quick test_certify_fallback_singular;
-    Alcotest.test_case "lp.inexact marker" `Quick test_inexact_marker;
+    Alcotest.test_case "exact optimum after float pivots" `Quick
+      test_exact_after_float_pivots;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -367,6 +355,21 @@ let test_problem_pp_smoke () =
   let rendered = Format.asprintf "%a" P.pp s in
   Alcotest.(check bool) "mentions minimize" true
     (String.length rendered > 0 && String.sub rendered 0 8 = "minimize")
+
+let test_mode_names () =
+  (* [--lp-mode] and the daemon's "lp_mode" field accept exactly the two
+     routes' names. *)
+  List.iter
+    (fun m ->
+      let name = Lp.Simplex.mode_to_string m in
+      Alcotest.(check bool) (name ^ " round-trips") true
+        (Lp.Simplex.mode_of_string name = Some m))
+    [ Lp.Simplex.Exact_mode; Lp.Simplex.Hybrid_mode ];
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is rejected") true
+        (Lp.Simplex.mode_of_string name = None))
+    [ "float"; "fast"; "Exact"; "HYBRID"; "" ]
 
 let test_ilp_node_limit () =
   (* A 0/1 program with a tiny node budget: solver must not claim
@@ -606,11 +609,6 @@ let props =
         match Lp.Simplex.Exact.solve s with
         | Lp.Simplex.Optimal { values; _ } -> feasible s values
         | _ -> false);
-    prop "exact and fast agree on the optimum" gen_bounded_lp (fun s ->
-        match (Lp.Simplex.Exact.solve s, Lp.Simplex.Fast.solve s) with
-        | Lp.Simplex.Optimal a, Lp.Simplex.Optimal b ->
-            Float.abs (Q.to_float a.objective -. Q.to_float b.objective) < 1e-6
-        | _ -> false);
     prop "lp relaxation bounds the ilp" gen_bounded_lp (fun s ->
         (* Mark all variables integral; LP optimum must lower-bound it. *)
         let s' = P.all_integer s in
@@ -721,10 +719,9 @@ let props =
 let () =
   Alcotest.run "lp"
     [
-      ("simplex exact", simplex_tests (module Lp.Simplex.Exact) true);
-      ("simplex fast", simplex_tests (module Lp.Simplex.Fast) false);
+      ("simplex exact", simplex_tests (module Lp.Simplex.Exact));
       ( "simplex hybrid",
-        simplex_tests (module Lp.Simplex.Hybrid) true
+        simplex_tests (module Lp.Simplex.Hybrid)
         @ [
             Alcotest.test_case "deadline raises" `Quick (fun () ->
                 let s = (fun (_, snap, _) -> snap) (List.nth simplex_cases 1) in
@@ -752,6 +749,7 @@ let () =
         [
           Alcotest.test_case "linexpr" `Quick test_linexpr;
           Alcotest.test_case "problem pp" `Quick test_problem_pp_smoke;
+          Alcotest.test_case "lp mode names" `Quick test_mode_names;
         ] );
       ("properties", props);
       ("hybrid properties", hybrid_props);

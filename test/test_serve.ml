@@ -505,6 +505,18 @@ let test_daemon_errors () =
     "static" 1;
   check_error {|{"op":"solve","file":"examples/fig1.swf","method":"wat"}|}
     "unknown-name" 2;
+  (* "float" names no LP route: the error keeps the request's id and
+     the next request is still answered. *)
+  let float_line =
+    {|{"id":"f","op":"solve","file":"examples/fig1.swf","lp_mode":"float"}|}
+  in
+  check_error float_line "unknown-name" 2;
+  let r, _ = response_of t float_line in
+  Alcotest.(check (option string)) "error carries the id" (Some "f")
+    (Json.str_member "id" r);
+  let pong, _ = response_of t {|{"id":"p","op":"ping"}|} in
+  Alcotest.(check (option bool)) "next request answered" (Some true)
+    (Json.bool_member "pong" pong);
   (* Blank lines are skipped without a response. *)
   match Serve.Daemon.handle_line t "   " with
   | None, `Continue -> ()
