@@ -158,14 +158,22 @@ serve-examples:
 # each, through the real serve daemon. The load client checks every
 # answer against the pure-exact oracle (Core.Exact in Exact_mode);
 # timings are printed, not gated. Both result lines must read
-# "correct":true and "failed":0.
+# "correct":true and "failed":0. A second, traced pass (one second per
+# workload) replays every request in-process through the daemon's own
+# cache path; there "correct":true also means every daemon answer was
+# byte-equal to the replay's and the serve.* counters matched.
 perfbench-smoke:
 	python3 perfbench/run.py --workload all --seed 1 --seconds 2 --trace 0 \
 	  > /tmp/perfbench_smoke.out
 	@test "$$(grep -c '^{"correct":true,.*"failed":0,' /tmp/perfbench_smoke.out)" = 2 \
 	  || { echo "FAIL: perfbench-smoke result lines"; \
 	       grep '^{' /tmp/perfbench_smoke.out; exit 1; }
-	@echo "ok: perfbench-smoke (both workloads correct, no failed requests)"
+	python3 perfbench/run.py --workload all --seed 1 --seconds 1 --trace 1 \
+	  > /tmp/perfbench_smoke_trace.out
+	@test "$$(grep -c '^{"correct":true,.*"failed":0,' /tmp/perfbench_smoke_trace.out)" = 2 \
+	  || { echo "FAIL: perfbench-smoke traced result lines"; \
+	       grep '^{' /tmp/perfbench_smoke_trace.out | cut -c1-200; exit 1; }
+	@echo "ok: perfbench-smoke (both workloads correct, no failed requests, traced replay byte-equal)"
 
 clean:
 	dune clean

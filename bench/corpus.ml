@@ -304,16 +304,16 @@ let skipped_row ir m =
     r_time_ms = 0.;
   }
 
-let run ?deadline_ms ?(lp_mode = Lp.Simplex.Hybrid_mode) recs =
+let run ?deadline_ms recs =
   List.concat_map
     (fun ir ->
       List.map
-        (fun (m, _name) ->
+        (fun m ->
           if m = E.Brute && ir.feats.E.f_attrs > brute_measure_cap then
             skipped_row ir m
           else begin
             let req =
-              { (E.default_request ir.inst) with E.meth = m; lp_mode; deadline_ms }
+              { (E.default_request ir.inst) with E.meth = m; deadline_ms }
             in
             let t0 = Svutil.Deadline.now_ms () in
             let res = E.run req in
@@ -332,7 +332,7 @@ let run ?deadline_ms ?(lp_mode = Lp.Simplex.Hybrid_mode) recs =
               r_time_ms = t1 -. t0;
             }
           end)
-        (E.registered ()))
+        E.methods)
     recs
 
 (* {1 JSON} *)

@@ -12,9 +12,6 @@
                                                registry (overhead check)
    dune exec bench/main.exe -- --filter R   -- only kernels/experiments
                                                matching regex R (Str syntax)
-   dune exec bench/main.exe -- --lp-mode M  -- simplex route for the
-                                               engine-driven ILP kernels:
-                                               exact|hybrid (default hybrid)
    dune exec bench/main.exe -- --compare A B -- per-kernel speedups between
                                                two bench-json files *)
 
@@ -54,7 +51,7 @@ let naive_min_out_size w ~public ~visible ~module_name =
    of the experiment's dominant operation. The _naive twins time the
    generate-and-test oracle on the same kernel, so a single run yields
    the pruned-vs-naive speedup. *)
-let timing_tests ~lp_mode () =
+let timing_tests () =
   let fig1 = L.fig1_m1 in
   let card_inst =
     Svbench.Gen_instances.random_card (Rng.create 42)
@@ -137,14 +134,12 @@ let timing_tests ~lp_mode () =
   (* Gadget ILP kernels go through the unified engine, like the CLI and
      the experiment driver; the engine adds one record allocation on top
      of the branch-and-bound, so timings stay comparable to PR3. *)
-  let engine_exact ?(metrics = Svutil.Metrics.nop) ?(static_fixing = true) inst =
+  let engine_exact ?(metrics = Svutil.Metrics.nop) inst =
     Core.Engine.run
       {
         (Core.Engine.default_request inst) with
         Core.Engine.meth = Core.Engine.Exact;
-        Core.Engine.lp_mode;
         Core.Engine.metrics;
-        Core.Engine.static_fixing;
       }
   in
   let lp_x inst =
@@ -159,12 +154,7 @@ let timing_tests ~lp_mode () =
      parent solve and the edited instance are prepared outside the
      timed region — the kernels compare re-solve against re-solve. *)
   let engine_auto ?(metrics = Svutil.Metrics.nop) inst =
-    Core.Engine.run
-      {
-        (Core.Engine.default_request inst) with
-        Core.Engine.lp_mode;
-        Core.Engine.metrics;
-      }
+    Core.Engine.run { (Core.Engine.default_request inst) with Core.Engine.metrics }
   in
   let delta_twins key union edit =
     let parent = engine_auto union in
@@ -175,7 +165,7 @@ let timing_tests ~lp_mode () =
     in
     [
       stage_m (key ^ "_delta_incremental") (fun m ->
-          match Core.Delta.resolve ~lp_mode ~metrics:m ~parent edit with
+          match Core.Delta.resolve ~metrics:m ~parent edit with
           | Ok _ -> ()
           | Error msg -> failwith (key ^ ": " ^ msg));
       stage_m (key ^ "_from_scratch") (fun m ->
@@ -219,7 +209,7 @@ let timing_tests ~lp_mode () =
        is float basis hunting + certification, not rational pivoting
        (which e05_card_lp_pure_exact still times). *)
     stage_m "e05_card_lp_exact" (fun m ->
-        ignore (Core.Card_lp.lp_relaxation ~mode:lp_mode ~metrics:m card_inst));
+        ignore (Core.Card_lp.lp_relaxation ~metrics:m card_inst));
     stage_m "e05_card_lp_pure_exact" (fun m ->
         ignore
           (Core.Card_lp.lp_relaxation ~mode:Lp.Simplex.Exact_mode ~metrics:m
@@ -270,19 +260,20 @@ let timing_tests ~lp_mode () =
     stage "e18_derive_requirement" (fun () ->
         ignore (Core.Derive.requirement fig1 ~gamma:4));
     (* Flow-kernel pairs: the static privacy-flow pass itself, and two
-       flow-rich instances branch-and-bound solved with and without its
-       variable fixings — a single run yields the pruning win
-       (ilp.nodes with vs without, ilp.static_fixed > 0). *)
+       flow-rich instances branch-and-bound solved by the engine (which
+       pins the flow verdicts) and by the unpruned search — a single run
+       yields the pruning win (ilp.nodes with vs without,
+       ilp.static_fixed > 0). *)
     stage_m "e19_flow_analysis" (fun m ->
         ignore (Core.Flow.analyze ~metrics:m flow_inst_a));
     stage_m "e19_ilp_static_fixing" (fun m ->
         ignore (engine_exact ~metrics:m flow_inst_a));
     stage_m "e19_ilp_no_static_fixing" (fun m ->
-        ignore (engine_exact ~metrics:m ~static_fixing:false flow_inst_a));
+        ignore (Core.Exact.solve_with_stats ~metrics:m flow_inst_a));
     stage_m "e20_ilp_static_fixing" (fun m ->
         ignore (engine_exact ~metrics:m flow_inst_b));
     stage_m "e20_ilp_no_static_fixing" (fun m ->
-        ignore (engine_exact ~metrics:m ~static_fixing:false flow_inst_b));
+        ignore (Core.Exact.solve_with_stats ~metrics:m flow_inst_b));
   ]
   @ delta_twins "e21" card_union e21_edit
   @ delta_twins "e22" sets_union e22_edit
@@ -326,17 +317,10 @@ let timing_tests ~lp_mode () =
       ()
   in
   let union_request ?(metrics = Svutil.Metrics.nop) inst =
-    {
-      (Core.Engine.default_request inst) with
-      Core.Engine.lp_mode;
-      Core.Engine.metrics;
-    }
+    { (Core.Engine.default_request inst) with Core.Engine.metrics }
   in
   let warm_cache = Serve.Cache.create ~capacity:8 () in
-  let warm_result =
-    Core.Engine.run_cached (Serve.Cache.engine_cache warm_cache)
-      (union_request card_union)
-  in
+  let warm_result, _ = Serve.Cache.solve warm_cache (union_request card_union) in
   (match warm_result.Core.Engine.solution with
   | Some _ -> ()
   | None -> failwith "e24: warm solve of the card union came back infeasible");
@@ -344,18 +328,14 @@ let timing_tests ~lp_mode () =
   [
     stage_m "e23_serve_cold_miss" (fun m ->
         let cache = Serve.Cache.create ~metrics:m ~capacity:8 () in
-        ignore
-          (Core.Engine.run_cached
-             (Serve.Cache.engine_cache cache)
-             (union_request ~metrics:m card_union)));
+        ignore (Serve.Cache.solve cache (union_request ~metrics:m card_union)));
     stage_m "e24_serve_warm_hit" (fun m ->
-        let r =
-          Core.Engine.run_cached
-            (Serve.Cache.engine_cache warm_cache)
+        match
+          Serve.Cache.solve warm_cache
             (union_request ~metrics:m card_union_renamed)
-        in
-        if List.assoc_opt "cache" r.Core.Engine.stats <> Some "hit" then
-          failwith "e24: renamed union request missed the warm cache");
+        with
+        | _, Serve.Cache.Hit -> ()
+        | _ -> failwith "e24: renamed union request missed the warm cache");
   ]
   @
   (* Route-decision kernel: one pass of the fitted decision list over
@@ -382,8 +362,7 @@ let timing_tests ~lp_mode () =
    its {!Svutil.Metrics} registry (work counts for one run), so BENCH
    files record what the kernels did, not just how long they took.
    [read_bench_json] stops scanning at the "metrics" key. *)
-let write_json path rows metrics_rows =
-  let oc = open_out path in
+let write_json (path, oc) rows metrics_rows =
   output_string oc "{\n";
   List.iteri
     (fun i (name, est) ->
@@ -404,12 +383,12 @@ let write_json path rows metrics_rows =
   close_out oc;
   Printf.printf "wrote %s\n" path
 
-let run_timings ~smoke ~live ~json ~matches ~lp_mode =
+let run_timings ~smoke ~live ~json ~matches =
   print_endline
     (if live then "\n== Bechamel timings (ns per run, OLS fit; live metrics) =="
      else "\n== Bechamel timings (ns per run, OLS fit) ==");
   let entries =
-    timing_tests ~lp_mode () |> List.filter (fun (name, _, _) -> matches name)
+    timing_tests () |> List.filter (fun (name, _, _) -> matches name)
   in
   (* With --metrics, each instrumented kernel is timed writing into its
      own live registry (reused across iterations, like a long-running
@@ -425,7 +404,10 @@ let run_timings ~smoke ~live ~json ~matches ~lp_mode =
         | _ -> Test.make ~name (Staged.stage plain))
       entries
   in
-  if tests = [] then print_endline "(no timing kernel matches the filter)"
+  if tests = [] then begin
+    print_endline "(no timing kernel matches the filter)";
+    Option.iter (fun out -> write_json out [] []) json
+  end
   else begin
     let instances = Instance.[ monotonic_clock ] in
     let cfg =
@@ -568,18 +550,7 @@ let () =
         | o :: v :: _ when o = name -> Some v
         | _ :: rest -> opt_value name rest
       in
-      let json = opt_value "--json" args in
-      let lp_mode =
-        match opt_value "--lp-mode" args with
-        | None -> Lp.Simplex.Hybrid_mode
-        | Some s -> (
-            match Lp.Simplex.mode_of_string s with
-            | Some m -> m
-            | None ->
-                Printf.eprintf
-                  "bench: bad --lp-mode %S (want exact|hybrid)\n" s;
-                exit 2)
-      in
+      let json_path = opt_value "--json" args in
       let filter =
         Option.map
           (fun r ->
@@ -596,7 +567,7 @@ let () =
       in
       let rec drop_opts = function
         | [] -> []
-        | ("--json" | "--filter" | "--lp-mode") :: _ :: rest -> drop_opts rest
+        | ("--json" | "--filter") :: _ :: rest -> drop_opts rest
         | a :: rest -> a :: drop_opts rest
       in
       let args = drop_opts args in
@@ -605,6 +576,18 @@ let () =
       let smoke = List.mem "--smoke" args in
       let live = List.mem "--metrics" args in
       let selected = List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args in
+      let timed = (not no_timings) && selected = [] in
+      (* Open the --json file up front: an unwritable path fails here,
+         not after the whole timing run. *)
+      let json =
+        match json_path with
+        | Some path when timed -> (
+            try Some (path, open_out path)
+            with Sys_error msg ->
+              Printf.eprintf "bench: --json: %s\n" msg;
+              exit 2)
+        | _ -> None
+      in
       if (not timings_only) && not smoke then begin
         print_endline "Provenance Views for Module Privacy - experiment harness";
         print_endline "(paper-vs-measured record: EXPERIMENTS.md)";
@@ -613,5 +596,4 @@ let () =
             if (selected = [] || List.mem name selected) && matches name then run ())
           Experiments.all
       end;
-      if (not no_timings) && selected = [] then
-        run_timings ~smoke ~live ~json ~matches ~lp_mode
+      if timed then run_timings ~smoke ~live ~json ~matches

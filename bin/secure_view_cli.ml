@@ -45,16 +45,16 @@ let write_all path text =
       Out_channel.output_string oc text;
       Out_channel.output_char oc '\n')
 
-(* Cmdliner's [float] converter accepts "nan" and "inf"; options that
-   must be finite arrive as strings and are checked here, exiting 2
-   (Serve.Request.Usage) like every other bad input. *)
-let parse_float ~what s =
-  match float_of_string_opt s with
-  | Some f when Float.is_finite f -> f
-  | _ ->
-      fail_with
-        (Serve.Request.Usage
-           (Printf.sprintf "%s must be a finite number, got %S" what s))
+(* Cmdliner's [float] converter accepts "nan" and "inf"; budgets and
+   margins must be finite, so a non-finite value is a command line
+   cmdliner rejects (exit 2). *)
+let finite_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f -> Ok f
+    | _ -> Error (`Msg (Printf.sprintf "expected a finite number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
 
 let load_routing path =
   match Svutil.Json.of_string (read_all path) with
@@ -207,7 +207,7 @@ let seed_arg =
                  file from this base.")
 
 let deadline_arg =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some finite_float) None
        & info [ "deadline" ] ~docv:"MS"
            ~doc:"Wall-clock budget in milliseconds. A run that hits it \
                  returns the best incumbent found so far, never claiming \
@@ -228,21 +228,6 @@ let node_limit_arg =
   Arg.(value & opt int Lp.Ilp.default_node_limit
        & info [ "node-limit" ] ~docv:"N"
            ~doc:"Branch-and-bound node budget for the exact solver.")
-
-let lp_mode_arg =
-  let modes =
-    Arg.enum
-      [
-        ("exact", Lp.Simplex.Exact_mode);
-        ("hybrid", Lp.Simplex.Hybrid_mode);
-      ]
-  in
-  Arg.(value & opt modes Lp.Simplex.Hybrid_mode
-       & info [ "lp-mode"; "solver" ] ~docv:"MODE"
-           ~doc:"Simplex route for the LP relaxations: $(b,exact) (rational \
-                 pivoting, the reference) or $(b,hybrid) (default: float \
-                 basis hunting, exactly certified — same answers as \
-                 exact).")
 
 let jobs_arg =
   Arg.(value & opt int 1
@@ -280,26 +265,10 @@ let json_engine_result = Serve.Response.engine_result ~timings:true
 let stat_true (r : Core.Engine.result) key =
   List.assoc_opt key r.Core.Engine.stats = Some "true"
 
-let no_static_fixing_arg =
-  Arg.(value & flag
-       & info [ "no-static-fixing" ]
-           ~doc:"Skip the privacy-flow pre-pass that pins must-hide and \
-                 may-expose attributes before branch and bound. The optimum \
-                 is the same either way; this exists to measure the pruning.")
-
-let request_of inst ~meth ~node_limit ~lp_mode ~jobs ~seed ~deadline_ms ~trials
-    ~metrics ~static_fixing =
+let request_of inst ~meth ~node_limit ~jobs ~seed ~deadline_ms ~trials
+    ~metrics =
   Serve.Request.engine_request ~metrics inst
-    {
-      Serve.Request.meth;
-      node_limit;
-      lp_mode;
-      jobs;
-      seed;
-      deadline_ms;
-      trials;
-      static_fixing;
-    }
+    { Serve.Request.meth; node_limit; jobs; seed; deadline_ms; trials }
 
 let routing_arg =
   Arg.(value & opt (some string) None
@@ -315,8 +284,8 @@ let explain_route_arg =
                  for this request (method, rule, table name).")
 
 let solve_cmd =
-  let run file meth emit_view node_limit lp_mode jobs json seed deadline
-      trials metrics_mode no_static_fixing routing_file explain_route =
+  let run file meth emit_view node_limit jobs json seed deadline trials
+      metrics_mode routing_file explain_route =
     Option.iter
       (fun p -> Core.Engine.set_routing (load_routing p))
       routing_file;
@@ -326,9 +295,8 @@ let solve_cmd =
     let field k v = fields := (k, v) :: !fields in
     if explain_route then begin
       let req0 =
-        request_of inst ~meth:Core.Engine.Auto ~node_limit ~lp_mode ~jobs
-          ~seed ~deadline_ms:deadline ~trials ~metrics:Svutil.Metrics.nop
-          ~static_fixing:(not no_static_fixing)
+        request_of inst ~meth:Core.Engine.Auto ~node_limit ~jobs ~seed
+          ~deadline_ms:deadline ~trials ~metrics:Svutil.Metrics.nop
       in
       let m, why = Core.Engine.choose_explain req0 in
       let table = (Core.Engine.routing ()).Core.Engine.r_name in
@@ -345,9 +313,8 @@ let solve_cmd =
        the JSON field under the CLI's name for the method. *)
     let run_method (key, meth) =
       let req =
-        request_of inst ~meth ~node_limit ~lp_mode ~jobs ~seed
-          ~deadline_ms:deadline ~trials ~metrics:(metrics_of metrics_mode)
-          ~static_fixing:(not no_static_fixing)
+        request_of inst ~meth ~node_limit ~jobs ~seed ~deadline_ms:deadline
+          ~trials ~metrics:(metrics_of metrics_mode)
       in
       let r = Core.Engine.run req in
       if not json then begin
@@ -406,9 +373,8 @@ let solve_cmd =
   in
   Cmd.v (Cmd.info "solve" ~doc:"Solve the workflow Secure-View problem.")
     Term.(const run $ file_arg $ method_arg $ emit_view_arg $ node_limit_arg
-          $ lp_mode_arg $ jobs_arg $ solve_json_arg $ seed_arg $ deadline_arg
-          $ trials_arg $ metrics_arg $ no_static_fixing_arg $ routing_arg
-          $ explain_route_arg)
+          $ jobs_arg $ solve_json_arg $ seed_arg $ deadline_arg $ trials_arg
+          $ metrics_arg $ routing_arg $ explain_route_arg)
 
 (* batch ----------------------------------------------------------------- *)
 
@@ -417,8 +383,7 @@ let batch_cmd =
     Arg.(non_empty & pos_all string []
          & info [] ~docv:"FILES" ~doc:"Workflow description files.")
   in
-  let run files (_, meth) node_limit lp_mode jobs seed deadline trials
-      metrics_mode no_static_fixing =
+  let run files (_, meth) node_limit jobs seed deadline trials metrics_mode =
     (* One JSON line per file; a file that fails to parse, lint, or
        solve yields an "ok":false line instead of aborting the batch.
        Each file gets a seed derived from the base seed and its position
@@ -446,10 +411,9 @@ let batch_cmd =
                 (* Fresh registry per file: parallel batch workers never
                    share a live registry. *)
                 let req =
-                  request_of inst ~meth ~node_limit ~lp_mode ~jobs:1
+                  request_of inst ~meth ~node_limit ~jobs:1
                     ~seed:(seed + idx) ~deadline_ms:deadline ~trials
                     ~metrics:(metrics_of metrics_mode)
-                    ~static_fixing:(not no_static_fixing)
                 in
                 let r = Core.Engine.run req in
                 ( Printf.sprintf {|{"file":%s,"ok":true,"result":%s}|}
@@ -484,8 +448,7 @@ let batch_cmd =
              file. Files are processed in parallel with --jobs; the output \
              (order and content) does not depend on the job count.")
     Term.(const run $ files_arg $ batch_method_arg $ node_limit_arg
-          $ lp_mode_arg $ jobs_arg $ seed_arg $ deadline_arg $ trials_arg
-          $ metrics_arg $ no_static_fixing_arg)
+          $ jobs_arg $ seed_arg $ deadline_arg $ trials_arg $ metrics_arg)
 
 (* check ------------------------------------------------------------------ *)
 
@@ -502,6 +465,16 @@ let check_cmd =
     let spec = load ~preflight:true file in
     let w = spec.Wf.Parse.workflow in
     let public = List.map fst spec.Wf.Parse.publics in
+    let declared what known names =
+      List.iter
+        (fun n ->
+          if not (List.mem n known) then
+            fail_with
+              (Serve.Request.Unknown_name (Printf.sprintf "no %s %s" what n)))
+        names
+    in
+    declared "attribute" (Wf.Workflow.attr_names w) hidden;
+    declared "public module" public privatized;
     let ok =
       List.for_all
         (fun (m : Wf.Wmodule.t) ->
@@ -568,31 +541,11 @@ let delta_cmd =
          & info [ "json" ]
              ~doc:"Emit parent and incremental results as one JSON object.")
   in
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let b = Buffer.create 1024 in
-        let chunk = Bytes.create 4096 in
-        let rec go () =
-          let n = input ic chunk 0 (Bytes.length chunk) in
-          if n > 0 then begin
-            Buffer.add_subbytes b chunk 0 n;
-            go ()
-          end
-        in
-        go ();
-        Buffer.contents b)
-  in
-  let run file edits node_limit lp_mode jobs json verify metrics_mode =
+  let run file edits node_limit jobs json verify metrics_mode =
     let spec = load ~preflight:true file in
     let inst = instance_of spec in
     let script =
-      match
-        try Core.Delta.parse_script (read_file edits)
-        with Sys_error m -> Error m
-      with
+      match Core.Delta.parse_script (read_all edits) with
       | Ok s -> s
       | Error e ->
           Printf.eprintf "error: %s: %s\n" edits e;
@@ -604,12 +557,11 @@ let delta_cmd =
         {
           (Core.Engine.default_request inst) with
           Core.Engine.node_limit;
-          lp_mode;
           jobs;
         }
     in
     match
-      Core.Delta.resolve ~node_limit ~lp_mode ~jobs ~metrics ~parent script
+      Core.Delta.resolve ~node_limit ~jobs ~metrics ~parent script
     with
     | Error e ->
         Printf.eprintf "error: %s\n" e;
@@ -631,7 +583,6 @@ let delta_cmd =
                 {
                   (Core.Engine.default_request o.Core.Delta.edited) with
                   Core.Engine.node_limit;
-                  lp_mode;
                   jobs;
                 }
             in
@@ -699,8 +650,8 @@ let delta_cmd =
        ~doc:"Apply an edit script to a solved workflow and re-solve \
              incrementally (Core.Delta): no-op detection by canonical form, \
              dirty-set scoping, warm-started branch and bound.")
-    Term.(const run $ file_arg $ edits_arg $ node_limit_arg $ lp_mode_arg
-          $ jobs_arg $ json_arg $ verify_arg $ metrics_arg)
+    Term.(const run $ file_arg $ edits_arg $ node_limit_arg $ jobs_arg
+          $ json_arg $ verify_arg $ metrics_arg)
 
 (* serve ----------------------------------------------------------------- *)
 
@@ -732,8 +683,7 @@ let serve_cmd =
                    an internal error. Costs the solve the cache saved — for \
                    tests and CI gates.")
   in
-  let run socket cache_size jobs verify_hits node_limit lp_mode deadline
-      trials seed no_static_fixing =
+  let run socket cache_size jobs verify_hits node_limit deadline trials seed =
     if cache_size < 1 then
       fail_with (Serve.Request.Usage "cache-size must be at least 1");
     if jobs < 1 then fail_with (Serve.Request.Usage "jobs must be at least 1");
@@ -745,11 +695,9 @@ let serve_cmd =
           {
             Serve.Request.default_options with
             Serve.Request.node_limit;
-            lp_mode;
             deadline_ms = deadline;
             trials;
             seed;
-            static_fixing = not no_static_fixing;
           };
         verify_hits;
         preflight = true;
@@ -769,8 +717,8 @@ let serve_cmd =
              socket with --socket); ops: solve, ping, stats, shutdown. \
              SIGUSR1 dumps stats and metrics to stderr.")
     Term.(const run $ socket_arg $ cache_size_arg $ serve_jobs_arg
-          $ verify_hits_arg $ node_limit_arg $ lp_mode_arg $ deadline_arg
-          $ trials_arg $ seed_arg $ no_static_fixing_arg)
+          $ verify_hits_arg $ node_limit_arg $ deadline_arg $ trials_arg
+          $ seed_arg)
 
 (* corpus ---------------------------------------------------------------- *)
 
@@ -794,7 +742,7 @@ let corpus_cmd =
                    the solvers on them.")
   in
   let deadline_opt_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some finite_float) None
          & info [ "deadline" ] ~docv:"MS"
              ~doc:"Per-solve wall-clock budget in milliseconds (default: \
                    none, which keeps the recorded rows deterministic).")
@@ -810,8 +758,7 @@ let corpus_cmd =
              ~doc:"Redact the time_ms fields so the row output is \
                    byte-reproducible across runs.")
   in
-  let run seed smoke list_only deadline_s out no_times =
-    let deadline_ms = Option.map (parse_float ~what:"deadline") deadline_s in
+  let run seed smoke list_only deadline_ms out no_times =
     let recs = Svbench.Corpus.generate ~smoke ~seed () in
     let doc =
       if list_only then Svbench.Corpus.instances_to_json ~seed recs
@@ -826,7 +773,7 @@ let corpus_cmd =
     (Cmd.info "corpus"
        ~doc:"Generate the seeded scenario corpus (five topology families \
              crossed with size, constraint-form and public-fraction axes) \
-             and measure every registered solver on every instance, one \
+             and measure every method on every instance, one \
              JSON row per (instance, method).")
     Term.(const run $ corpus_seed_arg $ smoke_arg $ list_arg $ deadline_opt_arg
           $ out_arg $ no_times_arg)
@@ -839,7 +786,7 @@ let tune_cmd =
          & info [] ~docv:"ROWS" ~doc:"Corpus rows JSON (from $(b,corpus)).")
   in
   let margin_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some finite_float) None
          & info [ "margin" ] ~docv:"FRAC"
              ~doc:"Promotion margin: the challenger must be at least \
                    $(docv) faster in held-out geomean (default 0.02).")
@@ -862,8 +809,7 @@ let tune_cmd =
                    regressions, geomean no slower than the hand-set \
                    champion); exit 1 otherwise.")
   in
-  let run rows_file margin_s json out check =
-    let margin = Option.map (parse_float ~what:"margin") margin_s in
+  let run rows_file margin json out check =
     let rows =
       match Svutil.Json.of_string (read_all rows_file) with
       | Error m -> fail_with (Serve.Request.Parse_error (rows_file ^ ": " ^ m))

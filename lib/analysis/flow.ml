@@ -71,11 +71,6 @@ let wiring w =
 
 let closures w = Core.Delta.wiring_closures (wiring w)
 
-let component w seeds =
-  Core.Delta.component
-    ~groups:(List.map (fun (ins, outs) -> ins @ outs) (wiring w))
-    ~seeds
-
 (* ------------------------------------------------------------------ *)
 (* The lattice fixpoint                                                *)
 (* ------------------------------------------------------------------ *)

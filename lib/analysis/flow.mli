@@ -65,13 +65,6 @@ val closures :
     wiring, each sorted. One linear pass per direction (delegates to
     {!Core.Delta.wiring_closures}). *)
 
-val component : Wf.Workflow.t -> string list -> string list
-(** [component w seeds] is the wiring-coupling closure of [seeds]: the
-    union of the connected components (over the graph whose cliques are
-    each module's input∪output set) meeting [seeds]. This is the dirty
-    set the incremental engine re-solves when [seeds] are edited;
-    sorted. Delegates to {!Core.Delta.component}. *)
-
 val analyze_workflow :
   ?publics:(string * Rat.t) list ->
   ?gamma_overrides:(string * int) list ->

@@ -358,8 +358,7 @@ let ratio_of solution lower_bound proven =
   | Some (s : Solution.t), Some _ when Rat.is_zero s.Solution.cost -> Some 1.0
   | _ -> None
 
-let resolve ?(node_limit = Lp.Ilp.default_node_limit)
-    ?(lp_mode = Lp.Simplex.Hybrid_mode) ?(jobs = 1)
+let resolve ?(node_limit = Lp.Ilp.default_node_limit) ?(jobs = 1)
     ?(metrics = Metrics.nop) ~(parent : Engine.result) script =
   match parent.Engine.state with
   | None -> Error "Delta.resolve: parent result has no solved-state capture"
@@ -474,7 +473,6 @@ let resolve ?(node_limit = Lp.Ilp.default_node_limit)
                   {
                     (Engine.default_request inst) with
                     node_limit;
-                    lp_mode;
                     jobs;
                     metrics;
                     warm_seed;

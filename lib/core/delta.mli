@@ -115,7 +115,6 @@ type outcome = {
 
 val resolve :
   ?node_limit:int ->
-  ?lp_mode:Lp.Simplex.mode ->
   ?jobs:int ->
   ?metrics:Svutil.Metrics.t ->
   parent:Engine.result ->

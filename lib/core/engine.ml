@@ -24,11 +24,9 @@ type request = {
   meth : meth;
   deadline_ms : float option;
   node_limit : int;
-  lp_mode : Lp.Simplex.mode;
   jobs : int;
   seed : int;
   trials : int;
-  static_fixing : bool;
   warm_seed : Solution.t option;
   metrics : Svutil.Metrics.t;
 }
@@ -39,11 +37,9 @@ let default_request inst =
     meth = Auto;
     deadline_ms = None;
     node_limit = Lp.Ilp.default_node_limit;
-    lp_mode = Lp.Simplex.Hybrid_mode;
     jobs = 1;
     seed = 0;
     trials = 4;
-    static_fixing = true;
     warm_seed = None;
     metrics = Svutil.Metrics.nop;
   }
@@ -61,11 +57,6 @@ type result = {
   metrics : Svutil.Metrics.t;
   state : solved_state option;
 }
-
-module type Solver_sig = sig
-  val name : string
-  val solve : request -> result
-end
 
 (* Phase timing: one clock-read pair per phase feeds both the registry
    (as a span nested under [run]'s "solve" span) and the [(label, ms)]
@@ -115,191 +106,145 @@ let greedy_fallback ~phases ~method_used ~stats (req : request) =
     ~stats:(("deadline_hit", "true") :: stats)
     ?solution ()
 
-module Greedy_solver = struct
-  let name = "greedy"
+let solve_greedy (req : request) =
+  let phases = ref [] in
+  let solution =
+    phase req.metrics phases "greedy" (fun () -> greedy_solution req.inst)
+  in
+  let stats =
+    match solution with None -> [ ("infeasible", "true") ] | Some _ -> []
+  in
+  make_result ~metrics:req.metrics ~phases ~method_used:Greedy ~stats
+    ?solution ()
 
-  let solve (req : request) =
-    let phases = ref [] in
-    let solution =
-      phase req.metrics phases "greedy" (fun () -> greedy_solution req.inst)
-    in
-    let stats =
-      match solution with None -> [ ("infeasible", "true") ] | Some _ -> []
-    in
-    make_result ~metrics:req.metrics ~phases ~method_used:Greedy ~stats
-      ?solution ()
-end
-
-module Round_card_solver = struct
-  let name = "round-card"
-
-  (* Algorithm 1 (Theorem 5). Both LP routes return exact rationals,
-     which the rounding guarantee needs: it does not survive float
-     round-off of the x values. *)
-  let solve (req : request) =
-    let phases = ref [] in
-    if not (Exact.all_cardinality req.inst) then
-      make_result ~metrics:req.metrics ~phases ~method_used:Round_card
-        ~stats:
-          [
-            ( "refused",
-              "instance has explicit set constraints; use round-set" );
-          ]
-        ()
-    else
-      let deadline = D.of_ms_opt req.deadline_ms in
-      match
-        phase req.metrics phases "lp" (fun () ->
-            Card_lp.lp_relaxation ~mode:req.lp_mode ~deadline
-              ~metrics:req.metrics req.inst)
-      with
-      | exception D.Expired ->
-          greedy_fallback ~phases ~method_used:Round_card ~stats:[] req
-      | `Infeasible ->
-          make_result ~metrics:req.metrics ~phases ~method_used:Round_card
-            ~stats:[ ("infeasible", "true") ]
-            ()
-      | `Optimal (x, bound) ->
-          let trials = max 1 req.trials in
-          let solution =
-            phase req.metrics phases "round" (fun () ->
-                let base = Svutil.Rng.create req.seed in
-                let rngs =
-                  Array.init trials (fun _ -> Svutil.Rng.split base)
-                in
-                Rounding.best_of trials (fun i ->
-                    Rounding.algorithm1 ~metrics:req.metrics rngs.(i) req.inst
-                      ~x))
-          in
-          make_result ~metrics:req.metrics ~phases ~method_used:Round_card
-            ~stats:[ ("trials", string_of_int trials) ]
-            ~solution ~lower_bound:bound ()
-end
-
-module Round_set_solver = struct
-  let name = "round-set"
-
-  let solve (req : request) =
-    let phases = ref [] in
+(* Algorithm 1 (Theorem 5). The LP relaxation returns exact rationals,
+   which the rounding guarantee needs: it does not survive float
+   round-off of the x values. *)
+let solve_round_card (req : request) =
+  let phases = ref [] in
+  if not (Exact.all_cardinality req.inst) then
+    make_result ~metrics:req.metrics ~phases ~method_used:Round_card
+      ~stats:
+        [ ("refused", "instance has explicit set constraints; use round-set") ]
+      ()
+  else
     let deadline = D.of_ms_opt req.deadline_ms in
     match
       phase req.metrics phases "lp" (fun () ->
-          Set_lp.lp_relaxation ~mode:req.lp_mode ~deadline
-            ~metrics:req.metrics req.inst)
+          Card_lp.lp_relaxation ~deadline ~metrics:req.metrics req.inst)
     with
     | exception D.Expired ->
-        greedy_fallback ~phases ~method_used:Round_set ~stats:[] req
+        greedy_fallback ~phases ~method_used:Round_card ~stats:[] req
     | `Infeasible ->
-        make_result ~metrics:req.metrics ~phases ~method_used:Round_set
+        make_result ~metrics:req.metrics ~phases ~method_used:Round_card
           ~stats:[ ("infeasible", "true") ]
           ()
     | `Optimal (x, bound) ->
+        let trials = max 1 req.trials in
         let solution =
           phase req.metrics phases "round" (fun () ->
-              Rounding.threshold req.inst ~x)
+              let base = Svutil.Rng.create req.seed in
+              let rngs = Array.init trials (fun _ -> Svutil.Rng.split base) in
+              Rounding.best_of trials (fun i ->
+                  Rounding.algorithm1 ~metrics:req.metrics rngs.(i) req.inst
+                    ~x))
         in
-        make_result ~metrics:req.metrics ~phases ~method_used:Round_set
-          ~stats:
-            [ ("lmax", string_of_int (Instance.lmax (Instance.to_sets req.inst))) ]
+        make_result ~metrics:req.metrics ~phases ~method_used:Round_card
+          ~stats:[ ("trials", string_of_int trials) ]
           ~solution ~lower_bound:bound ()
-end
 
-module Exact_solver = struct
-  let name = "exact"
+let solve_round_set (req : request) =
+  let phases = ref [] in
+  let deadline = D.of_ms_opt req.deadline_ms in
+  match
+    phase req.metrics phases "lp" (fun () ->
+        Set_lp.lp_relaxation ~deadline ~metrics:req.metrics req.inst)
+  with
+  | exception D.Expired ->
+      greedy_fallback ~phases ~method_used:Round_set ~stats:[] req
+  | `Infeasible ->
+      make_result ~metrics:req.metrics ~phases ~method_used:Round_set
+        ~stats:[ ("infeasible", "true") ]
+        ()
+  | `Optimal (x, bound) ->
+      let solution =
+        phase req.metrics phases "round" (fun () ->
+            Rounding.threshold req.inst ~x)
+      in
+      make_result ~metrics:req.metrics ~phases ~method_used:Round_set
+        ~stats:
+          [ ("lmax", string_of_int (Instance.lmax (Instance.to_sets req.inst))) ]
+        ~solution ~lower_bound:bound ()
 
-  let solve (req : request) =
-    let phases = ref [] in
-    let deadline = D.of_ms_opt req.deadline_ms in
-    (* The static pre-pass is sound (optimum-preserving) but not free,
-       so it runs as its own phase; [static_fixing = false] skips it
-       and reproduces the pre-flow search byte for byte. *)
-    let attr_fixings =
-      if req.static_fixing then
-        phase req.metrics phases "flow" (fun () ->
-            Flow.fixings (Flow.analyze ~metrics:req.metrics req.inst))
-      else []
-    in
-    let outcome, (st : Lp.Ilp.stats) =
-      phase req.metrics phases "search" (fun () ->
-          Exact.solve_with_stats ~node_limit:req.node_limit ~mode:req.lp_mode
-            ~jobs:req.jobs ~deadline ~metrics:req.metrics ?seed:req.warm_seed
-            ~attr_fixings req.inst)
-    in
-    let stats =
-      (match req.warm_seed with
-      | Some _ -> [ ("warm_seeded", "true") ]
-      | None -> [])
-      @ [
+let solve_exact (req : request) =
+  let phases = ref [] in
+  let deadline = D.of_ms_opt req.deadline_ms in
+  (* The static pre-pass is sound (optimum-preserving) but not free, so
+     it runs as its own phase. [Exact.solve] without [~attr_fixings] is
+     the unpruned search the flow tests and bench twins compare
+     against. *)
+  let attr_fixings =
+    phase req.metrics phases "flow" (fun () ->
+        Flow.fixings (Flow.analyze ~metrics:req.metrics req.inst))
+  in
+  let outcome, (st : Lp.Ilp.stats) =
+    phase req.metrics phases "search" (fun () ->
+        Exact.solve_with_stats ~node_limit:req.node_limit ~jobs:req.jobs
+          ~deadline ~metrics:req.metrics ?seed:req.warm_seed ~attr_fixings
+          req.inst)
+  in
+  let stats =
+    (match req.warm_seed with
+    | Some _ -> [ ("warm_seeded", "true") ]
+    | None -> [])
+    @ [
         ("static_fixed", string_of_int (List.length attr_fixings));
         ("nodes", string_of_int st.nodes);
         ("node_limit", string_of_int st.node_limit);
         ("limit_hit", string_of_bool st.limit_hit);
         ("deadline_hit", string_of_bool st.deadline_hit);
-        ("lp_mode", Lp.Simplex.mode_to_string req.lp_mode);
       ]
-      @
-      match st.root_bound with
-      | Some b -> [ ("root_bound", Rat.to_string b) ]
-      | None -> []
-    in
-    match outcome with
-    | Some { Exact.solution; proven_optimal } ->
-        let lower_bound =
-          if proven_optimal then Some solution.Solution.cost
-          else st.root_bound
-        in
-        make_result ~metrics:req.metrics ~phases ~method_used:Exact ~stats
-          ~solution ?lower_bound ~proven_optimal ()
-    | None ->
-        make_result ~metrics:req.metrics ~phases ~method_used:Exact
-          ~stats:(("infeasible", "true") :: stats)
-          ()
-end
+    @
+    match st.root_bound with
+    | Some b -> [ ("root_bound", Rat.to_string b) ]
+    | None -> []
+  in
+  match outcome with
+  | Some { Exact.solution; proven_optimal } ->
+      let lower_bound =
+        if proven_optimal then Some solution.Solution.cost else st.root_bound
+      in
+      make_result ~metrics:req.metrics ~phases ~method_used:Exact ~stats
+        ~solution ?lower_bound ~proven_optimal ()
+  | None ->
+      make_result ~metrics:req.metrics ~phases ~method_used:Exact
+        ~stats:(("infeasible", "true") :: stats)
+        ()
 
-module Brute_solver = struct
-  let name = "brute"
+let solve_brute (req : request) =
+  let phases = ref [] in
+  match
+    phase req.metrics phases "enumerate" (fun () ->
+        Exact.brute_force_checked req.inst)
+  with
+  | Error (Exact.Too_many_attrs { attrs; limit } as r) ->
+      make_result ~metrics:req.metrics ~phases ~method_used:Brute
+        ~stats:
+          [
+            ("refused", Exact.refusal_to_string r);
+            ("attrs", string_of_int attrs);
+            ("limit", string_of_int limit);
+          ]
+        ()
+  | Ok None ->
+      make_result ~metrics:req.metrics ~phases ~method_used:Brute
+        ~stats:[ ("infeasible", "true") ]
+        ()
+  | Ok (Some s) ->
+      make_result ~metrics:req.metrics ~phases ~method_used:Brute ~solution:s
+        ~lower_bound:s.Solution.cost ~proven_optimal:true ()
 
-  let solve (req : request) =
-    let phases = ref [] in
-    match
-      phase req.metrics phases "enumerate" (fun () ->
-          Exact.brute_force_checked req.inst)
-    with
-    | Error (Exact.Too_many_attrs { attrs; limit } as r) ->
-        make_result ~metrics:req.metrics ~phases ~method_used:Brute
-          ~stats:
-            [
-              ("refused", Exact.refusal_to_string r);
-              ("attrs", string_of_int attrs);
-              ("limit", string_of_int limit);
-            ]
-          ()
-    | Ok None ->
-        make_result ~metrics:req.metrics ~phases ~method_used:Brute
-          ~stats:[ ("infeasible", "true") ]
-          ()
-    | Ok (Some s) ->
-        make_result ~metrics:req.metrics ~phases ~method_used:Brute ~solution:s
-          ~lower_bound:s.Solution.cost ~proven_optimal:true ()
-end
-
-let registry : (meth * (module Solver_sig)) list ref = ref []
-
-let register m s =
-  if m = Auto then invalid_arg "Engine.register: Auto is not a solver";
-  registry := (m, s) :: List.remove_assoc m !registry
-
-let find m = List.assoc_opt m !registry
-
-let registered () =
-  List.rev_map (fun (m, (module S : Solver_sig)) -> (m, S.name)) !registry
-
-let () =
-  register Greedy (module Greedy_solver);
-  register Round_card (module Round_card_solver);
-  register Round_set (module Round_set_solver);
-  register Exact (module Exact_solver);
-  register Brute (module Brute_solver)
+let methods = [ Greedy; Round_card; Round_set; Exact; Brute ]
 
 (* {2 Structural features}
 
@@ -553,15 +498,12 @@ let installed = ref fitted_routing
 let routing () = !installed
 let set_routing t = installed := t
 
-let choose_with table (req : request) =
-  route table (features_of_instance req.inst) ~deadline_ms:req.deadline_ms
-
 let choose_explain (req : request) =
   route_explain !installed
     (features_of_instance req.inst)
     ~deadline_ms:req.deadline_ms
 
-let choose req = choose_with !installed req
+let choose req = fst (choose_explain req)
 
 (* {2 Routing-table JSON} *)
 
@@ -656,40 +598,28 @@ let routing_of_json j =
 
 let run req =
   let m = match req.meth with Auto -> choose req | m -> m in
-  match find m with
-  | None ->
-      invalid_arg ("Engine.run: no solver registered for " ^ meth_to_string m)
-  | Some (module S) ->
-      (* The whole solve runs inside a "solve" span, so per-phase spans
-         nest under "solve/..." and the same measurement yields the
-         "total" timing entry. *)
-      let r, total_ms =
-        Svutil.Metrics.timed req.metrics "solve" (fun () ->
-            S.solve { req with meth = m })
-      in
-      {
-        r with
-        method_used = m;
-        timings = r.timings @ [ ("total", total_ms) ];
-        (* Solved-state capture: the instance this result answers, plus
-           its canonical form (lazily — most callers never pay for it).
-           [Core.Delta] re-solves edits against this. *)
-        state =
-          Some { solved_inst = req.inst; canon = lazy (Canon.form req.inst) };
-      }
-
-type cache = {
-  cache_find : request -> result option;
-  cache_store : request -> result -> unit;
-}
-
-let no_cache = { cache_find = (fun _ -> None); cache_store = (fun _ _ -> ()) }
-
-let run_cached cache req =
-  match cache.cache_find req with
-  | Some r ->
-      { r with stats = ("cache", "hit") :: List.remove_assoc "cache" r.stats }
-  | None ->
-      let r = run req in
-      cache.cache_store req r;
-      { r with stats = ("cache", "miss") :: r.stats }
+  let solve =
+    match m with
+    | Greedy -> solve_greedy
+    | Round_card -> solve_round_card
+    | Round_set -> solve_round_set
+    | Exact | Auto (* unreachable: [choose] clamps [Auto] to [Exact] *) ->
+        solve_exact
+    | Brute -> solve_brute
+  in
+  (* The whole solve runs inside a "solve" span, so per-phase spans nest
+     under "solve/..." and the same measurement yields the "total"
+     timing entry. *)
+  let r, total_ms =
+    Svutil.Metrics.timed req.metrics "solve" (fun () ->
+        solve { req with meth = m })
+  in
+  {
+    r with
+    method_used = m;
+    timings = r.timings @ [ ("total", total_ms) ];
+    (* Solved-state capture: the instance this result answers, plus its
+       canonical form (lazily — most callers never pay for it).
+       [Core.Delta] re-solves edits against this. *)
+    state = Some { solved_inst = req.inst; canon = lazy (Canon.form req.inst) };
+  }

@@ -9,11 +9,7 @@
     method-specific counters as string pairs. The CLI [solve] and
     [batch] subcommands and the benchmark drivers all go through here —
     no caller invokes {!Greedy}/{!Rounding}/{!Exact} directly for
-    end-to-end solving anymore.
-
-    Methods are registered as first-class modules implementing
-    {!Solver_sig}, so alternative strategies can be plugged in without
-    touching the dispatch. *)
+    end-to-end solving anymore. *)
 
 type meth =
   | Auto  (** portfolio: {!choose} picks one of the concrete methods *)
@@ -36,20 +32,9 @@ type request = {
           budget returns the best incumbent with
           [proven_optimal = false] — it never raises. *)
   node_limit : int;  (** branch-and-bound node budget (exact method) *)
-  lp_mode : Lp.Simplex.mode;
-      (** simplex route for the LP relaxations. Both routes return
-          exact rationals, which the rounding methods' approximation
-          guarantees need. *)
   jobs : int;  (** concurrent branch-and-bound node evaluations *)
   seed : int;  (** RNG seed for randomized rounding trials *)
   trials : int;  (** rounding trials; the cheapest solution wins *)
-  static_fixing : bool;
-      (** run {!Flow.analyze} before the exact search and pin its
-          must-hide / may-expose verdicts as IP variable fixings. The
-          fixings provably preserve the optimal cost (the returned
-          solution may differ among cost ties); the count appears as
-          the [static_fixed] stat and the pass as the ["flow"] phase.
-          Default true; [false] reproduces the unpruned search. *)
   warm_seed : Solution.t option;
       (** a known feasible solution to seed the exact search with
           (cutoff + warm incumbent; see {!Exact.solve}) — the
@@ -66,8 +51,7 @@ type request = {
 
 val default_request : Instance.t -> request
 (** [meth = Auto], no deadline, {!Lp.Ilp.default_node_limit} nodes,
-    [lp_mode = Lp.Simplex.Hybrid_mode], [jobs = 1], [seed = 0],
-    [trials = 4], [static_fixing = true], [warm_seed = None],
+    [jobs = 1], [seed = 0], [trials = 4], [warm_seed = None],
     [metrics = Svutil.Metrics.nop]. *)
 
 type solved_state = {
@@ -108,21 +92,9 @@ type result = {
           results); [None] on results assembled outside the engine *)
 }
 
-module type Solver_sig = sig
-  val name : string
-
-  val solve : request -> result
-  (** Must not raise on deadline expiry; must honour [req.deadline_ms]
-      at least coarsely. *)
-end
-
-val register : meth -> (module Solver_sig) -> unit
-(** Replaces any previous registration for that method. Registering
-    [Auto] is rejected with [Invalid_argument] — the portfolio is
-    dispatch logic, not a solver. *)
-
-val find : meth -> (module Solver_sig) option
-val registered : unit -> (meth * string) list
+val methods : meth list
+(** The concrete methods in their reporting order: greedy, round-card,
+    round-set, exact, brute. *)
 
 (** {1 Portfolio routing}
 
@@ -207,7 +179,6 @@ val choose : request -> meth
 (** [route (routing ()) (features_of_instance req.inst)
     ~deadline_ms:req.deadline_ms]. *)
 
-val choose_with : routing -> request -> meth
 val choose_explain : request -> meth * string
 
 val routing_to_json : routing -> Svutil.Json.t
@@ -216,32 +187,14 @@ val routing_of_json : Svutil.Json.t -> (routing, string) Stdlib.result
     [auto] routes. [routing_of_json (routing_to_json t) = Ok t]. *)
 
 val run : request -> result
-(** Resolve [Auto] via {!choose}, look the method up in the registry,
-    and solve. [result.method_used] records the concrete method. The
-    whole solve runs inside a ["solve"] metrics span whose measurement
-    also provides the ["total"] timings entry (solver phases appear
-    under ["solve/<phase>"] in the registry). *)
-
-(** {1 Cache-aware entry point}
-
-    The engine does not own a cache (the canonical-form solution cache
-    lives in [Serve.Cache], above this layer); it owns the wiring: a
-    {!cache} is a pair of closures consulted before and after a solve.
-    A lookup hit is returned as-is except for a [("cache", "hit")]
-    stat; a miss runs {!run}, offers the result to [cache_store], and
-    tags the result [("cache", "miss")]. *)
-
-type cache = {
-  cache_find : request -> result option;
-      (** must only return results whose optimum provably equals a
-          fresh {!run} of the request (the serve cache guarantees this
-          by canonical-isomorphism transport plus a re-closure check) *)
-  cache_store : request -> result -> unit;
-      (** offered every miss result; the store decides cacheability *)
-}
-
-val no_cache : cache
-(** Never hits, never stores: [run_cached no_cache] is {!run} plus the
-    [("cache", "miss")] stat. *)
-
-val run_cached : cache -> request -> result
+(** Resolve [Auto] via {!choose} and solve with the chosen method.
+    [result.method_used] records the concrete method. The LP
+    relaxations take the default hybrid route ({!Lp.Simplex.Hybrid_mode}:
+    exact rationals, which the rounding guarantees need), and the exact
+    method first runs {!Flow.analyze} and pins its must-hide /
+    may-expose verdicts as IP variable fixings: they provably preserve
+    the optimal cost (the returned solution may differ among cost
+    ties), their count is the [static_fixed] stat and the pass is the
+    ["flow"] phase. The whole solve runs inside a ["solve"] metrics
+    span whose measurement also provides the ["total"] timings entry
+    (solver phases appear under ["solve/<phase>"] in the registry). *)

@@ -657,10 +657,3 @@ type mode = Exact_mode | Hybrid_mode
 let solver_of_mode : mode -> (module SOLVER) = function
   | Exact_mode -> (module Exact)
   | Hybrid_mode -> (module Hybrid)
-
-let mode_to_string = function Exact_mode -> "exact" | Hybrid_mode -> "hybrid"
-
-let mode_of_string = function
-  | "exact" -> Some Exact_mode
-  | "hybrid" -> Some Hybrid_mode
-  | _ -> None

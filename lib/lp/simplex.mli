@@ -94,13 +94,8 @@ module Hybrid : SOLVER
 (** {1 Solver selection} *)
 
 type mode = Exact_mode | Hybrid_mode
-(** The two LP routes, as selected by [--lp-mode]: pure exact rationals,
-    and hybrid (exact results, float basis hunting — the default). *)
+(** The two LP routes: pure exact rationals (the reference oracle), and
+    hybrid (exact results, float basis hunting — the default every
+    engine request takes). *)
 
 val solver_of_mode : mode -> (module SOLVER)
-
-val mode_to_string : mode -> string
-(** ["exact"], ["hybrid"]. *)
-
-val mode_of_string : string -> mode option
-(** Inverse of {!mode_to_string}. *)

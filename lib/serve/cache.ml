@@ -153,15 +153,35 @@ let store t (req : Core.Engine.request) (r : Core.Engine.result) =
     if evicted > 0 then Metrics.count t.metrics "serve.evictions" evicted
   end
 
-let engine_cache t =
-  {
-    Core.Engine.cache_find =
-      (fun req ->
-        if cacheable req then
-          Metrics.span t.metrics "serve/lookup" (fun () -> find t req)
-        else None);
-    cache_store =
-      (fun req r ->
-        if cacheable req then
-          Metrics.span t.metrics "serve/store" (fun () -> store t req r));
-  }
+type status = Hit | Miss | Bypass
+
+let status_to_string = function
+  | Hit -> "hit"
+  | Miss -> "miss"
+  | Bypass -> "bypass"
+
+let solve ?(use_cache = true) t (req : Core.Engine.request) =
+  let use_cache = use_cache && cacheable req in
+  let cached =
+    if use_cache then Metrics.span t.metrics "serve/lookup" (fun () -> find t req)
+    else None
+  in
+  let tagged status (r : Core.Engine.result) =
+    ( {
+        r with
+        Core.Engine.stats =
+          ("cache", status_to_string status) :: r.Core.Engine.stats;
+      },
+      status )
+  in
+  match cached with
+  | Some r -> tagged Hit r
+  | None ->
+      let r =
+        Metrics.span t.metrics "serve/solve" (fun () -> Core.Engine.run req)
+      in
+      if use_cache then begin
+        Metrics.span t.metrics "serve/store" (fun () -> store t req r);
+        tagged Miss r
+      end
+      else (r, Bypass)

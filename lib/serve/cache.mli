@@ -68,7 +68,21 @@ val store : t -> Core.Engine.request -> Core.Engine.result -> unit
 (** Store a result if it is proven (see above); otherwise a no-op.
     Does not check {!cacheable} — callers gate on it first. *)
 
-val engine_cache : t -> Core.Engine.cache
-(** Adapter for {!Core.Engine.run_cached}: gates both directions on
-    {!cacheable}, and wraps the lookup and store in [serve/lookup] and
-    [serve/store] metrics spans on the cache's registry. *)
+type status = Hit | Miss | Bypass
+
+val status_to_string : status -> string
+(** ["hit"], ["miss"], ["bypass"]: the protocol's ["cache"] field. *)
+
+val solve :
+  ?use_cache:bool ->
+  t ->
+  Core.Engine.request ->
+  Core.Engine.result * status
+(** The request path every cache user shares: when [use_cache]
+    (default [true]) and the request is {!cacheable}, {!find}; on a
+    miss, {!Core.Engine.run} and offer the result to {!store}. A hit or
+    miss result carries a leading [("cache", "hit"|"miss")] stat; a
+    [Bypass] (caching off, or a non-cacheable method) adds none and
+    touches neither the cache nor its counters. The lookup, solve and
+    store run in [serve/lookup], [serve/solve] and [serve/store] spans
+    on the cache's registry. *)

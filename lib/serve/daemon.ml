@@ -106,37 +106,11 @@ let solve t id (s : Request.solve) =
             Request.engine_request ~metrics:reqm inst
               { s.Request.options with Request.jobs = granted }
           in
-          let use_cache = s.Request.use_cache && Cache.cacheable ereq in
-          let cached =
-            if use_cache then
-              Metrics.span t.cfg.metrics "serve/lookup" (fun () ->
-                  Cache.find t.cache ereq)
-            else None
-          in
           let r, status =
-            match cached with
-            | Some r ->
-                ( { r with Core.Engine.stats = ("cache", "hit") :: r.Core.Engine.stats },
-                  "hit" )
-            | None ->
-                let r =
-                  Metrics.span t.cfg.metrics "serve/solve" (fun () ->
-                      Core.Engine.run ereq)
-                in
-                if use_cache then begin
-                  Metrics.span t.cfg.metrics "serve/store" (fun () ->
-                      Cache.store t.cache ereq r);
-                  ( {
-                      r with
-                      Core.Engine.stats =
-                        ("cache", "miss") :: r.Core.Engine.stats;
-                    },
-                    "miss" )
-                end
-                else (r, "bypass")
+            Cache.solve ~use_cache:s.Request.use_cache t.cache ereq
           in
           let verified =
-            if t.cfg.verify_hits && status = "hit" then verify_hit t ereq r
+            if t.cfg.verify_hits && status = Cache.Hit then verify_hit t ereq r
             else Ok ()
           in
           match verified with
@@ -145,7 +119,7 @@ let solve t id (s : Request.solve) =
               if s.Request.want_metrics then Metrics.absorb t.cfg.metrics reqm;
               Response.ok_fields ?id
                 [
-                  ("cache", Response.str status);
+                  ("cache", Response.str (Cache.status_to_string status));
                   ( "result",
                     Response.engine_result ~timings:s.Request.want_timings r );
                 ])

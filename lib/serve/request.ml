@@ -74,24 +74,20 @@ let instance_of (spec : Wf.Parse.spec) =
 type options = {
   meth : Core.Engine.meth;
   node_limit : int;
-  lp_mode : Lp.Simplex.mode;
   jobs : int;
   seed : int;
   deadline_ms : float option;
   trials : int;
-  static_fixing : bool;
 }
 
 let default_options =
   {
     meth = Core.Engine.Auto;
     node_limit = Lp.Ilp.default_node_limit;
-    lp_mode = Lp.Simplex.Hybrid_mode;
     jobs = 1;
     seed = 0;
     deadline_ms = None;
     trials = 4;
-    static_fixing = true;
   }
 
 let engine_request ?(metrics = Svutil.Metrics.nop) inst (o : options) =
@@ -99,12 +95,10 @@ let engine_request ?(metrics = Svutil.Metrics.nop) inst (o : options) =
     (Core.Engine.default_request inst) with
     Core.Engine.meth = o.meth;
     node_limit = o.node_limit;
-    lp_mode = o.lp_mode;
     jobs = o.jobs;
     seed = o.seed;
     deadline_ms = o.deadline_ms;
     trials = o.trials;
-    static_fixing = o.static_fixing;
     metrics;
   }
 
@@ -155,8 +149,29 @@ let int_field obj key d = field obj key Json.to_int "an integer" d
 let bool_field obj key d = field obj key Json.to_bool "a boolean" d
 let str_field obj key d = field obj key Json.to_str "a string" d
 
-let opt_float_field obj key d =
-  field obj key (fun v -> Option.map Option.some (Json.to_float v)) "a number" d
+let opt_finite_field obj key d =
+  field obj key
+    (fun v ->
+      match Json.to_float v with
+      | Some f when Float.is_finite f -> Some (Some f)
+      | _ -> None)
+    "a finite number" d
+
+(* A misspelt field (["methd"]) must not silently run the defaults, so
+   every key outside the op's documented set is a Usage error. *)
+let common_fields = [ "id"; "op" ]
+
+let solve_fields =
+  common_fields
+  @ [
+      "workflow"; "file"; "method"; "node_limit"; "jobs"; "seed"; "trials";
+      "deadline_ms"; "cache"; "metrics"; "timings";
+    ]
+
+let known_fields allowed kvs =
+  match List.find_opt (fun (k, _) -> not (List.mem k allowed)) kvs with
+  | None -> Ok ()
+  | Some (k, _) -> Error (Usage (Printf.sprintf "unknown field %S" k))
 
 let id_of obj =
   match Json.member "id" obj with
@@ -186,21 +201,11 @@ let solve_of ~defaults obj =
         | None -> Error (Unknown_name (Printf.sprintf "unknown method %S" m)))
     | Some _ -> Error (Usage "field \"method\": expected a string")
   in
-  let* lp_mode =
-    match Json.member "lp_mode" obj with
-    | None | Some Json.Null -> Ok defaults.lp_mode
-    | Some (Json.Str m) -> (
-        match Lp.Simplex.mode_of_string m with
-        | Some mode -> Ok mode
-        | None -> Error (Unknown_name (Printf.sprintf "unknown lp_mode %S" m)))
-    | Some _ -> Error (Usage "field \"lp_mode\": expected a string")
-  in
   let* node_limit = int_field obj "node_limit" defaults.node_limit in
   let* jobs = int_field obj "jobs" defaults.jobs in
   let* seed = int_field obj "seed" defaults.seed in
   let* trials = int_field obj "trials" defaults.trials in
-  let* deadline_ms = opt_float_field obj "deadline_ms" defaults.deadline_ms in
-  let* static_fixing = bool_field obj "static_fixing" defaults.static_fixing in
+  let* deadline_ms = opt_finite_field obj "deadline_ms" defaults.deadline_ms in
   let* use_cache = bool_field obj "cache" true in
   let* want_metrics = bool_field obj "metrics" false in
   let* want_timings = bool_field obj "timings" false in
@@ -212,12 +217,10 @@ let solve_of ~defaults obj =
            {
              meth;
              node_limit;
-             lp_mode;
              jobs = max 1 jobs;
              seed;
              deadline_ms;
              trials = max 1 trials;
-             static_fixing;
            };
          use_cache;
          want_metrics;
@@ -227,17 +230,23 @@ let solve_of ~defaults obj =
 let of_json_line ~defaults line =
   match Json.of_string line with
   | Error e -> Error (None, Parse_error ("request: " ^ e))
-  | Ok (Json.Obj _ as obj) -> (
+  | Ok (Json.Obj kvs as obj) -> (
       match id_of obj with
       | Error e -> Error (None, e)
       | Ok id -> (
           let decoded =
             let* op_name = str_field obj "op" "solve" in
+            let only op =
+              let* () = known_fields common_fields kvs in
+              Ok op
+            in
             match op_name with
-            | "solve" -> solve_of ~defaults obj
-            | "ping" -> Ok Ping
-            | "stats" -> Ok Stats
-            | "shutdown" -> Ok Shutdown
+            | "solve" ->
+                let* () = known_fields solve_fields kvs in
+                solve_of ~defaults obj
+            | "ping" -> only Ping
+            | "stats" -> only Stats
+            | "shutdown" -> only Shutdown
             | other ->
                 Error (Unknown_name (Printf.sprintf "unknown op %S" other))
           in

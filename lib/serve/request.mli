@@ -65,12 +65,10 @@ val instance_of : Wf.Parse.spec -> Core.Instance.t
 type options = {
   meth : Core.Engine.meth;
   node_limit : int;
-  lp_mode : Lp.Simplex.mode;
   jobs : int;
   seed : int;
   deadline_ms : float option;
   trials : int;
-  static_fixing : bool;
 }
 (** The method-independent knobs of {!Core.Engine.request}, as a plain
     record so front ends can carry defaults around. *)
@@ -96,14 +94,16 @@ val method_of_name : string -> Core.Engine.meth option
     - ["op"]: ["solve"] (default), ["ping"], ["stats"], ["shutdown"];
     - ["id"]: echoed verbatim in the response (string or number);
     - ["workflow"] (inline spec text) or ["file"] (path) — exactly one;
-    - ["method"], ["node_limit"], ["lp_mode"], ["jobs"], ["seed"],
-      ["deadline_ms"], ["trials"], ["static_fixing"]: per-request
-      overrides of the daemon's defaults;
+    - ["method"], ["node_limit"], ["jobs"], ["seed"], ["deadline_ms"]
+      (a finite number), ["trials"]: per-request overrides of the
+      daemon's defaults;
     - ["cache"]: consult/populate the solution cache (default [true]);
     - ["metrics"]: include a per-request metrics registry in the
       response (default [false]);
     - ["timings"]: include wall-clock timings in the response (default
-      [false], so responses are byte-stable across runs). *)
+      [false], so responses are byte-stable across runs).
+
+    [ping], [stats] and [shutdown] take only ["op"] and ["id"]. *)
 
 type source = Inline of string | File of string
 
@@ -120,8 +120,8 @@ type t = { id : string option; op : op }
 
 val of_json_line :
   defaults:options -> string -> (t, string option * error) result
-(** Decode one protocol line. Unknown fields are ignored; wrong-typed
-    fields, unknown ops/methods, and a missing workflow source are
-    [Usage]/[Unknown_name] errors. A decode error carries the request's
-    ["id"] when one was readable, so the error response can still echo
-    it. *)
+(** Decode one protocol line. A field outside the op's set above, a
+    wrong-typed field, a non-finite ["deadline_ms"], an unknown
+    op/method, and a missing workflow source are [Usage]/[Unknown_name]
+    errors. A decode error carries the request's ["id"] when one was
+    readable, so the error response can still echo it. *)

@@ -308,11 +308,24 @@ let test_exit_codes () =
       Alcotest.(check int) label 2
         (run_cli_code ("solve" :: example "fig1.swf" :: args)))
     [
-      ("unknown --lp-mode", [ "--lp-mode"; "bogus" ]);
-      ("removed --lp-mode float", [ "--lp-mode"; "float" ]);
+      ("removed --lp-mode", [ "--lp-mode"; "exact" ]);
+      ("removed --no-static-fixing", [ "--no-static-fixing" ]);
       ("unknown method", [ "-m"; "bogus" ]);
       ("non-integer --jobs", [ "--jobs"; "x" ]);
+      ("non-finite --deadline", [ "--deadline"; "nan" ]);
       ("unknown flag", [ "--no-such-flag" ]);
+    ];
+  Alcotest.(check int) "batch non-finite --deadline" 2
+    (run_cli_code [ "batch"; example "fig1.swf"; "--deadline"; "inf" ]);
+  (* check validates its name lists before evaluating anything. *)
+  List.iter
+    (fun (label, args) ->
+      let args = "check" :: example "fig1.swf" :: args in
+      Alcotest.(check int) label 2 (run_cli_code args);
+      Alcotest.(check string) (label ^ ": nothing on stdout") "" (snd (run_cli args)))
+    [
+      ("check --hide undeclared attribute", [ "--hide"; "a3,a5,a6,a7,zzz" ]);
+      ("check --privatize undeclared module", [ "--privatize"; "nosuch" ]);
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -340,20 +340,28 @@ let test_infeasible_instance () =
 
 module E = Core.Engine
 
-let test_engine_registry () =
-  let names = List.map snd (E.registered ()) in
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) (n ^ " registered") true (List.mem n names))
-    [ "greedy"; "round-card"; "round-set"; "exact"; "brute" ];
-  Alcotest.(check bool) "auto is not a solver" true (E.find E.Auto = None);
-  Alcotest.check_raises "registering auto rejected"
-    (Invalid_argument "Engine.register: Auto is not a solver") (fun () ->
-      E.register E.Auto
-        (module struct
-          let name = "bogus"
-          let solve _ = assert false
-        end : E.Solver_sig))
+let test_engine_methods () =
+  (* The corpus measures [methods] in this order; Auto is dispatch, not
+     a method. *)
+  Alcotest.(check (list string))
+    "concrete methods in reporting order"
+    [ "greedy"; "round-card"; "round-set"; "exact"; "brute" ]
+    (List.map E.meth_to_string E.methods);
+  (* [run] dispatches each method to its own solver: the first phase
+     is that solver's, and every method solves a small instance. *)
+  let inst = simple_instance () in
+  List.iter2
+    (fun m first_phase ->
+      let name = E.meth_to_string m in
+      let r = E.run { (E.default_request inst) with E.meth = m } in
+      Alcotest.(check string) (name ^ " first phase") first_phase
+        (fst (List.hd r.E.timings));
+      match r.E.solution with
+      | Some s ->
+          Alcotest.(check bool) (name ^ " feasible") true (Sol.is_feasible inst s)
+      | None -> Alcotest.fail (name ^ " must solve the simple instance"))
+    E.methods
+    [ "greedy"; "lp"; "lp"; "flow"; "enumerate" ]
 
 let wide_instance () =
   (* 26 attributes: one past the brute-force enumeration limit. *)
@@ -736,7 +744,7 @@ let () =
         ] );
       ( "engine",
         [
-          Alcotest.test_case "registry" `Quick test_engine_registry;
+          Alcotest.test_case "methods" `Quick test_engine_methods;
           Alcotest.test_case "brute refusal" `Quick test_brute_refusal;
           Alcotest.test_case "deadline on gadget" `Quick test_engine_deadline_gadget;
           Alcotest.test_case "metrics consistency" `Quick test_engine_metrics_consistency;

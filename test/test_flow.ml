@@ -213,18 +213,19 @@ let test_lint_w051 () =
 
 (* --- engine integration: the static_fixed stat ------------------------- *)
 
+(* The engine always pins the flow verdicts; [Core.Exact.solve] without
+   [~attr_fixings] is the unpruned search it must agree with. *)
+let engine_exact inst =
+  E.run { (E.default_request inst) with E.meth = E.Exact }
+
 let test_engine_static_fixed_stat () =
   let inst = constant_inst () in
-  let run static_fixing =
-    E.run { (E.default_request inst) with E.meth = E.Exact; static_fixing }
-  in
-  let with_fix = run true and without = run false in
+  let with_fix = engine_exact inst in
   Alcotest.(check (option string)) "two fixings" (Some "2")
     (List.assoc_opt "static_fixed" with_fix.E.stats);
-  Alcotest.(check (option string)) "none without" (Some "0")
-    (List.assoc_opt "static_fixed" without.E.stats);
-  match (with_fix.E.solution, without.E.solution) with
-  | Some a, Some b -> Alcotest.(check q) "same optimum" b.Sol.cost a.Sol.cost
+  match (with_fix.E.solution, Core.Exact.solve inst) with
+  | Some a, Some { Core.Exact.solution = b; _ } ->
+      Alcotest.(check q) "same optimum" b.Sol.cost a.Sol.cost
   | _ -> Alcotest.fail "constant instance solves either way"
 
 (* ------------------------------------------------------------------ *)
@@ -293,11 +294,9 @@ let props =
         | Some _, None | None, Some _ -> false);
     prop "engine optimum is identical with and without static fixing" gen_case
       (fun (_, _, _, _, inst) ->
-        let run static_fixing =
-          E.run { (E.default_request inst) with E.meth = E.Exact; static_fixing }
-        in
-        match ((run true).E.solution, (run false).E.solution) with
-        | Some a, Some b -> Q.equal a.Sol.cost b.Sol.cost
+        match ((engine_exact inst).E.solution, Core.Exact.solve inst) with
+        | Some a, Some { Core.Exact.solution = b; _ } ->
+            Q.equal a.Sol.cost b.Sol.cost
         | None, None -> true
         | _ -> false);
     prop "every analysis passes its own certificate check" gen_case

@@ -356,21 +356,6 @@ let test_problem_pp_smoke () =
   Alcotest.(check bool) "mentions minimize" true
     (String.length rendered > 0 && String.sub rendered 0 8 = "minimize")
 
-let test_mode_names () =
-  (* [--lp-mode] and the daemon's "lp_mode" field accept exactly the two
-     routes' names. *)
-  List.iter
-    (fun m ->
-      let name = Lp.Simplex.mode_to_string m in
-      Alcotest.(check bool) (name ^ " round-trips") true
-        (Lp.Simplex.mode_of_string name = Some m))
-    [ Lp.Simplex.Exact_mode; Lp.Simplex.Hybrid_mode ];
-  List.iter
-    (fun name ->
-      Alcotest.(check bool) (name ^ " is rejected") true
-        (Lp.Simplex.mode_of_string name = None))
-    [ "float"; "fast"; "Exact"; "HYBRID"; "" ]
-
 let test_ilp_node_limit () =
   (* A 0/1 program with a tiny node budget: solver must not claim
      optimality. *)
@@ -749,7 +734,6 @@ let () =
         [
           Alcotest.test_case "linexpr" `Quick test_linexpr;
           Alcotest.test_case "problem pp" `Quick test_problem_pp_smoke;
-          Alcotest.test_case "lp mode names" `Quick test_mode_names;
         ] );
       ("properties", props);
       ("hybrid properties", hybrid_props);

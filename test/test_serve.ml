@@ -254,7 +254,7 @@ let test_transport_rejects_different_forms () =
 (* Serve.Cache units                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let run_through cache req = E.run_cached (Serve.Cache.engine_cache cache) req
+let run_through cache req = fst (Serve.Cache.solve cache req)
 
 let test_cache_miss_then_hit () =
   let metrics = Metrics.create () in
@@ -280,9 +280,11 @@ let test_cache_bypasses_unproven_methods () =
   let req = { (E.default_request inst) with E.meth = E.Greedy } in
   Alcotest.(check bool) "greedy is not cacheable" false
     (Serve.Cache.cacheable req);
-  let r = run_through cache req in
-  Alcotest.(check (option string))
-    "run_cached still tags the miss" (Some "miss") (cache_status r);
+  let r, status = Serve.Cache.solve cache req in
+  Alcotest.(check string) "answered as a bypass" "bypass"
+    (Serve.Cache.status_to_string status);
+  Alcotest.(check (option string)) "no cache stat on a bypass" None
+    (cache_status r);
   Alcotest.(check int) "nothing stored" 0 (Serve.Cache.length cache);
   Alcotest.(check int) "no miss counted on bypass" 0
     (Serve.Cache.misses cache)
@@ -505,12 +507,23 @@ let test_daemon_errors () =
     "static" 1;
   check_error {|{"op":"solve","file":"examples/fig1.swf","method":"wat"}|}
     "unknown-name" 2;
-  (* "float" names no LP route: the error keeps the request's id and
-     the next request is still answered. *)
+  (* Fields outside the op's documented set are rejected, not ignored:
+     a misspelt "method" must not silently run the default solver, and
+     the removed engine knobs are no longer fields. The error keeps the
+     request's id and the next request is still answered. *)
+  List.iter
+    (fun line -> check_error line "usage" 2)
+    [
+      {|{"op":"solve","file":"examples/fig1.swf","methd":"greedy"}|};
+      {|{"op":"solve","file":"examples/fig1.swf","static_fixing":false}|};
+      {|{"op":"ping","file":"examples/fig1.swf"}|};
+      (* 1e999 reads as infinity: a budget must be finite. *)
+      {|{"op":"solve","file":"examples/fig1.swf","deadline_ms":1e999}|};
+    ];
   let float_line =
     {|{"id":"f","op":"solve","file":"examples/fig1.swf","lp_mode":"float"}|}
   in
-  check_error float_line "unknown-name" 2;
+  check_error float_line "usage" 2;
   let r, _ = response_of t float_line in
   Alcotest.(check (option string)) "error carries the id" (Some "f")
     (Json.str_member "id" r);
