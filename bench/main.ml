@@ -78,6 +78,15 @@ let timing_tests () =
       ]
   in
   let chain_visible = [ "x0"; "x1"; "y" ] in
+  (* Derivation kernels wider than fig1's 5 attributes: one
+     output-heavy and one input-heavy random total boolean module. *)
+  let derive_module seed ~n_in ~n_out =
+    Wf.Gen.random_module (Rng.create seed) ~name:"m"
+      ~inputs:(Rel.Attr.booleans (List.init n_in (Printf.sprintf "x%d")))
+      ~outputs:(Rel.Attr.booleans (List.init n_out (Printf.sprintf "y%d")))
+  in
+  let wide_out = derive_module 48 ~n_in:2 ~n_out:10 in
+  let wide_in = derive_module 49 ~n_in:6 ~n_out:3 in
   let tiny_wf =
     Wf.Gen.random_workflow (Rng.create 47)
       { Wf.Gen.default with n_modules = 2; max_inputs = 2; max_outputs = 1 }
@@ -259,6 +268,10 @@ let timing_tests () =
              ~metrics:m card_inst));
     stage "e18_derive_requirement" (fun () ->
         ignore (Core.Derive.requirement fig1 ~gamma:4));
+    stage "e18_derive_2in_10out" (fun () ->
+        ignore (Core.Derive.requirement wide_out ~gamma:4));
+    stage "e18_derive_6in_3out" (fun () ->
+        ignore (Core.Derive.requirement wide_in ~gamma:4));
     (* Flow-kernel pairs: the static privacy-flow pass itself, and two
        flow-rich instances branch-and-bound solved by the engine (which
        pins the flow verdicts) and by the unpruned search — a single run

@@ -700,7 +700,6 @@ let serve_cmd =
             seed;
           };
         verify_hits;
-        preflight = true;
         metrics = Svutil.Metrics.create ();
       }
     in

@@ -75,6 +75,8 @@ let code_reference =
      "the brute-force oracle is exponential in the input domain; rely on the closed-form checks for this module");
     ("W041", Warning, "workflow world enumeration would exceed the guard",
      "the function-family space is too large to enumerate; rely on the compositional Theorem 4/8 checks");
+    ("W042", Error, "private module has more attributes than requirement derivation can enumerate",
+     "requirement derivation decides all 2^k hidden subsets of a private module; split the module or declare it public");
     ("W050", Warning, "attribute carries a hiding cost but is irrelevant to every privacy requirement",
      "flow analysis proves no minimum-cost view ever hides it; set its cost to 0 or drop the attr directive");
     ("W051", Info, "public module is privatized in every feasible solution",
@@ -103,7 +105,10 @@ let compare_diagnostic a b =
 
 let builtin_names = [ "identity"; "negate"; "constant"; "majority"; "and"; "or"; "xor" ]
 
-let check_raw (raw : P.raw) : diagnostic list =
+(* [elaborate] yields the spec the W05x flow pass analyzes; it is only
+   called once the declarations are known to elaborate cleanly. *)
+let check ~(elaborate : unit -> (P.spec, string) result) (raw : P.raw) :
+    diagnostic list =
   let diags = ref [] in
   let emit ?(line = 0) ~subject code fmt =
     Printf.ksprintf
@@ -488,6 +493,11 @@ let check_raw (raw : P.raw) : diagnostic list =
             m.P.m_name
             (if standalone = max_int then "2^62+" else string_of_int standalone)
             Naive.default_max;
+        let width = List.length (m.P.m_inputs @ m.P.m_outputs) in
+        if m.P.m_public = None && width > Svutil.Subset.max_universe then
+          emit ~line:m.P.m_line ~subject:m.P.m_name "W042"
+            "private module %s has %d attributes; requirement derivation enumerates at most %d"
+            m.P.m_name width Svutil.Subset.max_universe;
         if m.P.m_public = None then
           family := Naive.mul_sat !family (Naive.pow_int range dom))
       raw.P.r_modules;
@@ -505,7 +515,7 @@ let check_raw (raw : P.raw) : diagnostic list =
   if structurally_sound && (not (has_errors !diags)) && not (seen "W040")
      && not (seen "W041")
   then begin
-    match P.spec_of_raw raw with
+    match elaborate () with
     | Error _ -> ()
     | Ok spec ->
         let module_line name =
@@ -536,7 +546,9 @@ let check_raw (raw : P.raw) : diagnostic list =
 
   List.sort compare_diagnostic !diags
 
-let check_spec (spec : P.spec) = check_raw spec.P.raw
+let check_raw raw = check ~elaborate:(fun () -> P.spec_of_raw raw) raw
+
+let check_spec (spec : P.spec) = check ~elaborate:(fun () -> Ok spec) spec.P.raw
 
 (* ------------------------------------------------------------------ *)
 (* Linting built workflows (no source text)                            *)

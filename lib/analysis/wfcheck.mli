@@ -54,7 +54,10 @@ val check_raw : Wf.Parse.raw -> diagnostic list
 
 val check_spec : Wf.Parse.spec -> diagnostic list
 (** [check_raw] on the declarations the spec was parsed from — the
-    pre-flight used by the CLI's [analyze]/[solve]/[check]. *)
+    pre-flight used by the CLI's [analyze]/[solve]/[check] and the
+    daemon. The W05x flow pass analyzes the given spec instead of
+    elaborating the declarations a second time, so the spec must be the
+    one {!Wf.Parse.spec_of_raw} built from its [raw]. *)
 
 val raw_of_workflow :
   ?publics:(string * Rat.t) list ->

@@ -45,11 +45,36 @@ val safe_visible_subsets : Wf.Wmodule.t -> gamma:int -> string list list
 (** All safe visible subsets [V], by exhaustive [2^k] search
     (Section 3.2's upper bound; [k] must be small). *)
 
+(** {1 The safety table}
+
+    Section 3.2's exponential step, done once per (module, Gamma): the
+    safety of every hidden subset, as one bit per subset. A subset is a
+    mask over {!Wf.Wmodule.attr_names} order — bit [i] hides the [i]-th
+    attribute, so the inputs are the low bits. *)
+
+type table
+
+val safety_table : Wf.Wmodule.t -> gamma:int -> table
+(** Decide every hidden subset. Agrees with {!is_hidden_safe} on every
+    mask. Uses O(k * |R|) words besides the [2^k] bits and no global
+    state. @raise Invalid_argument for modules wider than
+    {!Svutil.Subset.max_universe}. *)
+
+val hidden_mask_safe : table -> int -> bool
+(** Is hiding the mask's attributes safe? [false] for masks outside
+    [0 .. 2^k - 1]. *)
+
+val minimal_hidden_masks : table -> int list
+(** The minimal safe masks, in {!Svutil.Subset.by_increasing_size}
+    order. *)
+
 val minimal_hidden_subsets : Wf.Wmodule.t -> gamma:int -> string list list
 (** The minimal (w.r.t. inclusion) hidden subsets whose complements are
     safe — the antichain from which every safe view arises by
     Proposition 1. These are the per-module "requirement lists" of the
-    workflow Secure-View problem. *)
+    workflow Secure-View problem. Read off {!safety_table}, in
+    {!Svutil.Subset.by_increasing_size} order, names in attribute
+    order. *)
 
 val min_cost_hidden :
   ?prune:bool ->

@@ -11,7 +11,6 @@ type config = {
   jobs : int;
   defaults : Request.options;
   verify_hits : bool;
-  preflight : bool;
   metrics : Metrics.t;
 }
 
@@ -21,7 +20,6 @@ let default_config () =
     jobs = 1;
     defaults = Request.default_options;
     verify_hits = false;
-    preflight = true;
     metrics = Metrics.create ();
   }
 
@@ -87,15 +85,16 @@ let solve t id (s : Request.solve) =
   let loaded =
     Metrics.span t.cfg.metrics "serve/parse" (fun () ->
         match s.Request.source with
-        | Request.File path ->
-            Request.spec_of_file ~preflight:t.cfg.preflight path
-        | Request.Inline src ->
-            Request.spec_of_string ~preflight:t.cfg.preflight src)
+        | Request.File path -> Request.spec_of_file ~preflight:true path
+        | Request.Inline src -> Request.spec_of_string ~preflight:true src)
   in
   match loaded with
   | Error e -> Response.error ?id e
   | Ok spec ->
-      let inst = Request.instance_of spec in
+      let inst =
+        Metrics.span t.cfg.metrics "serve/derive" (fun () ->
+            Request.instance_of spec)
+      in
       Sem.with_slots t.sem s.Request.options.Request.jobs (fun granted ->
           Metrics.observe_in t.cfg.metrics "serve.granted_jobs"
             (float_of_int granted);

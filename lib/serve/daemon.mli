@@ -13,7 +13,10 @@
     Observability: the server registry collects
     [serve.{hits,misses,evictions,collisions,verify_failures}]
     counters, the [serve.granted_jobs] admission histogram, and
-    [serve/{parse,lookup,solve,store}] spans. [SIGUSR1] dumps the stats
+    [serve/{parse,derive,lookup,solve,store}] spans: [serve/parse]
+    covers parsing and the Wfcheck preflight every solve request runs,
+    [serve/derive] the requirement derivation
+    ({!Request.instance_of}). [SIGUSR1] dumps the stats
     and registry to stderr without disturbing the loop; shutdown (EOF,
     a [shutdown] request, or end of socket serving) dumps them a final
     time. *)
@@ -28,13 +31,12 @@ type config = {
           counter) on any optimum drift. For tests and the
           [serve-examples] gate — it re-pays the solve the cache
           saved. *)
-  preflight : bool;  (** run the Wfcheck static checks before solving *)
   metrics : Svutil.Metrics.t;  (** the server registry *)
 }
 
 val default_config : unit -> config
 (** 128 cache entries, a 1-slot pool, {!Request.default_options},
-    no hit verification, preflight on, a fresh live registry. *)
+    no hit verification, a fresh live registry. *)
 
 type t
 (** A running daemon: cache, slot pool, counters. *)

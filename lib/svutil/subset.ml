@@ -1,9 +1,15 @@
+let max_universe = 25
+
 let check_universe xs =
-  if List.length xs > 25 then
+  if List.length xs > max_universe then
     invalid_arg "Subset: universe too large for exhaustive enumeration"
 
 let of_mask xs mask =
   List.filteri (fun i _ -> mask land (1 lsl i) <> 0) xs
+
+let popcount mask =
+  let rec go m n = if m = 0 then n else go (m land (m - 1)) (n + 1) in
+  go mask 0
 
 let all xs =
   check_universe xs;

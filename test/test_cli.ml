@@ -302,6 +302,10 @@ let test_exit_codes () =
      row m 0 -> 1\nrow m 1 -> 0\n" (fun unreachable ->
       Alcotest.(check int) "static preflight failure" 1
         (run_cli_code [ "solve"; unreachable ]));
+  (* W042: a 26-attribute private module fails the preflight instead
+     of escaping requirement derivation as an exception. *)
+  Alcotest.(check int) "wide private module" 1
+    (run_cli_code [ "solve"; example "bad/w042_wide_private_module.swf" ]);
   (* Command lines cmdliner rejects are malformed input too. *)
   List.iter
     (fun (label, args) ->

@@ -95,6 +95,128 @@ let test_derive_matches_standalone () =
           Alcotest.failf "mismatch on hidden {%s}" (String.concat "," hidden))
   done
 
+(* The string-list enumeration [Core.Derive] and
+   [Standalone.minimal_hidden_subsets] ran before the safety table,
+   kept verbatim as the differential reference: every subset is
+   re-checked through [Standalone.is_hidden_safe]. *)
+module Derive_reference = struct
+  module M = Wf.Wmodule
+  module Listx = Svutil.Listx
+
+  let minimal_hidden_subsets m ~gamma =
+    (* Scan hidden sets by increasing size; a set is minimal iff it is safe
+       and contains none of the smaller minimal sets (Proposition 1 makes
+       safety upward closed in the hidden set). *)
+    let minimal = ref [] in
+    List.iter
+      (fun hidden ->
+        if not (List.exists (fun h -> Listx.is_subset h hidden) !minimal) then
+          if St.is_hidden_safe m ~hidden ~gamma then minimal := hidden :: !minimal)
+      (Svutil.Subset.by_increasing_size (M.attr_names m));
+    List.rev !minimal
+
+  let sets_requirement m ~gamma =
+    let inputs = M.input_names m in
+    minimal_hidden_subsets m ~gamma
+    |> List.map (fun hidden ->
+           (Listx.inter hidden inputs, Listx.diff hidden inputs))
+
+  (* Safety of every hidden subset, grouped by profile (|H n I|, |H n O|). *)
+  let profile_table m ~gamma =
+    let inputs = M.input_names m in
+    let profiles = Hashtbl.create 16 in
+    Svutil.Subset.iter (M.attr_names m) (fun hidden ->
+        let profile =
+          ( List.length (Listx.inter hidden inputs),
+            List.length (Listx.diff hidden inputs) )
+        in
+        let safe = St.is_hidden_safe m ~hidden ~gamma in
+        let all, any =
+          Option.value ~default:(true, false) (Hashtbl.find_opt profiles profile)
+        in
+        Hashtbl.replace profiles profile (all && safe, any || safe));
+    profiles
+
+  let sound_cardinality m ~gamma =
+    let profiles = profile_table m ~gamma in
+    Hashtbl.fold
+      (fun p (all_safe, _) acc -> if all_safe then p :: acc else acc)
+      profiles []
+    |> Req.normalize_card
+
+  let exact_cardinality m ~gamma =
+    let card = sound_cardinality m ~gamma in
+    let inputs = M.input_names m and outputs = M.output_names m in
+    let exact = ref true in
+    Svutil.Subset.iter (M.attr_names m) (fun hidden ->
+        let by_card =
+          Req.is_satisfied (Req.Card card) ~inputs ~outputs ~hidden
+        in
+        if by_card <> St.is_hidden_safe m ~hidden ~gamma then exact := false);
+    if !exact then Some card else None
+
+  let requirement m ~gamma =
+    match exact_cardinality m ~gamma with
+    | Some card when card <> [] -> Req.Card card
+    | _ -> Req.Sets (sets_requirement m ~gamma)
+end
+
+(* Random modules for the differential check: 0-4 inputs and 0-4
+   outputs over domains 1-3, a random (possibly empty) part of the
+   input domain defined, and Gamma from 1 to 8. *)
+let gen_derive_case =
+  QCheck2.Gen.(
+    let* seed = int_range 0 1_000_000 in
+    let* n_in = int_range 0 4 in
+    let* n_out = int_range 0 4 in
+    let* gamma = int_range 1 8 in
+    let rng = Svutil.Rng.create seed in
+    let attr prefix i = Rel.Attr.make (Printf.sprintf "%s%d" prefix i) ~dom:(1 + Svutil.Rng.int rng 3) in
+    (* Input names run against declaration order, so sorting an input
+       half by name reorders it. *)
+    let inputs = List.init n_in (fun i -> attr "i" (n_in - i)) in
+    let outputs = List.init n_out (fun i -> attr "o" (n_out - i)) in
+    let density = Svutil.Rng.float rng in
+    let defined_on =
+      List.filter
+        (fun _ -> Svutil.Rng.float rng < density)
+        (Rel.Schema.all_tuples (Rel.Schema.of_list inputs))
+    in
+    let out_tuples = Array.of_list (Rel.Schema.all_tuples (Rel.Schema.of_list outputs)) in
+    let m =
+      Wf.Wmodule.of_partial_fun ~name:"m" ~inputs ~outputs ~defined_on (fun _ ->
+          out_tuples.(Svutil.Rng.int rng (Array.length out_tuples)))
+    in
+    return (m, gamma))
+
+let show_derive_case (m, gamma) =
+  Format.asprintf "gamma %d@.%a" gamma Wf.Wmodule.pp m
+
+let derive_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~print:show_derive_case
+         ~name:"derive = string-list enumeration" gen_derive_case
+         (fun (m, gamma) ->
+           let module R = Derive_reference in
+           St.minimal_hidden_subsets m ~gamma = R.minimal_hidden_subsets m ~gamma
+           && Der.sets_requirement m ~gamma = R.sets_requirement m ~gamma
+           && Der.sound_cardinality m ~gamma = R.sound_cardinality m ~gamma
+           && Der.exact_cardinality m ~gamma = R.exact_cardinality m ~gamma
+           && Der.requirement m ~gamma = R.requirement m ~gamma));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~print:show_derive_case
+         ~name:"safety table = is_hidden_safe" gen_derive_case
+         (fun (m, gamma) ->
+           let table = St.safety_table m ~gamma in
+           let names = Wf.Wmodule.attr_names m in
+           List.for_all
+             (fun mask ->
+               St.hidden_mask_safe table mask
+               = St.is_hidden_safe m ~hidden:(Svutil.Subset.of_mask names mask) ~gamma)
+             (Svutil.Listx.range (1 lsl List.length names))));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Instances and solutions                                             *)
 (* ------------------------------------------------------------------ *)
@@ -714,7 +836,8 @@ let () =
           Alcotest.test_case "one-one (example 6)" `Quick test_derive_one_one;
           Alcotest.test_case "majority (example 6)" `Quick test_derive_majority;
           Alcotest.test_case "matches standalone safety" `Quick test_derive_matches_standalone;
-        ] );
+        ]
+        @ derive_props );
       ( "instances",
         [
           Alcotest.test_case "validation" `Quick test_instance_validation;

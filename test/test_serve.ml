@@ -444,7 +444,15 @@ let response_of t line =
   | None, _ -> Alcotest.fail "expected a response"
 
 let test_daemon_protocol () =
-  let t = daemon () in
+  let metrics = Svutil.Metrics.create () in
+  let t =
+    Serve.Daemon.create
+      {
+        (Serve.Daemon.default_config ()) with
+        Serve.Daemon.verify_hits = true;
+        metrics;
+      }
+  in
   let pong, _ = response_of t {|{"id":"p","op":"ping"}|} in
   Alcotest.(check (option bool)) "pong" (Some true) (Json.bool_member "pong" pong);
   Alcotest.(check (option string)) "id echoed" (Some "p")
@@ -467,6 +475,18 @@ let test_daemon_protocol () =
   let bypass, _ = response_of t (solve_line ~extra:{|,"cache":false|} "s3") in
   Alcotest.(check (option string)) "cache:false bypasses" (Some "bypass")
     (Json.str_member "cache" bypass);
+  (* A solve request the preflight rejects (W020) never derives. *)
+  let rejected, _ =
+    response_of t
+      {|{"op":"solve","workflow":"gamma 4\nattr x\nattr y\nmodule m private inputs x outputs y\nrow m 0 -> 1\nrow m 1 -> 0\n"}|}
+  in
+  Alcotest.(check (option bool)) "preflight rejects" (Some false)
+    (Json.bool_member "ok" rejected);
+  Alcotest.(check (option int)) "one serve/derive span per admitted solve"
+    (Some 3)
+    (Option.map fst (Svutil.Metrics.span_stats metrics "serve/derive"));
+  Alcotest.(check (option int)) "serve/parse spans every solve" (Some 4)
+    (Option.map fst (Svutil.Metrics.span_stats metrics "serve/parse"));
   let stats, _ = response_of t {|{"id":"st","op":"stats"}|} in
   (match Json.member "stats" stats with
   | Some st ->
@@ -504,6 +524,23 @@ let test_daemon_errors () =
      Wfcheck preflight with severity Error — exit-code-1 semantics. *)
   check_error
     {|{"op":"solve","workflow":"gamma 4\nattr x\nattr y\nmodule m private inputs x outputs y\nrow m 0 -> 1\nrow m 1 -> 0\n"}|}
+    "static" 1;
+  (* W042: a private module wider than requirement derivation can
+     enumerate (3 inputs + 23 outputs) is rejected before derivation,
+     instead of ending the loop. *)
+  let wide =
+    let ins = List.init 3 (Printf.sprintf "i%d")
+    and outs = List.init 23 (Printf.sprintf "o%d") in
+    String.concat "\n"
+      (List.map (fun a -> "attr " ^ a) (ins @ outs)
+      @ [
+          Printf.sprintf "module m private inputs %s outputs %s"
+            (String.concat " " ins) (String.concat " " outs);
+          "row m 0 0 0 -> " ^ String.concat " " (List.map (fun _ -> "0") outs);
+        ])
+  in
+  check_error
+    (Printf.sprintf {|{"op":"solve","workflow":%s}|} (Serve.Response.str wide))
     "static" 1;
   check_error {|{"op":"solve","file":"examples/fig1.swf","method":"wat"}|}
     "unknown-name" 2;
