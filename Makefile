@@ -135,8 +135,10 @@ delta-examples:
 # Scripted JSON-lines session through the serve daemon, with cache hits
 # differentially verified (--verify-hits re-solves every hit from
 # scratch and fails the request on optimum drift). Asserts the expected
-# hit/miss counts — including a hit on a bijectively renamed inline
-# resubmission — and that two fresh runs produce byte-identical output.
+# hit/miss counts — including hits on two bijectively renamed inline
+# resubmissions, one of a workflow whose attributes still tie after
+# colour refinement, renamed so that the names sort in a new order —
+# and that two fresh runs produce byte-identical output.
 serve-examples:
 	dune build bin/secure_view_cli.exe
 	@./_build/default/bin/secure_view_cli.exe serve --verify-hits \
@@ -148,11 +150,14 @@ serve-examples:
 	@grep -q '"id":"fig1-renamed","ok":true,"cache":"hit"' /tmp/serve_run1.out \
 	  || { echo "FAIL: renamed resubmission did not hit the cache"; \
 	       cat /tmp/serve_run1.out; exit 1; }
-	@grep -q '"hits":3,"misses":2' /tmp/serve_run1.out \
+	@grep -q '"id":"churn270-renamed","ok":true,"cache":"hit"' /tmp/serve_run1.out \
+	  || { echo "FAIL: renamed tied workflow did not hit the cache"; \
+	       cat /tmp/serve_run1.out; exit 1; }
+	@grep -q '"hits":4,"misses":3' /tmp/serve_run1.out \
 	  || { echo "FAIL: unexpected hit/miss counts"; cat /tmp/serve_run1.out; exit 1; }
-	@grep -c '"ok":true' /tmp/serve_run1.out | grep -qx 10 \
-	  || { echo "FAIL: expected 10 ok responses"; cat /tmp/serve_run1.out; exit 1; }
-	@echo "ok: serve session (byte-identical runs, 3 hits / 2 misses, hits verified)"
+	@grep -c '"ok":true' /tmp/serve_run1.out | grep -qx 12 \
+	  || { echo "FAIL: expected 12 ok responses"; cat /tmp/serve_run1.out; exit 1; }
+	@echo "ok: serve session (byte-identical runs, 4 hits / 3 misses, hits verified)"
 
 # End-to-end correctness gate: both perfbench workloads, two seconds
 # each, through the real serve daemon. The load client checks every

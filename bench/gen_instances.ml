@@ -135,3 +135,48 @@ let disjoint_union blocks =
     ~mods:(List.concat_map (fun (_, m, _) -> m) parts)
     ~publics:(List.concat_map (fun (_, _, p) -> p) parts)
     ()
+
+(* Three highly symmetric instances, the worst case for canonical
+   labeling: every tie survives colour refinement, so only twin
+   splitting and orbit pruning keep the search small. *)
+let symmetric_fixtures () =
+  let attrs prefix k cost =
+    List.init k (fun i -> (Printf.sprintf "%s%d" prefix i, Rat.of_int cost))
+  in
+  let names l = List.map fst l in
+  let m m_name inputs outputs req = { I.m_name; inputs; outputs; req } in
+  let twins =
+    (* One private module; any two inputs (or outputs) are twins, and
+       the swap permutes the module's single-attribute options. *)
+    let xs = attrs "x" 12 1 and ys = attrs "y" 12 2 in
+    let opts =
+      List.map (fun x -> ([ x ], [])) (names xs)
+      @ List.map (fun y -> ([], [ y ])) (names ys)
+    in
+    I.make ~attr_costs:(xs @ ys) ~mods:[ m "m" (names xs) (names ys) (Req.Sets opts) ] ()
+  in
+  let copies =
+    I.make
+      ~attr_costs:(attrs "x" 16 1 @ attrs "y" 16 1)
+      ~mods:
+        (List.init 16 (fun i ->
+             m (Printf.sprintf "m%d" i)
+               [ Printf.sprintf "x%d" i ]
+               [ Printf.sprintf "y%d" i ]
+               (Req.Card [ (1, 0); (0, 1) ])))
+      ()
+  in
+  let fanout =
+    let hs = attrs "h" 12 2 in
+    I.make
+      ~attr_costs:((("x", Rat.one) :: hs) @ attrs "z" 12 3)
+      ~mods:
+        (m "src" [ "x" ] (names hs) (Req.Card [ (0, 1) ])
+        :: List.init 12 (fun i ->
+               m (Printf.sprintf "b%d" i)
+                 [ Printf.sprintf "h%d" i ]
+                 [ Printf.sprintf "z%d" i ]
+                 (Req.Card [ (1, 0); (0, 1) ])))
+      ()
+  in
+  [ ("twins_12x12", twins); ("copies_16", copies); ("fanout_12", fanout) ]

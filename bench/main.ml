@@ -355,9 +355,9 @@ let timing_tests () =
      every feature vector in the smoke corpus. This is the per-request
      overhead Auto adds before any solver runs; it must stay in the
      microsecond range or the router eats its own routing win. *)
+  let corpus = Svbench.Corpus.generate ~smoke:true ~seed:42 () in
   let corpus_feats =
-    Svbench.Corpus.generate ~smoke:true ~seed:42 ()
-    |> List.map (fun (ir : Svbench.Corpus.inst_rec) -> ir.Svbench.Corpus.feats)
+    List.map (fun (ir : Svbench.Corpus.inst_rec) -> ir.Svbench.Corpus.feats) corpus
   in
   [
     stage "e25_route_decision" (fun () ->
@@ -368,6 +368,23 @@ let timing_tests () =
                  ~deadline_ms:None))
           corpus_feats);
   ]
+  @
+  (* Canonical labeling: the smoke corpus labelled in turn (the common
+     case, mostly settled by refinement alone), and one kernel per
+     symmetric fixture, the worst case for individualization-refinement
+     (twin splitting and orbit pruning keep each within the leaf
+     budget). *)
+  let corpus_insts =
+    List.map (fun (ir : Svbench.Corpus.inst_rec) -> ir.Svbench.Corpus.inst) corpus
+  in
+  stage "e26_canon_pool" (fun () ->
+      List.iter (fun inst -> ignore (Core.Canon.labeling inst)) corpus_insts)
+  :: List.map
+       (fun (name, inst) ->
+         stage ("e26_canon_symmetric_" ^ name) (fun () ->
+             if Core.Canon.cut (Core.Canon.labeling inst) then
+               failwith ("e26: " ^ name ^ " hit the leaf budget")))
+       (Svbench.Gen_instances.symmetric_fixtures ())
 
 (* Flat { "test": ns_per_run } object; hand-rolled since the estimates
    are plain floats and names are ASCII identifiers. When instrumented

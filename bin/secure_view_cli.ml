@@ -155,6 +155,31 @@ let analyze_cmd =
     | None ->
         fail_with (Serve.Request.Unknown_name (Printf.sprintf "no module %s" name))
     | Some m ->
+        (* The analysis decides every hidden subset of the module, public
+           or private: refuse a width the enumeration cannot take before
+           printing anything. *)
+        let width = List.length (Wf.Wmodule.attr_names m) in
+        if width > Svutil.Subset.max_universe then begin
+          let line =
+            match
+              List.find_opt
+                (fun (r : Wf.Parse.raw_module) -> r.Wf.Parse.m_name = name)
+                spec.Wf.Parse.raw.Wf.Parse.r_modules
+            with
+            | Some r -> r.Wf.Parse.m_line
+            | None -> 0
+          in
+          prerr_endline
+            (Wfcheck.to_text ~file
+               [
+                 Wfcheck.diagnostic ~line ~subject:name "W042"
+                   (Printf.sprintf
+                      "module %s has %d attributes; standalone analysis \
+                       enumerates at most %d"
+                      name width Svutil.Subset.max_universe);
+               ]);
+          exit 1
+        end;
         let gamma = gamma_of spec name in
         Printf.printf "standalone analysis of %s for Gamma = %d\n" name gamma;
         let minimal = Privacy.Standalone.minimal_hidden_subsets m ~gamma in
@@ -671,9 +696,9 @@ let serve_cmd =
   let serve_jobs_arg =
     Arg.(value & opt int 1
          & info [ "jobs" ] ~docv:"N"
-             ~doc:"Total solver-parallelism slot pool. A request's own jobs \
-                   field is clamped to what the pool has available; it is \
-                   never refused outright.")
+             ~doc:"Solver workers a request may use. The daemon serves one \
+                   request at a time; a request's own jobs field is clamped \
+                   to at most $(docv), and it is never refused outright.")
   in
   let verify_hits_arg =
     Arg.(value & flag

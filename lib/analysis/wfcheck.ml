@@ -75,8 +75,8 @@ let code_reference =
      "the brute-force oracle is exponential in the input domain; rely on the closed-form checks for this module");
     ("W041", Warning, "workflow world enumeration would exceed the guard",
      "the function-family space is too large to enumerate; rely on the compositional Theorem 4/8 checks");
-    ("W042", Error, "private module has more attributes than requirement derivation can enumerate",
-     "requirement derivation decides all 2^k hidden subsets of a private module; split the module or declare it public");
+    ("W042", Error, "module has more attributes than hidden-subset enumeration can take: any private module, or the module analyze is asked about",
+     "requirement derivation and standalone analysis decide all 2^k hidden subsets of a module; split the module, or declare it public so solving never derives its requirement");
     ("W050", Warning, "attribute carries a hiding cost but is irrelevant to every privacy requirement",
      "flow analysis proves no minimum-cost view ever hides it; set its cost to 0 or drop the attr directive");
     ("W051", Info, "public module is privatized in every feasible solution",
@@ -92,6 +92,9 @@ let severity_of code =
   match List.find_opt (fun (c, _, _, _) -> c = code) code_reference with
   | Some (_, s, _, _) -> s
   | None -> Error
+
+let diagnostic ?(line = 0) ~subject code message =
+  { code; severity = severity_of code; line; subject; message; hint = hint_of code }
 
 let errors ds = List.filter (fun d -> d.severity = Error) ds
 let has_errors ds = List.exists (fun d -> d.severity = Error) ds
@@ -110,13 +113,9 @@ let builtin_names = [ "identity"; "negate"; "constant"; "majority"; "and"; "or";
 let check ~(elaborate : unit -> (P.spec, string) result) (raw : P.raw) :
     diagnostic list =
   let diags = ref [] in
-  let emit ?(line = 0) ~subject code fmt =
+  let emit ?line ~subject code fmt =
     Printf.ksprintf
-      (fun message ->
-        diags :=
-          { code; severity = severity_of code; line; subject; message;
-            hint = hint_of code }
-          :: !diags)
+      (fun message -> diags := diagnostic ?line ~subject code message :: !diags)
       fmt
   in
   let seen code = List.exists (fun d -> d.code = code) !diags in

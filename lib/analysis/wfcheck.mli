@@ -46,6 +46,10 @@ val code_reference : (string * severity * string * string) list
     the single source the checks and the CLI's [--codes] listing draw
     from. *)
 
+val diagnostic : ?line:int -> subject:string -> string -> string -> diagnostic
+(** [diagnostic ~subject code message] with the catalogue's severity
+    and hint for [code]; [line] defaults to 0 (unknown). *)
+
 val check_raw : Wf.Parse.raw -> diagnostic list
 (** Run every check over raw declarations, sorted by line then code.
     Value-level analyses (reachability, feasibility, blow-up) only run

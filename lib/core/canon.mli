@@ -1,39 +1,62 @@
 (** Canonical forms and rename-invariant digests of Secure-View
     instances.
 
-    The PR 5 metamorphic suite proves that renaming attributes (and
-    modules) preserves optima; this module turns that fact into a usable
-    key. A color-refinement pass (Weisfeiler–Leman style, over the
-    attribute / module / public incidence structure) assigns every node
-    a color that depends only on costs, requirement shapes and wiring —
-    never on names — and two artifacts are derived from the stable
-    coloring:
+    Renaming attributes and modules preserves optima (the metamorphic
+    test suite checks it); this module turns that fact into a usable
+    key. An instance is an incidence graph: attributes, private modules,
+    one vertex per option of a set-form requirement, and public modules,
+    with edges labelled by role (input, output, hidden input, hidden
+    output, membership). Initial colours are ranks of the name-free
+    payload — attribute cost, requirement shape, privatization cost —
+    and integer partition refinement splits them to an equitable
+    partition over int adjacency arrays. Names never reach a colour.
 
-    - {!digest}: a hex string invariant under any renaming, suitable as
-      a cache key (ROADMAP item 1) — isomorphic instances always agree;
-      unequal instances collide only with MD5 probability;
-    - {!form}: a full canonical serialization under a color-sorted
-      relabeling. Equal forms exhibit an explicit attribute bijection
-      making the instances textually identical, so [form] equality
-      {e proves} isomorphism (and hence equal optima) — no hash
-      collision caveat. [Core.Delta] uses it to detect no-op edits.
+    Ties that refinement leaves among attributes are resolved by
+    individualization–refinement, as in nauty and bliss: each member of
+    the first open attribute cell is given its own cell in turn, the
+    partition is refined again, and the search recurses until every
+    attribute has its own cell. Each such leaf orders the attributes;
+    its certificate is the whole instance relabelled in that order. The
+    canonical leaf is the one with the minimal certificate, so
+    isomorphic instances get exactly equal forms, whatever their names
+    and declaration order. Three devices keep the search small:
 
-    Completeness caveat: when the refinement leaves symmetric-looking
-    attributes in one color class, the relabeling breaks ties by
-    original name, so two isomorphic instances can (rarely) have
-    different forms. That only costs a missed equality — never a false
-    one. *)
+    - {e twin split}: a cell of pairwise twins — attributes whose swap
+      is an automorphism (same cost, same module and public roles, set
+      options unchanged by the swap) — is split into singletons without
+      branching, since every order gives the same form;
+    - {e orbit pruning}: two leaves with equal certificates exhibit an
+      automorphism; a sibling in the orbit of an explored child, under
+      the automorphisms found so far that fix the node, is skipped, and
+      the search returns straight to the node where the two equal
+      leaves' paths part;
+    - {e leaf budget}: every leaf counts, and once a fixed number of
+      leaves is reached the search stops and falls back to its first
+      leaf. That labeling is still a valid relabeling, so form equality
+      still proves isomorphism; only the guarantee that isomorphic
+      instances agree is lost, and {!cut} reports it.
+
+    Two artifacts are derived from the canonical labeling:
+
+    - {!form}: the canonical serialization. Equal forms exhibit an
+      explicit attribute bijection making the instances textually
+      identical, so [form] equality {e proves} isomorphism (and hence
+      equal optima), and isomorphic instances have equal forms (unless
+      {!cut}). [Core.Delta] uses it to detect no-op edits;
+    - {!digest}: the MD5 of the form, a cache key. Isomorphic instances
+      always agree; unequal instances collide only with MD5
+      probability. *)
 
 val digest : Instance.t -> string
-(** Rename-invariant instance fingerprint (32 hex chars). *)
+(** Rename-invariant instance key: the MD5 hex digest of {!form}. *)
 
 val form : Instance.t -> string
-(** Canonical serialization. [form a = form b] implies [a] and [b] are
-    isomorphic (equal optimal cost); the converse can fail on color
-    ties. *)
+(** Canonical serialization. [form a = form b] iff [a] and [b] are
+    isomorphic, when neither labeling was {!cut}. *)
 
 val equal : Instance.t -> Instance.t -> bool
-(** [form] equality: a sound isomorphism check. *)
+(** [form] equality: a sound isomorphism check, and a complete one
+    unless a labeling is {!cut}. *)
 
 (** {1 Solution transport}
 
@@ -50,16 +73,22 @@ type labeling
     canonical ordering of its public modules. *)
 
 val labeling : Instance.t -> labeling
+(** @raise Invalid_argument when a set option names an undeclared
+    attribute. *)
 
 val form_of_labeling : labeling -> string
 (** The {!form} the labeling serializes to — same string as
-    [form inst], with the refinement paid only once. *)
+    [form inst]. *)
 
 val digest_of_labeling : labeling -> string
 (** The {!digest} of the labeled instance — same string as
-    [digest inst], computed from the same refinement pass, so a cache
-    can key on the digest and compare forms with one refinement per
-    request. *)
+    [digest inst], hashed from the labeling's form, so a cache can key
+    on the digest and compare forms with one labeling per request. *)
+
+val cut : labeling -> bool
+(** Whether the leaf budget cut the search short. The labeling is then
+    sound but possibly not canonical: an isomorphic instance may get a
+    different form. *)
 
 val transport : src:labeling -> dst:labeling -> Solution.t -> Solution.t option
 (** [transport ~src ~dst s] maps a solution of [src]'s instance to the
@@ -76,4 +105,4 @@ val fingerprint : Instance.t -> string
     public costs) with no refinement or hashing. Isomorphic instances
     always agree; unequal fingerprints refute isomorphism in
     [O(n log n)]. {!Delta.resolve} checks it before paying for {!form},
-    so the common obviously-changed edit skips the refinement. *)
+    so the common obviously-changed edit skips the labeling. *)

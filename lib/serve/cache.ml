@@ -18,9 +18,9 @@ type t = {
   lru : entry Lru.t;
   metrics : Metrics.t;
   key : (Core.Instance.t -> string) option;
-  (* One refinement pass per request: [find] computes the labeling, and
-     the [store] that follows a miss reuses it (matched by physical
-     identity of the instance). *)
+  (* One labeling per request: [find] computes it, and the [store] that
+     follows a miss reuses it (matched by physical identity of the
+     instance). *)
   mutable last : (Core.Instance.t * string * Core.Canon.labeling) option;
   mutable hits : int;
   mutable misses : int;
@@ -94,8 +94,8 @@ let find t (req : Core.Engine.request) =
              (Core.Canon.form_of_labeling e.e_labeling)
              (Core.Canon.form_of_labeling lab))
       then begin
-        (* Digest collision (or a refinement tie): not provably
-           isomorphic, so not servable. *)
+        (* Equal digests of unequal forms: an MD5 collision between
+           non-isomorphic instances, so not servable. *)
         Metrics.tick t.metrics "serve.collisions";
         miss t
       end

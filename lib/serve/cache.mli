@@ -5,12 +5,13 @@
     same slot) and stored in a bounded LRU ({!Svutil.Lru}). A lookup is
     sound by construction, never by trust:
 
-    + compute the request instance's {!Core.Canon.labeling} (one
-      refinement pass yields both the digest key and the canonical
-      form);
-    + an LRU hit whose stored {e form} differs is an MD5 digest
-      collision between non-isomorphic instances — fall back to a real
-      solve (the [serve.collisions] counter records it);
+    + compute the request instance's {!Core.Canon.labeling}; its
+      canonical form gives the digest key (the form's MD5);
+    + an LRU hit whose stored {e form} differs is an MD5 collision
+      between non-isomorphic instances — fall back to a real solve
+      (the [serve.collisions] counter records it). Isomorphic
+      instances have equal forms, so a renamed resubmission never
+      lands here;
     + equal forms exhibit an explicit isomorphism: {!Core.Canon.transport}
       carries the stored representative's solution into the request's
       own attribute and public-module names;

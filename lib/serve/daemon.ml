@@ -1,10 +1,9 @@
 (* The serve loop. Single-threaded by design: requests are handled one
-   at a time, and the [--jobs] slot pool bounds how much solver
-   parallelism each request may use (Svutil.Sem clamps, it never
-   blocks). All state lives in [t]; the signal handler only reads. *)
+   at a time, so a request may use the whole [--jobs] pool for solver
+   parallelism, and is granted [max 1 (min requested pool)] workers.
+   All state lives in [t]; the signal handler only reads. *)
 
 module Metrics = Svutil.Metrics
-module Sem = Svutil.Sem
 
 type config = {
   cache_capacity : int;
@@ -23,18 +22,12 @@ let default_config () =
     metrics = Metrics.create ();
   }
 
-type t = {
-  cfg : config;
-  cache : Cache.t;
-  sem : Sem.t;
-  mutable requests : int;
-}
+type t = { cfg : config; cache : Cache.t; mutable requests : int }
 
 let create cfg =
   {
     cfg;
     cache = Cache.create ~metrics:cfg.metrics ~capacity:cfg.cache_capacity ();
-    sem = Sem.create cfg.jobs;
     requests = 0;
   }
 
@@ -45,7 +38,6 @@ let stats_json t =
       ("hits", string_of_int (Cache.hits t.cache));
       ("misses", string_of_int (Cache.misses t.cache));
       ("evictions", string_of_int (Cache.evictions t.cache));
-      ("inflight", string_of_int (Sem.in_use t.sem));
       ("size", string_of_int (Cache.length t.cache));
       ("capacity", string_of_int (Cache.capacity t.cache));
     ]
@@ -95,33 +87,29 @@ let solve t id (s : Request.solve) =
         Metrics.span t.cfg.metrics "serve/derive" (fun () ->
             Request.instance_of spec)
       in
-      Sem.with_slots t.sem s.Request.options.Request.jobs (fun granted ->
-          Metrics.observe_in t.cfg.metrics "serve.granted_jobs"
-            (float_of_int granted);
-          let reqm =
-            if s.Request.want_metrics then Metrics.create () else Metrics.nop
-          in
-          let ereq =
-            Request.engine_request ~metrics:reqm inst
-              { s.Request.options with Request.jobs = granted }
-          in
-          let r, status =
-            Cache.solve ~use_cache:s.Request.use_cache t.cache ereq
-          in
-          let verified =
-            if t.cfg.verify_hits && status = Cache.Hit then verify_hit t ereq r
-            else Ok ()
-          in
-          match verified with
-          | Error e -> Response.error ?id e
-          | Ok () ->
-              if s.Request.want_metrics then Metrics.absorb t.cfg.metrics reqm;
-              Response.ok_fields ?id
-                [
-                  ("cache", Response.str (Cache.status_to_string status));
-                  ( "result",
-                    Response.engine_result ~timings:s.Request.want_timings r );
-                ])
+      let granted = max 1 (min s.Request.options.Request.jobs t.cfg.jobs) in
+      Metrics.observe_in t.cfg.metrics "serve.granted_jobs" (float_of_int granted);
+      let reqm =
+        if s.Request.want_metrics then Metrics.create () else Metrics.nop
+      in
+      let ereq =
+        Request.engine_request ~metrics:reqm inst
+          { s.Request.options with Request.jobs = granted }
+      in
+      let r, status = Cache.solve ~use_cache:s.Request.use_cache t.cache ereq in
+      let verified =
+        if t.cfg.verify_hits && status = Cache.Hit then verify_hit t ereq r
+        else Ok ()
+      in
+      match verified with
+      | Error e -> Response.error ?id e
+      | Ok () ->
+          if s.Request.want_metrics then Metrics.absorb t.cfg.metrics reqm;
+          Response.ok_fields ?id
+            [
+              ("cache", Response.str (Cache.status_to_string status));
+              ("result", Response.engine_result ~timings:s.Request.want_timings r);
+            ]
 
 let handle_line t line =
   if String.trim line = "" then (None, `Continue)

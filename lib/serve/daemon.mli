@@ -1,18 +1,18 @@
 (** The long-lived serve loop: JSON-lines requests on stdin/stdout or a
     Unix-domain socket, in front of {!Core.Engine} with the
-    {!Cache} solution cache and {!Svutil.Sem} admission control.
+    {!Cache} solution cache.
 
     One request object per input line, one response object per output
     line (see {!Request} for the protocol fields). Blank lines are
     skipped. The loop is single-threaded — [--jobs] bounds the {e
-    solver} parallelism handed to each request (a request asking for
-    more is clamped to what the slot pool has available), not
+    solver} parallelism handed to each request (one request runs at a
+    time, so it is granted [max 1 (min requested jobs)] workers), not
     connection concurrency; socket mode serves one connection at a
     time.
 
     Observability: the server registry collects
     [serve.{hits,misses,evictions,collisions,verify_failures}]
-    counters, the [serve.granted_jobs] admission histogram, and
+    counters, the [serve.granted_jobs] histogram of granted workers, and
     [serve/{parse,derive,lookup,solve,store}] spans: [serve/parse]
     covers parsing and the Wfcheck preflight every solve request runs,
     [serve/derive] the requirement derivation
@@ -23,7 +23,7 @@
 
 type config = {
   cache_capacity : int;  (** LRU entries; at least 1 *)
-  jobs : int;  (** total solver-parallelism slot pool *)
+  jobs : int;  (** solver workers a request may be granted *)
   defaults : Request.options;  (** per-request option defaults *)
   verify_hits : bool;
       (** differentially verify every cache hit: re-solve from scratch
@@ -35,17 +35,17 @@ type config = {
 }
 
 val default_config : unit -> config
-(** 128 cache entries, a 1-slot pool, {!Request.default_options},
+(** 128 cache entries, one solver worker, {!Request.default_options},
     no hit verification, a fresh live registry. *)
 
 type t
-(** A running daemon: cache, slot pool, counters. *)
+(** A running daemon: cache and counters. *)
 
 val create : config -> t
 
 val stats_json : t -> string
 (** The [stats] response body: requests, hits, misses, evictions,
-    inflight, cache size and capacity. *)
+    cache size and capacity. *)
 
 val handle_line : t -> string -> string option * [ `Continue | `Stop ]
 (** Process one request line: [None] for a blank line, [Some response]

@@ -306,6 +306,28 @@ let test_exit_codes () =
      of escaping requirement derivation as an exception. *)
   Alcotest.(check int) "wide private module" 1
     (run_cli_code [ "solve"; example "bad/w042_wide_private_module.swf" ]);
+  (* The same module declared public passes the preflight, but analyze
+     enumerates its hidden subsets all the same: refused with W042
+     before any output, not exit 3 from the enumeration. *)
+  let private_decl = "module m private" in
+  let wide_public =
+    In_channel.with_open_bin (example "bad/w042_wide_private_module.swf")
+      In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.map (fun l ->
+           let n = String.length private_decl in
+           if String.length l >= n && String.sub l 0 n = private_decl then
+             "module m public cost 5" ^ String.sub l n (String.length l - n)
+           else l)
+    |> String.concat "\n"
+  in
+  with_temp_spec wide_public (fun f ->
+      Alcotest.(check int) "solve takes a wide public module" 0
+        (run_cli_code [ "solve"; f ]);
+      Alcotest.(check int) "analyze refuses a too-wide module" 1
+        (run_cli_code [ "analyze"; f; "m" ]);
+      Alcotest.(check string) "analyze prints nothing on refusal" ""
+        (snd (run_cli [ "analyze"; f; "m" ])));
   (* Command lines cmdliner rejects are malformed input too. *)
   List.iter
     (fun (label, args) ->

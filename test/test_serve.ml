@@ -1,6 +1,6 @@
-(* The Serve layer: the LRU and admission-slot primitives, the generic
-   JSON tree, canonical solution transport, the solution cache's
-   soundness, and the daemon loop.
+(* The Serve layer: the LRU primitive, the generic JSON tree, canonical
+   solution transport, the solution cache's soundness, and the daemon
+   loop.
 
    The load-bearing property is differential: a cache hit on a
    bijectively renamed resubmission must return exactly the optimum a
@@ -15,7 +15,6 @@ module E = Core.Engine
 module Canon = Core.Canon
 module Req = Core.Requirement
 module Lru = Svutil.Lru
-module Sem = Svutil.Sem
 module Json = Svutil.Json
 module Metrics = Svutil.Metrics
 
@@ -106,33 +105,6 @@ let test_lru_remove_and_bounds () =
   Alcotest.check_raises "capacity 0 rejected"
     (Invalid_argument "Lru.create: capacity must be >= 1") (fun () ->
       ignore (Lru.create 0))
-
-(* ------------------------------------------------------------------ *)
-(* Svutil.Sem                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_sem_clamp () =
-  let s = Sem.create 4 in
-  Alcotest.(check int) "grant within pool" 2 (Sem.acquire s 2);
-  Alcotest.(check int) "clamped to available" 2 (Sem.try_acquire s 3);
-  Alcotest.(check int) "pool exhausted" 0 (Sem.try_acquire s 1);
-  (* acquire never refuses: the minimum grant oversubscribes by 1. *)
-  Alcotest.(check int) "minimum grant" 1 (Sem.acquire s 5);
-  Alcotest.(check int) "in_use overshoots by the minimum grant" 5
-    (Sem.in_use s);
-  Sem.release s 5;
-  Alcotest.(check int) "drained" 0 (Sem.in_use s);
-  Sem.release s 10;
-  Alcotest.(check int) "release clamps at 0" 0 (Sem.in_use s)
-
-let test_sem_with_slots_exception_safe () =
-  let s = Sem.create 3 in
-  (try
-     Sem.with_slots s 2 (fun granted ->
-         Alcotest.(check int) "granted inside" 2 granted;
-         failwith "boom")
-   with Failure _ -> ());
-  Alcotest.(check int) "released on exception" 0 (Sem.in_use s)
 
 (* ------------------------------------------------------------------ *)
 (* Svutil.Json                                                         *)
@@ -249,6 +221,122 @@ let test_transport_rejects_different_forms () =
   match Canon.transport ~src:(Canon.labeling a) ~dst:(Canon.labeling b) s with
   | None -> ()
   | Some _ -> Alcotest.fail "different forms must not transport"
+
+(* A random bijective renaming to fresh names with every declaration
+   list shuffled: attributes, modules, publics and the attribute lists
+   inside them. Unlike a suffix, it changes the names' sort order. *)
+let shuffle_rename seed (inst : Inst.t) =
+  let rng = Svutil.Rng.create seed in
+  let fwd = Hashtbl.create 64 and used = Hashtbl.create 64 in
+  let rec fresh () =
+    let s = String.init 6 (fun _ -> Char.chr (Char.code 'a' + Svutil.Rng.int rng 26)) in
+    if Hashtbl.mem used s then fresh ()
+    else begin
+      Hashtbl.replace used s ();
+      s
+    end
+  in
+  let r x =
+    match Hashtbl.find_opt fwd x with
+    | Some y -> y
+    | None ->
+        let y = fresh () in
+        Hashtbl.replace fwd x y;
+        y
+  in
+  let shuffled l = Svutil.Rng.shuffle rng l in
+  let rl l = shuffled (List.map r l) in
+  Inst.make
+    ~attr_costs:(shuffled (List.map (fun (a, c) -> (r a, c)) inst.Inst.attr_costs))
+    ~mods:
+      (shuffled
+         (List.map
+            (fun (mr : Inst.module_req) ->
+              {
+                Inst.m_name = r mr.Inst.m_name;
+                inputs = rl mr.Inst.inputs;
+                outputs = rl mr.Inst.outputs;
+                req =
+                  (match mr.Inst.req with
+                  | Req.Card _ as c -> c
+                  | Req.Sets l ->
+                      Req.Sets (shuffled (List.map (fun (i, o) -> (rl i, rl o)) l)));
+              })
+            inst.Inst.mods))
+    ~publics:
+      (shuffled
+         (List.map
+            (fun (p : Inst.public_mod) ->
+              {
+                Inst.p_name = r p.Inst.p_name;
+                p_cost = p.Inst.p_cost;
+                p_attrs = rl p.Inst.p_attrs;
+              })
+            inst.Inst.publics))
+    ()
+
+(* Each fixture keeps one form under renaming, found within the leaf
+   budget. *)
+let test_symmetric_fixtures () =
+  List.iter
+    (fun (name, inst) ->
+      let lab = Canon.labeling inst in
+      Alcotest.(check bool) (name ^ " labels within the budget") false (Canon.cut lab);
+      List.iter
+        (fun seed ->
+          let lab' = Canon.labeling (shuffle_rename seed inst) in
+          Alcotest.(check bool)
+            (name ^ " renamed, within the budget")
+            false (Canon.cut lab');
+          Alcotest.(check string) (name ^ " keeps its form") (Canon.form_of_labeling lab)
+            (Canon.form_of_labeling lab'))
+        [ 1; 2; 3 ])
+    (Svbench.Gen_instances.symmetric_fixtures ())
+
+(* Nine private modules of 12 unit-cost inputs, each input in two pair
+   options: one module per way of covering 12 vertices with disjoint
+   cycles. Colour refinement cannot split such an instance, and its many
+   orderings of non-isomorphic modules exhaust the leaf budget. *)
+let cycle_modules () =
+  let covers =
+    [ [ 12 ]; [ 9; 3 ]; [ 8; 4 ]; [ 7; 5 ]; [ 6; 6 ]; [ 6; 3; 3 ]; [ 5; 4; 3 ];
+      [ 4; 4; 4 ]; [ 3; 3; 3; 3 ] ]
+  in
+  let x c i = Printf.sprintf "c%d_x%d" c i in
+  let mods =
+    List.mapi
+      (fun c lens ->
+        let opts, _ =
+          List.fold_left
+            (fun (opts, base) l ->
+              ( List.init l (fun i -> ([ x c (base + i); x c (base + ((i + 1) mod l)) ], []))
+                @ opts,
+                base + l ))
+            ([], 0) lens
+        in
+        m (Printf.sprintf "m%d" c) (List.init 12 (x c)) [] (Req.Sets opts))
+      covers
+  in
+  mk
+    ~attr_costs:(List.concat (List.mapi (fun c _ -> List.init 12 (fun i -> (x c i, 1))) covers))
+    ~mods ()
+
+(* A labeling the budget cuts falls back to its first leaf: still a
+   deterministic relabeling of the instance, so equal forms still prove
+   isomorphism and a solution transports onto itself. *)
+let test_budget_cut_stays_sound () =
+  let inst = cycle_modules () in
+  let lab = Canon.labeling inst in
+  Alcotest.(check bool) "the search is cut" true (Canon.cut lab);
+  let again = Canon.labeling inst in
+  Alcotest.(check string) "same form on the same input" (Canon.form_of_labeling lab)
+    (Canon.form_of_labeling again);
+  let s = Sol.of_hidden inst (Inst.attrs inst) in
+  match Canon.transport ~src:lab ~dst:again s with
+  | Some s' ->
+      Alcotest.(check (list string)) "transported onto itself"
+        (List.sort compare s.Sol.hidden) (List.sort compare s'.Sol.hidden)
+  | None -> Alcotest.fail "equal forms must transport"
 
 (* ------------------------------------------------------------------ *)
 (* Serve.Cache units                                                   *)
@@ -402,11 +490,13 @@ let cache_soundness_prop (w, inst) =
   | Some s when not (workflow_safe w s) ->
       QCheck2.Test.fail_report "hit solution fails the Theorem 4/8 re-check"
   | _ -> ());
-  (* Renamed resubmission: zero drift against a from-scratch solve,
-     hit or miss (a refinement tie may legitimately miss); a hit must
-     be feasible on the renamed instance. *)
+  (* Renamed resubmission: the same canonical form, so a hit with zero
+     drift against a from-scratch solve, feasible on the renamed
+     instance. *)
   let renamed = rename_instance "_r" inst in
   let r2 = run_through cache (exact_request renamed) in
+  if cache_status r2 <> Some "hit" then
+    QCheck2.Test.fail_report "renamed resubmission must hit";
   let scratch = E.run (exact_request renamed) in
   (match (cost_of r2, cost_of scratch) with
   | Some a, Some b when Q.equal a b -> ()
@@ -418,6 +508,32 @@ let cache_soundness_prop (w, inst) =
         QCheck2.Test.fail_report "transported solution infeasible"
   | _ -> ());
   true
+
+let corpus =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun (ir : Svbench.Corpus.inst_rec) -> ir.Svbench.Corpus.inst)
+          (Svbench.Corpus.generate ~smoke:true ~seed:42 ())))
+
+let gen_corpus_renaming =
+  QCheck2.Gen.(
+    pair (int_bound (Array.length (Lazy.force corpus) - 1)) (int_range 0 1_000_000))
+
+(* A shuffled random renaming of a corpus instance: byte-equal form,
+   equal digest, and a cache hit. *)
+let corpus_renaming_prop (i, seed) =
+  let inst = (Lazy.force corpus).(i) in
+  let renamed = shuffle_rename seed inst in
+  if not (String.equal (Canon.form inst) (Canon.form renamed)) then
+    QCheck2.Test.fail_report "renaming changed the form";
+  if not (String.equal (Canon.digest inst) (Canon.digest renamed)) then
+    QCheck2.Test.fail_report "renaming changed the digest";
+  let cache = Serve.Cache.create ~capacity:4 () in
+  ignore (run_through cache (exact_request inst));
+  match cache_status (run_through cache (exact_request renamed)) with
+  | Some "hit" -> true
+  | _ -> QCheck2.Test.fail_report "renamed resubmission missed the cache"
 
 (* ------------------------------------------------------------------ *)
 (* Daemon                                                              *)
@@ -572,6 +688,26 @@ let test_daemon_errors () =
   | None, `Continue -> ()
   | _ -> Alcotest.fail "blank line must be skipped"
 
+(* One request at a time: each is granted its own jobs, clamped to the
+   daemon's --jobs and to at least one worker. *)
+let test_daemon_jobs_clamp () =
+  List.iter
+    (fun (requested, granted) ->
+      let metrics = Svutil.Metrics.create () in
+      let t =
+        Serve.Daemon.create
+          { (Serve.Daemon.default_config ()) with Serve.Daemon.jobs = 2; metrics }
+      in
+      let extra = Printf.sprintf {|,"jobs":%d|} requested in
+      ignore (response_of t (solve_line ~extra "j"));
+      match Svutil.Metrics.histo_stats metrics "serve.granted_jobs" with
+      | Some h ->
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "jobs %d granted" requested)
+            (float_of_int granted) h.Svutil.Metrics.hmax
+      | None -> Alcotest.fail "no serve.granted_jobs histogram")
+    [ (8, 2); (2, 2); (1, 1); (-3, 1) ]
+
 let test_daemon_serve_channels () =
   let t = daemon () in
   let input = Filename.temp_file "serve_in" ".jsonl" in
@@ -623,12 +759,6 @@ let () =
           Alcotest.test_case "remove and bounds" `Quick
             test_lru_remove_and_bounds;
         ] );
-      ( "sem",
-        [
-          Alcotest.test_case "clamping grants" `Quick test_sem_clamp;
-          Alcotest.test_case "with_slots releases on exception" `Quick
-            test_sem_with_slots_exception_safe;
-        ] );
       ( "json",
         [
           Alcotest.test_case "round trip" `Quick test_json_roundtrip;
@@ -643,6 +773,14 @@ let () =
             test_transport_renamed;
           Alcotest.test_case "transport rejects unequal forms" `Quick
             test_transport_rejects_different_forms;
+          Alcotest.test_case "symmetric fixtures keep their form" `Quick
+            test_symmetric_fixtures;
+          Alcotest.test_case "budget cut stays sound" `Quick
+            test_budget_cut_stays_sound;
+          prop ~count:300 "shuffled renaming of a corpus instance hits"
+            ~print:(fun (i, seed) ->
+              Printf.sprintf "corpus member %d, renaming seed %d" i seed)
+            gen_corpus_renaming corpus_renaming_prop;
         ] );
       ( "cache",
         [
@@ -667,5 +805,6 @@ let () =
             test_daemon_errors;
           Alcotest.test_case "serve_channels loop" `Quick
             test_daemon_serve_channels;
+          Alcotest.test_case "jobs clamp" `Quick test_daemon_jobs_clamp;
         ] );
     ]
