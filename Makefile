@@ -10,8 +10,8 @@ SMOKE_OUT ?= BENCH_SMOKE.json
 # Baselines for bench-compare, e.g.
 #   make bench-compare BASE=BENCH_PR1.json NEW=BENCH_PR3.json
 # Exits nonzero when any kernel regressed by more than 10%.
-BASE ?= BENCH_PR9.json
-NEW ?= BENCH_PR10.json
+BASE ?= BENCH_PR16.json
+NEW ?= BENCH_PR17.json
 
 # Corpus seed for corpus-smoke / corpus-rows; the whole instance set
 # derives from it deterministically.

@@ -189,11 +189,27 @@ let timing_tests () =
   let card_lp_relaxed =
     Lp.Problem.relax (Core.Card_lp.build card_inst).Core.Card_lp.problem
   in
+  (* The certification step alone: the card LP's optimal basis and its
+     float point, found once outside the timed region. *)
+  let card_sf = Lp.Sform.make card_lp_relaxed in
+  let card_lb = card_lp_relaxed.Lp.Problem.lb in
+  let card_rhs, card_basis, card_point =
+    match Lp.Sform.rhs card_sf ~lb:card_lb ~ub:card_lp_relaxed.Lp.Problem.ub with
+    | Lp.Sform.Rhs rhs -> (
+        match Lp.Fsimplex.solve (Lp.Fsimplex.create card_sf) ~rhs with
+        | Lp.Fsimplex.Optimal_basis { basis; point } -> (rhs, basis, point)
+        | _ -> failwith "simplex_sparse_certify: no optimal float basis")
+    | _ -> failwith "simplex_sparse_certify: root bounds give no rhs"
+  in
   [
     stage_m "simplex_dense_exact" (fun m ->
         ignore (Lp.Simplex.Exact.solve ~metrics:m card_lp_relaxed));
     stage_m "simplex_sparse_hybrid" (fun m ->
         ignore (Lp.Simplex.Hybrid.solve ~metrics:m card_lp_relaxed));
+    stage_m "simplex_sparse_certify" (fun m ->
+        ignore
+          (Lp.Certify.check ~metrics:m ~point:card_point card_sf ~rhs:card_rhs
+             ~lb:card_lb ~basis:card_basis));
     stage "e01_safety_check" (fun () ->
         ignore (St.is_safe fig1 ~visible:[ "a1"; "a3"; "a5" ] ~gamma:4));
     stage_m "e02_worlds_enum" (fun m ->

@@ -5,64 +5,24 @@ let deadline_poll_mask = 15
    row [er], whose multiplier is [pr]. *)
 type reta = { er : int; pr : Rat.t; idx : int array; vals : Rat.t array }
 
-(* How an upper-bound row [m0 + k] is eliminated before exact
-   refactorization (see {!reduce}). *)
-type elim = Slack_basic | Art_basic | Fixed_at_ub
-
-(* Factorization of the basis restricted to the [m0] constraint rows,
-   obtained by eliminating every upper-bound row by its unique basic
-   column.  This is the accept fast path: its cost scales with the
-   number of constraint rows, not with the number of bounded
-   variables. *)
-type red = {
-  rbasis : int array;  (* constraint row -> column *)
-  retas : reta array;
-  elim : elim array;  (* per upper-bound row *)
-  vrow : int array;  (* structural column -> its core basis row, or -1 *)
-  fixed : bool array;  (* structural column pinned at its upper bound *)
-  mutable rdual_ok : bool option;  (* core dual feasibility, memoized *)
-}
-
-(* Full [m]-row factorization, built lazily — only the repair and
-   Farkas paths need it. *)
-type full = {
-  ebasis : int array;  (* row -> column, as assigned by refactorization *)
-  etas : reta array;
-}
-
-type entry = {
-  red : red option;  (* [None] caches "this basis is singular" *)
-  mutable full : full option option;
-}
-
-module Key = struct
-  type t = int array (* sorted basis columns *)
-
-  let equal = ( = )
-  let hash = Hashtbl.hash
-end
-
-module Tbl = Hashtbl.Make (Key)
-
-type cache = entry Tbl.t
-
-let cache_create () : cache = Tbl.create 32
-
 (* {2 Exact FTRAN / BTRAN} *)
 
-let rftran etas v =
-  Array.iter
-    (fun e ->
-      let vr = v.(e.er) in
-      if not (Rat.is_zero vr) then begin
-        let p = Rat.div vr e.pr in
-        v.(e.er) <- p;
-        for i = 0 to Array.length e.idx - 1 do
-          v.(e.idx.(i)) <- Rat.sub v.(e.idx.(i)) (Rat.mul e.vals.(i) p)
-        done
-      end)
-    etas;
+(* Apply the first [n] etas of the file to [v], oldest first. *)
+let rftran_n etas n v =
+  for k = 0 to n - 1 do
+    let e = etas.(k) in
+    let vr = v.(e.er) in
+    if not (Rat.is_zero vr) then begin
+      let p = Rat.div vr e.pr in
+      v.(e.er) <- p;
+      for i = 0 to Array.length e.idx - 1 do
+        v.(e.idx.(i)) <- Rat.sub v.(e.idx.(i)) (Rat.mul e.vals.(i) p)
+      done
+    end
+  done;
   v
+
+let rftran etas v = rftran_n etas (Array.length etas) v
 
 let rbtran etas y =
   for k = Array.length etas - 1 downto 0 do
@@ -110,46 +70,15 @@ let col_dot (sf : Sform.t) ~art_sign y j =
     if art_sign r < 0 then Rat.neg y.(r) else y.(r)
   end
 
-(* Column entries restricted to the constraint rows.  Columns are
-   stored in ascending row order, so the core entries are a prefix. *)
-let load_core (sf : Sform.t) j v =
-  Array.fill v 0 (Array.length v) Rat.zero;
-  let m0 = sf.Sform.m0 in
-  if j < sf.Sform.first_art then begin
-    let ri, vs = sf.Sform.cols.(j) in
-    let len = Array.length ri in
-    let k = ref 0 in
-    while !k < len && ri.(!k) < m0 do
-      v.(ri.(!k)) <- vs.(!k);
-      incr k
-    done
-  end
-  else begin
-    let r = j - sf.Sform.first_art in
-    if r < m0 then v.(r) <- Rat.one
-  end
-
-let core_dot (sf : Sform.t) y j =
-  let m0 = sf.Sform.m0 in
-  let ri, vs = sf.Sform.cols.(j) in
-  let s = ref Rat.zero in
-  let len = Array.length ri in
-  let k = ref 0 in
-  while !k < len && ri.(!k) < m0 do
-    if not (Rat.is_zero y.(ri.(!k))) then
-      s := Rat.add !s (Rat.mul vs.(!k) y.(ri.(!k)));
-    incr k
-  done;
-  !s
-
 (* {2 Exact refactorization}
 
    Same Markowitz-style greedy as the float side — cheapest live column
    first, preferring unit pivot elements — but over rationals, where a
-   unit pivot also means no coefficient growth.  Returns [None] for a
-   singular column set.  [load]/[live_nnz] abstract over the full
-   [m]-row system and the [m0]-row core. *)
-let factorize_gen ?(deadline = Svutil.Deadline.none) ~m ~load ~live_nnz cols0 =
+   unit pivot also means no coefficient growth.  Returns the row →
+   column assignment and the eta file, or [None] for a singular column
+   set. *)
+let factorize ?(deadline = Svutil.Deadline.none) (sf : Sform.t) ~art_sign cols0 =
+  let m = sf.Sform.m in
   let cols = Array.copy cols0 in
   let ebasis = Array.make m (-1) in
   let row_done = Array.make m false in
@@ -158,19 +87,15 @@ let factorize_gen ?(deadline = Svutil.Deadline.none) ~m ~load ~live_nnz cols0 =
   let etas = Array.make (max m 1) dummy in
   let n_etas = ref 0 in
   let w = Array.make (max m 1) Rat.zero in
-  (* apply the etas accumulated so far *)
-  let partial_ftran v =
-    for k = 0 to !n_etas - 1 do
-      let e = etas.(k) in
-      let vr = v.(e.er) in
-      if not (Rat.is_zero vr) then begin
-        let p = Rat.div vr e.pr in
-        v.(e.er) <- p;
-        for i = 0 to Array.length e.idx - 1 do
-          v.(e.idx.(i)) <- Rat.sub v.(e.idx.(i)) (Rat.mul e.vals.(i) p)
-        done
-      end
-    done
+  let live_nnz j =
+    if j >= sf.Sform.first_art then
+      if row_done.(j - sf.Sform.first_art) then 0 else 1
+    else begin
+      let ri, _ = sf.Sform.cols.(j) in
+      let c = ref 0 in
+      Array.iter (fun r -> if not row_done.(r) then incr c) ri;
+      !c
+    end
   in
   let eta_of_dense r =
     let nnz = ref 0 in
@@ -195,7 +120,7 @@ let factorize_gen ?(deadline = Svutil.Deadline.none) ~m ~load ~live_nnz cols0 =
       let pick = ref (-1) and best = ref max_int in
       for k = 0 to Array.length cols - 1 do
         if not col_done.(k) then begin
-          let nnz = live_nnz row_done cols.(k) in
+          let nnz = live_nnz cols.(k) in
           if nnz < !best then begin
             best := nnz;
             pick := k
@@ -204,8 +129,8 @@ let factorize_gen ?(deadline = Svutil.Deadline.none) ~m ~load ~live_nnz cols0 =
       done;
       if !pick < 0 then raise Exit;
       let j = cols.(!pick) in
-      load j w;
-      partial_ftran w;
+      load_col sf ~art_sign j w;
+      ignore (rftran_n etas !n_etas w);
       let r = ref (-1) in
       (try
          for i = 0 to m - 1 do
@@ -228,178 +153,88 @@ let factorize_gen ?(deadline = Svutil.Deadline.none) ~m ~load ~live_nnz cols0 =
     Some (ebasis, Array.sub etas 0 !n_etas)
   with Exit -> None
 
-let factorize ?deadline (sf : Sform.t) ~art_sign basis =
-  let live_nnz row_done j =
-    if j >= sf.Sform.first_art then
-      if row_done.(j - sf.Sform.first_art) then 0 else 1
-    else begin
-      let ri, _ = sf.Sform.cols.(j) in
-      let c = ref 0 in
-      Array.iter (fun r -> if not row_done.(r) then incr c) ri;
-      !c
-    end
-  in
-  factorize_gen ?deadline ~m:sf.Sform.m
-    ~load:(fun j v -> load_col sf ~art_sign j v)
-    ~live_nnz basis
-
-let factorize_core ?deadline (sf : Sform.t) cols =
-  let m0 = sf.Sform.m0 in
-  let live_nnz row_done j =
-    if j >= sf.Sform.first_art then begin
-      let r = j - sf.Sform.first_art in
-      if r >= m0 || row_done.(r) then 0 else 1
-    end
-    else begin
-      let ri, _ = sf.Sform.cols.(j) in
-      let c = ref 0 in
-      let len = Array.length ri in
-      let k = ref 0 in
-      while !k < len && ri.(!k) < m0 do
-        if not row_done.(ri.(!k)) then incr c;
-        incr k
-      done;
-      !c
-    end
-  in
-  factorize_gen ?deadline ~m:m0 ~load:(load_core sf) ~live_nnz cols
-
-(* {2 Upper-bound row elimination}
-
-   Each upper-bound row [r = m0 + k] reads [y_v + s_r + a_r = u_r] and
-   exactly three unit columns touch it: the bounded variable [v], the
-   row's slack and its artificial.  A nonsingular basis covers the row
-   by exactly one of them, and cofactor expansion along that row or
-   column removes it with no fill:
-
-   - slack basic: drop the row and the slack; its recovered value
-     [u_r - y_v] must come out non-negative;
-   - artificial basic: drop the row and the artificial; the artificial
-     must sit at exactly zero, i.e. [y_v = u_r];
-   - neither: [v] itself covers the row, pinned to [y_v = u_r] —
-     substitute it into the constraint rows' right-hand side.
-
-   The determinant of the full basis equals (up to sign) that of the
-   reduced one, so the full basis is nonsingular iff the
-   classification succeeds and the core factorization does. *)
-let reduce ?deadline (sf : Sform.t) basis =
-  let m0 = sf.Sform.m0 in
-  let n_ub = sf.Sform.m - m0 in
-  let first_art = sf.Sform.first_art in
-  let in_basis = Array.make sf.Sform.ncols false in
-  Array.iter (fun j -> in_basis.(j) <- true) basis;
-  let elim = Array.make n_ub Slack_basic in
-  let drop = Array.make sf.Sform.ncols false in
-  let ok = ref true in
-  for k = 0 to n_ub - 1 do
-    let r = m0 + k in
-    let v = sf.Sform.ub_var.(k) in
-    let c = sf.Sform.slack_col.(r) in
-    let a = first_art + r in
-    if in_basis.(c) then begin
-      elim.(k) <- Slack_basic;
-      drop.(c) <- true
-    end
-    else if in_basis.(a) then begin
-      elim.(k) <- Art_basic;
-      drop.(a) <- true
-    end
-    else if in_basis.(v) then begin
-      elim.(k) <- Fixed_at_ub;
-      drop.(v) <- true
-    end
-    else ok := false
-  done;
-  if not !ok then None
-  else begin
-    let rcols = Array.of_seq (Seq.filter (fun j -> not drop.(j)) (Array.to_seq basis)) in
-    if Array.length rcols <> m0 then None
-    else
-      match factorize_core ?deadline sf rcols with
-      | None -> None
-      | Some (rbasis, retas) ->
-          let vrow = Array.make sf.Sform.n (-1) in
-          Array.iteri (fun i j -> if j < sf.Sform.n then vrow.(j) <- i) rbasis;
-          let fixed = Array.make sf.Sform.n false in
-          Array.iteri
-            (fun k e ->
-              if e = Fixed_at_ub then fixed.(sf.Sform.ub_var.(k)) <- true)
-            elim;
-          Some { rbasis; retas; elim; vrow; fixed; rdual_ok = None }
-  end
-
 let plus_sign _ = 1
 
-let sorted_key basis =
-  let k = Array.copy basis in
-  Array.sort compare k;
-  k
+(* {2 Rational recovery}
 
-let lookup ?deadline ~metrics (cache : cache) sf basis =
-  let key = sorted_key basis in
-  match Tbl.find_opt cache key with
-  | Some e ->
-      Svutil.Metrics.tick metrics "certify.cache_hits";
-      e
-  | None ->
-      let e = { red = reduce ?deadline sf basis; full = None } in
-      Tbl.replace cache key e;
-      e
+   The float pass's basic values and duals are read back as rationals:
+   each float becomes the first continued-fraction convergent [p/q]
+   within [recover_tol] of it (relative above 1).  The bounds keep
+   every recovered value in {!Rat}'s native arm.  Nothing here is
+   trusted — a wrong guess only fails the exact check below. *)
+let max_den = 1 lsl 20
+let max_num = 1 lsl 30
+let recover_tol = 1e-9
 
-let get_full ?deadline sf (e : entry) basis =
-  match e.full with
-  | Some f -> f
-  | None ->
-      let f =
-        match factorize ?deadline sf ~art_sign:plus_sign basis with
-        | None -> None
-        | Some (ebasis, etas) -> Some { ebasis; etas }
-      in
-      e.full <- Some f;
-      f
+let recover f =
+  let af = Float.abs f in
+  if not (af < float_of_int max_num) then None
+  else begin
+    let tol = recover_tol *. Float.max 1. af in
+    (* [p1/q1] is the latest convergent, [p0/q0] the one before. *)
+    let rec go x p1 q1 p0 q0 =
+      if q1 > 0 && x >= float_of_int max_den then None
+      else begin
+        let a = Float.to_int (Float.floor x) in
+        let p = (a * p1) + p0 and q = (a * q1) + q0 in
+        if q >= max_den || p >= max_num then None
+        else if Float.abs (af -. (float_of_int p /. float_of_int q)) <= tol then
+          Some (Rat.of_ints (if f < 0. then -p else p) q)
+        else go (1. /. (x -. Float.floor x)) p q p1 q1
+      end
+    in
+    go af 1 0 0 1
+  end
 
-(* {2 Checks} *)
+let recover_all a =
+  let out = Array.make (Array.length a) Rat.zero in
+  try
+    Array.iteri
+      (fun i f ->
+        match recover f with Some r -> out.(i) <- r | None -> raise Exit)
+      a;
+    Some out
+  with Exit -> None
 
-(* Core duals over the constraint rows only.  Eliminated rows carry an
-   implicit dual: zero when their slack or artificial is basic, and the
-   variable's core reduced cost when the variable is pinned at its
-   bound — in which case that reduced cost must be non-positive for the
-   row's slack to price out non-negatively. *)
-let red_dual_feasible sf (rd : red) =
-  match rd.rdual_ok with
-  | Some ok -> ok
-  | None ->
-      let m0 = sf.Sform.m0 in
-      let y = Array.make m0 Rat.zero in
-      Array.iteri
-        (fun i j -> if j < sf.Sform.first_art then y.(i) <- sf.Sform.obj.(j))
-        rd.rbasis;
-      ignore (rbtran rd.retas y);
-      let inb = Array.make sf.Sform.first_art false in
-      Array.iter
-        (fun j -> if j < sf.Sform.first_art then inb.(j) <- true)
-        rd.rbasis;
-      let ok = ref true in
-      (try
-         for j = 0 to sf.Sform.first_art - 1 do
-           if j < sf.Sform.n && rd.fixed.(j) then begin
-             let d = Rat.sub sf.Sform.obj.(j) (core_dot sf y j) in
-             if Rat.sign d > 0 then begin
-               ok := false;
-               raise Exit
-             end
-           end
-           else if not inb.(j) then begin
-             let d = Rat.sub sf.Sform.obj.(j) (core_dot sf y j) in
-             if Rat.sign d < 0 then begin
-               ok := false;
-               raise Exit
-             end
-           end
-         done
-       with Exit -> ());
-      rd.rdual_ok <- Some !ok;
-      !ok
+(* {2 The optimality check}
+
+   [xb] (by row: the value of row [r]'s basic column) and [y] certify
+   the basis optimal iff [B x_B = b], [x_B >= 0] with every basic
+   artificial at zero, and the reduced cost [c_j - y A_j] of every
+   structural or slack column is zero when basic and non-negative
+   otherwise.  Then [x] is feasible, [y] is dual feasible and
+   complementary slackness gives [c x = y b]: LP duality proves [x]
+   optimal, whatever the basis matrix looks like. *)
+let pair_ok (sf : Sform.t) ~rhs ~basis ~xb ~y =
+  let first_art = sf.Sform.first_art in
+  let res = Array.copy rhs in
+  let inb = Array.make first_art false in
+  try
+    Array.iteri
+      (fun r j ->
+        let v = xb.(r) in
+        if Rat.sign v < 0 then raise Exit;
+        if j >= first_art then begin
+          if not (Rat.is_zero v) then raise Exit
+        end
+        else begin
+          inb.(j) <- true;
+          if not (Rat.is_zero v) then begin
+            let ri, vs = sf.Sform.cols.(j) in
+            for k = 0 to Array.length ri - 1 do
+              res.(ri.(k)) <- Rat.sub res.(ri.(k)) (Rat.mul vs.(k) v)
+            done
+          end
+        end)
+      basis;
+    if not (Array.for_all Rat.is_zero res) then raise Exit;
+    for j = 0 to first_art - 1 do
+      let d = Rat.sub sf.Sform.obj.(j) (col_dot sf ~art_sign:plus_sign y j) in
+      let s = Rat.sign d in
+      if s < 0 || (s > 0 && inb.(j)) then raise Exit
+    done;
+    true
+  with Exit -> false
 
 type outcome =
   | Cert_optimal of { objective : Rat.t; values : Rat.t array; repaired : bool }
@@ -415,78 +250,19 @@ let extract sf ~lb ~basis ~xb ~repaired =
   let objective = Linexpr.eval sf.Sform.objective (fun v -> values.(v)) in
   Cert_optimal { objective; values; repaired }
 
-(* Accept fast path over the core system.  [Some outcome] is a
-   certified accept; [None] sends the caller to the full-system
-   repair path. *)
-let check_red ~metrics sf (rd : red) ~rhs ~lb =
-  let m0 = sf.Sform.m0 in
-  (* Node right-hand side restricted to the constraint rows, with
-     pinned variables substituted out. *)
-  let b = Array.sub rhs 0 m0 in
-  Array.iteri
-    (fun k e ->
-      if e = Fixed_at_ub then begin
-        let u = rhs.(m0 + k) in
-        if not (Rat.is_zero u) then begin
-          let ri, vs = sf.Sform.cols.(sf.Sform.ub_var.(k)) in
-          let len = Array.length ri in
-          let i = ref 0 in
-          while !i < len && ri.(!i) < m0 do
-            b.(ri.(!i)) <- Rat.sub b.(ri.(!i)) (Rat.mul vs.(!i) u);
-            incr i
-          done
-        end
-      end)
-    rd.elim;
-  let xb = rftran rd.retas b in
-  let ok = ref true in
-  for r = 0 to m0 - 1 do
-    if Rat.sign xb.(r) < 0 then ok := false
-    else if rd.rbasis.(r) >= sf.Sform.first_art && not (Rat.is_zero xb.(r))
-    then ok := false
-  done;
-  let value v =
-    if rd.fixed.(v) then rhs.(sf.Sform.ub_row.(v))
-    else if rd.vrow.(v) >= 0 then xb.(rd.vrow.(v))
-    else Rat.zero
-  in
-  if !ok then
-    (* Recovered values of the eliminated rows. *)
-    Array.iteri
-      (fun k e ->
-        let u = rhs.(m0 + k) in
-        match e with
-        | Slack_basic ->
-            if Rat.lt u (value sf.Sform.ub_var.(k)) then ok := false
-        | Art_basic ->
-            if not (Rat.equal u (value sf.Sform.ub_var.(k))) then ok := false
-        | Fixed_at_ub -> ())
-      rd.elim;
-  if !ok && red_dual_feasible sf rd then begin
-    Svutil.Metrics.tick metrics "certify.accepts";
-    let values = Array.copy lb in
-    for v = 0 to sf.Sform.n - 1 do
-      let yv = value v in
-      if not (Rat.is_zero yv) then values.(v) <- Rat.add values.(v) yv
-    done;
-    let objective = Linexpr.eval sf.Sform.objective (fun v -> values.(v)) in
-    Some (Cert_optimal { objective; values; repaired = false })
-  end
-  else None
-
 (* {2 Exact repair}
 
-   When the fast path rejects, build the full exact tableau once and
-   run a short Bland-rule cleanup — dual pivots while basic values are
-   negative, then primal pivots while reduced costs are.  Everything
-   stays exact, so a successful cleanup yields a certified optimum (or
-   an exact infeasibility/unboundedness certificate); budget
-   exhaustion reports {!Cert_fail}. *)
-let repair ?(deadline = Svutil.Deadline.none) sf (f : full) ~lb ~xb =
+   When the factorized basis fails the check, build the full exact
+   tableau once and run a short Bland-rule cleanup — dual pivots while
+   basic values are negative, then primal pivots while reduced costs
+   are.  Everything stays exact, so a successful cleanup yields a
+   certified optimum (or an exact infeasibility/unboundedness
+   certificate); budget exhaustion reports {!Cert_fail}. *)
+let repair ?(deadline = Svutil.Deadline.none) sf ~basis ~etas ~lb ~xb =
   let m = sf.Sform.m in
   let ncols = sf.Sform.ncols in
   let first_art = sf.Sform.first_art in
-  let basis = Array.copy f.ebasis in
+  let basis = Array.copy basis in
   let b = Array.copy xb in
   let a = Array.init m (fun _ -> Array.make ncols Rat.zero) in
   let v = Array.make m Rat.zero in
@@ -497,7 +273,7 @@ let repair ?(deadline = Svutil.Deadline.none) sf (f : full) ~lb ~xb =
     if row_of.(j) >= 0 then a.(row_of.(j)).(j) <- Rat.one
     else begin
       load_col sf ~art_sign:plus_sign j v;
-      ignore (rftran f.etas v);
+      ignore (rftran etas v);
       for i = 0 to m - 1 do
         a.(i).(j) <- v.(i)
       done
@@ -642,25 +418,43 @@ let repair ?(deadline = Svutil.Deadline.none) sf (f : full) ~lb ~xb =
   with Done o -> o
 
 let check ?(deadline = Svutil.Deadline.none) ?(metrics = Svutil.Metrics.nop)
-    ~cache (sf : Sform.t) ~rhs ~lb ~basis =
-  let e = lookup ~deadline ~metrics cache sf basis in
-  match e.red with
-  | None -> Cert_fail
-  | Some rd -> (
-      match check_red ~metrics sf rd ~rhs ~lb with
-      | Some o -> o
-      | None -> (
-          (* The fast path rejected; refactorize the full system and
-             try an exact cleanup from there. *)
-          match get_full ~deadline sf e basis with
-          | None -> Cert_fail
-          | Some f -> (
-              let xb = rftran f.etas (Array.copy rhs) in
-              match repair ~deadline sf f ~lb ~xb with
-              | Cert_fail -> Cert_fail
-              | o ->
-                  Svutil.Metrics.tick metrics "certify.repairs";
-                  o)))
+    ?point (sf : Sform.t) ~rhs ~lb ~basis =
+  let accept ~basis ~xb =
+    Svutil.Metrics.tick metrics "certify.accepts";
+    extract sf ~lb ~basis ~xb ~repaired:false
+  in
+  let recovered =
+    match point with
+    | Some { Fsimplex.xb; y }
+      when Array.length xb = Array.length basis && Array.length y = sf.Sform.m
+      -> (
+        match (recover_all xb, recover_all y) with
+        | Some xb, Some y -> Some (xb, y)
+        | _ -> None)
+    | _ -> None
+  in
+  match recovered with
+  | Some (xb, y) when pair_ok sf ~rhs ~basis ~xb ~y -> accept ~basis ~xb
+  | _ -> (
+      (* No usable float point: the same check on the exact pair of a
+         full factorization, then repair from there. *)
+      Svutil.Metrics.tick metrics "certify.factorizations";
+      match factorize ~deadline sf ~art_sign:plus_sign basis with
+      | None -> Cert_fail
+      | Some (basis, etas) -> (
+          let xb = rftran etas (Array.copy rhs) in
+          let y = Array.make sf.Sform.m Rat.zero in
+          Array.iteri
+            (fun i j -> if j < sf.Sform.first_art then y.(i) <- sf.Sform.obj.(j))
+            basis;
+          ignore (rbtran etas y);
+          if pair_ok sf ~rhs ~basis ~xb ~y then accept ~basis ~xb
+          else
+            match repair ~deadline sf ~basis ~etas ~lb ~xb with
+            | Cert_fail -> Cert_fail
+            | o ->
+                Svutil.Metrics.tick metrics "certify.repairs";
+                o))
 
 let check_phase1 ?(deadline = Svutil.Deadline.none) (sf : Sform.t) ~rhs ~basis
     ~art_sign =
@@ -701,20 +495,19 @@ let check_phase1 ?(deadline = Svutil.Deadline.none) (sf : Sform.t) ~rhs ~basis
         true
       with Exit -> false)
 
-let check_farkas ?(deadline = Svutil.Deadline.none)
-    ?(metrics = Svutil.Metrics.nop) ~cache (sf : Sform.t) ~rhs ~basis ~col =
-  let e = lookup ~deadline ~metrics cache sf basis in
-  match get_full ~deadline sf e basis with
+let check_farkas ?(deadline = Svutil.Deadline.none) (sf : Sform.t) ~rhs ~basis
+    ~col =
+  match factorize ~deadline sf ~art_sign:plus_sign basis with
   | None -> false
-  | Some f -> (
+  | Some (ebasis, etas) -> (
       let k = ref (-1) in
-      Array.iteri (fun r j -> if j = col then k := r) f.ebasis;
+      Array.iteri (fun r j -> if j = col then k := r) ebasis;
       if !k < 0 then false
       else begin
         let m = sf.Sform.m in
         let u = Array.make m Rat.zero in
         u.(!k) <- Rat.one;
-        ignore (rbtran f.etas u);
+        ignore (rbtran etas u);
         let dot_rhs = ref Rat.zero in
         for r = 0 to m - 1 do
           if not (Rat.is_zero u.(r)) then

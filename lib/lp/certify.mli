@@ -1,41 +1,32 @@
 (** Exact certification of float-found simplex bases.
 
-    The hybrid solver's correctness argument lives here: a candidate
-    basis from {!Fsimplex} is refactorized once in exact rationals and
-    checked against the two optimality conditions —
+    The hybrid solver's correctness argument lives here.  A candidate
+    basis from {!Fsimplex} is accepted on one exact test of a primal–dual
+    pair — basic values [x_B] and duals [y] — against the LP optimality
+    conditions:
 
-    - {e primal feasibility}: [x_B = B^-1 b >= 0], with every basic
-      artificial exactly zero;
-    - {e dual feasibility}: every non-basic structural/slack column has
-      a non-negative exact reduced cost.
+    - {e primal feasibility}: [B x_B = b] and [x_B >= 0], with every
+      basic artificial exactly zero;
+    - {e dual feasibility and complementary slackness}: every
+      structural or slack column has exact reduced cost [c_j - y A_j]
+      zero when basic and non-negative when not.
 
-    Both hold: the basis is optimal and the exact optimum is read off
-    it ({e accept}).  Exactly one fails: a short exact primal or dual
+    When both hold, LP duality proves the basic point optimal ({e
+    accept}).  The test trusts nothing about where the pair came from,
+    so it needs no factorization: the float pass's point is recovered
+    as small-denominator rationals by continued fractions and checked
+    as is.  It also needs no nonsingular basis — a singular basis whose
+    pair checks is accepted, and its point is still an exact optimum.
+
+    When there is no float point, recovery fails or the recovered pair
+    does not check, the basis is refactorized in exact rationals and
+    the exact [x_B = B^-1 b], [y = c_B B^-1] go through the same test.
+    If exactly one side fails there, a short exact primal or dual
     cleanup from that basis usually reaches optimality in a handful of
     pivots ({e repair}).  Anything else — singular basis, both sides
     violated, pivot budget exhausted — is reported as {!Cert_fail} and
     the caller falls back to the exact two-phase solver, so a wrong
-    float basis can cost time but never an answer.
-
-    The accept check never factorizes the full system: every
-    upper-bound row has exactly three unit columns touching it
-    (variable, slack, artificial), so a nonsingular basis is first
-    reduced — by cofactor expansion along whichever of the three is
-    basic — to the constraint-row core, and only that [m0]-row system
-    is refactorized exactly.  The eliminated rows are re-checked
-    directly on the recovered values ([slack >= 0], artificials at
-    zero, pinned variables priced non-positively), so acceptance is
-    equivalent to full-system primal and dual feasibility.  Repair and
-    Farkas certificates still build the full factorization, lazily.
-
-    Factorizations are cached per basis (keyed on the sorted column
-    set): branch-and-bound nodes revisit a handful of optimal bases,
-    and on a cache hit certification is one exact
-    forward-substitution of the node's right-hand side. *)
-
-type cache
-
-val cache_create : unit -> cache
+    float basis can cost time but never an answer. *)
 
 type outcome =
   | Cert_optimal of { objective : Rat.t; values : Rat.t array; repaired : bool }
@@ -47,15 +38,17 @@ type outcome =
 val check :
   ?deadline:Svutil.Deadline.t ->
   ?metrics:Svutil.Metrics.t ->
-  cache:cache ->
+  ?point:Fsimplex.point ->
   Sform.t ->
   rhs:Rat.t array ->
   lb:Rat.t array ->
   basis:int array ->
   outcome
 (** Certify a candidate optimal basis under the node's bounds ([lb] is
-    the shift used to build [rhs]).  Ticks [certify.accepts],
-    [certify.repairs] and [certify.cache_hits]. *)
+    the shift used to build [rhs]), first on [point] (the basis's float
+    pair, by row like [basis]) when one is given.  Ticks
+    [certify.accepts], [certify.repairs] and [certify.factorizations]
+    (one per call that builds the exact factorization). *)
 
 val check_phase1 :
   ?deadline:Svutil.Deadline.t ->
@@ -70,8 +63,6 @@ val check_phase1 :
 
 val check_farkas :
   ?deadline:Svutil.Deadline.t ->
-  ?metrics:Svutil.Metrics.t ->
-  cache:cache ->
   Sform.t ->
   rhs:Rat.t array ->
   basis:int array ->

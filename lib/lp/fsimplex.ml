@@ -48,10 +48,10 @@ let create (sf : Sform.t) =
     y = Array.make sf.Sform.m 0.;
   }
 
-let invalidate t = t.valid <- false
+type point = { xb : float array; y : float array }
 
 type outcome =
-  | Optimal_basis of int array
+  | Optimal_basis of { basis : int array; point : point }
   | Infeasible_basis of { basis : int array; art_sign : int array }
   | Infeasible_col of { basis : int array; col : int }
   | Unbounded_hint of int array
@@ -350,6 +350,27 @@ let solve ?(deadline = Svutil.Deadline.none) ?(metrics = Svutil.Metrics.nop) t
       end
     done
   in
+  (* The float primal-dual pair of the current basis, recomputed from
+     the eta file rather than read off the incrementally updated basic
+     values: [x_B = B^-1 b] and [y = c_B B^-1]. *)
+  let point () =
+    let xb = Array.copy fb in
+    ftran t xb;
+    let y =
+      Array.init m (fun i ->
+          if t.basis.(i) < first_art then t.fobj.(t.basis.(i)) else 0.)
+    in
+    btran t y;
+    { xb; y }
+  in
+  let phase2 () =
+    match primal ~cost:t.fobj ~art_cost:0. with
+    | `Optimal ->
+        t.valid <- true;
+        Optimal_basis { basis = Array.copy t.basis; point = point () }
+    | `Unbounded -> Unbounded_hint (Array.copy t.basis)
+    | `Stalled -> Stalled
+  in
   let cold () =
     t.n_etas <- 0;
     Array.fill t.inb 0 sf.Sform.ncols false;
@@ -393,21 +414,10 @@ let solve ?(deadline = Svutil.Deadline.none) ?(metrics = Svutil.Metrics.nop) t
               { basis = Array.copy t.basis; art_sign = Array.copy t.art_sign }
           else begin
             drive_out_artificials ();
-            match primal ~cost:t.fobj ~art_cost:0. with
-            | `Optimal ->
-                t.valid <- true;
-                Optimal_basis (Array.copy t.basis)
-            | `Unbounded -> Unbounded_hint (Array.copy t.basis)
-            | `Stalled -> Stalled
+            phase2 ()
           end
     end
-    else
-      match primal ~cost:t.fobj ~art_cost:0. with
-      | `Optimal ->
-          t.valid <- true;
-          Optimal_basis (Array.copy t.basis)
-      | `Unbounded -> Unbounded_hint (Array.copy t.basis)
-      | `Stalled -> Stalled
+    else phase2 ()
   in
   (* Warm path: the previous optimal basis stays dual feasible when only
      the right-hand side moved, so a short dual-simplex pass restores
@@ -476,13 +486,7 @@ let solve ?(deadline = Svutil.Deadline.none) ?(metrics = Svutil.Metrics.nop) t
         cold ()
     | `Infeasible col ->
         Infeasible_col { basis = Array.copy t.basis; col }
-    | `Primal_feasible -> (
-        match primal ~cost:t.fobj ~art_cost:0. with
-        | `Optimal ->
-            t.valid <- true;
-            Optimal_basis (Array.copy t.basis)
-        | `Unbounded -> Unbounded_hint (Array.copy t.basis)
-        | `Stalled -> Stalled)
+    | `Primal_feasible -> phase2 ()
   in
   let run () = if t.valid then warm () else cold () in
   match run () with

@@ -188,15 +188,11 @@ module Make (Solver : Simplex.SOLVER) = struct
         (* One lazily-created warm solver state per worker slot; a slot
            is used by at most one domain per round, and rounds are
            separated by joins. Each slot also gets its own metrics
-           registry — a live registry is not thread-safe, so workers
-           never share one; the slots are absorbed into [metrics] after
-           the search loop. *)
+           registry, forked inside the caller's open spans — a live
+           registry is not thread-safe, so workers never share one; the
+           slots are absorbed into [metrics] after the search loop. *)
         let states = Array.make jobs None in
-        let slot_metrics =
-          Array.init jobs (fun _ ->
-              if Svutil.Metrics.enabled metrics then Svutil.Metrics.create ()
-              else Svutil.Metrics.nop)
-        in
+        let slot_metrics = Array.init jobs (fun _ -> Svutil.Metrics.fork metrics) in
         let node_solve slot ~lb ~ub =
           (match states.(slot) with
           | None ->

@@ -577,17 +577,36 @@ end
 
    Hunt for the optimal basis in doubles (sparse revised simplex,
    {!Fsimplex}), then certify that single basis in exact rationals
-   ({!Certify}): accept it, repair it with a short exact cleanup, or —
-   only when certification fails outright — fall back to the exact
-   two-phase solver above.  Results are exact rationals either way;
-   the float pass is pure heuristics. *)
+   ({!Certify}): accept it on an exact check of its float point, repair
+   it with a short exact cleanup, or — only when certification fails
+   outright — fall back to the exact two-phase solver above.  Results
+   are exact rationals either way; the float pass is pure heuristics. *)
 module Hybrid : SOLVER = struct
   let fallback ~deadline ~metrics s =
     Svutil.Metrics.tick metrics "certify.fallbacks";
     Exact.solve ~deadline ~metrics s
 
+  (* The exact verdict on what the float pass found; [Cert_fail] sends
+     the caller to the fallback. *)
+  let certify ~deadline ~metrics sf ~rhs ~lb = function
+    | Fsimplex.Optimal_basis { basis; point } ->
+        Certify.check ~deadline ~metrics ~point sf ~rhs ~lb ~basis
+    | Fsimplex.Unbounded_hint basis ->
+        (* Certification without a point: the primal repair either
+           proves the ray exactly or finds the true optimum. *)
+        Certify.check ~deadline ~metrics sf ~rhs ~lb ~basis
+    | Fsimplex.Infeasible_basis { basis; art_sign } ->
+        if Certify.check_phase1 ~deadline sf ~rhs ~basis ~art_sign then
+          Certify.Cert_infeasible
+        else Certify.Cert_fail
+    | Fsimplex.Infeasible_col { basis; col } ->
+        if Certify.check_farkas ~deadline sf ~rhs ~basis ~col then
+          Certify.Cert_infeasible
+        else Certify.Cert_fail
+    | Fsimplex.Stalled -> Certify.Cert_fail
+
   (* One float-solve/certify round over a prepared standard form. *)
-  let solve_sform ~deadline ~metrics ~cache ~fs ~sf ~lb ~ub s =
+  let solve_sform ~deadline ~metrics ~fs ~sf ~lb ~ub s =
     match Sform.rhs sf ~lb ~ub with
     | Sform.Crossed -> Infeasible
     | Sform.Mismatch ->
@@ -595,39 +614,30 @@ module Hybrid : SOLVER = struct
            stay correct *)
         fallback ~deadline ~metrics s
     | Sform.Rhs rhs -> (
-        match Fsimplex.solve ~deadline ~metrics fs ~rhs with
-        | Fsimplex.Optimal_basis basis | Fsimplex.Unbounded_hint basis -> (
-            (* An unbounded hint goes through certification too: the
-               primal repair either proves the ray exactly or finds the
-               true optimum. *)
-            match Certify.check ~deadline ~metrics ~cache sf ~rhs ~lb ~basis with
-            | Certify.Cert_optimal { objective; values; _ } ->
-                Optimal { objective; values }
-            | Certify.Cert_infeasible -> Infeasible
-            | Certify.Cert_unbounded -> Unbounded
-            | Certify.Cert_fail -> fallback ~deadline ~metrics s)
-        | Fsimplex.Infeasible_basis { basis; art_sign } ->
-            if Certify.check_phase1 ~deadline sf ~rhs ~basis ~art_sign then
-              Infeasible
-            else fallback ~deadline ~metrics s
-        | Fsimplex.Infeasible_col { basis; col } ->
-            if Certify.check_farkas ~deadline ~metrics ~cache sf ~rhs ~basis ~col
-            then Infeasible
-            else fallback ~deadline ~metrics s
-        | Fsimplex.Stalled -> fallback ~deadline ~metrics s)
+        let found =
+          Svutil.Metrics.span metrics "lp/float" (fun () ->
+              Fsimplex.solve ~deadline ~metrics fs ~rhs)
+        in
+        match
+          Svutil.Metrics.span metrics "lp/certify" (fun () ->
+              certify ~deadline ~metrics sf ~rhs ~lb found)
+        with
+        | Certify.Cert_optimal { objective; values; _ } ->
+            Optimal { objective; values }
+        | Certify.Cert_infeasible -> Infeasible
+        | Certify.Cert_unbounded -> Unbounded
+        | Certify.Cert_fail -> fallback ~deadline ~metrics s)
 
   let solve ?(deadline = Svutil.Deadline.none) ?(metrics = Svutil.Metrics.nop)
       (s : Problem.snapshot) =
     let sf = Sform.make s in
-    let fs = Fsimplex.create sf in
-    let cache = Certify.cache_create () in
-    solve_sform ~deadline ~metrics ~cache ~fs ~sf ~lb:s.lb ~ub:s.ub s
+    solve_sform ~deadline ~metrics ~fs:(Fsimplex.create sf) ~sf ~lb:s.lb
+      ~ub:s.ub s
 
   type warm = {
     prob : Problem.snapshot;
     sf : Sform.t;
     fs : Fsimplex.t;
-    cache : Certify.cache;
     root : result;
     metrics : Svutil.Metrics.t;
   }
@@ -636,11 +646,8 @@ module Hybrid : SOLVER = struct
       ?(metrics = Svutil.Metrics.nop) (s : Problem.snapshot) =
     let sf = Sform.make s in
     let fs = Fsimplex.create sf in
-    let cache = Certify.cache_create () in
-    match
-      solve_sform ~deadline ~metrics ~cache ~fs ~sf ~lb:s.lb ~ub:s.ub s
-    with
-    | Optimal _ as root -> Some { prob = s; sf; fs; cache; root; metrics }
+    match solve_sform ~deadline ~metrics ~fs ~sf ~lb:s.lb ~ub:s.ub s with
+    | Optimal _ as root -> Some { prob = s; sf; fs; root; metrics }
     | Infeasible | Unbounded -> None
 
   let warm_root w = w.root
@@ -648,8 +655,7 @@ module Hybrid : SOLVER = struct
   let warm_solve ?(deadline = Svutil.Deadline.none) w ~lb ~ub =
     Svutil.Metrics.tick w.metrics "simplex.warm_starts";
     let s = Problem.with_bounds w.prob ~lb ~ub in
-    solve_sform ~deadline ~metrics:w.metrics ~cache:w.cache ~fs:w.fs ~sf:w.sf
-      ~lb ~ub s
+    solve_sform ~deadline ~metrics:w.metrics ~fs:w.fs ~sf:w.sf ~lb ~ub s
 end
 
 type mode = Exact_mode | Hybrid_mode

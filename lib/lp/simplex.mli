@@ -4,9 +4,10 @@
     tableau over exact rationals and is the reference used by the
     paper-faithful experiments and the differential tests. {!Hybrid}
     runs a double-precision revised-simplex pass ({!Fsimplex}) to hunt
-    for the optimal basis, {!Certify} refactorizes that basis once in
-    exact rationals and accepts or repairs it, and only a failed
-    certification falls back to {!Exact}. Its results equal {!Exact}'s
+    for the optimal basis, {!Certify} accepts it on an exact check of
+    its float primal–dual point (or refactorizes it in exact rationals
+    and repairs it), and only a failed certification falls back to
+    {!Exact}. Its results equal {!Exact}'s
     optima at a fraction of the pivoting cost, which is why it is the
     default route ({!Hybrid_mode}).
 
@@ -88,8 +89,11 @@ module Hybrid : SOLVER
     results whose per-solve cost is dominated by the double-precision
     pass whenever certification accepts.  Metrics:
     [simplex.hybrid.float_pivots], [certify.accepts], [certify.repairs],
-    [certify.cache_hits], and [certify.fallbacks] (each fallback also
-    runs the {!Exact} counters). *)
+    [certify.factorizations] (certifications that built an exact
+    factorization because the float point did not check), and
+    [certify.fallbacks] (each fallback also runs the {!Exact}
+    counters); spans [lp/float] around the float pass and [lp/certify]
+    around its certification. *)
 
 (** {1 Solver selection} *)
 

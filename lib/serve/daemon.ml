@@ -128,7 +128,8 @@ let handle_line t line =
         | Request.Solve s -> (Some (solve t id s), `Continue))
 
 (* [input_line] aborted by a handled signal (SIGUSR1 stats dump) raises
-   Sys_error "Interrupted system call"; retry those, fail the rest. *)
+   Sys_error "Interrupted system call"; retry those. Any other failure
+   of the client's channel (a reset connection) reads as end of input. *)
 let rec read_line_opt ic =
   match input_line ic with
   | line -> Some line
@@ -137,6 +138,7 @@ let rec read_line_opt ic =
     when String.length msg >= 11
          && String.lowercase_ascii (String.sub msg 0 11) = "interrupted" ->
       read_line_opt ic
+  | exception Sys_error _ -> None
 
 let serve_channels t ic oc =
   let rec loop () =
@@ -144,15 +146,26 @@ let serve_channels t ic oc =
     | None -> `Eof
     | Some line -> (
         let response, continue = handle_line t line in
-        (match response with
-        | Some r ->
-            output_string oc r;
-            output_char oc '\n';
-            flush oc
-        | None -> ());
-        match continue with `Stop -> `Shutdown | `Continue -> loop ())
+        (* A client that stopped reading (EPIPE) ends the session too. *)
+        match
+          Option.iter
+            (fun r ->
+              output_string oc r;
+              output_char oc '\n';
+              flush oc)
+            response
+        with
+        | exception Sys_error _ -> `Eof
+        | () -> (
+            match continue with `Stop -> `Shutdown | `Continue -> loop ()))
   in
   loop ()
+
+(* A vanished client must end a session, not the process: with SIGPIPE
+   ignored a write to it fails with EPIPE, which [serve_channels] turns
+   into [`Eof]. *)
+let ignore_sigpipe () =
+  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()
 
 let install_sigusr1 t =
   match
@@ -165,14 +178,17 @@ let install_sigusr1 t =
 let run_stdio cfg =
   let t = create cfg in
   install_sigusr1 t;
+  ignore_sigpipe ();
   let (_ : [ `Eof | `Shutdown ]) = serve_channels t stdin stdout in
+  (* Nothing follows on stdout. Closing it drops a response a vanished
+     client left unsent, so the flush at exit cannot fail on it. *)
+  close_out_noerr stdout;
   dump_stats t stderr
 
 let run_socket cfg path =
   let t = create cfg in
   install_sigusr1 t;
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
+  ignore_sigpipe ();
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -193,9 +209,7 @@ let run_socket cfg path =
         let fd, _ = accept_retry () in
         let ic = Unix.in_channel_of_descr fd in
         let oc = Unix.out_channel_of_descr fd in
-        let outcome =
-          try serve_channels t ic oc with Sys_error _ -> `Eof
-        in
+        let outcome = serve_channels t ic oc in
         (* ic and oc share the descriptor: flush the writer, close the
            descriptor once. *)
         (try flush oc with Sys_error _ -> ());

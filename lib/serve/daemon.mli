@@ -54,15 +54,19 @@ val handle_line : t -> string -> string option * [ `Continue | `Stop ]
 
 val serve_channels : t -> in_channel -> out_channel -> [ `Eof | `Shutdown ]
 (** Run the loop until EOF or a [shutdown] request, flushing after
-    every response. *)
+    every response. A [Sys_error] on either channel — the client
+    closed its end, or reset the connection — ends the session with
+    [`Eof]; a write to a closed pipe raises it only when [SIGPIPE] is
+    ignored, as {!run_stdio} and {!run_socket} arrange. *)
 
 val dump_stats : t -> out_channel -> unit
 (** The SIGUSR1/shutdown dump: one [serve stats {…}] line and one
     [serve metrics {…}] line. *)
 
 val run_stdio : config -> unit
-(** Serve stdin → stdout; installs the SIGUSR1 handler and dumps stats
-    on exit. *)
+(** Serve stdin → stdout; ignores [SIGPIPE], installs the SIGUSR1
+    handler and dumps stats on exit, also when the client closed
+    stdout first. *)
 
 val run_socket : config -> string -> unit
 (** Serve a Unix-domain socket at the given path (unlinked first if it

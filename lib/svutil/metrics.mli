@@ -36,6 +36,12 @@ val create : unit -> t
 val enabled : t -> bool
 (** [true] exactly for live registries. *)
 
+val fork : t -> t
+(** [fork t] is a fresh registry for one parallel worker: {!nop} when
+    [t] is, otherwise live, empty, and opened inside [t]'s currently
+    open spans, so the spans it records carry the paths they would
+    have in [t].  Combine it back with {!absorb}. *)
+
 (** {1 Counters} *)
 
 type counter

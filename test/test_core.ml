@@ -556,11 +556,18 @@ let test_engine_metrics_consistency () =
       Alcotest.(check (float 0.)) "total timing is the solve span"
         (List.assoc "total" r.E.timings) ms
   | _ -> Alcotest.fail "one solve span expected");
-  match Svutil.Metrics.span_stats m "solve/search" with
+  (match Svutil.Metrics.span_stats m "solve/search" with
   | Some (1, ms) ->
       Alcotest.(check (float 0.)) "search phase nested under solve"
         (List.assoc "search" r.E.timings) ms
-  | _ -> Alcotest.fail "search span must nest under solve"
+  | _ -> Alcotest.fail "search span must nest under solve");
+  (* The node LPs' spans nest under the search, through the worker
+     registries the branch-and-bound forks. *)
+  List.iter
+    (fun path ->
+      Alcotest.(check bool) (path ^ " recorded") true
+        (Svutil.Metrics.span_stats m path <> None))
+    [ "solve/search/lp/float"; "solve/search/lp/certify" ]
 
 let test_par_batch_metrics_merge () =
   (* The batch driver gives each file its own registry and merges; the

@@ -149,13 +149,14 @@ let simplex_tests (module S : Lp.Simplex.SOLVER) =
    each of the accept / repair-primal / repair-dual / fallback branches
    is pinned by a test that does not depend on what Fsimplex happens to
    find. *)
+let root_rhs sf snap =
+  match Lp.Sform.rhs sf ~lb:snap.P.lb ~ub:snap.P.ub with
+  | Lp.Sform.Rhs rhs -> rhs
+  | _ -> Alcotest.fail "root bounds must produce a rhs"
+
 let certify_on snap basis =
   let sf = Lp.Sform.make snap in
-  match Lp.Sform.rhs sf ~lb:snap.P.lb ~ub:snap.P.ub with
-  | Lp.Sform.Rhs rhs ->
-      Lp.Certify.check ~cache:(Lp.Certify.cache_create ()) sf ~rhs ~lb:snap.P.lb
-        ~basis
-  | _ -> Alcotest.fail "root bounds must produce a rhs"
+  Lp.Certify.check sf ~rhs:(root_rhs sf snap) ~lb:snap.P.lb ~basis
 
 let certify_snap_le1 =
   (* min -x-y st x+y <= 1: optimum -1 at a vertex with one var basic. *)
@@ -225,7 +226,85 @@ let test_exact_after_float_pivots () =
   | Lp.Simplex.Optimal { objective; _ } -> check_q "hybrid optimum" (Q.of_ints 34 5) objective
   | _ -> Alcotest.fail "hybrid should solve");
   Alcotest.(check bool) "hybrid pivoted in floats" true
-    (Svutil.Metrics.counter_value mh "simplex.hybrid.float_pivots" > 0)
+    (Svutil.Metrics.counter_value mh "simplex.hybrid.float_pivots" > 0);
+  (* One float pass and one certification, which accepts the float
+     point without an exact factorization. *)
+  List.iter
+    (fun path ->
+      Alcotest.(check (option int)) path (Some 1)
+        (Option.map fst (Svutil.Metrics.span_stats mh path)))
+    [ "lp/float"; "lp/certify" ];
+  Alcotest.(check int) "no factorization" 0
+    (Svutil.Metrics.counter_value mh "certify.factorizations")
+
+(* The float pass's optimal basis and point for a snapshot's root. *)
+let float_optimum snap =
+  let sf = Lp.Sform.make snap in
+  let rhs = root_rhs sf snap in
+  match Lp.Fsimplex.solve (Lp.Fsimplex.create sf) ~rhs with
+  | Lp.Fsimplex.Optimal_basis { basis; point } -> Some (sf, rhs, basis, point)
+  | _ -> None
+
+(* Certify [basis] with and without [point] on live registries. *)
+let certify_both ?point snap (sf, rhs, basis) =
+  let run point =
+    let m = Svutil.Metrics.create () in
+    (Lp.Certify.check ~metrics:m ?point sf ~rhs ~lb:snap.P.lb ~basis, m)
+  in
+  (run point, run None)
+
+let same_outcome a b =
+  match (a, b) with
+  | ( Lp.Certify.Cert_optimal { objective = o1; values = v1; repaired = r1 },
+      Lp.Certify.Cert_optimal { objective = o2; values = v2; repaired = r2 } ) ->
+      Q.equal o1 o2 && Array.for_all2 Q.equal v1 v2 && r1 = r2
+  | Lp.Certify.Cert_infeasible, Lp.Certify.Cert_infeasible
+  | Lp.Certify.Cert_unbounded, Lp.Certify.Cert_unbounded
+  | Lp.Certify.Cert_fail, Lp.Certify.Cert_fail ->
+      true
+  | _ -> false
+
+let factorizations m = Svutil.Metrics.counter_value m "certify.factorizations"
+
+let test_certify_beyond_recovery_bound () =
+  (* min x st 1048583 x >= 1: the optimum 1/1048583 has a denominator
+     above the 2^20 recovery bound, so the float point cannot be read
+     back and the basis is certified through the exact factorization. *)
+  let big = 1048583 in
+  let s =
+    build
+      ~vars:[ cvar "x" ]
+      ~constraints:[ ([ (0, Q.of_int big) ], P.Ge, Q.one) ]
+      ~objective:[ (0, Q.one) ]
+  in
+  match float_optimum s with
+  | None -> Alcotest.fail "the float pass should find the optimal basis"
+  | Some (sf, rhs, basis, point) -> (
+      let (got, m), _ = certify_both ~point s (sf, rhs, basis) in
+      Alcotest.(check int) "one factorization" 1 (factorizations m);
+      match got with
+      | Lp.Certify.Cert_optimal { objective; repaired; _ } ->
+          check_q "objective" (Q.of_ints 1 big) objective;
+          Alcotest.(check bool) "accepted, not repaired" false repaired
+      | _ -> Alcotest.fail "expected Cert_optimal")
+
+let test_certify_perturbed_dual () =
+  (* A dual moved by 1/2 still recovers as a rational, so the exact
+     check itself must reject the pair; the factorization then gives
+     the same outcome as a call without a point. *)
+  let s = (fun (_, snap, _) -> snap) (List.nth simplex_cases 1) in
+  match float_optimum s with
+  | None -> Alcotest.fail "the float pass should find the optimal basis"
+  | Some (sf, rhs, basis, point) ->
+      let y = Array.copy point.Lp.Fsimplex.y in
+      y.(0) <- y.(0) +. 0.5;
+      let (bad, m), (plain, _) =
+        certify_both ~point:{ point with Lp.Fsimplex.y } s (sf, rhs, basis)
+      in
+      Alcotest.(check int) "rejected pair falls back to a factorization" 1
+        (factorizations m);
+      Alcotest.(check bool) "same outcome as without a point" true
+        (same_outcome bad plain)
 
 let certify_tests =
   [
@@ -235,6 +314,10 @@ let certify_tests =
     Alcotest.test_case "fail on singular basis" `Quick test_certify_fallback_singular;
     Alcotest.test_case "exact optimum after float pivots" `Quick
       test_exact_after_float_pivots;
+    Alcotest.test_case "accept beyond the recovery bound" `Quick
+      test_certify_beyond_recovery_bound;
+    Alcotest.test_case "perturbed dual is rejected" `Quick
+      test_certify_perturbed_dual;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -557,6 +640,15 @@ let hybrid_warm_agrees s =
              ub.(0) <- Some Q.two)
       && check_bounds s.P.lb s.P.ub
 
+(* Certification with the float pass's point must give exactly the
+   outcome of certification through the exact factorization. *)
+let certify_point_agrees s =
+  match float_optimum s with
+  | None -> true
+  | Some (sf, rhs, basis, point) ->
+      let (a, _), (b, _) = certify_both ~point s (sf, rhs, basis) in
+      same_outcome a b
+
 let hybrid_props =
   [
     prop "hybrid equals exact on bounded LPs" gen_bounded_lp hybrid_agrees;
@@ -586,6 +678,8 @@ let hybrid_props =
         | Lp.Ilp.Infeasible, Lp.Ilp.Infeasible -> true
         | Lp.Ilp.Unbounded, Lp.Ilp.Unbounded -> true
         | _ -> false);
+    prop "certify with and without the float point agree" gen_general_lp
+      certify_point_agrees;
   ]
 
 let props =

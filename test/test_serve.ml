@@ -747,6 +747,55 @@ let test_daemon_serve_channels () =
       | Error e -> Alcotest.fail ("bad response line: " ^ e))
     lines
 
+(* A client that closed its end before reading: with SIGPIPE ignored,
+   as the daemon arranges, the first response write fails with EPIPE
+   and the loop ends the session instead of raising. *)
+let test_daemon_closed_reader () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let input = Filename.temp_file "serve_in" ".jsonl" in
+  let oc = open_out input in
+  List.iter
+    (fun id ->
+      output_string oc (solve_line id);
+      output_char oc '\n')
+    [ "1"; "2" ];
+  close_out oc;
+  let r, w = Unix.pipe () in
+  Unix.close r;
+  let ic = open_in input and out = Unix.out_channel_of_descr w in
+  let outcome = Serve.Daemon.serve_channels (daemon ()) ic out in
+  close_in ic;
+  close_out_noerr out;
+  Sys.remove input;
+  Alcotest.(check bool) "eof outcome" true (outcome = `Eof)
+
+(* The same through the real binary: a [serve] whose stdout reader is
+   gone still exits 0 and dumps its stats on stderr. *)
+let test_daemon_closed_stdout () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      "../bin/secure_view_cli.exe"
+  in
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
+  let pid = Unix.create_process cli [| cli; "serve" |] in_r out_w err_w in
+  List.iter Unix.close [ in_r; out_w; err_w; out_r ];
+  let oc = Unix.out_channel_of_descr in_w in
+  output_string oc (solve_line "1");
+  output_char oc '\n';
+  close_out oc;
+  let ic = Unix.in_channel_of_descr err_r in
+  let err = In_channel.input_all ic in
+  close_in ic;
+  let _, status = Unix.waitpid [] pid in
+  Alcotest.(check bool) "exit 0" true (status = Unix.WEXITED 0);
+  let prefix = "serve stats " in
+  Alcotest.(check bool) "stats line on stderr" true
+    (String.length err >= String.length prefix
+    && String.sub err 0 (String.length prefix) = prefix)
+
 let () =
   Alcotest.run "serve"
     [
@@ -806,5 +855,9 @@ let () =
           Alcotest.test_case "serve_channels loop" `Quick
             test_daemon_serve_channels;
           Alcotest.test_case "jobs clamp" `Quick test_daemon_jobs_clamp;
+          Alcotest.test_case "closed reader ends the session" `Quick
+            test_daemon_closed_reader;
+          Alcotest.test_case "closed stdout exits 0 with stats" `Quick
+            test_daemon_closed_stdout;
         ] );
     ]
