@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-smoke bench-smoke-json bench-json bench-compare corpus-smoke corpus-rows routing-check lint-examples flow-examples batch-examples delta-examples serve-examples perfbench-smoke clean
+.PHONY: build test bench bench-smoke bench-smoke-json bench-json bench-compare lint-examples flow-examples batch-examples delta-examples serve-examples perfbench-smoke clean
 
 # Output path for bench-json; override to record a new baseline, e.g.
 #   make bench-json OUT=BENCH_PR2.json
@@ -12,10 +12,6 @@ SMOKE_OUT ?= BENCH_SMOKE.json
 # Exits nonzero when any kernel regressed by more than 10%.
 BASE ?= BENCH_PR16.json
 NEW ?= BENCH_PR17.json
-
-# Corpus seed for corpus-smoke / corpus-rows; the whole instance set
-# derives from it deterministically.
-CORPUS_SEED ?= 42
 
 # Optional kernel filter (Str regexp) for bench-json, e.g.
 #   make bench-json FILTER=simplex
@@ -50,36 +46,6 @@ bench-json:
 # beyond 10% are flagged in the output.
 bench-compare:
 	dune exec bench/main.exe -- --compare $(BASE) $(NEW)
-
-# End-to-end smoke of the corpus -> tune pipeline (the CI configuration):
-# measure the small corpus, fit a routing table from the fresh rows, and
-# gate the checked-in bench/routing.json against the checked-in full
-# corpus rows it was fitted from. The smoke fit is hardware-dependent
-# and only checked for well-formedness; the gate on the recorded rows
-# is exact and must pass on every machine.
-corpus-smoke:
-	dune build bin/secure_view_cli.exe
-	./_build/default/bin/secure_view_cli.exe corpus --smoke \
-	  --seed $(CORPUS_SEED) --out /tmp/corpus_smoke_rows.json
-	./_build/default/bin/secure_view_cli.exe tune /tmp/corpus_smoke_rows.json --json \
-	  > /tmp/corpus_smoke_verdict.json
-	$(MAKE) routing-check
-	@echo "ok: corpus-smoke (smoke fit well-formed, checked-in table gated)"
-
-# Gate only: the checked-in routing table must be exactly the refit
-# winner on the checked-in corpus rows and pass the holdout promotion
-# rule (zero quality regressions, geomean no slower than hand-set).
-routing-check:
-	dune build bin/secure_view_cli.exe
-	./_build/default/bin/secure_view_cli.exe tune bench/corpus_rows.json \
-	  --check bench/routing.json
-
-# Re-record the full checked-in corpus rows (360 instances x 5 methods,
-# times included). Re-run before refitting bench/routing.json.
-corpus-rows:
-	dune build bin/secure_view_cli.exe
-	./_build/default/bin/secure_view_cli.exe corpus --seed $(CORPUS_SEED) \
-	  --out bench/corpus_rows.json
 
 # Wfcheck over the example corpus: shipped specs must lint clean, and
 # every fixture under examples/bad/ must report the W0xx code its file

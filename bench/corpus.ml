@@ -3,10 +3,9 @@
    fan-outs, map-reduce diamonds, the genomics split/process/join
    workflow scaled in blocks, and the random meshes of
    [Gen_instances.wire] — crossed with size, constraint-form and
-   public-fraction axes. Every instance is tagged with the structural
-   features [Engine.choose] routes on, so routing tables fitted from
-   corpus measurements (see [Tune]) are evaluated on exactly the
-   numbers the portfolio will see in production.
+   public-fraction axes. The corpus measures every solver on every
+   instance ([run]), and perfbench draws its request pools from the
+   same families.
 
    Determinism contract: [generate ~seed] derives one RNG per instance
    from a stable string hash of the corpus seed and the instance id, so
@@ -23,7 +22,7 @@ module J = Svutil.Json
 
 (* Deterministic 31-bit string hash (djb2). OCaml's [Hashtbl.hash] is
    not specified to be stable across compiler versions, and per-instance
-   seeds and the train/holdout split must agree on both CI compilers. *)
+   seeds must agree on both CI compilers. *)
 let hash31 s =
   String.fold_left (fun h c -> ((h * 33) + Char.code c) land 0x3FFFFFFF) 5381 s
 
@@ -232,7 +231,6 @@ type inst_rec = {
   family : string;
   seed : int;  (** the derived per-instance seed, for re-generation *)
   inst : I.t;
-  feats : E.features;
 }
 
 let forms = [ Card_form; Sets_form 3; Mixed_form ]
@@ -259,13 +257,7 @@ let generate ?(smoke = false) ~seed () =
                       let rng = Rng.create iseed in
                       let wiring = wiring_of rng family size in
                       let inst = build rng ~form ~public_frac:pf wiring in
-                      {
-                        id;
-                        family;
-                        seed = iseed;
-                        inst;
-                        feats = E.features_of_instance inst;
-                      })
+                      { id; family; seed = iseed; inst })
                     (List.init replicas (fun r -> r)))
                 public_fracs)
             forms)
@@ -278,7 +270,6 @@ type row = {
   r_id : string;
   r_family : string;
   r_method : string;  (** {!E.meth_to_string} of the solver that ran *)
-  r_feats : E.features;
   r_cost : Rat.t option;  (** [None]: infeasible, refused, or skipped *)
   r_proven : bool;
   r_refused : bool;
@@ -287,9 +278,8 @@ type row = {
 
 (* Brute enumeration is exponential in the attribute count: above this
    cap a single measurement would take minutes, so the runner records
-   an unmeasured refusal row instead of running it. [Tune]'s candidate
-   grid never cuts brute above this cap, and the routing clamps keep
-   [Auto] off brute far earlier than [Exact.brute_force_limit]. *)
+   an unmeasured refusal row instead of running it. [Engine.choose]
+   keeps [Auto] off brute above 4 attributes, far below this cap. *)
 let brute_measure_cap = 14
 
 let skipped_row ir m =
@@ -297,24 +287,21 @@ let skipped_row ir m =
     r_id = ir.id;
     r_family = ir.family;
     r_method = E.meth_to_string m;
-    r_feats = ir.feats;
     r_cost = None;
     r_proven = false;
     r_refused = true;
     r_time_ms = 0.;
   }
 
-let run ?deadline_ms recs =
+let run recs =
   List.concat_map
     (fun ir ->
       List.map
         (fun m ->
-          if m = E.Brute && ir.feats.E.f_attrs > brute_measure_cap then
-            skipped_row ir m
+          if m = E.Brute && List.length ir.inst.I.attr_costs > brute_measure_cap
+          then skipped_row ir m
           else begin
-            let req =
-              { (E.default_request ir.inst) with E.meth = m; deadline_ms }
-            in
+            let req = { (E.default_request ir.inst) with E.meth = m } in
             let t0 = Svutil.Deadline.now_ms () in
             let res = E.run req in
             let t1 = Svutil.Deadline.now_ms () in
@@ -322,7 +309,6 @@ let run ?deadline_ms recs =
               r_id = ir.id;
               r_family = ir.family;
               r_method = E.meth_to_string m;
-              r_feats = ir.feats;
               r_cost =
                 Option.map
                   (fun (s : Core.Solution.t) -> s.Core.Solution.cost)
@@ -339,48 +325,12 @@ let run ?deadline_ms recs =
 
 let strs l = J.Arr (List.map (fun s -> J.Str s) l)
 
-let feats_to_json (f : E.features) =
-  J.Obj
-    [
-      ("attrs", J.Num (float_of_int f.E.f_attrs));
-      ("modules", J.Num (float_of_int f.E.f_modules));
-      ("depth", J.Num (float_of_int f.E.f_depth));
-      ("fanout", J.Num (float_of_int f.E.f_fanout));
-      ("lmax", J.Num (float_of_int f.E.f_lmax));
-      ("card_frac", J.Num f.E.f_card_frac);
-      ("public_frac", J.Num f.E.f_public_frac);
-    ]
-
-let feats_of_json j =
-  match
-    ( J.int_member "attrs" j,
-      J.int_member "modules" j,
-      J.int_member "depth" j,
-      J.int_member "fanout" j,
-      J.int_member "lmax" j,
-      J.float_member "card_frac" j,
-      J.float_member "public_frac" j )
-  with
-  | Some a, Some m, Some d, Some fo, Some l, Some cf, Some pf ->
-      Ok
-        {
-          E.f_attrs = a;
-          f_modules = m;
-          f_depth = d;
-          f_fanout = fo;
-          f_lmax = l;
-          f_card_frac = cf;
-          f_public_frac = pf;
-        }
-  | _ -> Error "features: missing or mistyped field"
-
 let row_to_json ?(times = true) r =
   J.Obj
     ([
        ("id", J.Str r.r_id);
        ("family", J.Str r.r_family);
        ("method", J.Str r.r_method);
-       ("feats", feats_to_json r.r_feats);
        ( "cost",
          match r.r_cost with
          | Some c -> J.Str (Rat.to_string c)
@@ -396,49 +346,6 @@ let rows_to_json ?(times = true) ~seed rows =
       ("corpus_seed", J.Num (float_of_int seed));
       ("rows", J.Arr (List.map (row_to_json ~times) rows));
     ]
-
-let row_of_json j =
-  let ( let* ) = Result.bind in
-  let str k = Option.to_result ~none:("row: missing " ^ k) (J.str_member k j) in
-  let* r_id = str "id" in
-  let* r_family = str "family" in
-  let* r_method = str "method" in
-  let* r_feats =
-    match J.member "feats" j with
-    | Some f -> feats_of_json f
-    | None -> Error "row: missing feats"
-  in
-  let* r_cost =
-    match J.member "cost" j with
-    | Some J.Null -> Ok None
-    | Some (J.Str s) -> (
-        try Ok (Some (Rat.of_string s))
-        with Invalid_argument m -> Error ("row: bad cost: " ^ m))
-    | Some _ -> Error "row: cost must be a rational string or null"
-    | None -> Error "row: missing cost"
-  in
-  let* r_proven =
-    Option.to_result ~none:"row: missing proven" (J.bool_member "proven" j)
-  in
-  let* r_refused =
-    Option.to_result ~none:"row: missing refused" (J.bool_member "refused" j)
-  in
-  (* Absent when the file was written with [~times:false]. *)
-  let r_time_ms = Option.value ~default:0. (J.float_member "time_ms" j) in
-  Ok { r_id; r_family; r_method; r_feats; r_cost; r_proven; r_refused; r_time_ms }
-
-let rows_of_json j =
-  match J.member "rows" j with
-  | Some (J.Arr l) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | x :: rest -> (
-            match row_of_json x with
-            | Ok r -> go (r :: acc) rest
-            | Error _ as e -> e)
-      in
-      go [] l
-  | _ -> Error "rows: missing \"rows\" array"
 
 (* Instance serialization — for the [corpus --list] dump and the
    byte-identity determinism tests; there is deliberately no parser. *)
@@ -504,7 +411,6 @@ let inst_rec_to_json ir =
       ("id", J.Str ir.id);
       ("family", J.Str ir.family);
       ("seed", J.Num (float_of_int ir.seed));
-      ("feats", feats_to_json ir.feats);
       ("instance", instance_to_json ir.inst);
     ]
 

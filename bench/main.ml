@@ -367,31 +367,15 @@ let timing_tests () =
         | _ -> failwith "e24: renamed union request missed the warm cache");
   ]
   @
-  (* Route-decision kernel: one pass of the fitted decision list over
-     every feature vector in the smoke corpus. This is the per-request
-     overhead Auto adds before any solver runs; it must stay in the
-     microsecond range or the router eats its own routing win. *)
-  let corpus = Svbench.Corpus.generate ~smoke:true ~seed:42 () in
-  let corpus_feats =
-    List.map (fun (ir : Svbench.Corpus.inst_rec) -> ir.Svbench.Corpus.feats) corpus
-  in
-  [
-    stage "e25_route_decision" (fun () ->
-        List.iter
-          (fun f ->
-            ignore
-              (Core.Engine.route Core.Engine.fitted_routing f
-                 ~deadline_ms:None))
-          corpus_feats);
-  ]
-  @
   (* Canonical labeling: the smoke corpus labelled in turn (the common
      case, mostly settled by refinement alone), and one kernel per
      symmetric fixture, the worst case for individualization-refinement
      (twin splitting and orbit pruning keep each within the leaf
      budget). *)
   let corpus_insts =
-    List.map (fun (ir : Svbench.Corpus.inst_rec) -> ir.Svbench.Corpus.inst) corpus
+    List.map
+      (fun (ir : Svbench.Corpus.inst_rec) -> ir.Svbench.Corpus.inst)
+      (Svbench.Corpus.generate ~smoke:true ~seed:42 ())
   in
   stage "e26_canon_pool" (fun () ->
       List.iter (fun inst -> ignore (Core.Canon.labeling inst)) corpus_insts)

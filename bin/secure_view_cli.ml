@@ -8,8 +8,9 @@
    secure_view_cli check FILE --hide... validate a proposed view
    secure_view_cli flow FILE            static privacy-flow analysis
    secure_view_cli delta FILE --edits S incremental re-solve under an edit script
+   secure_view_cli serve                JSON-lines solve daemon with a solution cache
    secure_view_cli corpus               generate + measure the seeded scenario corpus
-   secure_view_cli tune ROWS            fit a routing table from corpus rows
+   secure_view_cli tradeoff FILE MODULE privacy level per hiding budget
 
    All solving goes through Core.Engine: one request/result shape per
    method, deadlines, and the auto portfolio.
@@ -45,9 +46,9 @@ let write_all path text =
       Out_channel.output_string oc text;
       Out_channel.output_char oc '\n')
 
-(* Cmdliner's [float] converter accepts "nan" and "inf"; budgets and
-   margins must be finite, so a non-finite value is a command line
-   cmdliner rejects (exit 2). *)
+(* Cmdliner's [float] converter accepts "nan" and "inf"; budgets must
+   be finite, so a non-finite value is a command line cmdliner rejects
+   (exit 2). *)
 let finite_float =
   let parse s =
     match float_of_string_opt s with
@@ -55,14 +56,6 @@ let finite_float =
     | _ -> Error (`Msg (Printf.sprintf "expected a finite number, got %S" s))
   in
   Arg.conv (parse, Format.pp_print_float)
-
-let load_routing path =
-  match Svutil.Json.of_string (read_all path) with
-  | Error m -> fail_with (Serve.Request.Parse_error (path ^ ": " ^ m))
-  | Ok j -> (
-      match Core.Engine.routing_of_json j with
-      | Ok t -> t
-      | Error m -> fail_with (Serve.Request.Parse_error (path ^ ": " ^ m)))
 
 let gamma_of (spec : Wf.Parse.spec) name =
   Option.value ~default:spec.Wf.Parse.gamma
@@ -295,25 +288,15 @@ let request_of inst ~meth ~node_limit ~jobs ~seed ~deadline_ms ~trials
   Serve.Request.engine_request ~metrics inst
     { Serve.Request.meth; node_limit; jobs; seed; deadline_ms; trials }
 
-let routing_arg =
-  Arg.(value & opt (some string) None
-       & info [ "routing" ] ~docv:"FILE"
-           ~doc:"Load the auto-portfolio routing table from $(docv) (JSON, \
-                 as dumped by $(b,tune --out)) instead of the compiled-in \
-                 fitted table.")
-
 let explain_route_arg =
   Arg.(value & flag
        & info [ "explain-route" ]
-           ~doc:"Report which routing rule the auto portfolio would fire \
-                 for this request (method, rule, table name).")
+           ~doc:"Report which method the auto portfolio would pick for \
+                 this request, and why.")
 
 let solve_cmd =
   let run file meth emit_view node_limit jobs json seed deadline trials
-      metrics_mode routing_file explain_route =
-    Option.iter
-      (fun p -> Core.Engine.set_routing (load_routing p))
-      routing_file;
+      metrics_mode explain_route =
     let spec = load ~preflight:true file in
     let inst = instance_of spec in
     let fields = ref [] in
@@ -324,12 +307,11 @@ let solve_cmd =
           ~deadline_ms:deadline ~trials ~metrics:Svutil.Metrics.nop
       in
       let m, why = Core.Engine.choose_explain req0 in
-      let table = (Core.Engine.routing ()).Core.Engine.r_name in
       if json then
         field "route"
-          (Printf.sprintf {|{"method":%s,"rule":%s,"table":%s}|}
+          (Printf.sprintf {|{"method":%s,"rule":%s}|}
              (json_str (Core.Engine.meth_to_string m))
-             (json_str why) (json_str table))
+             (json_str why))
       else
         Printf.printf "route    %s  [%s]\n" (Core.Engine.meth_to_string m) why
     end;
@@ -399,7 +381,7 @@ let solve_cmd =
   Cmd.v (Cmd.info "solve" ~doc:"Solve the workflow Secure-View problem.")
     Term.(const run $ file_arg $ method_arg $ emit_view_arg $ node_limit_arg
           $ jobs_arg $ solve_json_arg $ seed_arg $ deadline_arg $ trials_arg
-          $ metrics_arg $ routing_arg $ explain_route_arg)
+          $ metrics_arg $ explain_route_arg)
 
 (* batch ----------------------------------------------------------------- *)
 
@@ -765,12 +747,6 @@ let corpus_cmd =
              ~doc:"Dump the generated instances as JSON instead of running \
                    the solvers on them.")
   in
-  let deadline_opt_arg =
-    Arg.(value & opt (some finite_float) None
-         & info [ "deadline" ] ~docv:"MS"
-             ~doc:"Per-solve wall-clock budget in milliseconds (default: \
-                   none, which keeps the recorded rows deterministic).")
-  in
   let out_arg =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"FILE"
@@ -782,13 +758,13 @@ let corpus_cmd =
              ~doc:"Redact the time_ms fields so the row output is \
                    byte-reproducible across runs.")
   in
-  let run seed smoke list_only deadline_ms out no_times =
+  let run seed smoke list_only out no_times =
     let recs = Svbench.Corpus.generate ~smoke ~seed () in
     let doc =
       if list_only then Svbench.Corpus.instances_to_json ~seed recs
       else
         Svbench.Corpus.rows_to_json ~times:(not no_times) ~seed
-          (Svbench.Corpus.run ?deadline_ms recs)
+          (Svbench.Corpus.run recs)
     in
     let text = Svutil.Json.to_string doc in
     match out with None -> print_endline text | Some f -> write_all f text
@@ -799,97 +775,8 @@ let corpus_cmd =
              crossed with size, constraint-form and public-fraction axes) \
              and measure every method on every instance, one \
              JSON row per (instance, method).")
-    Term.(const run $ corpus_seed_arg $ smoke_arg $ list_arg $ deadline_opt_arg
-          $ out_arg $ no_times_arg)
-
-(* tune ------------------------------------------------------------------ *)
-
-let tune_cmd =
-  let rows_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"ROWS" ~doc:"Corpus rows JSON (from $(b,corpus)).")
-  in
-  let margin_arg =
-    Arg.(value & opt (some finite_float) None
-         & info [ "margin" ] ~docv:"FRAC"
-             ~doc:"Promotion margin: the challenger must be at least \
-                   $(docv) faster in held-out geomean (default 0.02).")
-  in
-  let tune_json_arg =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Emit the full fitting verdict as JSON.")
-  in
-  let out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"FILE"
-             ~doc:"Write the winning routing table as JSON to $(docv) \
-                   (loadable with $(b,solve --routing)).")
-  in
-  let check_arg =
-    Arg.(value & opt (some string) None
-         & info [ "check" ] ~docv:"FILE"
-             ~doc:"Verify that $(docv) holds exactly the refit winner and \
-                   that it passes the held-out promotion gate (zero quality \
-                   regressions, geomean no slower than the hand-set \
-                   champion); exit 1 otherwise.")
-  in
-  let run rows_file margin json out check =
-    let rows =
-      match Svutil.Json.of_string (read_all rows_file) with
-      | Error m -> fail_with (Serve.Request.Parse_error (rows_file ^ ": " ^ m))
-      | Ok j -> (
-          match Svbench.Corpus.rows_of_json j with
-          | Error m ->
-              fail_with (Serve.Request.Parse_error (rows_file ^ ": " ^ m))
-          | Ok rows -> rows)
-    in
-    match check with
-    | Some table_file ->
-        let table = load_routing table_file in
-        let _, problems = Svbench.Tune.check ?margin ~rows table in
-        if problems = [] then
-          print_endline
-            "ok: table is the refit winner and passes the holdout gate"
-        else begin
-          List.iter (Printf.eprintf "error: %s\n") problems;
-          exit 1
-        end
-    | None ->
-        let v = Svbench.Tune.fit ?margin rows in
-        Option.iter
-          (fun f ->
-            write_all f
-              (Svutil.Json.to_string
-                 (Core.Engine.routing_to_json v.Svbench.Tune.v_winner)))
-          out;
-        if json then
-          print_endline
-            (Svutil.Json.to_string (Svbench.Tune.verdict_to_json v))
-        else begin
-          let line label (t : Core.Engine.routing)
-              (e : Svbench.Tune.eval) =
-            Printf.printf "%-10s %-32s holdout geomean %.3f ms, %d regression(s)\n"
-              label t.Core.Engine.r_name e.Svbench.Tune.e_geomean_ms
-              e.Svbench.Tune.e_regressions
-          in
-          line "champion" v.Svbench.Tune.v_champion
-            v.Svbench.Tune.v_champion_holdout;
-          line "challenger" v.Svbench.Tune.v_challenger
-            v.Svbench.Tune.v_challenger_holdout;
-          Printf.printf "%s; winner: %s\n"
-            (if v.Svbench.Tune.v_promoted then "promoted"
-             else "not promoted (champion retained)")
-            v.Svbench.Tune.v_winner.Core.Engine.r_name
-        end
-  in
-  Cmd.v
-    (Cmd.info "tune"
-       ~doc:"Fit an auto-portfolio routing table from measured corpus rows \
-             by champion/challenger selection: the best zero-regression \
-             candidate on the training split is promoted only if it also \
-             beats the hand-set champion on the held-out split.")
-    Term.(const run $ rows_arg $ margin_arg $ tune_json_arg $ out_arg
-          $ check_arg)
+    Term.(const run $ corpus_seed_arg $ smoke_arg $ list_arg $ out_arg
+          $ no_times_arg)
 
 (* tradeoff ----------------------------------------------------------- *)
 
@@ -956,7 +843,6 @@ let () =
               delta_cmd;
               serve_cmd;
               corpus_cmd;
-              tune_cmd;
               tradeoff_cmd;
             ])
      with

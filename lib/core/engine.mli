@@ -1,6 +1,7 @@
 (** The unified solver engine: one entry point over every Secure-View
-    method, with time budgets, a portfolio strategy, and uniform result
-    reporting.
+    method, with time budgets, uniform result reporting, and an [Auto]
+    method that {!choose} routes from the attribute count, the deadline
+    and the constraint form.
 
     Callers build a {!request} (instance + method + budgets + seed),
     call {!run}, and get back one {!result} shape regardless of method:
@@ -22,7 +23,6 @@ type meth =
   | Brute  (** exhaustive subset enumeration (small instances only) *)
 
 val meth_to_string : meth -> string
-val meth_of_string : string -> meth option
 
 type request = {
   inst : Instance.t;
@@ -96,95 +96,17 @@ val methods : meth list
 (** The concrete methods in their reporting order: greedy, round-card,
     round-set, exact, brute. *)
 
-(** {1 Portfolio routing}
-
-    [Auto] dispatch is data: a {!routing} table — an ordered decision
-    list of threshold guards over cheap structural {!features} — picks
-    the method. The installed default is {!fitted_routing}, fitted from
-    measured corpus runs (bench/corpus.ml + bench/tune.ml, recorded in
-    [bench/corpus_rows.json], checked in as [bench/routing.json]); the
-    PR-4 {!hand_set_routing} is kept as the champion baseline every
-    challenger table must beat and as the fall-through when no rule
-    matches. *)
-
-type features = {
-  f_attrs : int;  (** attribute count *)
-  f_modules : int;  (** private module count *)
-  f_depth : int;  (** longest producer-to-consumer module chain *)
-  f_fanout : int;  (** max consumers of any single attribute *)
-  f_lmax : int;  (** longest requirement list ({!Instance.lmax}) *)
-  f_card_frac : float;
-      (** fraction of private modules in cardinality form; [1.0] iff
-          {!Exact.all_cardinality} *)
-  f_public_frac : float;  (** publics / (publics + private modules) *)
-}
-
-val features_of_instance : Instance.t -> features
-(** One O(modules + wiring) pass; the corpus generators tag instances
-    with exactly these numbers, so fitted tables are evaluated on what
-    [choose] will see. *)
-
-val feature_names : string list
-(** The guard spellings: the {!features} fields as ["attrs"],
-    ["modules"], ["depth"], ["fanout"], ["lmax"], ["card_frac"],
-    ["public_frac"], plus the request pseudo-feature ["deadline_ms"]
-    (infinity when the request has no deadline). *)
-
-type cmp = Le | Lt | Gt | Ge
-
-type guard = { g_feat : string; g_cmp : cmp; g_val : float }
-(** [g_feat g_cmp g_val], e.g. [attrs Le 8.]. *)
-
-type rule = { guards : guard list; route : meth }
-(** Fires when every guard holds ([guards = []] always fires). *)
-
-type routing = { r_name : string; rules : rule list }
-
-val cmp_to_string : cmp -> string
-val cmp_of_string : string -> cmp option
-
-val hand_set_routing : routing
-(** The PR-4 strategy as a table: brute ≤ 10 attrs; under a tight
-    deadline an LP-rounding method matched to the constraint form or
-    greedy; otherwise exact. The champion baseline for
-    champion/challenger tuning. *)
-
-val fitted_routing : routing
-(** The compiled-in default: fitted by bench/tune.ml on the seed-42
-    generated corpus ([bench/corpus_rows.json]); the same table is
-    checked in as [bench/routing.json] and a test keeps them equal. *)
-
-val routing : unit -> routing
-(** The installed table consulted by {!choose}; {!fitted_routing}
-    unless {!set_routing} changed it. *)
-
-val set_routing : routing -> unit
-(** Install a table process-wide (the CLI's [--routing FILE]). *)
-
-val route : routing -> features -> deadline_ms:float option -> meth
-(** Evaluate the decision list: the first rule whose guards all hold
-    routes, subject to two safety clamps — [Brute] above
-    {!Exact.brute_force_limit} attributes becomes [Exact], and
-    [Round_card] on instances with explicit set constraints becomes
-    [Round_set] — so the result never refuses the instance. No rule
-    matching falls through to the hand-set strategy. Never returns
-    [Auto]. *)
-
-val route_explain :
-  routing -> features -> deadline_ms:float option -> meth * string
-(** {!route} plus a one-line human-readable account of which rule fired
-    (and any clamp applied), for the CLI's [--explain-route]. *)
-
 val choose : request -> meth
-(** [route (routing ()) (features_of_instance req.inst)
-    ~deadline_ms:req.deadline_ms]. *)
+(** The method [Auto] runs, never [Auto] itself: [Brute] for at most 4
+    attributes; otherwise, under a deadline below 25 ms, [Round_card]
+    when every module has cardinality constraints
+    ({!Exact.all_cardinality}), else [Round_set] when
+    {!Instance.lmax} [<= 3], else [Greedy]; otherwise [Exact]. So [Auto]
+    never picks a method that refuses the instance. *)
 
 val choose_explain : request -> meth * string
-
-val routing_to_json : routing -> Svutil.Json.t
-val routing_of_json : Svutil.Json.t -> (routing, string) Stdlib.result
-(** Rejects unknown feature names, non-finite thresholds, unknown or
-    [auto] routes. [routing_of_json (routing_to_json t) = Ok t]. *)
+(** {!choose} plus the one-line reason for it, for the CLI's
+    [--explain-route]. *)
 
 val run : request -> result
 (** Resolve [Auto] via {!choose} and solve with the chosen method.

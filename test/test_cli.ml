@@ -176,10 +176,19 @@ let has_key key = function Obj kvs -> List.mem_assoc key kvs | _ -> false
 
 let test_solve_metrics_json () =
   let ok, out =
-    run_cli [ "solve"; example "fig1.swf"; "--json"; "-m"; "exact"; "--metrics"; "json" ]
+    run_cli
+      [
+        "solve"; example "fig1.swf"; "--json"; "-m"; "exact"; "--metrics";
+        "json"; "--explain-route";
+      ]
   in
   Alcotest.(check bool) "exit 0" true ok;
   let doc = parse_ok "solve output" out in
+  (* --explain-route adds what auto would pick for fig1's 7 attributes,
+     and why. *)
+  (match member "solve output" "route" doc with
+  | Obj [ ("method", Str "exact"); ("rule", Str _) ] -> ()
+  | _ -> Alcotest.fail "route must be {\"method\":\"exact\",\"rule\":...}");
   let exact = member "solve output" "exact" doc in
   List.iter
     (fun k -> ignore (member "exact result" k exact))
@@ -407,10 +416,8 @@ let test_delta_noop () =
   | _ -> Alcotest.fail "delta.noop must be 1"
 
 (* ------------------------------------------------------------------ *)
-(* corpus / tune: the scenario-corpus recorder and the router fitter   *)
+(* corpus: the scenario-corpus recorder                                *)
 (* ------------------------------------------------------------------ *)
-
-let bench f = Filename.concat base ("../bench/" ^ f)
 
 let test_corpus_rows_json () =
   let ok, out = run_cli [ "corpus"; "--smoke"; "--no-times" ] in
@@ -425,7 +432,7 @@ let test_corpus_rows_json () =
         (List.length rows >= 100);
       List.iter
         (fun k -> ignore (member "corpus row" k row))
-        [ "id"; "family"; "method"; "feats"; "cost"; "proven"; "refused" ];
+        [ "id"; "family"; "method"; "cost"; "proven"; "refused" ];
       Alcotest.(check bool) "--no-times redacts time_ms" false
         (has_key "time_ms" row)
   | _ -> Alcotest.fail "rows must be a non-empty array"
@@ -441,95 +448,12 @@ let test_corpus_list () =
   | Arr (inst :: _) ->
       List.iter
         (fun k -> ignore (member "corpus instance" k inst))
-        [ "id"; "family"; "seed"; "feats"; "instance" ]
+        [ "id"; "family"; "seed"; "instance" ]
   | _ -> Alcotest.fail "instances must be a non-empty array"
 
-let test_corpus_tune_exit_codes () =
+let test_corpus_exit_codes () =
   Alcotest.(check int) "corpus bad --seed is malformed input" 2
-    (run_cli_code [ "corpus"; "--seed"; "notanint"; "--list" ]);
-  Alcotest.(check int) "corpus bad --deadline is malformed input" 2
-    (run_cli_code [ "corpus"; "--smoke"; "--deadline"; "fast" ]);
-  Alcotest.(check int) "tune on a missing rows file" 2
-    (run_cli_code [ "tune"; "no_such_rows.json" ]);
-  with_temp_spec "this is not json" (fun bad ->
-      Alcotest.(check int) "tune on malformed rows" 2
-        (run_cli_code [ "tune"; bad ]));
-  Alcotest.(check int) "tune bad --margin is malformed input" 2
-    (run_cli_code
-       [ "tune"; bench "corpus_rows.json"; "--margin"; "lots" ]);
-  Alcotest.(check int) "solve with a missing routing table" 2
-    (run_cli_code
-       [ "solve"; example "fig1.swf"; "--routing"; "no_such_table.json" ])
-
-let test_tune_verdict_json () =
-  let ok, out = run_cli [ "tune"; bench "corpus_rows.json"; "--json" ] in
-  Alcotest.(check bool) "exit 0" true ok;
-  let doc = parse_ok "tune verdict" out in
-  List.iter
-    (fun k -> ignore (member "tune verdict" k doc))
-    [ "champion"; "challenger"; "promoted"; "margin"; "train"; "holdout" ];
-  let holdout = member "tune verdict" "holdout" doc in
-  List.iter
-    (fun who ->
-      let e = member "holdout evals" who holdout in
-      List.iter
-        (fun k -> ignore (member "holdout eval" k e))
-        [ "instances"; "geomean_ms"; "regressions" ])
-    [ "champion"; "challenger" ];
-  let winner = member "tune verdict" "winner" doc in
-  ignore (member "winner table" "name" winner);
-  match member "winner table" "rules" winner with
-  | Arr (_ :: _) -> ()
-  | _ -> Alcotest.fail "winner rules must be a non-empty array"
-
-(* The fitted-table artifact must pass its own CLI gate, and a table
-   that is not the refit winner must be rejected with exit 1. *)
-let test_tune_check () =
-  Alcotest.(check int) "checked-in routing.json passes the gate" 0
-    (run_cli_code
-       [ "tune"; bench "corpus_rows.json"; "--check"; bench "routing.json" ]);
-  with_temp_spec
-    {|{"name":"challenger(greedy-always)","rules":[{"if":[],"route":"greedy"}]}|}
-    (fun stale ->
-      Alcotest.(check int) "a non-winner table fails the gate" 1
-        (run_cli_code
-           [ "tune"; bench "corpus_rows.json"; "--check"; stale ]))
-
-(* tune --out dumps the winner; solve --routing must load it back and
-   --explain-route must report routing under that table's name. *)
-let test_routing_dump_roundtrip () =
-  let table = Filename.temp_file "cli_routing" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove table)
-    (fun () ->
-      let ok, out =
-        run_cli [ "tune"; bench "corpus_rows.json"; "--json"; "--out"; table ]
-      in
-      Alcotest.(check bool) "tune --out exit 0" true ok;
-      let verdict = parse_ok "tune verdict" out in
-      let winner_name =
-        match member "winner table" "name" (member "tune verdict" "winner" verdict)
-        with
-        | Str s -> s
-        | _ -> Alcotest.fail "winner name must be a string"
-      in
-      let ok, out =
-        run_cli
-          [
-            "solve"; example "fig1.swf"; "--routing"; table; "--explain-route";
-            "--json";
-          ]
-      in
-      Alcotest.(check bool) "solve --routing exit 0" true ok;
-      let doc = parse_ok "solve output" out in
-      let route = member "solve output" "route" doc in
-      ignore (member "route" "method" route);
-      ignore (member "route" "rule" route);
-      match member "route" "table" route with
-      | Str t ->
-          Alcotest.(check string) "routing loaded from the dumped table"
-            winner_name t
-      | _ -> Alcotest.fail "route.table must be a string")
+    (run_cli_code [ "corpus"; "--seed"; "notanint"; "--list" ])
 
 let () =
   Alcotest.run "cli"
@@ -559,13 +483,6 @@ let () =
         [
           Alcotest.test_case "rows JSON shape" `Quick test_corpus_rows_json;
           Alcotest.test_case "--list JSON shape" `Quick test_corpus_list;
-          Alcotest.test_case "exit codes" `Quick test_corpus_tune_exit_codes;
-        ] );
-      ( "tune",
-        [
-          Alcotest.test_case "verdict JSON shape" `Quick test_tune_verdict_json;
-          Alcotest.test_case "--check gate" `Quick test_tune_check;
-          Alcotest.test_case "routing dump round-trips" `Quick
-            test_routing_dump_roundtrip;
+          Alcotest.test_case "exit codes" `Quick test_corpus_exit_codes;
         ] );
     ]

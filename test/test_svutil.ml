@@ -140,9 +140,9 @@ let test_deadline_expiry () =
 
 module Json = Svutil.Json
 
-(* The routing-table serializer (Engine.routing_to_json) writes guard
-   thresholds as Num floats; integer-valued cuts like 8. and tiny
-   fractions like 1e-07 must survive to_string/of_string unchanged. *)
+(* Every JSON number (corpus rows, metrics, request ids) is a Num float;
+   integer-valued ones like 8. and tiny fractions like 1e-07 must
+   survive to_string/of_string unchanged. *)
 let test_json_numbers () =
   let p f = Json.number_to_string f in
   Alcotest.(check string) "integral prints without fraction" "8" (p 8.);
