@@ -50,7 +50,7 @@ let smoke_pool =
   lazy (Array.of_list (C.generate ~smoke:true ~seed:42 ()))
 
 let differential_prop =
-  prop ~count:40 "auto cost equals the directly-invoked routed method"
+  prop ~count:40 "auto cost equals the directly-invoked"
     QCheck2.Gen.(int_range 0 100_000)
     (fun n ->
       let pool = Lazy.force smoke_pool in
