@@ -109,8 +109,9 @@ let compare_diagnostic a b =
 let builtin_names = [ "identity"; "negate"; "constant"; "majority"; "and"; "or"; "xor" ]
 
 (* [elaborate] yields the spec the W05x flow pass analyzes; it is only
-   called once the declarations are known to elaborate cleanly. *)
-let check ~(elaborate : unit -> (P.spec, string) result) (raw : P.raw) :
+   called once the declarations are known to elaborate cleanly.  [None]
+   skips that pass, which emits no errors. *)
+let check ~(elaborate : (unit -> (P.spec, string) result) option) (raw : P.raw) :
     diagnostic list =
   let diags = ref [] in
   let emit ?line ~subject code fmt =
@@ -509,11 +510,13 @@ let check ~(elaborate : unit -> (P.spec, string) result) (raw : P.raw) :
 
   (* --- privacy flow (W05x) ------------------------------------------ *)
   (* The flow pass needs the elaborated spec (requirement derivation
-     enumerates per-module hidden subsets), so it only runs once the
-     declarations elaborate cleanly and no blow-up guard fired. *)
-  if structurally_sound && (not (has_errors !diags)) && not (seen "W040")
-     && not (seen "W041")
-  then begin
+     enumerates per-module hidden subsets), so it only runs when asked
+     for, once the declarations elaborate cleanly and no blow-up guard
+     fired. *)
+  (match elaborate with
+  | Some elaborate
+    when structurally_sound && (not (has_errors !diags)) && (not (seen "W040"))
+         && not (seen "W041") -> (
     match elaborate () with
     | Error _ -> ()
     | Ok spec ->
@@ -540,14 +543,14 @@ let check ~(elaborate : unit -> (P.spec, string) result) (raw : P.raw) :
                 emit ~line:(module_line p_name) ~subject:p_name "W051"
                   "public module %s is privatized in every feasible solution (cost %s): attribute %s must always be hidden"
                   p_name (Rat.to_string p_cost) attr)
-          (Flow.analyze spec).Flow.findings
-  end;
+          (Flow.analyze spec).Flow.findings)
+  | _ -> ());
 
   List.sort compare_diagnostic !diags
 
-let check_raw raw = check ~elaborate:(fun () -> P.spec_of_raw raw) raw
+let check_raw raw = check ~elaborate:(Some (fun () -> P.spec_of_raw raw)) raw
 
-let check_spec (spec : P.spec) = check ~elaborate:(fun () -> Ok spec) spec.P.raw
+let check_spec (spec : P.spec) = errors (check ~elaborate:None spec.P.raw)
 
 (* ------------------------------------------------------------------ *)
 (* Linting built workflows (no source text)                            *)

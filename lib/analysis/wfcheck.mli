@@ -57,11 +57,12 @@ val check_raw : Wf.Parse.raw -> diagnostic list
     tables. *)
 
 val check_spec : Wf.Parse.spec -> diagnostic list
-(** [check_raw] on the declarations the spec was parsed from — the
-    pre-flight used by the CLI's [analyze]/[solve]/[check] and the
-    daemon. The W05x flow pass analyzes the given spec instead of
-    elaborating the declarations a second time, so the spec must be the
-    one {!Wf.Parse.spec_of_raw} built from its [raw]. *)
+(** The Error diagnostics of [check_raw] on the declarations the spec
+    was parsed from — the pre-flight used by the CLI's
+    [analyze]/[solve]/[check]/[batch], the daemon and perfbench, which
+    keep only errors. It skips the W05x flow pass (a second derivation
+    of every module and a full {!Flow} analysis for findings that are
+    never errors); [lint] reports those through [check_raw]. *)
 
 val raw_of_workflow :
   ?publics:(string * Rat.t) list ->

@@ -27,7 +27,12 @@ let seed_solution inst =
 let solve_with_stats ?(node_limit = Lp.Ilp.default_node_limit)
     ?(mode = Lp.Simplex.Hybrid_mode) ?(jobs = 1) ?deadline ?metrics ?seed
     ?(attr_fixings = []) inst =
-  let problem, attr_var, point_of = build_ip inst in
+  let problem, attr_var, point_of =
+    Svutil.Metrics.span
+      (Option.value metrics ~default:Svutil.Metrics.nop)
+      "lp/build"
+      (fun () -> build_ip inst)
+  in
   (* Attribute-level pins (Core.Flow verdicts) become x-variable pins;
      both IP forms name the hiding variables in [attr_var]. The fixings
      preserve the optimal value, so the strict greedy cutoff below

@@ -38,11 +38,8 @@ let rbtran etas y =
 
 (* {2 Columns of the standard form} *)
 
-(* Artificial column of row [r] is [sign * e_r]; certification of
-   optimal bases normalizes every artificial to [+e_r] (a column sign
-   flip only negates that artificial's own value, which must be zero
-   anyway). *)
-let load_col (sf : Sform.t) ~art_sign j v =
+(* The artificial column of row [r] is [e_r]. *)
+let load_col (sf : Sform.t) j v =
   Array.fill v 0 (Array.length v) Rat.zero;
   if j < sf.Sform.first_art then begin
     let ri, vs = sf.Sform.cols.(j) in
@@ -50,12 +47,9 @@ let load_col (sf : Sform.t) ~art_sign j v =
       v.(ri.(k)) <- vs.(k)
     done
   end
-  else begin
-    let r = j - sf.Sform.first_art in
-    v.(r) <- (if art_sign r < 0 then Rat.minus_one else Rat.one)
-  end
+  else v.(j - sf.Sform.first_art) <- Rat.one
 
-let col_dot (sf : Sform.t) ~art_sign y j =
+let col_dot (sf : Sform.t) y j =
   if j < sf.Sform.first_art then begin
     let ri, vs = sf.Sform.cols.(j) in
     let s = ref Rat.zero in
@@ -65,10 +59,7 @@ let col_dot (sf : Sform.t) ~art_sign y j =
     done;
     !s
   end
-  else begin
-    let r = j - sf.Sform.first_art in
-    if art_sign r < 0 then Rat.neg y.(r) else y.(r)
-  end
+  else y.(j - sf.Sform.first_art)
 
 (* {2 Exact refactorization}
 
@@ -77,7 +68,7 @@ let col_dot (sf : Sform.t) ~art_sign y j =
    unit pivot also means no coefficient growth.  Returns the row →
    column assignment and the eta file, or [None] for a singular column
    set. *)
-let factorize ?(deadline = Svutil.Deadline.none) (sf : Sform.t) ~art_sign cols0 =
+let factorize ?(deadline = Svutil.Deadline.none) (sf : Sform.t) cols0 =
   let m = sf.Sform.m in
   let cols = Array.copy cols0 in
   let ebasis = Array.make m (-1) in
@@ -129,7 +120,7 @@ let factorize ?(deadline = Svutil.Deadline.none) (sf : Sform.t) ~art_sign cols0 
       done;
       if !pick < 0 then raise Exit;
       let j = cols.(!pick) in
-      load_col sf ~art_sign j w;
+      load_col sf j w;
       ignore (rftran_n etas !n_etas w);
       let r = ref (-1) in
       (try
@@ -152,8 +143,6 @@ let factorize ?(deadline = Svutil.Deadline.none) (sf : Sform.t) ~art_sign cols0 
     done;
     Some (ebasis, Array.sub etas 0 !n_etas)
   with Exit -> None
-
-let plus_sign _ = 1
 
 (* {2 Rational recovery}
 
@@ -229,7 +218,7 @@ let pair_ok (sf : Sform.t) ~rhs ~basis ~xb ~y =
       basis;
     if not (Array.for_all Rat.is_zero res) then raise Exit;
     for j = 0 to first_art - 1 do
-      let d = Rat.sub sf.Sform.obj.(j) (col_dot sf ~art_sign:plus_sign y j) in
+      let d = Rat.sub sf.Sform.obj.(j) (col_dot sf y j) in
       let s = Rat.sign d in
       if s < 0 || (s > 0 && inb.(j)) then raise Exit
     done;
@@ -272,7 +261,7 @@ let repair ?(deadline = Svutil.Deadline.none) sf ~basis ~etas ~lb ~xb =
     if j land deadline_poll_mask = 0 then Svutil.Deadline.check deadline;
     if row_of.(j) >= 0 then a.(row_of.(j)).(j) <- Rat.one
     else begin
-      load_col sf ~art_sign:plus_sign j v;
+      load_col sf j v;
       ignore (rftran etas v);
       for i = 0 to m - 1 do
         a.(i).(j) <- v.(i)
@@ -439,7 +428,7 @@ let check ?(deadline = Svutil.Deadline.none) ?(metrics = Svutil.Metrics.nop)
       (* No usable float point: the same check on the exact pair of a
          full factorization, then repair from there. *)
       Svutil.Metrics.tick metrics "certify.factorizations";
-      match factorize ~deadline sf ~art_sign:plus_sign basis with
+      match factorize ~deadline sf basis with
       | None -> Cert_fail
       | Some (basis, etas) -> (
           let xb = rftran etas (Array.copy rhs) in
@@ -456,48 +445,9 @@ let check ?(deadline = Svutil.Deadline.none) ?(metrics = Svutil.Metrics.nop)
                 Svutil.Metrics.tick metrics "certify.repairs";
                 o))
 
-let check_phase1 ?(deadline = Svutil.Deadline.none) (sf : Sform.t) ~rhs ~basis
-    ~art_sign =
-  let m = sf.Sform.m in
-  let first_art = sf.Sform.first_art in
-  let sign_of r = art_sign.(r) in
-  match factorize ~deadline sf ~art_sign:sign_of basis with
-  | None -> false
-  | Some (ebasis, etas) -> (
-      let xb = rftran etas (Array.copy rhs) in
-      let art_sum = ref Rat.zero in
-      try
-        for r = 0 to m - 1 do
-          if Rat.sign xb.(r) < 0 then raise Exit;
-          if ebasis.(r) >= first_art then art_sum := Rat.add !art_sum xb.(r)
-        done;
-        if Rat.sign !art_sum <= 0 then raise Exit;
-        (* Dual feasibility for the artificial-sum objective. *)
-        let y = Array.make m Rat.zero in
-        Array.iteri
-          (fun i j -> if j >= first_art then y.(i) <- Rat.one)
-          ebasis;
-        ignore (rbtran etas y);
-        let inb = Array.make sf.Sform.ncols false in
-        Array.iter (fun j -> inb.(j) <- true) ebasis;
-        for j = 0 to first_art - 1 do
-          if (not inb.(j))
-             && Rat.sign (col_dot sf ~art_sign:sign_of y j) > 0
-          then raise Exit
-        done;
-        for r = 0 to m - 1 do
-          let j = first_art + r in
-          if art_sign.(r) <> 0 && not inb.(j) then begin
-            let d = Rat.sub Rat.one (col_dot sf ~art_sign:sign_of y j) in
-            if Rat.sign d < 0 then raise Exit
-          end
-        done;
-        true
-      with Exit -> false)
-
 let check_farkas ?(deadline = Svutil.Deadline.none) (sf : Sform.t) ~rhs ~basis
     ~col =
-  match factorize ~deadline sf ~art_sign:plus_sign basis with
+  match factorize ~deadline sf basis with
   | None -> false
   | Some (ebasis, etas) -> (
       let k = ref (-1) in
@@ -517,7 +467,7 @@ let check_farkas ?(deadline = Svutil.Deadline.none) (sf : Sform.t) ~rhs ~basis
         else begin
           try
             for j = 0 to sf.Sform.first_art - 1 do
-              if Rat.sign (col_dot sf ~art_sign:plus_sign u j) < 0 then
+              if Rat.sign (col_dot sf u j) < 0 then
                 raise Exit
             done;
             true

@@ -1,8 +1,9 @@
 (** Exact certification of float-found simplex bases.
 
     The hybrid solver's correctness argument lives here.  A candidate
-    basis from {!Fsimplex} is accepted on one exact test of a primal–dual
-    pair — basic values [x_B] and duals [y] — against the LP optimality
+    basis from {!Fsimplex}, in {!Sform}'s explicit layout (upper bounds
+    as rows), is accepted on one exact test of a primal–dual pair —
+    basic values [x_B] and duals [y] — against the LP optimality
     conditions:
 
     - {e primal feasibility}: [B x_B = b] and [x_B >= 0], with every
@@ -26,7 +27,8 @@
     pivots ({e repair}).  Anything else — singular basis, both sides
     violated, pivot budget exhausted — is reported as {!Cert_fail} and
     the caller falls back to the exact two-phase solver, so a wrong
-    float basis can cost time but never an answer. *)
+    float basis can cost time but never an answer.  Infeasibility is
+    certified by {!check_farkas} on the row the float pass names. *)
 
 type outcome =
   | Cert_optimal of { objective : Rat.t; values : Rat.t array; repaired : bool }
@@ -49,17 +51,6 @@ val check :
     pair, by row like [basis]) when one is given.  Ticks
     [certify.accepts], [certify.repairs] and [certify.factorizations]
     (one per call that builds the exact factorization). *)
-
-val check_phase1 :
-  ?deadline:Svutil.Deadline.t ->
-  Sform.t ->
-  rhs:Rat.t array ->
-  basis:int array ->
-  art_sign:int array ->
-  bool
-(** [true] iff the phase-1 basis exactly proves infeasibility: it is
-    primal feasible and dual feasible for the artificial-sum objective,
-    with a strictly positive artificial sum. *)
 
 val check_farkas :
   ?deadline:Svutil.Deadline.t ->

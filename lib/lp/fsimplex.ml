@@ -1,61 +1,83 @@
 (* Numerical tolerances.  The float pass only proposes bases — every
    acceptance decision is re-made exactly by Certify — so these trade
    pivot count against fallback rate, not correctness. *)
-let dual_tol = 1e-7 (* reduced cost below -dual_tol may enter *)
+let dual_tol = 1e-7 (* reduced costs this far on the wrong side still pass *)
 let pivot_tol = 1e-8 (* smallest pivot element we will divide by *)
-let feas_tol = 1e-7 (* Harris-style slack on basic-value feasibility *)
+let feas_tol = 1e-7 (* basic values this far outside their bounds still pass *)
 let drop_tol = 1e-12 (* eta entries below this are dropped as zero *)
 let deadline_poll_mask = 31
-let primal_iteration_cap = 10_000
-let dual_iteration_cap = 500
+let iteration_cap = 10_000
 
 type eta = { er : int; pr : float; idx : int array; vals : float array }
-
-type t = {
-  sf : Sform.t;
-  fcols : (int array * float array) array;  (* structural + slack columns *)
-  fobj : float array;  (* phase-2 cost over j < first_art *)
-  basis : int array;  (* row -> basic column *)
-  inb : bool array;  (* per column: currently basic? *)
-  art_sign : int array;  (* per row: sign of its artificial column *)
-  xb : float array;  (* basic values, by row *)
-  mutable etas : eta array;
-  mutable n_etas : int;
-  mutable valid : bool;  (* basis + eta file describe a prior optimum *)
-  (* scratch, sized once *)
-  w : float array;
-  y : float array;
-}
-
-let create (sf : Sform.t) =
-  let fcols =
-    Array.map
-      (fun (ri, vs) -> (ri, Array.map Rat.to_float vs))
-      sf.Sform.cols
-  in
-  {
-    sf;
-    fcols;
-    fobj = Array.map Rat.to_float sf.Sform.obj;
-    basis = Array.make sf.Sform.m (-1);
-    inb = Array.make sf.Sform.ncols false;
-    art_sign = Array.make sf.Sform.m 0;
-    xb = Array.make sf.Sform.m 0.;
-    etas = [||];
-    n_etas = 0;
-    valid = false;
-    w = Array.make sf.Sform.m 0.;
-    y = Array.make sf.Sform.m 0.;
-  }
 
 type point = { xb : float array; y : float array }
 
 type outcome =
   | Optimal_basis of { basis : int array; point : point }
-  | Infeasible_basis of { basis : int array; art_sign : int array }
   | Infeasible_col of { basis : int array; col : int }
-  | Unbounded_hint of int array
   | Stalled
+
+(* The pass works on the layout's constraint rows only.  Columns keep
+   their {!Sform} indices: structurals, then the constraint rows'
+   slacks (the bound rows' slacks are never touched), then one
+   artificial per row, the logical of an [Eq] row, fixed at 0. *)
+type t = {
+  sf : Sform.t;
+  m : int;  (* constraint rows *)
+  fcols : (int array * float array) array;  (* j < first_art, rows < m *)
+  fobj : float array;  (* cost over j < first_art *)
+  active : int array;  (* columns that may enter: structurals, row slacks *)
+  up : float array;  (* per column: upper bound (infinity when none) *)
+  d : float array;  (* per column: reduced cost, updated in place *)
+  at_up : bool array;  (* per nonbasic column: sits at its upper bound *)
+  basis : int array;  (* row -> basic column *)
+  inb : bool array;  (* per column: currently basic? *)
+  xb : float array;  (* basic values, by row *)
+  mutable etas : eta array;
+  mutable n_etas : int;
+  mutable valid : bool;  (* basis, etas and [d] are dual feasible *)
+  (* scratch, sized once *)
+  w : float array;  (* FTRANed column *)
+  rho : float array;  (* BTRANed row, then duals *)
+  alpha : float array;  (* per column: entry of the pivot row *)
+  cand : int array;  (* ratio-test candidates *)
+}
+
+let create (sf : Sform.t) =
+  let m = sf.Sform.m0 in
+  let fcols =
+    Array.map
+      (fun (ri, vs) ->
+        let k = ref 0 in
+        Array.iter (fun r -> if r < m then incr k) ri;
+        (Array.sub ri 0 !k, Array.map Rat.to_float (Array.sub vs 0 !k)))
+      sf.Sform.cols
+  in
+  let slacks = List.filter (fun j -> j >= 0) (Array.to_list (Array.sub sf.Sform.slack_col 0 m)) in
+  let active = Array.of_list (List.init sf.Sform.n Fun.id @ slacks) in
+  let ncols = sf.Sform.ncols in
+  let up = Array.make ncols infinity in
+  Array.fill up sf.Sform.first_art m 0.;
+  {
+    sf;
+    m;
+    fcols;
+    fobj = Array.map Rat.to_float sf.Sform.obj;
+    active;
+    up;
+    d = Array.make ncols 0.;
+    at_up = Array.make ncols false;
+    basis = Array.make m (-1);
+    inb = Array.make ncols false;
+    xb = Array.make m 0.;
+    etas = [||];
+    n_etas = 0;
+    valid = false;
+    w = Array.make m 0.;
+    rho = Array.make m 0.;
+    alpha = Array.make ncols 0.;
+    cand = Array.make (Array.length active) 0;
+  }
 
 (* {2 Eta file} *)
 
@@ -120,24 +142,22 @@ let col_dot t y j =
     done;
     !s
   end
-  else begin
-    let r = j - t.sf.Sform.first_art in
-    float_of_int t.art_sign.(r) *. y.(r)
+  else y.(j - t.sf.Sform.first_art)
+
+(* w += f * column j *)
+let add_col t j f w =
+  if j < t.sf.Sform.first_art then begin
+    let ri, vs = t.fcols.(j) in
+    for k = 0 to Array.length ri - 1 do
+      w.(ri.(k)) <- w.(ri.(k)) +. (f *. vs.(k))
+    done
   end
+  else w.(j - t.sf.Sform.first_art) <- w.(j - t.sf.Sform.first_art) +. f
 
 (* Load column [j] densely into [w] (zeroing it first). *)
 let load_col t j w =
   Array.fill w 0 (Array.length w) 0.;
-  if j < t.sf.Sform.first_art then begin
-    let ri, vs = t.fcols.(j) in
-    for k = 0 to Array.length ri - 1 do
-      w.(ri.(k)) <- vs.(k)
-    done
-  end
-  else begin
-    let r = j - t.sf.Sform.first_art in
-    w.(r) <- float_of_int t.art_sign.(r)
-  end
+  add_col t j 1. w
 
 (* {2 Refactorization}
 
@@ -148,7 +168,7 @@ let load_col t j w =
    largest available pivot element for stability.  Reassigns rows to
    columns, so [basis] is treated as a set. *)
 let refactorize t =
-  let m = t.sf.Sform.m in
+  let m = t.m in
   let cols = Array.copy t.basis in
   let row_done = Array.make m false in
   let col_done = Array.make (Array.length cols) false in
@@ -195,312 +215,327 @@ let refactorize t =
     true
   with Exit -> false
 
-let refactor_threshold t = (4 * t.sf.Sform.m) + 50
+let refactor_threshold t = (4 * t.m) + 50
+
+(* {2 Primal values and duals} *)
+
+(* x_B = B^-1 (b - sum of the at-upper columns' A_j u_j), from scratch. *)
+let recompute_xb t fb =
+  Array.blit fb 0 t.xb 0 t.m;
+  Array.iter
+    (fun j -> if (not t.inb.(j)) && t.at_up.(j) then add_col t j (-.t.up.(j)) t.xb)
+    t.active;
+  ftran t t.xb
+
+(* y = c_B B^-1 into [rho], and every active column's reduced cost. *)
+let recompute_duals t =
+  let first_art = t.sf.Sform.first_art in
+  for i = 0 to t.m - 1 do
+    let j = t.basis.(i) in
+    t.rho.(i) <- (if j < first_art then t.fobj.(j) else 0.)
+  done;
+  btran t t.rho;
+  Array.iter
+    (fun j -> t.d.(j) <- (if t.inb.(j) then 0. else t.fobj.(j) -. col_dot t t.rho j))
+    t.active
+
+(* Move each boxed nonbasic column to the bound its reduced cost
+   prefers.  A fixed column ([up = 0]) may carry either sign; it sits
+   at the bound matching its sign, which moves no value but keeps the
+   explicit pair of {!explicit} dual feasible.  True when some value
+   moved. *)
+let settle t =
+  let moved = ref false in
+  Array.iter
+    (fun j ->
+      if (not t.inb.(j)) && t.up.(j) < infinity then begin
+        let dj = t.d.(j) in
+        let want =
+          if t.up.(j) = 0. then dj < 0.
+          else if dj < -.dual_tol then true
+          else if dj > dual_tol then false
+          else t.at_up.(j)
+        in
+        if want <> t.at_up.(j) then begin
+          t.at_up.(j) <- want;
+          if t.up.(j) > 0. then moved := true
+        end
+      end)
+    t.active;
+  !moved
+
+(* {2 The explicit layout}
+
+   {!Certify} checks bases of {!Sform}'s explicit layout, where every
+   upper bound is a row [x_v + s = u].  A column at its upper bound
+   becomes basic in its bound row at [u], and that row's dual is the
+   column's reduced cost; otherwise the bound row's slack is basic at
+   [u - x_v] with dual 0.  [at_upper v] says where nonbasic [v] is
+   presented. *)
+let explicit_basis t ~at_upper =
+  let sf = t.sf in
+  let b = Array.make sf.Sform.m (-1) in
+  Array.blit t.basis 0 b 0 t.m;
+  Array.iteri
+    (fun k v ->
+      let r = sf.Sform.m0 + k in
+      b.(r) <- (if (not t.inb.(v)) && at_upper v then v else sf.Sform.slack_col.(r)))
+    sf.Sform.ub_var;
+  b
+
+(* The explicit basis and its float pair, after [recompute_xb] and
+   [recompute_duals].  Every bound row holds [u] unless its column is
+   basic, which leaves [u - x] to the row's slack. *)
+let explicit t =
+  let sf = t.sf in
+  let basis = explicit_basis t ~at_upper:(fun v -> t.at_up.(v)) in
+  let xb = Array.make sf.Sform.m 0. and y = Array.make sf.Sform.m 0. in
+  Array.blit t.xb 0 xb 0 t.m;
+  Array.blit t.rho 0 y 0 t.m;
+  Array.iteri
+    (fun k v ->
+      let r = sf.Sform.m0 + k in
+      xb.(r) <- t.up.(v);
+      if basis.(r) = v then y.(r) <- t.d.(v))
+    sf.Sform.ub_var;
+  for i = 0 to t.m - 1 do
+    let j = t.basis.(i) in
+    if j < sf.Sform.n && sf.Sform.ub_row.(j) >= 0 then
+      xb.(sf.Sform.ub_row.(j)) <- t.up.(j) -. t.xb.(i)
+  done;
+  Optimal_basis { basis; point = ({ xb; y } : point) }
 
 (* {2 Solve} *)
 
-exception Stop of outcome
+exception Stall
+
+(* The Farkas hint for row [r], whose basic column [p] lies below 0
+   ([s = 1]) or above its upper bound ([s = -1]) and admits no entering
+   column: the row of [B^-1 A] then proves infeasibility once every
+   boxed nonbasic column is presented at the bound its entry favours.
+   In the explicit layout the certificate row is [p]'s own when [p] is
+   below 0 and [p]'s bound-row slack when it is above [u].  An [Eq]
+   row's artificial above 0 would need the negated row, which
+   {!Certify.check_farkas} does not take: that case stalls. *)
+let farkas t ~r ~s =
+  let sf = t.sf in
+  let p = t.basis.(r) in
+  let col =
+    if s > 0. then p
+    else if p < sf.Sform.n && sf.Sform.ub_row.(p) >= 0 then
+      sf.Sform.slack_col.(sf.Sform.ub_row.(p))
+    else -1
+  in
+  if col < 0 then Stalled
+  else
+    let at_upper v =
+      let sa = s *. t.alpha.(v) in
+      if sa < 0. then true else if sa > 0. then false else t.at_up.(v)
+    in
+    Infeasible_col { basis = explicit_basis t ~at_upper; col }
+
+(* Bounded dual simplex from the current basis, which must be dual
+   feasible with every nonbasic column at a bound.  Each iteration
+   takes the basic value furthest outside its bounds, prices its row
+   of [B^-1 A] and runs a Harris bound-flipping ratio test: candidates
+   whose dual ratio is passed flip to their other bound while that
+   still leaves the leaving value infeasible, and the entering column
+   is the largest pivot among the first batch that would not. *)
+let iterate t ~fb ~deadline ~pivots =
+  let m = t.m in
+  let iter = ref 0 in
+  (* dual slack of nonbasic [j]: its reduced cost's distance from the
+     wrong sign for the bound it sits at *)
+  let dual_slack j = Float.max 0. (if t.at_up.(j) then -.t.d.(j) else t.d.(j)) in
+  let rec loop () =
+    if !iter land deadline_poll_mask = 0 then Svutil.Deadline.check deadline;
+    incr iter;
+    if !iter > iteration_cap then raise Stall;
+    let r = ref (-1) and worst = ref feas_tol in
+    for i = 0 to m - 1 do
+      let x = t.xb.(i) in
+      let viol = if x < 0. then -.x else x -. t.up.(t.basis.(i)) in
+      if viol > !worst then begin
+        worst := viol;
+        r := i
+      end
+    done;
+    if !r < 0 then begin
+      (* Primal feasible: check the duals afresh before stopping. *)
+      recompute_duals t;
+      if settle t then begin
+        recompute_xb t fb;
+        loop ()
+      end
+      else `Optimal
+    end
+    else step !r !worst
+  and step r delta =
+    let p = t.basis.(r) in
+    let s = if t.xb.(r) < 0. then 1. else -1. in
+    Array.fill t.rho 0 m 0.;
+    t.rho.(r) <- 1.;
+    btran t t.rho;
+    let nc = ref 0 in
+    Array.iter
+      (fun j ->
+        if not t.inb.(j) then begin
+          let a = col_dot t t.rho j in
+          t.alpha.(j) <- a;
+          let sa = s *. a in
+          if t.up.(j) > 0.
+             && ((t.at_up.(j) && sa > pivot_tol) || ((not t.at_up.(j)) && sa < -.pivot_tol))
+          then begin
+            t.cand.(!nc) <- j;
+            incr nc
+          end
+        end)
+      t.active;
+    let nc = !nc in
+    (* Batches in Harris order; [cand.(0 .. lo-1)] are flipped. *)
+    let slope = ref delta and lo = ref 0 and q = ref (-1) in
+    while !q < 0 && !lo < nc do
+      let bound = ref infinity in
+      for k = !lo to nc - 1 do
+        let j = t.cand.(k) in
+        let b = (dual_slack j +. dual_tol) /. abs_float t.alpha.(j) in
+        if b < !bound then bound := b
+      done;
+      let hi = ref !lo and cap = ref 0. in
+      for k = !lo to nc - 1 do
+        let j = t.cand.(k) in
+        let a = abs_float t.alpha.(j) in
+        if dual_slack j /. a <= !bound then begin
+          t.cand.(k) <- t.cand.(!hi);
+          t.cand.(!hi) <- j;
+          incr hi;
+          cap := !cap +. (a *. t.up.(j))
+        end
+      done;
+      let rest = !slope -. !cap in
+      if !hi < nc && rest > 0. then begin
+        slope := rest;
+        lo := !hi
+      end
+      else if !hi = nc && rest > feas_tol then lo := nc
+      else begin
+        let best = ref 0. in
+        for k = !lo to !hi - 1 do
+          let j = t.cand.(k) in
+          if abs_float t.alpha.(j) > !best then begin
+            best := abs_float t.alpha.(j);
+            q := j
+          end
+        done
+      end
+    done;
+    if !q < 0 then `Infeasible (r, s)
+    else begin
+      let q = !q in
+      (* bound flips, then the entering column *)
+      if !lo > 0 then begin
+        Array.fill t.w 0 m 0.;
+        for k = 0 to !lo - 1 do
+          let j = t.cand.(k) in
+          add_col t j (if t.at_up.(j) then t.up.(j) else -.t.up.(j)) t.w;
+          t.at_up.(j) <- not t.at_up.(j)
+        done;
+        ftran t t.w;
+        for i = 0 to m - 1 do
+          t.xb.(i) <- t.xb.(i) +. t.w.(i)
+        done
+      end;
+      load_col t q t.w;
+      ftran t t.w;
+      let wr = t.w.(r) in
+      if abs_float wr < pivot_tol then raise Stall;
+      let aq = t.alpha.(q) in
+      let theta_d = (if t.at_up.(q) then -.dual_slack q else dual_slack q) /. aq in
+      Array.iter
+        (fun j -> if not t.inb.(j) then t.d.(j) <- t.d.(j) -. (theta_d *. t.alpha.(j)))
+        t.active;
+      t.d.(p) <- -.theta_d;
+      t.d.(q) <- 0.;
+      let target = if s > 0. then 0. else t.up.(p) in
+      let theta_p = (t.xb.(r) -. target) /. wr in
+      let xq = (if t.at_up.(q) then t.up.(q) else 0.) +. theta_p in
+      for i = 0 to m - 1 do
+        if t.w.(i) <> 0. then t.xb.(i) <- t.xb.(i) -. (theta_p *. t.w.(i))
+      done;
+      t.xb.(r) <- xq;
+      push_eta t (eta_of_dense ~r t.w);
+      t.inb.(p) <- false;
+      t.at_up.(p) <- s < 0.;
+      t.basis.(r) <- q;
+      t.inb.(q) <- true;
+      incr pivots;
+      if t.n_etas > refactor_threshold t then begin
+        if not (refactorize t) then raise Stall;
+        recompute_xb t fb;
+        recompute_duals t
+      end;
+      loop ()
+    end
+  in
+  loop ()
+
+(* The all-logical basis: slacks, and the artificial (fixed at 0) of
+   each [Eq] row.  It is dual feasible when every negative-cost column
+   has an upper bound to sit at; otherwise the pass stalls and the
+   caller falls back to the exact solver. *)
+let cold t fb =
+  let sf = t.sf in
+  t.n_etas <- 0;
+  Array.fill t.inb 0 (Array.length t.inb) false;
+  for r = 0 to t.m - 1 do
+    let j =
+      if sf.Sform.slack_col.(r) >= 0 then sf.Sform.slack_col.(r) else sf.Sform.first_art + r
+    in
+    t.basis.(r) <- j;
+    t.inb.(j) <- true;
+    if sf.Sform.slack_sign.(r) < 0 then push_eta t { er = r; pr = -1.; idx = [||]; vals = [||] }
+  done;
+  Array.iter
+    (fun j ->
+      t.d.(j) <- (if t.inb.(j) then 0. else t.fobj.(j));
+      if t.d.(j) < 0. && t.up.(j) = infinity then raise Stall;
+      t.at_up.(j) <- t.d.(j) < 0.)
+    t.active;
+  recompute_xb t fb
 
 let solve ?(deadline = Svutil.Deadline.none) ?(metrics = Svutil.Metrics.nop) t
     ~rhs =
   let sf = t.sf in
-  let m = sf.Sform.m in
-  let first_art = sf.Sform.first_art in
-  let fb = Array.map Rat.to_float rhs in
+  let fb = Array.init t.m (fun r -> Rat.to_float rhs.(r)) in
+  Array.iteri (fun k v -> t.up.(v) <- Rat.to_float rhs.(sf.Sform.m0 + k)) sf.Sform.ub_var;
   let pivots = ref 0 in
-  let iter = ref 0 in
-  let poll () =
-    if !iter land deadline_poll_mask = 0 then Svutil.Deadline.check deadline;
-    incr iter
-  in
-  let flush () =
-    Svutil.Metrics.count metrics "simplex.hybrid.float_pivots" !pivots
-  in
-  let set_basis r j =
-    if t.basis.(r) >= 0 then t.inb.(t.basis.(r)) <- false;
-    t.basis.(r) <- j;
-    t.inb.(j) <- true
-  in
-  (* One pivot: entering column [q] (already FTRANed into [t.w]) replaces
-     row [r]'s basic variable at step length [theta]. *)
-  let pivot ~q ~r ~theta =
-    for i = 0 to m - 1 do
-      if t.w.(i) <> 0. then t.xb.(i) <- t.xb.(i) -. (theta *. t.w.(i))
-    done;
-    t.xb.(r) <- theta;
-    push_eta t (eta_of_dense ~r t.w);
-    set_basis r q;
-    incr pivots;
-    if t.n_etas > refactor_threshold t then begin
-      if not (refactorize t) then raise (Stop Stalled);
-      Array.blit fb 0 t.w 0 m;
-      (* recompute basic values from the fresh factorization *)
-      ftran t t.w;
-      Array.blit t.w 0 t.xb 0 m
-    end
-  in
-  (* Reduced costs of [cost] under the current basis; returns the most
-     negative allowed entering column, or -1 at (float) optimality. *)
-  let price cost =
-    for i = 0 to m - 1 do
-      t.y.(i) <- (if t.basis.(i) < first_art then cost.(t.basis.(i)) else 0.)
-      (* artificials carry cost via [art_cost] below in phase 1 *)
-    done;
-    t.y
-  in
-  let entering_of ~cost ~art_cost =
-    let y = price cost in
-    for i = 0 to m - 1 do
-      if t.basis.(i) >= first_art then y.(i) <- art_cost
-    done;
-    btran t y;
-    let best = ref (-.dual_tol) and q = ref (-1) in
-    for j = 0 to first_art - 1 do
-      if not t.inb.(j) then begin
-        let d = cost.(j) -. col_dot t y j in
-        if d < !best then begin
-          best := d;
-          q := j
-        end
-      end
-    done;
-    !q
-  in
-  (* Primal phase: minimize [cost] (with [art_cost] on basic
-     artificials), entering only structural/slack columns. *)
-  let primal ~cost ~art_cost =
-    let continue_ = ref true in
-    let result = ref `Optimal in
-    while !continue_ do
-      poll ();
-      if !iter > primal_iteration_cap then begin
-        continue_ := false;
-        result := `Stalled
-      end
-      else begin
-        let q = entering_of ~cost ~art_cost in
-        if q < 0 then continue_ := false
-        else begin
-          load_col t q t.w;
-          ftran t t.w;
-          (* Harris two-pass ratio test: first a relaxed bound using the
-             feasibility tolerance, then the largest pivot element among
-             rows within that bound. *)
-          let bound = ref infinity in
-          for i = 0 to m - 1 do
-            if t.w.(i) > pivot_tol then begin
-              let ratio = (t.xb.(i) +. feas_tol) /. t.w.(i) in
-              if ratio < !bound then bound := ratio
-            end
-          done;
-          if !bound = infinity then begin
-            continue_ := false;
-            result := `Unbounded
-          end
-          else begin
-            let r = ref (-1) and mag = ref 0. in
-            for i = 0 to m - 1 do
-              if t.w.(i) > pivot_tol && t.xb.(i) /. t.w.(i) <= !bound
-                 && t.w.(i) > !mag
-              then begin
-                r := i;
-                mag := t.w.(i)
-              end
-            done;
-            if !r < 0 then begin
-              continue_ := false;
-              result := `Stalled
-            end
-            else begin
-              let theta = max 0. (t.xb.(!r) /. t.w.(!r)) in
-              pivot ~q ~r:!r ~theta
-            end
-          end
-        end
-      end
-    done;
-    !result
-  in
-  (* Drive basic artificials out after a feasible phase 1, so phase 2
-     pivots cannot resurrect them.  Rows that admit no pivot are
-     redundant; their artificial stays basic at (float) zero and Certify
-     insists on exact zero later. *)
-  let drive_out_artificials () =
-    for r = 0 to m - 1 do
-      if t.basis.(r) >= first_art then begin
-        Array.fill t.y 0 m 0.;
-        t.y.(r) <- 1.;
-        btran t t.y;
-        let q = ref (-1) and mag = ref 1e-9 in
-        for j = 0 to first_art - 1 do
-          if not t.inb.(j) then begin
-            let a = abs_float (col_dot t t.y j) in
-            if a > !mag then begin
-              mag := a;
-              q := j
-            end
-          end
-        done;
-        if !q >= 0 then begin
-          load_col t !q t.w;
-          ftran t t.w;
-          let theta = t.xb.(r) /. t.w.(r) in
-          pivot ~q:!q ~r ~theta
-        end
-      end
-    done
-  in
-  (* The float primal-dual pair of the current basis, recomputed from
-     the eta file rather than read off the incrementally updated basic
-     values: [x_B = B^-1 b] and [y = c_B B^-1]. *)
-  let point () =
-    let xb = Array.copy fb in
-    ftran t xb;
-    let y =
-      Array.init m (fun i ->
-          if t.basis.(i) < first_art then t.fobj.(t.basis.(i)) else 0.)
-    in
-    btran t y;
-    { xb; y }
-  in
-  let phase2 () =
-    match primal ~cost:t.fobj ~art_cost:0. with
+  let run () =
+    match iterate t ~fb ~deadline ~pivots with
     | `Optimal ->
         t.valid <- true;
-        Optimal_basis { basis = Array.copy t.basis; point = point () }
-    | `Unbounded -> Unbounded_hint (Array.copy t.basis)
-    | `Stalled -> Stalled
+        recompute_xb t fb;
+        explicit t
+    | `Infeasible (r, s) ->
+        t.valid <- true;
+        farkas t ~r ~s
   in
-  let cold () =
-    t.n_etas <- 0;
-    Array.fill t.inb 0 sf.Sform.ncols false;
-    Array.fill t.art_sign 0 m 0;
-    Array.fill t.basis 0 m (-1);
-    let n_art = ref 0 in
-    for r = 0 to m - 1 do
-      let sc = sf.Sform.slack_col.(r) in
-      let sg = float_of_int sf.Sform.slack_sign.(r) in
-      if sc >= 0 && fb.(r) *. sg >= 0. then begin
-        t.basis.(r) <- sc;
-        t.inb.(sc) <- true;
-        t.xb.(r) <- fb.(r) *. sg;
-        if sg < 0. then push_eta t { er = r; pr = -1.; idx = [||]; vals = [||] }
-      end
-      else begin
-        let s = if fb.(r) >= 0. then 1 else -1 in
-        t.art_sign.(r) <- s;
-        t.basis.(r) <- first_art + r;
-        t.inb.(first_art + r) <- true;
-        t.xb.(r) <- abs_float fb.(r);
-        incr n_art;
-        if s < 0 then push_eta t { er = r; pr = -1.; idx = [||]; vals = [||] }
-      end
-    done;
-    if !n_art > 0 then begin
-      (* Phase 1: minimize the artificial sum (cost 0 on real columns,
-         1 on artificials). *)
-      let zero_cost = Array.make first_art 0. in
-      match primal ~cost:zero_cost ~art_cost:1. with
-      | `Stalled -> Stalled
-      | `Unbounded -> Stalled (* phase 1 is bounded below; drift *)
-      | `Optimal ->
-          let scale = Array.fold_left (fun a v -> max a (abs_float v)) 1. fb in
-          let art_sum = ref 0. in
-          for r = 0 to m - 1 do
-            if t.basis.(r) >= first_art then art_sum := !art_sum +. t.xb.(r)
-          done;
-          if !art_sum > feas_tol *. scale then
-            Infeasible_basis
-              { basis = Array.copy t.basis; art_sign = Array.copy t.art_sign }
-          else begin
-            drive_out_artificials ();
-            phase2 ()
-          end
-    end
-    else phase2 ()
-  in
-  (* Warm path: the previous optimal basis stays dual feasible when only
-     the right-hand side moved, so a short dual-simplex pass restores
-     primal feasibility without a phase 1. *)
+  (* Warm start: the basis and reduced costs of the previous solve stay
+     dual feasible under new bounds, once every nonbasic column sits at
+     the bound its reduced cost prefers. *)
   let warm () =
-    Array.blit fb 0 t.w 0 m;
-    ftran t t.w;
-    Array.blit t.w 0 t.xb 0 m;
-    let dual_iters = ref 0 in
-    let rec dual () =
-      poll ();
-      incr dual_iters;
-      if !dual_iters > dual_iteration_cap then `Give_up
-      else begin
-        let r = ref (-1) and worst = ref (-.feas_tol) in
-        for i = 0 to m - 1 do
-          if t.xb.(i) < !worst then begin
-            worst := t.xb.(i);
-            r := i
-          end
-        done;
-        if !r < 0 then `Primal_feasible
-        else begin
-          let r = !r in
-          (* reduced costs of the phase-2 objective *)
-          let y2 = Array.make m 0. in
-          for i = 0 to m - 1 do
-            y2.(i) <- (if t.basis.(i) < first_art then t.fobj.(t.basis.(i)) else 0.)
-          done;
-          btran t y2;
-          (* row r of B^-1 A *)
-          Array.fill t.y 0 m 0.;
-          t.y.(r) <- 1.;
-          btran t t.y;
-          let q = ref (-1) and best = ref infinity in
-          for j = 0 to first_art - 1 do
-            if not t.inb.(j) then begin
-              let alpha = col_dot t t.y j in
-              if alpha < -.pivot_tol then begin
-                let d = max 0. (t.fobj.(j) -. col_dot t y2 j) in
-                let ratio = d /. -.alpha in
-                if ratio < !best then begin
-                  best := ratio;
-                  q := j
-                end
-              end
-            end
-          done;
-          if !q < 0 then `Infeasible (t.basis.(r))
-          else begin
-            load_col t !q t.w;
-            ftran t t.w;
-            if abs_float t.w.(r) < pivot_tol then `Give_up
-            else begin
-              let theta = t.xb.(r) /. t.w.(r) in
-              pivot ~q:!q ~r ~theta;
-              dual ()
-            end
-          end
-        end
-      end
-    in
-    match dual () with
-    | `Give_up ->
-        t.valid <- false;
-        cold ()
-    | `Infeasible col ->
-        Infeasible_col { basis = Array.copy t.basis; col }
-    | `Primal_feasible -> phase2 ()
+    ignore (settle t);
+    recompute_xb t fb;
+    run ()
   in
-  let run () = if t.valid then warm () else cold () in
-  match run () with
-  | Optimal_basis _ as r ->
-      flush ();
-      r
+  let flush () = Svutil.Metrics.count metrics "simplex.hybrid.float_pivots" !pivots in
+  match if t.valid then warm () else (cold t fb; run ()) with
   | r ->
-      t.valid <- false;
       flush ();
       r
-  | exception Stop r ->
+  | exception Stall ->
       t.valid <- false;
       flush ();
-      r
+      Stalled
   | exception e ->
       t.valid <- false;
       flush ();

@@ -1,19 +1,26 @@
-(** Double-precision revised simplex over a {!Sform} layout.
+(** Double-precision bounded dual simplex over a {!Sform} layout.
 
-    This is the basis-hunting half of the hybrid solver: it runs a
-    sparse-column revised simplex (product-form inverse, Dantzig
-    pricing, Harris-style ratio tolerance, Markowitz-style sparsity
-    ordering on refactorization) entirely in doubles, and reports only
-    a {e candidate} basis with its float primal–dual point.  Nothing it
-    returns is trusted: {!Certify} checks the point exactly, or
-    refactorizes the basis in exact rationals, and accepts, repairs, or
-    rejects it.  Any numerical misadventure here therefore costs time,
-    never correctness.
+    The basis-hunting half of the hybrid solver.  It works on the
+    layout's constraint rows only: columns keep their bounds
+    [0 <= x_j <= u_j] implicitly ([u_j] read from the bound rows'
+    right-hand side), each row's logical is its slack (an [Eq] row's is
+    its artificial, fixed at 0), and nonbasic columns sit at a bound.
+    The cold start is the all-logical basis with negative-cost columns
+    at their upper bound; one pivot loop (product-form inverse, Harris
+    ratio test with bound flipping, reduced costs updated in place)
+    serves it and every warm start.  An LP whose all-logical basis is
+    not dual feasible — a negative cost on a column without an upper
+    bound — gets {!Stalled}.
 
-    A [t] is bound to one {!Sform.t} and keeps its factorization between
-    calls: branch-and-bound nodes that change only the right-hand side
-    warm-start from the previous optimal basis with a bounded dual
-    pass. *)
+    Nothing it returns is trusted: {!Certify} checks the candidate
+    basis exactly, in the layout's explicit form (DESIGN.md §11), so a
+    numerical misadventure here costs time, never correctness.
+
+    A [t] is bound to one {!Sform.t} and keeps its basis, factorization
+    and reduced costs between calls: a branch-and-bound node, which
+    changes only the right-hand side, first moves each nonbasic column
+    to the bound its reduced cost prefers and then runs the same
+    loop. *)
 
 type t
 
@@ -21,23 +28,21 @@ val create : Sform.t -> t
 (** Solver state for the layout (columns converted to doubles once). *)
 
 type point = { xb : float array; y : float array }
-(** The float primal–dual pair of a basis, both indexed by row: basic
-    values [x_B = B^-1 b] (row [r] holds the value of the row's basic
-    column) and duals [y = c_B B^-1]. *)
+(** The float primal–dual pair of an explicit basis, both indexed by
+    the layout's rows (bound rows included): basic values [x_B] (row
+    [r] holds the value of the row's basic column) and duals [y]. *)
 
 type outcome =
   | Optimal_basis of { basis : int array; point : point }
-      (** candidate optimal basis, one column per row, with its float
-          point for {!Certify.check} *)
-  | Infeasible_basis of { basis : int array; art_sign : int array }
-      (** phase 1 ended with a positive artificial sum; [art_sign.(r)]
-          is the sign of row [r]'s artificial column (0 when unused) *)
+      (** candidate optimal basis of the explicit layout, one column per
+          row, with its float point for {!Certify.check} *)
   | Infeasible_col of { basis : int array; col : int }
-      (** the warm dual pass found basic [col] negative with no entering
-          column — a Farkas-certificate hint *)
-  | Unbounded_hint of int array
-      (** phase 2 found an apparently unbounded ray from this basis *)
-  | Stalled  (** iteration cap or numerical breakdown: learn nothing *)
+      (** the dual pass found basic [col] outside its bounds with no
+          entering column: the explicit basis's row holding [col] is a
+          Farkas-certificate hint for {!Certify.check_farkas} *)
+  | Stalled
+      (** no dual-feasible start, iteration cap or numerical breakdown:
+          learn nothing *)
 
 val solve :
   ?deadline:Svutil.Deadline.t ->

@@ -2,7 +2,7 @@
 
     Both the double-precision basis-hunting pass ({!Fsimplex}) and the
     exact certifier ({!Certify}) must agree on one column layout, or a
-    basis found in floats could not be refactorized in rationals.  This
+    basis found in floats could not be checked in rationals.  This
     module computes that layout once, entirely in exact arithmetic:
 
     - variables are shifted ([y_i = x_i - lb_i >= 0]), so the node's
@@ -12,6 +12,11 @@
     - columns are [0..n-1] structural, then one slack per inequality
       row (in row order), then one designated artificial per row
       ([first_art + r] for row [r]).
+
+    The float pass works on the constraint rows only and keeps the
+    upper bounds implicit, reading them from the bound rows'
+    right-hand side; the bound rows themselves serve certification,
+    which checks the explicit basis the pass hands over.
 
     The structure (columns, objective, slack signs) depends only on the
     snapshot's constraint matrix and on {e which} variables carry an

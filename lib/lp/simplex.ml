@@ -591,14 +591,6 @@ module Hybrid : SOLVER = struct
   let certify ~deadline ~metrics sf ~rhs ~lb = function
     | Fsimplex.Optimal_basis { basis; point } ->
         Certify.check ~deadline ~metrics ~point sf ~rhs ~lb ~basis
-    | Fsimplex.Unbounded_hint basis ->
-        (* Certification without a point: the primal repair either
-           proves the ray exactly or finds the true optimum. *)
-        Certify.check ~deadline ~metrics sf ~rhs ~lb ~basis
-    | Fsimplex.Infeasible_basis { basis; art_sign } ->
-        if Certify.check_phase1 ~deadline sf ~rhs ~basis ~art_sign then
-          Certify.Cert_infeasible
-        else Certify.Cert_fail
     | Fsimplex.Infeasible_col { basis; col } ->
         if Certify.check_farkas ~deadline sf ~rhs ~basis ~col then
           Certify.Cert_infeasible
@@ -628,11 +620,16 @@ module Hybrid : SOLVER = struct
         | Certify.Cert_unbounded -> Unbounded
         | Certify.Cert_fail -> fallback ~deadline ~metrics s)
 
+  (* The layout and the float solver state over it. *)
+  let prepare ~metrics s =
+    Svutil.Metrics.span metrics "lp/sform" (fun () ->
+        let sf = Sform.make s in
+        (sf, Fsimplex.create sf))
+
   let solve ?(deadline = Svutil.Deadline.none) ?(metrics = Svutil.Metrics.nop)
       (s : Problem.snapshot) =
-    let sf = Sform.make s in
-    solve_sform ~deadline ~metrics ~fs:(Fsimplex.create sf) ~sf ~lb:s.lb
-      ~ub:s.ub s
+    let sf, fs = prepare ~metrics s in
+    solve_sform ~deadline ~metrics ~fs ~sf ~lb:s.lb ~ub:s.ub s
 
   type warm = {
     prob : Problem.snapshot;
@@ -644,8 +641,7 @@ module Hybrid : SOLVER = struct
 
   let warm_create ?(deadline = Svutil.Deadline.none)
       ?(metrics = Svutil.Metrics.nop) (s : Problem.snapshot) =
-    let sf = Sform.make s in
-    let fs = Fsimplex.create sf in
+    let sf, fs = prepare ~metrics s in
     match solve_sform ~deadline ~metrics ~fs ~sf ~lb:s.lb ~ub:s.ub s with
     | Optimal _ as root -> Some { prob = s; sf; fs; root; metrics }
     | Infeasible | Unbounded -> None

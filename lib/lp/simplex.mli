@@ -3,13 +3,15 @@
     Two solvers, both returning exact rationals. {!Exact} pivots a dense
     tableau over exact rationals and is the reference used by the
     paper-faithful experiments and the differential tests. {!Hybrid}
-    runs a double-precision revised-simplex pass ({!Fsimplex}) to hunt
-    for the optimal basis, {!Certify} accepts it on an exact check of
-    its float primal–dual point (or refactorizes it in exact rationals
-    and repairs it), and only a failed certification falls back to
-    {!Exact}. Its results equal {!Exact}'s
-    optima at a fraction of the pivoting cost, which is why it is the
-    default route ({!Hybrid_mode}).
+    runs a double-precision bounded dual simplex from the slack basis
+    ({!Fsimplex}) to hunt for the optimal basis, {!Certify} accepts it
+    on an exact check of its float primal–dual point (or refactorizes
+    it in exact rationals and repairs it), and only a failed
+    certification — or an LP whose slack basis is not dual feasible, a
+    negative cost on a column without an upper bound — falls back to
+    {!Exact}. Its optimal values equal {!Exact}'s (the optimal vertex
+    may differ among ties) at a fraction of the pivoting cost, which is
+    why it is the default route ({!Hybrid_mode}).
 
     Pivot selection is Dantzig's rule with a Bland fallback during
     degenerate streaks (anti-cycling), and the inner pivot loops skip
@@ -92,8 +94,9 @@ module Hybrid : SOLVER
     [certify.factorizations] (certifications that built an exact
     factorization because the float point did not check), and
     [certify.fallbacks] (each fallback also runs the {!Exact}
-    counters); spans [lp/float] around the float pass and [lp/certify]
-    around its certification. *)
+    counters); spans [lp/sform] around building the standard form and
+    the float solver state, [lp/float] around the float pass and
+    [lp/certify] around its certification. *)
 
 (** {1 Solver selection} *)
 

@@ -201,6 +201,38 @@ let props =
         w030 && only_new);
   ]
 
+(* --- the preflight entry point ------------------------------------------ *)
+
+let fixtures () =
+  let in_dir dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".swf")
+    |> List.sort compare
+    |> List.map (Filename.concat dir)
+  in
+  in_dir "../examples" @ in_dir "../examples/bad"
+
+let test_check_spec_errors () =
+  (* [check_spec] skips the W05x flow pass, which emits no errors, so on
+     every fixture that elaborates it must equal the errors [check_raw]
+     reports over the same declarations. *)
+  let elaborated = ref 0 in
+  List.iter
+    (fun file ->
+      match P.parse_raw_file file with
+      | Error _ -> ()
+      | Ok raw -> (
+          match P.spec_of_raw raw with
+          | Error _ -> ()
+          | Ok spec ->
+              incr elaborated;
+              let show ds = List.map (fun (d : C.diagnostic) -> C.to_text [ d ]) ds in
+              Alcotest.(check (list string)) file
+                (show (C.errors (C.check_raw raw)))
+                (show (C.check_spec spec))))
+    (fixtures ());
+  Alcotest.(check bool) "fixtures elaborate" true (!elaborated > 2)
+
 let () =
   Alcotest.run "analysis"
     [
@@ -214,6 +246,8 @@ let () =
           Alcotest.test_case "blow-up W04x" `Quick test_blowup;
           Alcotest.test_case "rendering" `Quick test_rendering;
           Alcotest.test_case "code reference" `Quick test_code_reference_consistent;
+          Alcotest.test_case "check_spec = errors of check_raw" `Quick
+            test_check_spec_errors;
         ] );
       ("properties", props);
     ]

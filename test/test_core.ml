@@ -561,13 +561,42 @@ let test_engine_metrics_consistency () =
       Alcotest.(check (float 0.)) "search phase nested under solve"
         (List.assoc "search" r.E.timings) ms
   | _ -> Alcotest.fail "search span must nest under solve");
-  (* The node LPs' spans nest under the search, through the worker
-     registries the branch-and-bound forks. *)
+  (* The model build and the node LPs' spans nest under the search,
+     the LP ones through the worker registries the branch-and-bound
+     forks. *)
   List.iter
     (fun path ->
       Alcotest.(check bool) (path ^ " recorded") true
         (Svutil.Metrics.span_stats m path <> None))
-    [ "solve/search/lp/float"; "solve/search/lp/certify" ]
+    [
+      "solve/search/lp/build";
+      "solve/search/lp/sform";
+      "solve/search/lp/float";
+      "solve/search/lp/certify";
+    ]
+
+let test_corpus_certify_counters () =
+  (* Every float basis the LP methods find on the smoke corpus is
+     accepted on its own point: the explicit pair the dual pass hands
+     over must check as is, fixed branch-and-bound columns included. *)
+  let insts = Svbench.Corpus.generate ~smoke:true ~seed:42 () in
+  Alcotest.(check int) "smoke corpus size" 60 (List.length insts);
+  List.iter
+    (fun meth ->
+      let m = Svutil.Metrics.create () in
+      List.iter
+        (fun (ir : Svbench.Corpus.inst_rec) ->
+          ignore
+            (E.run { (E.default_request ir.Svbench.Corpus.inst) with E.meth; metrics = m }))
+        insts;
+      Alcotest.(check bool) (E.meth_to_string meth ^ " certified") true
+        (Svutil.Metrics.counter_value m "certify.accepts" > 0);
+      List.iter
+        (fun c ->
+          Alcotest.(check int) (E.meth_to_string meth ^ " " ^ c) 0
+            (Svutil.Metrics.counter_value m c))
+        [ "certify.factorizations"; "certify.repairs"; "certify.fallbacks" ])
+    [ E.Exact; E.Round_set; E.Round_card ]
 
 let test_par_batch_metrics_merge () =
   (* The batch driver gives each file its own registry and merges; the
@@ -879,6 +908,7 @@ let () =
           Alcotest.test_case "deadline on gadget" `Quick test_engine_deadline_gadget;
           Alcotest.test_case "metrics consistency" `Quick test_engine_metrics_consistency;
           Alcotest.test_case "par batch metrics merge" `Quick test_par_batch_metrics_merge;
+          Alcotest.test_case "corpus certify counters" `Quick test_corpus_certify_counters;
         ] );
       ("properties", props);
     ]

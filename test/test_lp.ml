@@ -235,7 +235,70 @@ let test_exact_after_float_pivots () =
         (Option.map fst (Svutil.Metrics.span_stats mh path)))
     [ "lp/float"; "lp/certify" ];
   Alcotest.(check int) "no factorization" 0
-    (Svutil.Metrics.counter_value mh "certify.factorizations")
+    (Svutil.Metrics.counter_value mh "certify.factorizations");
+  (* Negative costs on columns without an upper bound leave the dual
+     pass no dual-feasible start: the exact solver answers, once. *)
+  let s = (fun (_, snap, _) -> snap) (List.hd simplex_cases) in
+  let mf = Svutil.Metrics.create () in
+  (match Lp.Simplex.Hybrid.solve ~metrics:mf s with
+  | Lp.Simplex.Optimal { objective; _ } -> check_q "fallback optimum" Q.minus_one objective
+  | _ -> Alcotest.fail "hybrid should solve");
+  Alcotest.(check int) "one fallback" 1
+    (Svutil.Metrics.counter_value mf "certify.fallbacks")
+
+let test_warm_fixed_columns () =
+  (* Branch-and-bound nodes fix columns (lb = ub), whose reduced costs
+     may carry either sign. Every node must come back from the warm
+     dual pass as an explicit pair that checks as is: no factorization,
+     no repair, no fallback, and the exact solver's answers. *)
+  let s =
+    build
+      ~vars:[ ivar ~ub:Q.one "a"; ivar ~ub:Q.one "b"; ivar ~ub:Q.one "c" ]
+      ~constraints:
+        [
+          ([ (0, Q.one); (1, Q.one) ], P.Ge, Q.one);
+          ([ (1, Q.one); (2, Q.one) ], P.Ge, Q.one);
+          ([ (0, Q.one); (2, Q.one) ], P.Ge, Q.one);
+        ]
+      ~objective:[ (0, Q.one); (1, Q.two); (2, Q.of_int 3) ]
+  in
+  let m = Svutil.Metrics.create () in
+  let w =
+    match Lp.Simplex.Hybrid.warm_create ~metrics:m s with
+    | Some w -> w
+    | None -> Alcotest.fail "the root is feasible and bounded"
+  in
+  let same name snap got =
+    match (got, Lp.Simplex.Exact.solve snap) with
+    | Lp.Simplex.Optimal a, Lp.Simplex.Optimal b ->
+        check_q name b.objective a.objective;
+        Alcotest.(check bool) (name ^ " point feasible") true (feasible snap a.values)
+    | Lp.Simplex.Infeasible, Lp.Simplex.Infeasible -> ()
+    | _ -> Alcotest.failf "%s: hybrid and exact disagree" name
+  in
+  same "root" s (Lp.Simplex.Hybrid.warm_root w);
+  let node name bounds =
+    let lb = Array.copy s.P.lb and ub = Array.copy s.P.ub in
+    List.iter
+      (function
+        | `Le (i, v) -> ub.(i) <- Some (Q.of_int v)
+        | `Ge (i, v) -> lb.(i) <- Q.of_int v)
+      bounds;
+    same name (P.with_bounds s ~lb ~ub) (Lp.Simplex.Hybrid.warm_solve w ~lb ~ub)
+  in
+  node "a <= 0" [ `Le (0, 0) ];
+  node "a >= 1" [ `Ge (0, 1) ];
+  node "a <= 0, b <= 0" [ `Le (0, 0); `Le (1, 0) ];
+  node "b >= 1, c <= 0" [ `Ge (1, 1); `Le (2, 0) ];
+  node "root again" [];
+  List.iter
+    (fun (c, want) ->
+      Alcotest.(check int) c want (Svutil.Metrics.counter_value m c))
+    [
+      ("certify.accepts", 5);
+      ("certify.factorizations", 0);
+      ("certify.fallbacks", 0);
+    ]
 
 (* The float pass's optimal basis and point for a snapshot's root. *)
 let float_optimum snap =
@@ -318,6 +381,8 @@ let certify_tests =
       test_certify_beyond_recovery_bound;
     Alcotest.test_case "perturbed dual is rejected" `Quick
       test_certify_perturbed_dual;
+    Alcotest.test_case "warm path across fixed columns" `Quick
+      test_warm_fixed_columns;
   ]
 
 (* ------------------------------------------------------------------ *)
