@@ -47,6 +47,30 @@ let naive_min_out_size w ~public ~visible ~module_name =
               ~module_name ~input)))
     max_int inputs
 
+(* The daemon's request front end on inline workflow text: decode the
+   JSON line, parse the spec, run the preflight and derive the instance,
+   the four calls a solve request makes before canon and the engine.
+   The requests are the first 24 members of perfbench's [mixed_churn]
+   pool, as the load client sends them. *)
+let front_end_kernel () =
+  let module T = Perfbench_traffic.Traffic in
+  let lines =
+    List.init 24 (fun i ->
+        T.request_line ~id:i ~cache:true ~lp:false (T.render (T.pool_workflow T.Mixed_churn i)))
+  in
+  let front_end line =
+    match Serve.Request.of_json_line ~defaults:Serve.Request.default_options line with
+    | Ok { Serve.Request.op = Serve.Request.Solve { Serve.Request.source = Serve.Request.Inline src; _ }; _ } -> (
+        match Wf.Parse.parse_string src with
+        | Error e -> failwith ("e27: " ^ e)
+        | Ok spec ->
+            if Analysis.Wfcheck.check_spec spec <> [] then failwith "e27: preflight error";
+            ignore (Serve.Request.instance_of spec))
+    | _ -> failwith "e27: request did not decode to an inline solve"
+  in
+  List.iter front_end lines;
+  fun () -> List.iter front_end lines
+
 (* One bechamel test per experiment: a small fixed kernel representative
    of the experiment's dominant operation. The _naive twins time the
    generate-and-test oracle on the same kernel, so a single run yields
@@ -377,14 +401,15 @@ let timing_tests () =
       (fun (ir : Svbench.Corpus.inst_rec) -> ir.Svbench.Corpus.inst)
       (Svbench.Corpus.generate ~smoke:true ~seed:42 ())
   in
-  stage "e26_canon_pool" (fun () ->
-      List.iter (fun inst -> ignore (Core.Canon.labeling inst)) corpus_insts)
+  (stage "e26_canon_pool" (fun () ->
+       List.iter (fun inst -> ignore (Core.Canon.labeling inst)) corpus_insts)
   :: List.map
        (fun (name, inst) ->
          stage ("e26_canon_symmetric_" ^ name) (fun () ->
              if Core.Canon.cut (Core.Canon.labeling inst) then
                failwith ("e26: " ^ name ^ " hit the leaf budget")))
-       (Svbench.Gen_instances.symmetric_fixtures ())
+       (Svbench.Gen_instances.symmetric_fixtures ()))
+  @ [ stage "e27_front_end" (front_end_kernel ()) ]
 
 (* Flat { "test": ns_per_run } object; hand-rolled since the estimates
    are plain floats and names are ASCII identifiers. When instrumented

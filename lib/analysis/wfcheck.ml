@@ -108,75 +108,104 @@ let compare_diagnostic a b =
 
 let builtin_names = [ "identity"; "negate"; "constant"; "majority"; "and"; "or"; "xor" ]
 
-(* [elaborate] yields the spec the W05x flow pass analyzes; it is only
-   called once the declarations are known to elaborate cleanly.  [None]
-   skips that pass, which emits no errors. *)
-let check ~(elaborate : (unit -> (P.spec, string) result) option) (raw : P.raw) :
-    diagnostic list =
-  let diags = ref [] in
-  let emit ?line ~subject code fmt =
-    Printf.ksprintf
-      (fun message -> diags := diagnostic ?line ~subject code message :: !diags)
-      fmt
-  in
-  let seen code = List.exists (fun d -> d.code = code) !diags in
-  (* First declaration wins for lookups; later ones are W036/W037. *)
-  let attr_tbl : (string, P.raw_attr) Hashtbl.t = Hashtbl.create 16 in
+(* What every pass shares: the declarations, their name tables (first
+   declaration wins for lookups; later ones are W036/W037) and the
+   diagnostics emitted so far. *)
+type ctx = {
+  raw : P.raw;
+  attr_tbl : (string, P.raw_attr) Hashtbl.t;
+  mod_lines : (string, int) Hashtbl.t;
+  mutable diags : diagnostic list;
+}
+
+let context (raw : P.raw) =
+  let attr_tbl = Hashtbl.create 16 and mod_lines = Hashtbl.create 16 in
   List.iter
     (fun (a : P.raw_attr) ->
-      if Hashtbl.mem attr_tbl a.P.a_name then
-        emit ~line:a.P.a_line ~subject:a.P.a_name "W036" "duplicate attribute %s" a.P.a_name
-      else Hashtbl.add attr_tbl a.P.a_name a)
+      if not (Hashtbl.mem attr_tbl a.P.a_name) then Hashtbl.add attr_tbl a.P.a_name a)
     raw.P.r_attrs;
-  let mod_names = Hashtbl.create 16 in
   List.iter
     (fun (m : P.raw_module) ->
-      if Hashtbl.mem mod_names m.P.m_name then
-        emit ~line:m.P.m_line ~subject:m.P.m_name "W037" "duplicate module %s" m.P.m_name
-      else Hashtbl.add mod_names m.P.m_name m.P.m_line)
+      if not (Hashtbl.mem mod_lines m.P.m_name) then
+        Hashtbl.add mod_lines m.P.m_name m.P.m_line)
     raw.P.r_modules;
+  { raw; attr_tbl; mod_lines; diags = [] }
 
-  (* --- declaration sanity (W03x) ---------------------------------- *)
+let emit c ?line ~subject code fmt =
+  Printf.ksprintf
+    (fun message -> c.diags <- diagnostic ?line ~subject code message :: c.diags)
+    fmt
+
+let seen c code = List.exists (fun d -> d.code = code) c.diags
+let dom_of c name = Option.map (fun a -> a.P.a_dom) (Hashtbl.find_opt c.attr_tbl name)
+
+let dom_product c names =
+  List.fold_left
+    (fun acc a -> Naive.mul_sat acc (Option.value ~default:1 (dom_of c a)))
+    1 names
+
+(* --- duplicate declarations (W036, W037) ----------------------------- *)
+let duplicates c =
+  let first = Hashtbl.create 16 in
+  List.iter
+    (fun (a : P.raw_attr) ->
+      if Hashtbl.mem first a.P.a_name then
+        emit c ~line:a.P.a_line ~subject:a.P.a_name "W036" "duplicate attribute %s" a.P.a_name
+      else Hashtbl.add first a.P.a_name ())
+    c.raw.P.r_attrs;
+  Hashtbl.reset first;
+  List.iter
+    (fun (m : P.raw_module) ->
+      if Hashtbl.mem first m.P.m_name then
+        emit c ~line:m.P.m_line ~subject:m.P.m_name "W037" "duplicate module %s" m.P.m_name
+      else Hashtbl.add first m.P.m_name ())
+    c.raw.P.r_modules
+
+(* --- declaration sanity (W030–W035) ---------------------------------- *)
+let declarations c =
   List.iter
     (fun (a : P.raw_attr) ->
       if Rat.sign a.P.a_cost < 0 then
-        emit ~line:a.P.a_line ~subject:a.P.a_name "W030" "attribute %s has negative cost %s"
+        emit c ~line:a.P.a_line ~subject:a.P.a_name "W030" "attribute %s has negative cost %s"
           a.P.a_name (Rat.to_string a.P.a_cost);
       if a.P.a_dom < 1 then
-        emit ~line:a.P.a_line ~subject:a.P.a_name "W033" "attribute %s has domain %d"
+        emit c ~line:a.P.a_line ~subject:a.P.a_name "W033" "attribute %s has domain %d"
           a.P.a_name a.P.a_dom
       else if a.P.a_dom = 1 then
-        emit ~line:a.P.a_line ~subject:a.P.a_name "W034"
+        emit c ~line:a.P.a_line ~subject:a.P.a_name "W034"
           "attribute %s has a one-value domain" a.P.a_name)
-    raw.P.r_attrs;
+    c.raw.P.r_attrs;
   List.iter
     (fun (g : P.raw_gamma) ->
       (match g.P.g_module with
-      | Some m when not (Hashtbl.mem mod_names m) ->
-          emit ~line:g.P.g_line ~subject:m "W031" "gamma override for unknown module %s" m
+      | Some m when not (Hashtbl.mem c.mod_lines m) ->
+          emit c ~line:g.P.g_line ~subject:m "W031" "gamma override for unknown module %s" m
       | _ -> ());
       if g.P.g_value < 1 then
-        emit ~line:g.P.g_line
+        emit c ~line:g.P.g_line
           ~subject:(Option.value ~default:"(default)" g.P.g_module)
           "W032" "gamma %d is below 1" g.P.g_value)
-    raw.P.r_gammas;
+    c.raw.P.r_gammas;
   List.iter
     (fun (m : P.raw_module) ->
       match m.P.m_public with
-      | Some c when Rat.sign c < 0 ->
-          emit ~line:m.P.m_line ~subject:m.P.m_name "W035"
+      | Some cost when Rat.sign cost < 0 ->
+          emit c ~line:m.P.m_line ~subject:m.P.m_name "W035"
             "public module %s has negative privatization cost %s" m.P.m_name
-            (Rat.to_string c)
+            (Rat.to_string cost)
       | _ -> ())
-    raw.P.r_modules;
+    c.raw.P.r_modules
 
-  (* --- wiring (W00x) ----------------------------------------------- *)
+(* --- wiring (W001–W003) ---------------------------------------------- *)
+(* Returns the modules in topological order, or [None] on a cycle. *)
+let wiring c =
+  let raw = c.raw in
   List.iter
     (fun (m : P.raw_module) ->
       List.iter
         (fun a ->
-          if not (Hashtbl.mem attr_tbl a) then
-            emit ~line:m.P.m_line ~subject:a "W001"
+          if not (Hashtbl.mem c.attr_tbl a) then
+            emit c ~line:m.P.m_line ~subject:a "W001"
               "module %s references undeclared attribute %s" m.P.m_name a)
         (Svutil.Listx.dedup (m.P.m_inputs @ m.P.m_outputs)))
     raw.P.r_modules;
@@ -187,84 +216,84 @@ let check ~(elaborate : (unit -> (P.spec, string) result) option) (raw : P.raw) 
         (fun a ->
           match Hashtbl.find_opt producers a with
           | Some (other, _) ->
-              emit ~line:m.P.m_line ~subject:a "W002"
+              emit c ~line:m.P.m_line ~subject:a "W002"
                 "attribute %s is produced by both %s and %s" a other m.P.m_name
           | None -> Hashtbl.add producers a (m.P.m_name, m.P.m_line))
         m.P.m_outputs)
     raw.P.r_modules;
   (* Kahn's algorithm over the raw wiring; leftovers form cycles. *)
-  let topo_order =
-    let mods = Array.of_list raw.P.r_modules in
-    let n = Array.length mods in
-    let index_of = Hashtbl.create 16 in
-    Array.iteri (fun i (m : P.raw_module) -> Hashtbl.replace index_of m.P.m_name i) mods;
-    let producer_ix a =
-      Option.bind (Hashtbl.find_opt producers a) (fun (name, _) ->
-          Hashtbl.find_opt index_of name)
+  let mods = Array.of_list raw.P.r_modules in
+  let n = Array.length mods in
+  let index_of = Hashtbl.create 16 in
+  Array.iteri (fun i (m : P.raw_module) -> Hashtbl.replace index_of m.P.m_name i) mods;
+  let producer_ix a =
+    Option.bind (Hashtbl.find_opt producers a) (fun (name, _) ->
+        Hashtbl.find_opt index_of name)
+  in
+  let indegree = Array.make n 0 and dependents = Array.make n [] in
+  Array.iteri
+    (fun i (m : P.raw_module) ->
+      m.P.m_inputs
+      |> List.filter_map producer_ix
+      |> Svutil.Listx.dedup
+      |> List.iter (fun j ->
+             if j <> i then begin
+               indegree.(i) <- indegree.(i) + 1;
+               dependents.(j) <- i :: dependents.(j)
+             end))
+    mods;
+  let queue = Queue.create () and order = ref [] in
+  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indegree;
+  while not (Queue.is_empty queue) do
+    let i = Queue.take queue in
+    order := i :: !order;
+    List.iter
+      (fun j ->
+        indegree.(j) <- indegree.(j) - 1;
+        if indegree.(j) = 0 then Queue.add j queue)
+      dependents.(i)
+  done;
+  if List.length !order < n then begin
+    let stuck =
+      Array.to_list mods
+      |> List.filteri (fun i _ -> not (List.mem i !order))
+      |> List.map (fun (m : P.raw_module) -> m.P.m_name)
     in
-    let indegree = Array.make n 0 and dependents = Array.make n [] in
-    Array.iteri
-      (fun i (m : P.raw_module) ->
-        m.P.m_inputs
-        |> List.filter_map producer_ix
-        |> Svutil.Listx.dedup
-        |> List.iter (fun j ->
-               if j <> i then begin
-                 indegree.(i) <- indegree.(i) + 1;
-                 dependents.(j) <- i :: dependents.(j)
-               end))
-      mods;
-    let queue = Queue.create () and order = ref [] in
-    Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indegree;
-    while not (Queue.is_empty queue) do
-      let i = Queue.take queue in
-      order := i :: !order;
-      List.iter
-        (fun j ->
-          indegree.(j) <- indegree.(j) - 1;
-          if indegree.(j) = 0 then Queue.add j queue)
-        dependents.(i)
-    done;
-    if List.length !order < n then begin
-      let stuck =
-        Array.to_list mods
-        |> List.filteri (fun i _ -> not (List.mem i !order))
-        |> List.map (fun (m : P.raw_module) -> m.P.m_name)
-      in
-      let line =
-        Array.to_list mods
-        |> List.filter (fun (m : P.raw_module) -> List.mem m.P.m_name stuck)
-        |> List.fold_left (fun acc (m : P.raw_module) -> min acc m.P.m_line) max_int
-      in
-      emit ~line:(if line = max_int then 0 else line)
-        ~subject:(String.concat "," stuck) "W003" "cyclic wiring through %s"
-        (String.concat ", " stuck);
-      None
-    end
-    else Some (List.rev_map (fun i -> mods.(i)) !order)
-  in
-  List.iter
-    (fun (a : P.raw_attr) ->
-      let used (m : P.raw_module) =
-        List.mem a.P.a_name m.P.m_inputs || List.mem a.P.a_name m.P.m_outputs
-      in
-      if not (List.exists used raw.P.r_modules) then
-        emit ~line:a.P.a_line ~subject:a.P.a_name "W005" "attribute %s is never used"
-          a.P.a_name)
-    raw.P.r_attrs;
+    let line =
+      Array.to_list mods
+      |> List.filter (fun (m : P.raw_module) -> List.mem m.P.m_name stuck)
+      |> List.fold_left (fun acc (m : P.raw_module) -> min acc m.P.m_line) max_int
+    in
+    emit c
+      ~line:(if line = max_int then 0 else line)
+      ~subject:(String.concat "," stuck) "W003" "cyclic wiring through %s"
+      (String.concat ", " stuck);
+    None
+  end
+  else Some (List.rev_map (fun i -> mods.(i)) !order)
 
-  (* --- functionality (W01x) ---------------------------------------- *)
-  let dom_of name = Option.map (fun a -> a.P.a_dom) (Hashtbl.find_opt attr_tbl name) in
-  let dom_product names =
-    List.fold_left
-      (fun acc a -> Naive.mul_sat acc (Option.value ~default:1 (dom_of a)))
-      1 names
-  in
-  (* A module's rows are usable for value-level analysis only when the
-     declarations around them hold up. *)
-  let module_valid = Hashtbl.create 16 in
+(* --- unused attributes (W005) ---------------------------------------- *)
+let unused_attrs c =
+  let used = Hashtbl.create 16 in
   List.iter
     (fun (m : P.raw_module) ->
+      List.iter (fun a -> Hashtbl.replace used a ()) m.P.m_inputs;
+      List.iter (fun a -> Hashtbl.replace used a ()) m.P.m_outputs)
+    c.raw.P.r_modules;
+  List.iter
+    (fun (a : P.raw_attr) ->
+      if not (Hashtbl.mem used a.P.a_name) then
+        emit c ~line:a.P.a_line ~subject:a.P.a_name "W005" "attribute %s is never used"
+          a.P.a_name)
+    c.raw.P.r_attrs
+
+(* --- functionality (W010–W017) --------------------------------------- *)
+(* Returns whether every module's rows are usable for value-level
+   analysis: the declarations around them hold up. *)
+let functionality c =
+  let dom_of = dom_of c in
+  List.fold_left
+    (fun all_valid (m : P.raw_module) ->
       let valid = ref true in
       let attrs_ok =
         List.for_all
@@ -274,11 +303,11 @@ let check ~(elaborate : (unit -> (P.spec, string) result) option) (raw : P.raw) 
       if not attrs_ok then valid := false;
       (match (m.P.m_fn, m.P.m_rows) with
       | None, [] ->
-          emit ~line:m.P.m_line ~subject:m.P.m_name "W014" "module %s has no functionality"
+          emit c ~line:m.P.m_line ~subject:m.P.m_name "W014" "module %s has no functionality"
             m.P.m_name;
           valid := false
       | Some (_, fn_line), _ :: _ ->
-          emit ~line:fn_line ~subject:m.P.m_name "W015" "module %s has both fn and rows"
+          emit c ~line:fn_line ~subject:m.P.m_name "W015" "module %s has both fn and rows"
             m.P.m_name;
           valid := false
       | _ -> ());
@@ -287,7 +316,7 @@ let check ~(elaborate : (unit -> (P.spec, string) result) option) (raw : P.raw) 
       | Some (spec, fn_line) ->
           let bad fmt =
             valid := false;
-            emit ~line:fn_line ~subject:m.P.m_name "W017" fmt
+            emit c ~line:fn_line ~subject:m.P.m_name "W017" fmt
           in
           let booleans_ok =
             List.for_all (fun a -> dom_of a = Some 2) (m.P.m_inputs @ m.P.m_outputs)
@@ -319,10 +348,10 @@ let check ~(elaborate : (unit -> (P.spec, string) result) option) (raw : P.raw) 
             in
             if not ok then begin
               if Array.length r.P.r_ins <> n_in then
-                emit ~line:r.P.r_line ~subject:m.P.m_name "W016"
+                emit c ~line:r.P.r_line ~subject:m.P.m_name "W016"
                   "row arity mismatch for inputs of %s" m.P.m_name;
               if Array.length r.P.r_outs <> n_out then
-                emit ~line:r.P.r_line ~subject:m.P.m_name "W016"
+                emit c ~line:r.P.r_line ~subject:m.P.m_name "W016"
                   "row arity mismatch for outputs of %s" m.P.m_name;
               valid := false
             end;
@@ -339,7 +368,7 @@ let check ~(elaborate : (unit -> (P.spec, string) result) option) (raw : P.raw) 
                 | Some d when d >= 1 ->
                     let v = values.(i) in
                     if v < 0 || v >= d then begin
-                      emit ~line:r.P.r_line ~subject:a "W013"
+                      emit c ~line:r.P.r_line ~subject:a "W013"
                         "row value %d outside domain 0..%d of %s" v (d - 1) a;
                       valid := false
                     end
@@ -357,10 +386,10 @@ let check ~(elaborate : (unit -> (P.spec, string) result) option) (raw : P.raw) 
           | None -> Hashtbl.add by_input r.P.r_ins r
           | Some (first : P.raw_row) ->
               if first.P.r_outs = r.P.r_outs then
-                emit ~line:r.P.r_line ~subject:m.P.m_name "W011"
+                emit c ~line:r.P.r_line ~subject:m.P.m_name "W011"
                   "duplicate row for %s (first at line %d)" m.P.m_name first.P.r_line
               else begin
-                emit ~line:r.P.r_line ~subject:m.P.m_name "W010"
+                emit c ~line:r.P.r_line ~subject:m.P.m_name "W010"
                   "rows at lines %d and %d give input %s of %s two outputs"
                   first.P.r_line r.P.r_line
                   (String.concat " " (List.map string_of_int (Array.to_list r.P.r_ins)))
@@ -370,187 +399,191 @@ let check ~(elaborate : (unit -> (P.spec, string) result) option) (raw : P.raw) 
         well_formed_rows;
       (* Incomplete input domain (W012), for valid explicit tables. *)
       if !valid && m.P.m_rows <> [] && attrs_ok then begin
-        let total = dom_product m.P.m_inputs in
+        let total = dom_product c m.P.m_inputs in
         let distinct = Hashtbl.length by_input in
         if distinct < total then
-          emit ~line:m.P.m_line ~subject:m.P.m_name "W012"
+          emit c ~line:m.P.m_line ~subject:m.P.m_name "W012"
             "module %s defines %d of %d input tuples" m.P.m_name distinct total
       end;
-      Hashtbl.replace module_valid m.P.m_name !valid)
-    raw.P.r_modules;
+      all_valid && !valid)
+    true c.raw.P.r_modules
 
-  let structurally_sound =
-    (not (List.exists (fun c -> seen c) [ "W001"; "W002"; "W003"; "W036"; "W037" ]))
-    && List.for_all
-         (fun (m : P.raw_module) ->
-           Option.value ~default:false (Hashtbl.find_opt module_valid m.P.m_name))
-         raw.P.r_modules
+(* --- value-level reachability (W004) --------------------------------- *)
+(* Attribute-wise over-approximation of producible values, propagated
+   in topological order. *)
+let reachability c order =
+  let possible : (string, bool array) Hashtbl.t = Hashtbl.create 16 in
+  let dom a = Option.value ~default:1 (dom_of c a) in
+  let values_of a =
+    match Hashtbl.find_opt possible a with
+    | Some s -> s
+    | None ->
+        (* Initial input: the full domain. *)
+        let s = Array.make (dom a) true in
+        Hashtbl.replace possible a s;
+        s
   in
-
-  (* --- value-level reachability (W004) ------------------------------ *)
-  (match topo_order with
-  | Some order when structurally_sound ->
-      (* Attribute-wise over-approximation of producible values,
-         propagated in topological order. *)
-      let possible : (string, bool array) Hashtbl.t = Hashtbl.create 16 in
-      let values_of a =
-        match Hashtbl.find_opt possible a with
-        | Some s -> s
-        | None ->
-            (* Initial input: the full domain. *)
-            let d = Option.value ~default:1 (dom_of a) in
-            let s = Array.make d true in
-            Hashtbl.replace possible a s;
-            s
-      in
-      List.iter
-        (fun (m : P.raw_module) ->
-          let in_sets = List.map values_of m.P.m_inputs in
-          let inputs_live = List.for_all (Array.exists Fun.id) in_sets in
-          let out_sets =
-            List.map
-              (fun a -> Array.make (Option.value ~default:1 (dom_of a)) false)
-              m.P.m_outputs
-          in
-          let fired = ref false in
-          (match m.P.m_fn with
-          | Some _ ->
-              if inputs_live then begin
+  List.iter
+    (fun (m : P.raw_module) ->
+      let in_sets = List.map values_of m.P.m_inputs in
+      let inputs_live = List.for_all (Array.exists Fun.id) in_sets in
+      let out_sets = List.map (fun a -> Array.make (dom a) false) m.P.m_outputs in
+      let fired = ref false in
+      (match m.P.m_fn with
+      | Some _ ->
+          if inputs_live then begin
+            fired := true;
+            (* Builtins are total; over-approximate with the full
+               output domains. *)
+            List.iter (fun s -> Array.fill s 0 (Array.length s) true) out_sets
+          end
+      | None ->
+          List.iter
+            (fun (r : P.raw_row) ->
+              let feasible =
+                List.for_all2
+                  (fun s i -> s.(r.P.r_ins.(i)))
+                  in_sets
+                  (List.mapi (fun i _ -> i) m.P.m_inputs)
+              in
+              if feasible then begin
                 fired := true;
-                (* Builtins are total; over-approximate with the full
-                   output domains. *)
-                List.iter (fun s -> Array.fill s 0 (Array.length s) true) out_sets
-              end
-          | None ->
-              List.iter
-                (fun (r : P.raw_row) ->
-                  let feasible =
-                    List.for_all2
-                      (fun s i -> s.(r.P.r_ins.(i)))
-                      in_sets
-                      (List.mapi (fun i _ -> i) m.P.m_inputs)
-                  in
-                  if feasible then begin
-                    fired := true;
-                    List.iteri (fun i s -> s.(r.P.r_outs.(i)) <- true) out_sets
-                  end)
-                m.P.m_rows);
-          List.iter2 (fun a s -> Hashtbl.replace possible a s) m.P.m_outputs out_sets;
-          if inputs_live && not !fired then
-            emit ~line:m.P.m_line ~subject:m.P.m_name "W004"
-              "module %s can never execute: no row matches any producible input"
-              m.P.m_name)
-        order
-  | _ -> ());
+                List.iteri (fun i s -> s.(r.P.r_outs.(i)) <- true) out_sets
+              end)
+            m.P.m_rows);
+      List.iter2 (fun a s -> Hashtbl.replace possible a s) m.P.m_outputs out_sets;
+      if inputs_live && not !fired then
+        emit c ~line:m.P.m_line ~subject:m.P.m_name "W004"
+          "module %s can never execute: no row matches any producible input" m.P.m_name)
+    order
 
-  (* --- privacy feasibility (W02x) ----------------------------------- *)
-  if structurally_sound then begin
-    let default_g = P.default_gamma raw in
-    let override_of name =
-      List.find_opt
-        (fun (g : P.raw_gamma) -> g.P.g_module = Some name)
-        (List.rev raw.P.r_gammas)
-    in
-    List.iter
-      (fun (m : P.raw_module) ->
-        if m.P.m_public = None then begin
-          let g, g_line =
-            match override_of m.P.m_name with
-            | Some o -> (o.P.g_value, o.P.g_line)
-            | None -> (default_g, m.P.m_line)
-          in
-          let bound = dom_product m.P.m_outputs in
-          if g > bound then
-            emit ~line:g_line ~subject:m.P.m_name "W020"
-              "module %s cannot reach Gamma = %d: hiding everything yields at most %d"
-              m.P.m_name g bound;
-          let is_identity =
-            match m.P.m_fn with
-            | Some ([ "identity" ], _) -> true
-            | Some _ -> false
-            | None ->
-                m.P.m_rows <> []
-                && List.for_all (fun (r : P.raw_row) -> r.P.r_ins = r.P.r_outs)
-                     m.P.m_rows
-          in
-          if is_identity then
-            emit ~line:m.P.m_line ~subject:m.P.m_name "W021"
-              "private module %s is an identity wiring" m.P.m_name
-        end)
-      raw.P.r_modules
-  end;
-
-  (* --- enumeration blow-up (W04x) ----------------------------------- *)
-  if structurally_sound then begin
-    let family = ref 1 in
-    List.iter
-      (fun (m : P.raw_module) ->
-        let dom = dom_product m.P.m_inputs and range = dom_product m.P.m_outputs in
-        let standalone = Naive.pow_int (range + 1) dom in
-        if standalone > Naive.default_max then
-          emit ~line:m.P.m_line ~subject:m.P.m_name "W040"
-            "standalone enumeration for %s spans ~%s candidate worlds (guard %d)"
-            m.P.m_name
-            (if standalone = max_int then "2^62+" else string_of_int standalone)
-            Naive.default_max;
-        let width = List.length (m.P.m_inputs @ m.P.m_outputs) in
-        if m.P.m_public = None && width > Svutil.Subset.max_universe then
-          emit ~line:m.P.m_line ~subject:m.P.m_name "W042"
-            "private module %s has %d attributes; requirement derivation enumerates at most %d"
-            m.P.m_name width Svutil.Subset.max_universe;
-        if m.P.m_public = None then
-          family := Naive.mul_sat !family (Naive.pow_int range dom))
-      raw.P.r_modules;
-    if !family > Naive.default_max then
-      emit ~subject:"workflow" "W041"
-        "workflow enumeration spans ~%s function families (guard %d)"
-        (if !family = max_int then "2^62+" else string_of_int !family)
-        Naive.default_max
-  end;
-
-  (* --- privacy flow (W05x) ------------------------------------------ *)
-  (* The flow pass needs the elaborated spec (requirement derivation
-     enumerates per-module hidden subsets), so it only runs when asked
-     for, once the declarations elaborate cleanly and no blow-up guard
-     fired. *)
-  (match elaborate with
-  | Some elaborate
-    when structurally_sound && (not (has_errors !diags)) && (not (seen "W040"))
-         && not (seen "W041") -> (
-    match elaborate () with
-    | Error _ -> ()
-    | Ok spec ->
-        let module_line name =
-          match
-            List.find_opt (fun (m : P.raw_module) -> m.P.m_name = name)
-              raw.P.r_modules
-          with
-          | Some m -> m.P.m_line
-          | None -> 0
+(* --- privacy feasibility (W020) -------------------------------------- *)
+let gamma_bounds c =
+  let default_g = P.default_gamma c.raw in
+  (* The last override of each module, with its line. *)
+  let overrides = Hashtbl.create 16 in
+  List.iter
+    (fun (g : P.raw_gamma) ->
+      Option.iter (fun m -> Hashtbl.replace overrides m (g.P.g_value, g.P.g_line)) g.P.g_module)
+    c.raw.P.r_gammas;
+  List.iter
+    (fun (m : P.raw_module) ->
+      if m.P.m_public = None then begin
+        let g, g_line =
+          Option.value ~default:(default_g, m.P.m_line) (Hashtbl.find_opt overrides m.P.m_name)
         in
-        List.iter
-          (function
-            | Flow.Useless_cost { attr; cost } ->
-                let line =
-                  match Hashtbl.find_opt attr_tbl attr with
-                  | Some a -> a.P.a_line
-                  | None -> 0
-                in
-                emit ~line ~subject:attr "W050"
-                  "attribute %s is irrelevant to every privacy requirement yet costs %s"
-                  attr (Rat.to_string cost)
-            | Flow.Forced_privatization { p_name; p_cost; attr } ->
-                emit ~line:(module_line p_name) ~subject:p_name "W051"
-                  "public module %s is privatized in every feasible solution (cost %s): attribute %s must always be hidden"
-                  p_name (Rat.to_string p_cost) attr)
-          (Flow.analyze spec).Flow.findings)
-  | _ -> ());
+        let bound = dom_product c m.P.m_outputs in
+        if g > bound then
+          emit c ~line:g_line ~subject:m.P.m_name "W020"
+            "module %s cannot reach Gamma = %d: hiding everything yields at most %d"
+            m.P.m_name g bound
+      end)
+    c.raw.P.r_modules
 
-  List.sort compare_diagnostic !diags
+(* --- identity wirings (W021) ----------------------------------------- *)
+let identity_wirings c =
+  List.iter
+    (fun (m : P.raw_module) ->
+      let is_identity () =
+        match m.P.m_fn with
+        | Some ([ "identity" ], _) -> true
+        | Some _ -> false
+        | None ->
+            m.P.m_rows <> []
+            && List.for_all (fun (r : P.raw_row) -> r.P.r_ins = r.P.r_outs) m.P.m_rows
+      in
+      if m.P.m_public = None && is_identity () then
+        emit c ~line:m.P.m_line ~subject:m.P.m_name "W021"
+          "private module %s is an identity wiring" m.P.m_name)
+    c.raw.P.r_modules
 
-let check_raw raw = check ~elaborate:(Some (fun () -> P.spec_of_raw raw)) raw
+(* --- enumeration blow-up (W040, W041) -------------------------------- *)
+let enumeration c =
+  let family = ref 1 in
+  List.iter
+    (fun (m : P.raw_module) ->
+      let dom = dom_product c m.P.m_inputs and range = dom_product c m.P.m_outputs in
+      let standalone = Naive.pow_int (range + 1) dom in
+      if standalone > Naive.default_max then
+        emit c ~line:m.P.m_line ~subject:m.P.m_name "W040"
+          "standalone enumeration for %s spans ~%s candidate worlds (guard %d)" m.P.m_name
+          (if standalone = max_int then "2^62+" else string_of_int standalone)
+          Naive.default_max;
+      if m.P.m_public = None then family := Naive.mul_sat !family (Naive.pow_int range dom))
+    c.raw.P.r_modules;
+  if !family > Naive.default_max then
+    emit c ~subject:"workflow" "W041"
+      "workflow enumeration spans ~%s function families (guard %d)"
+      (if !family = max_int then "2^62+" else string_of_int !family)
+      Naive.default_max
 
-let check_spec (spec : P.spec) = errors (check ~elaborate:None spec.P.raw)
+(* --- derivation width (W042) ----------------------------------------- *)
+let derivation_width c =
+  List.iter
+    (fun (m : P.raw_module) ->
+      let width = List.length m.P.m_inputs + List.length m.P.m_outputs in
+      if m.P.m_public = None && width > Svutil.Subset.max_universe then
+        emit c ~line:m.P.m_line ~subject:m.P.m_name "W042"
+          "private module %s has %d attributes; requirement derivation enumerates at most %d"
+          m.P.m_name width Svutil.Subset.max_universe)
+    c.raw.P.r_modules
+
+(* --- privacy flow (W050, W051) --------------------------------------- *)
+(* Needs the elaborated spec: requirement derivation enumerates
+   per-module hidden subsets. *)
+let flow c spec =
+  List.iter
+    (function
+      | Flow.Useless_cost { attr; cost } ->
+          let line =
+            match Hashtbl.find_opt c.attr_tbl attr with Some a -> a.P.a_line | None -> 0
+          in
+          emit c ~line ~subject:attr "W050"
+            "attribute %s is irrelevant to every privacy requirement yet costs %s" attr
+            (Rat.to_string cost)
+      | Flow.Forced_privatization { p_name; p_cost; attr } ->
+          let line = Option.value ~default:0 (Hashtbl.find_opt c.mod_lines p_name) in
+          emit c ~line ~subject:p_name "W051"
+            "public module %s is privatized in every feasible solution (cost %s): attribute %s must always be hidden"
+            p_name (Rat.to_string p_cost) attr)
+    (Flow.analyze spec).Flow.findings
+
+let sorted c = List.sort compare_diagnostic c.diags
+
+(* Value-level passes only run once the spec is structurally sound, so
+   they never see malformed tables; the flow pass additionally needs a
+   spec that elaborates with no errors and no blow-up guard. *)
+let check_raw raw =
+  let c = context raw in
+  duplicates c;
+  declarations c;
+  let order = wiring c in
+  unused_attrs c;
+  let rows_ok = functionality c in
+  let sound =
+    rows_ok && not (List.exists (seen c) [ "W001"; "W002"; "W003"; "W036"; "W037" ])
+  in
+  if sound then begin
+    Option.iter (reachability c) order;
+    gamma_bounds c;
+    identity_wirings c;
+    enumeration c;
+    derivation_width c;
+    if not (has_errors c.diags || seen c "W040" || seen c "W041") then
+      match P.spec_of_raw raw with Ok spec -> flow c spec | Error _ -> ()
+  end;
+  sorted c
+
+(* [spec_of_raw] has already rejected every duplicate (W036, W037),
+   undeclared attribute (W001), second producer (W002), cycle (W003)
+   and malformed module (W010, W013–W017), so the declarations are
+   sound; of the passes above only these can still emit an Error. *)
+let check_spec (spec : P.spec) =
+  let c = context spec.P.raw in
+  declarations c;
+  gamma_bounds c;
+  derivation_width c;
+  errors (sorted c)
 
 (* ------------------------------------------------------------------ *)
 (* Linting built workflows (no source text)                            *)

@@ -57,12 +57,16 @@ val check_raw : Wf.Parse.raw -> diagnostic list
     tables. *)
 
 val check_spec : Wf.Parse.spec -> diagnostic list
-(** The Error diagnostics of [check_raw] on the declarations the spec
-    was parsed from — the pre-flight used by the CLI's
+(** Exactly the Error diagnostics of [check_raw] on the declarations
+    the spec was parsed from — the pre-flight used by the CLI's
     [analyze]/[solve]/[check]/[batch], the daemon and perfbench, which
-    keep only errors. It skips the W05x flow pass (a second derivation
-    of every module and a full {!Flow} analysis for findings that are
-    never errors); [lint] reports those through [check_raw]. *)
+    keep only errors. {!Wf.Parse.spec_of_raw} has already rejected every
+    W001–W003, W010, W013–W017, W036 and W037 case, so this runs only
+    the passes that can still emit an Error on an elaborated spec
+    (W020, W030–W033, W035, W042), through the same pass functions as
+    [check_raw]; the remaining passes emit only warnings and infos
+    ([lint] reports them through [check_raw]). Every spec comes from
+    {!Wf.Parse.spec_of_raw}: the type is private. *)
 
 val raw_of_workflow :
   ?publics:(string * Rat.t) list ->

@@ -16,8 +16,7 @@ type t = {
 }
 
 let make ~attr_costs ~mods ?(publics = []) () =
-  let attr_names = List.map fst attr_costs in
-  if List.length (Listx.dedup attr_names) <> List.length attr_names then
+  if Listx.has_duplicate (List.map fst attr_costs) then
     invalid_arg "Instance.make: duplicate attributes";
   List.iter
     (fun (a, c) ->
@@ -25,14 +24,17 @@ let make ~attr_costs ~mods ?(publics = []) () =
         invalid_arg (Printf.sprintf "Instance.make: negative cost for %s" a))
     attr_costs;
   let names = List.map (fun m -> m.m_name) mods @ List.map (fun p -> p.p_name) publics in
-  if List.length (Listx.dedup names) <> List.length names then
-    invalid_arg "Instance.make: duplicate module names";
+  if Listx.has_duplicate names then invalid_arg "Instance.make: duplicate module names";
+  let known = Hashtbl.create 16 in
+  List.iter (fun (a, _) -> Hashtbl.replace known a ()) attr_costs;
   let check_attr owner a =
-    if not (List.mem a attr_names) then
+    if not (Hashtbl.mem known a) then
       invalid_arg (Printf.sprintf "Instance.make: %s references unknown attribute %s" owner a)
   in
   List.iter
-    (fun m -> List.iter (check_attr m.m_name) (m.inputs @ m.outputs))
+    (fun m ->
+      List.iter (check_attr m.m_name) m.inputs;
+      List.iter (check_attr m.m_name) m.outputs)
     mods;
   List.iter
     (fun p ->
@@ -44,11 +46,16 @@ let make ~attr_costs ~mods ?(publics = []) () =
 
 let of_workflow w ~gamma ?(gamma_overrides = []) ~cost ?(publics = []) () =
   let attr_costs = List.map (fun a -> (a, cost a)) (Wf.Workflow.attr_names w) in
-  let public_names = List.map fst publics in
-  let gamma_of name = Option.value ~default:gamma (List.assoc_opt name gamma_overrides) in
+  let overrides = Listx.assoc_table gamma_overrides
+  and public_tbl = Listx.assoc_table publics
+  and by_name =
+    Listx.assoc_table
+      (List.map (fun (m : Wf.Wmodule.t) -> (m.Wf.Wmodule.name, m)) (Wf.Workflow.modules w))
+  in
+  let gamma_of name = Option.value ~default:gamma (Hashtbl.find_opt overrides name) in
   let mods =
     Wf.Workflow.modules w
-    |> List.filter (fun (m : Wf.Wmodule.t) -> not (List.mem m.Wf.Wmodule.name public_names))
+    |> List.filter (fun (m : Wf.Wmodule.t) -> not (Hashtbl.mem public_tbl m.Wf.Wmodule.name))
     |> List.map (fun (m : Wf.Wmodule.t) ->
            {
              m_name = m.Wf.Wmodule.name;
@@ -60,7 +67,7 @@ let of_workflow w ~gamma ?(gamma_overrides = []) ~cost ?(publics = []) () =
   let publics =
     List.map
       (fun (name, p_cost) ->
-        match Wf.Workflow.find_module w name with
+        match Hashtbl.find_opt by_name name with
         | None -> invalid_arg (Printf.sprintf "Instance.of_workflow: no module %s" name)
         | Some m -> { p_name = name; p_cost; p_attrs = Wf.Wmodule.attr_names m })
       publics

@@ -24,7 +24,10 @@ type outcome =
 type t = {
   sf : Sform.t;
   m : int;  (* constraint rows *)
-  fcols : (int array * float array) array;  (* j < first_art, rows < m *)
+  frows : int array array;  (* j < first_art: Sform's row indices, shared *)
+  fvals : float array array;
+      (* j < first_art: values of the constraint-row entries, which lead
+         the column; its length is their count *)
   fobj : float array;  (* cost over j < first_art *)
   active : int array;  (* columns that may enter: structurals, row slacks *)
   up : float array;  (* per column: upper bound (infinity when none) *)
@@ -45,12 +48,15 @@ type t = {
 
 let create (sf : Sform.t) =
   let m = sf.Sform.m0 in
-  let fcols =
+  let frows = Array.map fst sf.Sform.cols in
+  let fvals =
     Array.map
       (fun (ri, vs) ->
         let k = ref 0 in
-        Array.iter (fun r -> if r < m then incr k) ri;
-        (Array.sub ri 0 !k, Array.map Rat.to_float (Array.sub vs 0 !k)))
+        while !k < Array.length ri && ri.(!k) < m do
+          incr k
+        done;
+        Array.init !k (fun i -> Rat.to_float vs.(i)))
       sf.Sform.cols
   in
   let slacks = List.filter (fun j -> j >= 0) (Array.to_list (Array.sub sf.Sform.slack_col 0 m)) in
@@ -61,7 +67,8 @@ let create (sf : Sform.t) =
   {
     sf;
     m;
-    fcols;
+    frows;
+    fvals;
     fobj = Array.map Rat.to_float sf.Sform.obj;
     active;
     up;
@@ -135,9 +142,9 @@ let btran t y =
 
 let col_dot t y j =
   if j < t.sf.Sform.first_art then begin
-    let ri, vs = t.fcols.(j) in
+    let ri = t.frows.(j) and vs = t.fvals.(j) in
     let s = ref 0. in
-    for k = 0 to Array.length ri - 1 do
+    for k = 0 to Array.length vs - 1 do
       s := !s +. (vs.(k) *. y.(ri.(k)))
     done;
     !s
@@ -147,8 +154,8 @@ let col_dot t y j =
 (* w += f * column j *)
 let add_col t j f w =
   if j < t.sf.Sform.first_art then begin
-    let ri, vs = t.fcols.(j) in
-    for k = 0 to Array.length ri - 1 do
+    let ri = t.frows.(j) and vs = t.fvals.(j) in
+    for k = 0 to Array.length vs - 1 do
       w.(ri.(k)) <- w.(ri.(k)) +. (f *. vs.(k))
     done
   end
@@ -176,8 +183,10 @@ let refactorize t =
   let live_nnz j =
     let c = ref 0 in
     if j < t.sf.Sform.first_art then begin
-      let ri, _ = t.fcols.(j) in
-      Array.iter (fun r -> if not row_done.(r) then incr c) ri
+      let ri = t.frows.(j) in
+      for k = 0 to Array.length t.fvals.(j) - 1 do
+        if not row_done.(ri.(k)) then incr c
+      done
     end
     else if not row_done.(j - t.sf.Sform.first_art) then incr c;
     !c

@@ -25,7 +25,9 @@
 type t
 
 val create : Sform.t -> t
-(** Solver state for the layout (columns converted to doubles once). *)
+(** Solver state for the layout. Columns share the layout's row-index
+    arrays; only the values of their constraint-row entries are
+    converted to doubles, once. *)
 
 type point = { xb : float array; y : float array }
 (** The float primal–dual pair of an explicit basis, both indexed by

@@ -597,14 +597,23 @@ module Hybrid : SOLVER = struct
         else Certify.Cert_fail
     | Fsimplex.Stalled -> Certify.Cert_fail
 
-  (* One float-solve/certify round over a prepared standard form. *)
-  let solve_sform ~deadline ~metrics ~fs ~sf ~lb ~ub s =
+  (* The layout and the float solver state over it. *)
+  let prepare ~metrics s =
+    Svutil.Metrics.span metrics "lp/sform" (fun () ->
+        let sf = Sform.make s in
+        (sf, Fsimplex.create sf))
+
+  (* One float-solve/certify round over a prepared standard form. A
+     node whose bound pattern differs from the layout's (branching gave
+     a variable without an upper bound one) is laid out afresh for
+     [s], whose bounds are [lb]/[ub], so it still solves in floats: the
+     fresh layout matches them, and the recursion stops there. *)
+  let rec solve_sform ~deadline ~metrics ~fs ~sf ~lb ~ub s =
     match Sform.rhs sf ~lb ~ub with
-    | Sform.Crossed -> Infeasible
     | Sform.Mismatch ->
-        (* bound pattern changed under us: not expected from B&B, but
-           stay correct *)
-        fallback ~deadline ~metrics s
+        let sf, fs = prepare ~metrics s in
+        solve_sform ~deadline ~metrics ~fs ~sf ~lb ~ub s
+    | Sform.Crossed -> Infeasible
     | Sform.Rhs rhs -> (
         let found =
           Svutil.Metrics.span metrics "lp/float" (fun () ->
@@ -619,12 +628,6 @@ module Hybrid : SOLVER = struct
         | Certify.Cert_infeasible -> Infeasible
         | Certify.Cert_unbounded -> Unbounded
         | Certify.Cert_fail -> fallback ~deadline ~metrics s)
-
-  (* The layout and the float solver state over it. *)
-  let prepare ~metrics s =
-    Svutil.Metrics.span metrics "lp/sform" (fun () ->
-        let sf = Sform.make s in
-        (sf, Fsimplex.create sf))
 
   let solve ?(deadline = Svutil.Deadline.none) ?(metrics = Svutil.Metrics.nop)
       (s : Problem.snapshot) =

@@ -96,7 +96,10 @@ module Hybrid : SOLVER
     [certify.fallbacks] (each fallback also runs the {!Exact}
     counters); spans [lp/sform] around building the standard form and
     the float solver state, [lp/float] around the float pass and
-    [lp/certify] around its certification. *)
+    [lp/certify] around its certification. A warm solve whose bounds
+    change which variables carry an upper bound (branching on a
+    variable without one) gets a fresh standard form, so it also stays
+    in floats. *)
 
 (** {1 Solver selection} *)
 

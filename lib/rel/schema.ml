@@ -2,7 +2,7 @@ type t = Attr.t array
 
 let of_list attrs =
   let names = List.map Attr.name attrs in
-  if List.length (List.sort_uniq compare names) <> List.length names then
+  if List.length (List.sort_uniq String.compare names) <> List.length names then
     invalid_arg "Schema.of_list: duplicate attribute names";
   Array.of_list attrs
 

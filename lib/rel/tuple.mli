@@ -21,6 +21,10 @@ val validate : Schema.t -> t -> bool
 (** Arity matches and every value is within its attribute's domain. *)
 
 val equal : t -> t -> bool
+
 val compare : t -> t -> int
+(** The sign of [Stdlib.compare]: shorter tuples first, then
+    lexicographic. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -74,11 +74,16 @@ let verify_hit t (ereq : Core.Engine.request) (r : Core.Engine.result) =
               (show b)))
 
 let solve t id (s : Request.solve) =
-  let loaded =
+  let file, parsed =
     Metrics.span t.cfg.metrics "serve/parse" (fun () ->
         match s.Request.source with
-        | Request.File path -> Request.spec_of_file ~preflight:true path
-        | Request.Inline src -> Request.spec_of_string ~preflight:true src)
+        | Request.File path -> (path, Request.spec_of_file path)
+        | Request.Inline src -> (Request.inline_name, Request.spec_of_string src))
+  in
+  let loaded =
+    Result.bind parsed (fun spec ->
+        Metrics.span t.cfg.metrics "serve/preflight" (fun () ->
+            Request.check_static ~file spec))
   in
   match loaded with
   | Error e -> Response.error ?id e

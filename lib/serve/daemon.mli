@@ -13,13 +13,14 @@
     Observability: the server registry collects
     [serve.{hits,misses,evictions,collisions,verify_failures}]
     counters, the [serve.granted_jobs] histogram of granted workers, and
-    [serve/{parse,derive,lookup,solve,store}] spans: [serve/parse]
-    covers parsing and the Wfcheck preflight every solve request runs,
-    [serve/derive] the requirement derivation
-    ({!Request.instance_of}). [SIGUSR1] dumps the stats
-    and registry to stderr without disturbing the loop; shutdown (EOF,
-    a [shutdown] request, or end of socket serving) dumps them a final
-    time. *)
+    [serve/{parse,preflight,derive,lookup,solve,store}] spans:
+    [serve/parse] covers {!Wf.Parse} alone, [serve/preflight] the
+    Wfcheck static check ({!Request.check_static}) of every spec that
+    parsed, [serve/derive] the requirement derivation
+    ({!Request.instance_of}) of every spec the preflight admitted.
+    [SIGUSR1] dumps the stats and registry to stderr without disturbing
+    the loop; shutdown (EOF, a [shutdown] request, or end of socket
+    serving) dumps them a final time. *)
 
 type config = {
   cache_capacity : int;  (** LRU entries; at least 1 *)

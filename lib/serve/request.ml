@@ -57,14 +57,17 @@ let spec_of_file ?(preflight = false) path =
   | Error e -> Error (Parse_error e)
   | Ok spec -> if preflight then check_static ~file:path spec else Ok spec
 
-let spec_of_string ?(preflight = false) ?(name = "<request>") src =
+let inline_name = "<request>"
+
+let spec_of_string ?(preflight = false) ?(name = inline_name) src =
   match Wf.Parse.parse_string src with
   | Error e -> Error (Parse_error e)
   | Ok spec -> if preflight then check_static ~file:name spec else Ok spec
 
 let instance_of (spec : Wf.Parse.spec) =
   let w = spec.Wf.Parse.workflow in
-  let cost a = List.assoc a spec.Wf.Parse.costs in
+  let costs = Svutil.Listx.assoc_table spec.Wf.Parse.costs in
+  let cost a = Hashtbl.find costs a in
   Core.Instance.of_workflow w ~gamma:spec.Wf.Parse.gamma
     ~gamma_overrides:spec.Wf.Parse.gamma_overrides ~cost
     ~publics:spec.Wf.Parse.publics ()

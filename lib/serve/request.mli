@@ -57,6 +57,14 @@ val spec_of_string :
 (** Same for inline workflow text ([name], default ["<request>"], only
     labels diagnostics). *)
 
+val check_static : file:string -> Wf.Parse.spec -> (Wf.Parse.spec, error) result
+(** The preflight alone: {!Analysis.Wfcheck.check_spec}, failing with
+    [Static_errors] (labelled [file]) when any diagnostic is an Error.
+    [~preflight:true] above is parsing followed by this. *)
+
+val inline_name : string
+(** ["<request>"], the label of inline workflow text. *)
+
 val instance_of : Wf.Parse.spec -> Core.Instance.t
 (** Build the Secure-View instance (shared by CLI and daemon). *)
 

@@ -99,9 +99,14 @@ let of_string s =
             | _ -> fail "unsupported escape");
             advance ();
             go ()
-        | c ->
-            Buffer.add_char b c;
-            advance ();
+        | _ ->
+            (* Copy the run of plain bytes up to the next quote or
+               backslash in one call. *)
+            let start = !pos in
+            while !pos < len && (match s.[!pos] with '"' | '\\' -> false | _ -> true) do
+              advance ()
+            done;
+            Buffer.add_substring b s start (!pos - start);
             go ()
     in
     go ();

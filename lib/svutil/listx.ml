@@ -6,6 +6,22 @@ let max_by f xs = List.fold_left (fun acc x -> max acc (f x)) 0 xs
 
 let dedup xs = List.sort_uniq compare xs
 
+let has_duplicate xs =
+  let seen = Hashtbl.create 16 in
+  List.exists
+    (fun x ->
+      Hashtbl.mem seen x
+      || begin
+           Hashtbl.add seen x ();
+           false
+         end)
+    xs
+
+let assoc_table l =
+  let t = Hashtbl.create 16 in
+  List.iter (fun (k, v) -> if not (Hashtbl.mem t k) then Hashtbl.add t k v) l;
+  t
+
 let is_subset xs ys = List.for_all (fun x -> List.mem x ys) xs
 
 let inter xs ys = dedup (List.filter (fun x -> List.mem x ys) xs)

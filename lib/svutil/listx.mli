@@ -11,6 +11,13 @@ val max_by : ('a -> int) -> 'a list -> int
 val dedup : 'a list -> 'a list
 (** Sort (polymorphic compare) and remove duplicates. *)
 
+val has_duplicate : 'a list -> bool
+(** Some element occurs twice (hashed, linear time). *)
+
+val assoc_table : ('a * 'b) list -> ('a, 'b) Hashtbl.t
+(** The bindings as a hash table in which, as with [List.assoc], the
+    first binding of a key wins. *)
+
 val is_subset : 'a list -> 'a list -> bool
 (** [is_subset xs ys] iff every element of [xs] occurs in [ys]. *)
 

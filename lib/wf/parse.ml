@@ -51,103 +51,179 @@ exception Parse_error of int * string
 
 let fail lineno fmt = Printf.ksprintf (fun m -> raise (Parse_error (lineno, m))) fmt
 
-let tokens line =
-  let uncommented =
-    match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  String.split_on_char ' ' uncommented
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun t -> t <> "")
-
-(* Split a token list at a keyword. *)
-let split_at kw lineno toks =
-  let rec go before = function
-    | [] -> fail lineno "expected keyword %s" kw
-    | t :: rest when t = kw -> (List.rev before, rest)
-    | t :: rest -> go (t :: before) rest
-  in
-  go [] toks
-
-let int_of lineno s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> fail lineno "expected an integer, got %s" s
-
-let rat_of lineno s =
-  match Rat.of_string s with
-  | v -> v
-  | exception _ -> fail lineno "expected a rational, got %s" s
-
 (* ------------------------------------------------------------------ *)
 (* Raw parsing: syntax only                                            *)
 (* ------------------------------------------------------------------ *)
+
+(* The line being scanned, as token offsets into the whole text: token
+   [i] is [text.[starts.(i) .. stops.(i) - 1]]. A token is a maximal run
+   of characters other than space and tab, and [#] ends the line. The
+   offset arrays grow as needed and serve every line. *)
+type scan = {
+  text : string;
+  mutable lineno : int;
+  mutable n : int;
+  mutable starts : int array;
+  mutable stops : int array;
+}
+
+let push sc start stop =
+  if sc.n = Array.length sc.starts then begin
+    let grow a = Array.append a (Array.make (Array.length a) 0) in
+    sc.starts <- grow sc.starts;
+    sc.stops <- grow sc.stops
+  end;
+  sc.starts.(sc.n) <- start;
+  sc.stops.(sc.n) <- stop;
+  sc.n <- sc.n + 1
+
+(* Record the tokens of [text.[p .. stop - 1]]: [gap] skips separators,
+   [word] extends the token that starts at [s]. The scanning helpers
+   take every value as a parameter, so no closure is built per line or
+   per token. *)
+let rec gap sc stop p =
+  if p < stop then
+    match String.unsafe_get sc.text p with
+    | ' ' | '\t' -> gap sc stop (p + 1)
+    | '#' -> ()
+    | _ -> word sc stop p (p + 1)
+
+and word sc stop s p =
+  if p < stop then
+    match String.unsafe_get sc.text p with
+    | ' ' | '\t' ->
+        push sc s p;
+        gap sc stop (p + 1)
+    | '#' -> push sc s p
+    | _ -> word sc stop s (p + 1)
+  else push sc s p
+
+let tokenize sc start stop =
+  sc.n <- 0;
+  gap sc stop start
+
+let tok sc i = String.sub sc.text sc.starts.(i) (sc.stops.(i) - sc.starts.(i))
+
+let rec same_from text start s k len =
+  k = len
+  || String.unsafe_get text (start + k) = String.unsafe_get s k
+     && same_from text start s (k + 1) len
+
+(* Token [i] equals [s], compared in place. *)
+let tok_is sc i s =
+  let start = sc.starts.(i) in
+  let len = sc.stops.(i) - start in
+  len = String.length s && same_from sc.text start s 0 len
+
+(* The first token at or after [i] equal to [kw], or [sc.n]. *)
+let rec find_tok sc i kw = if i >= sc.n || tok_is sc i kw then i else find_tok sc (i + 1) kw
+
+(* Tokens [i .. j - 1]. *)
+let rec toks sc i j = if i >= j then [] else tok sc i :: toks sc (i + 1) j
+
+let int_tok sc i =
+  let s = tok sc i in
+  match int_of_string_opt s with
+  | Some v -> v
+  | None -> fail sc.lineno "expected an integer, got %s" s
+
+(* Integer tokens [i .. j - 1], read left to right. *)
+let int_toks sc i j =
+  let v = Array.make (j - i) 0 in
+  for k = i to j - 1 do
+    v.(k - i) <- int_tok sc k
+  done;
+  v
+
+let rat_tok sc i =
+  let s = tok sc i in
+  match Rat.of_string s with
+  | v -> v
+  | exception _ -> fail sc.lineno "expected a rational, got %s" s
 
 (* Fails only on token-level problems (unknown directives, malformed
    numbers, missing keywords, rows for a module that was never
    declared). Semantic issues — duplicate declarations, undeclared
    attributes, arity mismatches, wiring problems — are representable in
    the result so that {!Analysis.Wfcheck} can diagnose them; they are
-   re-validated by {!spec_of_raw}. *)
+   re-validated by {!spec_of_raw}. One left-to-right pass over the
+   text: each line is split into token offsets, and only names and
+   numbers are copied out. *)
 let parse_raw_string text =
+  let sc = { text; lineno = 0; n = 0; starts = Array.make 16 0; stops = Array.make 16 0 } in
   let attrs = ref [] and mods = ref [] and gammas = ref [] in
   (* Rows and fn attach to the most recent declaration of the name. *)
-  let find_mod lineno name =
-    match List.find_opt (fun b -> b.b_name = name) !mods with
+  let by_name : (string, mod_builder) Hashtbl.t = Hashtbl.create 16 in
+  let find_mod () =
+    let name = tok sc 1 in
+    match Hashtbl.find_opt by_name name with
     | Some b -> b
-    | None -> fail lineno "unknown module %s" name
+    | None -> fail sc.lineno "unknown module %s" name
   in
-  let handle lineno toks =
-    match toks with
-    | [] -> ()
-    | [ "gamma"; g ] ->
-        gammas := { g_line = lineno; g_module = None; g_value = int_of lineno g } :: !gammas
-    | [ "gamma"; m; g ] ->
-        gammas := { g_line = lineno; g_module = Some m; g_value = int_of lineno g } :: !gammas
-    | "attr" :: name :: rest ->
-        let rec opts dom cost = function
-          | [] -> (dom, cost)
-          | "dom" :: d :: rest -> opts (int_of lineno d) cost rest
-          | "cost" :: c :: rest -> opts dom (rat_of lineno c) rest
-          | t :: _ -> fail lineno "unexpected token %s" t
-        in
-        let dom, cost = opts 2 Rat.one rest in
-        attrs := { a_name = name; a_dom = dom; a_cost = cost; a_line = lineno } :: !attrs
-    | "module" :: name :: rest ->
-        let public, rest =
-          match rest with
-          | "private" :: rest -> (None, rest)
-          | "public" :: "cost" :: c :: rest -> (Some (rat_of lineno c), rest)
-          | "public" :: rest -> (Some Rat.one, rest)
-          | _ -> fail lineno "expected private or public after module name"
-        in
-        let before_out, outputs = split_at "outputs" lineno rest in
-        let inputs =
-          match before_out with
-          | "inputs" :: ins -> ins
-          | _ -> fail lineno "expected inputs ... outputs ..."
-        in
-        if inputs = [] || outputs = [] then fail lineno "module needs inputs and outputs";
-        mods :=
-          { b_line = lineno; b_name = name; b_public = public; b_inputs = inputs;
-            b_outputs = outputs; b_rows = []; b_fn = None }
-          :: !mods
-    | "row" :: name :: rest ->
-        let b = find_mod lineno name in
-        let before, after = split_at "->" lineno rest in
-        let ins = Array.of_list (List.map (int_of lineno) before) in
-        let outs = Array.of_list (List.map (int_of lineno) after) in
-        b.b_rows <- { r_line = lineno; r_ins = ins; r_outs = outs } :: b.b_rows
-    | "fn" :: name :: spec ->
-        let b = find_mod lineno name in
-        if spec = [] then fail lineno "fn needs a builtin name";
-        b.b_fn <- Some (spec, lineno)
-    | t :: _ -> fail lineno "unknown directive %s" t
+  let handle () =
+    let n = sc.n and lineno = sc.lineno in
+    if n = 0 then ()
+    else if tok_is sc 0 "gamma" && (n = 2 || n = 3) then
+      let g_module = if n = 3 then Some (tok sc 1) else None in
+      gammas := { g_line = lineno; g_module; g_value = int_tok sc (n - 1) } :: !gammas
+    else if n < 2 then fail lineno "unknown directive %s" (tok sc 0)
+    else if tok_is sc 0 "attr" then begin
+      let rec opts i dom cost =
+        if i = n then (dom, cost)
+        else if i + 1 < n && tok_is sc i "dom" then opts (i + 2) (int_tok sc (i + 1)) cost
+        else if i + 1 < n && tok_is sc i "cost" then opts (i + 2) dom (rat_tok sc (i + 1))
+        else fail lineno "unexpected token %s" (tok sc i)
+      in
+      let a_name = tok sc 1 in
+      let dom, cost = opts 2 2 Rat.one in
+      attrs := { a_name; a_dom = dom; a_cost = cost; a_line = lineno } :: !attrs
+    end
+    else if tok_is sc 0 "module" then begin
+      let name = tok sc 1 in
+      let public, i =
+        if n > 2 && tok_is sc 2 "private" then (None, 3)
+        else if n > 4 && tok_is sc 2 "public" && tok_is sc 3 "cost" then
+          (Some (rat_tok sc 4), 5)
+        else if n > 2 && tok_is sc 2 "public" then (Some Rat.one, 3)
+        else fail lineno "expected private or public after module name"
+      in
+      let o = find_tok sc i "outputs" in
+      if o = n then fail lineno "expected keyword outputs";
+      if not (o > i && tok_is sc i "inputs") then fail lineno "expected inputs ... outputs ...";
+      if o = i + 1 || o = n - 1 then fail lineno "module needs inputs and outputs";
+      let b =
+        { b_line = lineno; b_name = name; b_public = public; b_inputs = toks sc (i + 1) o;
+          b_outputs = toks sc (o + 1) n; b_rows = []; b_fn = None }
+      in
+      mods := b :: !mods;
+      Hashtbl.replace by_name name b
+    end
+    else if tok_is sc 0 "row" then begin
+      let b = find_mod () in
+      let a = find_tok sc 2 "->" in
+      if a = n then fail lineno "expected keyword ->";
+      let ins = int_toks sc 2 a in
+      let outs = int_toks sc (a + 1) n in
+      b.b_rows <- { r_line = lineno; r_ins = ins; r_outs = outs } :: b.b_rows
+    end
+    else if tok_is sc 0 "fn" then begin
+      let b = find_mod () in
+      if n = 2 then fail lineno "fn needs a builtin name";
+      b.b_fn <- Some (toks sc 2 n, lineno)
+    end
+    else fail lineno "unknown directive %s" (tok sc 0)
+  in
+  let len = String.length text in
+  let rec line_end p = if p < len && String.unsafe_get text p <> '\n' then line_end (p + 1) else p in
+  let rec lines start lineno =
+    let stop = line_end start in
+    sc.lineno <- lineno;
+    tokenize sc start stop;
+    handle ();
+    if stop < len then lines (stop + 1) (lineno + 1)
   in
   try
-    String.split_on_char '\n' text
-    |> List.iteri (fun i line -> handle (i + 1) (tokens line));
+    lines 0 1;
     let freeze b =
       { m_line = b.b_line; m_name = b.b_name; m_public = b.b_public;
         m_inputs = b.b_inputs; m_outputs = b.b_outputs;
@@ -165,40 +241,38 @@ let parse_raw_string text =
 
 (* The semantic validations that {!parse_raw_string} defers. Collected
    with their lines and reported in file order, matching the behavior of
-   the historic single-pass parser. *)
+   the historic single-pass parser. Also returns the attribute table
+   (first declaration of each name) that elaboration looks names up in. *)
 let semantic_errors raw =
   let errs = ref [] in
   let add line fmt = Printf.ksprintf (fun m -> errs := (line, m) :: !errs) fmt in
-  let seen_attrs = Hashtbl.create 16 in
+  let attrs = Hashtbl.create 16 in
   List.iter
     (fun a ->
-      if Hashtbl.mem seen_attrs a.a_name then add a.a_line "duplicate attribute %s" a.a_name
-      else Hashtbl.add seen_attrs a.a_name ())
+      if Hashtbl.mem attrs a.a_name then add a.a_line "duplicate attribute %s" a.a_name
+      else Hashtbl.add attrs a.a_name a)
     raw.r_attrs;
   let seen_mods = Hashtbl.create 16 in
   List.iter
     (fun m ->
       if Hashtbl.mem seen_mods m.m_name then add m.m_line "duplicate module %s" m.m_name
       else Hashtbl.add seen_mods m.m_name ();
-      List.iter
-        (fun a ->
-          if not (Hashtbl.mem seen_attrs a) then add m.m_line "undeclared attribute %s" a)
-        (m.m_inputs @ m.m_outputs);
+      let undeclared a = if not (Hashtbl.mem attrs a) then add m.m_line "undeclared attribute %s" a in
+      List.iter undeclared m.m_inputs;
+      List.iter undeclared m.m_outputs;
+      let n_in = List.length m.m_inputs and n_out = List.length m.m_outputs in
       List.iter
         (fun r ->
-          if Array.length r.r_ins <> List.length m.m_inputs then
+          if Array.length r.r_ins <> n_in then
             add r.r_line "row arity mismatch for inputs of %s" m.m_name;
-          if Array.length r.r_outs <> List.length m.m_outputs then
+          if Array.length r.r_outs <> n_out then
             add r.r_line "row arity mismatch for outputs of %s" m.m_name)
         m.m_rows)
     raw.r_modules;
-  List.sort (fun (l, _) (l', _) -> compare l l') (List.rev !errs)
+  (List.stable_sort (fun (l, _) (l', _) -> Int.compare l l') (List.rev !errs), attrs)
 
 let build_module attrs (d : raw_module) =
-  let attr name =
-    let a = List.find (fun a -> a.a_name = name) attrs in
-    A.make name ~dom:a.a_dom
-  in
+  let attr name = A.make name ~dom:(Hashtbl.find attrs name).a_dom in
   let inputs = List.map attr d.m_inputs and outputs = List.map attr d.m_outputs in
   let booleans_only () =
     if List.exists (fun a -> A.dom a <> 2) (inputs @ outputs) then
@@ -246,12 +320,12 @@ let gamma_overrides_of raw =
 
 let spec_of_raw raw =
   match semantic_errors raw with
-  | (line, msg) :: _ -> Error (Printf.sprintf "line %d: %s" line msg)
-  | [] -> (
+  | (line, msg) :: _, _ -> Error (Printf.sprintf "line %d: %s" line msg)
+  | [], attrs -> (
       if raw.r_modules = [] then Error "no modules declared"
       else
         try
-          let wmods = List.map (build_module raw.r_attrs) raw.r_modules in
+          let wmods = List.map (build_module attrs) raw.r_modules in
           match Workflow.create wmods with
           | Error e -> Error e
           | Ok workflow ->

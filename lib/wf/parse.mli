@@ -20,7 +20,14 @@
     the source line of every declaration — including semantically broken
     ones (duplicate names, undeclared attributes, cyclic wiring, FD
     violations), which is what {!Analysis.Wfcheck} lints. {!spec_of_raw}
-    then enforces the semantic rules and builds the workflow. *)
+    then enforces the semantic rules and builds the workflow.
+
+    Tokens are maximal runs of characters other than space and tab; [#]
+    starts a comment and only ['\n'] ends a line. The raw phase is one
+    pass over the text by offsets, and elaboration proves each
+    structural rule once, in time linear in the spec (up to sorting each
+    module's rows), so {!Analysis.Wfcheck.check_spec} need not prove
+    them again. *)
 
 (** {1 Raw declarations} *)
 
@@ -52,7 +59,9 @@ type raw = {
 
 (** {1 Elaborated specs} *)
 
-type spec = {
+(** Private, so only {!spec_of_raw} builds one: every spec has passed
+    elaboration, which {!Analysis.Wfcheck.check_spec} relies on. *)
+type spec = private {
   workflow : Workflow.t;
   costs : (string * Rat.t) list;
   publics : (string * Rat.t) list;  (** public module name, privatization cost *)
@@ -82,7 +91,8 @@ val gamma_overrides_of : raw -> (string * int) list
 
 val spec_of_raw : raw -> (spec, string) result
 (** Enforce the semantic rules (unique declarations, declared
-    attributes, row arities, module FDs, DAG wiring) and build the
+    attributes, row arities, builtin use, row values inside their
+    domains, module FDs, unique producers, DAG wiring) and build the
     workflow. Declaration-level errors carry a [line N:] prefix. *)
 
 val parse_string : string -> (spec, string) result

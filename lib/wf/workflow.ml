@@ -12,38 +12,34 @@ type t = {
 let ( let* ) = Result.bind
 
 let validate_names mods =
-  let names = List.map (fun (m : Wmodule.t) -> m.Wmodule.name) mods in
-  if List.length (List.sort_uniq compare names) <> List.length names then
+  if Svutil.Listx.has_duplicate (List.map (fun (m : Wmodule.t) -> m.Wmodule.name) mods) then
     Error "duplicate module names"
   else Ok ()
 
 let validate_outputs_disjoint mods =
-  let all_outputs = List.concat_map Wmodule.output_names mods in
-  if List.length (List.sort_uniq compare all_outputs) <> List.length all_outputs then
+  if Svutil.Listx.has_duplicate (List.concat_map Wmodule.output_names mods) then
     Error "some attribute is produced by two modules"
   else Ok ()
 
 let validate_domains mods =
+  let exception Conflict of string * int * int in
   let tbl = Hashtbl.create 16 in
   let check a =
     let name = A.name a and dom = A.dom a in
     match Hashtbl.find_opt tbl name with
-    | Some dom' when dom <> dom' ->
-        Error (Printf.sprintf "attribute %s used with domains %d and %d" name dom' dom)
-    | _ ->
-        Hashtbl.replace tbl name dom;
-        Ok ()
+    | Some dom' -> if dom <> dom' then raise_notrace (Conflict (name, dom', dom))
+    | None -> Hashtbl.add tbl name dom
   in
-  List.fold_left
-    (fun acc (m : Wmodule.t) ->
-      let* () = acc in
-      List.fold_left
-        (fun acc a ->
-          let* () = acc in
-          check a)
-        (Ok ())
-        (m.Wmodule.inputs @ m.Wmodule.outputs))
-    (Ok ()) mods
+  match
+    List.iter
+      (fun (m : Wmodule.t) ->
+        List.iter check m.Wmodule.inputs;
+        List.iter check m.Wmodule.outputs)
+      mods
+  with
+  | () -> Ok ()
+  | exception Conflict (name, dom', dom) ->
+      Error (Printf.sprintf "attribute %s used with domains %d and %d" name dom' dom)
 
 (* Kahn's algorithm over the module-dependency graph: m' -> m when some
    output of m' is an input of m. Outputs are unique, so dependencies
@@ -58,7 +54,7 @@ let topo_sort mods =
   let deps i =
     Wmodule.input_names arr.(i)
     |> List.filter_map (Hashtbl.find_opt producer)
-    |> List.sort_uniq compare
+    |> List.sort_uniq Int.compare
   in
   let indegree = Array.make n 0 in
   let dependents = Array.make n [] in
@@ -94,18 +90,24 @@ let create mods =
     let* () = validate_outputs_disjoint mods in
     let* () = validate_domains mods in
     let* sorted = topo_sort mods in
-    let produced = List.concat_map Wmodule.output_names sorted in
-    (* Initial inputs in first-appearance order, deduplicated. *)
+    (* Initial inputs in first-appearance order, deduplicated: every
+       name not produced by a module is marked on first sight. *)
+    let seen = Hashtbl.create 16 in
+    List.iter
+      (fun m -> List.iter (fun o -> Hashtbl.replace seen o ()) (Wmodule.output_names m))
+      sorted;
     let initial =
-      List.fold_left
-        (fun acc (m : Wmodule.t) ->
-          List.fold_left
-            (fun acc a ->
-              if List.mem (A.name a) produced then acc
-              else if List.exists (fun a' -> A.name a' = A.name a) acc then acc
-              else acc @ [ a ])
-            acc m.Wmodule.inputs)
-        [] sorted
+      List.concat_map
+        (fun (m : Wmodule.t) ->
+          List.filter
+            (fun a ->
+              (not (Hashtbl.mem seen (A.name a)))
+              && begin
+                   Hashtbl.add seen (A.name a) ();
+                   true
+                 end)
+            m.Wmodule.inputs)
+        sorted
     in
     let out_attrs = List.concat_map (fun (m : Wmodule.t) -> m.Wmodule.outputs) sorted in
     let schema = S.of_list (initial @ out_attrs) in

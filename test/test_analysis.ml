@@ -233,6 +233,109 @@ let test_check_spec_errors () =
     (fixtures ());
   Alcotest.(check bool) "fixtures elaborate" true (!elaborated > 2)
 
+(* The Error diagnostics [spec_of_raw] does not rule out, injected into
+   a spec that still elaborates. *)
+type injection =
+  | Negative_attr_cost
+  | Negative_public_cost
+  | Unknown_override
+  | Gamma_zero
+  | Unused_zero_dom
+  | Unreachable_gamma
+  | Wide_private
+
+let injections =
+  [ Negative_attr_cost; Negative_public_cost; Unknown_override; Gamma_zero;
+    Unused_zero_dom; Unreachable_gamma; Wide_private ]
+
+let code_of = function
+  | Negative_attr_cost -> "W030"
+  | Negative_public_cost -> "W035"
+  | Unknown_override -> "W031"
+  | Gamma_zero -> "W032"
+  | Unused_zero_dom -> "W033"
+  | Unreachable_gamma -> "W020"
+  | Wide_private -> "W042"
+
+let attr ?(dom = 2) ?(cost = Rat.one) name =
+  { P.a_name = name; a_dom = dom; a_cost = cost; a_line = 0 }
+
+let inject (raw : P.raw) = function
+  | Negative_attr_cost -> (
+      match raw.P.r_attrs with
+      | a :: rest -> { raw with P.r_attrs = { a with P.a_cost = Rat.of_int (-3) } :: rest }
+      | [] -> raw)
+  | Negative_public_cost ->
+      mutate_module raw 0 (fun m -> { m with P.m_public = Some (Rat.of_int (-2)) })
+  | Unknown_override ->
+      let g = { P.g_line = 0; g_module = Some "no_such_module"; g_value = 2 } in
+      { raw with P.r_gammas = raw.P.r_gammas @ [ g ] }
+  | Gamma_zero ->
+      let g = { P.g_line = 0; g_module = None; g_value = 0 } in
+      { raw with P.r_gammas = raw.P.r_gammas @ [ g ] }
+  | Unused_zero_dom -> { raw with P.r_attrs = raw.P.r_attrs @ [ attr ~dom:0 "unused_zero" ] }
+  | Unreachable_gamma ->
+      (* Gamma one above the last module's output-domain product. *)
+      let m = List.nth raw.P.r_modules (List.length raw.P.r_modules - 1) in
+      let dom a =
+        (List.find (fun (x : P.raw_attr) -> x.P.a_name = a) raw.P.r_attrs).P.a_dom
+      in
+      let bound = List.fold_left (fun acc a -> acc * dom a) 1 m.P.m_outputs in
+      let g = { P.g_line = 0; g_module = Some m.P.m_name; g_value = bound + 1 } in
+      let raw = mutate_module raw (List.length raw.P.r_modules - 1) (fun m -> { m with P.m_public = None }) in
+      { raw with P.r_gammas = raw.P.r_gammas @ [ g ] }
+  | Wide_private ->
+      (* A one-row private module over fresh attributes, one wider than
+         requirement derivation enumerates. *)
+      let k = Svutil.Subset.max_universe + 1 in
+      let names = List.init k (Printf.sprintf "wide%d") in
+      let inputs = List.filteri (fun i _ -> i < 2) names
+      and outputs = List.filteri (fun i _ -> i >= 2) names in
+      let m =
+        { P.m_line = 0; m_name = "wide"; m_public = None; m_inputs = inputs; m_outputs = outputs;
+          m_rows = [ { P.r_line = 0; r_ins = Array.make 2 0; r_outs = Array.make (k - 2) 0 } ];
+          m_fn = None }
+      in
+      { raw with
+        P.r_attrs = raw.P.r_attrs @ List.map (fun n -> attr n) names;
+        r_modules = raw.P.r_modules @ [ m ] }
+
+let show ds = List.map (fun (d : C.diagnostic) -> C.to_text [ d ]) ds
+let error_codes ds = List.sort_uniq compare (List.map (fun (d : C.diagnostic) -> d.C.code) ds)
+
+(* [spec] elaborates, [check_spec] equals the Error diagnostics of
+   [check_raw], and each injected code is among them. *)
+let check_spec_agrees raw injected =
+  match P.spec_of_raw raw with
+  | Error e -> Alcotest.failf "injected spec does not elaborate: %s" e
+  | Ok spec ->
+      let expected = C.errors (C.check_raw raw) in
+      let got = C.check_spec spec in
+      show got = show expected
+      && List.for_all (fun i -> List.mem (code_of i) (error_codes got)) injected
+
+let test_check_spec_injected () =
+  let text =
+    "attr x\nattr y\nattr z dom 3\nmodule f private inputs x outputs y\nrow f 0 -> 1\nrow f 1 -> 0\nmodule g public cost 2 inputs y outputs z\nrow g 0 -> 2\nrow g 1 -> 0\n"
+  in
+  List.iter
+    (fun i ->
+      let raw = inject (raw_of text) i in
+      Alcotest.(check bool) (code_of i) true (check_spec_agrees raw [ i ]))
+    injections
+
+let prop_check_spec_injected =
+  let gen =
+    QCheck2.Gen.(
+      let* raw = gen_raw in
+      let* mask = int_range 1 ((1 lsl List.length injections) - 1) in
+      return (raw, List.filteri (fun i _ -> mask land (1 lsl i) <> 0) injections))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"check_spec = errors of check_raw, errors injected" gen
+       (fun (raw, injected) ->
+         check_spec_agrees (List.fold_left inject raw injected) injected))
+
 let () =
   Alcotest.run "analysis"
     [
@@ -248,6 +351,8 @@ let () =
           Alcotest.test_case "code reference" `Quick test_code_reference_consistent;
           Alcotest.test_case "check_spec = errors of check_raw" `Quick
             test_check_spec_errors;
+          Alcotest.test_case "check_spec on injected errors" `Quick test_check_spec_injected;
+          prop_check_spec_injected;
         ] );
       ("properties", props);
     ]

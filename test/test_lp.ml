@@ -452,6 +452,27 @@ let test_ilp_cover () =
   | Lp.Ilp.Optimal { objective; _ } -> check_q "ilp objective" Q.two objective
   | _ -> Alcotest.fail "expected optimal"
 
+let test_ilp_new_bound_pattern () =
+  (* x has no upper bound, so branching on it gives a child one: that
+     node's bound pattern differs from the root layout's, and the hybrid
+     solver lays it out afresh instead of falling back to exact. *)
+  let s =
+    build
+      ~vars:[ ivar "x"; ivar ~ub:(Q.of_int 5) "y" ]
+      ~constraints:[ ([ (0, Q.two); (1, Q.two) ], P.Ge, Q.of_int 3) ]
+      ~objective:[ (0, Q.one); (1, Q.two) ]
+  in
+  (match Lp.Ilp.Exact.solve s with
+  | Lp.Ilp.Optimal { objective; _ } -> check_q "exact optimum" Q.two objective
+  | _ -> Alcotest.fail "exact: expected optimal");
+  let m = Svutil.Metrics.create () in
+  let result, stats = Lp.Ilp.Hybrid.solve_with_stats ~metrics:m s in
+  (match result with
+  | Lp.Ilp.Optimal { objective; _ } -> check_q "hybrid optimum" Q.two objective
+  | _ -> Alcotest.fail "hybrid: expected optimal");
+  Alcotest.(check int) "nodes" 3 stats.Lp.Ilp.nodes;
+  Alcotest.(check int) "no fallback" 0 (Svutil.Metrics.counter_value m "certify.fallbacks")
+
 let test_ilp_lp_feasible_ip_infeasible () =
   (* 2x = 1 with x in {0,1}. *)
   let s =
@@ -882,6 +903,7 @@ let () =
           Alcotest.test_case "metrics consistency" `Quick test_ilp_metrics_consistency;
           Alcotest.test_case "vertex cover triangle" `Quick test_ilp_cover;
           Alcotest.test_case "lp feasible, ip infeasible" `Quick test_ilp_lp_feasible_ip_infeasible;
+          Alcotest.test_case "new bound pattern stays hybrid" `Quick test_ilp_new_bound_pattern;
           Alcotest.test_case "mixed integer" `Quick test_ilp_mixed;
           Alcotest.test_case "node limit" `Quick test_ilp_node_limit;
           Alcotest.test_case "deadline" `Quick test_ilp_deadline;

@@ -134,6 +134,197 @@ let test_spec_carries_raw () =
       Alcotest.(check int) "one module" 1 (List.length spec.Wf.Parse.raw.Wf.Parse.r_modules);
       Alcotest.(check int) "two attrs" 2 (List.length spec.Wf.Parse.raw.Wf.Parse.r_attrs)
 
+(* --- the offset scanner against the token-list parser ------------------ *)
+
+(* The token-list parser [parse_raw_string] used before it became an
+   offset scanner, kept verbatim as the reference. *)
+module Reference = struct
+  open Wf.Parse
+
+  (* Mutable builder used only while scanning lines. *)
+  type mod_builder = {
+    b_line : int;
+    b_name : string;
+    b_public : Rat.t option;
+    b_inputs : string list;
+    b_outputs : string list;
+    mutable b_rows : raw_row list;  (** reverse order *)
+    mutable b_fn : (string list * int) option;
+  }
+
+  exception Parse_error of int * string
+
+  let fail lineno fmt = Printf.ksprintf (fun m -> raise (Parse_error (lineno, m))) fmt
+
+  let tokens line =
+    let uncommented =
+      match String.index_opt line '#' with
+      | Some i -> String.sub line 0 i
+      | None -> line
+    in
+    String.split_on_char ' ' uncommented
+    |> List.concat_map (String.split_on_char '\t')
+    |> List.filter (fun t -> t <> "")
+
+  (* Split a token list at a keyword. *)
+  let split_at kw lineno toks =
+    let rec go before = function
+      | [] -> fail lineno "expected keyword %s" kw
+      | t :: rest when t = kw -> (List.rev before, rest)
+      | t :: rest -> go (t :: before) rest
+    in
+    go [] toks
+
+  let int_of lineno s =
+    match int_of_string_opt s with
+    | Some v -> v
+    | None -> fail lineno "expected an integer, got %s" s
+
+  let rat_of lineno s =
+    match Rat.of_string s with
+    | v -> v
+    | exception _ -> fail lineno "expected a rational, got %s" s
+
+  (* ------------------------------------------------------------------ *)
+  (* Raw parsing: syntax only                                            *)
+  (* ------------------------------------------------------------------ *)
+
+  (* Fails only on token-level problems (unknown directives, malformed
+     numbers, missing keywords, rows for a module that was never
+     declared). Semantic issues — duplicate declarations, undeclared
+     attributes, arity mismatches, wiring problems — are representable in
+     the result so that {!Analysis.Wfcheck} can diagnose them; they are
+     re-validated by {!spec_of_raw}. *)
+  let parse_raw_string text =
+    let attrs = ref [] and mods = ref [] and gammas = ref [] in
+    (* Rows and fn attach to the most recent declaration of the name. *)
+    let find_mod lineno name =
+      match List.find_opt (fun b -> b.b_name = name) !mods with
+      | Some b -> b
+      | None -> fail lineno "unknown module %s" name
+    in
+    let handle lineno toks =
+      match toks with
+      | [] -> ()
+      | [ "gamma"; g ] ->
+          gammas := { g_line = lineno; g_module = None; g_value = int_of lineno g } :: !gammas
+      | [ "gamma"; m; g ] ->
+          gammas := { g_line = lineno; g_module = Some m; g_value = int_of lineno g } :: !gammas
+      | "attr" :: name :: rest ->
+          let rec opts dom cost = function
+            | [] -> (dom, cost)
+            | "dom" :: d :: rest -> opts (int_of lineno d) cost rest
+            | "cost" :: c :: rest -> opts dom (rat_of lineno c) rest
+            | t :: _ -> fail lineno "unexpected token %s" t
+          in
+          let dom, cost = opts 2 Rat.one rest in
+          attrs := { a_name = name; a_dom = dom; a_cost = cost; a_line = lineno } :: !attrs
+      | "module" :: name :: rest ->
+          let public, rest =
+            match rest with
+            | "private" :: rest -> (None, rest)
+            | "public" :: "cost" :: c :: rest -> (Some (rat_of lineno c), rest)
+            | "public" :: rest -> (Some Rat.one, rest)
+            | _ -> fail lineno "expected private or public after module name"
+          in
+          let before_out, outputs = split_at "outputs" lineno rest in
+          let inputs =
+            match before_out with
+            | "inputs" :: ins -> ins
+            | _ -> fail lineno "expected inputs ... outputs ..."
+          in
+          if inputs = [] || outputs = [] then fail lineno "module needs inputs and outputs";
+          mods :=
+            { b_line = lineno; b_name = name; b_public = public; b_inputs = inputs;
+              b_outputs = outputs; b_rows = []; b_fn = None }
+            :: !mods
+      | "row" :: name :: rest ->
+          let b = find_mod lineno name in
+          let before, after = split_at "->" lineno rest in
+          let ins = Array.of_list (List.map (int_of lineno) before) in
+          let outs = Array.of_list (List.map (int_of lineno) after) in
+          b.b_rows <- { r_line = lineno; r_ins = ins; r_outs = outs } :: b.b_rows
+      | "fn" :: name :: spec ->
+          let b = find_mod lineno name in
+          if spec = [] then fail lineno "fn needs a builtin name";
+          b.b_fn <- Some (spec, lineno)
+      | t :: _ -> fail lineno "unknown directive %s" t
+    in
+    try
+      String.split_on_char '\n' text
+      |> List.iteri (fun i line -> handle (i + 1) (tokens line));
+      let freeze b =
+        { m_line = b.b_line; m_name = b.b_name; m_public = b.b_public;
+          m_inputs = b.b_inputs; m_outputs = b.b_outputs;
+          m_rows = List.rev b.b_rows; m_fn = b.b_fn }
+      in
+      Ok
+        { r_attrs = List.rev !attrs;
+          r_modules = List.rev_map freeze !mods;
+          r_gammas = List.rev !gammas }
+    with Parse_error (line, msg) -> Error (Printf.sprintf "line %d: %s" line msg)
+end
+
+let fixture_texts =
+  lazy
+    (let in_dir dir =
+       Sys.readdir dir |> Array.to_list
+       |> List.filter (fun f -> Filename.check_suffix f ".swf")
+       |> List.sort compare
+       |> List.map (fun f ->
+              In_channel.with_open_text (Filename.concat dir f) In_channel.input_all)
+     in
+     Array.of_list (in_dir "../examples" @ in_dir "../examples/bad"))
+
+let insertions =
+  [| " "; "\t"; "#"; "\r"; "\n"; "->"; " -> "; "gamma"; "attr"; "module"; "row"; "fn";
+     "dom"; "cost"; "inputs"; "outputs"; "private"; "public"; " 0 "; "-1" |]
+
+(* One random edit: delete a byte, insert a separator, keyword or
+   number, duplicate a line, or truncate. *)
+let mutate rng text =
+  let n = String.length text in
+  let at = if n = 0 then 0 else Random.State.int rng (n + 1) in
+  match Random.State.int rng 10 with
+  | 0 | 1 when n > 0 ->
+      let i = Random.State.int rng n in
+      String.sub text 0 i ^ String.sub text (i + 1) (n - i - 1)
+  | 2 | 3 | 4 | 5 ->
+      let ins = insertions.(Random.State.int rng (Array.length insertions)) in
+      String.sub text 0 at ^ ins ^ String.sub text at (n - at)
+  | 6 | 7 ->
+      let lines = Array.of_list (String.split_on_char '\n' text) in
+      let k = Random.State.int rng (Array.length lines) in
+      let dup = List.concat (List.mapi (fun i l -> if i = k then [ l; l ] else [ l ]) (Array.to_list lines)) in
+      String.concat "\n" dup
+  | 8 -> String.sub text 0 at
+  | _ -> text
+
+let gen_mutated =
+  QCheck2.Gen.(
+    let* file = int_range 0 (Array.length (Lazy.force fixture_texts) - 1) in
+    let* seed = int_range 0 1_000_000_000 in
+    let* edits = int_range 1 6 in
+    let rng = Random.State.make [| seed |] in
+    let text = ref (Lazy.force fixture_texts).(file) in
+    for _ = 1 to edits do
+      text := mutate rng !text
+    done;
+    return !text)
+
+let prop_scanner_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:3000 ~name:"scanner = token-list parser on mutated fixtures"
+       ~print:(Printf.sprintf "%S") gen_mutated (fun text ->
+         Wf.Parse.parse_raw_string text = Reference.parse_raw_string text))
+
+let test_reference_on_fixtures () =
+  Array.iter
+    (fun text ->
+      Alcotest.(check bool) "same raw value" true
+        (Wf.Parse.parse_raw_string text = Reference.parse_raw_string text))
+    (Lazy.force fixture_texts)
+
 let () =
   Alcotest.run "parse"
     [
@@ -159,5 +350,10 @@ let () =
         [
           Alcotest.test_case "locations" `Quick test_raw_locations;
           Alcotest.test_case "spec carries raw" `Quick test_spec_carries_raw;
+        ] );
+      ( "scanner",
+        [
+          Alcotest.test_case "fixtures = token-list parser" `Quick test_reference_on_fixtures;
+          prop_scanner_matches_reference;
         ] );
     ]

@@ -136,6 +136,11 @@ let props =
         R.size (R.join r s') <= R.size r * R.size s');
     prop "projection commutes with union of attrs" gen_rel (fun r ->
         R.equal (R.project r [ "a" ]) (R.project (R.project r [ "a"; "b" ]) [ "a" ]));
+    prop "Tuple.compare has the sign of Stdlib.compare"
+      QCheck2.Gen.(
+        let tuple = array_size (int_range 0 4) (oneof [ int_range (-3) 3; int ]) in
+        pair tuple tuple)
+      (fun (a, b) -> Int.compare (T.compare a b) 0 = Int.compare (Stdlib.compare a b) 0);
   ]
 
 let () =

@@ -603,6 +603,8 @@ let test_daemon_protocol () =
     (Option.map fst (Svutil.Metrics.span_stats metrics "serve/derive"));
   Alcotest.(check (option int)) "serve/parse spans every solve" (Some 4)
     (Option.map fst (Svutil.Metrics.span_stats metrics "serve/parse"));
+  Alcotest.(check (option int)) "serve/preflight spans every parsed solve" (Some 4)
+    (Option.map fst (Svutil.Metrics.span_stats metrics "serve/preflight"));
   let stats, _ = response_of t {|{"id":"st","op":"stats"}|} in
   (match Json.member "stats" stats with
   | Some st ->

@@ -24,6 +24,23 @@ let test_module_fd_enforced () =
     (fun () ->
       ignore (M.of_table ~name:"bad" ~inputs:[ A.boolean "x" ] ~outputs:[ A.boolean "z" ] bad))
 
+let test_module_fd_far_apart () =
+  (* The two rows for input (0, 1) are far apart in the given order;
+     sorting makes them adjacent, where the check looks. *)
+  let schema = S.of_list (A.booleans [ "x"; "y"; "z" ]) in
+  let rows =
+    [ [| 0; 1; 0 |]; [| 1; 1; 1 |]; [| 0; 0; 0 |]; [| 1; 0; 1 |]; [| 0; 1; 1 |] ]
+  in
+  Alcotest.check_raises "fd" (Invalid_argument "Wmodule far: functional dependency I -> O violated")
+    (fun () ->
+      ignore
+        (M.of_table ~name:"far" ~inputs:(A.booleans [ "x"; "y" ]) ~outputs:[ A.boolean "z" ]
+           (R.create schema rows)));
+  (* Without the conflicting row the same table is a function. *)
+  let ok = R.create schema (List.filteri (fun i _ -> i < 4) rows) in
+  Alcotest.(check int) "function" 4
+    (R.size (M.of_table ~name:"far" ~inputs:(A.booleans [ "x"; "y" ]) ~outputs:[ A.boolean "z" ] ok).M.table)
+
 let test_module_io_disjoint () =
   let schema = S.of_list (A.booleans [ "x" ]) in
   Alcotest.check_raises "overlap"
@@ -290,6 +307,7 @@ let () =
         [
           Alcotest.test_case "of_fun and apply" `Quick test_of_fun_and_apply;
           Alcotest.test_case "fd enforced" `Quick test_module_fd_enforced;
+          Alcotest.test_case "fd violation far apart" `Quick test_module_fd_far_apart;
           Alcotest.test_case "io disjoint" `Quick test_module_io_disjoint;
           Alcotest.test_case "partial module" `Quick test_partial_module;
           Alcotest.test_case "predicates" `Quick test_predicates;
