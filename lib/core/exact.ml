@@ -27,11 +27,9 @@ let seed_solution inst =
 let solve_with_stats ?(node_limit = Lp.Ilp.default_node_limit)
     ?(mode = Lp.Simplex.Hybrid_mode) ?(jobs = 1) ?deadline ?metrics ?seed
     ?(attr_fixings = []) inst =
+  let registry = Option.value metrics ~default:Svutil.Metrics.nop in
   let problem, attr_var, point_of =
-    Svutil.Metrics.span
-      (Option.value metrics ~default:Svutil.Metrics.nop)
-      "lp/build"
-      (fun () -> build_ip inst)
+    Svutil.Metrics.span registry "lp/build" (fun () -> build_ip inst)
   in
   (* Attribute-level pins (Core.Flow verdicts) become x-variable pins;
      both IP forms name the hiding variables in [attr_var]. The fixings
@@ -51,8 +49,9 @@ let solve_with_stats ?(node_limit = Lp.Ilp.default_node_limit)
     | Some s when Solution.is_feasible inst s -> Some s
     | _ -> None
   in
+  let greedy = Svutil.Metrics.span registry "lp/seed" (fun () -> seed_solution inst) in
   let seed =
-    match (seed_solution inst, warm) with
+    match (greedy, warm) with
     | Some g, Some w -> Some (if Solution.compare_cost g w <= 0 then g else w)
     | (Some _ as g), None -> g
     | None, w -> w

@@ -39,7 +39,9 @@ val solve :
     LP-rounding seed lives inside {!Lp.Ilp}, which rounds its own root
     relaxation. [deadline] bounds the branch-and-bound wall clock: on
     expiry the best incumbent found so far (at worst the greedy seed) is
-    returned with [proven_optimal = false].
+    returned with [proven_optimal = false]. [metrics] gets the
+    [lp/build] span around the IP build and [lp/seed] around the greedy
+    seed, beside {!Lp.Ilp}'s.
 
     [seed] offers an externally-known feasible solution (e.g. the
     parent solution in [Core.Delta]'s incremental re-solve): the search

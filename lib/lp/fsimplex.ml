@@ -20,16 +20,24 @@ type outcome =
 (* The pass works on the layout's constraint rows only.  Columns keep
    their {!Sform} indices: structurals, then the constraint rows'
    slacks (the bound rows' slacks are never touched), then one
-   artificial per row, the logical of an [Eq] row, fixed at 0. *)
+   artificial per row, the logical of an [Eq] row, fixed at 0.  Sform
+   numbers slacks in row order, constraint rows first, so the columns
+   that may enter are exactly [0 .. nact-1].
+
+   The constraint rows' entries of the columns [j < first_art] are laid
+   out flat twice: by column (rows ascending), for FTRAN and
+   refactorization, and by row (columns ascending), for pricing. *)
 type t = {
   sf : Sform.t;
   m : int;  (* constraint rows *)
-  frows : int array array;  (* j < first_art: Sform's row indices, shared *)
-  fvals : float array array;
-      (* j < first_art: values of the constraint-row entries, which lead
-         the column; its length is their count *)
+  nact : int;  (* columns that may enter: structurals, row slacks *)
+  cstart : int array;  (* column [j]'s entries are [cstart.(j) .. cstart.(j+1)-1] *)
+  crow : int array;
+  cval : float array;
+  rstart : int array;  (* row [i]'s entries are [rstart.(i) .. rstart.(i+1)-1] *)
+  rcol : int array;
+  rval : float array;
   fobj : float array;  (* cost over j < first_art *)
-  active : int array;  (* columns that may enter: structurals, row slacks *)
   up : float array;  (* per column: upper bound (infinity when none) *)
   d : float array;  (* per column: reduced cost, updated in place *)
   at_up : bool array;  (* per nonbasic column: sits at its upper bound *)
@@ -42,35 +50,61 @@ type t = {
   (* scratch, sized once *)
   w : float array;  (* FTRANed column *)
   rho : float array;  (* BTRANed row, then duals *)
-  alpha : float array;  (* per column: entry of the pivot row *)
+  alpha : float array;  (* per column: entry of the priced row; 0 unless touched *)
+  touched : int array;  (* the columns the last pricing reached *)
+  mutable n_touched : int;
+  seen : bool array;  (* per column: in [touched] *)
   cand : int array;  (* ratio-test candidates *)
 }
 
 let create (sf : Sform.t) =
-  let m = sf.Sform.m0 in
-  let frows = Array.map fst sf.Sform.cols in
-  let fvals =
-    Array.map
-      (fun (ri, vs) ->
-        let k = ref 0 in
-        while !k < Array.length ri && ri.(!k) < m do
-          incr k
-        done;
-        Array.init !k (fun i -> Rat.to_float vs.(i)))
-      sf.Sform.cols
-  in
-  let slacks = List.filter (fun j -> j >= 0) (Array.to_list (Array.sub sf.Sform.slack_col 0 m)) in
-  let active = Array.of_list (List.init sf.Sform.n Fun.id @ slacks) in
+  let m = sf.Sform.m0 and first_art = sf.Sform.first_art in
+  (* every bound row has a slack, numbered after the constraint rows' *)
+  let nact = first_art - Array.length sf.Sform.ub_var in
+  (* Count, then fill: each column's constraint-row entries lead it. *)
+  let cstart = Array.make (first_art + 1) 0 and rstart = Array.make (m + 1) 0 in
+  for j = 0 to first_art - 1 do
+    let ri = fst sf.Sform.cols.(j) in
+    let k = ref 0 in
+    while !k < Array.length ri && ri.(!k) < m do
+      rstart.(ri.(!k) + 1) <- rstart.(ri.(!k) + 1) + 1;
+      incr k
+    done;
+    cstart.(j + 1) <- cstart.(j) + !k
+  done;
+  for i = 0 to m - 1 do
+    rstart.(i + 1) <- rstart.(i + 1) + rstart.(i)
+  done;
+  let nnz = cstart.(first_art) in
+  let crow = Array.make nnz 0 and cval = Array.make nnz 0. in
+  let rcol = Array.make nnz 0 and rval = Array.make nnz 0. in
+  let next = Array.copy rstart in
+  for j = 0 to first_art - 1 do
+    let ri, vs = sf.Sform.cols.(j) in
+    for k = 0 to cstart.(j + 1) - cstart.(j) - 1 do
+      let p = cstart.(j) + k and i = ri.(k) in
+      let v = Rat.to_float vs.(k) in
+      crow.(p) <- i;
+      cval.(p) <- v;
+      rcol.(next.(i)) <- j;
+      rval.(next.(i)) <- v;
+      next.(i) <- next.(i) + 1
+    done
+  done;
   let ncols = sf.Sform.ncols in
   let up = Array.make ncols infinity in
-  Array.fill up sf.Sform.first_art m 0.;
+  Array.fill up first_art m 0.;
   {
     sf;
     m;
-    frows;
-    fvals;
+    nact;
+    cstart;
+    crow;
+    cval;
+    rstart;
+    rcol;
+    rval;
     fobj = Array.map Rat.to_float sf.Sform.obj;
-    active;
     up;
     d = Array.make ncols 0.;
     at_up = Array.make ncols false;
@@ -83,7 +117,10 @@ let create (sf : Sform.t) =
     w = Array.make m 0.;
     rho = Array.make m 0.;
     alpha = Array.make ncols 0.;
-    cand = Array.make (Array.length active) 0;
+    touched = Array.make nact 0;
+    n_touched = 0;
+    seen = Array.make nact false;
+    cand = Array.make nact 0;
   }
 
 (* {2 Eta file} *)
@@ -100,17 +137,18 @@ let push_eta t e =
 
 let eta_of_dense ~r w =
   let nnz = ref 0 in
-  Array.iteri (fun i v -> if i <> r && abs_float v > drop_tol then incr nnz) w;
+  for i = 0 to Array.length w - 1 do
+    if i <> r && abs_float w.(i) > drop_tol then incr nnz
+  done;
   let idx = Array.make !nnz 0 and vals = Array.make !nnz 0. in
   let k = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if i <> r && abs_float v > drop_tol then begin
-        idx.(!k) <- i;
-        vals.(!k) <- v;
-        incr k
-      end)
-    w;
+  for i = 0 to Array.length w - 1 do
+    if i <> r && abs_float w.(i) > drop_tol then begin
+      idx.(!k) <- i;
+      vals.(!k) <- w.(i);
+      incr k
+    end
+  done;
   { er = r; pr = w.(r); idx; vals }
 
 (* v := B^-1 v : apply etas oldest to newest. *)
@@ -140,26 +178,40 @@ let btran t y =
 
 (* {2 Columns} *)
 
-let col_dot t y j =
-  if j < t.sf.Sform.first_art then begin
-    let ri = t.frows.(j) and vs = t.fvals.(j) in
-    let s = ref 0. in
-    for k = 0 to Array.length vs - 1 do
-      s := !s +. (vs.(k) *. y.(ri.(k)))
-    done;
-    !s
-  end
-  else y.(j - t.sf.Sform.first_art)
-
 (* w += f * column j *)
 let add_col t j f w =
-  if j < t.sf.Sform.first_art then begin
-    let ri = t.frows.(j) and vs = t.fvals.(j) in
-    for k = 0 to Array.length vs - 1 do
-      w.(ri.(k)) <- w.(ri.(k)) +. (f *. vs.(k))
+  if j < t.sf.Sform.first_art then
+    for p = t.cstart.(j) to t.cstart.(j + 1) - 1 do
+      w.(t.crow.(p)) <- w.(t.crow.(p)) +. (f *. t.cval.(p))
     done
-  end
   else w.(j - t.sf.Sform.first_art) <- w.(j - t.sf.Sform.first_art) +. f
+
+(* alpha := y A, pricing row by row: only [y]'s nonzero rows are read,
+   in ascending order, so each column's entry is the same float sum as
+   its column dot product with [y] (a zero term leaves a sum that
+   starts at [+0.] unchanged).  The columns reached are listed in
+   [touched]; every other column's entry is 0. *)
+let price t y =
+  for k = 0 to t.n_touched - 1 do
+    let j = t.touched.(k) in
+    t.alpha.(j) <- 0.;
+    t.seen.(j) <- false
+  done;
+  let n = ref 0 in
+  for i = 0 to t.m - 1 do
+    let yi = y.(i) in
+    if yi <> 0. then
+      for p = t.rstart.(i) to t.rstart.(i + 1) - 1 do
+        let j = t.rcol.(p) in
+        if not t.seen.(j) then begin
+          t.seen.(j) <- true;
+          t.touched.(!n) <- j;
+          incr n
+        end;
+        t.alpha.(j) <- t.alpha.(j) +. (t.rval.(p) *. yi)
+      done
+  done;
+  t.n_touched <- !n
 
 (* Load column [j] densely into [w] (zeroing it first). *)
 let load_col t j w =
@@ -183,9 +235,8 @@ let refactorize t =
   let live_nnz j =
     let c = ref 0 in
     if j < t.sf.Sform.first_art then begin
-      let ri = t.frows.(j) in
-      for k = 0 to Array.length t.fvals.(j) - 1 do
-        if not row_done.(ri.(k)) then incr c
+      for p = t.cstart.(j) to t.cstart.(j + 1) - 1 do
+        if not row_done.(t.crow.(p)) then incr c
       done
     end
     else if not row_done.(j - t.sf.Sform.first_art) then incr c;
@@ -231,9 +282,9 @@ let refactor_threshold t = (4 * t.m) + 50
 (* x_B = B^-1 (b - sum of the at-upper columns' A_j u_j), from scratch. *)
 let recompute_xb t fb =
   Array.blit fb 0 t.xb 0 t.m;
-  Array.iter
-    (fun j -> if (not t.inb.(j)) && t.at_up.(j) then add_col t j (-.t.up.(j)) t.xb)
-    t.active;
+  for j = 0 to t.nact - 1 do
+    if (not t.inb.(j)) && t.at_up.(j) then add_col t j (-.t.up.(j)) t.xb
+  done;
   ftran t t.xb
 
 (* y = c_B B^-1 into [rho], and every active column's reduced cost. *)
@@ -244,9 +295,10 @@ let recompute_duals t =
     t.rho.(i) <- (if j < first_art then t.fobj.(j) else 0.)
   done;
   btran t t.rho;
-  Array.iter
-    (fun j -> t.d.(j) <- (if t.inb.(j) then 0. else t.fobj.(j) -. col_dot t t.rho j))
-    t.active
+  price t t.rho;
+  for j = 0 to t.nact - 1 do
+    t.d.(j) <- (if t.inb.(j) then 0. else t.fobj.(j) -. t.alpha.(j))
+  done
 
 (* Move each boxed nonbasic column to the bound its reduced cost
    prefers.  A fixed column ([up = 0]) may carry either sign; it sits
@@ -255,22 +307,21 @@ let recompute_duals t =
    moved. *)
 let settle t =
   let moved = ref false in
-  Array.iter
-    (fun j ->
-      if (not t.inb.(j)) && t.up.(j) < infinity then begin
-        let dj = t.d.(j) in
-        let want =
-          if t.up.(j) = 0. then dj < 0.
-          else if dj < -.dual_tol then true
-          else if dj > dual_tol then false
-          else t.at_up.(j)
-        in
-        if want <> t.at_up.(j) then begin
-          t.at_up.(j) <- want;
-          if t.up.(j) > 0. then moved := true
-        end
-      end)
-    t.active;
+  for j = 0 to t.nact - 1 do
+    if (not t.inb.(j)) && t.up.(j) < infinity then begin
+      let dj = t.d.(j) in
+      let want =
+        if t.up.(j) = 0. then dj < 0.
+        else if dj < -.dual_tol then true
+        else if dj > dual_tol then false
+        else t.at_up.(j)
+      in
+      if want <> t.at_up.(j) then begin
+        t.at_up.(j) <- want;
+        if t.up.(j) > 0. then moved := true
+      end
+    end
+  done;
   !moved
 
 (* {2 The explicit layout}
@@ -343,6 +394,13 @@ let farkas t ~r ~s =
     in
     Infeasible_col { basis = explicit_basis t ~at_upper; col }
 
+(* Dual slack of nonbasic [j]: its reduced cost's distance from the
+   wrong sign for the bound it sits at ([Float.max 0.], NaN included,
+   written so that it inlines and its result stays unboxed). *)
+let[@inline] dual_slack t j =
+  let x = if t.at_up.(j) then -.t.d.(j) else t.d.(j) in
+  if x <= 0. then 0. else x
+
 (* Bounded dual simplex from the current basis, which must be dual
    feasible with every nonbasic column at a bound.  Each iteration
    takes the basic value furthest outside its bounds, prices its row
@@ -353,9 +411,6 @@ let farkas t ~r ~s =
 let iterate t ~fb ~deadline ~pivots =
   let m = t.m in
   let iter = ref 0 in
-  (* dual slack of nonbasic [j]: its reduced cost's distance from the
-     wrong sign for the bound it sits at *)
-  let dual_slack j = Float.max 0. (if t.at_up.(j) then -.t.d.(j) else t.d.(j)) in
   let rec loop () =
     if !iter land deadline_poll_mask = 0 then Svutil.Deadline.check deadline;
     incr iter;
@@ -385,21 +440,19 @@ let iterate t ~fb ~deadline ~pivots =
     Array.fill t.rho 0 m 0.;
     t.rho.(r) <- 1.;
     btran t t.rho;
+    price t t.rho;
     let nc = ref 0 in
-    Array.iter
-      (fun j ->
-        if not t.inb.(j) then begin
-          let a = col_dot t t.rho j in
-          t.alpha.(j) <- a;
-          let sa = s *. a in
-          if t.up.(j) > 0.
-             && ((t.at_up.(j) && sa > pivot_tol) || ((not t.at_up.(j)) && sa < -.pivot_tol))
-          then begin
-            t.cand.(!nc) <- j;
-            incr nc
-          end
-        end)
-      t.active;
+    for j = 0 to t.nact - 1 do
+      if not t.inb.(j) then begin
+        let sa = s *. t.alpha.(j) in
+        if t.up.(j) > 0.
+           && ((t.at_up.(j) && sa > pivot_tol) || ((not t.at_up.(j)) && sa < -.pivot_tol))
+        then begin
+          t.cand.(!nc) <- j;
+          incr nc
+        end
+      end
+    done;
     let nc = !nc in
     (* Batches in Harris order; [cand.(0 .. lo-1)] are flipped. *)
     let slope = ref delta and lo = ref 0 and q = ref (-1) in
@@ -407,14 +460,14 @@ let iterate t ~fb ~deadline ~pivots =
       let bound = ref infinity in
       for k = !lo to nc - 1 do
         let j = t.cand.(k) in
-        let b = (dual_slack j +. dual_tol) /. abs_float t.alpha.(j) in
+        let b = (dual_slack t j +. dual_tol) /. abs_float t.alpha.(j) in
         if b < !bound then bound := b
       done;
       let hi = ref !lo and cap = ref 0. in
       for k = !lo to nc - 1 do
         let j = t.cand.(k) in
         let a = abs_float t.alpha.(j) in
-        if dual_slack j /. a <= !bound then begin
+        if dual_slack t j /. a <= !bound then begin
           t.cand.(k) <- t.cand.(!hi);
           t.cand.(!hi) <- j;
           incr hi;
@@ -459,10 +512,13 @@ let iterate t ~fb ~deadline ~pivots =
       let wr = t.w.(r) in
       if abs_float wr < pivot_tol then raise Stall;
       let aq = t.alpha.(q) in
-      let theta_d = (if t.at_up.(q) then -.dual_slack q else dual_slack q) /. aq in
-      Array.iter
-        (fun j -> if not t.inb.(j) then t.d.(j) <- t.d.(j) -. (theta_d *. t.alpha.(j)))
-        t.active;
+      let theta_d = (if t.at_up.(q) then -.dual_slack t q else dual_slack t q) /. aq in
+      (* A column [price] did not reach has alpha 0: its reduced cost
+         stays. *)
+      for k = 0 to t.n_touched - 1 do
+        let j = t.touched.(k) in
+        if not t.inb.(j) then t.d.(j) <- t.d.(j) -. (theta_d *. t.alpha.(j))
+      done;
       t.d.(p) <- -.theta_d;
       t.d.(q) <- 0.;
       let target = if s > 0. then 0. else t.up.(p) in
@@ -504,12 +560,11 @@ let cold t fb =
     t.inb.(j) <- true;
     if sf.Sform.slack_sign.(r) < 0 then push_eta t { er = r; pr = -1.; idx = [||]; vals = [||] }
   done;
-  Array.iter
-    (fun j ->
-      t.d.(j) <- (if t.inb.(j) then 0. else t.fobj.(j));
-      if t.d.(j) < 0. && t.up.(j) = infinity then raise Stall;
-      t.at_up.(j) <- t.d.(j) < 0.)
-    t.active;
+  for j = 0 to t.nact - 1 do
+    t.d.(j) <- (if t.inb.(j) then 0. else t.fobj.(j));
+    if t.d.(j) < 0. && t.up.(j) = infinity then raise Stall;
+    t.at_up.(j) <- t.d.(j) < 0.
+  done;
   recompute_xb t fb
 
 let solve ?(deadline = Svutil.Deadline.none) ?(metrics = Svutil.Metrics.nop) t

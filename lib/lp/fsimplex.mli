@@ -6,9 +6,11 @@
     right-hand side), each row's logical is its slack (an [Eq] row's is
     its artificial, fixed at 0), and nonbasic columns sit at a bound.
     The cold start is the all-logical basis with negative-cost columns
-    at their upper bound; one pivot loop (product-form inverse, Harris
-    ratio test with bound flipping, reduced costs updated in place)
-    serves it and every warm start.  An LP whose all-logical basis is
+    at their upper bound; one pivot loop (product-form inverse, the
+    pivot row priced row-wise over the nonzeros of its row of
+    [B^-1], Harris ratio test with bound flipping, reduced costs
+    updated in place on the columns that row touches) serves it and
+    every warm start.  An LP whose all-logical basis is
     not dual feasible — a negative cost on a column without an upper
     bound — gets {!Stalled}.
 
@@ -25,9 +27,10 @@
 type t
 
 val create : Sform.t -> t
-(** Solver state for the layout. Columns share the layout's row-index
-    arrays; only the values of their constraint-row entries are
-    converted to doubles, once. *)
+(** Solver state for the layout.  The constraint rows' entries (row
+    indices and values, as doubles) are copied once into two flat
+    arrays each, one ordered by column and one by row; the bound rows
+    stay implicit. *)
 
 type point = { xb : float array; y : float array }
 (** The float primal–dual pair of an explicit basis, both indexed by

@@ -97,7 +97,7 @@ module Make (Solver : Simplex.SOLVER) = struct
             Svutil.Metrics.count metrics "ilp.static_fixed" (List.length fs);
             Presolve.apply_fixings s fs
       in
-      match Presolve.run s with
+      match Svutil.Metrics.span metrics "lp/presolve" (fun () -> Presolve.run s) with
       | Presolve.Infeasible -> (Infeasible, finished 0 false)
       | Presolve.Solved { values } ->
           Svutil.Metrics.count metrics "ilp.presolve_fixed" s.Problem.n;

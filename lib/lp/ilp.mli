@@ -67,8 +67,9 @@ module Make (_ : Simplex.SOLVER) : sig
 
       [metrics] (default {!Svutil.Metrics.nop}) receives [ilp.nodes]
       (always equal to [stats.nodes]), [ilp.pruned_bound],
-      [ilp.presolve_fixed] and [ilp.incumbents], plus the {!Simplex}
-      counters from the node solves. Parallel workers write into
+      [ilp.presolve_fixed] and [ilp.incumbents], the [lp/presolve]
+      span around presolve, plus the {!Simplex} counters and spans
+      from the node solves. Parallel workers write into
       private per-slot registries that are absorbed into [metrics]
       before the call returns, so the caller's registry is never
       touched concurrently.

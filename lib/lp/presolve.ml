@@ -246,7 +246,12 @@ let apply_fixings (s : Problem.snapshot) fixings =
       Problem.with_bounds s ~lb ~ub
 
 let solve_lp ?deadline ?metrics (module S : Simplex.SOLVER) (s : Problem.snapshot) =
-  match run (Problem.relax s) with
+  match
+    Svutil.Metrics.span
+      (Option.value metrics ~default:Svutil.Metrics.nop)
+      "lp/presolve"
+      (fun () -> run (Problem.relax s))
+  with
   | Infeasible -> Simplex.Infeasible
   | Solved { values } ->
       let objective = Linexpr.eval s.objective (fun v -> values.(v)) in

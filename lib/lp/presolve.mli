@@ -59,4 +59,5 @@ val solve_lp :
     (integrality marks are ignored, as in {!Simplex}). The reported
     objective is re-evaluated on the restored values against the
     original objective. [deadline] is forwarded to the solver, which may
-    raise {!Svutil.Deadline.Expired}. *)
+    raise {!Svutil.Deadline.Expired}. Presolve is timed as the
+    [lp/presolve] span of [metrics]. *)

@@ -51,24 +51,25 @@ let make (s : Problem.snapshot) =
     end
   done;
   let first_art = !next in
-  (* Accumulate each column's (row, coef) entries, top row first. *)
-  let acc = Array.make first_art [] in
-  for r = m - 1 downto 0 do
-    if r >= m0 then acc.(ub_var.(r - m0)) <- (r, Rat.one) :: acc.(ub_var.(r - m0))
-    else
-      Array.iter
-        (fun (v, c) -> if not (Rat.is_zero c) then acc.(v) <- (r, c) :: acc.(v))
-        row_terms.(r);
-    if slack_col.(r) >= 0 then
-      acc.(slack_col.(r)) <-
-        [ (r, if slack_sign.(r) > 0 then Rat.one else Rat.minus_one) ]
-  done;
-  let cols =
-    Array.map
-      (fun l ->
-        (Array.of_list (List.map fst l), Array.of_list (List.map snd l)))
-      acc
+  (* Each column's (row, coef) entries in ascending row order: count
+     them, then fill. *)
+  let len = Array.make first_art 0 in
+  let each_entry f =
+    for r = 0 to m - 1 do
+      if r >= m0 then f ub_var.(r - m0) r Rat.one
+      else Array.iter (fun (v, c) -> if not (Rat.is_zero c) then f v r c) row_terms.(r);
+      if slack_col.(r) >= 0 then
+        f slack_col.(r) r (if slack_sign.(r) > 0 then Rat.one else Rat.minus_one)
+    done
   in
+  each_entry (fun j _ _ -> len.(j) <- len.(j) + 1);
+  let cols = Array.map (fun k -> (Array.make k 0, Array.make k Rat.zero)) len in
+  Array.fill len 0 first_art 0;
+  each_entry (fun j r c ->
+      let ri, vs = cols.(j) in
+      ri.(len.(j)) <- r;
+      vs.(len.(j)) <- c;
+      len.(j) <- len.(j) + 1);
   let obj = Array.make first_art Rat.zero in
   List.iter (fun (v, c) -> obj.(v) <- c) (Linexpr.to_list s.objective);
   {

@@ -32,7 +32,9 @@ type t = private {
   ncols : int;  (** [first_art + m] *)
   cols : (int array * Rat.t array) array;
       (** sparse columns for [j < first_art], parallel row-index/value
-          arrays; artificial columns are implicit unit vectors *)
+          arrays with the rows in ascending order (so a column's
+          constraint-row entries lead it); artificial columns are
+          implicit unit vectors *)
   obj : Rat.t array;  (** objective over [j < first_art] (0 past [n]) *)
   slack_sign : int array;  (** per row: +1 for [Le], -1 for [Ge], 0 for [Eq] *)
   slack_col : int array;  (** per row: slack column index, or -1 *)

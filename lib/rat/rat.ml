@@ -1,7 +1,8 @@
 module B = Bigint
 
 (* Invariant: the denominator is positive and coprime with the
-   numerator; zero is [0/1].
+   numerator, so an integer's is 1; zero is [0/1], and normalization
+   ([norm_small], [make]) returns the shared [zero] for it.
 
    Two representations: [S (n, d)] keeps both parts in native ints when
    they are below [small_lim], [Q] falls back to {!Bigint}.  The
@@ -24,14 +25,21 @@ let rec igcd a b = if b = 0 then a else igcd b (a mod b)
 
 (* Normalized value from a native fraction.  Callers guarantee [d <> 0]
    and both parts within [2^61], so sign flips and products below are
-   exact. *)
+   exact.  Most sums and products in the LP layer are of integers, so
+   denominator 1 skips the gcd. *)
 let norm_small n d =
-  let n, d = if d < 0 then (-n, -d) else (n, d) in
-  if n = 0 then zero
+  if d = 1 then
+    if n = 0 then zero
+    else if fits n then S (n, 1)
+    else Q { num = B.of_int n; den = B.one }
   else begin
-    let g = igcd (abs n) d in
-    let n = n / g and d = d / g in
-    if fits n && fits d then S (n, d) else Q { num = B.of_int n; den = B.of_int d }
+    let n, d = if d < 0 then (-n, -d) else (n, d) in
+    if n = 0 then zero
+    else begin
+      let g = igcd (abs n) d in
+      let n = n / g and d = d / g in
+      if fits n && fits d then S (n, d) else Q { num = B.of_int n; den = B.of_int d }
+    end
   end
 
 let make num den =

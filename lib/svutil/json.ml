@@ -15,6 +15,12 @@ type t =
 
 exception Parse of string
 
+(* The parser recurses once per open bracket, so nesting is bounded:
+   a hostile line cannot exhaust the stack or hold the reader for
+   seconds.  The deepest document the repo reads or writes nests 5
+   levels. *)
+let max_depth = 512
+
 let parse_error fmt = Printf.ksprintf (fun s -> raise (Parse s)) fmt
 
 let of_string s =
@@ -112,9 +118,12 @@ let of_string s =
     go ();
     Buffer.contents b
   in
-  let rec parse_value () =
+  (* [depth]: the containers open around this value. *)
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
+    | Some ('{' | '[') when depth >= max_depth ->
+        fail (Printf.sprintf "nesting deeper than %d" max_depth)
     | Some '{' ->
         advance ();
         skip_ws ();
@@ -127,7 +136,7 @@ let of_string s =
             skip_ws ();
             let k = parse_string () in
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -148,7 +157,7 @@ let of_string s =
         end
         else
           let rec elems acc =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -182,7 +191,7 @@ let of_string s =
     | None -> fail "unexpected end of input"
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> len then fail "trailing garbage";
     v

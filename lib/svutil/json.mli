@@ -19,8 +19,13 @@ type t =
 exception Parse of string
 (** Raised internally; {!of_string} never lets it escape. *)
 
+val max_depth : int
+(** Deepest nesting of arrays and objects {!of_string} accepts: 512. *)
+
 val of_string : string -> (t, string) result
-(** Parse one JSON document.  Trailing non-whitespace is an error. *)
+(** Parse one JSON document.  Trailing non-whitespace is an error, and
+    so is nesting deeper than {!max_depth}, reported at the offset of
+    the first bracket past the limit. *)
 
 val to_string : t -> string
 (** One-line serialization.  [of_string (to_string j)] re-reads [j]

@@ -570,6 +570,8 @@ let test_engine_metrics_consistency () =
         (Svutil.Metrics.span_stats m path <> None))
     [
       "solve/search/lp/build";
+      "solve/search/lp/seed";
+      "solve/search/lp/presolve";
       "solve/search/lp/sform";
       "solve/search/lp/float";
       "solve/search/lp/certify";
@@ -597,6 +599,38 @@ let test_corpus_certify_counters () =
             (Svutil.Metrics.counter_value m c))
         [ "certify.factorizations"; "certify.repairs"; "certify.fallbacks" ])
     [ E.Exact; E.Round_set; E.Round_card ]
+
+let test_corpus_solver_work () =
+  (* The solver's work on the full seed-42 corpus, pinned per method.
+     Only IEEE double arithmetic decides the float pass's pivots, so
+     every compiler must agree, and any change to the pivot sequence,
+     the branching or the warm starts shows up here. *)
+  let insts = Svbench.Corpus.generate ~seed:42 () in
+  Alcotest.(check int) "corpus size" 360 (List.length insts);
+  List.iter
+    (fun (meth, expected) ->
+      let m = Svutil.Metrics.create () in
+      List.iter
+        (fun (ir : Svbench.Corpus.inst_rec) ->
+          ignore
+            (E.run { (E.default_request ir.Svbench.Corpus.inst) with E.meth; metrics = m }))
+        insts;
+      List.iter
+        (fun (c, n) ->
+          Alcotest.(check int) (E.meth_to_string meth ^ " " ^ c) n
+            (Svutil.Metrics.counter_value m c))
+        expected)
+    [
+      ( E.Exact,
+        [
+          ("simplex.hybrid.float_pivots", 3620);
+          ("ilp.nodes", 422);
+          ("certify.accepts", 421);
+          ("simplex.warm_starts", 77);
+        ] );
+      (E.Round_set, [ ("simplex.hybrid.float_pivots", 3841); ("certify.accepts", 358) ]);
+      (E.Round_card, [ ("simplex.hybrid.float_pivots", 1877); ("certify.accepts", 131) ]);
+    ]
 
 let test_par_batch_metrics_merge () =
   (* The batch driver gives each file its own registry and merges; the
@@ -909,6 +943,7 @@ let () =
           Alcotest.test_case "metrics consistency" `Quick test_engine_metrics_consistency;
           Alcotest.test_case "par batch metrics merge" `Quick test_par_batch_metrics_merge;
           Alcotest.test_case "corpus certify counters" `Quick test_corpus_certify_counters;
+          Alcotest.test_case "corpus solver work" `Quick test_corpus_solver_work;
         ] );
       ("properties", props);
     ]

@@ -114,6 +114,14 @@ let gen_wide_rat =
     return
       (if flip then Q.of_ints (n * scale) d else Q.of_ints n (d * scale)))
 
+(* Integers within 1000 of [+-2^30], the native arm's limit: sums,
+   differences and products of two of them land on both sides of it. *)
+let gen_edge_int =
+  QCheck2.Gen.(
+    let* side = oneofl [ 1 lsl 30; -(1 lsl 30) ] in
+    let* off = int_range (-1000) 1000 in
+    return (side + off))
+
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:300 ~name gen f)
 
 let props =
@@ -156,6 +164,17 @@ let props =
         in
         (* structural equality too: representations must be canonical *)
         Q.add a b = via_bigint);
+    (* Denominator-1 results take [norm_small]'s fast path: it must
+       build the same representation as the Bigint route, so a native
+       [S] outside the native range fails structural equality. *)
+    prop "integer edge agrees with bigint route"
+      QCheck2.Gen.(pair gen_edge_int gen_edge_int)
+      (fun (a, b) ->
+        let qa = Q.of_int a and qb = Q.of_int b in
+        let ba = B.of_int a and bb = B.of_int b in
+        Q.add qa qb = Q.make (B.add ba bb) B.one
+        && Q.sub qa qb = Q.make (B.sub ba bb) B.one
+        && Q.mul qa qb = Q.make (B.mul ba bb) B.one);
     prop "wide normalized gcd" gen_wide_rat (fun a ->
         B.equal B.one (B.gcd (Q.num a) (Q.den a)) || Q.is_zero a);
     prop "wide compare vs float" QCheck2.Gen.(pair gen_wide_rat gen_wide_rat)

@@ -749,6 +749,40 @@ let test_daemon_serve_channels () =
       | Error e -> Alcotest.fail ("bad response line: " ^ e))
     lines
 
+(* A line nested far past the JSON depth limit gets a parse error at
+   once, and the next line is answered. *)
+let test_daemon_deep_nesting () =
+  let input = Filename.temp_file "serve_in" ".jsonl" in
+  let output = Filename.temp_file "serve_out" ".jsonl" in
+  let oc = open_out input in
+  output_string oc {|{"id":"deep","op":"ping","x":|};
+  output_string oc (String.make 100_000 '[');
+  output_string oc "\n{\"id\":\"p\",\"op\":\"ping\"}\n";
+  close_out oc;
+  let ic = open_in input and out = open_out output in
+  let outcome = Serve.Daemon.serve_channels (daemon ()) ic out in
+  close_in ic;
+  close_out out;
+  let lines = In_channel.with_open_text output In_channel.input_all in
+  Sys.remove input;
+  Sys.remove output;
+  Alcotest.(check bool) "eof outcome" true (outcome = `Eof);
+  match List.filter (( <> ) "") (String.split_on_char '\n' lines) with
+  | [ err; pong ] -> (
+      (match Json.of_string err with
+      | Ok j ->
+          let field k = Option.bind (Json.member "error" j) (Json.str_member k) in
+          Alcotest.(check (option string)) "parse error" (Some "parse") (field "kind");
+          let prefix = Printf.sprintf "request: nesting deeper than %d" Json.max_depth in
+          Alcotest.(check bool) "cut at the limit" true
+            (Option.fold ~none:false ~some:(String.starts_with ~prefix) (field "message"))
+      | Error e -> Alcotest.fail ("bad response line: " ^ e));
+      match Json.of_string pong with
+      | Ok j ->
+          Alcotest.(check (option bool)) "pong" (Some true) (Json.bool_member "pong" j)
+      | Error e -> Alcotest.fail ("bad response line: " ^ e))
+  | _ -> Alcotest.fail ("expected two responses, got: " ^ lines)
+
 (* A client that closed its end before reading: with SIGPIPE ignored,
    as the daemon arranges, the first response write fails with EPIPE
    and the loop ends the session instead of raising. *)
@@ -856,6 +890,7 @@ let () =
             test_daemon_errors;
           Alcotest.test_case "serve_channels loop" `Quick
             test_daemon_serve_channels;
+          Alcotest.test_case "deep nesting then ping" `Quick test_daemon_deep_nesting;
           Alcotest.test_case "jobs clamp" `Quick test_daemon_jobs_clamp;
           Alcotest.test_case "closed reader ends the session" `Quick
             test_daemon_closed_reader;

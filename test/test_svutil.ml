@@ -160,6 +160,31 @@ let test_json_numbers () =
   Alcotest.(check bool) "null re-parses" true
     (Json.of_string (Json.to_string (Json.Num Float.nan)) = Ok Json.Null)
 
+(* Nesting is bounded: a line nested far past the limit fails at the
+   first bracket beyond it, without reading (or recursing into) the
+   rest, and the limit itself still parses. *)
+let test_json_nesting () =
+  let arrays k = String.make k '[' ^ String.make k ']' in
+  let objects k =
+    String.concat "" (List.init k (fun _ -> {|{"a":|})) ^ "0" ^ String.make k '}'
+  in
+  let too_deep = Printf.sprintf "nesting deeper than %d at offset %d" Json.max_depth in
+  Alcotest.(check int) "limit" 512 Json.max_depth;
+  List.iter
+    (fun (what, text) ->
+      Alcotest.(check bool) (what ^ " at the limit parses") true
+        (Result.is_ok (Json.of_string (text Json.max_depth))))
+    [ ("arrays", arrays); ("objects", objects) ];
+  Alcotest.(check (result reject string)) "one array past the limit"
+    (Error (too_deep Json.max_depth))
+    (Json.of_string (arrays (Json.max_depth + 1)));
+  Alcotest.(check (result reject string)) "one object past the limit"
+    (Error (too_deep (5 * Json.max_depth)))
+    (Json.of_string (objects (Json.max_depth + 1)));
+  Alcotest.(check (result reject string)) "100,000 open brackets"
+    (Error (too_deep Json.max_depth))
+    (Json.of_string (String.make 100_000 '['))
+
 let json_roundtrip_num f =
   match Json.of_string (Json.to_string (Json.Num f)) with
   | Ok (Json.Num g) -> Int64.bits_of_float g = Int64.bits_of_float f
@@ -267,7 +292,10 @@ let () =
           Alcotest.test_case "too many cells" `Quick test_table_too_many_cells;
         ] );
       ( "json",
-        [ Alcotest.test_case "number printing" `Quick test_json_numbers ] );
+        [
+          Alcotest.test_case "number printing" `Quick test_json_numbers;
+          Alcotest.test_case "nesting bound" `Quick test_json_nesting;
+        ] );
       ( "par",
         [
           Alcotest.test_case "worker exception propagates" `Quick test_par_exception;
