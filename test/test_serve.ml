@@ -890,11 +890,11 @@ let () =
             test_daemon_errors;
           Alcotest.test_case "serve_channels loop" `Quick
             test_daemon_serve_channels;
-          Alcotest.test_case "deep nesting then ping" `Quick test_daemon_deep_nesting;
           Alcotest.test_case "jobs clamp" `Quick test_daemon_jobs_clamp;
           Alcotest.test_case "closed reader ends the session" `Quick
             test_daemon_closed_reader;
           Alcotest.test_case "closed stdout exits 0 with stats" `Quick
             test_daemon_closed_stdout;
+          Alcotest.test_case "deep nesting then ping" `Quick test_daemon_deep_nesting;
         ] );
     ]
