@@ -65,6 +65,13 @@ lint-examples:
 	    || { echo "FAIL: $$f did not report $$code (json)"; echo "$$json"; exit 1; }; \
 	  echo "ok: $$f -> $$code"; \
 	done
+	@for code in $$(./_build/default/bin/secure_view_cli.exe lint --codes | awk '/^W[0-9]/ {print $$1}'); \
+	do \
+	  lc=$$(echo $$code | tr A-Z a-z); \
+	  ls examples/bad/$${lc}_*.swf >/dev/null 2>&1 \
+	    || { echo "FAIL: lint code $$code has no fixture examples/bad/$${lc}_*.swf"; exit 1; }; \
+	done; \
+	echo "ok: every lint code has a fixture"
 
 # Privacy-flow analysis over the example corpus: every shipped spec
 # must analyze without error in both text and JSON form, and the JSON

@@ -298,7 +298,7 @@ let run recs =
     (fun ir ->
       List.map
         (fun m ->
-          if m = E.Brute && List.length ir.inst.I.attr_costs > brute_measure_cap
+          if m = E.Brute && List.length (I.attr_costs ir.inst) > brute_measure_cap
           then skipped_row ir m
           else begin
             let req = { (E.default_request ir.inst) with E.meth = m } in
@@ -379,7 +379,7 @@ let instance_to_json (inst : I.t) =
         J.Arr
           (List.map
              (fun (a, c) -> J.Arr [ J.Str a; J.Str (Rat.to_string c) ])
-             inst.I.attr_costs) );
+             (I.attr_costs inst)) );
       ( "mods",
         J.Arr
           (List.map
@@ -391,7 +391,7 @@ let instance_to_json (inst : I.t) =
                    ("outputs", strs m.I.outputs);
                    ("req", req_to_json m.I.req);
                  ])
-             inst.I.mods) );
+             (I.mods inst)) );
       ( "publics",
         J.Arr
           (List.map
@@ -402,7 +402,7 @@ let instance_to_json (inst : I.t) =
                    ("cost", J.Str (Rat.to_string p.I.p_cost));
                    ("attrs", strs p.I.p_attrs);
                  ])
-             inst.I.publics) );
+             (I.publics inst)) );
     ]
 
 let inst_rec_to_json ir =

@@ -114,7 +114,7 @@ let disjoint_union blocks =
       | Req.Sets l ->
           Req.Sets (List.map (fun (ins, outs) -> (List.map ra ins, List.map ra outs)) l)
     in
-    ( List.map (fun (a, c) -> (ra a, c)) inst.I.attr_costs,
+    ( List.map (fun (a, c) -> (ra a, c)) (I.attr_costs inst),
       List.map
         (fun (m : I.module_req) ->
           {
@@ -123,11 +123,11 @@ let disjoint_union blocks =
             outputs = List.map ra m.I.outputs;
             req = rreq m.I.req;
           })
-        inst.I.mods,
+        (I.mods inst),
       List.map
         (fun (p : I.public_mod) ->
           { I.p_name = ra p.I.p_name; p_cost = p.I.p_cost; p_attrs = List.map ra p.I.p_attrs })
-        inst.I.publics )
+        (I.publics inst) )
   in
   let parts = List.mapi rename blocks in
   I.make

@@ -340,7 +340,7 @@ let timing_tests () =
     let r a = a ^ suffix in
     Core.Instance.make
       ~attr_costs:
-        (List.map (fun (a, c) -> (r a, c)) inst.Core.Instance.attr_costs)
+        (List.map (fun (a, c) -> (r a, c)) (Core.Instance.attr_costs inst))
       ~mods:
         (List.map
            (fun (m : Core.Instance.module_req) ->
@@ -357,7 +357,7 @@ let timing_tests () =
                           (fun (i, o) -> (List.map r i, List.map r o))
                           l));
              })
-           inst.Core.Instance.mods)
+           (Core.Instance.mods inst))
       ~publics:
         (List.map
            (fun (p : Core.Instance.public_mod) ->
@@ -366,7 +366,7 @@ let timing_tests () =
                p_cost = p.Core.Instance.p_cost;
                p_attrs = List.map r p.Core.Instance.p_attrs;
              })
-           inst.Core.Instance.publics)
+           (Core.Instance.publics inst))
       ()
   in
   let union_request ?(metrics = Svutil.Metrics.nop) inst =

@@ -102,7 +102,7 @@ let levels (inst : Core.Instance.t) (kernel : Core.Flow.t) =
                 changed := true
               end)
             p.Core.Instance.p_attrs)
-      inst.Core.Instance.publics
+      (Core.Instance.publics inst)
   done;
   level_of
 
@@ -174,7 +174,7 @@ let analyze_workflow ?(publics = []) ?(gamma_overrides = []) ~gamma
                      p_cost = p.Core.Instance.p_cost;
                      attr;
                    }))
-        inst.Core.Instance.publics
+        (Core.Instance.publics inst)
   in
   { kernel; attrs; modules; findings }
 

@@ -51,6 +51,8 @@ let code_reference =
      "supply one value per declared input and output");
     ("W017", Error, "builtin misuse",
      "see the fn directive documentation in Wf.Parse");
+    ("W018", Error, "module lists an attribute more than once",
+     "name each attribute once per module: twice among the inputs or outputs, or as both an input and an output, leaves the module's table ill-formed");
     ("W020", Error, "requested Gamma exceeds the module's achievable bound",
      "even hiding every attribute caps Gamma at the product of output domains; lower gamma or widen the outputs");
     ("W021", Warning, "private module is an identity wiring",
@@ -287,7 +289,7 @@ let unused_attrs c =
           a.P.a_name)
     c.raw.P.r_attrs
 
-(* --- functionality (W010–W017) --------------------------------------- *)
+(* --- functionality (W010–W018) --------------------------------------- *)
 (* Returns whether every module's rows are usable for value-level
    analysis: the declarations around them hold up. *)
 let functionality c =
@@ -301,6 +303,19 @@ let functionality c =
           (m.P.m_inputs @ m.P.m_outputs)
       in
       if not attrs_ok then valid := false;
+      (* An attribute named twice (W018), reported once per name. *)
+      let rec repeats seen reported = function
+        | [] -> ()
+        | a :: rest ->
+            if List.mem a seen && not (List.mem a reported) then begin
+              emit c ~line:m.P.m_line ~subject:m.P.m_name "W018"
+                "module %s lists attribute %s more than once" m.P.m_name a;
+              valid := false;
+              repeats seen (a :: reported) rest
+            end
+            else repeats (a :: seen) reported rest
+      in
+      repeats [] [] (m.P.m_inputs @ m.P.m_outputs);
       (match (m.P.m_fn, m.P.m_rows) with
       | None, [] ->
           emit c ~line:m.P.m_line ~subject:m.P.m_name "W014" "module %s has no functionality"
@@ -576,7 +591,7 @@ let check_raw raw =
 
 (* [spec_of_raw] has already rejected every duplicate (W036, W037),
    undeclared attribute (W001), second producer (W002), cycle (W003)
-   and malformed module (W010, W013–W017), so the declarations are
+   and malformed module (W010, W013–W018), so the declarations are
    sound; of the passes above only these can still emit an Error. *)
 let check_spec (spec : P.spec) =
   let c = context spec.P.raw in

@@ -61,7 +61,7 @@ val check_spec : Wf.Parse.spec -> diagnostic list
     the spec was parsed from — the pre-flight used by the CLI's
     [analyze]/[solve]/[check]/[batch], the daemon and perfbench, which
     keep only errors. {!Wf.Parse.spec_of_raw} has already rejected every
-    W001–W003, W010, W013–W017, W036 and W037 case, so this runs only
+    W001–W003, W010, W013–W018, W036 and W037 case, so this runs only
     the passes that can still emit an Error on an elaborated spec
     (W020, W030–W033, W035, W042), through the same pass functions as
     [check_raw]; the remaining passes emit only warnings and infos

@@ -16,8 +16,6 @@ let leaf_budget = 256
 
 (* {1 The incidence graph} *)
 
-module Names = Hashtbl.Make (String)
-
 type mdata = {
   ins : int array;
   outs : int array;
@@ -26,7 +24,7 @@ type mdata = {
   mutable shape : int;  (* rank of the requirement shape *)
 }
 
-type pdata = { pname : string; pcost : Rat.t; prank : int; pattrs : int array }
+type pdata = { pcost : Rat.t; prank : int; pattrs : int array }
 
 type graph = {
   na : int;  (* attributes are vertices [0, na) *)
@@ -34,9 +32,7 @@ type graph = {
   off : int array;  (* CSR offsets, length n + 1 *)
   adj : int array;
   wt : int array;  (* 1 for inputs and memberships, [heavy] for outputs *)
-  names : string array;
-  ids : int Names.t;
-  costs : Rat.t array;
+  cost_text : string array;  (* attribute -> its cost as the form writes it *)
   mods : mdata array;
   pubs : pdata array;
   first_opt : int;  (* options are vertices [first_opt, first_pub) *)
@@ -80,47 +76,39 @@ let compare_shape a b =
 (* The graph, each vertex's initial colour and the number of colours.
    Colours order vertices by kind, then payload rank, attributes first. *)
 let build (inst : Instance.t) =
-  let attrs = Array.of_list inst.Instance.attr_costs in
-  let names = Array.map fst attrs and costs = Array.map snd attrs in
-  let na = Array.length names in
-  let ids = Names.create ((2 * na) + 1) in
-  Array.iteri (fun i a -> Names.add ids a i) names;
-  let ids_of l =
-    let r = Array.make (List.length l) 0 in
-    List.iteri
-      (fun i a ->
-        r.(i) <-
-          (try Names.find ids a
-           with Not_found -> invalid_arg ("Canon: unknown attribute " ^ a)))
-      l;
-    r
-  in
+  let costs = inst.Instance.costs in
+  let na = Array.length costs in
   let mods =
     Array.map
-      (fun (m : Instance.module_req) ->
+      (fun (m : Instance.pmod) ->
         let card, opts =
-          match m.Instance.req with
-          | Requirement.Card l -> (Some (Requirement.normalize_card l), [||])
-          | Requirement.Sets l ->
-              (None, Array.of_list (List.map (fun (i, o) -> (ids_of i, ids_of o)) l))
+          match m.Instance.ireq with
+          | Instance.Card l -> (Some (Requirement.normalize_card l), [||])
+          | Instance.Sets a -> (None, a)
         in
-        { ins = ids_of m.Instance.inputs; outs = ids_of m.Instance.outputs; card; opts;
-          shape = 0 })
-      (Array.of_list inst.Instance.mods)
+        { ins = m.Instance.ins; outs = m.Instance.outs; card; opts; shape = 0 })
+      inst.Instance.pmods
   in
   let shape_rank, nshape = dense_ranks compare_shape mods in
   Array.iteri (fun i m -> m.shape <- shape_rank.(i)) mods;
   let crank, ncost = dense_ranks Rat.compare costs in
-  let publics = Array.of_list inst.Instance.publics in
+  (* One [Rat.to_string] per distinct cost. *)
+  let texts = Array.make ncost "" in
+  let cost_text =
+    Array.mapi
+      (fun a r ->
+        if texts.(r) = "" then texts.(r) <- Rat.to_string costs.(a);
+        texts.(r))
+      crank
+  in
+  let publics = inst.Instance.pubs in
   let prank, npcost =
-    dense_ranks Rat.compare
-      (Array.map (fun (p : Instance.public_mod) -> p.Instance.p_cost) publics)
+    dense_ranks Rat.compare (Array.map (fun (p : Instance.pub) -> p.Instance.pcost) publics)
   in
   let pubs =
     Array.mapi
-      (fun j (p : Instance.public_mod) ->
-        { pname = p.Instance.p_name; pcost = p.Instance.p_cost; prank = prank.(j);
-          pattrs = ids_of p.Instance.p_attrs })
+      (fun j (p : Instance.pub) ->
+        { pcost = p.Instance.pcost; prank = prank.(j); pattrs = p.Instance.pattrs })
       publics
   in
   let nm = Array.length mods in
@@ -175,7 +163,7 @@ let build (inst : Instance.t) =
     else ncost + nshape + 1 + pubs.(v - first_pub).prank
   in
   let g =
-    { na; n; off; adj; wt; names; ids; costs; mods; pubs; first_opt; first_pub }
+    { na; n; off; adj; wt; cost_text; mods; pubs; first_opt; first_pub }
   in
   (g, Array.init n color, ncost + nshape + 1 + npcost)
 
@@ -674,16 +662,20 @@ let search g sc root =
    forms exhibit (the serve cache's hit path). *)
 type labeling = {
   lab_form : string;
-  ids : int Names.t;  (* attribute -> vertex *)
-  pos : int array;  (* vertex -> canonical label *)
-  names : string array;  (* canonical label -> attribute *)
-  pub_slots : string array;  (* canonical slot -> public module name *)
+  pos : int array;  (* attribute id -> canonical label *)
+  order : int array;  (* canonical label -> attribute id *)
   lab_cut : bool;
 }
 
+(* Decimal digits of a non-negative int, as [string_of_int] writes
+   them, with no string built. *)
+let rec add_digits b i =
+  if i >= 10 then add_digits b (i / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (i mod 10)))
+
 let render g order c =
   let b = Buffer.create 1024 in
-  let add_int i = Buffer.add_string b (string_of_int i) in
+  let add_int i = if i >= 0 then add_digits b i else Buffer.add_string b (string_of_int i) in
   let cost q = Buffer.add_string b (Rat.to_string q) in
   let list k off =
     for t = off + 1 to off + k.(off) do
@@ -697,7 +689,7 @@ let render g order c =
       Buffer.add_char b 'a';
       add_int i;
       Buffer.add_char b '=';
-      cost g.costs.(a);
+      Buffer.add_string b g.cost_text.(a);
       Buffer.add_char b '\n')
     order;
   Array.iter
@@ -759,10 +751,8 @@ let labeling inst =
   let c = cert_of g pos in
   {
     lab_form = render g order c;
-    ids = g.ids;
     pos;
-    names = Array.map (fun a -> g.names.(a)) order;
-    pub_slots = Array.map (fun (_, j) -> g.pubs.(j).pname) c.pkeys;
+    order;
     lab_cut = cut;
   }
 
@@ -780,69 +770,45 @@ let equal a b = String.equal (form a) (form b)
    case. *)
 let fingerprint (inst : Instance.t) =
   let sorted_concat l = String.concat ";" (List.sort compare l) in
-  let costs =
-    List.sort compare
-      (List.map (fun (_, c) -> Rat.to_string c) inst.Instance.attr_costs)
-  in
+  let costs = List.sort compare (Array.to_list (Array.map Rat.to_string inst.Instance.costs)) in
   let mods =
     List.sort compare
-      (List.map
-         (fun (m : Instance.module_req) ->
-           let req =
-             match m.Instance.req with
-             | Requirement.Card l ->
-                 "card "
-                 ^ String.concat ","
-                     (List.map
-                        (fun (a, b) -> Printf.sprintf "%d:%d" a b)
-                        (Requirement.normalize_card l))
-             | Requirement.Sets l ->
-                 "sets "
-                 ^ sorted_concat
-                     (List.map
-                        (fun (i, o) ->
-                          Printf.sprintf "%d/%d" (List.length i)
-                            (List.length o))
-                        l)
-           in
-           Printf.sprintf "%d>%d %s"
-             (List.length m.Instance.inputs)
-             (List.length m.Instance.outputs)
-             req)
-         inst.Instance.mods)
+      (Array.to_list
+         (Array.map
+            (fun (m : Instance.pmod) ->
+              let req =
+                match m.Instance.ireq with
+                | Instance.Card l ->
+                    "card "
+                    ^ String.concat ","
+                        (List.map
+                           (fun (a, b) -> Printf.sprintf "%d:%d" a b)
+                           (Requirement.normalize_card l))
+                | Instance.Sets a ->
+                    "sets "
+                    ^ sorted_concat
+                        (Array.to_list
+                           (Array.map
+                              (fun (i, o) ->
+                                Printf.sprintf "%d/%d" (Array.length i) (Array.length o))
+                              a))
+              in
+              Printf.sprintf "%d>%d %s" (Array.length m.Instance.ins)
+                (Array.length m.Instance.outs) req)
+            inst.Instance.pmods))
   in
   let pubs =
     List.sort compare
-      (List.map
-         (fun (p : Instance.public_mod) ->
-           Printf.sprintf "%s#%d"
-             (Rat.to_string p.Instance.p_cost)
-             (List.length p.Instance.p_attrs))
-         inst.Instance.publics)
+      (Array.to_list
+         (Array.map
+            (fun (p : Instance.pub) ->
+              Printf.sprintf "%s#%d" (Rat.to_string p.Instance.pcost)
+                (Array.length p.Instance.pattrs))
+            inst.Instance.pubs))
   in
   String.concat "|" (costs @ mods @ pubs)
 
-let transport ~src ~dst (s : Solution.t) =
-  if not (String.equal src.lab_form dst.lab_form) then None
-  else
-    let attr a =
-      Option.map (fun v -> dst.names.(src.pos.(v))) (Names.find_opt src.ids a)
-    in
-    let pub p =
-      let rec slot i =
-        if i = Array.length src.pub_slots then None
-        else if String.equal src.pub_slots.(i) p then Some dst.pub_slots.(i)
-        else slot (i + 1)
-      in
-      slot 0
-    in
-    let all f l =
-      let mapped = List.filter_map f l in
-      if List.length mapped = List.length l then Some mapped else None
-    in
-    match (all attr s.Solution.hidden, all pub s.Solution.privatized) with
-    | Some hidden, Some privatized ->
-        (* Cost is preserved by the isomorphism; callers re-verify with
-           a [Solution.of_hidden] re-closure anyway. *)
-        Some { Solution.hidden; privatized; cost = s.Solution.cost }
-    | _ -> None
+let transport ~src ~dst ids =
+  if String.equal src.lab_form dst.lab_form then
+    Some (List.map (fun i -> dst.order.(src.pos.(i))) ids)
+  else None

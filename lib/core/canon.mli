@@ -62,19 +62,18 @@ val equal : Instance.t -> Instance.t -> bool
 
     When two instances have equal forms, the canonical relabeling of
     each exhibits an explicit isomorphism between them; composing one
-    relabeling with the inverse of the other carries a solution of one
-    instance to a solution of the other with identical cost. The serve
-    cache stores a solved representative's {!labeling} and transports
-    its solution to each later isomorphic request. *)
+    relabeling with the inverse of the other carries a hidden set of one
+    instance to a hidden set of the other with identical cost. The
+    serve cache stores a solved representative's {!labeling} and
+    transports its hidden attributes to each later isomorphic request;
+    the privatizations follow from the hidden set (Theorem 8's rule),
+    so {!Solution.of_ids} closes the result. *)
 
 type labeling
 (** The canonical relabeling of one instance: its {!form} plus the
-    attribute bijection (name {%html:&harr;%} canonical label) and the
-    canonical ordering of its public modules. *)
+    attribute bijection (id {%html:&harr;%} canonical label). *)
 
 val labeling : Instance.t -> labeling
-(** @raise Invalid_argument when a set option names an undeclared
-    attribute. *)
 
 val form_of_labeling : labeling -> string
 (** The {!form} the labeling serializes to — same string as
@@ -90,14 +89,12 @@ val cut : labeling -> bool
     sound but possibly not canonical: an isomorphic instance may get a
     different form. *)
 
-val transport : src:labeling -> dst:labeling -> Solution.t -> Solution.t option
-(** [transport ~src ~dst s] maps a solution of [src]'s instance to the
-    corresponding solution of [dst]'s instance through the canonical
-    isomorphism. [None] when the forms differ (no isomorphism
-    exhibited) or [s] references names outside [src]'s instance. The
-    result has the same cost; on equal forms it is feasible iff [s]
-    is — callers re-verify cheaply via {!Solution.of_hidden}
-    re-closure. *)
+val transport : src:labeling -> dst:labeling -> int list -> int list option
+(** [transport ~src ~dst ids] maps attribute ids of [src]'s instance to
+    the corresponding ids of [dst]'s through the canonical isomorphism;
+    [None] when the forms differ (no isomorphism exhibited). A hidden
+    set maps to one of the same cost, feasible iff the original is;
+    callers re-verify cheaply with a {!Solution.of_ids} re-closure. *)
 
 val fingerprint : Instance.t -> string
 (** A cheap necessary condition for isomorphism: sorted name-free

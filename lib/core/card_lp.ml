@@ -5,133 +5,116 @@ type variant = Full | No_pair_bound | No_sum_bound
 
 type built = {
   problem : Lp.Problem.snapshot;
-  attr_var : (string * int) list;
-  pub_var : (string * int) list;
+  attr_var : int array;
+  pub_var : int array;
   point_of : Solution.t -> Rat.t array option;
 }
 
-let card_of (m : Instance.module_req) =
-  match m.Instance.req with
-  | Requirement.Card l -> l
-  | Requirement.Sets _ ->
+let card_of (m : Instance.pmod) =
+  match m.Instance.ireq with
+  | Instance.Card l -> l
+  | Instance.Sets _ ->
       invalid_arg
-        (Printf.sprintf "Card_lp: module %s has a set requirement" m.Instance.m_name)
+        (Printf.sprintf "Card_lp: module %s has a set requirement" m.Instance.mname)
+
+(* [r_m_j], [y_m_b_j], ...: the names only label the program when it
+   is printed. *)
+let var_name parts = String.concat "_" parts
 
 let build ?(variant = Full) (inst : Instance.t) =
+  let names = inst.Instance.names and costs = inst.Instance.costs in
   let p = P.create () in
   let zero_one = Rat.one in
-  let attr_var =
-    List.map
-      (fun a -> (a, P.add_var ~ub:zero_one ~integer:true p ("x_" ^ a)))
-      (Instance.attrs inst)
-  in
-  let xv a = List.assoc a attr_var in
+  let attr_var = Array.map (fun a -> P.add_var ~ub:zero_one ~integer:true p ("x_" ^ a)) names in
   let pub_var =
-    List.map
-      (fun (pub : Instance.public_mod) ->
-        let w = P.add_var ~ub:zero_one p ("w_" ^ pub.Instance.p_name) in
+    Array.map
+      (fun (pub : Instance.pub) ->
+        let w = P.add_var ~ub:zero_one p ("w_" ^ pub.Instance.pname) in
         (* Constraint (21): privatize a public module whenever one of its
            attributes is hidden. *)
-        List.iter
+        Array.iter
           (fun b ->
             P.add_constraint p
-              (L.of_list [ (w, Rat.one); (xv b, Rat.minus_one) ])
+              (L.of_list [ (w, Rat.one); (attr_var.(b), Rat.minus_one) ])
               P.Ge Rat.zero)
-          pub.Instance.p_attrs;
-        (pub.Instance.p_name, w))
-      inst.Instance.publics
+          pub.Instance.pattrs;
+        w)
+      inst.Instance.pubs
   in
   let obj = ref L.empty in
-  List.iter
-    (fun a -> obj := L.add !obj (L.term (xv a) (Instance.attr_cost inst a)))
-    (Instance.attrs inst);
-  List.iter
-    (fun (pub : Instance.public_mod) ->
-      obj := L.add !obj (L.term (List.assoc pub.Instance.p_name pub_var) pub.Instance.p_cost))
-    inst.Instance.publics;
+  Array.iteri (fun a v -> obj := L.add !obj (L.term v costs.(a))) attr_var;
+  Array.iteri
+    (fun j (pub : Instance.pub) -> obj := L.add !obj (L.term pub_var.(j) pub.Instance.pcost))
+    inst.Instance.pubs;
   P.set_objective p !obj;
   let mod_vars =
-    List.map
-      (fun (m : Instance.module_req) ->
-      let card = card_of m in
-      let mname = m.Instance.m_name in
-      let r_vars =
-        List.mapi
-          (fun j _ -> P.add_var ~ub:zero_one ~integer:true p (Printf.sprintf "r_%s_%d" mname j))
-          card
-      in
-      (* (1): some option is selected. *)
-      P.add_constraint p (L.sum_of_vars r_vars) P.Ge Rat.one;
-      (* y / z credit variables per option. *)
-      let y_vars =
-        List.map
-          (fun b ->
-            ( b,
-              List.mapi
-                (fun j _ -> P.add_var ~ub:zero_one p (Printf.sprintf "y_%s_%s_%d" mname b j))
-                card ))
-          m.Instance.inputs
-      in
-      let z_vars =
-        List.map
-          (fun b ->
-            ( b,
-              List.mapi
-                (fun j _ -> P.add_var ~ub:zero_one p (Printf.sprintf "z_%s_%s_%d" mname b j))
-                card ))
-          m.Instance.outputs
-      in
-      List.iteri
-        (fun j (alpha, beta) ->
-          let rj = List.nth r_vars j in
-          (* (2): sum_b y_bij >= alpha * r_ij. *)
-          let y_sum = L.sum_of_vars (List.map (fun (_, ys) -> List.nth ys j) y_vars) in
-          P.add_constraint p
-            (L.add y_sum (L.term rj (Rat.of_int (-alpha))))
-            P.Ge Rat.zero;
-          (* (3): sum_b z_bij >= beta * r_ij. *)
-          let z_sum = L.sum_of_vars (List.map (fun (_, zs) -> List.nth zs j) z_vars) in
-          P.add_constraint p
-            (L.add z_sum (L.term rj (Rat.of_int (-beta))))
-            P.Ge Rat.zero;
-          (* (6)/(7): credits only flow through the selected option. *)
-          if variant <> No_pair_bound then begin
-            List.iter
-              (fun (_, ys) ->
-                P.add_constraint p
-                  (L.of_list [ (List.nth ys j, Rat.one); (rj, Rat.minus_one) ])
-                  P.Le Rat.zero)
-              y_vars;
-            List.iter
-              (fun (_, zs) ->
-                P.add_constraint p
-                  (L.of_list [ (List.nth zs j, Rat.one); (rj, Rat.minus_one) ])
-                  P.Le Rat.zero)
-              z_vars
-          end)
-        card;
-      (* (4)/(5): an attribute only gives credit if it is hidden. *)
-      let couple vars =
-        List.iter
-          (fun (b, per_j) ->
-            match variant with
-            | No_sum_bound ->
-                List.iter
-                  (fun v ->
-                    P.add_constraint p
-                      (L.of_list [ (v, Rat.one); (xv b, Rat.minus_one) ])
-                      P.Le Rat.zero)
-                  per_j
-            | Full | No_pair_bound ->
-                P.add_constraint p
-                  (L.add (L.sum_of_vars per_j) (L.term (xv b) Rat.minus_one))
-                  P.Le Rat.zero)
-          vars
-      in
-      couple y_vars;
-      couple z_vars;
-      (m, card, r_vars, y_vars, z_vars))
-      inst.Instance.mods
+    Array.map
+      (fun (m : Instance.pmod) ->
+        let card = Array.of_list (card_of m) in
+        let mname = m.Instance.mname in
+        let r_vars =
+          Array.mapi
+            (fun j _ ->
+              P.add_var ~ub:zero_one ~integer:true p (var_name [ "r"; mname; string_of_int j ]))
+            card
+        in
+        (* (1): some option is selected. *)
+        P.add_constraint p (L.sum_of_vars (Array.to_list r_vars)) P.Ge Rat.one;
+        (* y / z credit variables per option: [credits.(k).(j)] for the
+           module's [k]-th input (output) and option [j]. *)
+        let credits prefix side =
+          Array.map
+            (fun b ->
+              Array.mapi
+                (fun j _ ->
+                  P.add_var ~ub:zero_one p (var_name [ prefix; mname; names.(b); string_of_int j ]))
+                card)
+            side
+        in
+        let y_vars = credits "y" m.Instance.ins in
+        let z_vars = credits "z" m.Instance.outs in
+        let column vars j = Array.fold_right (fun per_j acc -> per_j.(j) :: acc) vars [] in
+        Array.iteri
+          (fun j (alpha, beta) ->
+            let rj = r_vars.(j) in
+            (* (2): sum_b y_bij >= alpha * r_ij. *)
+            P.add_constraint p
+              (L.add (L.sum_of_vars (column y_vars j)) (L.term rj (Rat.of_int (-alpha))))
+              P.Ge Rat.zero;
+            (* (3): sum_b z_bij >= beta * r_ij. *)
+            P.add_constraint p
+              (L.add (L.sum_of_vars (column z_vars j)) (L.term rj (Rat.of_int (-beta))))
+              P.Ge Rat.zero;
+            (* (6)/(7): credits only flow through the selected option. *)
+            if variant <> No_pair_bound then begin
+              let bound per_j =
+                P.add_constraint p (L.of_list [ (per_j.(j), Rat.one); (rj, Rat.minus_one) ]) P.Le Rat.zero
+              in
+              Array.iter bound y_vars;
+              Array.iter bound z_vars
+            end)
+          card;
+        (* (4)/(5): an attribute only gives credit if it is hidden. *)
+        let couple side vars =
+          Array.iteri
+            (fun k per_j ->
+              let xb = attr_var.(side.(k)) in
+              match variant with
+              | No_sum_bound ->
+                  Array.iter
+                    (fun v ->
+                      P.add_constraint p (L.of_list [ (v, Rat.one); (xb, Rat.minus_one) ]) P.Le Rat.zero)
+                    per_j
+              | Full | No_pair_bound ->
+                  P.add_constraint p
+                    (L.add (L.sum_of_vars (Array.to_list per_j)) (L.term xb Rat.minus_one))
+                    P.Le Rat.zero)
+            vars
+        in
+        couple m.Instance.ins y_vars;
+        couple m.Instance.outs z_vars;
+        (m, card, r_vars, y_vars, z_vars))
+      inst.Instance.pmods
   in
   let problem = P.snapshot p in
   (* A full-space feasible point witnessing a given solution, for warm
@@ -141,35 +124,30 @@ let build ?(variant = Full) (inst : Instance.t) =
      attributes. [None] when the solution satisfies some module by no
      pair — i.e. it is not actually feasible. *)
   let point_of (s : Solution.t) =
-    let hidden = s.Solution.hidden in
-    let is_hidden a = List.mem a hidden in
+    let hidden = Instance.mask_of_names inst s.Solution.hidden in
     let v = Array.make problem.P.n Rat.zero in
-    List.iter (fun (a, i) -> if is_hidden a then v.(i) <- Rat.one) attr_var;
-    List.iter
-      (fun (pub : Instance.public_mod) ->
-        if List.exists is_hidden pub.Instance.p_attrs then
-          v.(List.assoc pub.Instance.p_name pub_var) <- Rat.one)
-      inst.Instance.publics;
+    Array.iteri (fun a i -> if hidden.(a) then v.(i) <- Rat.one) attr_var;
+    Array.iteri
+      (fun j (pub : Instance.pub) -> if Instance.exposed pub hidden then v.(pub_var.(j)) <- Rat.one)
+      inst.Instance.pubs;
+    let count ids = Array.fold_left (fun n b -> if hidden.(b) then n + 1 else n) 0 ids in
     try
-      List.iter
-        (fun ((m : Instance.module_req), card, r_vars, y_vars, z_vars) ->
-          let n_in = List.length (List.filter is_hidden m.Instance.inputs) in
-          let n_out = List.length (List.filter is_hidden m.Instance.outputs) in
-          let j =
-            let rec find j = function
-              | [] -> raise Exit
-              | (alpha, beta) :: _ when n_in >= alpha && n_out >= beta -> j
-              | _ :: rest -> find (j + 1) rest
-            in
-            find 0 card
+      Array.iter
+        (fun ((m : Instance.pmod), card, r_vars, y_vars, z_vars) ->
+          let n_in = count m.Instance.ins and n_out = count m.Instance.outs in
+          let rec find j =
+            if j = Array.length card then raise Exit
+            else
+              let alpha, beta = card.(j) in
+              if n_in >= alpha && n_out >= beta then j else find (j + 1)
           in
-          v.(List.nth r_vars j) <- Rat.one;
-          List.iter
-            (fun (b, ys) -> if is_hidden b then v.(List.nth ys j) <- Rat.one)
-            y_vars;
-          List.iter
-            (fun (b, zs) -> if is_hidden b then v.(List.nth zs j) <- Rat.one)
-            z_vars)
+          let j = find 0 in
+          v.(r_vars.(j)) <- Rat.one;
+          let credit side vars =
+            Array.iteri (fun k b -> if hidden.(b) then v.(vars.(k).(j)) <- Rat.one) side
+          in
+          credit m.Instance.ins y_vars;
+          credit m.Instance.outs z_vars)
         mod_vars;
       Some v
     with Exit -> None
@@ -185,6 +163,6 @@ let lp_relaxation ?variant ?(mode = Lp.Simplex.Hybrid_mode) ?deadline ?metrics
   in
   match solve relaxed with
   | Lp.Simplex.Optimal { objective; values } ->
-      `Optimal ((fun a -> values.(List.assoc a attr_var)), objective)
+      `Optimal ((fun a -> values.(attr_var.(a))), objective)
   | Lp.Simplex.Infeasible -> `Infeasible
   | Lp.Simplex.Unbounded -> assert false (* bounded: all vars in [0,1] *)

@@ -22,8 +22,8 @@ type variant =
 
 type built = {
   problem : Lp.Problem.snapshot;
-  attr_var : (string * int) list;
-  pub_var : (string * int) list;
+  attr_var : int array;  (** attribute id -> its [x] column *)
+  pub_var : int array;  (** public module index -> its [w] column *)
   point_of : Solution.t -> Rat.t array option;
       (** a full-space feasible point witnessing the given solution
           (selected options and credits included), for warm incumbent
@@ -41,7 +41,7 @@ val lp_relaxation :
   ?deadline:Svutil.Deadline.t ->
   ?metrics:Svutil.Metrics.t ->
   Instance.t ->
-  [ `Optimal of (string -> Rat.t) * Rat.t | `Infeasible ]
+  [ `Optimal of (int -> Rat.t) * Rat.t | `Infeasible ]
 (** Solve the LP relaxation; returns the hidden-indicator values
     [x_b] and the LP objective (a lower bound on the optimum).
     [mode] picks the simplex route (default {!Lp.Simplex.Hybrid_mode}:

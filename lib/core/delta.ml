@@ -158,7 +158,7 @@ let apply (base : Instance.t) (script : script) =
                 | None -> err "delta: unknown module %s" name)))
   in
   match
-    go base.Instance.attr_costs base.Instance.mods base.Instance.publics []
+    go (Instance.attr_costs base) (Instance.mods base) (Instance.publics base) []
       script
   with
   | Error _ as e -> e
@@ -313,9 +313,9 @@ let component ~groups ~seeds =
   List.sort compare (Hashtbl.fold (fun a () acc -> a :: acc) dirty [])
 
 let coupling_groups (inst : Instance.t) =
-  List.map support inst.Instance.mods
+  List.map support (Instance.mods inst)
   @ List.map (fun (p : Instance.public_mod) -> p.Instance.p_attrs)
-      inst.Instance.publics
+      (Instance.publics inst)
 
 let dirty_closure ~base ~edited ~touched =
   component
@@ -342,12 +342,12 @@ let sub_instance (edited : Instance.t) dirty =
   let keep l = List.exists (fun a -> List.mem a dirty) l in
   Instance.make
     ~attr_costs:
-      (List.filter (fun (a, _) -> List.mem a dirty) edited.Instance.attr_costs)
-    ~mods:(List.filter (fun m -> keep (support m)) edited.Instance.mods)
+      (List.filter (fun (a, _) -> List.mem a dirty) (Instance.attr_costs edited))
+    ~mods:(List.filter (fun m -> keep (support m)) (Instance.mods edited))
     ~publics:
       (List.filter
          (fun (p : Instance.public_mod) -> keep p.Instance.p_attrs)
-         edited.Instance.publics)
+         (Instance.publics edited))
     ()
 
 let ratio_of solution lower_bound proven =
@@ -451,7 +451,7 @@ let resolve ?(node_limit = Lp.Ilp.default_node_limit) ?(jobs = 1)
                   && not
                        (Requirement.is_satisfied m.Instance.req ~inputs:[]
                           ~outputs:[] ~hidden:[]))
-                edited.Instance.mods
+                (Instance.mods edited)
             then fun total_ms ->
               Ok
                 (finish

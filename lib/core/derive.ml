@@ -4,13 +4,13 @@ module Subset = Svutil.Subset
 
 (* Each minimal hidden mask split at the input/output boundary: the
    input half sorted by name, the output half in declaration order. *)
-let sets_of_table m table =
+let sets_of_masks m masks =
   let n_in = List.length m.M.inputs in
   List.map
     (fun mask ->
       ( List.sort compare (Subset.of_mask (M.input_names m) mask),
         Subset.of_mask (M.output_names m) (mask lsr n_in) ))
-    (St.minimal_hidden_masks table)
+    masks
 
 (* Safe and total hidden-subset counts per profile (|H n I|, |H n O|). *)
 let profiles m table =
@@ -51,7 +51,8 @@ let exact_of_profiles ((safe, total) as p) =
     safe;
   if !mixed then None else Some (uniformly_safe p)
 
-let sets_requirement m ~gamma = sets_of_table m (St.safety_table m ~gamma)
+let sets_requirement m ~gamma =
+  sets_of_masks m (St.minimal_hidden_masks (St.safety_table m ~gamma))
 
 let sound_cardinality m ~gamma =
   uniformly_safe (profiles m (St.safety_table m ~gamma))
@@ -59,8 +60,15 @@ let sound_cardinality m ~gamma =
 let exact_cardinality m ~gamma =
   exact_of_profiles (profiles m (St.safety_table m ~gamma))
 
-let requirement m ~gamma =
+type derived = Card_form of Requirement.cardinality | Set_masks of int list
+
+let derive m ~gamma =
   let table = St.safety_table m ~gamma in
   match exact_of_profiles (profiles m table) with
-  | Some card when card <> [] -> Requirement.Card card
-  | _ -> Requirement.Sets (sets_of_table m table)
+  | Some card when card <> [] -> Card_form card
+  | _ -> Set_masks (St.minimal_hidden_masks table)
+
+let requirement m ~gamma =
+  match derive m ~gamma with
+  | Card_form card -> Requirement.Card card
+  | Set_masks masks -> Requirement.Sets (sets_of_masks m masks)

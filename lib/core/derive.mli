@@ -31,3 +31,14 @@ val requirement : Wf.Wmodule.t -> gamma:int -> Requirement.t
 (** The compact cardinality form when it is exact and non-empty
     (one-one and majority modules of Example 6), the set form
     otherwise. *)
+
+type derived =
+  | Card_form of Requirement.cardinality
+  | Set_masks of int list
+      (** the minimal safe hidden masks: bit [i] stands for the [i]-th
+          attribute of [inputs @ outputs] *)
+
+val derive : Wf.Wmodule.t -> gamma:int -> derived
+(** {!requirement} before any name is attached: the id-level instance
+    builders turn the masks into attribute ids
+    ({!Instance.req_of_derived}). *)

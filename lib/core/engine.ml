@@ -144,12 +144,15 @@ let solve_round_card (req : request) =
           ~stats:[ ("trials", string_of_int trials) ]
           ~solution ~lower_bound:bound ()
 
+(* The set-form instance is built once: the LP, the threshold's l_max
+   and the [lmax] stat all read it. *)
 let solve_round_set (req : request) =
   let phases = ref [] in
   let deadline = D.of_ms_opt req.deadline_ms in
+  let sets = Instance.to_sets req.inst in
   match
     phase req.metrics phases "lp" (fun () ->
-        Set_lp.lp_relaxation ~deadline ~metrics:req.metrics req.inst)
+        Set_lp.lp_relaxation ~deadline ~metrics:req.metrics sets)
   with
   | exception D.Expired ->
       greedy_fallback ~phases ~method_used:Round_set ~stats:[] req
@@ -159,12 +162,10 @@ let solve_round_set (req : request) =
         ()
   | `Optimal (x, bound) ->
       let solution =
-        phase req.metrics phases "round" (fun () ->
-            Rounding.threshold req.inst ~x)
+        phase req.metrics phases "round" (fun () -> Rounding.threshold sets ~x)
       in
       make_result ~metrics:req.metrics ~phases ~method_used:Round_set
-        ~stats:
-          [ ("lmax", string_of_int (Instance.lmax (Instance.to_sets req.inst))) ]
+        ~stats:[ ("lmax", string_of_int (Instance.lmax sets)) ]
         ~solution ~lower_bound:bound ()
 
 let solve_exact (req : request) =
@@ -250,7 +251,7 @@ let methods = [ Greedy; Round_card; Round_set; Exact; Brute ]
    request gets the exact IP. The reasons are constants, so [choose]
    formats nothing. *)
 let choose_explain (req : request) =
-  if List.length req.inst.Instance.attr_costs <= 4 then
+  if Instance.n_attrs req.inst <= 4 then
     (Brute, "at most 4 attributes")
   else
     match req.deadline_ms with

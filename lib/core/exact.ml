@@ -1,10 +1,10 @@
 type outcome = { solution : Solution.t; proven_optimal : bool }
 
-let all_cardinality inst =
-  List.for_all
-    (fun (m : Instance.module_req) ->
-      match m.Instance.req with Requirement.Card _ -> true | Requirement.Sets _ -> false)
-    inst.Instance.mods
+let all_cardinality (inst : Instance.t) =
+  Array.for_all
+    (fun (m : Instance.pmod) ->
+      match m.Instance.ireq with Instance.Card _ -> true | Instance.Sets _ -> false)
+    inst.Instance.pmods
 
 let build_ip inst =
   if all_cardinality inst then
@@ -38,7 +38,7 @@ let solve_with_stats ?(node_limit = Lp.Ilp.default_node_limit)
      seed". *)
   let fixings =
     List.filter_map
-      (fun (a, v) -> Option.map (fun i -> (i, v)) (List.assoc_opt a attr_var))
+      (fun (a, v) -> Option.map (fun i -> (attr_var.(i), v)) (Instance.find inst a))
       attr_fixings
   in
   (* The cutoff seed: the cheaper of the greedy solution and the
@@ -75,12 +75,8 @@ let solve_with_stats ?(node_limit = Lp.Ilp.default_node_limit)
           ?deadline ?metrics ~fixings
   in
   let finish ~proven values =
-    let hidden =
-      List.filter_map
-        (fun (a, v) -> if Rat.geq values.(v) (Rat.of_ints 1 2) then Some a else None)
-        attr_var
-    in
-    let solution = Solution.of_hidden inst hidden in
+    let half = Rat.of_ints 1 2 in
+    let solution = Solution.of_mask inst (Array.map (fun v -> Rat.geq values.(v) half) attr_var) in
     assert (Solution.is_feasible inst solution);
     Some { solution; proven_optimal = proven }
   in
@@ -114,13 +110,13 @@ let refusal_to_string (Too_many_attrs { attrs; limit }) =
     attrs limit
 
 let brute_force_checked inst =
-  let attrs = List.length (Instance.attrs inst) in
+  let attrs = Instance.n_attrs inst in
   if attrs > brute_force_limit then
     Error (Too_many_attrs { attrs; limit = brute_force_limit })
   else begin
     let best = ref None in
-    Svutil.Subset.iter (Instance.attrs inst) (fun hidden ->
-        let s = Solution.of_hidden inst hidden in
+    Svutil.Subset.iter (List.init attrs Fun.id) (fun hidden ->
+        let s = Solution.of_ids inst hidden in
         if Solution.is_feasible inst s then
           match !best with
           | Some b when Solution.compare_cost b s <= 0 -> ()

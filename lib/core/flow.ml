@@ -63,15 +63,14 @@ let kind_to_string = function
    input (output) arity. Unsatisfiable pairs are dead weight — the IP
    already forces their selector to 0 — so every argument below only
    quantifies over the satisfiable ones. *)
-let satisfiable_pairs (m : Instance.module_req) pairs =
-  let ni = List.length m.Instance.inputs
-  and no = List.length m.Instance.outputs in
+let satisfiable_pairs (m : Instance.pmod) pairs =
+  let ni = Array.length m.Instance.ins and no = Array.length m.Instance.outs in
   List.filter (fun (a, b) -> a <= ni && b <= no) pairs
 
-let has_option (m : Instance.module_req) =
-  match m.Instance.req with
-  | Requirement.Card pairs -> satisfiable_pairs m pairs <> []
-  | Requirement.Sets options -> options <> []
+let has_option (m : Instance.pmod) =
+  match m.Instance.ireq with
+  | Instance.Card pairs -> satisfiable_pairs m pairs <> []
+  | Instance.Sets options -> options <> [||]
 
 (* Attributes some requirement can ask to hide: inputs of a module with
    a satisfiable alpha > 0 pair, outputs with a beta > 0 pair, and
@@ -79,119 +78,112 @@ let has_option (m : Instance.module_req) =
    satisfies every module that has a satisfiable option at all (each
    satisfiable pair's positive side is then fully hidden), which is
    what makes [upper_cost] sound. *)
-let referenced inst =
-  List.fold_left
-    (fun acc (m : Instance.module_req) ->
-      match m.Instance.req with
-      | Requirement.Card pairs ->
+let referenced (inst : Instance.t) =
+  let refd = Array.make (Instance.n_attrs inst) false in
+  let mark = Array.iter (fun a -> refd.(a) <- true) in
+  Array.iter
+    (fun (m : Instance.pmod) ->
+      match m.Instance.ireq with
+      | Instance.Card pairs ->
           let sat = satisfiable_pairs m pairs in
-          let acc =
-            if List.exists (fun (a, _) -> a > 0) sat then
-              Listx.union acc m.Instance.inputs
-            else acc
-          in
-          if List.exists (fun (_, b) -> b > 0) sat then
-            Listx.union acc m.Instance.outputs
-          else acc
-      | Requirement.Sets options ->
-          List.fold_left
-            (fun acc (i, o) -> Listx.union (Listx.union acc i) o)
-            acc options)
-    [] inst.Instance.mods
+          if List.exists (fun (a, _) -> a > 0) sat then mark m.Instance.ins;
+          if List.exists (fun (_, b) -> b > 0) sat then mark m.Instance.outs
+      | Instance.Sets options ->
+          Array.iter
+            (fun (i, o) ->
+              mark i;
+              mark o)
+            options)
+    inst.Instance.pmods;
+  refd
 
-(* attr -> justification for the must-hide set; first module wins. *)
-let must_hide_table inst =
-  let tbl : (string, justification) Hashtbl.t = Hashtbl.create 16 in
-  let claim attr why = if not (Hashtbl.mem tbl attr) then Hashtbl.add tbl attr why in
-  List.iter
-    (fun (m : Instance.module_req) ->
-      match m.Instance.req with
-      | Requirement.Sets [] -> ()
-      | Requirement.Sets options ->
-          let everywhere =
-            List.fold_left
-              (fun acc (i, o) -> Listx.inter acc (Listx.union i o))
-              (let i, o = List.hd options in
-               Listx.union i o)
-              (List.tl options)
+(* attr id -> justification for the must-hide set; first module wins. *)
+let must_hide_table (inst : Instance.t) =
+  let n = Instance.n_attrs inst in
+  let why = Array.make n None in
+  let claim a j = if why.(a) = None then why.(a) <- Some j in
+  (* Options holding each attribute, counted once per option: [seen]
+     stamps the last option that counted it, and a stamp from an
+     earlier module resets the count. *)
+  let count = Array.make n 0 and seen = Array.make n (-1) in
+  let stamp = ref 0 in
+  Array.iter
+    (fun (m : Instance.pmod) ->
+      match m.Instance.ireq with
+      | Instance.Sets [||] -> ()
+      | Instance.Sets options ->
+          let base = !stamp and k = Array.length options in
+          Array.iteri
+            (fun j (i, o) ->
+              let touch a =
+                if seen.(a) <> base + j then begin
+                  if seen.(a) < base then count.(a) <- 0;
+                  seen.(a) <- base + j;
+                  count.(a) <- count.(a) + 1
+                end
+              in
+              Array.iter touch i;
+              Array.iter touch o)
+            options;
+          stamp := base + k;
+          let everywhere a =
+            if count.(a) = k then
+              claim a (In_every_option { m_name = m.Instance.mname; options = k })
           in
-          List.iter
-            (fun a ->
-              claim a
-                (In_every_option
-                   { m_name = m.Instance.m_name; options = List.length options }))
-            everywhere
-      | Requirement.Card pairs ->
+          let i, o = options.(0) in
+          Array.iter everywhere i;
+          Array.iter everywhere o
+      | Instance.Card pairs ->
           let sat = satisfiable_pairs m pairs in
           if sat <> [] then begin
-            let ni = List.length m.Instance.inputs
-            and no = List.length m.Instance.outputs in
+            let ni = Array.length m.Instance.ins and no = Array.length m.Instance.outs in
+            let forced side attrs =
+              Array.iter
+                (fun a ->
+                  claim a
+                    (Forced_card
+                       { m_name = m.Instance.mname; side; pairs = List.length sat }))
+                attrs
+            in
             if ni > 0 && List.for_all (fun (a, _) -> a = ni) sat then
-              List.iter
-                (fun a ->
-                  claim a
-                    (Forced_card
-                       {
-                         m_name = m.Instance.m_name;
-                         side = Inputs;
-                         pairs = List.length sat;
-                       }))
-                m.Instance.inputs;
+              forced Inputs m.Instance.ins;
             if no > 0 && List.for_all (fun (_, b) -> b = no) sat then
-              List.iter
-                (fun a ->
-                  claim a
-                    (Forced_card
-                       {
-                         m_name = m.Instance.m_name;
-                         side = Outputs;
-                         pairs = List.length sat;
-                       }))
-                m.Instance.outputs
+              forced Outputs m.Instance.outs
           end)
-    inst.Instance.mods;
-  tbl
+    inst.Instance.pmods;
+  why
 
-let analyze ?(metrics = Svutil.Metrics.nop) inst =
+let analyze ?(metrics = Svutil.Metrics.nop) (inst : Instance.t) =
   let infeasible_module =
-    List.find_opt (fun m -> not (has_option m)) inst.Instance.mods
-    |> Option.map (fun (m : Instance.module_req) -> m.Instance.m_name)
+    Array.find_opt (fun m -> not (has_option m)) inst.Instance.pmods
+    |> Option.map (fun (m : Instance.pmod) -> m.Instance.mname)
   in
   let refd = referenced inst in
   let must = must_hide_table inst in
-  let verdicts, undecided =
-    List.fold_left
-      (fun (vs, open_) attr ->
-        match Hashtbl.find_opt must attr with
-        | Some why -> ({ attr; kind = Must_hide; why } :: vs, open_)
-        | None ->
-            if List.mem attr refd then (vs, attr :: open_)
-            else
-              ({ attr; kind = May_expose; why = Unreferenced } :: vs, open_))
-      ([], [])
-      (Instance.attrs inst)
-  in
-  let verdicts = List.rev verdicts and undecided = List.rev undecided in
-  let hidden =
-    List.filter_map
-      (fun v -> if v.kind = Must_hide then Some v.attr else None)
-      verdicts
-  in
+  let names = inst.Instance.names in
+  let verdicts = ref [] and undecided = ref [] in
+  for a = Instance.n_attrs inst - 1 downto 0 do
+    let attr = names.(a) in
+    match must.(a) with
+    | Some why -> verdicts := { attr; kind = Must_hide; why } :: !verdicts
+    | None ->
+        if refd.(a) then undecided := attr :: !undecided
+        else verdicts := { attr; kind = May_expose; why = Unreferenced } :: !verdicts
+  done;
+  let verdicts = !verdicts and undecided = !undecided in
+  let hidden = Array.map Option.is_some must in
+  let n_hidden = Array.fold_left (fun n h -> if h then n + 1 else n) 0 hidden in
   (* Every feasible view hides a superset of [hidden] and privatizes a
      superset of the publics [hidden] already exposes; costs are
      non-negative and additive, so this prices a lower bound. *)
-  let lower_cost =
-    Instance.cost inst ~hidden
-      ~privatized:(Instance.required_privatizations inst ~hidden)
-  in
+  let lower_cost = Instance.mask_cost inst hidden in
   let upper_cost =
     match infeasible_module with
     | Some _ -> None
-    | None -> Some (Solution.of_hidden inst refd).Solution.cost
+    | None -> Some (Instance.mask_cost inst refd)
   in
-  Svutil.Metrics.count metrics "flow.must_hide" (List.length hidden);
-  Svutil.Metrics.count metrics "flow.may_expose"
-    (List.length verdicts - List.length hidden);
+  Svutil.Metrics.count metrics "flow.must_hide" n_hidden;
+  Svutil.Metrics.count metrics "flow.may_expose" (List.length verdicts - n_hidden);
   Svutil.Metrics.count metrics "flow.undecided" (List.length undecided);
   if infeasible_module <> None then Svutil.Metrics.tick metrics "flow.infeasible";
   { verdicts; undecided; infeasible_module; lower_cost; upper_cost }
@@ -219,20 +211,22 @@ let fixings t =
 (* Independent re-validation of a reported analysis                    *)
 (* ------------------------------------------------------------------ *)
 
-let check inst t =
+let check (inst : Instance.t) t =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
   let find_mod name =
-    List.find_opt
-      (fun (m : Instance.module_req) -> m.Instance.m_name = name)
-      inst.Instance.mods
+    Array.find_opt (fun (m : Instance.pmod) -> m.Instance.mname = name) inst.Instance.pmods
+  in
+  let refd = referenced inst in
+  let has attr ids =
+    match Instance.find inst attr with Some a -> Array.mem a ids | None -> false
   in
   let check_verdict v =
     match (v.kind, v.why) with
-    | May_expose, Unreferenced ->
-        if List.mem v.attr (referenced inst) then
-          fail "may-expose %s is referenced by some requirement" v.attr
-        else Ok ()
+    | May_expose, Unreferenced -> (
+        match Instance.find inst v.attr with
+        | Some a when refd.(a) -> fail "may-expose %s is referenced by some requirement" v.attr
+        | _ -> Ok ())
     | May_expose, _ -> fail "may-expose %s carries a must-hide justification" v.attr
     | Must_hide, Unreferenced ->
         fail "must-hide %s justified as unreferenced" v.attr
@@ -240,39 +234,37 @@ let check inst t =
         match find_mod m_name with
         | None -> fail "justification for %s names unknown module %s" v.attr m_name
         | Some m -> (
-            match m.Instance.req with
-            | Requirement.Card _ ->
+            match m.Instance.ireq with
+            | Instance.Card _ ->
                 fail "module %s has a cardinality requirement, not options" m_name
-            | Requirement.Sets opts ->
-                if opts = [] then fail "module %s has no options" m_name
-                else if List.length opts <> options then
+            | Instance.Sets opts ->
+                if opts = [||] then fail "module %s has no options" m_name
+                else if Array.length opts <> options then
                   fail "module %s has %d options, justification says %d" m_name
-                    (List.length opts) options
-                else if
-                  List.for_all (fun (i, o) -> List.mem v.attr (i @ o)) opts
+                    (Array.length opts) options
+                else if Array.for_all (fun (i, o) -> has v.attr i || has v.attr o) opts
                 then Ok ()
                 else fail "%s misses some option of %s" v.attr m_name))
     | Must_hide, Forced_card { m_name; side; pairs } -> (
         match find_mod m_name with
         | None -> fail "justification for %s names unknown module %s" v.attr m_name
         | Some m -> (
-            match m.Instance.req with
-            | Requirement.Sets _ ->
+            match m.Instance.ireq with
+            | Instance.Sets _ ->
                 fail "module %s has a set requirement, not pairs" m_name
-            | Requirement.Card all ->
+            | Instance.Card all ->
                 let sat = satisfiable_pairs m all in
-                let attrs, count =
-                  match side with
-                  | Inputs -> (m.Instance.inputs, List.length m.Instance.inputs)
-                  | Outputs -> (m.Instance.outputs, List.length m.Instance.outputs)
+                let attrs =
+                  match side with Inputs -> m.Instance.ins | Outputs -> m.Instance.outs
                 in
+                let count = Array.length attrs in
                 if sat = [] then fail "module %s has no satisfiable pair" m_name
                 else if List.length sat <> pairs then
                   fail "module %s has %d satisfiable pairs, justification says %d"
                     m_name (List.length sat) pairs
                 else if count = 0 then
                   fail "module %s has an empty %s side" m_name (side_to_string side)
-                else if not (List.mem v.attr attrs) then
+                else if not (has v.attr attrs) then
                   fail "%s is not among the %s of %s" v.attr (side_to_string side)
                     m_name
                 else if
@@ -309,7 +301,7 @@ let check inst t =
               fail "module %s has a satisfiable option after all" name
             else Ok ())
     | None ->
-        if List.for_all has_option inst.Instance.mods then Ok ()
+        if Array.for_all has_option inst.Instance.pmods then Ok ()
         else fail "an infeasible module went unreported"
   in
   let hidden = must_hide t in
@@ -328,7 +320,7 @@ let check inst t =
   | None, None -> fail "no upper bound on a feasible instance"
   | Some _, Some m -> fail "upper bound reported despite infeasible module %s" m
   | Some u, None ->
-      let s = Solution.of_hidden inst (referenced inst) in
+      let s = Solution.of_mask inst refd in
       if not (Solution.is_feasible inst s) then
         fail "the referenced set does not yield a feasible view"
       else if not (Rat.equal u s.Solution.cost) then

@@ -1,5 +1,3 @@
-let solve inst =
-  let hidden =
-    List.concat_map (Rounding.cheapest_option inst) inst.Instance.mods
-  in
-  Solution.of_hidden inst hidden
+let solve (inst : Instance.t) =
+  Solution.of_ids inst
+    (List.concat_map (Rounding.cheapest_option inst) (Array.to_list inst.Instance.pmods))

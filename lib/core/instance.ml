@@ -1,5 +1,3 @@
-module Listx = Svutil.Listx
-
 type module_req = {
   m_name : string;
   inputs : string list;
@@ -9,47 +7,134 @@ type module_req = {
 
 type public_mod = { p_name : string; p_cost : Rat.t; p_attrs : string list }
 
+type req = Card of Requirement.cardinality | Sets of (int array * int array) array
+type pmod = { mname : string; ins : int array; outs : int array; ireq : req }
+type pub = { pname : string; pcost : Rat.t; pattrs : int array }
+
 type t = {
-  attr_costs : (string * Rat.t) list;
-  mods : module_req list;
-  publics : public_mod list;
+  names : string array;
+  costs : Rat.t array;
+  rank : int array;
+  by_rank : int array;
+  pmods : pmod array;
+  pubs : pub array;
+  set_form : bool;
 }
 
-let make ~attr_costs ~mods ?(publics = []) () =
-  if Listx.has_duplicate (List.map fst attr_costs) then
-    invalid_arg "Instance.make: duplicate attributes";
-  List.iter
-    (fun (a, c) ->
-      if Rat.sign c < 0 then
-        invalid_arg (Printf.sprintf "Instance.make: negative cost for %s" a))
-    attr_costs;
-  let names = List.map (fun m -> m.m_name) mods @ List.map (fun p -> p.p_name) publics in
-  if Listx.has_duplicate names then invalid_arg "Instance.make: duplicate module names";
-  let known = Hashtbl.create 16 in
-  List.iter (fun (a, _) -> Hashtbl.replace known a ()) attr_costs;
-  let check_attr owner a =
-    if not (Hashtbl.mem known a) then
-      invalid_arg (Printf.sprintf "Instance.make: %s references unknown attribute %s" owner a)
+(* The one sort of the names: [by_rank] lists the ids in name order. *)
+let ranks names =
+  let n = Array.length names in
+  let by_rank = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> String.compare names.(i) names.(j)) by_rank;
+  let rank = Array.make n 0 in
+  Array.iteri (fun r i -> rank.(i) <- r) by_rank;
+  (rank, by_rank)
+
+let find_in names by_rank a =
+  let rec go lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) lsr 1 in
+      let i = by_rank.(mid) in
+      let c = String.compare a names.(i) in
+      if c = 0 then Some i else if c < 0 then go lo mid else go (mid + 1) hi
   in
-  List.iter
-    (fun m ->
-      List.iter (check_attr m.m_name) m.inputs;
-      List.iter (check_attr m.m_name) m.outputs)
-    mods;
-  List.iter
-    (fun p ->
-      if Rat.sign p.p_cost < 0 then
-        invalid_arg (Printf.sprintf "Instance.make: negative cost for %s" p.p_name);
-      List.iter (check_attr p.p_name) p.p_attrs)
-    publics;
-  { attr_costs; mods; publics }
+  go 0 (Array.length by_rank)
+
+let find t a = find_in t.names t.by_rank a
+
+let non_negative owner c =
+  if Rat.sign c < 0 then invalid_arg (Printf.sprintf "Instance.make: negative cost for %s" owner)
+
+let of_ids ~names ~costs ~pubs pmods =
+  Array.iteri (fun i c -> non_negative names.(i) c) costs;
+  Array.iter (fun p -> non_negative p.pname p.pcost) pubs;
+  let rank, by_rank = ranks names in
+  { names; costs; rank; by_rank; pmods = pmods ~rank; pubs; set_form = false }
+
+let req_of_derived ~rank ~ins ~outs = function
+  | Derive.Card_form card -> Card card
+  | Derive.Set_masks masks ->
+      let n_in = Array.length ins in
+      (* Input positions by name, so each option's input half comes out
+         sorted with no per-option sort. *)
+      let by_name = Array.init n_in Fun.id in
+      Array.stable_sort (fun p q -> Int.compare rank.(ins.(p)) rank.(ins.(q))) by_name;
+      let pick ids order mask =
+        let k = ref 0 in
+        Array.iter (fun p -> if mask land (1 lsl p) <> 0 then incr k) order;
+        let a = Array.make !k 0 in
+        let j = ref 0 in
+        Array.iter
+          (fun p ->
+            if mask land (1 lsl p) <> 0 then begin
+              a.(!j) <- ids.(p);
+              incr j
+            end)
+          order;
+        a
+      in
+      let in_order = by_name and out_order = Array.init (Array.length outs) Fun.id in
+      Sets
+        (Array.of_list
+           (List.map
+              (fun mask -> (pick ins in_order mask, pick outs out_order (mask lsr n_in)))
+              masks))
+
+let make ~attr_costs ~mods ?(publics = []) () =
+  let names = Array.of_list (List.map fst attr_costs) in
+  let costs = Array.of_list (List.map snd attr_costs) in
+  let rank, by_rank = ranks names in
+  for r = 1 to Array.length by_rank - 1 do
+    if String.equal names.(by_rank.(r - 1)) names.(by_rank.(r)) then
+      invalid_arg "Instance.make: duplicate attributes"
+  done;
+  Array.iteri (fun i c -> non_negative names.(i) c) costs;
+  if
+    Svutil.Listx.has_duplicate
+      (List.map (fun m -> m.m_name) mods @ List.map (fun p -> p.p_name) publics)
+  then invalid_arg "Instance.make: duplicate module names";
+  let ids owner l =
+    Array.of_list
+      (List.map
+         (fun a ->
+           match find_in names by_rank a with
+           | Some i -> i
+           | None ->
+               invalid_arg
+                 (Printf.sprintf "Instance.make: %s references unknown attribute %s" owner a))
+         l)
+  in
+  let pmods =
+    List.map
+      (fun m ->
+        let ins = ids m.m_name m.inputs in
+        let outs = ids m.m_name m.outputs in
+        let ireq =
+          match m.req with
+          | Requirement.Card l -> Card l
+          | Requirement.Sets l ->
+              Sets (Array.of_list (List.map (fun (i, o) -> (ids m.m_name i, ids m.m_name o)) l))
+        in
+        { mname = m.m_name; ins; outs; ireq })
+      mods
+  in
+  let pubs =
+    List.map
+      (fun p ->
+        non_negative p.p_name p.p_cost;
+        { pname = p.p_name; pcost = p.p_cost; pattrs = ids p.p_name p.p_attrs })
+      publics
+  in
+  { names; costs; rank; by_rank; pmods = Array.of_list pmods; pubs = Array.of_list pubs;
+    set_form = false }
 
 let of_workflow w ~gamma ?(gamma_overrides = []) ~cost ?(publics = []) () =
   let attr_costs = List.map (fun a -> (a, cost a)) (Wf.Workflow.attr_names w) in
-  let overrides = Listx.assoc_table gamma_overrides
-  and public_tbl = Listx.assoc_table publics
+  let overrides = Svutil.Listx.assoc_table gamma_overrides
+  and public_tbl = Svutil.Listx.assoc_table publics
   and by_name =
-    Listx.assoc_table
+    Svutil.Listx.assoc_table
       (List.map (fun (m : Wf.Wmodule.t) -> (m.Wf.Wmodule.name, m)) (Wf.Workflow.modules w))
   in
   let gamma_of name = Option.value ~default:gamma (Hashtbl.find_opt overrides name) in
@@ -74,60 +159,120 @@ let of_workflow w ~gamma ?(gamma_overrides = []) ~cost ?(publics = []) () =
   in
   make ~attr_costs ~mods ~publics ()
 
-let attrs t = List.map fst t.attr_costs
+(* {1 Names} *)
+
+let n_attrs t = Array.length t.names
+let attrs t = Array.to_list t.names
 
 let attr_cost t a =
-  match List.assoc_opt a t.attr_costs with
-  | Some c -> c
+  match find t a with
+  | Some i -> t.costs.(i)
   | None -> invalid_arg (Printf.sprintf "Instance.attr_cost: unknown attribute %s" a)
 
-let lmax t = Listx.max_by (fun m -> Requirement.lmax m.req) t.mods
+let names_of t ids = Array.fold_right (fun i acc -> t.names.(i) :: acc) ids []
+let attr_costs t = List.init (n_attrs t) (fun i -> (t.names.(i), t.costs.(i)))
 
-let n_modules t = List.length t.mods
+let mods t =
+  Array.fold_right
+    (fun m acc ->
+      let req =
+        match m.ireq with
+        | Card l -> Requirement.Card l
+        | Sets a ->
+            Requirement.Sets
+              (Array.fold_right (fun (i, o) acc -> (names_of t i, names_of t o) :: acc) a [])
+      in
+      { m_name = m.mname; inputs = names_of t m.ins; outputs = names_of t m.outs; req } :: acc)
+    t.pmods []
+
+let publics t =
+  Array.fold_right
+    (fun p acc -> { p_name = p.pname; p_cost = p.pcost; p_attrs = names_of t p.pattrs } :: acc)
+    t.pubs []
+
+let req_length = function Card l -> List.length l | Sets a -> Array.length a
+let lmax t = Array.fold_left (fun acc m -> max acc (req_length m.ireq)) 0 t.pmods
+let n_modules t = Array.length t.pmods
+
+(* {1 Hidden sets as masks} *)
+
+let mask_of_names t hidden =
+  let mask = Array.make (n_attrs t) false in
+  List.iter (fun a -> match find t a with Some i -> mask.(i) <- true | None -> ()) hidden;
+  mask
+
+let count_hidden mask ids = Array.fold_left (fun n i -> if mask.(i) then n + 1 else n) 0 ids
+let all_hidden mask ids = Array.for_all (fun i -> mask.(i)) ids
+
+let satisfied m mask =
+  match m.ireq with
+  | Card l ->
+      let hin = count_hidden mask m.ins and hout = count_hidden mask m.outs in
+      List.exists (fun (a, b) -> hin >= a && hout >= b) l
+  | Sets a -> Array.exists (fun (i, o) -> all_hidden mask i && all_hidden mask o) a
+
+let all_satisfied t mask = Array.for_all (fun m -> satisfied m mask) t.pmods
+let exposed p mask = Array.exists (fun i -> mask.(i)) p.pattrs
+
+let mask_cost t mask =
+  let c = ref Rat.zero in
+  Array.iteri (fun i h -> if h then c := Rat.add !c t.costs.(i)) mask;
+  Array.iter (fun p -> if exposed p mask then c := Rat.add !c p.pcost) t.pubs;
+  !c
+
+(* {1 Name-level queries} *)
 
 let required_privatizations t ~hidden =
-  t.publics
-  |> List.filter (fun p -> Listx.inter p.p_attrs hidden <> [])
-  |> List.map (fun p -> p.p_name)
+  let mask = mask_of_names t hidden in
+  Array.fold_right (fun p acc -> if exposed p mask then p.pname :: acc else acc) t.pubs []
 
 let feasible t ~hidden ~privatized =
-  List.for_all
-    (fun m ->
-      Requirement.is_satisfied m.req ~inputs:m.inputs ~outputs:m.outputs ~hidden)
-    t.mods
-  && List.for_all (fun p -> List.mem p privatized) (required_privatizations t ~hidden)
+  let mask = mask_of_names t hidden in
+  all_satisfied t mask
+  && Array.for_all (fun p -> (not (exposed p mask)) || List.mem p.pname privatized) t.pubs
 
 let cost t ~hidden ~privatized =
-  let attr_part = Rat.sum (List.map (attr_cost t) (Listx.dedup hidden)) in
-  let pub_part =
-    Rat.sum
-      (List.filter_map
-         (fun p -> if List.mem p.p_name privatized then Some p.p_cost else None)
-         t.publics)
-  in
-  Rat.add attr_part pub_part
+  let mask = Array.make (n_attrs t) false in
+  List.iter
+    (fun a ->
+      match find t a with
+      | Some i -> mask.(i) <- true
+      | None -> invalid_arg (Printf.sprintf "Instance.attr_cost: unknown attribute %s" a))
+    hidden;
+  let c = ref Rat.zero in
+  Array.iteri (fun i h -> if h then c := Rat.add !c t.costs.(i)) mask;
+  Array.iter (fun p -> if List.mem p.pname privatized then c := Rat.add !c p.pcost) t.pubs;
+  !c
 
+(* {1 Set form}
+
+   [Requirement]'s normalization runs on name ranks, which order as the
+   names do, and the ranks map back to ids. *)
 let to_sets t =
-  {
-    t with
-    mods =
-      List.map
-        (fun m ->
-          {
-            m with
-            req = Requirement.Sets (Requirement.to_sets ~inputs:m.inputs ~outputs:m.outputs m.req);
-          })
-        t.mods;
-  }
+  if t.set_form then t
+  else
+    let ranks ids = Array.fold_right (fun i acc -> t.rank.(i) :: acc) ids [] in
+    let ids ranks = Array.of_list (List.map (fun r -> t.by_rank.(r)) ranks) in
+    let set_req m =
+      let opts =
+        match m.ireq with
+        | Card l -> Requirement.card_to_sets ~inputs:(ranks m.ins) ~outputs:(ranks m.outs) l
+        | Sets a ->
+            Requirement.normalize_sets
+              (Array.fold_right (fun (i, o) acc -> (ranks i, ranks o) :: acc) a [])
+      in
+      { m with ireq = Sets (Array.of_list (List.map (fun (i, o) -> (ids i, ids o)) opts)) }
+    in
+    { t with pmods = Array.map set_req t.pmods; set_form = true }
 
 let pp fmt t =
   Format.fprintf fmt "secure-view instance: %d attrs, %d modules, %d publics@."
-    (List.length t.attr_costs) (List.length t.mods) (List.length t.publics);
+    (n_attrs t) (Array.length t.pmods) (Array.length t.pubs);
   List.iter
     (fun m -> Format.fprintf fmt "  %s: %a@." m.m_name Requirement.pp m.req)
-    t.mods;
+    (mods t);
   List.iter
     (fun p ->
       Format.fprintf fmt "  public %s (cost %s): {%s}@." p.p_name (Rat.to_string p.p_cost)
         (String.concat "," p.p_attrs))
-    t.publics
+    (publics t)

@@ -26,15 +26,17 @@ val normalize_card : cardinality -> cardinality
     increasing alpha / decreasing beta, the non-redundant form assumed in
     the proof of Theorem 5. *)
 
-val normalize_sets : sets -> sets
-(** Deduplicate and drop options that contain another option. *)
+val normalize_sets : ('a list * 'a list) list -> ('a list * 'a list) list
+(** Sort and deduplicate each side, sort and deduplicate the options
+    ([compare] order), and drop options that contain another option.
+    Polymorphic so that {!Instance.to_sets} can run it on name ranks. *)
 
 val is_satisfied :
   t -> inputs:string list -> outputs:string list -> hidden:string list -> bool
 (** Does the hidden set satisfy some entry of the list? [inputs] and
     [outputs] are the module's attribute names. *)
 
-val card_to_sets : inputs:string list -> outputs:string list -> cardinality -> sets
+val card_to_sets : inputs:'a list -> outputs:'a list -> cardinality -> ('a list * 'a list) list
 (** Expand a cardinality list into the equivalent explicit set list by
     enumerating attribute subsets of the required sizes. Exponential in
     arity — guarded by {!Svutil.Subset}'s universe limit. *)

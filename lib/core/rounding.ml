@@ -1,40 +1,35 @@
 module Rng = Svutil.Rng
 
-let cheapest_subset inst pool k =
-  if k > List.length pool then
+(* Ties keep the module's declaration order: the sort is stable. *)
+let cheapest_subset (inst : Instance.t) pool k =
+  if k > Array.length pool then
     invalid_arg "Rounding: requirement exceeds attribute count";
-  let sorted =
-    List.sort (fun a b -> Rat.compare (Instance.attr_cost inst a) (Instance.attr_cost inst b)) pool
-  in
-  Svutil.Listx.take k sorted
+  let sorted = Array.copy pool in
+  Array.stable_sort (fun a b -> Rat.compare inst.Instance.costs.(a) inst.Instance.costs.(b)) sorted;
+  Array.to_list (Array.sub sorted 0 k)
 
-let option_cost inst attrs = Rat.sum (List.map (Instance.attr_cost inst) attrs)
+let option_cost (inst : Instance.t) ids =
+  List.fold_left (fun c i -> Rat.add c inst.Instance.costs.(i)) Rat.zero ids
 
-let cheapest_option inst (m : Instance.module_req) =
+let cheapest_option inst (m : Instance.pmod) =
   let candidates =
-    match m.Instance.req with
-    | Requirement.Card l ->
+    match m.Instance.ireq with
+    | Instance.Card l ->
         List.map
           (fun (alpha, beta) ->
-            cheapest_subset inst m.Instance.inputs alpha
-            @ cheapest_subset inst m.Instance.outputs beta)
+            cheapest_subset inst m.Instance.ins alpha @ cheapest_subset inst m.Instance.outs beta)
           l
-    | Requirement.Sets l -> List.map (fun (i, o) -> i @ o) l
+    | Instance.Sets a -> Array.fold_right (fun (i, o) acc -> (Array.to_list i @ Array.to_list o) :: acc) a []
   in
   match candidates with
   | [] ->
       invalid_arg
-        (Printf.sprintf "Rounding: module %s has an empty requirement list"
-           m.Instance.m_name)
+        (Printf.sprintf "Rounding: module %s has an empty requirement list" m.Instance.mname)
   | first :: rest ->
       List.fold_left
         (fun best c ->
           if Rat.lt (option_cost inst c) (option_cost inst best) then c else best)
         first rest
-
-let satisfied (m : Instance.module_req) ~hidden =
-  Requirement.is_satisfied m.Instance.req ~inputs:m.Instance.inputs
-    ~outputs:m.Instance.outputs ~hidden
 
 let algorithm1 ?(metrics = Svutil.Metrics.nop) rng inst ~x =
   Svutil.Metrics.tick metrics "rounding.trials";
@@ -42,24 +37,19 @@ let algorithm1 ?(metrics = Svutil.Metrics.nop) rng inst ~x =
   let log_n = Float.log (float_of_int n) in
   (* Step 2: independent rounding at probability min(1, 16 x_b log n). *)
   let hidden =
-    List.filter
-      (fun b ->
+    Array.init (Instance.n_attrs inst) (fun b ->
         let p = Float.min 1.0 (16.0 *. Rat.to_float (x b) *. log_n) in
         Rng.float rng < p)
-      (Instance.attrs inst)
   in
   (* Step 3: repair every unsatisfied module with its cheapest option. *)
-  let hidden =
-    List.fold_left
-      (fun hidden m ->
-        if satisfied m ~hidden then hidden
-        else begin
-          Svutil.Metrics.tick metrics "rounding.repairs";
-          cheapest_option inst m @ hidden
-        end)
-      hidden inst.Instance.mods
-  in
-  Solution.of_hidden inst hidden
+  Array.iter
+    (fun m ->
+      if not (Instance.satisfied m hidden) then begin
+        Svutil.Metrics.tick metrics "rounding.repairs";
+        List.iter (fun i -> hidden.(i) <- true) (cheapest_option inst m)
+      end)
+    inst.Instance.pmods;
+  Solution.of_mask inst hidden
 
 let threshold inst ~x =
   (* The LP is built on the set-expanded requirement lists, so the
@@ -67,8 +57,7 @@ let threshold inst ~x =
      cardinality lists'. *)
   let lmax = max 1 (Instance.lmax (Instance.to_sets inst)) in
   let cutoff = Rat.of_ints 1 lmax in
-  let hidden = List.filter (fun b -> Rat.geq (x b) cutoff) (Instance.attrs inst) in
-  let s = Solution.of_hidden inst hidden in
+  let s = Solution.of_mask inst (Array.init (Instance.n_attrs inst) (fun b -> Rat.geq (x b) cutoff)) in
   assert (Solution.is_feasible inst s);
   s
 

@@ -6,8 +6,8 @@
     (Theorem 6, and Appendix C.4 with privatization). Both always return
     a feasible solution. *)
 
-val cheapest_option : Instance.t -> Instance.module_req -> string list
-(** The minimum-cost hidden set satisfying one module's requirement
+val cheapest_option : Instance.t -> Instance.pmod -> int list
+(** The minimum-cost hidden set (attribute ids) satisfying one module's requirement
     ([B_i^min] in Algorithm 1): cheapest [alpha] inputs plus cheapest
     [beta] outputs minimized over the cardinality list, or the cheapest
     explicit option for set constraints.
@@ -17,7 +17,7 @@ val algorithm1 :
   ?metrics:Svutil.Metrics.t ->
   Svutil.Rng.t ->
   Instance.t ->
-  x:(string -> Rat.t) ->
+  x:(int -> Rat.t) ->
   Solution.t
 (** Step 2 hides each attribute [b] independently with probability
     [min(1, 16 x_b ln n)]; step 3 adds [B_i^min] for every module whose
@@ -26,8 +26,11 @@ val algorithm1 :
     [rounding.trials] (one per call) and [rounding.repairs] (one per
     step-3 module repair). *)
 
-val threshold : Instance.t -> x:(string -> Rat.t) -> Solution.t
-(** Hide [{b : x_b >= 1/l_max}]; privatize exposed publics. *)
+val threshold : Instance.t -> x:(int -> Rat.t) -> Solution.t
+(** Hide [{b : x_b >= 1/l_max}]; privatize exposed publics. [x] reads
+    the LP value of an attribute id, as {!Set_lp.lp_relaxation} gives
+    it; an instance already in set form ({!Instance.to_sets}) is not
+    converted again. *)
 
 val best_of : int -> (int -> Solution.t) -> Solution.t
 (** Cheapest of [n] trials (trial index passed for seeding); a practical

@@ -13,8 +13,8 @@
 
 type built = {
   problem : Lp.Problem.snapshot;
-  attr_var : (string * int) list;
-  pub_var : (string * int) list;
+  attr_var : int array;  (** attribute id -> its [x] column *)
+  pub_var : int array;  (** public module index -> its [w] column *)
   point_of : Solution.t -> Rat.t array option;
       (** a full-space feasible point witnessing the given solution
           (selected options included), for warm incumbent injection into
@@ -31,7 +31,7 @@ val lp_relaxation :
   ?deadline:Svutil.Deadline.t ->
   ?metrics:Svutil.Metrics.t ->
   Instance.t ->
-  [ `Optimal of (string -> Rat.t) * Rat.t | `Infeasible ]
+  [ `Optimal of (int -> Rat.t) * Rat.t | `Infeasible ]
 (** [mode] picks the simplex route (default {!Lp.Simplex.Hybrid_mode}).
     [deadline] is polled inside the simplex pivot loops; on expiry
     {!Svutil.Deadline.Expired} is raised. *)

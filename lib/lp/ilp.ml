@@ -112,8 +112,8 @@ module Make (Solver : Simplex.SOLVER) = struct
         (* The cutoff lives in the original objective space; fixed
            variables contribute a constant the reduced objective lacks. *)
         let kappa =
-          Linexpr.eval s.Problem.objective (fun v ->
-              (restore (Array.make p.Problem.n Rat.zero)).(v))
+          let fixed = restore (Array.make p.Problem.n Rat.zero) in
+          Linexpr.eval s.Problem.objective (fun v -> fixed.(v))
         in
         let cutoff = Option.map (fun c -> Rat.sub c kappa) cutoff in
         let nodes = ref 0 in

@@ -6,6 +6,7 @@ let of_list attrs =
     invalid_arg "Schema.of_list: duplicate attribute names";
   Array.of_list attrs
 
+let of_distinct attrs = Array.of_list attrs
 let attrs t = Array.to_list t
 let names t = List.map Attr.name (attrs t)
 let size t = Array.length t

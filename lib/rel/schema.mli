@@ -7,6 +7,10 @@ type t
 val of_list : Attr.t list -> t
 (** @raise Invalid_argument on duplicate attribute names. *)
 
+val of_distinct : Attr.t list -> t
+(** {!of_list} for a caller that has already proven the names distinct
+    (a workflow that interned them); no check, no sort. *)
+
 val attrs : t -> Attr.t list
 val names : t -> string list
 val size : t -> int

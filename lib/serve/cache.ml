@@ -1,8 +1,9 @@
 (* The canonical-form solution cache. Soundness is structural: a hit is
    served only after (1) form equality (a proof of isomorphism, closing
-   the MD5-collision hole in the digest key), (2) explicit solution
-   transport through the canonical relabelings, and (3) a re-closure
-   check of the transported solution on the request's own instance. *)
+   the MD5-collision hole in the digest key), (2) explicit transport of
+   the hidden attribute ids through the canonical relabelings, and (3)
+   a re-closure check of the transported set on the request's own
+   instance. *)
 
 module Metrics = Svutil.Metrics
 module Lru = Svutil.Lru
@@ -10,6 +11,7 @@ module Lru = Svutil.Lru
 type entry = {
   e_labeling : Core.Canon.labeling;
   e_solution : Core.Solution.t option;  (* None = proven infeasible *)
+  e_hidden : int list;  (* the solution's hidden attributes, as ids *)
   e_lower_bound : Rat.t option;
   e_method : Core.Engine.meth;
 }
@@ -106,13 +108,18 @@ let find t (req : Core.Engine.request) =
                transports with no solution to verify. *)
             hit t (result_of req lab e None [ ("infeasible", "true") ])
         | Some s -> (
-            match Core.Canon.transport ~src:e.e_labeling ~dst:lab s with
+            match Core.Canon.transport ~src:e.e_labeling ~dst:lab e.e_hidden with
             | None -> miss t
-            | Some s' ->
-                let closed = Core.Solution.of_hidden inst s'.Core.Solution.hidden in
+            | Some ids ->
+                (* The re-closure, on ids: privatize what the hidden set
+                   exposes, then every module must be satisfied at the
+                   stored cost. *)
+                let hidden = Array.make (Core.Instance.n_attrs inst) false in
+                List.iter (fun i -> hidden.(i) <- true) ids;
+                let closed = Core.Solution.of_mask inst hidden in
                 if
-                  Core.Solution.is_feasible inst closed
-                  && Rat.equal closed.Core.Solution.cost s'.Core.Solution.cost
+                  Core.Instance.all_satisfied inst hidden
+                  && Rat.equal closed.Core.Solution.cost s.Core.Solution.cost
                 then hit t (result_of req lab e (Some closed) [])
                 else begin
                   Metrics.tick t.metrics "serve.verify_failures";
@@ -140,12 +147,21 @@ let storable (r : Core.Engine.result) =
 
 let store t (req : Core.Engine.request) (r : Core.Engine.result) =
   if storable r then begin
-    let key, lab = labeled t req.Core.Engine.inst in
+    let inst = req.Core.Engine.inst in
+    let key, lab = labeled t inst in
     let before = Lru.evictions t.lru in
+    (* A name the instance lacks cannot occur; were it dropped here, the
+       hit's re-closure would miss the stored cost and refuse the hit. *)
+    let e_hidden =
+      match r.Core.Engine.solution with
+      | None -> []
+      | Some s -> List.filter_map (Core.Instance.find inst) s.Core.Solution.hidden
+    in
     Lru.add t.lru key
       {
         e_labeling = lab;
         e_solution = r.Core.Engine.solution;
+        e_hidden;
         e_lower_bound = r.Core.Engine.lower_bound;
         e_method = r.Core.Engine.method_used;
       };

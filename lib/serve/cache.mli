@@ -12,13 +12,13 @@
       (the [serve.collisions] counter records it). Isomorphic
       instances have equal forms, so a renamed resubmission never
       lands here;
-    + equal forms exhibit an explicit isomorphism: {!Core.Canon.transport}
-      carries the stored representative's solution into the request's
-      own attribute and public-module names;
-    + the transported solution is re-verified on the request instance —
-      a {!Core.Solution.of_hidden} re-closure must be feasible with the
-      same cost (the same check {!Core.Delta}'s no-op tier runs). Any
-      failure falls back to a solve.
+    + equal forms exhibit an explicit isomorphism:
+      {!Core.Canon.transport} carries the stored representative's
+      hidden attribute ids into the request's own ids;
+    + the transported set is re-verified on the request instance — its
+      {!Core.Solution.of_mask} re-closure must satisfy every module at
+      the stored cost (the check {!Core.Delta}'s no-op tier runs by
+      name). Any failure falls back to a solve.
 
     Only {e proven} results are stored: optimal solutions
     ([proven_optimal]) and proven infeasibility (no solution, no budget

@@ -64,13 +64,35 @@ let spec_of_string ?(preflight = false) ?(name = inline_name) src =
   | Error e -> Error (Parse_error e)
   | Ok spec -> if preflight then check_static ~file:name spec else Ok spec
 
+(* The ids elaboration assigned carry straight into the instance: no
+   name is looked up. Private modules keep the workflow's topological
+   order and publics their declaration order, as
+   [Core.Instance.of_workflow] orders them. *)
 let instance_of (spec : Wf.Parse.spec) =
   let w = spec.Wf.Parse.workflow in
-  let costs = Svutil.Listx.assoc_table spec.Wf.Parse.costs in
-  let cost a = Hashtbl.find costs a in
-  Core.Instance.of_workflow w ~gamma:spec.Wf.Parse.gamma
-    ~gamma_overrides:spec.Wf.Parse.gamma_overrides ~cost
-    ~publics:spec.Wf.Parse.publics ()
+  let module I = Core.Instance in
+  let modules = w.Wf.Workflow.modules in
+  let public = Array.make (Array.length modules) false in
+  let pubs =
+    Array.map
+      (fun (k, pcost) ->
+        public.(k) <- true;
+        { I.pname = modules.(k).Wf.Wmodule.name; pcost;
+          pattrs = Array.append w.Wf.Workflow.ins.(k) w.Wf.Workflow.outs.(k) })
+      spec.Wf.Parse.public_mods
+  in
+  I.of_ids ~names:w.Wf.Workflow.names ~costs:spec.Wf.Parse.attr_cost ~pubs (fun ~rank ->
+      let pmods = ref [] in
+      for k = 0 to Array.length modules - 1 do
+        if not public.(k) then begin
+          let m = modules.(k) and ins = w.Wf.Workflow.ins.(k) and outs = w.Wf.Workflow.outs.(k) in
+          let derived = Core.Derive.derive m ~gamma:spec.Wf.Parse.mod_gamma.(k) in
+          pmods :=
+            { I.mname = m.Wf.Wmodule.name; ins; outs; ireq = I.req_of_derived ~rank ~ins ~outs derived }
+            :: !pmods
+        end
+      done;
+      Array.of_list (List.rev !pmods))
 
 (* Solver options ----------------------------------------------------- *)
 

@@ -34,6 +34,9 @@ type spec = {
   gamma : int;
   gamma_overrides : (string * int) list;
   raw : raw;
+  attr_cost : Rat.t array;
+  mod_gamma : int array;
+  public_mods : (int * Rat.t) array;
 }
 
 (* Mutable builder used only while scanning lines. *)
@@ -239,41 +242,74 @@ let parse_raw_string text =
 (* Elaboration: raw -> spec                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The semantic validations that {!parse_raw_string} defers. Collected
-   with their lines and reported in file order, matching the behavior of
-   the historic single-pass parser. Also returns the attribute table
-   (first declaration of each name) that elaboration looks names up in. *)
-let semantic_errors raw =
+(* The semantic validations that {!parse_raw_string} defers, and the
+   spec's one numbering: every attribute gets its declaration index
+   (first declaration of a name) and every module its position, so the
+   rest of elaboration and the workflow read ids. Errors are collected
+   with their lines and reported in file order, matching the behavior
+   of the historic single-pass parser. *)
+type interned = {
+  mod_ids : (string, int) Hashtbl.t;  (* module name -> declaration index *)
+  ins : int array array;  (* module -> input attribute ids *)
+  outs : int array array;  (* module -> output attribute ids *)
+}
+
+let semantic_errors attrs mods =
   let errs = ref [] in
   let add line fmt = Printf.ksprintf (fun m -> errs := (line, m) :: !errs) fmt in
-  let attrs = Hashtbl.create 16 in
-  List.iter
-    (fun a ->
-      if Hashtbl.mem attrs a.a_name then add a.a_line "duplicate attribute %s" a.a_name
-      else Hashtbl.add attrs a.a_name a)
-    raw.r_attrs;
-  let seen_mods = Hashtbl.create 16 in
-  List.iter
-    (fun m ->
-      if Hashtbl.mem seen_mods m.m_name then add m.m_line "duplicate module %s" m.m_name
-      else Hashtbl.add seen_mods m.m_name ();
-      let undeclared a = if not (Hashtbl.mem attrs a) then add m.m_line "undeclared attribute %s" a in
-      List.iter undeclared m.m_inputs;
-      List.iter undeclared m.m_outputs;
-      let n_in = List.length m.m_inputs and n_out = List.length m.m_outputs in
-      List.iter
-        (fun r ->
-          if Array.length r.r_ins <> n_in then
-            add r.r_line "row arity mismatch for inputs of %s" m.m_name;
-          if Array.length r.r_outs <> n_out then
-            add r.r_line "row arity mismatch for outputs of %s" m.m_name)
-        m.m_rows)
-    raw.r_modules;
-  (List.stable_sort (fun (l, _) (l', _) -> Int.compare l l') (List.rev !errs), attrs)
+  let attr_ids = Hashtbl.create ((2 * Array.length attrs) + 1) in
+  Array.iteri
+    (fun i a ->
+      if Hashtbl.mem attr_ids a.a_name then add a.a_line "duplicate attribute %s" a.a_name
+      else Hashtbl.add attr_ids a.a_name i)
+    attrs;
+  let mod_ids = Hashtbl.create ((2 * Array.length mods) + 1) in
+  (* [seen.(i) = k]: module [k] already lists attribute [i]. *)
+  let seen = Array.make (Array.length attrs) (-1) in
+  let repeated = Array.make (Array.length attrs) (-1) in
+  let sides =
+    Array.mapi
+      (fun k m ->
+        if Hashtbl.mem mod_ids m.m_name then add m.m_line "duplicate module %s" m.m_name
+        else Hashtbl.add mod_ids m.m_name k;
+        let id a =
+          match Hashtbl.find_opt attr_ids a with
+          | Some i -> i
+          | None ->
+              add m.m_line "undeclared attribute %s" a;
+              -1
+        in
+        let ins = Array.of_list (List.map id m.m_inputs) in
+        let outs = Array.of_list (List.map id m.m_outputs) in
+        let once i =
+          if i >= 0 then
+            if seen.(i) <> k then seen.(i) <- k
+            else if repeated.(i) <> k then begin
+              repeated.(i) <- k;
+              add m.m_line "module %s lists attribute %s more than once" m.m_name
+                attrs.(i).a_name
+            end
+        in
+        Array.iter once ins;
+        Array.iter once outs;
+        let n_in = Array.length ins and n_out = Array.length outs in
+        List.iter
+          (fun r ->
+            if Array.length r.r_ins <> n_in then
+              add r.r_line "row arity mismatch for inputs of %s" m.m_name;
+            if Array.length r.r_outs <> n_out then
+              add r.r_line "row arity mismatch for outputs of %s" m.m_name)
+          m.m_rows;
+        (ins, outs))
+      mods
+  in
+  ( List.stable_sort (fun (l, _) (l', _) -> Int.compare l l') (List.rev !errs),
+    { mod_ids; ins = Array.map fst sides; outs = Array.map snd sides } )
 
-let build_module attrs (d : raw_module) =
-  let attr name = A.make name ~dom:(Hashtbl.find attrs name).a_dom in
-  let inputs = List.map attr d.m_inputs and outputs = List.map attr d.m_outputs in
+(* [attr] gives the attribute an id stands for; the elaboration has
+   proven a module's names distinct, so its schema needs no check. *)
+let build_module attr (d : raw_module) ins outs =
+  let inputs = List.map attr (Array.to_list ins) and outputs = List.map attr (Array.to_list outs) in
   let booleans_only () =
     if List.exists (fun a -> A.dom a <> 2) (inputs @ outputs) then
       failwith (Printf.sprintf "module %s: builtins need boolean attributes" d.m_name)
@@ -300,7 +336,7 @@ let build_module attrs (d : raw_module) =
       | [] -> assert false)
   | None, [] -> failwith (Printf.sprintf "module %s has no functionality" d.m_name)
   | None, rows ->
-      let schema = S.of_list (inputs @ outputs) in
+      let schema = S.of_distinct (inputs @ outputs) in
       let table =
         R.create schema (List.map (fun r -> Array.append r.r_ins r.r_outs) rows)
       in
@@ -319,16 +355,53 @@ let gamma_overrides_of raw =
     [] raw.r_gammas
 
 let spec_of_raw raw =
-  match semantic_errors raw with
+  let attrs = Array.of_list raw.r_attrs and mods = Array.of_list raw.r_modules in
+  match semantic_errors attrs mods with
   | (line, msg) :: _, _ -> Error (Printf.sprintf "line %d: %s" line msg)
-  | [], attrs -> (
+  | [], ids -> (
       if raw.r_modules = [] then Error "no modules declared"
       else
         try
-          let wmods = List.map (build_module attrs) raw.r_modules in
-          match Workflow.create wmods with
+          (* One [Attr.t] per declared attribute, made on first use. *)
+          let made = Array.make (Array.length attrs) None in
+          let attr i =
+            match made.(i) with
+            | Some a -> a
+            | None ->
+                let a = A.make attrs.(i).a_name ~dom:attrs.(i).a_dom in
+                made.(i) <- Some a;
+                a
+          in
+          let wmods = Array.mapi (fun k d -> build_module attr d ids.ins.(k) ids.outs.(k)) mods in
+          match
+            Workflow.of_interned wmods ~n_attrs:(Array.length attrs) ~attr ~ins:ids.ins
+              ~outs:ids.outs
+          with
           | Error e -> Error e
-          | Ok workflow ->
+          | Ok (workflow, pos, order) ->
+              let attr_cost = Array.make (Array.length workflow.Workflow.names) Rat.zero in
+              Array.iteri (fun d p -> if p >= 0 then attr_cost.(p) <- attrs.(d).a_cost) pos;
+              (* Gammas per declared module: the default, then every
+                 override in file order, so the last one wins. *)
+              let gamma = default_gamma raw in
+              let gammas = Array.make (Array.length mods) gamma in
+              List.iter
+                (fun g ->
+                  match g.g_module with
+                  | None -> ()
+                  | Some m -> (
+                      match Hashtbl.find_opt ids.mod_ids m with
+                      | Some k -> gammas.(k) <- g.g_value
+                      | None -> ()))
+                raw.r_gammas;
+              let at = Array.make (Array.length mods) 0 in
+              Array.iteri (fun i k -> at.(k) <- i) order;
+              let public_mods =
+                Array.of_list
+                  (List.filter_map Fun.id
+                     (List.mapi (fun k m -> Option.map (fun c -> (at.(k), c)) m.m_public)
+                        raw.r_modules))
+              in
               let costs = List.map (fun a -> (a.a_name, a.a_cost)) raw.r_attrs in
               let publics =
                 List.filter_map
@@ -336,8 +409,8 @@ let spec_of_raw raw =
                   raw.r_modules
               in
               Ok
-                { workflow; costs; publics; gamma = default_gamma raw;
-                  gamma_overrides = gamma_overrides_of raw; raw }
+                { workflow; costs; publics; gamma; gamma_overrides = gamma_overrides_of raw; raw;
+                  attr_cost; mod_gamma = Array.map (fun k -> gammas.(k)) order; public_mods }
         with Failure msg | Invalid_argument msg -> Error msg)
 
 let parse_string text = Result.bind (parse_raw_string text) spec_of_raw

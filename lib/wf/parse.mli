@@ -68,6 +68,11 @@ type spec = private {
   gamma : int;
   gamma_overrides : (string * int) list;
   raw : raw;  (** the declarations the spec was built from, with lines *)
+  attr_cost : Rat.t array;  (** workflow attribute id -> hiding cost *)
+  mod_gamma : int array;  (** workflow module index -> its gamma *)
+  public_mods : (int * Rat.t) array;
+      (** the public modules in declaration order: workflow module
+          index, privatization cost *)
 }
 
 exception Parse_error of int * string
@@ -91,9 +96,13 @@ val gamma_overrides_of : raw -> (string * int) list
 
 val spec_of_raw : raw -> (spec, string) result
 (** Enforce the semantic rules (unique declarations, declared
-    attributes, row arities, builtin use, row values inside their
-    domains, module FDs, unique producers, DAG wiring) and build the
-    workflow. Declaration-level errors carry a [line N:] prefix. *)
+    attributes, no attribute listed twice by one module, row arities,
+    builtin use, row values inside their domains, module FDs, unique
+    producers, DAG wiring) and build the workflow. Declaration-level
+    errors carry a [line N:] prefix. One table numbers the attributes
+    and one the modules; the workflow is assembled from those ids
+    ({!Workflow.of_interned}) and the spec keeps costs, gammas and
+    publics by workflow id for the instance builder. *)
 
 val parse_string : string -> (spec, string) result
 (** [parse_raw_string] followed by [spec_of_raw]. *)

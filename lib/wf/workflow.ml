@@ -7,65 +7,50 @@ type t = {
   modules : Wmodule.t array;
   schema : S.t;
   initial : A.t list;
+  names : string array;
+  ins : int array array;
+  outs : int array array;
 }
 
 let ( let* ) = Result.bind
 
-let validate_names mods =
-  if Svutil.Listx.has_duplicate (List.map (fun (m : Wmodule.t) -> m.Wmodule.name) mods) then
-    Error "duplicate module names"
-  else Ok ()
+(* Everything below works on attribute ids: [ins.(i)] and [outs.(i)]
+   number module [i]'s attributes in [0, n), and [attrs.(id)] is the
+   attribute an id stands for. *)
 
-let validate_outputs_disjoint mods =
-  if Svutil.Listx.has_duplicate (List.concat_map Wmodule.output_names mods) then
-    Error "some attribute is produced by two modules"
-  else Ok ()
-
-let validate_domains mods =
-  let exception Conflict of string * int * int in
-  let tbl = Hashtbl.create 16 in
-  let check a =
-    let name = A.name a and dom = A.dom a in
-    match Hashtbl.find_opt tbl name with
-    | Some dom' -> if dom <> dom' then raise_notrace (Conflict (name, dom', dom))
-    | None -> Hashtbl.add tbl name dom
-  in
+(* The producer of each id, or -1; fails when two modules produce one. *)
+let producers n outs =
+  let producer = Array.make n (-1) in
+  let exception Twice in
   match
-    List.iter
-      (fun (m : Wmodule.t) ->
-        List.iter check m.Wmodule.inputs;
-        List.iter check m.Wmodule.outputs)
-      mods
+    Array.iteri
+      (fun i o ->
+        Array.iter
+          (fun a -> if producer.(a) >= 0 then raise_notrace Twice else producer.(a) <- i)
+          o)
+      outs
   with
-  | () -> Ok ()
-  | exception Conflict (name, dom', dom) ->
-      Error (Printf.sprintf "attribute %s used with domains %d and %d" name dom' dom)
+  | () -> Ok producer
+  | exception Twice -> Error "some attribute is produced by two modules"
 
 (* Kahn's algorithm over the module-dependency graph: m' -> m when some
-   output of m' is an input of m. Outputs are unique, so dependencies
-   are found through a producer map. *)
-let topo_sort mods =
-  let producer = Hashtbl.create 16 in
-  List.iteri
-    (fun i m -> List.iter (fun o -> Hashtbl.replace producer o i) (Wmodule.output_names m))
-    mods;
-  let arr = Array.of_list mods in
-  let n = Array.length arr in
+   output of m' is an input of m. Returns module indices in
+   topological order. *)
+let topo_sort ins producer =
+  let n = Array.length ins in
   let deps i =
-    Wmodule.input_names arr.(i)
-    |> List.filter_map (Hashtbl.find_opt producer)
+    Array.fold_right (fun a acc -> if producer.(a) >= 0 then producer.(a) :: acc else acc) ins.(i) []
     |> List.sort_uniq Int.compare
   in
   let indegree = Array.make n 0 in
   let dependents = Array.make n [] in
-  Array.iteri
-    (fun i _ ->
-      List.iter
-        (fun j ->
-          indegree.(i) <- indegree.(i) + 1;
-          dependents.(j) <- i :: dependents.(j))
-        (deps i))
-    arr;
+  for i = 0 to n - 1 do
+    List.iter
+      (fun j ->
+        indegree.(i) <- indegree.(i) + 1;
+        dependents.(j) <- i :: dependents.(j))
+      (deps i)
+  done;
   (* Preserve the caller's relative order among ties. *)
   Array.iteri (fun i l -> dependents.(i) <- List.rev l) dependents;
   let queue = Queue.create () in
@@ -81,37 +66,81 @@ let topo_sort mods =
       dependents.(i)
   done;
   if List.length !order <> n then Error "workflow contains a cycle"
-  else Ok (List.rev_map (fun i -> arr.(i)) !order)
+  else Ok (Array.of_list (List.rev !order))
 
+(* Order the modules, then renumber the attributes by schema position:
+   the initial inputs in first-appearance order, then every module's
+   outputs. Returns the workflow, the schema position of each caller id
+   (-1 when no module uses it) and the caller's index of each module. *)
+let assemble mods attr ins outs producer =
+  let* order = topo_sort ins producer in
+  let pos = Array.make (Array.length producer) (-1) in
+  let next = ref 0 in
+  let place a =
+    if pos.(a) < 0 then begin
+      pos.(a) <- !next;
+      incr next
+    end
+  in
+  Array.iter (fun i -> Array.iter (fun a -> if producer.(a) < 0 then place a) ins.(i)) order;
+  let n_initial = !next in
+  Array.iter (fun i -> Array.iter place outs.(i)) order;
+  let by_pos = Array.make !next 0 in
+  Array.iteri (fun a p -> if p >= 0 then by_pos.(p) <- a) pos;
+  let schema_attrs = Array.to_list (Array.map attr by_pos) in
+  let remap ids = Array.map (fun a -> pos.(a)) ids in
+  Ok
+    ( {
+        modules = Array.map (fun i -> mods.(i)) order;
+        schema = S.of_distinct schema_attrs;
+        initial = List.filteri (fun i _ -> i < n_initial) schema_attrs;
+        names = Array.map (fun a -> A.name (attr a)) by_pos;
+        ins = Array.map (fun i -> remap ins.(i)) order;
+        outs = Array.map (fun i -> remap outs.(i)) order;
+      },
+      pos,
+      order )
+
+let of_interned mods ~n_attrs ~attr ~ins ~outs =
+  let* producer = producers n_attrs outs in
+  assemble mods attr ins outs producer
+
+(* One table numbers the attribute names in order of appearance; a
+   name seen again with another domain is reported after the producer
+   check, as the checks have always been ordered. *)
 let create mods =
   if mods = [] then Error "empty workflow"
+  else if Svutil.Listx.has_duplicate (List.map (fun (m : Wmodule.t) -> m.Wmodule.name) mods) then
+    Error "duplicate module names"
   else
-    let* () = validate_names mods in
-    let* () = validate_outputs_disjoint mods in
-    let* () = validate_domains mods in
-    let* sorted = topo_sort mods in
-    (* Initial inputs in first-appearance order, deduplicated: every
-       name not produced by a module is marked on first sight. *)
-    let seen = Hashtbl.create 16 in
-    List.iter
-      (fun m -> List.iter (fun o -> Hashtbl.replace seen o ()) (Wmodule.output_names m))
-      sorted;
-    let initial =
-      List.concat_map
-        (fun (m : Wmodule.t) ->
-          List.filter
-            (fun a ->
-              (not (Hashtbl.mem seen (A.name a)))
-              && begin
-                   Hashtbl.add seen (A.name a) ();
-                   true
-                 end)
-            m.Wmodule.inputs)
-        sorted
+    let ids = Hashtbl.create 32 in
+    let attrs = ref [] and n = ref 0 and conflict = ref None in
+    let intern a =
+      match Hashtbl.find_opt ids (A.name a) with
+      | Some (id, dom) ->
+          if dom <> A.dom a && !conflict = None then
+            conflict :=
+              Some (Printf.sprintf "attribute %s used with domains %d and %d" (A.name a) dom (A.dom a));
+          id
+      | None ->
+          let id = !n in
+          Hashtbl.add ids (A.name a) (id, A.dom a);
+          attrs := a :: !attrs;
+          incr n;
+          id
     in
-    let out_attrs = List.concat_map (fun (m : Wmodule.t) -> m.Wmodule.outputs) sorted in
-    let schema = S.of_list (initial @ out_attrs) in
-    Ok { modules = Array.of_list sorted; schema; initial }
+    let mods = Array.of_list mods in
+    let ins = Array.make (Array.length mods) [||] and outs = Array.make (Array.length mods) [||] in
+    Array.iteri
+      (fun i (m : Wmodule.t) ->
+        ins.(i) <- Array.of_list (List.map intern m.Wmodule.inputs);
+        outs.(i) <- Array.of_list (List.map intern m.Wmodule.outputs))
+      mods;
+    let attrs = Array.of_list (List.rev !attrs) in
+    let* producer = producers (Array.length attrs) outs in
+    let* () = match !conflict with Some e -> Error e | None -> Ok () in
+    let* t, _, _ = assemble mods (fun a -> attrs.(a)) ins outs producer in
+    Ok t
 
 let create_exn mods =
   match create mods with Ok t -> t | Error e -> invalid_arg ("Workflow.create: " ^ e)
@@ -147,25 +176,17 @@ let data_sharing_degree t =
   Svutil.Listx.max_by (fun a -> List.length (consumers t a)) (attr_names t)
 
 let runner t =
-  (* Compile every per-name lookup once: schema positions for all
-     attributes, per-module input/output positions, and a hash index of
-     each module table. The returned closure runs one initial input in
-     O(total module arity) array/hash operations. *)
-  let pos = Hashtbl.create 16 in
-  List.iteri (fun i n -> Hashtbl.replace pos n i) (S.names t.schema);
+  (* Compile every lookup once: per-module input/output positions (the
+     ids) and a hash index of each module table. The returned closure
+     runs one initial input in O(total module arity) array/hash
+     operations. *)
   let width = S.size t.schema in
-  let init_pos =
-    Array.of_list (List.map (fun a -> Hashtbl.find pos (A.name a)) t.initial)
-  in
+  (* Attribute ids are schema positions, and the initial inputs lead. *)
+  let init_pos = Array.init (List.length t.initial) Fun.id in
   let compiled =
-    Array.map
-      (fun (m : Wmodule.t) ->
-        let in_pos =
-          Array.of_list (List.map (Hashtbl.find pos) (Wmodule.input_names m))
-        in
-        let out_pos =
-          Array.of_list (List.map (Hashtbl.find pos) (Wmodule.output_names m))
-        in
+    Array.mapi
+      (fun i (m : Wmodule.t) ->
+        let in_pos = t.ins.(i) and out_pos = t.outs.(i) in
         let schema = R.schema m.Wmodule.table in
         let in_plan = Rel.Plan.restrict schema (Wmodule.input_names m) in
         let out_plan = Rel.Plan.restrict schema (Wmodule.output_names m) in

@@ -7,13 +7,35 @@ type t = private {
   modules : Wmodule.t array;  (** topologically sorted *)
   schema : Rel.Schema.t;  (** all attributes: initial inputs then outputs *)
   initial : Rel.Attr.t list;  (** attributes produced by no module *)
+  names : string array;
+      (** attribute id -> name; an attribute's id is its schema position *)
+  ins : int array array;  (** module index -> input attribute ids *)
+  outs : int array array;  (** module index -> output attribute ids *)
 }
 
 val create : Wmodule.t list -> (t, string) result
 (** Validates the workflow: distinct module names; per-module disjoint
     input/output names; pairwise-disjoint output sets (each data item has
     a unique producer); domain-consistent shared attribute names;
-    acyclicity. Modules are re-ordered topologically. *)
+    acyclicity. Modules are re-ordered topologically. One table numbers
+    the attribute names; everything after works on the ids. *)
+
+val of_interned :
+  Wmodule.t array ->
+  n_attrs:int ->
+  attr:(int -> Rel.Attr.t) ->
+  ins:int array array ->
+  outs:int array array ->
+  (t * int array * int array, string) result
+(** {!create} for modules whose attributes the caller has numbered
+    already, as {!Parse.spec_of_raw} does: [ins.(i)] and [outs.(i)] are
+    module [i]'s attribute ids in [0, n_attrs), and [attr id] the
+    attribute an id stands for (asked only of ids some module uses). The caller vouches for what its numbering proves
+    (distinct module names, one domain per attribute, disjoint sides);
+    unique producers and acyclicity are checked here, with {!create}'s
+    messages. Returns the workflow, the schema position of each caller
+    id (-1 when no module uses it) and, per workflow module, the
+    caller's index of it. *)
 
 val create_exn : Wmodule.t list -> t
 (** @raise Invalid_argument with the validation error. *)

@@ -58,7 +58,9 @@ let test_functionality () =
   has "W017" "attr x\nattr y\nmodule m private inputs x outputs y\nfn m nonsense";
   has "W017" "attr x\nattr y\nattr z\nmodule m private inputs x outputs y z\nfn m and";
   has "W017" "attr x dom 3\nattr y dom 3\nmodule m private inputs x outputs y\nfn m identity";
-  has "W017" "attr x\nattr y\nmodule m private inputs x outputs y\nfn m constant 1 2"
+  has "W017" "attr x\nattr y\nmodule m private inputs x outputs y\nfn m constant 1 2";
+  has "W018" "attr a\nattr b\nmodule m private inputs a a outputs b\nfn m and";
+  has "W018" "attr a\nmodule m private inputs a outputs a\nfn m identity"
 
 let test_privacy_feasibility () =
   has "W020" "gamma 4\nattr x\nattr y\nmodule m private inputs x outputs y\nfn m negate";

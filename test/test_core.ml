@@ -231,6 +231,49 @@ let simple_instance () =
       ]
     ()
 
+(* [Instance.to_sets] orders by name rank; the name-level
+   [Requirement.to_sets] is its reference. Over the seed-42 corpus,
+   renamed so that name order and declaration order disagree, every
+   module's converted list must come out equal, order included. *)
+let test_to_sets_by_rank () =
+  let scramble a = String.make 1 (Char.chr (97 + (Svbench.Corpus.hash31 a mod 26))) ^ a in
+  List.iter
+    (fun (ir : Svbench.Corpus.inst_rec) ->
+      let base = ir.Svbench.Corpus.inst in
+      let inst =
+        Inst.make
+          ~attr_costs:(List.map (fun (a, c) -> (scramble a, c)) (Inst.attr_costs base))
+          ~mods:
+            (List.map
+               (fun (m : Inst.module_req) ->
+                 let names = List.map scramble in
+                 {
+                   m with
+                   Inst.inputs = names m.Inst.inputs;
+                   outputs = names m.Inst.outputs;
+                   req =
+                     (match m.Inst.req with
+                     | Req.Card _ as c -> c
+                     | Req.Sets l -> Req.Sets (List.map (fun (i, o) -> (names i, names o)) l));
+                 })
+               (Inst.mods base))
+          ~publics:
+            (List.map
+               (fun (p : Inst.public_mod) ->
+                 { p with Inst.p_attrs = List.map scramble p.Inst.p_attrs })
+               (Inst.publics base))
+          ()
+      in
+      List.iter2
+        (fun (m : Inst.module_req) (m' : Inst.module_req) ->
+          if
+            m'.Inst.req
+            <> Req.Sets (Req.to_sets ~inputs:m.Inst.inputs ~outputs:m.Inst.outputs m.Inst.req)
+          then Alcotest.failf "%s: module %s converts differently" ir.Svbench.Corpus.id m.Inst.m_name)
+        (Inst.mods inst)
+        (Inst.mods (Inst.to_sets inst)))
+    (Svbench.Corpus.generate ~seed:42 ())
+
 let test_instance_validation () =
   Alcotest.check_raises "unknown attr"
     (Invalid_argument "Instance.make: m references unknown attribute z") (fun () ->
@@ -689,7 +732,7 @@ let rename_instance suffix (inst : Inst.t) =
         Req.Sets (List.map (fun (i, o) -> (List.map ra i, List.map ra o)) l)
   in
   Inst.make
-    ~attr_costs:(List.rev_map (fun (a, c) -> (ra a, c)) inst.Inst.attr_costs)
+    ~attr_costs:(List.rev_map (fun (a, c) -> (ra a, c)) (Inst.attr_costs inst))
     ~mods:
       (List.rev_map
          (fun (m : Inst.module_req) ->
@@ -699,7 +742,7 @@ let rename_instance suffix (inst : Inst.t) =
              outputs = List.map ra m.Inst.outputs;
              req = rename_req m.Inst.req;
            })
-         inst.Inst.mods)
+         (Inst.mods inst))
     ~publics:
       (List.map
          (fun (p : Inst.public_mod) ->
@@ -708,7 +751,7 @@ let rename_instance suffix (inst : Inst.t) =
              p_cost = p.Inst.p_cost;
              p_attrs = List.map ra p.Inst.p_attrs;
            })
-         inst.Inst.publics)
+         (Inst.publics inst))
     ()
 
 let auto_cost inst =
@@ -756,7 +799,7 @@ let props =
       (fun (_, inst) ->
         if not (List.for_all (fun (m : Inst.module_req) ->
                     match m.Inst.req with Req.Card _ -> true | _ -> false)
-                  inst.Inst.mods)
+                  (Inst.mods inst))
         then true
         else
           match Core.Card_lp.lp_relaxation inst with
@@ -773,7 +816,7 @@ let props =
         let ip =
           if List.for_all (fun (m : Inst.module_req) ->
                  match m.Inst.req with Req.Card _ -> true | _ -> false)
-               inst.Inst.mods
+               (Inst.mods inst)
           then (Core.Card_lp.build inst).Core.Card_lp.problem
           else (Core.Set_lp.build inst).Core.Set_lp.problem
         in
@@ -786,7 +829,7 @@ let props =
         let ip =
           if List.for_all (fun (m : Inst.module_req) ->
                  match m.Inst.req with Req.Card _ -> true | _ -> false)
-               inst.Inst.mods
+               (Inst.mods inst)
           then (Core.Card_lp.build inst).Core.Card_lp.problem
           else (Core.Set_lp.build inst).Core.Set_lp.problem
         in
@@ -913,6 +956,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_instance_validation;
           Alcotest.test_case "feasibility" `Quick test_instance_feasibility;
           Alcotest.test_case "privatization closure" `Quick test_solution_of_hidden_privatizes;
+          Alcotest.test_case "to_sets by rank = by name" `Quick test_to_sets_by_rank;
         ] );
       ( "objective (section 6)",
         [

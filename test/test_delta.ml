@@ -65,7 +65,7 @@ let test_apply_basic () =
       Alcotest.(check (list string))
         "touched" [ "a1"; "a2"; "b1"; "c1" ] touched;
       Alcotest.check q "new cost" (Q.of_int 7) (Inst.attr_cost edited "b1");
-      Alcotest.(check int) "module count" 2 (List.length edited.Inst.mods);
+      Alcotest.(check int) "module count" 2 (List.length (Inst.mods edited));
       Alcotest.(check (list string))
         "attrs survive drops" [ "a1"; "a2"; "b1"; "b2"; "c1" ]
         (List.sort compare (Inst.attrs edited))
@@ -312,7 +312,7 @@ let gen_instance =
 let gen_edit (inst : Inst.t) idx =
   let open QCheck2.Gen in
   let attrs = Inst.attrs inst in
-  let mod_names = List.map (fun (m : Inst.module_req) -> m.Inst.m_name) inst.Inst.mods in
+  let mod_names = List.map (fun (m : Inst.module_req) -> m.Inst.m_name) (Inst.mods inst) in
   let attr = oneofl attrs in
   let fresh = Printf.sprintf "znew%d" idx in
   let gen_req =
@@ -415,7 +415,7 @@ let props =
         let renamed =
           Inst.make
             ~attr_costs:
-              (List.rev_map (fun (a, c) -> (ra a, c)) inst.Inst.attr_costs)
+              (List.rev_map (fun (a, c) -> (ra a, c)) (Inst.attr_costs inst))
             ~mods:
               (List.rev_map
                  (fun (mr : Inst.module_req) ->
@@ -432,7 +432,7 @@ let props =
                                 (fun (i, o) -> (List.map ra i, List.map ra o))
                                 l));
                    })
-                 inst.Inst.mods)
+                 (Inst.mods inst))
             ~publics:
               (List.map
                  (fun (p : Inst.public_mod) ->
@@ -441,7 +441,7 @@ let props =
                      p_cost = p.Inst.p_cost;
                      p_attrs = List.map ra p.Inst.p_attrs;
                    })
-                 inst.Inst.publics)
+                 (Inst.publics inst))
             ()
         in
         String.equal (Canon.digest inst) (Canon.digest renamed));

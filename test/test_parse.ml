@@ -103,6 +103,15 @@ let test_build_failures () =
   check_err "two producers" "some attribute is produced by two modules"
     "attr x\nattr y\nmodule f private inputs x outputs y\nfn f identity\nmodule g private inputs x outputs y\nfn g identity"
 
+let test_repeated_attribute () =
+  (* Both forms used to escape as a line-less "Schema.of_list" error. *)
+  check_err "input twice" "line 3: module m lists attribute a more than once"
+    "attr a\nattr b\nmodule m private inputs a a outputs b\nfn m and";
+  check_err "input and output" "line 2: module m lists attribute a more than once"
+    "attr a\nmodule m private inputs a outputs a\nfn m identity";
+  check_err "rows too" "line 3: module m lists attribute b more than once"
+    "attr a\nattr b\nmodule m private inputs a b outputs b\nrow m 0 0 -> 0"
+
 (* --- the raw layer keeps source locations ----------------------------- *)
 
 let test_raw_locations () =
@@ -345,6 +354,7 @@ let () =
           Alcotest.test_case "row arity" `Quick test_row_arity;
           Alcotest.test_case "first error wins" `Quick test_first_error_wins;
           Alcotest.test_case "build failures" `Quick test_build_failures;
+          Alcotest.test_case "repeated attribute" `Quick test_repeated_attribute;
         ] );
       ( "raw layer",
         [

@@ -98,7 +98,7 @@ let test_vc_no_sharing_structure () =
   let consumers a =
     List.length
       (List.filter (fun (m : Core.Instance.module_req) -> List.mem a m.Core.Instance.inputs)
-         inst.Core.Instance.mods)
+         (Core.Instance.mods inst))
   in
   List.iter
     (fun a -> Alcotest.(check bool) (a ^ " unshared") true (consumers a <= 1))

@@ -32,7 +32,7 @@ let m name inputs outputs req = { Inst.m_name = name; inputs; outputs; req }
 let rename_instance suffix (inst : Inst.t) =
   let r a = a ^ suffix in
   Inst.make
-    ~attr_costs:(List.map (fun (a, c) -> (r a, c)) inst.Inst.attr_costs)
+    ~attr_costs:(List.map (fun (a, c) -> (r a, c)) (Inst.attr_costs inst))
     ~mods:
       (List.map
          (fun (mr : Inst.module_req) ->
@@ -47,7 +47,7 @@ let rename_instance suffix (inst : Inst.t) =
                    Req.Sets
                      (List.map (fun (i, o) -> (List.map r i, List.map r o)) l));
            })
-         inst.Inst.mods)
+         (Inst.mods inst))
     ~publics:
       (List.map
          (fun (p : Inst.public_mod) ->
@@ -56,7 +56,7 @@ let rename_instance suffix (inst : Inst.t) =
              p_cost = p.Inst.p_cost;
              p_attrs = List.map r p.Inst.p_attrs;
            })
-         inst.Inst.publics)
+         (Inst.publics inst))
     ()
 
 let exact_request ?(metrics = Metrics.nop) inst =
@@ -181,6 +181,8 @@ let test_labeling_agrees_with_digest_and_form () =
     "form_of_labeling = form" (Canon.form inst)
     (Canon.form_of_labeling lab)
 
+let ids_of inst names = List.filter_map (Inst.find inst) names
+
 let test_transport_renamed () =
   let inst = with_publics () in
   let renamed = rename_instance "_r" inst in
@@ -192,9 +194,10 @@ let test_transport_renamed () =
   match r.E.solution with
   | None -> Alcotest.fail "expected a solution"
   | Some s -> (
-      match Canon.transport ~src ~dst s with
+      match Canon.transport ~src ~dst (ids_of inst s.Sol.hidden) with
       | None -> Alcotest.fail "transport must succeed on equal forms"
-      | Some s' ->
+      | Some ids ->
+          let s' = Sol.of_ids renamed ids in
           Alcotest.check q "cost preserved" s.Sol.cost s'.Sol.cost;
           Alcotest.(check bool)
             "transported solution feasible on the renamed instance" true
@@ -217,8 +220,7 @@ let test_transport_rejects_different_forms () =
       ~mods:[ m "m" [ "x" ] [] (Req.Card [ (1, 0) ]) ]
       ()
   in
-  let s = { Sol.hidden = [ "x" ]; privatized = []; cost = Q.of_int 1 } in
-  match Canon.transport ~src:(Canon.labeling a) ~dst:(Canon.labeling b) s with
+  match Canon.transport ~src:(Canon.labeling a) ~dst:(Canon.labeling b) [ 0 ] with
   | None -> ()
   | Some _ -> Alcotest.fail "different forms must not transport"
 
@@ -247,7 +249,7 @@ let shuffle_rename seed (inst : Inst.t) =
   let shuffled l = Svutil.Rng.shuffle rng l in
   let rl l = shuffled (List.map r l) in
   Inst.make
-    ~attr_costs:(shuffled (List.map (fun (a, c) -> (r a, c)) inst.Inst.attr_costs))
+    ~attr_costs:(shuffled (List.map (fun (a, c) -> (r a, c)) (Inst.attr_costs inst)))
     ~mods:
       (shuffled
          (List.map
@@ -262,7 +264,7 @@ let shuffle_rename seed (inst : Inst.t) =
                   | Req.Sets l ->
                       Req.Sets (shuffled (List.map (fun (i, o) -> (rl i, rl o)) l)));
               })
-            inst.Inst.mods))
+            (Inst.mods inst)))
     ~publics:
       (shuffled
          (List.map
@@ -272,7 +274,7 @@ let shuffle_rename seed (inst : Inst.t) =
                 p_cost = p.Inst.p_cost;
                 p_attrs = rl p.Inst.p_attrs;
               })
-            inst.Inst.publics))
+            (Inst.publics inst)))
     ()
 
 (* Each fixture keeps one form under renaming, found within the leaf
@@ -331,11 +333,10 @@ let test_budget_cut_stays_sound () =
   let again = Canon.labeling inst in
   Alcotest.(check string) "same form on the same input" (Canon.form_of_labeling lab)
     (Canon.form_of_labeling again);
-  let s = Sol.of_hidden inst (Inst.attrs inst) in
-  match Canon.transport ~src:lab ~dst:again s with
-  | Some s' ->
-      Alcotest.(check (list string)) "transported onto itself"
-        (List.sort compare s.Sol.hidden) (List.sort compare s'.Sol.hidden)
+  let all = List.init (Inst.n_attrs inst) Fun.id in
+  match Canon.transport ~src:lab ~dst:again all with
+  | Some ids ->
+      Alcotest.(check (list int)) "transported onto itself" all (List.sort compare ids)
   | None -> Alcotest.fail "equal forms must transport"
 
 (* ------------------------------------------------------------------ *)
@@ -832,6 +833,115 @@ let test_daemon_closed_stdout () =
     (String.length err >= String.length prefix
     && String.sub err 0 (String.length prefix) = prefix)
 
+(* {1 The two instance constructors}
+
+   [Request.instance_of] builds an instance from the ids elaboration
+   assigned; [Instance.of_workflow] builds it from names, deriving by
+   name and interning once in [Instance.make]. The two must agree on
+   everything downstream: the instance itself, its canonical form, the
+   IP it compiles to, and the engine's answer. *)
+
+let snapshot_view (s : Lp.Problem.snapshot) =
+  ( s.Lp.Problem.names,
+    s.Lp.Problem.lb,
+    s.Lp.Problem.ub,
+    s.Lp.Problem.integer,
+    Array.map
+      (fun (e, cmp, rhs) -> (Lp.Linexpr.to_list e, cmp, rhs))
+      s.Lp.Problem.constraints,
+    Lp.Linexpr.to_list s.Lp.Problem.objective )
+
+let ip_of inst =
+  if Core.Exact.all_cardinality inst then (Core.Card_lp.build inst).Core.Card_lp.problem
+  else (Core.Set_lp.build inst).Core.Set_lp.problem
+
+let answer (r : E.result) =
+  (r.E.solution, r.E.lower_bound, r.E.proven_optimal, r.E.stats, r.E.method_used)
+
+(* [None] when the two agree, else what differs. *)
+let constructors_differ (spec : Wf.Parse.spec) =
+  let by_ids = Serve.Request.instance_of spec in
+  let by_names =
+    Inst.of_workflow spec.Wf.Parse.workflow ~gamma:spec.Wf.Parse.gamma
+      ~gamma_overrides:spec.Wf.Parse.gamma_overrides
+      ~cost:(fun a -> List.assoc a spec.Wf.Parse.costs)
+      ~publics:spec.Wf.Parse.publics ()
+  in
+  if by_ids <> by_names then Some "instance"
+  else if Canon.form by_ids <> Canon.form by_names then Some "canonical form"
+  else if snapshot_view (ip_of by_ids) <> snapshot_view (ip_of by_names) then Some "IP"
+  else if
+    answer (E.run (E.default_request by_ids)) <> answer (E.run (E.default_request by_names))
+  then Some "engine answer"
+  else None
+
+let spec_of_text what text =
+  match Serve.Request.spec_of_string ~preflight:true text with
+  | Ok spec -> spec
+  | Error e -> Alcotest.failf "%s: %s" what (Serve.Request.message e)
+
+(* A random workflow with random costs, publics and one gamma override,
+   elaborated from its declarations. *)
+let gen_spec =
+  QCheck2.Gen.(
+    let* seed = int_range 0 1_000_000 in
+    let* n_modules = int_range 1 6 in
+    let* max_sharing = int_range 1 3 in
+    let rng = Svutil.Rng.create seed in
+    let w =
+      Wf.Gen.random_workflow rng { Wf.Gen.default with n_modules; max_sharing }
+    in
+    let costs = Wf.Gen.random_costs rng w in
+    let publics = Wf.Gen.random_publics rng w in
+    let gamma_overrides =
+      match Wf.Workflow.module_names w with
+      | m :: _ when Svutil.Rng.int rng 2 = 0 -> [ (m, 3) ]
+      | _ -> []
+    in
+    let raw = Analysis.Wfcheck.raw_of_workflow ~publics ~costs ~gamma_overrides ~gamma:2 w in
+    (* A random letter before every attribute name, so name order and
+       declaration order disagree. *)
+    let letter = Hashtbl.create 16 in
+    let rename a =
+      match Hashtbl.find_opt letter a with
+      | Some a' -> a'
+      | None ->
+          let a' = String.make 1 (Char.chr (97 + Svutil.Rng.int rng 26)) ^ a in
+          Hashtbl.add letter a a';
+          a'
+    in
+    let raw =
+      {
+        raw with
+        Wf.Parse.r_attrs =
+          List.map
+            (fun (a : Wf.Parse.raw_attr) -> { a with Wf.Parse.a_name = rename a.Wf.Parse.a_name })
+            raw.Wf.Parse.r_attrs;
+        r_modules =
+          List.map
+            (fun (m : Wf.Parse.raw_module) ->
+              { m with Wf.Parse.m_inputs = List.map rename m.Wf.Parse.m_inputs;
+                m_outputs = List.map rename m.Wf.Parse.m_outputs })
+            raw.Wf.Parse.r_modules;
+      }
+    in
+    return
+      (match Wf.Parse.spec_of_raw raw with
+      | Ok spec -> spec
+      | Error e -> failwith ("generated workflow rejected: " ^ e)))
+
+let test_constructors_on_pools () =
+  let module T = Perfbench_traffic.Traffic in
+  List.iter
+    (fun (name, wl) ->
+      List.iteri
+        (fun i w ->
+          match constructors_differ (spec_of_text name (T.render w)) with
+          | None -> ()
+          | Some what -> Alcotest.failf "%s pool member %d: the constructors differ in the %s" name i what)
+        (T.pool_workflows wl))
+    T.workloads
+
 let () =
   Alcotest.run "serve"
     [
@@ -896,5 +1006,15 @@ let () =
           Alcotest.test_case "closed stdout exits 0 with stats" `Quick
             test_daemon_closed_stdout;
           Alcotest.test_case "deep nesting then ping" `Quick test_daemon_deep_nesting;
+        ] );
+      ( "constructors",
+        [
+          prop ~count:100 "instance_of = of_workflow on Wf.Gen workflows"
+            ~print:(fun (spec : Wf.Parse.spec) ->
+              Format.asprintf "%a" Wf.Workflow.pp spec.Wf.Parse.workflow)
+            gen_spec
+            (fun spec -> constructors_differ spec = None);
+          Alcotest.test_case "instance_of = of_workflow on the seed-42 pools" `Quick
+            test_constructors_on_pools;
         ] );
     ]
