@@ -1007,14 +1007,14 @@ let () =
             test_daemon_closed_stdout;
           Alcotest.test_case "deep nesting then ping" `Quick test_daemon_deep_nesting;
         ] );
-      ( "constructors",
+      ( "intern",
         [
-          prop ~count:100 "instance_of = of_workflow on Wf.Gen workflows"
+          prop ~count:100 "instance_of = of_workflow on Gen workflows"
             ~print:(fun (spec : Wf.Parse.spec) ->
               Format.asprintf "%a" Wf.Workflow.pp spec.Wf.Parse.workflow)
             gen_spec
             (fun spec -> constructors_differ spec = None);
-          Alcotest.test_case "instance_of = of_workflow on the seed-42 pools" `Quick
+          Alcotest.test_case "instance_of = of_workflow on seed-42 pools" `Quick
             test_constructors_on_pools;
         ] );
     ]
