@@ -247,13 +247,6 @@ let node_limit_arg =
        & info [ "node-limit" ] ~docv:"N"
            ~doc:"Branch-and-bound node budget for the exact solver.")
 
-let jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "jobs" ] ~docv:"N"
-           ~doc:"Evaluate up to N branch-and-bound nodes concurrently (OCaml 5 \
-                 domains; sequential fallback on 4.x). The answer does not \
-                 depend on N.")
-
 let solve_json_arg =
   Arg.(value & flag
        & info [ "json" ]
@@ -283,10 +276,9 @@ let json_engine_result = Serve.Response.engine_result ~timings:true
 let stat_true (r : Core.Engine.result) key =
   List.assoc_opt key r.Core.Engine.stats = Some "true"
 
-let request_of inst ~meth ~node_limit ~jobs ~seed ~deadline_ms ~trials
-    ~metrics =
+let request_of inst ~meth ~node_limit ~seed ~deadline_ms ~trials ~metrics =
   Serve.Request.engine_request ~metrics inst
-    { Serve.Request.meth; node_limit; jobs; seed; deadline_ms; trials }
+    { Serve.Request.meth; node_limit; seed; deadline_ms; trials }
 
 let explain_route_arg =
   Arg.(value & flag
@@ -295,7 +287,7 @@ let explain_route_arg =
                  this request, and why.")
 
 let solve_cmd =
-  let run file meth emit_view node_limit jobs json seed deadline trials
+  let run file meth emit_view node_limit json seed deadline trials
       metrics_mode explain_route =
     let spec = load ~preflight:true file in
     let inst = instance_of spec in
@@ -303,7 +295,7 @@ let solve_cmd =
     let field k v = fields := (k, v) :: !fields in
     if explain_route then begin
       let req0 =
-        request_of inst ~meth:Core.Engine.Auto ~node_limit ~jobs ~seed
+        request_of inst ~meth:Core.Engine.Auto ~node_limit ~seed
           ~deadline_ms:deadline ~trials ~metrics:Svutil.Metrics.nop
       in
       let m, why = Core.Engine.choose_explain req0 in
@@ -320,8 +312,8 @@ let solve_cmd =
        the JSON field under the CLI's name for the method. *)
     let run_method (key, meth) =
       let req =
-        request_of inst ~meth ~node_limit ~jobs ~seed ~deadline_ms:deadline
-          ~trials ~metrics:(metrics_of metrics_mode)
+        request_of inst ~meth ~node_limit ~seed ~deadline_ms:deadline ~trials
+          ~metrics:(metrics_of metrics_mode)
       in
       let r = Core.Engine.run req in
       if not json then begin
@@ -380,8 +372,8 @@ let solve_cmd =
   in
   Cmd.v (Cmd.info "solve" ~doc:"Solve the workflow Secure-View problem.")
     Term.(const run $ file_arg $ method_arg $ emit_view_arg $ node_limit_arg
-          $ jobs_arg $ solve_json_arg $ seed_arg $ deadline_arg $ trials_arg
-          $ metrics_arg $ explain_route_arg)
+          $ solve_json_arg $ seed_arg $ deadline_arg $ trials_arg $ metrics_arg
+          $ explain_route_arg)
 
 (* batch ----------------------------------------------------------------- *)
 
@@ -389,6 +381,13 @@ let batch_cmd =
   let files_arg =
     Arg.(non_empty & pos_all string []
          & info [] ~docv:"FILES" ~doc:"Workflow description files.")
+  in
+  let jobs_arg =
+    Arg.(value & opt int 1
+         & info [ "jobs" ] ~docv:"N"
+             ~doc:"Solve up to N files concurrently (OCaml 5 domains; \
+                   sequential fallback on 4.x). The output does not depend \
+                   on N.")
   in
   let run files (_, meth) node_limit jobs seed deadline trials metrics_mode =
     (* One JSON line per file; a file that fails to parse, lint, or
@@ -418,8 +417,8 @@ let batch_cmd =
                 (* Fresh registry per file: parallel batch workers never
                    share a live registry. *)
                 let req =
-                  request_of inst ~meth ~node_limit ~jobs:1
-                    ~seed:(seed + idx) ~deadline_ms:deadline ~trials
+                  request_of inst ~meth ~node_limit ~seed:(seed + idx)
+                    ~deadline_ms:deadline ~trials
                     ~metrics:(metrics_of metrics_mode)
                 in
                 let r = Core.Engine.run req in
@@ -548,7 +547,7 @@ let delta_cmd =
          & info [ "json" ]
              ~doc:"Emit parent and incremental results as one JSON object.")
   in
-  let run file edits node_limit jobs json verify metrics_mode =
+  let run file edits node_limit json verify metrics_mode =
     let spec = load ~preflight:true file in
     let inst = instance_of spec in
     let script =
@@ -561,15 +560,9 @@ let delta_cmd =
     let metrics = metrics_of metrics_mode in
     let parent =
       Core.Engine.run
-        {
-          (Core.Engine.default_request inst) with
-          Core.Engine.node_limit;
-          jobs;
-        }
+        { (Core.Engine.default_request inst) with Core.Engine.node_limit }
     in
-    match
-      Core.Delta.resolve ~node_limit ~jobs ~metrics ~parent script
-    with
+    match Core.Delta.resolve ~node_limit ~metrics ~parent script with
     | Error e ->
         Printf.eprintf "error: %s\n" e;
         exit 2
@@ -590,7 +583,6 @@ let delta_cmd =
                 {
                   (Core.Engine.default_request o.Core.Delta.edited) with
                   Core.Engine.node_limit;
-                  jobs;
                 }
             in
             let cost (r : Core.Engine.result) =
@@ -657,8 +649,8 @@ let delta_cmd =
        ~doc:"Apply an edit script to a solved workflow and re-solve \
              incrementally (Core.Delta): no-op detection by canonical form, \
              dirty-set scoping, warm-started branch and bound.")
-    Term.(const run $ file_arg $ edits_arg $ node_limit_arg $ jobs_arg
-          $ json_arg $ verify_arg $ metrics_arg)
+    Term.(const run $ file_arg $ edits_arg $ node_limit_arg $ json_arg
+          $ verify_arg $ metrics_arg)
 
 (* serve ----------------------------------------------------------------- *)
 
@@ -675,13 +667,6 @@ let serve_cmd =
              ~doc:"Capacity of the canonical-form solution cache (LRU \
                    entries).")
   in
-  let serve_jobs_arg =
-    Arg.(value & opt int 1
-         & info [ "jobs" ] ~docv:"N"
-             ~doc:"Solver workers a request may use. The daemon serves one \
-                   request at a time; a request's own jobs field is clamped \
-                   to at most $(docv), and it is never refused outright.")
-  in
   let verify_hits_arg =
     Arg.(value & flag
          & info [ "verify-hits" ]
@@ -690,14 +675,12 @@ let serve_cmd =
                    an internal error. Costs the solve the cache saved — for \
                    tests and CI gates.")
   in
-  let run socket cache_size jobs verify_hits node_limit deadline trials seed =
+  let run socket cache_size verify_hits node_limit deadline trials seed =
     if cache_size < 1 then
       fail_with (Serve.Request.Usage "cache-size must be at least 1");
-    if jobs < 1 then fail_with (Serve.Request.Usage "jobs must be at least 1");
     let cfg =
       {
         Serve.Daemon.cache_capacity = cache_size;
-        jobs;
         defaults =
           {
             Serve.Request.default_options with
@@ -722,9 +705,8 @@ let serve_cmd =
              a fresh solve. One request object per line on stdin (or a Unix \
              socket with --socket); ops: solve, ping, stats, shutdown. \
              SIGUSR1 dumps stats and metrics to stderr.")
-    Term.(const run $ socket_arg $ cache_size_arg $ serve_jobs_arg
-          $ verify_hits_arg $ node_limit_arg $ deadline_arg $ trials_arg
-          $ seed_arg)
+    Term.(const run $ socket_arg $ cache_size_arg $ verify_hits_arg
+          $ node_limit_arg $ deadline_arg $ trials_arg $ seed_arg)
 
 (* corpus ---------------------------------------------------------------- *)
 

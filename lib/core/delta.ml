@@ -358,8 +358,8 @@ let ratio_of solution lower_bound proven =
   | Some (s : Solution.t), Some _ when Rat.is_zero s.Solution.cost -> Some 1.0
   | _ -> None
 
-let resolve ?(node_limit = Lp.Ilp.default_node_limit) ?(jobs = 1)
-    ?(metrics = Metrics.nop) ~(parent : Engine.result) script =
+let resolve ?(node_limit = Lp.Ilp.default_node_limit) ?(metrics = Metrics.nop)
+    ~(parent : Engine.result) script =
   match parent.Engine.state with
   | None -> Error "Delta.resolve: parent result has no solved-state capture"
   | Some pstate ->
@@ -473,7 +473,6 @@ let resolve ?(node_limit = Lp.Ilp.default_node_limit) ?(jobs = 1)
                   {
                     (Engine.default_request inst) with
                     node_limit;
-                    jobs;
                     metrics;
                     warm_seed;
                   }

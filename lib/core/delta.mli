@@ -115,7 +115,6 @@ type outcome = {
 
 val resolve :
   ?node_limit:int ->
-  ?jobs:int ->
   ?metrics:Svutil.Metrics.t ->
   parent:Engine.result ->
   script ->

@@ -15,7 +15,6 @@ type request = {
   meth : meth;
   deadline_ms : float option;
   node_limit : int;
-  jobs : int;
   seed : int;
   trials : int;
   warm_seed : Solution.t option;
@@ -28,7 +27,6 @@ let default_request inst =
     meth = Auto;
     deadline_ms = None;
     node_limit = Lp.Ilp.default_node_limit;
-    jobs = 1;
     seed = 0;
     trials = 4;
     warm_seed = None;
@@ -181,9 +179,8 @@ let solve_exact (req : request) =
   in
   let outcome, (st : Lp.Ilp.stats) =
     phase req.metrics phases "search" (fun () ->
-        Exact.solve_with_stats ~node_limit:req.node_limit ~jobs:req.jobs
-          ~deadline ~metrics:req.metrics ?seed:req.warm_seed ~attr_fixings
-          req.inst)
+        Exact.solve_with_stats ~node_limit:req.node_limit ~deadline
+          ~metrics:req.metrics ?seed:req.warm_seed ~attr_fixings req.inst)
   in
   let stats =
     (match req.warm_seed with

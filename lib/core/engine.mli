@@ -32,7 +32,6 @@ type request = {
           budget returns the best incumbent with
           [proven_optimal = false] — it never raises. *)
   node_limit : int;  (** branch-and-bound node budget (exact method) *)
-  jobs : int;  (** concurrent branch-and-bound node evaluations *)
   seed : int;  (** RNG seed for randomized rounding trials *)
   trials : int;  (** rounding trials; the cheapest solution wins *)
   warm_seed : Solution.t option;
@@ -51,7 +50,7 @@ type request = {
 
 val default_request : Instance.t -> request
 (** [meth = Auto], no deadline, {!Lp.Ilp.default_node_limit} nodes,
-    [jobs = 1], [seed = 0], [trials = 4], [warm_seed = None],
+    [seed = 0], [trials = 4], [warm_seed = None],
     [metrics = Svutil.Metrics.nop]. *)
 
 type solved_state = {

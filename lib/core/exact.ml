@@ -25,7 +25,7 @@ let seed_solution inst =
   | _ | (exception _) -> None
 
 let solve_with_stats ?(node_limit = Lp.Ilp.default_node_limit)
-    ?(mode = Lp.Simplex.Hybrid_mode) ?(jobs = 1) ?deadline ?metrics ?seed
+    ?(mode = Lp.Simplex.Hybrid_mode) ?deadline ?metrics ?seed
     ?(attr_fixings = []) inst =
   let registry = Option.value metrics ~default:Svutil.Metrics.nop in
   let problem, attr_var, point_of =
@@ -68,11 +68,11 @@ let solve_with_stats ?(node_limit = Lp.Ilp.default_node_limit)
   let solve_ilp =
     match mode with
     | Lp.Simplex.Exact_mode ->
-        Lp.Ilp.Exact.solve_with_stats ~node_limit ?cutoff ?incumbent ~jobs
-          ?deadline ?metrics ~fixings
+        Lp.Ilp.Exact.solve_with_stats ~node_limit ?cutoff ?incumbent ?deadline
+          ?metrics ~fixings
     | Lp.Simplex.Hybrid_mode ->
-        Lp.Ilp.Hybrid.solve_with_stats ~node_limit ?cutoff ?incumbent ~jobs
-          ?deadline ?metrics ~fixings
+        Lp.Ilp.Hybrid.solve_with_stats ~node_limit ?cutoff ?incumbent ?deadline
+          ?metrics ~fixings
   in
   let finish ~proven values =
     let half = Rat.of_ints 1 2 in
@@ -96,10 +96,10 @@ let solve_with_stats ?(node_limit = Lp.Ilp.default_node_limit)
   in
   (outcome, stats)
 
-let solve ?node_limit ?mode ?jobs ?deadline ?metrics ?seed ?attr_fixings inst =
+let solve ?node_limit ?mode ?deadline ?metrics ?seed ?attr_fixings inst =
   fst
-    (solve_with_stats ?node_limit ?mode ?jobs ?deadline ?metrics ?seed
-       ?attr_fixings inst)
+    (solve_with_stats ?node_limit ?mode ?deadline ?metrics ?seed ?attr_fixings
+       inst)
 
 type refusal = Too_many_attrs of { attrs : int; limit : int }
 

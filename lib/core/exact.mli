@@ -21,7 +21,6 @@ val all_cardinality : Instance.t -> bool
 val solve :
   ?node_limit:int ->
   ?mode:Lp.Simplex.mode ->
-  ?jobs:int ->
   ?deadline:Svutil.Deadline.t ->
   ?metrics:Svutil.Metrics.t ->
   ?seed:Solution.t ->
@@ -31,17 +30,15 @@ val solve :
 (** [None] when the instance is infeasible. [mode] picks the simplex
     route for the node relaxations (default {!Lp.Simplex.Hybrid_mode}:
     exact answers, float basis hunting; {!Lp.Simplex.Exact_mode} pivots
-    in rationals throughout and gives the same answers). [jobs]
-    evaluates that many branch-and-bound nodes concurrently (default 1;
-    the answer does not depend on it). The search is seeded with the
-    greedy solution as a strict cutoff, so a run that proves the seed
-    unbeatable returns it as optimal without finding it again; the
-    LP-rounding seed lives inside {!Lp.Ilp}, which rounds its own root
-    relaxation. [deadline] bounds the branch-and-bound wall clock: on
-    expiry the best incumbent found so far (at worst the greedy seed) is
-    returned with [proven_optimal = false]. [metrics] gets the
-    [lp/build] span around the IP build and [lp/seed] around the greedy
-    seed, beside {!Lp.Ilp}'s.
+    in rationals throughout and gives the same answers). The search is
+    seeded with the greedy solution as a strict cutoff, so a run that
+    proves the seed unbeatable returns it as optimal without finding it
+    again; the LP-rounding seed lives inside {!Lp.Ilp}, which rounds its
+    own root relaxation. [deadline] bounds the branch-and-bound wall
+    clock: on expiry the best incumbent found so far (at worst the
+    greedy seed) is returned with [proven_optimal = false]. [metrics]
+    gets the [lp/build] span around the IP build and [lp/seed] around
+    the greedy seed, beside {!Lp.Ilp}'s.
 
     [seed] offers an externally-known feasible solution (e.g. the
     parent solution in [Core.Delta]'s incremental re-solve): the search
@@ -57,7 +54,6 @@ val solve :
 val solve_with_stats :
   ?node_limit:int ->
   ?mode:Lp.Simplex.mode ->
-  ?jobs:int ->
   ?deadline:Svutil.Deadline.t ->
   ?metrics:Svutil.Metrics.t ->
   ?seed:Solution.t ->

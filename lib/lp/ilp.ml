@@ -26,7 +26,31 @@ let reference_eps = Rat.of_ints 1 1_000_000
 
 let frac_part r = Rat.sub r (Rat.of_bigint (Rat.floor r))
 
-module Make (Solver : Simplex.SOLVER) = struct
+module type S = sig
+  val solve :
+    ?node_limit:int ->
+    ?cutoff:Rat.t ->
+    ?incumbent:Rat.t array ->
+    ?deadline:Svutil.Deadline.t ->
+    ?metrics:Svutil.Metrics.t ->
+    ?fixings:(int * Rat.t) list ->
+    Problem.snapshot ->
+    result
+
+  val solve_with_stats :
+    ?node_limit:int ->
+    ?cutoff:Rat.t ->
+    ?incumbent:Rat.t array ->
+    ?deadline:Svutil.Deadline.t ->
+    ?metrics:Svutil.Metrics.t ->
+    ?fixings:(int * Rat.t) list ->
+    Problem.snapshot ->
+    result * stats
+
+  val solve_reference : ?node_limit:int -> Problem.snapshot -> result
+end
+
+module Make (Solver : Simplex.SOLVER) : S = struct
   (* Most fractional integer variable, or [-1] if the point is integral. *)
   let branch_var (p : Problem.snapshot) values =
     let branch = ref (-1) in
@@ -72,7 +96,7 @@ module Make (Solver : Simplex.SOLVER) = struct
     if c <> 0 then c else compare b.seq a.seq (* newest first among ties *)
 
   let solve_with_stats ?(node_limit = default_node_limit) ?cutoff ?incumbent
-      ?(jobs = 1) ?(deadline = Svutil.Deadline.none)
+      ?(deadline = Svutil.Deadline.none)
       ?(metrics = Svutil.Metrics.nop) ?(fixings = []) (s : Problem.snapshot) =
     let finished ?root_bound ?(deadline_hit = false) nodes limit_hit =
       (* Single source of truth: the same [nodes] count feeds both the
@@ -107,7 +131,6 @@ module Make (Solver : Simplex.SOLVER) = struct
           if ok then (Optimal { objective; values }, finished 0 false)
           else (Infeasible, finished 0 false)
       | Presolve.Reduced { problem = p; restore; keep } ->
-        let jobs = max 1 jobs in
         Svutil.Metrics.count metrics "ilp.presolve_fixed" (s.Problem.n - p.Problem.n);
         (* The cutoff lives in the original objective space; fixed
            variables contribute a constant the reduced objective lacks. *)
@@ -185,25 +208,14 @@ module Make (Solver : Simplex.SOLVER) = struct
                 best := Some (obj, proj)
               end
             end);
-        (* One lazily-created warm solver state per worker slot; a slot
-           is used by at most one domain per round, and rounds are
-           separated by joins. Each slot also gets its own metrics
-           registry, forked inside the caller's open spans — a live
-           registry is not thread-safe, so workers never share one; the
-           slots are absorbed into [metrics] after the search loop. *)
-        let states = Array.make jobs None in
-        let slot_metrics = Array.init jobs (fun _ -> Svutil.Metrics.fork metrics) in
-        let node_solve slot ~lb ~ub =
-          (match states.(slot) with
-          | None ->
-              states.(slot) <-
-                Some (Solver.warm_create ~deadline ~metrics:slot_metrics.(slot) p)
-          | Some _ -> ());
-          match states.(slot) with
-          | Some (Some w) -> Solver.warm_solve ~deadline w ~lb ~ub
-          | _ ->
-              Solver.solve ~deadline ~metrics:slot_metrics.(slot)
-                (Problem.with_bounds p ~lb ~ub)
+        (* The root's warm solver state, reoptimized under each later
+           node's bounds. [None] when the root was not warmable; nodes
+           then take a cold solve. *)
+        let warm = ref None in
+        let node_solve ~lb ~ub =
+          match !warm with
+          | Some w -> Solver.warm_solve ~deadline w ~lb ~ub
+          | None -> Solver.solve ~deadline ~metrics (Problem.with_bounds p ~lb ~ub)
         in
         let pq = Svutil.Pq.create ~cmp:node_cmp in
         let seq = ref 0 in
@@ -225,26 +237,17 @@ module Make (Solver : Simplex.SOLVER) = struct
             Svutil.Pq.push pq { bound = parent_obj; seq = !seq; lb = lb2; ub = Array.copy ub }
           end
         in
-        let process res (nd_lb, nd_ub) =
-          match res with
-          | Simplex.Infeasible -> ()
-          | Simplex.Unbounded -> unbounded := true
-          | Simplex.Optimal { objective; values } ->
-              if not (dominated objective) then
-                push_children objective nd_lb nd_ub values
-              else Svutil.Metrics.tick metrics "ilp.pruned_bound"
-        in
         (* Root node: [warm_create] already solved it, so reuse its
            optimum rather than reoptimizing under unchanged bounds. *)
         incr nodes;
         (match
            (try
-              states.(0) <-
-                Some (Solver.warm_create ~deadline ~metrics:slot_metrics.(0) p);
               `Solved
-                (match states.(0) with
-                | Some (Some w) -> Solver.warm_root w
-                | _ -> Solver.solve ~deadline ~metrics:slot_metrics.(0) p)
+                (match Solver.warm_create ~deadline ~metrics p with
+                | Some w ->
+                    warm := Some w;
+                    Solver.warm_root w
+                | None -> Solver.solve ~deadline ~metrics p)
             with Svutil.Deadline.Expired -> `Timeout)
          with
         | `Timeout -> deadline_hit := true
@@ -257,10 +260,9 @@ module Make (Solver : Simplex.SOLVER) = struct
               push_children objective p.Problem.lb p.Problem.ub values
             end
             else Svutil.Metrics.tick metrics "ilp.pruned_bound");
-        (* Best-first loop, evaluating up to [jobs] open nodes per round. *)
-        let continue_ = ref true in
+        (* Best-first loop, one open node at a time. *)
         while
-          !continue_ && (not !unbounded) && (not !deadline_hit)
+          (not !unbounded) && (not !deadline_hit) && (not !limit_hit)
           && not (Svutil.Pq.is_empty pq)
         do
           (* The queue is ordered by bound: once the top is dominated,
@@ -270,41 +272,23 @@ module Make (Solver : Simplex.SOLVER) = struct
               Svutil.Metrics.count metrics "ilp.pruned_bound" (Svutil.Pq.length pq);
               Svutil.Pq.clear pq
           | _ -> ());
-          if Svutil.Pq.is_empty pq then continue_ := false
-          else if Svutil.Deadline.expired deadline then deadline_hit := true
-          else if !nodes >= node_limit then begin
-            limit_hit := true;
-            continue_ := false
-          end
-          else begin
-            let batch_size = min jobs (node_limit - !nodes) in
-            let batch = ref [] in
-            while List.length !batch < batch_size && not (Svutil.Pq.is_empty pq) do
-              match Svutil.Pq.pop pq with
-              | Some nd -> batch := nd :: !batch
-              | None -> ()
-            done;
-            let batch = List.rev !batch in
-            nodes := !nodes + List.length batch;
-            (* A worker whose LP ran out of budget reports [None]; the
-               round's completed solves are still harvested, then the
-               search stops with the incumbent it has. *)
-            let results =
-              Svutil.Par.map ~jobs
-                (fun (slot, nd) ->
-                  try Some (node_solve slot ~lb:nd.lb ~ub:nd.ub)
-                  with Svutil.Deadline.Expired -> None)
-                (List.mapi (fun slot nd -> (slot, nd)) batch)
-            in
-            List.iter2
-              (fun nd res ->
-                match res with
-                | Some r -> process r (nd.lb, nd.ub)
-                | None -> deadline_hit := true)
-              batch results
-          end
+          (* An expired budget or a spent node limit ends the search
+             here, with the incumbent it has. *)
+          match Svutil.Pq.pop pq with
+          | None -> ()
+          | Some _ when Svutil.Deadline.expired deadline -> deadline_hit := true
+          | Some _ when !nodes >= node_limit -> limit_hit := true
+          | Some nd -> (
+              incr nodes;
+              match node_solve ~lb:nd.lb ~ub:nd.ub with
+              | Simplex.Infeasible -> ()
+              | Simplex.Unbounded -> unbounded := true
+              | Simplex.Optimal { objective; values } ->
+                  if not (dominated objective) then
+                    push_children objective nd.lb nd.ub values
+                  else Svutil.Metrics.tick metrics "ilp.pruned_bound"
+              | exception Svutil.Deadline.Expired -> deadline_hit := true)
         done;
-        Array.iter (fun wm -> Svutil.Metrics.absorb metrics wm) slot_metrics;
         Log.debug (fun m ->
             m "explored %d nodes (limit %d, %d vars)%s" !nodes node_limit
               s.Problem.n
@@ -333,15 +317,13 @@ module Make (Solver : Simplex.SOLVER) = struct
           | None, true -> (Unknown, stats)
           | None, false -> (Infeasible, stats))
 
-  let solve ?node_limit ?cutoff ?incumbent ?jobs ?deadline ?metrics ?fixings s =
-    fst
-      (solve_with_stats ?node_limit ?cutoff ?incumbent ?jobs ?deadline ?metrics
-         ?fixings s)
+  let solve ?node_limit ?cutoff ?incumbent ?deadline ?metrics ?fixings s =
+    fst (solve_with_stats ?node_limit ?cutoff ?incumbent ?deadline ?metrics ?fixings s)
 
   (* The pre-overhaul recursive depth-first solver, verbatim: cold LP
      solve per node, fixed 1e-6 snapping tolerance. Kept as the oracle
-     for the differential test suite — presolve, warm starts, best-first
-     search, and the parallel pool must change time, never answers. *)
+     for the differential test suite — presolve, warm starts and
+     best-first search must change time, never answers. *)
   let solve_reference ?(node_limit = default_node_limit) (s : Problem.snapshot) =
     let is_integral r =
       let f = frac_part r in

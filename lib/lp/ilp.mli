@@ -6,12 +6,11 @@
 
     The solver presolves ({!Presolve}), then runs a best-first search
     over an explicit priority queue ordered by LP bound. The incumbent
-    is seeded by rounding the root LP relaxation, nodes are reoptimized
-    from the parent's basis with a bounded dual-simplex pass
-    ({!Simplex.SOLVER.warm_solve}), and open nodes can be evaluated in
-    parallel ({!Svutil.Par}). None of this changes answers: optima are
-    bit-identical to the pre-overhaul depth-first solver, kept as
-    {!Make.solve_reference} for differential testing. *)
+    is seeded by rounding the root LP relaxation, and nodes are
+    reoptimized from the parent's basis with a bounded dual-simplex
+    pass ({!Simplex.SOLVER.warm_solve}). None of this changes answers:
+    optima are bit-identical to the pre-overhaul depth-first solver,
+    kept as {!S.solve_reference} for differential testing. *)
 
 type result =
   | Optimal of { objective : Rat.t; values : Rat.t array }
@@ -40,12 +39,12 @@ type stats = {
 val default_node_limit : int
 (** 50_000 LP relaxation solves. *)
 
-module Make (_ : Simplex.SOLVER) : sig
+(** The branch-and-bound solver, one instance per simplex route. *)
+module type S = sig
   val solve :
     ?node_limit:int ->
     ?cutoff:Rat.t ->
     ?incumbent:Rat.t array ->
-    ?jobs:int ->
     ?deadline:Svutil.Deadline.t ->
     ?metrics:Svutil.Metrics.t ->
     ?fixings:(int * Rat.t) list ->
@@ -56,9 +55,7 @@ module Make (_ : Simplex.SOLVER) : sig
       search completes without finding one, the result is [Infeasible],
       meaning "nothing better than the cutoff exists" — callers holding
       a feasible solution at exactly the cutoff may conclude it is
-      optimal. [jobs] evaluates up to that many open nodes concurrently
-      per round (real parallelism only when {!Svutil.Par.available});
-      the reported optimum does not depend on it. [deadline] (default
+      optimal. [deadline] (default
       {!Svutil.Deadline.none}) is polled at every node pop and inside
       the simplex pivot loops: when it expires the search stops and the
       best incumbent is returned as [Feasible] ([Unknown] if there is
@@ -69,10 +66,7 @@ module Make (_ : Simplex.SOLVER) : sig
       (always equal to [stats.nodes]), [ilp.pruned_bound],
       [ilp.presolve_fixed] and [ilp.incumbents], the [lp/presolve]
       span around presolve, plus the {!Simplex} counters and spans
-      from the node solves. Parallel workers write into
-      private per-slot registries that are absorbed into [metrics]
-      before the call returns, so the caller's registry is never
-      touched concurrently.
+      from the node solves.
 
       [fixings] pins variables to values before presolve
       ({!Presolve.apply_fixings}): the caller vouches that each pin
@@ -93,7 +87,6 @@ module Make (_ : Simplex.SOLVER) : sig
     ?node_limit:int ->
     ?cutoff:Rat.t ->
     ?incumbent:Rat.t array ->
-    ?jobs:int ->
     ?deadline:Svutil.Deadline.t ->
     ?metrics:Svutil.Metrics.t ->
     ?fixings:(int * Rat.t) list ->
@@ -106,56 +99,9 @@ module Make (_ : Simplex.SOLVER) : sig
       differential tests. *)
 end
 
-module Exact : sig
-  val solve :
-    ?node_limit:int ->
-    ?cutoff:Rat.t ->
-    ?incumbent:Rat.t array ->
-    ?jobs:int ->
-    ?deadline:Svutil.Deadline.t ->
-    ?metrics:Svutil.Metrics.t ->
-    ?fixings:(int * Rat.t) list ->
-    Problem.snapshot ->
-    result
-
-  val solve_with_stats :
-    ?node_limit:int ->
-    ?cutoff:Rat.t ->
-    ?incumbent:Rat.t array ->
-    ?jobs:int ->
-    ?deadline:Svutil.Deadline.t ->
-    ?metrics:Svutil.Metrics.t ->
-    ?fixings:(int * Rat.t) list ->
-    Problem.snapshot ->
-    result * stats
-
-  val solve_reference : ?node_limit:int -> Problem.snapshot -> result
-end
+(** Branch and bound over {!Simplex.Exact}: rational pivoting throughout. *)
+module Exact : S
 
 (** Branch and bound over {!Simplex.Hybrid}: exact optima (identical to
     {!Exact}'s) with float-priced node relaxations. *)
-module Hybrid : sig
-  val solve :
-    ?node_limit:int ->
-    ?cutoff:Rat.t ->
-    ?incumbent:Rat.t array ->
-    ?jobs:int ->
-    ?deadline:Svutil.Deadline.t ->
-    ?metrics:Svutil.Metrics.t ->
-    ?fixings:(int * Rat.t) list ->
-    Problem.snapshot ->
-    result
-
-  val solve_with_stats :
-    ?node_limit:int ->
-    ?cutoff:Rat.t ->
-    ?incumbent:Rat.t array ->
-    ?jobs:int ->
-    ?deadline:Svutil.Deadline.t ->
-    ?metrics:Svutil.Metrics.t ->
-    ?fixings:(int * Rat.t) list ->
-    Problem.snapshot ->
-    result * stats
-
-  val solve_reference : ?node_limit:int -> Problem.snapshot -> result
-end
+module Hybrid : S

@@ -61,9 +61,7 @@ module type SOLVER = sig
       back to {!solve}. May raise {!Svutil.Deadline.Expired} from the
       root solve. The [metrics] registry is stored in the warm state:
       every later {!warm_solve} reports into it ([simplex.warm_starts]
-      plus the {!solve} counters), so parallel branch-and-bound must
-      give each worker's warm state its own registry and
-      {!Svutil.Metrics.merge} afterwards. *)
+      plus the {!solve} counters). *)
 
   val warm_root : warm -> result
   (** The root optimum computed by {!warm_create}, at no extra cost —

@@ -1,13 +1,10 @@
 (* The serve loop. Single-threaded by design: requests are handled one
-   at a time, so a request may use the whole [--jobs] pool for solver
-   parallelism, and is granted [max 1 (min requested pool)] workers.
-   All state lives in [t]; the signal handler only reads. *)
+   at a time. All state lives in [t]; the signal handler only reads. *)
 
 module Metrics = Svutil.Metrics
 
 type config = {
   cache_capacity : int;
-  jobs : int;
   defaults : Request.options;
   verify_hits : bool;
   metrics : Metrics.t;
@@ -16,7 +13,6 @@ type config = {
 let default_config () =
   {
     cache_capacity = 128;
-    jobs = 1;
     defaults = Request.default_options;
     verify_hits = false;
     metrics = Metrics.create ();
@@ -92,15 +88,10 @@ let solve t id (s : Request.solve) =
         Metrics.span t.cfg.metrics "serve/derive" (fun () ->
             Request.instance_of spec)
       in
-      let granted = max 1 (min s.Request.options.Request.jobs t.cfg.jobs) in
-      Metrics.observe_in t.cfg.metrics "serve.granted_jobs" (float_of_int granted);
       let reqm =
         if s.Request.want_metrics then Metrics.create () else Metrics.nop
       in
-      let ereq =
-        Request.engine_request ~metrics:reqm inst
-          { s.Request.options with Request.jobs = granted }
-      in
+      let ereq = Request.engine_request ~metrics:reqm inst s.Request.options in
       let r, status = Cache.solve ~use_cache:s.Request.use_cache t.cache ereq in
       let verified =
         if t.cfg.verify_hits && status = Cache.Hit then verify_hit t ereq r

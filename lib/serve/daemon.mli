@@ -4,17 +4,13 @@
 
     One request object per input line, one response object per output
     line (see {!Request} for the protocol fields). Blank lines are
-    skipped. The loop is single-threaded — [--jobs] bounds the {e
-    solver} parallelism handed to each request (one request runs at a
-    time, so it is granted [max 1 (min requested jobs)] workers), not
-    connection concurrency; socket mode serves one connection at a
-    time.
+    skipped. The loop is single-threaded and runs one request at a
+    time; socket mode serves one connection at a time.
 
     Observability: the server registry collects
     [serve.{hits,misses,evictions,collisions,verify_failures}]
-    counters, the [serve.granted_jobs] histogram of granted workers, and
-    [serve/{parse,preflight,derive,lookup,solve,store}] spans:
-    [serve/parse] covers {!Wf.Parse} alone, [serve/preflight] the
+    counters and [serve/{parse,preflight,derive,lookup,solve,store}]
+    spans: [serve/parse] covers {!Wf.Parse} alone, [serve/preflight] the
     Wfcheck static check ({!Request.check_static}) of every spec that
     parsed, [serve/derive] the requirement derivation
     ({!Request.instance_of}) of every spec the preflight admitted.
@@ -24,7 +20,6 @@
 
 type config = {
   cache_capacity : int;  (** LRU entries; at least 1 *)
-  jobs : int;  (** solver workers a request may be granted *)
   defaults : Request.options;  (** per-request option defaults *)
   verify_hits : bool;
       (** differentially verify every cache hit: re-solve from scratch
@@ -36,8 +31,8 @@ type config = {
 }
 
 val default_config : unit -> config
-(** 128 cache entries, one solver worker, {!Request.default_options},
-    no hit verification, a fresh live registry. *)
+(** 128 cache entries, {!Request.default_options}, no hit
+    verification, a fresh live registry. *)
 
 type t
 (** A running daemon: cache and counters. *)

@@ -99,7 +99,6 @@ let instance_of (spec : Wf.Parse.spec) =
 type options = {
   meth : Core.Engine.meth;
   node_limit : int;
-  jobs : int;
   seed : int;
   deadline_ms : float option;
   trials : int;
@@ -109,7 +108,6 @@ let default_options =
   {
     meth = Core.Engine.Auto;
     node_limit = Lp.Ilp.default_node_limit;
-    jobs = 1;
     seed = 0;
     deadline_ms = None;
     trials = 4;
@@ -120,7 +118,6 @@ let engine_request ?(metrics = Svutil.Metrics.nop) inst (o : options) =
     (Core.Engine.default_request inst) with
     Core.Engine.meth = o.meth;
     node_limit = o.node_limit;
-    jobs = o.jobs;
     seed = o.seed;
     deadline_ms = o.deadline_ms;
     trials = o.trials;
@@ -189,7 +186,7 @@ let common_fields = [ "id"; "op" ]
 let solve_fields =
   common_fields
   @ [
-      "workflow"; "file"; "method"; "node_limit"; "jobs"; "seed"; "trials";
+      "workflow"; "file"; "method"; "node_limit"; "seed"; "trials";
       "deadline_ms"; "cache"; "metrics"; "timings";
     ]
 
@@ -227,7 +224,6 @@ let solve_of ~defaults obj =
     | Some _ -> Error (Usage "field \"method\": expected a string")
   in
   let* node_limit = int_field obj "node_limit" defaults.node_limit in
-  let* jobs = int_field obj "jobs" defaults.jobs in
   let* seed = int_field obj "seed" defaults.seed in
   let* trials = int_field obj "trials" defaults.trials in
   let* deadline_ms = opt_finite_field obj "deadline_ms" defaults.deadline_ms in
@@ -242,7 +238,6 @@ let solve_of ~defaults obj =
            {
              meth;
              node_limit;
-             jobs = max 1 jobs;
              seed;
              deadline_ms;
              trials = max 1 trials;

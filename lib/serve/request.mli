@@ -73,7 +73,6 @@ val instance_of : Wf.Parse.spec -> Core.Instance.t
 type options = {
   meth : Core.Engine.meth;
   node_limit : int;
-  jobs : int;
   seed : int;
   deadline_ms : float option;
   trials : int;
@@ -102,9 +101,9 @@ val method_of_name : string -> Core.Engine.meth option
     - ["op"]: ["solve"] (default), ["ping"], ["stats"], ["shutdown"];
     - ["id"]: echoed verbatim in the response (string or number);
     - ["workflow"] (inline spec text) or ["file"] (path) — exactly one;
-    - ["method"], ["node_limit"], ["jobs"], ["seed"], ["deadline_ms"]
-      (a finite number), ["trials"]: per-request overrides of the
-      daemon's defaults;
+    - ["method"], ["node_limit"], ["seed"], ["deadline_ms"] (a finite
+      number), ["trials"]: per-request overrides of the daemon's
+      defaults;
     - ["cache"]: consult/populate the solution cache (default [true]);
     - ["metrics"]: include a per-request metrics registry in the
       response (default [false]);

@@ -50,7 +50,6 @@ let create () =
   }
 
 let enabled t = t.live
-let fork t = if t.live then { (create ()) with stack = t.stack } else nop
 
 (* Counters *)
 

@@ -12,10 +12,10 @@
     pattern for very hot loops is to accumulate into a local [int ref]
     and flush once per call with {!count}.
 
-    A registry is {b not} thread-safe.  Parallel code ({!Par}) must give
-    each worker its own registry and combine them afterwards with
-    {!merge} or {!absorb}; merging is associative and commutative with
-    the empty registry as identity.
+    A registry is {b not} thread-safe.  Parallel code ({!Par}, as in the
+    CLI's [batch --jobs]) must give each worker its own registry and
+    combine them afterwards with {!merge} or {!absorb}; merging is
+    associative and commutative with the empty registry as identity.
 
     Naming scheme (see DESIGN.md §10): counters are
     [<layer>.<quantity>] (e.g. [simplex.pivots], [ilp.nodes],
@@ -35,12 +35,6 @@ val create : unit -> t
 
 val enabled : t -> bool
 (** [true] exactly for live registries. *)
-
-val fork : t -> t
-(** [fork t] is a fresh registry for one parallel worker: {!nop} when
-    [t] is, otherwise live, empty, and opened inside [t]'s currently
-    open spans, so the spans it records carry the paths they would
-    have in [t].  Combine it back with {!absorb}. *)
 
 (** {1 Counters} *)
 

@@ -11,9 +11,6 @@
     Exceptions raised by [f] are re-raised in the caller after all
     workers have joined. *)
 
-val available : bool
-(** [true] iff real parallelism (Domains) is compiled in. *)
-
 val default_jobs : unit -> int
 (** Worker count used when [?jobs] is omitted: the [SV_JOBS] environment
     variable if set to a positive integer, otherwise the runtime's

@@ -1,8 +1,6 @@
 (* Domain-based implementation, selected by dune on OCaml >= 5.
    Kept signature-identical with par_seq.ml; see par.mli. *)
 
-let available = true
-
 let default_jobs () =
   match Sys.getenv_opt "SV_JOBS" with
   | Some s -> (

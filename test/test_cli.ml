@@ -346,12 +346,23 @@ let test_exit_codes () =
       ("removed --lp-mode", [ "--lp-mode"; "exact" ]);
       ("removed --no-static-fixing", [ "--no-static-fixing" ]);
       ("unknown method", [ "-m"; "bogus" ]);
-      ("non-integer --jobs", [ "--jobs"; "x" ]);
+      ("removed --jobs", [ "--jobs"; "2" ]);
       ("non-finite --deadline", [ "--deadline"; "nan" ]);
       ("unknown flag", [ "--no-such-flag" ]);
     ];
-  Alcotest.(check int) "batch non-finite --deadline" 2
-    (run_cli_code [ "batch"; example "fig1.swf"; "--deadline"; "inf" ]);
+  List.iter
+    (fun (label, args) -> Alcotest.(check int) label 2 (run_cli_code args))
+    [
+      ( "batch non-finite --deadline",
+        [ "batch"; example "fig1.swf"; "--deadline"; "inf" ] );
+      ("batch non-integer --jobs", [ "batch"; example "fig1.swf"; "--jobs"; "x" ]);
+      ("serve removed --jobs", [ "serve"; "--jobs"; "2" ]);
+      ( "delta removed --jobs",
+        [
+          "delta"; example "fig1.swf"; "--edits"; example "deltas/fig1_cost.delta";
+          "--jobs"; "2";
+        ] );
+    ];
   (* check validates its name lists before evaluating anything. *)
   List.iter
     (fun (label, args) ->

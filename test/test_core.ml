@@ -604,9 +604,7 @@ let test_engine_metrics_consistency () =
       Alcotest.(check (float 0.)) "search phase nested under solve"
         (List.assoc "search" r.E.timings) ms
   | _ -> Alcotest.fail "search span must nest under solve");
-  (* The model build and the node LPs' spans nest under the search,
-     the LP ones through the worker registries the branch-and-bound
-     forks. *)
+  (* The model build and the node LPs' spans nest under the search. *)
   List.iter
     (fun path ->
       Alcotest.(check bool) (path ^ " recorded") true
@@ -840,14 +838,6 @@ let props =
         with
         | Lp.Simplex.Optimal a, Lp.Simplex.Optimal b -> Q.equal a.objective b.objective
         | Lp.Simplex.Infeasible, Lp.Simplex.Infeasible -> true
-        | _ -> false);
-    prop "parallel solve matches sequential on instances" gen_instance
-      (fun (_, inst) ->
-        match
-          (Core.Exact.solve ~jobs:1 inst, Core.Exact.solve ~jobs:4 inst)
-        with
-        | Some a, Some b -> Q.equal a.solution.Sol.cost b.solution.Sol.cost
-        | None, None -> true
         | _ -> false);
     prop "threshold rounding obeys the lmax bound" gen_instance (fun (_, inst) ->
         match Core.Set_lp.lp_relaxation ~mode:Lp.Simplex.Exact_mode inst with

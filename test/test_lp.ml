@@ -826,13 +826,6 @@ let props =
         | Lp.Ilp.Infeasible, Lp.Ilp.Infeasible -> true
         | Lp.Ilp.Unbounded, Lp.Ilp.Unbounded -> true
         | _ -> false);
-    prop "parallel node pool matches sequential search" gen_bounded_lp (fun s ->
-        let s' = P.all_integer s in
-        match (Lp.Ilp.Exact.solve ~jobs:1 s', Lp.Ilp.Exact.solve ~jobs:3 s') with
-        | Lp.Ilp.Optimal a, Lp.Ilp.Optimal b -> Q.equal a.objective b.objective
-        | Lp.Ilp.Infeasible, Lp.Ilp.Infeasible -> true
-        | Lp.Ilp.Unbounded, Lp.Ilp.Unbounded -> true
-        | _ -> false);
     prop "cutoff semantics: above keeps the optimum, at prunes everything"
       gen_bounded_lp (fun s ->
         let s' = P.all_integer s in
@@ -870,14 +863,6 @@ let props =
         let s' = P.all_integer s in
         let m = Svutil.Metrics.create () in
         let _, stats = Lp.Ilp.Exact.solve_with_stats ~metrics:m s' in
-        Svutil.Metrics.counter_value m "ilp.nodes" = stats.Lp.Ilp.nodes);
-    prop "parallel workers' registries are fully absorbed" gen_bounded_lp
-      (fun s ->
-        (* With jobs>1 every node solve writes a per-slot registry; the
-           absorbed union must still account for every node. *)
-        let s' = P.all_integer s in
-        let m = Svutil.Metrics.create () in
-        let _, stats = Lp.Ilp.Exact.solve_with_stats ~jobs:4 ~metrics:m s' in
         Svutil.Metrics.counter_value m "ilp.nodes" = stats.Lp.Ilp.nodes);
   ]
 

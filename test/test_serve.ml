@@ -672,6 +672,7 @@ let test_daemon_errors () =
     [
       {|{"op":"solve","file":"examples/fig1.swf","methd":"greedy"}|};
       {|{"op":"solve","file":"examples/fig1.swf","static_fixing":false}|};
+      {|{"op":"solve","file":"examples/fig1.swf","jobs":2}|};
       {|{"op":"ping","file":"examples/fig1.swf"}|};
       (* 1e999 reads as infinity: a budget must be finite. *)
       {|{"op":"solve","file":"examples/fig1.swf","deadline_ms":1e999}|};
@@ -690,26 +691,6 @@ let test_daemon_errors () =
   match Serve.Daemon.handle_line t "   " with
   | None, `Continue -> ()
   | _ -> Alcotest.fail "blank line must be skipped"
-
-(* One request at a time: each is granted its own jobs, clamped to the
-   daemon's --jobs and to at least one worker. *)
-let test_daemon_jobs_clamp () =
-  List.iter
-    (fun (requested, granted) ->
-      let metrics = Svutil.Metrics.create () in
-      let t =
-        Serve.Daemon.create
-          { (Serve.Daemon.default_config ()) with Serve.Daemon.jobs = 2; metrics }
-      in
-      let extra = Printf.sprintf {|,"jobs":%d|} requested in
-      ignore (response_of t (solve_line ~extra "j"));
-      match Svutil.Metrics.histo_stats metrics "serve.granted_jobs" with
-      | Some h ->
-          Alcotest.(check (float 0.))
-            (Printf.sprintf "jobs %d granted" requested)
-            (float_of_int granted) h.Svutil.Metrics.hmax
-      | None -> Alcotest.fail "no serve.granted_jobs histogram")
-    [ (8, 2); (2, 2); (1, 1); (-3, 1) ]
 
 let test_daemon_serve_channels () =
   let t = daemon () in
@@ -1000,12 +981,11 @@ let () =
             test_daemon_errors;
           Alcotest.test_case "serve_channels loop" `Quick
             test_daemon_serve_channels;
-          Alcotest.test_case "jobs clamp" `Quick test_daemon_jobs_clamp;
+          Alcotest.test_case "deep nesting then ping" `Quick test_daemon_deep_nesting;
           Alcotest.test_case "closed reader ends the session" `Quick
             test_daemon_closed_reader;
           Alcotest.test_case "closed stdout exits 0 with stats" `Quick
             test_daemon_closed_stdout;
-          Alcotest.test_case "deep nesting then ping" `Quick test_daemon_deep_nesting;
         ] );
       ( "intern",
         [
