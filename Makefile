@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-smoke bench-smoke-json bench-json bench-compare lint-examples flow-examples batch-examples delta-examples serve-examples perfbench-smoke clean
+.PHONY: build test bench bench-smoke bench-smoke-json bench-json bench-compare lint-examples flow-examples batch-examples delta-examples serve-examples examples-smoke perfbench-smoke clean
 
 # Output path for bench-json; override to record a new baseline, e.g.
 #   make bench-json OUT=BENCH_PR2.json
@@ -131,6 +131,36 @@ serve-examples:
 	@grep -c '"ok":true' /tmp/serve_run1.out | grep -qx 12 \
 	  || { echo "FAIL: expected 12 ok responses"; cat /tmp/serve_run1.out; exit 1; }
 	@echo "ok: serve session (byte-identical runs, 4 hits / 3 misses, hits verified)"
+
+# The four example programs end to end: each must run, and print the
+# paper lines that do not depend on LP tie-breaks: Example 2's 64
+# worlds, Example 3's unsafe view, genomics' LP bound and exact ILP
+# cost (8) with its Theorem 8 check, and a holding lemma on every
+# hardness gadget row.
+EXAMPLES = quickstart privatization genomics hardness_gadgets
+
+examples-smoke:
+	dune build $(foreach e,$(EXAMPLES),examples/$(e).exe)
+	@for e in $(EXAMPLES); do \
+	  ./_build/default/examples/$$e.exe > /tmp/examples_$$e.out \
+	    || { echo "FAIL: examples/$$e.exe exited nonzero"; exit 1; }; \
+	done
+	@grep -qF '|Worlds(R1, {a1,a3,a5})| = 64' /tmp/examples_quickstart.out \
+	  || { echo "FAIL: quickstart lacks the 64 possible worlds"; exit 1; }
+	@grep -qF 'min |OUT| = 3 -> NOT safe' /tmp/examples_quickstart.out \
+	  || { echo "FAIL: quickstart lacks the unsafe view of Example 3"; exit 1; }
+	@grep -q '^LP bound: *8$$' /tmp/examples_genomics.out \
+	  || { echo "FAIL: genomics LP bound is not 8"; exit 1; }
+	@grep -q '^exact ILP: .* cost 8$$' /tmp/examples_genomics.out \
+	  || { echo "FAIL: genomics exact ILP cost is not 8"; exit 1; }
+	@grep -qF 'Theorem 8 safety check on the exact view: true' /tmp/examples_genomics.out \
+	  || { echo "FAIL: genomics Theorem 8 check"; exit 1; }
+	@rows=$$(grep -cE '^(B\.|C\.|Figure )' /tmp/examples_hardness_gadgets.out); \
+	  held=$$(grep -E '^(B\.|C\.|Figure )' /tmp/examples_hardness_gadgets.out | grep -c ' yes$$'); \
+	  test "$$rows" -gt 0 && test "$$rows" = "$$held" \
+	  || { echo "FAIL: hardness gadgets: $$held of $$rows rows hold"; \
+	       cat /tmp/examples_hardness_gadgets.out; exit 1; }
+	@echo "ok: examples-smoke (4 programs, paper lines present)"
 
 # End-to-end correctness gate: both perfbench workloads, two seconds
 # each, through the real serve daemon. The load client checks every

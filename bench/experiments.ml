@@ -179,8 +179,9 @@ let e05 () =
     | `Infeasible -> ()
     | `Optimal (x, lp) ->
         let alg1 =
-          Core.Rounding.best_of 3 (fun i ->
-              Core.Rounding.algorithm1 (Rng.create (n + (100 * i))) inst ~x)
+          fst
+            (Core.Rounding.best_of 3 (fun i ->
+                 Core.Rounding.algorithm1 (Rng.create (n + (100 * i))) inst ~x))
         in
         let greedy = Core.Greedy.solve inst in
         T.add_row t
@@ -623,8 +624,9 @@ let e19 () =
       | `Optimal (x, lp) ->
           let single = Core.Rounding.algorithm1 (Rng.create seed) inst ~x in
           let best5 =
-            Core.Rounding.best_of 5 (fun i ->
-                Core.Rounding.algorithm1 (Rng.create (seed + (997 * i))) inst ~x)
+            fst
+              (Core.Rounding.best_of 5 (fun i ->
+                   Core.Rounding.algorithm1 (Rng.create (seed + (997 * i))) inst ~x))
           in
           (* "repair only": step 2 hides nothing (as if every x_b = 0), so
              the solution is just the per-module cheapest options. *)

@@ -71,6 +71,40 @@ let front_end_kernel () =
   List.iter front_end lines;
   fun () -> List.iter front_end lines
 
+(* The LP model layer on its own: for every member of perfbench's
+   [solve_uncached] pool, build the engine's IP, pin the Flow fixings
+   the way [Core.Exact] pins them, presolve, and lay the reduced
+   program out in standard form. The instances and their attribute
+   fixings are made outside the timed region. *)
+let lp_model_kernel () =
+  let module T = Perfbench_traffic.Traffic in
+  let members =
+    List.map
+      (fun w ->
+        let inst = T.instance w in
+        (inst, Core.Flow.fixings (Core.Flow.analyze inst)))
+      (T.pool_workflows T.Solve_uncached)
+  in
+  let model (inst, attr_fixings) =
+    let problem, attr_var =
+      if Core.Exact.all_cardinality inst then
+        let b = Core.Card_lp.build inst in
+        (b.Core.Card_lp.problem, b.Core.Card_lp.attr_var)
+      else
+        let b = Core.Set_lp.build inst in
+        (b.Core.Set_lp.problem, b.Core.Set_lp.attr_var)
+    in
+    let fixings =
+      List.filter_map
+        (fun (a, v) -> Option.map (fun j -> (attr_var.(j), v)) (Core.Instance.find inst a))
+        attr_fixings
+    in
+    match Lp.Presolve.run (Lp.Presolve.apply_fixings problem fixings) with
+    | Lp.Presolve.Reduced { problem; _ } -> ignore (Lp.Sform.make problem)
+    | Lp.Presolve.Infeasible | Lp.Presolve.Solved _ -> ()
+  in
+  fun () -> List.iter model members
+
 (* One bechamel test per experiment: a small fixed kernel representative
    of the experiment's dominant operation. The _naive twins time the
    generate-and-test oracle on the same kernel, so a single run yields
@@ -409,7 +443,10 @@ let timing_tests () =
              if Core.Canon.cut (Core.Canon.labeling inst) then
                failwith ("e26: " ^ name ^ " hit the leaf budget")))
        (Svbench.Gen_instances.symmetric_fixtures ()))
-  @ [ stage "e27_front_end" (front_end_kernel ()) ]
+  @ [
+      stage "e27_front_end" (front_end_kernel ());
+      stage "e28_lp_model" (lp_model_kernel ());
+    ]
 
 (* Flat { "test": ns_per_run } object; hand-rolled since the estimates
    are plain floats and names are ASCII identifiers. When instrumented

@@ -1,5 +1,4 @@
 module P = Lp.Problem
-module L = Lp.Linexpr
 
 type variant = Full | No_pair_bound | No_sum_bound
 
@@ -17,79 +16,100 @@ let card_of (m : Instance.pmod) =
       invalid_arg
         (Printf.sprintf "Card_lp: module %s has a set requirement" m.Instance.mname)
 
-(* [r_m_j], [y_m_b_j], ...: the names only label the program when it
-   is printed. *)
-let var_name parts = String.concat "_" parts
+(* Variable names, in the order [build] creates the variables: [x_a],
+   [w_p], then per module [r_m_j], [y_m_b_j] and [z_m_b_j]. They only
+   label the program when it is printed. *)
+let var_names (inst : Instance.t) =
+  let names = inst.Instance.names in
+  let out = ref [] in
+  let add parts = out := String.concat "_" parts :: !out in
+  Array.iter (fun a -> add [ "x"; a ]) names;
+  Array.iter (fun (pub : Instance.pub) -> add [ "w"; pub.Instance.pname ])
+    inst.Instance.pubs;
+  Array.iter
+    (fun (m : Instance.pmod) ->
+      let mname = m.Instance.mname and l = List.length (card_of m) in
+      for j = 0 to l - 1 do
+        add [ "r"; mname; string_of_int j ]
+      done;
+      let credits prefix side =
+        Array.iter
+          (fun b ->
+            for j = 0 to l - 1 do
+              add [ prefix; mname; names.(b); string_of_int j ]
+            done)
+          side
+      in
+      credits "y" m.Instance.ins;
+      credits "z" m.Instance.outs)
+    inst.Instance.pmods;
+  Array.of_list (List.rev !out)
+
+let unit_ub = Some Rat.one
 
 let build ?(variant = Full) (inst : Instance.t) =
-  let names = inst.Instance.names and costs = inst.Instance.costs in
+  let costs = inst.Instance.costs in
   let p = P.create () in
-  let zero_one = Rat.one in
-  let attr_var = Array.map (fun a -> P.add_var ~ub:zero_one ~integer:true p ("x_" ^ a)) names in
+  let attr_var =
+    Array.map
+      (fun c ->
+        let x = P.add_var ?ub:unit_ub ~integer:true p in
+        P.set_cost p x c;
+        x)
+      costs
+  in
   let pub_var =
     Array.map
       (fun (pub : Instance.pub) ->
-        let w = P.add_var ~ub:zero_one p ("w_" ^ pub.Instance.pname) in
+        let w = P.add_var ?ub:unit_ub p in
+        P.set_cost p w pub.Instance.pcost;
         (* Constraint (21): privatize a public module whenever one of its
            attributes is hidden. *)
         Array.iter
           (fun b ->
-            P.add_constraint p
-              (L.of_list [ (w, Rat.one); (attr_var.(b), Rat.minus_one) ])
-              P.Ge Rat.zero)
+            P.add_term p attr_var.(b) Rat.minus_one;
+            P.add_term p w Rat.one;
+            P.close_row p P.Ge Rat.zero)
           pub.Instance.pattrs;
         w)
       inst.Instance.pubs
   in
-  let obj = ref L.empty in
-  Array.iteri (fun a v -> obj := L.add !obj (L.term v costs.(a))) attr_var;
-  Array.iteri
-    (fun j (pub : Instance.pub) -> obj := L.add !obj (L.term pub_var.(j) pub.Instance.pcost))
-    inst.Instance.pubs;
-  P.set_objective p !obj;
   let mod_vars =
     Array.map
       (fun (m : Instance.pmod) ->
         let card = Array.of_list (card_of m) in
-        let mname = m.Instance.mname in
-        let r_vars =
-          Array.mapi
-            (fun j _ ->
-              P.add_var ~ub:zero_one ~integer:true p (var_name [ "r"; mname; string_of_int j ]))
-            card
-        in
+        let r_vars = Array.map (fun _ -> P.add_var ?ub:unit_ub ~integer:true p) card in
         (* (1): some option is selected. *)
-        P.add_constraint p (L.sum_of_vars (Array.to_list r_vars)) P.Ge Rat.one;
+        Array.iter (fun r -> P.add_term p r Rat.one) r_vars;
+        P.close_row p P.Ge Rat.one;
         (* y / z credit variables per option: [credits.(k).(j)] for the
            module's [k]-th input (output) and option [j]. *)
-        let credits prefix side =
-          Array.map
-            (fun b ->
-              Array.mapi
-                (fun j _ ->
-                  P.add_var ~ub:zero_one p (var_name [ prefix; mname; names.(b); string_of_int j ]))
-                card)
-            side
+        let credits side =
+          Array.map (fun _ -> Array.map (fun _ -> P.add_var ?ub:unit_ub p) card) side
         in
-        let y_vars = credits "y" m.Instance.ins in
-        let z_vars = credits "z" m.Instance.outs in
-        let column vars j = Array.fold_right (fun per_j acc -> per_j.(j) :: acc) vars [] in
+        let y_vars = credits m.Instance.ins in
+        let z_vars = credits m.Instance.outs in
+        (* [quota vars j q]: sum_b vars_bj >= q * r_ij. *)
+        let quota vars j q =
+          P.add_term p r_vars.(j) (Rat.of_int (-q));
+          Array.iter (fun per_j -> P.add_term p per_j.(j) Rat.one) vars;
+          P.close_row p P.Ge Rat.zero
+        in
+        (* [at_most v u]: v - u <= 0, with [u] created before [v]. *)
+        let at_most v u =
+          P.add_term p u Rat.minus_one;
+          P.add_term p v Rat.one;
+          P.close_row p P.Le Rat.zero
+        in
         Array.iteri
           (fun j (alpha, beta) ->
-            let rj = r_vars.(j) in
             (* (2): sum_b y_bij >= alpha * r_ij. *)
-            P.add_constraint p
-              (L.add (L.sum_of_vars (column y_vars j)) (L.term rj (Rat.of_int (-alpha))))
-              P.Ge Rat.zero;
+            quota y_vars j alpha;
             (* (3): sum_b z_bij >= beta * r_ij. *)
-            P.add_constraint p
-              (L.add (L.sum_of_vars (column z_vars j)) (L.term rj (Rat.of_int (-beta))))
-              P.Ge Rat.zero;
+            quota z_vars j beta;
             (* (6)/(7): credits only flow through the selected option. *)
             if variant <> No_pair_bound then begin
-              let bound per_j =
-                P.add_constraint p (L.of_list [ (per_j.(j), Rat.one); (rj, Rat.minus_one) ]) P.Le Rat.zero
-              in
+              let bound per_j = at_most per_j.(j) r_vars.(j) in
               Array.iter bound y_vars;
               Array.iter bound z_vars
             end)
@@ -100,15 +120,11 @@ let build ?(variant = Full) (inst : Instance.t) =
             (fun k per_j ->
               let xb = attr_var.(side.(k)) in
               match variant with
-              | No_sum_bound ->
-                  Array.iter
-                    (fun v ->
-                      P.add_constraint p (L.of_list [ (v, Rat.one); (xb, Rat.minus_one) ]) P.Le Rat.zero)
-                    per_j
+              | No_sum_bound -> Array.iter (fun v -> at_most v xb) per_j
               | Full | No_pair_bound ->
-                  P.add_constraint p
-                    (L.add (L.sum_of_vars (Array.to_list per_j)) (L.term xb Rat.minus_one))
-                    P.Le Rat.zero)
+                  P.add_term p xb Rat.minus_one;
+                  Array.iter (fun v -> P.add_term p v Rat.one) per_j;
+                  P.close_row p P.Le Rat.zero)
             vars
         in
         couple m.Instance.ins y_vars;
@@ -116,7 +132,8 @@ let build ?(variant = Full) (inst : Instance.t) =
         (m, card, r_vars, y_vars, z_vars))
       inst.Instance.pmods
   in
-  let problem = P.snapshot p in
+  let names = lazy (var_names inst) in
+  let problem = P.snapshot ~name:(fun i -> (Lazy.force names).(i)) p in
   (* A full-space feasible point witnessing a given solution, for warm
      incumbent injection ({!Lp.Ilp}): hidden attributes and exposed
      publics set their indicators; per module the first satisfied

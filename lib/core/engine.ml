@@ -130,16 +130,21 @@ let solve_round_card (req : request) =
           ()
     | `Optimal (x, bound) ->
         let trials = max 1 req.trials in
-        let solution =
+        (* Each trial splits its stream from [base] as it starts: the
+           streams are those of splitting every trial up front, and a
+           deadline that stops the trials leaves none allocated. *)
+        let solution, ran =
           phase req.metrics phases "round" (fun () ->
               let base = Svutil.Rng.create req.seed in
-              let rngs = Array.init trials (fun _ -> Svutil.Rng.split base) in
-              Rounding.best_of trials (fun i ->
-                  Rounding.algorithm1 ~metrics:req.metrics rngs.(i) req.inst
-                    ~x))
+              Rounding.best_of ~deadline trials (fun _ ->
+                  Rounding.algorithm1 ~metrics:req.metrics (Svutil.Rng.split base)
+                    req.inst ~x))
         in
-        make_result ~metrics:req.metrics ~phases ~method_used:Round_card
-          ~stats:[ ("trials", string_of_int trials) ]
+        let stats =
+          ("trials", string_of_int trials)
+          :: (if ran < trials then [ ("deadline_hit", "true") ] else [])
+        in
+        make_result ~metrics:req.metrics ~phases ~method_used:Round_card ~stats
           ~solution ~lower_bound:bound ()
 
 (* The set-form instance is built once: the LP, the threshold's l_max

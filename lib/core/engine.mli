@@ -33,7 +33,10 @@ type request = {
           [proven_optimal = false] — it never raises. *)
   node_limit : int;  (** branch-and-bound node budget (exact method) *)
   seed : int;  (** RNG seed for randomized rounding trials *)
-  trials : int;  (** rounding trials; the cheapest solution wins *)
+  trials : int;
+      (** rounding trials; the cheapest solution wins. The first trial
+          always runs; the deadline stops the others, with
+          [("deadline_hit", "true")] in the stats. *)
   warm_seed : Solution.t option;
       (** a known feasible solution to seed the exact search with
           (cutoff + warm incumbent; see {!Exact.solve}) — the

@@ -61,9 +61,9 @@ let threshold inst ~x =
   assert (Solution.is_feasible inst s);
   s
 
-let best_of n trial =
+let best_of ?(deadline = Svutil.Deadline.none) n trial =
   let rec go best i =
-    if i >= n then best
+    if i >= n || Svutil.Deadline.expired deadline then (best, i)
     else
       let s = trial i in
       go (if Solution.compare_cost s best < 0 then s else best) (i + 1)

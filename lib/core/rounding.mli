@@ -32,6 +32,10 @@ val threshold : Instance.t -> x:(int -> Rat.t) -> Solution.t
     it; an instance already in set form ({!Instance.to_sets}) is not
     converted again. *)
 
-val best_of : int -> (int -> Solution.t) -> Solution.t
-(** Cheapest of [n] trials (trial index passed for seeding); a practical
-    refinement over single-shot rounding, used by the ablation bench. *)
+val best_of :
+  ?deadline:Svutil.Deadline.t -> int -> (int -> Solution.t) -> Solution.t * int
+(** Cheapest of [n] trials (trial index passed for seeding, in order
+    [0, 1, ...]) and the number of trials run; a practical refinement
+    over single-shot rounding. The first trial always runs; a later one
+    only starts while [deadline] (default {!Svutil.Deadline.none}) has
+    not expired. *)

@@ -1,5 +1,4 @@
 module P = Lp.Problem
-module L = Lp.Linexpr
 
 type built = {
   problem : Lp.Problem.snapshot;
@@ -8,58 +7,81 @@ type built = {
   point_of : Solution.t -> Rat.t array option;
 }
 
+let options_of (m : Instance.pmod) =
+  match m.Instance.ireq with
+  | Instance.Sets a -> a
+  | Instance.Card _ -> assert false (* removed by to_sets *)
+
+(* Variable names, in the order [build] creates the variables: [x_a],
+   [w_p], then [r_m_j] per module option. They only label the program
+   when it is printed. *)
+let var_names (inst : Instance.t) =
+  let out = ref [] in
+  let add parts = out := String.concat "_" parts :: !out in
+  Array.iter (fun a -> add [ "x"; a ]) inst.Instance.names;
+  Array.iter (fun (pub : Instance.pub) -> add [ "w"; pub.Instance.pname ])
+    inst.Instance.pubs;
+  Array.iter
+    (fun (m : Instance.pmod) ->
+      Array.iteri
+        (fun j _ -> add [ "r"; m.Instance.mname; string_of_int j ])
+        (options_of m))
+    inst.Instance.pmods;
+  Array.of_list (List.rev !out)
+
+let unit_ub = Some Rat.one
+
 let build (inst : Instance.t) =
   let inst = Instance.to_sets inst in
-  let names = inst.Instance.names and costs = inst.Instance.costs in
   let p = P.create () in
-  let attr_var = Array.map (fun a -> P.add_var ~ub:Rat.one ~integer:true p ("x_" ^ a)) names in
+  let attr_var =
+    Array.map
+      (fun c ->
+        let x = P.add_var ?ub:unit_ub ~integer:true p in
+        P.set_cost p x c;
+        x)
+      inst.Instance.costs
+  in
+  (* [covers u v]: u - v >= 0, with [u] created before [v]. *)
+  let covers u v =
+    P.add_term p u Rat.one;
+    P.add_term p v Rat.minus_one;
+    P.close_row p P.Ge Rat.zero
+  in
   let pub_var =
     Array.map
       (fun (pub : Instance.pub) ->
-        let w = P.add_var ~ub:Rat.one p ("w_" ^ pub.Instance.pname) in
+        let w = P.add_var ?ub:unit_ub p in
+        P.set_cost p w pub.Instance.pcost;
         Array.iter
           (fun b ->
-            P.add_constraint p
-              (L.of_list [ (w, Rat.one); (attr_var.(b), Rat.minus_one) ])
-              P.Ge Rat.zero)
+            P.add_term p attr_var.(b) Rat.minus_one;
+            P.add_term p w Rat.one;
+            P.close_row p P.Ge Rat.zero)
           pub.Instance.pattrs;
         w)
       inst.Instance.pubs
   in
-  let obj = ref L.empty in
-  Array.iteri (fun a v -> obj := L.add !obj (L.term v costs.(a))) attr_var;
-  Array.iteri
-    (fun j (pub : Instance.pub) -> obj := L.add !obj (L.term pub_var.(j) pub.Instance.pcost))
-    inst.Instance.pubs;
-  P.set_objective p !obj;
   let mod_vars =
     Array.map
       (fun (m : Instance.pmod) ->
-        let options =
-          match m.Instance.ireq with
-          | Instance.Sets a -> a
-          | Instance.Card _ -> assert false (* removed by to_sets *)
-        in
-        let r_vars =
-          Array.mapi
-            (fun j _ -> P.add_var ~ub:Rat.one p (String.concat "_" [ "r"; m.Instance.mname; string_of_int j ]))
-            options
-        in
+        let options = options_of m in
+        let r_vars = Array.map (fun _ -> P.add_var ?ub:unit_ub p) options in
         (* (15/19): some option selected. *)
-        P.add_constraint p (L.sum_of_vars (Array.to_list r_vars)) P.Ge Rat.one;
+        Array.iter (fun r -> P.add_term p r Rat.one) r_vars;
+        P.close_row p P.Ge Rat.one;
         (* (16/20): selecting an option hides all its attributes. *)
-        let hides rj b =
-          P.add_constraint p (L.of_list [ (attr_var.(b), Rat.one); (rj, Rat.minus_one) ]) P.Ge Rat.zero
-        in
         Array.iteri
           (fun j (ins, outs) ->
-            Array.iter (hides r_vars.(j)) ins;
-            Array.iter (hides r_vars.(j)) outs)
+            let hides b = covers attr_var.(b) r_vars.(j) in
+            Array.iter hides ins;
+            Array.iter hides outs)
           options;
         (options, r_vars))
       inst.Instance.pmods
   in
-  let problem = P.snapshot p in
+  let names = lazy (var_names inst) in
+  let problem = P.snapshot ~name:(fun i -> (Lazy.force names).(i)) p in
   (* Full-space witness of a solution for warm incumbent injection:
      indicators for hidden attributes / exposed publics, and per module
      the first option fully covered by the hidden set. [None] when some

@@ -236,8 +236,7 @@ let extract sf ~lb ~basis ~xb ~repaired =
   Array.iteri
     (fun r j -> if j < sf.Sform.n then values.(j) <- Rat.add values.(j) xb.(r))
     basis;
-  let objective = Linexpr.eval sf.Sform.objective (fun v -> values.(v)) in
-  Cert_optimal { objective; values; repaired }
+  Cert_optimal { objective = Problem.obj_value sf.Sform.rows values; values; repaired }
 
 (* {2 Exact repair}
 

@@ -78,15 +78,17 @@ module Make (Solver : Simplex.SOLVER) : S = struct
         | Some u when Rat.gt v u -> ok := false
         | _ -> ())
       values;
-    !ok
-    && Array.for_all
-         (fun (expr, cmp, rhs) ->
-           let lhs = Linexpr.eval expr (fun v -> values.(v)) in
-           match cmp with
-           | Problem.Le -> Rat.leq lhs rhs
-           | Problem.Ge -> Rat.geq lhs rhs
-           | Problem.Eq -> Rat.equal lhs rhs)
-         p.Problem.constraints
+    let rec rows_ok r =
+      r = p.Problem.m
+      ||
+      let lhs = Problem.row_value p r values and rhs = p.Problem.rhs.(r) in
+      (match p.Problem.cmp.(r) with
+      | Problem.Le -> Rat.leq lhs rhs
+      | Problem.Ge -> Rat.geq lhs rhs
+      | Problem.Eq -> Rat.equal lhs rhs)
+      && rows_ok (r + 1)
+    in
+    !ok && rows_ok 0
 
   (* Open node: a box, keyed by the parent's LP objective. *)
   type node = { bound : Rat.t; seq : int; lb : Rat.t array; ub : Rat.t option array }
@@ -125,7 +127,7 @@ module Make (Solver : Simplex.SOLVER) : S = struct
       | Presolve.Infeasible -> (Infeasible, finished 0 false)
       | Presolve.Solved { values } ->
           Svutil.Metrics.count metrics "ilp.presolve_fixed" s.Problem.n;
-          let objective = Linexpr.eval s.Problem.objective (fun v -> values.(v)) in
+          let objective = Problem.obj_value s values in
           let ok = match cutoff with None -> true | Some c -> Rat.lt objective c in
           let finished = finished ~root_bound:objective in
           if ok then (Optimal { objective; values }, finished 0 false)
@@ -136,7 +138,7 @@ module Make (Solver : Simplex.SOLVER) : S = struct
            variables contribute a constant the reduced objective lacks. *)
         let kappa =
           let fixed = restore (Array.make p.Problem.n Rat.zero) in
-          Linexpr.eval s.Problem.objective (fun v -> fixed.(v))
+          Problem.obj_value s fixed
         in
         let cutoff = Option.map (fun c -> Rat.sub c kappa) cutoff in
         let nodes = ref 0 in
@@ -155,7 +157,7 @@ module Make (Solver : Simplex.SOLVER) : S = struct
           match current_cut () with Some c -> Rat.geq obj c | None -> false
         in
         let offer values =
-          let obj = Linexpr.eval p.Problem.objective (fun v -> values.(v)) in
+          let obj = Problem.obj_value p values in
           if not (dominated obj) then begin
             Svutil.Metrics.tick metrics "ilp.incumbents";
             best := Some (obj, values)
@@ -194,20 +196,22 @@ module Make (Solver : Simplex.SOLVER) : S = struct
            exactly at the cutoff: it then becomes the incumbent the
            search must strictly beat, so a completed run returns it as
            [Optimal] instead of [Infeasible]. *)
+        let incumbent_span f = Svutil.Metrics.span metrics "lp/incumbent" f in
         (match incumbent with
         | None -> ()
         | Some inc ->
-            let proj = Array.map (fun i -> inc.(i)) keep in
-            if feasible_point p proj then begin
-              let obj = Linexpr.eval p.Problem.objective (fun v -> proj.(v)) in
-              let ok =
-                match cutoff with Some c -> Rat.leq obj c | None -> true
-              in
-              if ok then begin
-                Svutil.Metrics.tick metrics "ilp.warm_incumbents";
-                best := Some (obj, proj)
-              end
-            end);
+            incumbent_span (fun () ->
+                let proj = Array.map (fun i -> inc.(i)) keep in
+                if feasible_point p proj then begin
+                  let obj = Problem.obj_value p proj in
+                  let ok =
+                    match cutoff with Some c -> Rat.leq obj c | None -> true
+                  in
+                  if ok then begin
+                    Svutil.Metrics.tick metrics "ilp.warm_incumbents";
+                    best := Some (obj, proj)
+                  end
+                end));
         (* The root's warm solver state, reoptimized under each later
            node's bounds. [None] when the root was not warmable; nodes
            then take a cold solve. *)
@@ -255,10 +259,13 @@ module Make (Solver : Simplex.SOLVER) : S = struct
         | `Solved Simplex.Unbounded -> unbounded := true
         | `Solved (Simplex.Optimal { objective; values }) ->
             root_bound := Some (Rat.add objective kappa);
-            if not (dominated objective) then begin
-              seed_incumbent values;
-              push_children objective p.Problem.lb p.Problem.ub values
-            end
+            let open_root =
+              incumbent_span (fun () ->
+                  let open_root = not (dominated objective) in
+                  if open_root then seed_incumbent values;
+                  open_root)
+            in
+            if open_root then push_children objective p.Problem.lb p.Problem.ub values
             else Svutil.Metrics.tick metrics "ilp.pruned_bound");
         (* Best-first loop, one open node at a time. *)
         while
@@ -303,7 +310,7 @@ module Make (Solver : Simplex.SOLVER) : S = struct
         else
           let restore_result values =
             let full = restore values in
-            let objective = Linexpr.eval s.Problem.objective (fun v -> full.(v)) in
+            let objective = Problem.obj_value s full in
             (objective, full)
           in
           let interrupted = !limit_hit || !deadline_hit in
@@ -366,7 +373,7 @@ module Make (Solver : Simplex.SOLVER) : S = struct
                     (fun i v -> if s.Problem.integer.(i) then snap v else v)
                     values
                 in
-                let obj = Linexpr.eval s.Problem.objective (fun v -> snapped.(v)) in
+                let obj = Problem.obj_value s snapped in
                 match !best with
                 | Some (b, _) when Rat.leq b obj -> ()
                 | _ -> best := Some (obj, snapped)

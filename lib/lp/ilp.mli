@@ -65,8 +65,10 @@ module type S = sig
       [metrics] (default {!Svutil.Metrics.nop}) receives [ilp.nodes]
       (always equal to [stats.nodes]), [ilp.pruned_bound],
       [ilp.presolve_fixed] and [ilp.incumbents], the [lp/presolve]
-      span around presolve, plus the {!Simplex} counters and spans
-      from the node solves.
+      span around presolve, the [lp/incumbent] span around the root's
+      incumbent step (its bound against the cutoff, then its rounding
+      candidates) and around the projection of [incumbent],
+      plus the {!Simplex} counters and spans from the node solves.
 
       [fixings] pins variables to values before presolve
       ({!Presolve.apply_fixings}): the caller vouches that each pin

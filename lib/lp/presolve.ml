@@ -15,25 +15,22 @@ type outcome =
 
 exception Infeasible_exn
 
-(* Activity bounds are rationals extended with infinities (None). *)
-let add_lo acc term = match (acc, term) with Some a, Some b -> Some (Rat.add a b) | _ -> None
-
 (* [c * b] with fast paths for the 0/1 bounds that dominate the gadget
    programs: both branches skip a gcd-normalizing rational multiply. *)
 let mul_bnd c b =
   if Rat.is_zero b then Rat.zero else if Rat.equal b Rat.one then c else Rat.mul c b
 
 let run (s : Problem.snapshot) =
-  let n = s.n in
+  let n = s.n and m = s.m in
   let lb = Array.copy s.lb in
   let ub = Array.copy s.ub in
-  (* Rows live as plain term lists between passes; [Linexpr] is only
-     rebuilt once for the final reduced problem. *)
-  let rows =
-    ref
-      (Array.to_list s.constraints
-      |> List.map (fun (expr, cmp, rhs) -> (Linexpr.to_list expr, cmp, rhs)))
-  in
+  let row_start = s.row_start and coef = s.term_coef in
+  (* The rows are reduced in place: a substituted term's variable reads
+     -1, an eliminated row is not [alive], and constants move into
+     [rhs]. *)
+  let var = Array.copy s.term_var in
+  let rhs = Array.copy s.rhs in
+  let alive = Array.make m true in
   let changed = ref true in
   (* Bounds touched in the previous pass: a row none of whose variables
      were touched cannot change, so later passes skip it without any
@@ -71,151 +68,157 @@ let run (s : Problem.snapshot) =
         | _ -> ()
     done
   in
-  (* Substitute fixed variables into a row; returns [None] when the row
-     was eliminated (dropped as redundant, folded into a bound, or found
-     infeasible via {!Infeasible_exn}). *)
-  let process_row (terms, cmp, rhs) =
+  let drop r =
+    alive.(r) <- false;
+    changed := true
+  in
+  (* Substitute fixed variables into row [r], then eliminate it when it
+     is empty, a singleton (folded into a bound) or redundant under the
+     activity bounds; a violated row raises {!Infeasible_exn}. *)
+  let process_row r =
     let const = ref Rat.zero in
-    let live =
-      List.filter
-        (fun (v, c) ->
-          if Rat.is_zero c then false
-          else if fixed v then begin
-            if not (Rat.is_zero lb.(v)) then
-              const := Rat.add !const (mul_bnd c lb.(v));
-            false
-          end
-          else true)
-        terms
-    in
-    let rhs = if Rat.is_zero !const then rhs else Rat.sub rhs !const in
-    match live with
-    | [] ->
-        let sat =
-          match cmp with
-          | Problem.Le -> Rat.leq Rat.zero rhs
-          | Problem.Ge -> Rat.geq Rat.zero rhs
-          | Problem.Eq -> Rat.is_zero rhs
-        in
-        if sat then begin
-          changed := true;
-          None
+    let live = ref 0 and last = ref (-1) in
+    for k = row_start.(r) to row_start.(r + 1) - 1 do
+      let v = var.(k) in
+      if v >= 0 then
+        if fixed v then begin
+          if not (Rat.is_zero lb.(v)) then const := Rat.add !const (mul_bnd coef.(k) lb.(v));
+          var.(k) <- -1
         end
-        else raise Infeasible_exn
-    | [ (v, c) ] ->
+        else begin
+          incr live;
+          last := k
+        end
+    done;
+    if not (Rat.is_zero !const) then rhs.(r) <- Rat.sub rhs.(r) !const;
+    let b = rhs.(r) in
+    match !live with
+    | 0 ->
+        let sat =
+          match s.cmp.(r) with
+          | Problem.Le -> Rat.leq Rat.zero b
+          | Problem.Ge -> Rat.geq Rat.zero b
+          | Problem.Eq -> Rat.is_zero b
+        in
+        if sat then drop r else raise Infeasible_exn
+    | 1 ->
         (* c * x_v  cmp  rhs  becomes a bound on x_v. *)
-        let bnd = Rat.div rhs c in
-        (match (cmp, Rat.sign c > 0) with
+        let v = var.(!last) and c = coef.(!last) in
+        let bnd = Rat.div b c in
+        (match (s.cmp.(r), Rat.sign c > 0) with
         | Problem.Eq, _ ->
             tighten_lb v bnd;
             tighten_ub v bnd
         | Problem.Le, true | Problem.Ge, false -> tighten_ub v bnd
         | Problem.Le, false | Problem.Ge, true -> tighten_lb v bnd);
-        changed := true;
-        None
-    | live -> (
-        (* Min / max activity over the current box ([None] = infinite). *)
-        let lo, hi =
-          List.fold_left
-            (fun (lo, hi) (v, c) ->
-              if Rat.sign c > 0 then
-                ( add_lo lo (Some (mul_bnd c lb.(v))),
-                  add_lo hi (Option.map (mul_bnd c) ub.(v)) )
-              else
-                ( add_lo lo (Option.map (mul_bnd c) ub.(v)),
-                  add_lo hi (Some (mul_bnd c lb.(v))) ))
-            (Some Rat.zero, Some Rat.zero)
-            live
-        in
+        drop r
+    | _ ->
+        (* Min / max activity over the current box; an unbounded side
+           is infinite. *)
+        let lo = ref Rat.zero and hi = ref Rat.zero in
+        let lo_inf = ref false and hi_inf = ref false in
+        for k = row_start.(r) to row_start.(r + 1) - 1 do
+          let v = var.(k) in
+          if v >= 0 then begin
+            (* [c * lb_v] bounds the low side when [c > 0] and the high
+               side otherwise; [c * ub_v] bounds the other one. *)
+            let c = coef.(k) in
+            let pos = Rat.sign c > 0 in
+            let at_lb = mul_bnd c lb.(v) in
+            if pos then lo := Rat.add !lo at_lb else hi := Rat.add !hi at_lb;
+            match ub.(v) with
+            | None -> if pos then hi_inf := true else lo_inf := true
+            | Some u ->
+                let at_ub = mul_bnd c u in
+                if pos then hi := Rat.add !hi at_ub else lo := Rat.add !lo at_ub
+          end
+        done;
+        let lo_gt = (not !lo_inf) && Rat.gt !lo b
+        and hi_lt = (not !hi_inf) && Rat.lt !hi b in
         let always, never =
-          match cmp with
-          | Problem.Le ->
-              ( (match hi with Some h -> Rat.leq h rhs | None -> false),
-                match lo with Some l -> Rat.gt l rhs | None -> false )
-          | Problem.Ge ->
-              ( (match lo with Some l -> Rat.geq l rhs | None -> false),
-                match hi with Some h -> Rat.lt h rhs | None -> false )
-          | Problem.Eq ->
-              ( false,
-                (match lo with Some l -> Rat.gt l rhs | None -> false)
-                || match hi with Some h -> Rat.lt h rhs | None -> false )
+          match s.cmp.(r) with
+          | Problem.Le -> ((not !hi_inf) && Rat.leq !hi b, lo_gt)
+          | Problem.Ge -> ((not !lo_inf) && Rat.geq !lo b, hi_lt)
+          | Problem.Eq -> (false, lo_gt || hi_lt)
         in
-        if never then raise Infeasible_exn
-        else if always then begin
-          changed := true;
-          None
-        end
-        else Some (live, cmp, rhs))
+        if never then raise Infeasible_exn else if always then drop r
+  in
+  (* A row is (re)processed when one of its live terms has a touched
+     variable; a row with no terms at all is checked unconditionally. *)
+  let needs_pass r =
+    let first = row_start.(r) and stop = row_start.(r + 1) in
+    let rec any k = k < stop && ((var.(k) >= 0 && touched.(var.(k))) || any (k + 1)) in
+    first = stop || any first
   in
   match
     while !changed do
       changed := false;
       normalize_bounds ();
       Array.fill touched_next 0 n false;
-      rows :=
-        List.filter_map
-          (fun ((terms, _, _) as row) ->
-            (* Term-less rows have no variable to be touched through;
-               they must be checked (and eliminated, or found
-               infeasible) unconditionally. *)
-            match terms with
-            | [] -> process_row row
-            | terms ->
-                if List.exists (fun (v, _) -> touched.(v)) terms then process_row row
-                else Some row)
-          !rows;
+      for r = 0 to m - 1 do
+        if alive.(r) && needs_pass r then process_row r
+      done;
       Array.blit touched_next 0 touched 0 n
     done
   with
   | exception Infeasible_exn -> Infeasible
   | () ->
-      let n_fixed = ref 0 in
+      (* Reduced index of each surviving variable, in original order. *)
+      let var_map = Array.make n (-1) in
+      let nk = ref 0 in
       for i = 0 to n - 1 do
-        if fixed i then incr n_fixed
+        if not (fixed i) then begin
+          var_map.(i) <- !nk;
+          incr nk
+        end
       done;
-      if !n_fixed = n then begin
+      let nk = !nk in
+      if nk = 0 then begin
         (* All rows were eliminated with their checks passing, so the
            single point [lb] is feasible. *)
-        assert (!rows = []);
+        assert (not (Array.exists Fun.id alive));
         Log.debug (fun f -> f "solved outright: all %d variables fixed" n);
         Solved { values = Array.copy lb }
       end
       else begin
-        let var_map = Array.make n (-1) in
-        let t = Problem.create () in
+        let keep = Array.make nk (-1) in
         for i = 0 to n - 1 do
-          if not (fixed i) then
-            var_map.(i) <-
-              Problem.add_var t ~lb:lb.(i) ?ub:ub.(i) ~integer:s.integer.(i)
-                s.names.(i)
+          if var_map.(i) >= 0 then keep.(var_map.(i)) <- i
         done;
-        let remap_terms terms =
-          Linexpr.of_list
-            (List.filter_map
-               (fun (v, c) ->
-                 if var_map.(v) >= 0 then Some (var_map.(v), c) else None)
-               terms)
-        in
-        List.iter
-          (fun (terms, cmp, rhs) -> Problem.add_constraint t (remap_terms terms) cmp rhs)
-          !rows;
-        Problem.set_objective t (remap_terms (Linexpr.to_list s.objective));
+        (* One compaction pass over exact capacities: surviving rows in
+           row order, their live terms in term order. *)
+        let live_term k = var.(k) >= 0 && var_map.(var.(k)) >= 0 in
+        let mk = ref 0 and tk = ref 0 in
+        for r = 0 to m - 1 do
+          if alive.(r) then begin
+            incr mk;
+            for k = row_start.(r) to row_start.(r + 1) - 1 do
+              if live_term k then incr tk
+            done
+          end
+        done;
+        let t = Problem.create ~vars:nk ~rows:!mk ~terms:!tk () in
+        Array.iter
+          (fun i ->
+            let j = Problem.add_var t ~lb:lb.(i) ?ub:ub.(i) ~integer:s.integer.(i) in
+            Problem.set_cost t j s.obj.(i))
+          keep;
+        for r = 0 to m - 1 do
+          if alive.(r) then begin
+            for k = row_start.(r) to row_start.(r + 1) - 1 do
+              if live_term k then Problem.add_term t var_map.(var.(k)) coef.(k)
+            done;
+            Problem.close_row t s.cmp.(r) rhs.(r)
+          end
+        done;
         let fixed_val = Array.copy lb in
         let restore values =
           Array.init n (fun i ->
               if var_map.(i) >= 0 then values.(var_map.(i)) else fixed_val.(i))
         in
-        (* Forward map: reduced index -> original index. [add_var]
-           assigns indices in scan order, so collecting the surviving
-           originals in order inverts [var_map]. *)
-        let keep = Array.make (n - !n_fixed) (-1) in
-        for i = 0 to n - 1 do
-          if var_map.(i) >= 0 then keep.(var_map.(i)) <- i
-        done;
-        Log.debug (fun f ->
-            f "reduced %d vars x %d rows -> %d vars x %d rows" n
-              (Array.length s.constraints) (n - !n_fixed) (List.length !rows));
-        Reduced { problem = Problem.snapshot t; restore; keep }
+        Log.debug (fun f -> f "reduced %d vars x %d rows -> %d vars x %d rows" n m nk !mk);
+        let name j = Problem.var_name s keep.(j) in
+        Reduced { problem = Problem.snapshot ~name t; restore; keep }
       end
 
 (* External variable fixings (e.g. Core.Flow's static must-hide /
@@ -239,7 +242,7 @@ let apply_fixings (s : Problem.snapshot) fixings =
           then
             invalid_arg
               (Printf.sprintf "Presolve.apply_fixings: %s = %s is outside its box"
-                 s.Problem.names.(i) (Rat.to_string v));
+                 (Problem.var_name s i) (Rat.to_string v));
           lb.(i) <- v;
           ub.(i) <- Some v)
         fixings;
@@ -253,14 +256,11 @@ let solve_lp ?deadline ?metrics (module S : Simplex.SOLVER) (s : Problem.snapsho
       (fun () -> run (Problem.relax s))
   with
   | Infeasible -> Simplex.Infeasible
-  | Solved { values } ->
-      let objective = Linexpr.eval s.objective (fun v -> values.(v)) in
-      Simplex.Optimal { objective; values }
+  | Solved { values } -> Simplex.Optimal { objective = Problem.obj_value s values; values }
   | Reduced { problem; restore; _ } -> (
       match S.solve ?deadline ?metrics problem with
       | Simplex.Infeasible -> Simplex.Infeasible
       | Simplex.Unbounded -> Simplex.Unbounded
       | Simplex.Optimal { values; _ } ->
           let full = restore values in
-          let objective = Linexpr.eval s.objective (fun v -> full.(v)) in
-          Simplex.Optimal { objective; values = full })
+          Simplex.Optimal { objective = Problem.obj_value s full; values = full })

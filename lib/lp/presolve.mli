@@ -12,6 +12,12 @@
       infeasible);
     - variables whose bounds coincide are fixed and substituted out.
 
+    It works on the snapshot's flat rows ({!Problem}) in place: a pass
+    marks the terms of substituted variables and the rows it eliminates
+    as dead and moves constants into a copy of the right-hand sides, and
+    one compaction writes the surviving rows, in their original row and
+    term order, as the reduced program.
+
     The reduction preserves the optimal objective value exactly — the
     optimal vertex reported after {!reduced.restore} may differ from one
     the unreduced problem would report when optima are non-unique, but

@@ -10,14 +10,12 @@ type t = {
   slack_col : int array;
   ub_var : int array;
   ub_row : int array;
-  row_terms : (int * Rat.t) array array;
-  base_rhs : Rat.t array;
-  objective : Linexpr.t;
+  rows : Problem.snapshot;
 }
 
 let make (s : Problem.snapshot) =
   let n = s.n in
-  let m0 = Array.length s.constraints in
+  let m0 = s.m in
   let ub_vars = ref [] in
   for i = n - 1 downto 0 do
     if s.ub.(i) <> None then ub_vars := i :: !ub_vars
@@ -29,20 +27,13 @@ let make (s : Problem.snapshot) =
   Array.iteri (fun k v -> ub_row.(v) <- m0 + k) ub_var;
   let slack_sign = Array.make m 0 in
   let slack_col = Array.make m (-1) in
-  let row_terms =
-    Array.map (fun (expr, _, _) -> Array.of_list (Linexpr.to_list expr)) s.constraints
-  in
-  let base_rhs = Array.map (fun (_, _, rhs) -> rhs) s.constraints in
   (* Slack columns in row order; upper-bound rows are all [Le]. *)
   let next = ref n in
   for r = 0 to m - 1 do
     let sign =
       if r >= m0 then 1
       else
-        match s.constraints.(r) with
-        | _, Problem.Le, _ -> 1
-        | _, Problem.Ge, _ -> -1
-        | _, Problem.Eq, _ -> 0
+        match s.cmp.(r) with Problem.Le -> 1 | Problem.Ge -> -1 | Problem.Eq -> 0
     in
     slack_sign.(r) <- sign;
     if sign <> 0 then begin
@@ -57,7 +48,10 @@ let make (s : Problem.snapshot) =
   let each_entry f =
     for r = 0 to m - 1 do
       if r >= m0 then f ub_var.(r - m0) r Rat.one
-      else Array.iter (fun (v, c) -> if not (Rat.is_zero c) then f v r c) row_terms.(r);
+      else
+        for k = s.row_start.(r) to s.row_start.(r + 1) - 1 do
+          f s.term_var.(k) r s.term_coef.(k)
+        done;
       if slack_col.(r) >= 0 then
         f slack_col.(r) r (if slack_sign.(r) > 0 then Rat.one else Rat.minus_one)
     done
@@ -71,7 +65,7 @@ let make (s : Problem.snapshot) =
       vs.(len.(j)) <- c;
       len.(j) <- len.(j) + 1);
   let obj = Array.make first_art Rat.zero in
-  List.iter (fun (v, c) -> obj.(v) <- c) (Linexpr.to_list s.objective);
+  Array.blit s.obj 0 obj 0 n;
   {
     n;
     m;
@@ -84,9 +78,7 @@ let make (s : Problem.snapshot) =
     slack_col;
     ub_var;
     ub_row;
-    row_terms;
-    base_rhs;
-    objective = s.objective;
+    rows = s;
   }
 
 type rhs_result = Rhs of Rat.t array | Crossed | Mismatch
@@ -104,13 +96,9 @@ let rhs t ~lb ~ub =
           if Rat.lt u lb.(v) then raise (Bad Crossed)
     done;
     let b = Array.make t.m Rat.zero in
+    let s = t.rows in
     for r = 0 to t.m0 - 1 do
-      let shift = ref Rat.zero in
-      Array.iter
-        (fun (v, c) ->
-          if not (Rat.is_zero lb.(v)) then shift := Rat.add !shift (Rat.mul c lb.(v)))
-        t.row_terms.(r);
-      b.(r) <- Rat.sub t.base_rhs.(r) !shift
+      b.(r) <- Rat.sub s.Problem.rhs.(r) (Problem.row_value s r lb)
     done;
     for k = 0 to Array.length t.ub_var - 1 do
       let v = t.ub_var.(k) in

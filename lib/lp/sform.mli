@@ -18,6 +18,11 @@
     right-hand side; the bound rows themselves serve certification,
     which checks the explicit basis the pass hands over.
 
+    The columns are filled from the snapshot's flat rows
+    ({!Problem}) and {!rhs} shifts by the same rows, so the constraint
+    matrix exists in one row layout and one column layout, nothing
+    else.
+
     The structure (columns, objective, slack signs) depends only on the
     snapshot's constraint matrix and on {e which} variables carry an
     upper bound — not on the bound values.  Branch-and-bound nodes that
@@ -35,15 +40,16 @@ type t = private {
           arrays with the rows in ascending order (so a column's
           constraint-row entries lead it); artificial columns are
           implicit unit vectors *)
-  obj : Rat.t array;  (** objective over [j < first_art] (0 past [n]) *)
+  obj : Rat.t array;
+      (** objective over [j < first_art] (0 past [n]): the snapshot's
+          dense objective, extended *)
   slack_sign : int array;  (** per row: +1 for [Le], -1 for [Ge], 0 for [Eq] *)
   slack_col : int array;  (** per row: slack column index, or -1 *)
   ub_var : int array;  (** per upper-bound row [m0 + k]: the variable it bounds *)
   ub_row : int array;  (** per variable: its upper-bound row, or -1 *)
-  row_terms : (int * Rat.t) array array;
-      (** per constraint row: the (var, coef) terms, for rhs shifting *)
-  base_rhs : Rat.t array;  (** unshifted right-hand sides of constraint rows *)
-  objective : Linexpr.t;  (** original objective, for exact evaluation *)
+  rows : Problem.snapshot;
+      (** the program laid out: its constraint rows and right-hand sides
+          (rows [< m0]) shift {!rhs}; its bounds are not consulted *)
 }
 
 val make : Problem.snapshot -> t

@@ -194,47 +194,65 @@ module Exact : SOLVER = struct
 
   exception Bad_bounds
 
-  (* Build the initial tableau for [rows] over [n] structural variables
-     (right-hand sides already shifted). Returns the tableau, the number
-     of artificial columns, and for each row its designated unit column
-     — the column that held [e_row] at build time, i.e. the row's slack
-     when it starts basic, otherwise its artificial. Any later tableau
-     state holds [B^-1 e_row] in that column, which is what the warm
-     path needs to apply right-hand-side deltas incrementally. *)
-  let build_tableau ~n rows =
-    let m = Array.length rows in
-    let n_slack =
-      Array.fold_left
-        (fun acc (_, cmp, _) -> match cmp with Problem.Eq -> acc | _ -> acc + 1)
-        0 rows
-    in
-    let first_art = n + n_slack in
+  (* Bound rows the tableau appends after the snapshot's constraint
+     rows, all of sense [Le]: [coef * y_var <= rhs]. *)
+  type bound_row = { bvar : int; bcoef : Rat.t; brhs : Rat.t }
+
+  (* The constraint rows' right-hand sides under the shift [y = x - lb]. *)
+  let shifted_rhs (s : Problem.snapshot) lb =
+    Array.init s.m (fun r -> Rat.sub s.rhs.(r) (Problem.row_value s r lb))
+
+  (* Build the initial tableau for the snapshot's constraint rows (with
+     right-hand sides [rhs], already shifted) followed by [bounds].
+     Returns the tableau, the number of artificial columns, and for
+     each row its designated unit column — the column that held
+     [e_row] at build time, i.e. the row's slack when it starts basic,
+     otherwise its artificial. Any later tableau state holds
+     [B^-1 e_row] in that column, which is what the warm path needs to
+     apply right-hand-side deltas incrementally. *)
+  let build_tableau (s : Problem.snapshot) ~rhs ~bounds =
+    let n = s.n and m0 = s.m in
+    let m = m0 + Array.length bounds in
+    let cmp_of i = if i < m0 then s.cmp.(i) else Problem.Le in
+    let n_slack = ref 0 in
+    for i = 0 to m - 1 do
+      if cmp_of i <> Problem.Eq then incr n_slack
+    done;
+    let first_art = n + !n_slack in
     let a0 = Array.init m (fun _ -> Array.make first_art Rat.zero) in
     let b = Array.make m Rat.zero in
     let slack_of_row = Array.make m (-1) in
     let next_slack = ref n in
-    Array.iteri
-      (fun i (expr, cmp, rhs) ->
-        List.iter (fun (v, c) -> a0.(i).(v) <- c) (Linexpr.to_list expr);
-        b.(i) <- rhs;
-        (match cmp with
-        | Problem.Le ->
-            a0.(i).(!next_slack) <- Rat.one;
-            slack_of_row.(i) <- !next_slack;
-            incr next_slack
-        | Problem.Ge ->
-            a0.(i).(!next_slack) <- Rat.minus_one;
-            slack_of_row.(i) <- !next_slack;
-            incr next_slack
-        | Problem.Eq -> ());
-        (* Make the right-hand side non-negative. *)
-        if Rat.lt b.(i) Rat.zero then begin
-          for j = 0 to first_art - 1 do
-            a0.(i).(j) <- Rat.neg a0.(i).(j)
-          done;
-          b.(i) <- Rat.neg b.(i)
-        end)
-      rows;
+    for i = 0 to m - 1 do
+      if i < m0 then begin
+        for k = s.row_start.(i) to s.row_start.(i + 1) - 1 do
+          a0.(i).(s.term_var.(k)) <- s.term_coef.(k)
+        done;
+        b.(i) <- rhs.(i)
+      end
+      else begin
+        let br = bounds.(i - m0) in
+        a0.(i).(br.bvar) <- br.bcoef;
+        b.(i) <- br.brhs
+      end;
+      (match cmp_of i with
+      | Problem.Le ->
+          a0.(i).(!next_slack) <- Rat.one;
+          slack_of_row.(i) <- !next_slack;
+          incr next_slack
+      | Problem.Ge ->
+          a0.(i).(!next_slack) <- Rat.minus_one;
+          slack_of_row.(i) <- !next_slack;
+          incr next_slack
+      | Problem.Eq -> ());
+      (* Make the right-hand side non-negative. *)
+      if Rat.lt b.(i) Rat.zero then begin
+        for j = 0 to first_art - 1 do
+          a0.(i).(j) <- Rat.neg a0.(i).(j)
+        done;
+        b.(i) <- Rat.neg b.(i)
+      end
+    done;
     (* A row whose slack has coefficient +1 can start with the slack
        basic; every other row gets an artificial variable. *)
     let needs_art i =
@@ -302,16 +320,16 @@ module Exact : SOLVER = struct
     else optimize t ~deadline ~metrics ~cost:cost2 ~allowed:(fun j -> j < t.first_art)
 
   (* Read structural values off an optimal tableau (shifted by [lb0]). *)
-  let extract t ~n ~lb0 ~objective =
+  let extract t (s : Problem.snapshot) ~lb0 =
+    let n = s.n in
     let y = Array.make n Rat.zero in
     Array.iteri (fun i v -> if v < n then y.(v) <- t.b.(i)) t.basis;
     let x = Array.init n (fun i -> Rat.add y.(i) lb0.(i)) in
-    let obj = Linexpr.eval objective (fun v -> x.(v)) in
-    Optimal { objective = obj; values = x }
+    Optimal { objective = Problem.obj_value s x; values = x }
 
-  let phase2_cost ~ncols objective =
+  let phase2_cost ~ncols (s : Problem.snapshot) =
     let cost2 = Array.make ncols Rat.zero in
-    List.iter (fun (v, c) -> cost2.(v) <- c) (Linexpr.to_list objective);
+    Array.blit s.obj 0 cost2 0 s.n;
     cost2
 
   let solve ?(deadline = Svutil.Deadline.none) ?(metrics = Svutil.Metrics.nop)
@@ -319,28 +337,21 @@ module Exact : SOLVER = struct
     let n = s.n in
     Svutil.Metrics.tick metrics "simplex.cold_starts";
     try
-      (* Shift: y_i = x_i - lb_i. *)
-      let shift_rhs expr rhs =
-        Rat.sub rhs
-          (Rat.sum (List.map (fun (v, c) -> Rat.mul c s.lb.(v)) (Linexpr.to_list expr)))
+      (* Shift: y_i = x_i - lb_i. Upper bounds become rows
+         y_i <= ub_i - lb_i. *)
+      let rhs = shifted_rhs s s.lb in
+      let bounds =
+        List.init n (fun i ->
+            match s.ub.(i) with
+            | None -> []
+            | Some u ->
+                let d = Rat.sub u s.lb.(i) in
+                if Rat.sign d < 0 then raise Bad_bounds
+                else [ { bvar = i; bcoef = Rat.one; brhs = d } ])
+        |> List.concat |> Array.of_list
       in
-      let rows =
-        Array.to_list s.constraints
-        |> List.map (fun (expr, cmp, rhs) -> (expr, cmp, shift_rhs expr rhs))
-      in
-      (* Upper bounds become rows y_i <= ub_i - lb_i. *)
-      let ub_rows =
-        List.concat
-          (List.init n (fun i ->
-               match s.ub.(i) with
-               | None -> []
-               | Some u ->
-                   let d = Rat.sub u s.lb.(i) in
-                   if Rat.sign d < 0 then raise Bad_bounds
-                   else [ (Linexpr.term i Rat.one, Problem.Le, d) ]))
-      in
-      let t, n_art, _unit_col = build_tableau ~n (Array.of_list (rows @ ub_rows)) in
-      let cost2 = phase2_cost ~ncols:t.ncols s.objective in
+      let t, n_art, _unit_col = build_tableau s ~rhs ~bounds in
+      let cost2 = phase2_cost ~ncols:t.ncols s in
       match two_phase t ~deadline ~metrics ~n_art ~cost2 with
       | `Infeasible ->
           Log.debug (fun f -> f "infeasible (%d cols)" t.ncols);
@@ -350,7 +361,7 @@ module Exact : SOLVER = struct
           Unbounded
       | `Optimal ->
           Log.debug (fun f -> f "optimal (%d cols)" t.ncols);
-          extract t ~n ~lb0:s.lb ~objective:s.objective
+          extract t s ~lb0:s.lb
     with Bad_bounds -> Infeasible
 
   (* {2 Warm-started reoptimization}
@@ -387,29 +398,22 @@ module Exact : SOLVER = struct
     else
       try
         let lb0 = Array.copy s.lb in
-        let shift_rhs expr rhs =
-          Rat.sub rhs
-            (Rat.sum (List.map (fun (v, c) -> Rat.mul c lb0.(v)) (Linexpr.to_list expr)))
-        in
-        let base_rows =
-          Array.to_list s.constraints
-          |> List.map (fun (expr, cmp, rhs) -> (expr, cmp, shift_rhs expr rhs))
-        in
-        let m0 = List.length base_rows in
+        let m0 = s.m in
         let lb_row = Array.make n (-1) in
         let ub_row = Array.make n (-1) in
         let extra = ref [] in
         let next = ref m0 in
+        let bound bvar bcoef brhs = extra := { bvar; bcoef; brhs } :: !extra in
         for i = 0 to n - 1 do
           if need_pair.(i) then begin
             let u = match s.ub.(i) with Some u -> u | None -> assert false in
             let d = Rat.sub u lb0.(i) in
             if Rat.sign d < 0 then raise Bad_bounds;
-            extra := (Linexpr.term i Rat.one, Problem.Le, d) :: !extra;
+            bound i Rat.one d;
             ub_row.(i) <- !next;
             incr next;
             (* -y_i <= -(lb_i - lb0_i): rhs 0 at the root, tightened later. *)
-            extra := (Linexpr.term i Rat.minus_one, Problem.Le, Rat.zero) :: !extra;
+            bound i Rat.minus_one Rat.zero;
             lb_row.(i) <- !next;
             incr next
           end
@@ -419,13 +423,13 @@ module Exact : SOLVER = struct
             | Some u ->
                 let d = Rat.sub u lb0.(i) in
                 if Rat.sign d < 0 then raise Bad_bounds;
-                extra := (Linexpr.term i Rat.one, Problem.Le, d) :: !extra;
+                bound i Rat.one d;
                 incr next
         done;
-        let rows = Array.of_list (base_rows @ List.rev !extra) in
-        let t, n_art, unit_col = build_tableau ~n rows in
+        let bounds = Array.of_list (List.rev !extra) in
+        let t, n_art, unit_col = build_tableau s ~rhs:(shifted_rhs s lb0) ~bounds in
         let b0 = Array.copy t.b in
-        let cost2 = phase2_cost ~ncols:t.ncols s.objective in
+        let cost2 = phase2_cost ~ncols:t.ncols s in
         match two_phase t ~deadline ~metrics ~n_art ~cost2 with
         | `Infeasible | `Unbounded -> None
         | `Optimal ->
@@ -439,7 +443,7 @@ module Exact : SOLVER = struct
                 b0;
                 lb_row;
                 ub_row;
-                root = extract t ~n ~lb0 ~objective:s.objective;
+                root = extract t s ~lb0;
                 metrics;
                 ok = true;
               }
@@ -561,8 +565,7 @@ module Exact : SOLVER = struct
       | () -> (
           match reoptimize ~deadline w with
           | `Optimal ->
-              extract w.t ~n:w.prob.Problem.n ~lb0:w.lb0
-                ~objective:w.prob.Problem.objective
+              extract w.t w.prob ~lb0:w.lb0
           | `Infeasible -> Infeasible
           | `Fail ->
               Log.debug (fun f -> f "warm reoptimize failed; cold fallback");

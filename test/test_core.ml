@@ -613,6 +613,7 @@ let test_engine_metrics_consistency () =
       "solve/search/lp/build";
       "solve/search/lp/seed";
       "solve/search/lp/presolve";
+      "solve/search/lp/incumbent";
       "solve/search/lp/sform";
       "solve/search/lp/float";
       "solve/search/lp/certify";
@@ -672,6 +673,75 @@ let test_corpus_solver_work () =
       (E.Round_set, [ ("simplex.hybrid.float_pivots", 3841); ("certify.accepts", 358) ]);
       (E.Round_card, [ ("simplex.hybrid.float_pivots", 1877); ("certify.accepts", 131) ]);
     ]
+
+(* The set-cover gadget of Theorem 5's bench rows, in cardinality form. *)
+let sc_card_gadget () =
+  Reductions.Sc_card.of_set_cover
+    (Combinat.Set_cover.random (Svutil.Rng.create 11_003) ~universe:10 ~n_sets:8)
+
+let test_round_card_deadline () =
+  (* A trial count no budget covers: the deadline stops the trials (at
+     1 ms the LP itself may be cut off first, and the greedy fallback
+     answers; at 50 ms the LP finishes and the trials are cut), and
+     nothing is allocated per trial up front. *)
+  let inst = sc_card_gadget () in
+  List.iter
+    (fun ms ->
+      let what = Printf.sprintf "%g ms" ms in
+      let t0 = Svutil.Deadline.now_ms () in
+      let r =
+        E.run
+          {
+            (E.default_request inst) with
+            E.meth = E.Round_card;
+            trials = max_int;
+            deadline_ms = Some ms;
+          }
+      in
+      Alcotest.(check bool) (what ^ ": returns promptly") true
+        (Svutil.Deadline.now_ms () -. t0 < 5_000.);
+      Alcotest.(check (option string)) (what ^ ": deadline_hit") (Some "true")
+        (List.assoc_opt "deadline_hit" r.E.stats);
+      match r.E.solution with
+      | Some s -> Alcotest.(check bool) (what ^ ": feasible") true (Sol.is_feasible inst s)
+      | None -> Alcotest.fail (what ^ ": no answer"))
+    [ 1.; 50. ];
+  let r =
+    E.run
+      {
+        (E.default_request inst) with
+        E.meth = E.Round_card;
+        trials = max_int;
+        deadline_ms = Some 50.;
+      }
+  in
+  Alcotest.(check bool) "the trials ran" true (List.mem_assoc "round" r.E.timings)
+
+let test_round_card_seeded () =
+  (* Each trial splits its stream from the seed's generator as it
+     starts, which draws the streams that splitting every trial up
+     front drew: a fixed seed keeps its answer. *)
+  let inst = sc_card_gadget () in
+  let r =
+    E.run { (E.default_request inst) with E.meth = E.Round_card; seed = 7; trials = 3 }
+  in
+  Alcotest.(check (list (pair string string))) "stats" [ ("trials", "3") ] r.E.stats;
+  let hidden (s : Sol.t) = (Q.to_string s.Sol.cost, s.Sol.hidden) in
+  let got =
+    match r.E.solution with Some s -> hidden s | None -> Alcotest.fail "no answer"
+  in
+  Alcotest.(check (pair string (list string)))
+    "the answer before trials split lazily" ("5", [ "a0"; "a1"; "a4"; "a5"; "a6" ]) got;
+  match Core.Card_lp.lp_relaxation inst with
+  | `Infeasible -> Alcotest.fail "the gadget LP is feasible"
+  | `Optimal (x, _) ->
+      let base = Svutil.Rng.create 7 in
+      let rngs = Array.init 3 (fun _ -> Svutil.Rng.split base) in
+      let want, ran =
+        Core.Rounding.best_of 3 (fun i -> Core.Rounding.algorithm1 rngs.(i) inst ~x)
+      in
+      Alcotest.(check int) "every trial ran" 3 ran;
+      Alcotest.(check (pair string (list string))) "streams split up front" (hidden want) got
 
 let test_par_batch_metrics_merge () =
   (* The batch driver gives each file its own registry and merges; the
@@ -978,6 +1048,8 @@ let () =
           Alcotest.test_case "par batch metrics merge" `Quick test_par_batch_metrics_merge;
           Alcotest.test_case "corpus certify counters" `Quick test_corpus_certify_counters;
           Alcotest.test_case "corpus solver work" `Quick test_corpus_solver_work;
+          Alcotest.test_case "round-card deadline" `Quick test_round_card_deadline;
+          Alcotest.test_case "round-card seeded answer" `Quick test_round_card_seeded;
         ] );
       ("properties", props);
     ]

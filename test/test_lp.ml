@@ -1,20 +1,27 @@
 module Q = Rat
 module P = Lp.Problem
-module L = Lp.Linexpr
 
 let q = Alcotest.testable Q.pp Q.equal
 let check_q = Alcotest.check q
 
-let le = L.of_list
+let set_objective p terms = List.iter (fun (v, c) -> P.set_cost p v c) terms
 
 (* A tiny DSL for building snapshots in tests. [vars] is a list of
-   (name, ub option, integer); constraints use variable indexes. *)
+   (name, ub option, integer); constraints and the objective are
+   (var, coef) lists over variable indexes. *)
 let build ~vars ~constraints ~objective =
   let p = P.create () in
-  List.iter (fun (name, ub, integer) -> ignore (P.add_var ?ub ~integer p name)) vars;
-  List.iter (fun (expr, cmp, rhs) -> P.add_constraint p (le expr) cmp rhs) constraints;
-  P.set_objective p (le objective);
-  P.snapshot p
+  List.iter (fun (_, ub, integer) -> ignore (P.add_var ?ub ~integer p)) vars;
+  List.iter (fun (terms, cmp, rhs) -> P.add_row p terms cmp rhs) constraints;
+  set_objective p objective;
+  let names = Array.of_list (List.map (fun (name, _, _) -> name) vars) in
+  P.snapshot ~name:(Array.get names) p
+
+(* Row [r] of a snapshot as a (var, coef) list. *)
+let row_terms (s : P.snapshot) r =
+  List.init
+    (s.P.row_start.(r + 1) - s.P.row_start.(r))
+    (fun k -> (s.P.term_var.(s.P.row_start.(r) + k), s.P.term_coef.(s.P.row_start.(r) + k)))
 
 let cvar ?ub name = (name, ub, false)
 let ivar ?ub name = (name, ub, true)
@@ -26,14 +33,14 @@ let feasible (s : P.snapshot) values =
   && Array.for_all2
        (fun ub v -> match ub with None -> true | Some u -> Q.leq v u)
        s.P.ub values
-  && Array.for_all
-       (fun (expr, cmp, rhs) ->
-         let v = L.eval expr (fun i -> values.(i)) in
-         match cmp with
+  && List.for_all
+       (fun r ->
+         let v = P.row_value s r values and rhs = s.P.rhs.(r) in
+         match s.P.cmp.(r) with
          | P.Le -> Q.leq v rhs
          | P.Ge -> Q.geq v rhs
          | P.Eq -> Q.equal v rhs)
-       s.P.constraints
+       (List.init s.P.m Fun.id)
 
 (* ------------------------------------------------------------------ *)
 (* Simplex unit tests (run against both solvers)                       *)
@@ -103,9 +110,9 @@ let simplex_cases =
       `Obj Q.minus_one );
     ( "negative lower bound",
       (let p = P.create () in
-       let x = P.add_var ~lb:(Q.of_int (-5)) p "x" in
-       P.add_constraint p (le [ (x, Q.one) ]) P.Ge (Q.of_int (-2));
-       P.set_objective p (le [ (x, Q.one) ]);
+       let x = P.add_var ~lb:(Q.of_int (-5)) p in
+       P.add_row p [ (x, Q.one) ] P.Ge (Q.of_int (-2));
+       P.set_cost p x Q.one;
        P.snapshot p),
       `Obj (Q.of_int (-2)) );
     ( "redundant equalities",
@@ -490,10 +497,10 @@ let test_ilp_mixed () =
      The LP relaxation picks y = 5/2; integrality forces y = 3 -> 1/2. *)
   let s =
     let p = P.create () in
-    let x = P.add_var ~lb:(Q.of_ints 5 2) ~ub:(Q.of_ints 5 2) p "x" in
-    let y = P.add_var ~integer:true p "y" in
-    P.add_constraint p (le [ (y, Q.one); (x, Q.minus_one) ]) P.Ge Q.zero;
-    P.set_objective p (le [ (y, Q.one); (x, Q.minus_one) ]);
+    let x = P.add_var ~lb:(Q.of_ints 5 2) ~ub:(Q.of_ints 5 2) p in
+    let y = P.add_var ~integer:true p in
+    P.add_row p [ (x, Q.minus_one); (y, Q.one) ] P.Ge Q.zero;
+    set_objective p [ (y, Q.one); (x, Q.minus_one) ];
     P.snapshot p
   in
   match Lp.Ilp.Exact.solve s with
@@ -502,22 +509,41 @@ let test_ilp_mixed () =
       check_q "y integral" (Q.of_int 3) values.(1)
   | _ -> Alcotest.fail "expected optimal"
 
-(* ------------------------------------------------------------------ *)
-(* Linexpr                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_linexpr () =
-  let e = L.of_list [ (0, Q.one); (1, Q.two); (0, Q.one) ] in
-  check_q "combines repeated vars" Q.two (L.coeff e 0);
-  check_q "keeps others" Q.two (L.coeff e 1);
-  check_q "missing var is zero" Q.zero (L.coeff e 5);
-  Alcotest.(check (list int)) "vars" [ 0; 1 ] (L.vars e);
-  let cancelled = L.add e (L.of_list [ (0, Q.of_int (-2)) ]) in
-  Alcotest.(check (list int)) "cancellation drops the var" [ 1 ] (L.vars cancelled);
-  Alcotest.(check bool) "scale by zero empties" true (L.is_empty (L.scale Q.zero e));
-  check_q "eval" (Q.of_int 6) (L.eval e (fun v -> Q.of_int (v + 1)));
-  check_q "neg" (Q.of_int (-2)) (L.coeff (L.neg e) 0);
-  check_q "sum_of_vars" Q.one (L.coeff (L.sum_of_vars [ 3; 4 ]) 3)
+let test_row_normalization () =
+  (* Rows are appended in the layout's order: ascending variables, zero
+     coefficients dropped; anything else is refused. *)
+  let builder () =
+    let p = P.create () in
+    (p, Array.init 6 (fun _ -> P.add_var p))
+  in
+  let p, x = builder () in
+  P.add_row p [ (x.(0), Q.two); (x.(1), Q.zero); (x.(3), Q.one) ] P.Le Q.one;
+  P.add_row p [ (x.(5), Q.zero) ] P.Ge Q.zero;
+  P.set_cost p x.(1) (Q.of_int 3);
+  let s = P.snapshot p in
+  let terms = Alcotest.(list (pair int q)) in
+  Alcotest.check terms "zero coefficient dropped" [ (0, Q.two); (3, Q.one) ] (row_terms s 0);
+  Alcotest.check terms "all-zero row is empty" [] (row_terms s 1);
+  let point = Array.init 6 (fun v -> Q.of_int (v + 1)) in
+  check_q "row value" (Q.of_int 6) (P.row_value s 0 point);
+  check_q "objective value" (Q.of_int 6) (P.obj_value s point);
+  Alcotest.(check string) "default names" "x5" (P.var_name s 5);
+  let refused add =
+    match add () with exception Invalid_argument _ -> true | _ -> false
+  in
+  Alcotest.(check bool) "one snapshot per builder" true (refused (fun () -> P.add_var p));
+  List.iter
+    (fun (what, row) ->
+      let p, x = builder () in
+      Alcotest.(check bool) what true
+        (refused (fun () ->
+             P.add_row p (List.map (fun (v, c) -> (x.(v), c)) row) P.Eq Q.zero)))
+    [
+      ("descending variables refused", [ (4, Q.one); (2, Q.one) ]);
+      ("a repeated variable refused", [ (2, Q.one); (2, Q.one) ]);
+    ];
+  Alcotest.(check bool) "terms name declared variables" true
+    (refused (fun () -> P.add_term (P.create ()) 0 Q.one))
 
 let test_problem_pp_smoke () =
   let s = simplex_cases |> List.hd |> fun (_, snap, _) -> snap in
@@ -534,7 +560,8 @@ let test_ilp_node_limit () =
     build
       ~vars:(List.init 5 (fun i -> ivar ~ub:Q.one (Printf.sprintf "x%d" i)))
       ~constraints:
-        (List.init 5 (fun i -> ([ (i, Q.one); ((i + 1) mod 5, Q.one) ], P.Ge, Q.one)))
+        (List.init 5 (fun i ->
+             (List.sort compare [ (i, Q.one); ((i + 1) mod 5, Q.one) ], P.Ge, Q.one)))
       ~objective:(List.init 5 (fun i -> (i, Q.one)))
   in
   match Lp.Ilp.Exact.solve ~node_limit:1 s with
@@ -549,7 +576,8 @@ let test_ilp_deadline () =
     build
       ~vars:(List.init 5 (fun i -> ivar ~ub:Q.one (Printf.sprintf "x%d" i)))
       ~constraints:
-        (List.init 5 (fun i -> ([ (i, Q.one); ((i + 1) mod 5, Q.one) ], P.Ge, Q.one)))
+        (List.init 5 (fun i ->
+             (List.sort compare [ (i, Q.one); ((i + 1) mod 5, Q.one) ], P.Ge, Q.one)))
       ~objective:(List.init 5 (fun i -> (i, Q.one)))
   in
   let deadline = Svutil.Deadline.after_ms 0. in
@@ -639,16 +667,14 @@ let gen_bounded_lp =
     in
     let* obj = list_size (return nv) (int_range (-4) 4) in
     let p = P.create () in
-    for i = 0 to nv - 1 do
-      ignore (P.add_var ~ub:(Q.of_int 10) p (Printf.sprintf "x%d" i))
+    for _ = 1 to nv do
+      ignore (P.add_var ~ub:(Q.of_int 10) p)
     done;
     List.iter
       (fun (coeffs, rhs) ->
-        P.add_constraint p
-          (le (List.mapi (fun i c -> (i, Q.of_int c)) coeffs))
-          P.Le (Q.of_int rhs))
+        P.add_row p (List.mapi (fun i c -> (i, Q.of_int c)) coeffs) P.Le (Q.of_int rhs))
       rows;
-    P.set_objective p (le (List.mapi (fun i c -> (i, Q.of_int c)) obj));
+    set_objective p (List.mapi (fun i c -> (i, Q.of_int c)) obj);
     return (P.snapshot p))
 
 (* Random general-form LPs: Le/Ge/Eq rows, negative right-hand sides
@@ -669,19 +695,13 @@ let gen_general_lp =
     in
     let* obj = list_size (return nv) (int_range (-4) 4) in
     let p = P.create () in
-    List.iteri
-      (fun i ub ->
-        let ub = Option.map Q.of_int ub in
-        ignore (P.add_var ?ub p (Printf.sprintf "x%d" i)))
-      ubs;
+    List.iter (fun ub -> ignore (P.add_var ?ub:(Option.map Q.of_int ub) p)) ubs;
     List.iter
       (fun (coeffs, cmp, rhs) ->
         let cmp = match cmp with 0 -> P.Le | 1 -> P.Ge | _ -> P.Eq in
-        P.add_constraint p
-          (le (List.mapi (fun i c -> (i, Q.of_int c)) coeffs))
-          cmp (Q.of_int rhs))
+        P.add_row p (List.mapi (fun i c -> (i, Q.of_int c)) coeffs) cmp (Q.of_int rhs))
       rows;
-    P.set_objective p (le (List.mapi (fun i c -> (i, Q.of_int c)) obj));
+    set_objective p (List.mapi (fun i c -> (i, Q.of_int c)) obj);
     return (P.snapshot p))
 
 let hybrid_agrees s =
@@ -784,11 +804,11 @@ let props =
     prop "optimum invariant under constraint permutation" gen_bounded_lp (fun s ->
         let reversed =
           let p = P.create () in
-          Array.iteri (fun i ub -> ignore (P.add_var ?ub p (Printf.sprintf "x%d" i))) s.P.ub;
-          List.iter
-            (fun (e, c, r) -> P.add_constraint p e c r)
-            (List.rev (Array.to_list s.P.constraints));
-          P.set_objective p s.P.objective;
+          Array.iter (fun ub -> ignore (P.add_var ?ub p)) s.P.ub;
+          for r = s.P.m - 1 downto 0 do
+            P.add_row p (row_terms s r) s.P.cmp.(r) s.P.rhs.(r)
+          done;
+          Array.iteri (P.set_cost p) s.P.obj;
           P.snapshot p
         in
         match (Lp.Simplex.Exact.solve s, Lp.Simplex.Exact.solve reversed) with
@@ -799,9 +819,11 @@ let props =
     prop "objective scaling scales the optimum" gen_bounded_lp (fun s ->
         let scaled =
           let p = P.create () in
-          Array.iteri (fun i ub -> ignore (P.add_var ?ub p (Printf.sprintf "x%d" i))) s.P.ub;
-          Array.iter (fun (e, c, r) -> P.add_constraint p e c r) s.P.constraints;
-          P.set_objective p (L.scale (Q.of_int 3) s.P.objective);
+          Array.iter (fun ub -> ignore (P.add_var ?ub p)) s.P.ub;
+          for r = 0 to s.P.m - 1 do
+            P.add_row p (row_terms s r) s.P.cmp.(r) s.P.rhs.(r)
+          done;
+          Array.iteri (fun v c -> P.set_cost p v (Q.mul (Q.of_int 3) c)) s.P.obj;
           P.snapshot p
         in
         match (Lp.Simplex.Exact.solve s, Lp.Simplex.Exact.solve scaled) with
@@ -849,7 +871,7 @@ let props =
             Array.init n (fun i -> if mask land (1 lsl i) <> 0 then Q.one else Q.zero)
           in
           if feasible s' values then begin
-            let obj = L.eval s'.P.objective (fun v -> values.(v)) in
+            let obj = P.obj_value s' values in
             match !best with
             | Some b when Q.leq b obj -> ()
             | _ -> best := Some obj
@@ -898,8 +920,8 @@ let () =
         ] );
       ( "modeling",
         [
-          Alcotest.test_case "linexpr" `Quick test_linexpr;
           Alcotest.test_case "problem pp" `Quick test_problem_pp_smoke;
+          Alcotest.test_case "row normalization" `Quick test_row_normalization;
         ] );
       ("properties", props);
       ("hybrid properties", hybrid_props);

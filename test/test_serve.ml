@@ -822,19 +822,18 @@ let test_daemon_closed_stdout () =
    everything downstream: the instance itself, its canonical form, the
    IP it compiles to, and the engine's answer. *)
 
-let snapshot_view (s : Lp.Problem.snapshot) =
-  ( s.Lp.Problem.names,
-    s.Lp.Problem.lb,
-    s.Lp.Problem.ub,
-    s.Lp.Problem.integer,
-    Array.map
-      (fun (e, cmp, rhs) -> (Lp.Linexpr.to_list e, cmp, rhs))
-      s.Lp.Problem.constraints,
-    Lp.Linexpr.to_list s.Lp.Problem.objective )
+let snapshot_view (s : Lp.Problem.snapshot) = Format.asprintf "%a" Lp.Problem.pp s
 
-let ip_of inst =
-  if Core.Exact.all_cardinality inst then (Core.Card_lp.build inst).Core.Card_lp.problem
-  else (Core.Set_lp.build inst).Core.Set_lp.problem
+(* The engine's IP and its attribute columns. *)
+let ip_with_attrs inst =
+  if Core.Exact.all_cardinality inst then
+    let b = Core.Card_lp.build inst in
+    (b.Core.Card_lp.problem, b.Core.Card_lp.attr_var)
+  else
+    let b = Core.Set_lp.build inst in
+    (b.Core.Set_lp.problem, b.Core.Set_lp.attr_var)
+
+let ip_of inst = fst (ip_with_attrs inst)
 
 let answer (r : E.result) =
   (r.E.solution, r.E.lower_bound, r.E.proven_optimal, r.E.stats, r.E.method_used)
@@ -923,6 +922,47 @@ let test_constructors_on_pools () =
         (T.pool_workflows wl))
     T.workloads
 
+(* The programs the engine solves, pinned: the IP of every seed-42 pool
+   member as printed, and the reduced program presolve makes of it once
+   the Flow fixings are pinned the way [Core.Exact] pins them (with the
+   kept columns and the fixed values [restore] fills in). The digest was
+   taken before the rows moved to one flat layout; any change to the
+   builders' variable or row order, to presolve's reductions or to the
+   printed form shows here. *)
+let pool_programs_digest = "c5bcc905e9c779945e02847842b8656d"
+
+let test_pool_programs_pinned () =
+  let module T = Perfbench_traffic.Traffic in
+  let module P = Lp.Problem in
+  let buf = Buffer.create (1 lsl 22) in
+  let fmt = Format.formatter_of_buffer buf in
+  let rats a = String.concat " " (Array.to_list (Array.map Rat.to_string a)) in
+  List.iter
+    (fun (name, wl) ->
+      List.iteri
+        (fun i w ->
+          let inst = Serve.Request.instance_of (spec_of_text name (T.render w)) in
+          let problem, attr_var = ip_with_attrs inst in
+          Format.fprintf fmt "%s %d@.%a" name i P.pp problem;
+          let fixings =
+            List.filter_map
+              (fun (a, v) -> Option.map (fun j -> (attr_var.(j), v)) (Inst.find inst a))
+              (Core.Flow.fixings (Core.Flow.analyze inst))
+          in
+          match Lp.Presolve.run (Lp.Presolve.apply_fixings problem fixings) with
+          | Lp.Presolve.Infeasible -> Format.fprintf fmt "infeasible@."
+          | Lp.Presolve.Solved { values } -> Format.fprintf fmt "solved %s@." (rats values)
+          | Lp.Presolve.Reduced { problem = r; restore; keep } ->
+              Format.fprintf fmt "keep %s@.fixed %s@.%a"
+                (String.concat " " (Array.to_list (Array.map string_of_int keep)))
+                (rats (restore (Array.make r.P.n Rat.zero)))
+                P.pp r)
+        (T.pool_workflows wl))
+    T.workloads;
+  Format.pp_print_flush fmt ();
+  Alcotest.(check string) "MD5 of the printed programs" pool_programs_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "serve"
     [
@@ -996,5 +1036,6 @@ let () =
             (fun spec -> constructors_differ spec = None);
           Alcotest.test_case "instance_of = of_workflow on seed-42 pools" `Quick
             test_constructors_on_pools;
+          Alcotest.test_case "pool programs pinned" `Quick test_pool_programs_pinned;
         ] );
     ]
