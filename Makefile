@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-smoke bench-smoke-json bench-json bench-compare lint-examples flow-examples batch-examples delta-examples serve-examples examples-smoke perfbench-smoke clean
+.PHONY: build test bench bench-tables bench-smoke bench-smoke-json bench-json bench-compare lint-examples flow-examples batch-examples delta-examples serve-examples examples-smoke perfbench-smoke clean
 
 # Output path for bench-json; override to record a new baseline, e.g.
 #   make bench-json OUT=BENCH_PR2.json
@@ -25,6 +25,12 @@ test:
 
 bench:
 	dune exec bench/main.exe
+
+# The experiment tables E01–E22 without timings: every table runs to the
+# end (E10–E17 solve the hardness gadgets' ILPs through the hybrid LP
+# route). bench-smoke skips them.
+bench-tables:
+	dune exec bench/main.exe -- --no-timings
 
 # Tiny-quota timing pass over every kernel: exercises the whole bechamel
 # harness (including the pruned-vs-naive twins) in a few seconds.

@@ -74,7 +74,7 @@ let front_end_kernel () =
 (* The LP model layer on its own: for every member of perfbench's
    [solve_uncached] pool, build the engine's IP, pin the Flow fixings
    the way [Core.Exact] pins them, presolve, and lay the reduced
-   program out in standard form. The instances and their attribute
+   program out for the float pass ([Fsimplex.create]). The instances and their attribute
    fixings are made outside the timed region. *)
 let lp_model_kernel () =
   let module T = Perfbench_traffic.Traffic in
@@ -100,7 +100,7 @@ let lp_model_kernel () =
         attr_fixings
     in
     match Lp.Presolve.run (Lp.Presolve.apply_fixings problem fixings) with
-    | Lp.Presolve.Reduced { problem; _ } -> ignore (Lp.Sform.make problem)
+    | Lp.Presolve.Reduced { problem; _ } -> ignore (Lp.Fsimplex.create problem)
     | Lp.Presolve.Infeasible | Lp.Presolve.Solved _ -> ()
   in
   fun () -> List.iter model members
@@ -247,17 +247,15 @@ let timing_tests () =
   let card_lp_relaxed =
     Lp.Problem.relax (Core.Card_lp.build card_inst).Core.Card_lp.problem
   in
-  (* The certification step alone: the card LP's optimal basis and its
-     float point, found once outside the timed region. *)
-  let card_sf = Lp.Sform.make card_lp_relaxed in
-  let card_lb = card_lp_relaxed.Lp.Problem.lb in
-  let card_rhs, card_basis, card_point =
-    match Lp.Sform.rhs card_sf ~lb:card_lb ~ub:card_lp_relaxed.Lp.Problem.ub with
-    | Lp.Sform.Rhs rhs -> (
-        match Lp.Fsimplex.solve (Lp.Fsimplex.create card_sf) ~rhs with
-        | Lp.Fsimplex.Optimal_basis { basis; point } -> (rhs, basis, point)
-        | _ -> failwith "simplex_sparse_certify: no optimal float basis")
-    | _ -> failwith "simplex_sparse_certify: root bounds give no rhs"
+  (* The certification step alone: the card LP's float optimum, found
+     once outside the timed region. *)
+  let card_found =
+    match
+      Lp.Fsimplex.solve (Lp.Fsimplex.create card_lp_relaxed) ~lb:card_lp_relaxed.Lp.Problem.lb
+        ~ub:card_lp_relaxed.Lp.Problem.ub
+    with
+    | Lp.Fsimplex.Optimal _ as o -> o
+    | _ -> failwith "simplex_sparse_certify: no optimal float basis"
   in
   [
     stage_m "simplex_dense_exact" (fun m ->
@@ -265,9 +263,9 @@ let timing_tests () =
     stage_m "simplex_sparse_hybrid" (fun m ->
         ignore (Lp.Simplex.Hybrid.solve ~metrics:m card_lp_relaxed));
     stage_m "simplex_sparse_certify" (fun m ->
-        ignore
-          (Lp.Certify.check ~metrics:m ~point:card_point card_sf ~rhs:card_rhs
-             ~lb:card_lb ~basis:card_basis));
+        match Lp.Certify.check ~metrics:m card_lp_relaxed card_found with
+        | Lp.Certify.Cert_optimal _ -> ()
+        | _ -> failwith "simplex_sparse_certify: the float optimum must certify");
     stage "e01_safety_check" (fun () ->
         ignore (St.is_safe fig1 ~visible:[ "a1"; "a3"; "a5" ] ~gamma:4));
     stage_m "e02_worlds_enum" (fun m ->

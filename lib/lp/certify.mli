@@ -1,64 +1,46 @@
-(** Exact certification of float-found simplex bases.
+(** Exact certification of what the float pass found.
 
-    The hybrid solver's correctness argument lives here.  A candidate
-    basis from {!Fsimplex}, in {!Sform}'s explicit layout (upper bounds
-    as rows), is accepted on one exact test of a primal–dual pair —
-    basic values [x_B] and duals [y] — against the LP optimality
-    conditions:
+    The hybrid solver's correctness argument lives here, and only here.
+    {!Fsimplex} hands over its answer numbered by the snapshot's own
+    columns: variable [j], and the logical of row [r] (its slack, [>= 0]
+    for a [Le] or [Ge] row; a logical fixed at 0 for an [Eq] row), so
+    that every row reads [a_r·x + σ_r·s_r = b_r] with [σ_r = -1] on
+    [Ge] rows and [+1] otherwise, over the box [lb <= x <= ub],
+    [s >= 0].  Each float is read back as a small-denominator rational
+    by continued fractions, and the certificate is checked exactly on
+    the snapshot's rows and bounds; nothing about the float layout, the
+    basis matrix or where the floats came from is trusted.
 
-    - {e primal feasibility}: [B x_B = b] and [x_B >= 0], with every
-      basic artificial exactly zero;
-    - {e dual feasibility and complementary slackness}: every
-      structural or slack column has exact reduced cost [c_j - y A_j]
-      zero when basic and non-negative when not.
+    - {e Optimum.}  Nonbasic columns take their exact bound (a nonbasic
+      logical sits at 0), basic values and duals [y] are recovered.
+      The pair is accepted when every row holds exactly with its
+      logical, [lb <= x <= ub], and each reduced cost
+      [d_j = c_j - y·A_j] (summed row-wise) is positive only where
+      [x_j = lb_j] and negative only where [x_j = ub_j] with [ub_j]
+      finite.  This is weak duality for the bounded dual: every
+      feasible [x'] has
+      [c·x' = y·b + d·x' >= y·b + Σ_j (d_j > 0 ? d_j·lb_j : d_j·ub_j)],
+      and [x] attains that bound.
+    - {e Infeasibility.}  With [g_j = y·A_j] over the structurals and
+      the logicals, [y] is accepted when every column with [g_j < 0]
+      has a finite upper bound and
+      [y·b < Σ_j (g_j < 0 ? g_j·ub_j : g_j·lb_j)]: the right-hand side
+      is the least [y·A·x] takes over the box, so no point in the box
+      meets the rows.
 
-    When both hold, LP duality proves the basic point optimal ({e
-    accept}).  The test trusts nothing about where the pair came from,
-    so it needs no factorization: the float pass's point is recovered
-    as small-denominator rationals by continued fractions and checked
-    as is.  It also needs no nonsingular basis — a singular basis whose
-    pair checks is accepted, and its point is still an exact optimum.
-
-    When there is no float point, recovery fails or the recovered pair
-    does not check, the basis is refactorized in exact rationals and
-    the exact [x_B = B^-1 b], [y = c_B B^-1] go through the same test.
-    If exactly one side fails there, a short exact primal or dual
-    cleanup from that basis usually reaches optimality in a handful of
-    pivots ({e repair}).  Anything else — singular basis, both sides
-    violated, pivot budget exhausted — is reported as {!Cert_fail} and
-    the caller falls back to the exact two-phase solver, so a wrong
-    float basis can cost time but never an answer.  Infeasibility is
-    certified by {!check_farkas} on the row the float pass names. *)
+    Anything else — a stalled pass, a value that does not recover within
+    the bounds (denominator below 2^20, numerator below 2^30) or a
+    certificate that does not check — is {!Cert_fail}, and the caller
+    falls back to the exact two-phase solver, so a wrong float answer
+    can cost time but never an answer. *)
 
 type outcome =
-  | Cert_optimal of { objective : Rat.t; values : Rat.t array; repaired : bool }
-      (** exact optimum ([values] in original, unshifted coordinates) *)
-  | Cert_infeasible  (** an exact Farkas/dual certificate of infeasibility *)
-  | Cert_unbounded  (** an exact unbounded ray *)
+  | Cert_optimal of { objective : Rat.t; values : Rat.t array }
+      (** exact optimum, one value per variable *)
+  | Cert_infeasible  (** an exact certificate of infeasibility *)
   | Cert_fail  (** could not certify: fall back to the exact solver *)
 
-val check :
-  ?deadline:Svutil.Deadline.t ->
-  ?metrics:Svutil.Metrics.t ->
-  ?point:Fsimplex.point ->
-  Sform.t ->
-  rhs:Rat.t array ->
-  lb:Rat.t array ->
-  basis:int array ->
-  outcome
-(** Certify a candidate optimal basis under the node's bounds ([lb] is
-    the shift used to build [rhs]), first on [point] (the basis's float
-    pair, by row like [basis]) when one is given.  Ticks
-    [certify.accepts], [certify.repairs] and [certify.factorizations]
-    (one per call that builds the exact factorization). *)
-
-val check_farkas :
-  ?deadline:Svutil.Deadline.t ->
-  Sform.t ->
-  rhs:Rat.t array ->
-  basis:int array ->
-  col:int ->
-  bool
-(** [true] iff the basis row holding [col] is an exact Farkas
-    certificate: its basic value is negative while the row of
-    [B^-1 A] is non-negative on every real column. *)
+val check : ?metrics:Svutil.Metrics.t -> Problem.snapshot -> Fsimplex.outcome -> outcome
+(** Certify the float pass's outcome for the snapshot under its bounds
+    ([lb <= ub] everywhere, as the pass was given them).  Ticks
+    [certify.accepts] on each accepted optimum. *)

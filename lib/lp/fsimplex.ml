@@ -10,34 +10,33 @@ let iteration_cap = 10_000
 
 type eta = { er : int; pr : float; idx : int array; vals : float array }
 
-type point = { xb : float array; y : float array }
-
 type outcome =
-  | Optimal_basis of { basis : int array; point : point }
-  | Infeasible_col of { basis : int array; col : int }
+  | Optimal of { basis : int array; at_upper : bool array; xb : float array; y : float array }
+  | Infeasible of { y : float array }
   | Stalled
 
-(* The pass works on the layout's constraint rows only.  Columns keep
-   their {!Sform} indices: structurals, then the constraint rows'
-   slacks (the bound rows' slacks are never touched), then one
-   artificial per row, the logical of an [Eq] row, fixed at 0.  Sform
-   numbers slacks in row order, constraint rows first, so the columns
-   that may enter are exactly [0 .. nact-1].
+(* Columns: the [n] structurals, then the slack of each [Le]/[Ge] row
+   in row order, then the logical of each [Eq] row, fixed at 0.  The
+   columns that may enter are exactly [0 .. nact-1].
 
-   The constraint rows' entries of the columns [j < first_art] are laid
-   out flat twice: by column (rows ascending), for FTRAN and
-   refactorization, and by row (columns ascending), for pricing. *)
+   The entries of the columns [j < nact] are laid out flat twice: by
+   column (rows ascending), for FTRAN and refactorization, and by row
+   (columns ascending), for pricing.  An [Eq] row's logical is an
+   implicit unit column. *)
 type t = {
-  sf : Sform.t;
-  m : int;  (* constraint rows *)
+  s : Problem.snapshot;  (* rows, right-hand sides and objective; bounds unread *)
+  n : int;  (* structurals *)
+  m : int;  (* rows *)
   nact : int;  (* columns that may enter: structurals, row slacks *)
+  logical : int array;  (* per row: its logical's column *)
+  col_row : int array;  (* per column [n + k]: the row it is the logical of *)
   cstart : int array;  (* column [j]'s entries are [cstart.(j) .. cstart.(j+1)-1] *)
   crow : int array;
   cval : float array;
   rstart : int array;  (* row [i]'s entries are [rstart.(i) .. rstart.(i+1)-1] *)
   rcol : int array;
   rval : float array;
-  fobj : float array;  (* cost over j < first_art *)
+  fobj : float array;  (* cost over j < nact *)
   up : float array;  (* per column: upper bound (infinity when none) *)
   d : float array;  (* per column: reduced cost, updated in place *)
   at_up : bool array;  (* per nonbasic column: sits at its upper bound *)
@@ -57,54 +56,78 @@ type t = {
   cand : int array;  (* ratio-test candidates *)
 }
 
-let create (sf : Sform.t) =
-  let m = sf.Sform.m0 and first_art = sf.Sform.first_art in
-  (* every bound row has a slack, numbered after the constraint rows' *)
-  let nact = first_art - Array.length sf.Sform.ub_var in
-  (* Count, then fill: each column's constraint-row entries lead it. *)
-  let cstart = Array.make (first_art + 1) 0 and rstart = Array.make (m + 1) 0 in
-  for j = 0 to first_art - 1 do
-    let ri = fst sf.Sform.cols.(j) in
-    let k = ref 0 in
-    while !k < Array.length ri && ri.(!k) < m do
-      rstart.(ri.(!k) + 1) <- rstart.(ri.(!k) + 1) + 1;
-      incr k
-    done;
-    cstart.(j + 1) <- cstart.(j) + !k
+let create (s : Problem.snapshot) =
+  let n = s.n and m = s.m in
+  let logical = Array.make m (-1) in
+  let next = ref n in
+  for r = 0 to m - 1 do
+    if s.cmp.(r) <> Problem.Eq then begin
+      logical.(r) <- !next;
+      incr next
+    end
   done;
-  for i = 0 to m - 1 do
-    rstart.(i + 1) <- rstart.(i + 1) + rstart.(i)
+  let nact = !next in
+  for r = 0 to m - 1 do
+    if logical.(r) < 0 then begin
+      logical.(r) <- !next;
+      incr next
+    end
   done;
-  let nnz = cstart.(first_art) in
+  let col_row = Array.make m 0 in
+  Array.iteri (fun r j -> col_row.(j - n) <- r) logical;
+  (* Count, then fill, in row order: each row's terms (variables
+     ascending), then its slack. *)
+  let cstart = Array.make (nact + 1) 0 and rstart = Array.make (m + 1) 0 in
+  for k = 0 to s.row_start.(m) - 1 do
+    let v = s.term_var.(k) in
+    cstart.(v + 1) <- cstart.(v + 1) + 1
+  done;
+  for r = 0 to m - 1 do
+    let slack = logical.(r) < nact in
+    if slack then cstart.(logical.(r) + 1) <- 1;
+    rstart.(r + 1) <- rstart.(r) + s.row_start.(r + 1) - s.row_start.(r) + Bool.to_int slack
+  done;
+  for j = 0 to nact - 1 do
+    cstart.(j + 1) <- cstart.(j + 1) + cstart.(j)
+  done;
+  let nnz = cstart.(nact) in
   let crow = Array.make nnz 0 and cval = Array.make nnz 0. in
   let rcol = Array.make nnz 0 and rval = Array.make nnz 0. in
-  let next = Array.copy rstart in
-  for j = 0 to first_art - 1 do
-    let ri, vs = sf.Sform.cols.(j) in
-    for k = 0 to cstart.(j + 1) - cstart.(j) - 1 do
-      let p = cstart.(j) + k and i = ri.(k) in
-      let v = Rat.to_float vs.(k) in
-      crow.(p) <- i;
-      cval.(p) <- v;
-      rcol.(next.(i)) <- j;
-      rval.(next.(i)) <- v;
-      next.(i) <- next.(i) + 1
-    done
+  let next = Array.sub cstart 0 nact in
+  let put r j v p =
+    crow.(next.(j)) <- r;
+    cval.(next.(j)) <- v;
+    next.(j) <- next.(j) + 1;
+    rcol.(p) <- j;
+    rval.(p) <- v
+  in
+  for r = 0 to m - 1 do
+    let p = rstart.(r) - s.row_start.(r) in
+    for k = s.row_start.(r) to s.row_start.(r + 1) - 1 do
+      put r s.term_var.(k) (Rat.to_float s.term_coef.(k)) (p + k)
+    done;
+    match s.cmp.(r) with
+    | Problem.Le -> put r logical.(r) 1. (rstart.(r + 1) - 1)
+    | Problem.Ge -> put r logical.(r) (-1.) (rstart.(r + 1) - 1)
+    | Problem.Eq -> ()
   done;
-  let ncols = sf.Sform.ncols in
+  let ncols = n + m in
   let up = Array.make ncols infinity in
-  Array.fill up first_art m 0.;
+  Array.fill up nact (ncols - nact) 0.;
   {
-    sf;
+    s;
+    n;
     m;
     nact;
+    logical;
+    col_row;
     cstart;
     crow;
     cval;
     rstart;
     rcol;
     rval;
-    fobj = Array.map Rat.to_float sf.Sform.obj;
+    fobj = Array.init nact (fun j -> if j < n then Rat.to_float s.obj.(j) else 0.);
     up;
     d = Array.make ncols 0.;
     at_up = Array.make ncols false;
@@ -116,7 +139,7 @@ let create (sf : Sform.t) =
     valid = false;
     w = Array.make m 0.;
     rho = Array.make m 0.;
-    alpha = Array.make ncols 0.;
+    alpha = Array.make nact 0.;
     touched = Array.make nact 0;
     n_touched = 0;
     seen = Array.make nact false;
@@ -180,11 +203,13 @@ let btran t y =
 
 (* w += f * column j *)
 let add_col t j f w =
-  if j < t.sf.Sform.first_art then
+  if j < t.nact then
     for p = t.cstart.(j) to t.cstart.(j + 1) - 1 do
       w.(t.crow.(p)) <- w.(t.crow.(p)) +. (f *. t.cval.(p))
     done
-  else w.(j - t.sf.Sform.first_art) <- w.(j - t.sf.Sform.first_art) +. f
+  else
+    let r = t.col_row.(j - t.n) in
+    w.(r) <- w.(r) +. f
 
 (* alpha := y A, pricing row by row: only [y]'s nonzero rows are read,
    in ascending order, so each column's entry is the same float sum as
@@ -234,12 +259,12 @@ let refactorize t =
   t.n_etas <- 0;
   let live_nnz j =
     let c = ref 0 in
-    if j < t.sf.Sform.first_art then begin
+    if j < t.nact then begin
       for p = t.cstart.(j) to t.cstart.(j + 1) - 1 do
         if not row_done.(t.crow.(p)) then incr c
       done
     end
-    else if not row_done.(j - t.sf.Sform.first_art) then incr c;
+    else if not row_done.(t.col_row.(j - t.n)) then incr c;
     !c
   in
   try
@@ -289,10 +314,9 @@ let recompute_xb t fb =
 
 (* y = c_B B^-1 into [rho], and every active column's reduced cost. *)
 let recompute_duals t =
-  let first_art = t.sf.Sform.first_art in
   for i = 0 to t.m - 1 do
     let j = t.basis.(i) in
-    t.rho.(i) <- (if j < first_art then t.fobj.(j) else 0.)
+    t.rho.(i) <- (if j < t.nact then t.fobj.(j) else 0.)
   done;
   btran t t.rho;
   price t t.rho;
@@ -301,9 +325,8 @@ let recompute_duals t =
   done
 
 (* Move each boxed nonbasic column to the bound its reduced cost
-   prefers.  A fixed column ([up = 0]) may carry either sign; it sits
-   at the bound matching its sign, which moves no value but keeps the
-   explicit pair of {!explicit} dual feasible.  True when some value
+   prefers.  A fixed column ([up = 0]) sits at the bound matching its
+   reduced cost's sign, which moves no value.  True when some value
    moved. *)
 let settle t =
   let moved = ref false in
@@ -324,75 +347,33 @@ let settle t =
   done;
   !moved
 
-(* {2 The explicit layout}
-
-   {!Certify} checks bases of {!Sform}'s explicit layout, where every
-   upper bound is a row [x_v + s = u].  A column at its upper bound
-   becomes basic in its bound row at [u], and that row's dual is the
-   column's reduced cost; otherwise the bound row's slack is basic at
-   [u - x_v] with dual 0.  [at_upper v] says where nonbasic [v] is
-   presented. *)
-let explicit_basis t ~at_upper =
-  let sf = t.sf in
-  let b = Array.make sf.Sform.m (-1) in
-  Array.blit t.basis 0 b 0 t.m;
-  Array.iteri
-    (fun k v ->
-      let r = sf.Sform.m0 + k in
-      b.(r) <- (if (not t.inb.(v)) && at_upper v then v else sf.Sform.slack_col.(r)))
-    sf.Sform.ub_var;
-  b
-
-(* The explicit basis and its float pair, after [recompute_xb] and
-   [recompute_duals].  Every bound row holds [u] unless its column is
-   basic, which leaves [u - x] to the row's slack. *)
-let explicit t =
-  let sf = t.sf in
-  let basis = explicit_basis t ~at_upper:(fun v -> t.at_up.(v)) in
-  let xb = Array.make sf.Sform.m 0. and y = Array.make sf.Sform.m 0. in
-  Array.blit t.xb 0 xb 0 t.m;
-  Array.blit t.rho 0 y 0 t.m;
-  Array.iteri
-    (fun k v ->
-      let r = sf.Sform.m0 + k in
-      xb.(r) <- t.up.(v);
-      if basis.(r) = v then y.(r) <- t.d.(v))
-    sf.Sform.ub_var;
-  for i = 0 to t.m - 1 do
-    let j = t.basis.(i) in
-    if j < sf.Sform.n && sf.Sform.ub_row.(j) >= 0 then
-      xb.(sf.Sform.ub_row.(j)) <- t.up.(j) -. t.xb.(i)
-  done;
-  Optimal_basis { basis; point = ({ xb; y } : point) }
-
 (* {2 Solve} *)
 
 exception Stall
 
-(* The Farkas hint for row [r], whose basic column [p] lies below 0
-   ([s = 1]) or above its upper bound ([s = -1]) and admits no entering
-   column: the row of [B^-1 A] then proves infeasibility once every
-   boxed nonbasic column is presented at the bound its entry favours.
-   In the explicit layout the certificate row is [p]'s own when [p] is
-   below 0 and [p]'s bound-row slack when it is above [u].  An [Eq]
-   row's artificial above 0 would need the negated row, which
-   {!Certify.check_farkas} does not take: that case stalls. *)
-let farkas t ~r ~s =
-  let sf = t.sf in
-  let p = t.basis.(r) in
-  let col =
-    if s > 0. then p
-    else if p < sf.Sform.n && sf.Sform.ub_row.(p) >= 0 then
-      sf.Sform.slack_col.(sf.Sform.ub_row.(p))
-    else -1
-  in
-  if col < 0 then Stalled
-  else
-    let at_upper v =
-      let sa = s *. t.alpha.(v) in
-      if sa < 0. then true else if sa > 0. then false else t.at_up.(v)
-    in
-    Infeasible_col { basis = explicit_basis t ~at_upper; col }
+(* The optimum, numbered by the snapshot, after [recompute_duals] and
+   [recompute_xb]. *)
+let optimum t =
+  Optimal
+    {
+      basis = Array.map (fun j -> if j < t.n then j else t.n + t.col_row.(j - t.n)) t.basis;
+      at_upper = Array.init t.n (fun j -> t.at_up.(j) && not t.inb.(j));
+      xb = Array.copy t.xb;
+      y = Array.copy t.rho;
+    }
+
+(* A structural whose upper bound is gone since the last solve moves to
+   0.  False when one of them prices below zero, so the basis is no
+   longer dual feasible. *)
+let unbox t =
+  let ok = ref true in
+  for j = 0 to t.n - 1 do
+    if (not t.inb.(j)) && t.up.(j) = infinity then begin
+      t.at_up.(j) <- false;
+      if t.d.(j) < -.dual_tol then ok := false
+    end
+  done;
+  !ok
 
 (* Dual slack of nonbasic [j]: its reduced cost's distance from the
    wrong sign for the bound it sits at ([Float.max 0.], NaN included,
@@ -491,7 +472,7 @@ let iterate t ~fb ~deadline ~pivots =
         done
       end
     done;
-    if !q < 0 then `Infeasible (r, s)
+    if !q < 0 then `Infeasible s
     else begin
       let q = !q in
       (* bound flips, then the entering column *)
@@ -544,21 +525,18 @@ let iterate t ~fb ~deadline ~pivots =
   in
   loop ()
 
-(* The all-logical basis: slacks, and the artificial (fixed at 0) of
-   each [Eq] row.  It is dual feasible when every negative-cost column
+(* The all-logical basis: slacks, and the logical (fixed at 0) of each
+   [Eq] row.  It is dual feasible when every negative-cost column
    has an upper bound to sit at; otherwise the pass stalls and the
    caller falls back to the exact solver. *)
 let cold t fb =
-  let sf = t.sf in
   t.n_etas <- 0;
   Array.fill t.inb 0 (Array.length t.inb) false;
   for r = 0 to t.m - 1 do
-    let j =
-      if sf.Sform.slack_col.(r) >= 0 then sf.Sform.slack_col.(r) else sf.Sform.first_art + r
-    in
+    let j = t.logical.(r) in
     t.basis.(r) <- j;
     t.inb.(j) <- true;
-    if sf.Sform.slack_sign.(r) < 0 then push_eta t { er = r; pr = -1.; idx = [||]; vals = [||] }
+    if t.s.cmp.(r) = Problem.Ge then push_eta t { er = r; pr = -1.; idx = [||]; vals = [||] }
   done;
   for j = 0 to t.nact - 1 do
     t.d.(j) <- (if t.inb.(j) then 0. else t.fobj.(j));
@@ -568,31 +546,37 @@ let cold t fb =
   recompute_xb t fb
 
 let solve ?(deadline = Svutil.Deadline.none) ?(metrics = Svutil.Metrics.nop) t
-    ~rhs =
-  let sf = t.sf in
-  let fb = Array.init t.m (fun r -> Rat.to_float rhs.(r)) in
-  Array.iteri (fun k v -> t.up.(v) <- Rat.to_float rhs.(sf.Sform.m0 + k)) sf.Sform.ub_var;
+    ~lb ~ub =
+  (* Shift by [lb] exactly, then convert. *)
+  let fb =
+    Array.init t.m (fun r -> Rat.to_float (Rat.sub t.s.rhs.(r) (Problem.row_value t.s r lb)))
+  in
+  for j = 0 to t.n - 1 do
+    t.up.(j) <- (match ub.(j) with None -> infinity | Some u -> Rat.to_float (Rat.sub u lb.(j)))
+  done;
   let pivots = ref 0 in
   let run () =
     match iterate t ~fb ~deadline ~pivots with
     | `Optimal ->
         t.valid <- true;
         recompute_xb t fb;
-        explicit t
-    | `Infeasible (r, s) ->
+        optimum t
+    | `Infeasible s ->
         t.valid <- true;
-        farkas t ~r ~s
+        Infeasible { y = Array.map (fun v -> s *. v) t.rho }
   in
   (* Warm start: the basis and reduced costs of the previous solve stay
      dual feasible under new bounds, once every nonbasic column sits at
-     the bound its reduced cost prefers. *)
+     the bound its reduced cost prefers — unless a column lost the
+     upper bound it needed ([unbox]), which sends the pass back to the
+     cold start. *)
   let warm () =
     ignore (settle t);
     recompute_xb t fb;
     run ()
   in
   let flush () = Svutil.Metrics.count metrics "simplex.hybrid.float_pivots" !pivots in
-  match if t.valid then warm () else (cold t fb; run ()) with
+  match if t.valid && unbox t then warm () else (cold t fb; run ()) with
   | r ->
       flush ();
       r

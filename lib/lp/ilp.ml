@@ -241,17 +241,14 @@ module Make (Solver : Simplex.SOLVER) : S = struct
             Svutil.Pq.push pq { bound = parent_obj; seq = !seq; lb = lb2; ub = Array.copy ub }
           end
         in
-        (* Root node: [warm_create] already solved it, so reuse its
-           optimum rather than reoptimizing under unchanged bounds. *)
+        (* Root node: [warm_create] solves it once, whatever its
+           outcome, and keeps the state later nodes reoptimize from. *)
         incr nodes;
         (match
            (try
-              `Solved
-                (match Solver.warm_create ~deadline ~metrics p with
-                | Some w ->
-                    warm := Some w;
-                    Solver.warm_root w
-                | None -> Solver.solve ~deadline ~metrics p)
+              let root, w = Solver.warm_create ~deadline ~metrics p in
+              warm := w;
+              `Solved root
             with Svutil.Deadline.Expired -> `Timeout)
          with
         | `Timeout -> deadline_hit := true

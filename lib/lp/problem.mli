@@ -6,9 +6,10 @@
     relaxation of whatever it is given.
 
     Every layer reads a program in the same layout: the IP builders
-    append rows straight into it, {!Presolve} compacts it, {!Sform}
-    lays its columns out from it, and {!Simplex.Exact}, {!Ilp} and
-    {!Certify} evaluate rows and the objective on it. Row [r]'s terms
+    append rows straight into it, {!Presolve} compacts it,
+    {!Fsimplex} lays its float columns out from it, {!Certify} checks
+    its certificates on its rows and bounds, and {!Simplex.Exact} and
+    {!Ilp} evaluate rows and the objective on it. Row [r]'s terms
     are [term_var.(k)], [term_coef.(k)] for [k] from [row_start.(r)] to
     [row_start.(r + 1) - 1], in ascending variable order, each variable
     at most once and every coefficient non-zero; [cmp.(r)] and

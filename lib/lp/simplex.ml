@@ -16,9 +16,7 @@ module type SOLVER = sig
     ?deadline:Svutil.Deadline.t ->
     ?metrics:Svutil.Metrics.t ->
     Problem.snapshot ->
-    warm option
-
-  val warm_root : warm -> result
+    result * warm option
 
   val warm_solve :
     ?deadline:Svutil.Deadline.t ->
@@ -382,7 +380,6 @@ module Exact : SOLVER = struct
     b0 : Rat.t array;  (** right-hand side currently applied, per row *)
     lb_row : int array;  (** row carrying var i's lower bound, or -1 *)
     ub_row : int array;
-    root : result;  (** the root optimum found at creation time *)
     metrics : Svutil.Metrics.t;
     mutable ok : bool;  (** false: give up on warm starts, always cold-solve *)
   }
@@ -394,7 +391,7 @@ module Exact : SOLVER = struct
     let missing_ub =
       Array.exists (fun i -> i) (Array.init n (fun i -> need_pair.(i) && s.ub.(i) = None))
     in
-    if missing_ub then None
+    if missing_ub then (solve ~deadline ~metrics s, None)
     else
       try
         let lb0 = Array.copy s.lb in
@@ -431,25 +428,12 @@ module Exact : SOLVER = struct
         let b0 = Array.copy t.b in
         let cost2 = phase2_cost ~ncols:t.ncols s in
         match two_phase t ~deadline ~metrics ~n_art ~cost2 with
-        | `Infeasible | `Unbounded -> None
+        | `Infeasible -> (Infeasible, None)
+        | `Unbounded -> (Unbounded, None)
         | `Optimal ->
-            Some
-              {
-                prob = s;
-                lb0;
-                t;
-                cost2;
-                unit_col;
-                b0;
-                lb_row;
-                ub_row;
-                root = extract t s ~lb0;
-                metrics;
-                ok = true;
-              }
-      with Bad_bounds -> None
-
-  let warm_root w = w.root
+            ( extract t s ~lb0,
+              Some { prob = s; lb0; t; cost2; unit_col; b0; lb_row; ub_row; metrics; ok = true } )
+      with Bad_bounds -> (Infeasible, None)
 
   exception Not_applicable
 
@@ -578,86 +562,53 @@ end
 
 (* {2 Hybrid-precision solver}
 
-   Hunt for the optimal basis in doubles (sparse revised simplex,
-   {!Fsimplex}), then certify that single basis in exact rationals
-   ({!Certify}): accept it on an exact check of its float point, repair
-   it with a short exact cleanup, or — only when certification fails
-   outright — fall back to the exact two-phase solver above.  Results
-   are exact rationals either way; the float pass is pure heuristics. *)
+   Hunt for the optimum in doubles (bounded dual simplex, {!Fsimplex}),
+   then certify what it found in exact rationals ({!Certify}); only a
+   failed certification falls back to the exact two-phase solver above.
+   Results are exact rationals either way; the float pass is pure
+   heuristics. *)
 module Hybrid : SOLVER = struct
   let fallback ~deadline ~metrics s =
     Svutil.Metrics.tick metrics "certify.fallbacks";
     Exact.solve ~deadline ~metrics s
 
-  (* The exact verdict on what the float pass found; [Cert_fail] sends
-     the caller to the fallback. *)
-  let certify ~deadline ~metrics sf ~rhs ~lb = function
-    | Fsimplex.Optimal_basis { basis; point } ->
-        Certify.check ~deadline ~metrics ~point sf ~rhs ~lb ~basis
-    | Fsimplex.Infeasible_col { basis; col } ->
-        if Certify.check_farkas ~deadline sf ~rhs ~basis ~col then
-          Certify.Cert_infeasible
-        else Certify.Cert_fail
-    | Fsimplex.Stalled -> Certify.Cert_fail
+  let create ~metrics s = Svutil.Metrics.span metrics "lp/sform" (fun () -> Fsimplex.create s)
 
-  (* The layout and the float solver state over it. *)
-  let prepare ~metrics s =
-    Svutil.Metrics.span metrics "lp/sform" (fun () ->
-        let sf = Sform.make s in
-        (sf, Fsimplex.create sf))
+  (* Some [ub < lb]: the box is empty. *)
+  let crossed (s : Problem.snapshot) =
+    let rec from i =
+      i < s.n && ((match s.ub.(i) with Some u -> Rat.lt u s.lb.(i) | None -> false) || from (i + 1))
+    in
+    from 0
 
-  (* One float-solve/certify round over a prepared standard form. A
-     node whose bound pattern differs from the layout's (branching gave
-     a variable without an upper bound one) is laid out afresh for
-     [s], whose bounds are [lb]/[ub], so it still solves in floats: the
-     fresh layout matches them, and the recursion stops there. *)
-  let rec solve_sform ~deadline ~metrics ~fs ~sf ~lb ~ub s =
-    match Sform.rhs sf ~lb ~ub with
-    | Sform.Mismatch ->
-        let sf, fs = prepare ~metrics s in
-        solve_sform ~deadline ~metrics ~fs ~sf ~lb ~ub s
-    | Sform.Crossed -> Infeasible
-    | Sform.Rhs rhs -> (
-        let found =
-          Svutil.Metrics.span metrics "lp/float" (fun () ->
-              Fsimplex.solve ~deadline ~metrics fs ~rhs)
-        in
-        match
-          Svutil.Metrics.span metrics "lp/certify" (fun () ->
-              certify ~deadline ~metrics sf ~rhs ~lb found)
-        with
-        | Certify.Cert_optimal { objective; values; _ } ->
-            Optimal { objective; values }
-        | Certify.Cert_infeasible -> Infeasible
-        | Certify.Cert_unbounded -> Unbounded
-        | Certify.Cert_fail -> fallback ~deadline ~metrics s)
+  (* One float pass over [fs] under [s]'s bounds, and its
+     certification. *)
+  let solve_with ~deadline ~metrics fs (s : Problem.snapshot) =
+    if crossed s then Infeasible
+    else
+      let found =
+        Svutil.Metrics.span metrics "lp/float" (fun () ->
+            Fsimplex.solve ~deadline ~metrics fs ~lb:s.lb ~ub:s.ub)
+      in
+      match Svutil.Metrics.span metrics "lp/certify" (fun () -> Certify.check ~metrics s found) with
+      | Certify.Cert_optimal { objective; values } -> Optimal { objective; values }
+      | Certify.Cert_infeasible -> Infeasible
+      | Certify.Cert_fail -> fallback ~deadline ~metrics s
 
   let solve ?(deadline = Svutil.Deadline.none) ?(metrics = Svutil.Metrics.nop)
       (s : Problem.snapshot) =
-    let sf, fs = prepare ~metrics s in
-    solve_sform ~deadline ~metrics ~fs ~sf ~lb:s.lb ~ub:s.ub s
+    solve_with ~deadline ~metrics (create ~metrics s) s
 
-  type warm = {
-    prob : Problem.snapshot;
-    sf : Sform.t;
-    fs : Fsimplex.t;
-    root : result;
-    metrics : Svutil.Metrics.t;
-  }
+  type warm = { prob : Problem.snapshot; fs : Fsimplex.t; metrics : Svutil.Metrics.t }
 
   let warm_create ?(deadline = Svutil.Deadline.none)
       ?(metrics = Svutil.Metrics.nop) (s : Problem.snapshot) =
-    let sf, fs = prepare ~metrics s in
-    match solve_sform ~deadline ~metrics ~fs ~sf ~lb:s.lb ~ub:s.ub s with
-    | Optimal _ as root -> Some { prob = s; sf; fs; root; metrics }
-    | Infeasible | Unbounded -> None
-
-  let warm_root w = w.root
+    let fs = create ~metrics s in
+    (solve_with ~deadline ~metrics fs s, Some { prob = s; fs; metrics })
 
   let warm_solve ?(deadline = Svutil.Deadline.none) w ~lb ~ub =
     Svutil.Metrics.tick w.metrics "simplex.warm_starts";
-    let s = Problem.with_bounds w.prob ~lb ~ub in
-    solve_sform ~deadline ~metrics:w.metrics ~fs:w.fs ~sf:w.sf ~lb ~ub s
+    solve_with ~deadline ~metrics:w.metrics w.fs (Problem.with_bounds w.prob ~lb ~ub)
 end
 
 type mode = Exact_mode | Hybrid_mode

@@ -4,14 +4,17 @@
     tableau over exact rationals and is the reference used by the
     paper-faithful experiments and the differential tests. {!Hybrid}
     runs a double-precision bounded dual simplex from the slack basis
-    ({!Fsimplex}) to hunt for the optimal basis, {!Certify} accepts it
-    on an exact check of its float primal–dual point (or refactorizes
-    it in exact rationals and repairs it), and only a failed
-    certification — or an LP whose slack basis is not dual feasible, a
-    negative cost on a column without an upper bound — falls back to
-    {!Exact}. Its optimal values equal {!Exact}'s (the optimal vertex
-    may differ among ties) at a fraction of the pivoting cost, which is
-    why it is the default route ({!Hybrid_mode}).
+    ({!Fsimplex}) to hunt for the optimum, {!Certify} accepts its
+    answer on an exact bounded-variable certificate checked on the
+    program's own rows (an optimal primal–dual pair, or a row
+    combination no point in the box meets), and only a failed
+    certification — a stalled pass (such as an LP whose slack basis is
+    not dual feasible, a negative cost on a column without an upper
+    bound), a value outside the recovery bounds, or a certificate that
+    does not check — falls back to {!Exact}. Its optimal values equal
+    {!Exact}'s (the optimal vertex may differ among ties) at a fraction
+    of the pivoting cost, which is why it is the default route
+    ({!Hybrid_mode}).
 
     Pivot selection is Dantzig's rule with a Bland fallback during
     degenerate streaks (anti-cycling), and the inner pivot loops skip
@@ -44,29 +47,25 @@ module type SOLVER = sig
 
   type warm
   (** Reusable solver state for a fixed constraint matrix: only the
-      bounds of integer-marked variables may change between calls.
-      Bounds are carried as explicit rows, so a branch-and-bound bound
-      change is a pure right-hand-side change and the parent's optimal
-      basis stays dual feasible — each node costs a short dual-simplex
-      pass instead of a full two-phase solve. *)
+      bounds of integer-marked variables may change between calls, so
+      the parent's optimal basis stays dual feasible and each
+      branch-and-bound node costs a short dual-simplex pass instead of
+      a full two-phase solve. *)
 
   val warm_create :
     ?deadline:Svutil.Deadline.t ->
     ?metrics:Svutil.Metrics.t ->
     Problem.snapshot ->
-    warm option
-  (** Builds warm state and solves the root. [None] when the problem is
-      not warmable (an integer variable without a finite upper bound,
-      or a root that is not primal-feasible and bounded) — callers fall
-      back to {!solve}. May raise {!Svutil.Deadline.Expired} from the
-      root solve. The [metrics] registry is stored in the warm state:
-      every later {!warm_solve} reports into it ([simplex.warm_starts]
-      plus the {!solve} counters). *)
-
-  val warm_root : warm -> result
-  (** The root optimum computed by {!warm_create}, at no extra cost —
-      callers should use it for the root node instead of a redundant
-      {!warm_solve} at root bounds. *)
+    result * warm option
+  (** Solves the root once and returns its result with the warm state
+      later nodes reoptimize from. The state is [None] when the problem
+      is not warmable — for {!Exact}, an integer variable without a
+      finite upper bound, or a root that is not primal-feasible and
+      bounded — and callers then solve nodes with {!solve}. May raise
+      {!Svutil.Deadline.Expired} from the root solve. The [metrics]
+      registry is stored in the warm state: every later {!warm_solve}
+      reports into it ([simplex.warm_starts] plus the {!solve}
+      counters). *)
 
   val warm_solve :
     ?deadline:Svutil.Deadline.t ->
@@ -88,16 +87,13 @@ module Hybrid : SOLVER
 (** Float-first basis hunting with exact certification: exact-rational
     results whose per-solve cost is dominated by the double-precision
     pass whenever certification accepts.  Metrics:
-    [simplex.hybrid.float_pivots], [certify.accepts], [certify.repairs],
-    [certify.factorizations] (certifications that built an exact
-    factorization because the float point did not check), and
-    [certify.fallbacks] (each fallback also runs the {!Exact}
-    counters); spans [lp/sform] around building the standard form and
-    the float solver state, [lp/float] around the float pass and
-    [lp/certify] around its certification. A warm solve whose bounds
-    change which variables carry an upper bound (branching on a
-    variable without one) gets a fresh standard form, so it also stays
-    in floats. *)
+    [simplex.hybrid.float_pivots], [certify.accepts] (optima accepted
+    on their certificate) and [certify.fallbacks] (each fallback also
+    runs the {!Exact} counters); spans [lp/sform] around
+    {!Fsimplex.create}, [lp/float] around the float pass and
+    [lp/certify] around its certification.  A warm state keeps one
+    float layout for all its nodes: a node that gives a variable
+    without an upper bound one (branching on it) reuses it too. *)
 
 (** {1 Solver selection} *)
 

@@ -149,21 +149,13 @@ let simplex_tests (module S : Lp.Simplex.SOLVER) =
     simplex_cases
 
 (* ------------------------------------------------------------------ *)
-(* Certify unit tests (hand-built bases)                               *)
+(* Certify unit tests                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Drive Certify.check directly on chosen bases of tiny problems, so
-   each of the accept / repair-primal / repair-dual / fallback branches
-   is pinned by a test that does not depend on what Fsimplex happens to
-   find. *)
-let root_rhs sf snap =
-  match Lp.Sform.rhs sf ~lb:snap.P.lb ~ub:snap.P.ub with
-  | Lp.Sform.Rhs rhs -> rhs
-  | _ -> Alcotest.fail "root bounds must produce a rhs"
-
-let certify_on snap basis =
-  let sf = Lp.Sform.make snap in
-  Lp.Certify.check sf ~rhs:(root_rhs sf snap) ~lb:snap.P.lb ~basis
+(* Drive Certify.check directly on hand-built float answers, so its
+   accept and reject branches are pinned by tests that do not depend on
+   what Fsimplex happens to find. *)
+let counter = Svutil.Metrics.counter_value
 
 let certify_snap_le1 =
   (* min -x-y st x+y <= 1: optimum -1 at a vertex with one var basic. *)
@@ -172,44 +164,26 @@ let certify_snap_le1 =
     ~constraints:[ ([ (0, Q.one); (1, Q.one) ], P.Le, Q.one) ]
     ~objective:[ (0, Q.minus_one); (1, Q.minus_one) ]
 
+(* x basic at 1 in the single row, y and the slack at 0, row dual [y]. *)
+let le1_answer y =
+  Lp.Fsimplex.Optimal { basis = [| 0 |]; at_upper = [| false; false |]; xb = [| 1. |]; y = [| y |] }
+
 let test_certify_accept () =
-  (* Basis {x}: primal and dual feasible, accepted without pivots. *)
-  match certify_on certify_snap_le1 [| 0 |] with
-  | Lp.Certify.Cert_optimal { objective; repaired; _ } ->
+  (* Rows hold, and every reduced cost is 0 but the slack's, which is 1
+     with the slack at its lower bound: accepted as it stands. *)
+  let m = Svutil.Metrics.create () in
+  match Lp.Certify.check ~metrics:m certify_snap_le1 (le1_answer (-1.)) with
+  | Lp.Certify.Cert_optimal { objective; values } ->
       check_q "objective" Q.minus_one objective;
-      Alcotest.(check bool) "accepted, not repaired" false repaired
+      check_q "x" Q.one values.(0);
+      check_q "y" Q.zero values.(1);
+      Alcotest.(check int) "one accept" 1 (counter m "certify.accepts")
   | _ -> Alcotest.fail "expected Cert_optimal"
 
-let test_certify_repair_primal () =
-  (* Slack basis: primal feasible (slack = 1) but dual infeasible
-     (reduced cost of x is -1), so a primal cleanup must run. *)
-  let slack = 2 (* columns: x, y, slack of the single row *) in
-  match certify_on certify_snap_le1 [| slack |] with
-  | Lp.Certify.Cert_optimal { objective; repaired; _ } ->
-      check_q "objective" Q.minus_one objective;
-      Alcotest.(check bool) "repaired" true repaired
-  | _ -> Alcotest.fail "expected repaired Cert_optimal"
-
-let test_certify_repair_dual () =
-  (* min x st x >= 2 with the slack basic: B = [-1] gives a negative
-     basic value, while the reduced costs are all non-negative — the
-     dual cleanup pivots x in and lands on the optimum 2. *)
-  let s =
-    build
-      ~vars:[ cvar "x" ]
-      ~constraints:[ ([ (0, Q.one) ], P.Ge, Q.two) ]
-      ~objective:[ (0, Q.one) ]
-  in
-  match certify_on s [| 1 |] with
-  | Lp.Certify.Cert_optimal { objective; repaired; _ } ->
-      check_q "objective" Q.two objective;
-      Alcotest.(check bool) "repaired" true repaired
-  | _ -> Alcotest.fail "expected repaired Cert_optimal"
-
 let test_certify_fallback_singular () =
-  (* Two parallel rows and the basis {x, y}: B = [[1,1],[2,2]] is
-     singular, so certification must fail (and the hybrid solver would
-     fall back to the exact two-phase path). *)
+  (* Two parallel rows and the basis {x, y}: with both slacks at 0 the
+     rows ask for x + y = 1 and 2x + 2y = 3 at once, so no point claimed
+     on this singular basis checks, whatever its (dual feasible) dual. *)
   let s =
     build
       ~vars:[ cvar "x"; cvar "y" ]
@@ -220,9 +194,16 @@ let test_certify_fallback_singular () =
         ]
       ~objective:[ (0, Q.minus_one); (1, Q.minus_one) ]
   in
-  match certify_on s [| 0; 1 |] with
-  | Lp.Certify.Cert_fail -> ()
-  | _ -> Alcotest.fail "expected Cert_fail on a singular basis"
+  List.iter
+    (fun xb ->
+      match
+        Lp.Certify.check s
+          (Lp.Fsimplex.Optimal
+             { basis = [| 0; 1 |]; at_upper = [| false; false |]; xb; y = [| -1.; 0. |] })
+      with
+      | Lp.Certify.Cert_fail -> ()
+      | _ -> Alcotest.fail "expected Cert_fail on a singular basis")
+    [ [| 1.; 0. |]; [| 0.5; 0.5 |]; [| 1.5; 0. |]; [| 0.75; 0.75 |] ]
 
 let test_exact_after_float_pivots () =
   (* Hybrid's float pass pivots, yet the answer is the exact rational
@@ -233,16 +214,15 @@ let test_exact_after_float_pivots () =
   | Lp.Simplex.Optimal { objective; _ } -> check_q "hybrid optimum" (Q.of_ints 34 5) objective
   | _ -> Alcotest.fail "hybrid should solve");
   Alcotest.(check bool) "hybrid pivoted in floats" true
-    (Svutil.Metrics.counter_value mh "simplex.hybrid.float_pivots" > 0);
+    (counter mh "simplex.hybrid.float_pivots" > 0);
   (* One float pass and one certification, which accepts the float
-     point without an exact factorization. *)
+     optimum. *)
   List.iter
     (fun path ->
       Alcotest.(check (option int)) path (Some 1)
         (Option.map fst (Svutil.Metrics.span_stats mh path)))
     [ "lp/float"; "lp/certify" ];
-  Alcotest.(check int) "no factorization" 0
-    (Svutil.Metrics.counter_value mh "certify.factorizations");
+  Alcotest.(check int) "accepted" 1 (counter mh "certify.accepts");
   (* Negative costs on columns without an upper bound leave the dual
      pass no dual-feasible start: the exact solver answers, once. *)
   let s = (fun (_, snap, _) -> snap) (List.hd simplex_cases) in
@@ -250,14 +230,13 @@ let test_exact_after_float_pivots () =
   (match Lp.Simplex.Hybrid.solve ~metrics:mf s with
   | Lp.Simplex.Optimal { objective; _ } -> check_q "fallback optimum" Q.minus_one objective
   | _ -> Alcotest.fail "hybrid should solve");
-  Alcotest.(check int) "one fallback" 1
-    (Svutil.Metrics.counter_value mf "certify.fallbacks")
+  Alcotest.(check int) "one fallback" 1 (counter mf "certify.fallbacks")
 
 let test_warm_fixed_columns () =
   (* Branch-and-bound nodes fix columns (lb = ub), whose reduced costs
      may carry either sign. Every node must come back from the warm
-     dual pass as an explicit pair that checks as is: no factorization,
-     no repair, no fallback, and the exact solver's answers. *)
+     dual pass with a certificate that checks as is: no fallback, and
+     the exact solver's answers. *)
   let s =
     build
       ~vars:[ ivar ~ub:Q.one "a"; ivar ~ub:Q.one "b"; ivar ~ub:Q.one "c" ]
@@ -270,10 +249,10 @@ let test_warm_fixed_columns () =
       ~objective:[ (0, Q.one); (1, Q.two); (2, Q.of_int 3) ]
   in
   let m = Svutil.Metrics.create () in
-  let w =
+  let root, w =
     match Lp.Simplex.Hybrid.warm_create ~metrics:m s with
-    | Some w -> w
-    | None -> Alcotest.fail "the root is feasible and bounded"
+    | root, Some w -> (root, w)
+    | _, None -> Alcotest.fail "the hybrid solver always keeps a warm state"
   in
   let same name snap got =
     match (got, Lp.Simplex.Exact.solve snap) with
@@ -283,7 +262,7 @@ let test_warm_fixed_columns () =
     | Lp.Simplex.Infeasible, Lp.Simplex.Infeasible -> ()
     | _ -> Alcotest.failf "%s: hybrid and exact disagree" name
   in
-  same "root" s (Lp.Simplex.Hybrid.warm_root w);
+  same "root" s root;
   let node name bounds =
     let lb = Array.copy s.P.lb and ub = Array.copy s.P.ub in
     List.iter
@@ -299,47 +278,17 @@ let test_warm_fixed_columns () =
   node "b >= 1, c <= 0" [ `Ge (1, 1); `Le (2, 0) ];
   node "root again" [];
   List.iter
-    (fun (c, want) ->
-      Alcotest.(check int) c want (Svutil.Metrics.counter_value m c))
-    [
-      ("certify.accepts", 5);
-      ("certify.factorizations", 0);
-      ("certify.fallbacks", 0);
-    ]
+    (fun (c, want) -> Alcotest.(check int) c want (counter m c))
+    [ ("certify.accepts", 5); ("certify.fallbacks", 0) ]
 
-(* The float pass's optimal basis and point for a snapshot's root. *)
-let float_optimum snap =
-  let sf = Lp.Sform.make snap in
-  let rhs = root_rhs sf snap in
-  match Lp.Fsimplex.solve (Lp.Fsimplex.create sf) ~rhs with
-  | Lp.Fsimplex.Optimal_basis { basis; point } -> Some (sf, rhs, basis, point)
-  | _ -> None
-
-(* Certify [basis] with and without [point] on live registries. *)
-let certify_both ?point snap (sf, rhs, basis) =
-  let run point =
-    let m = Svutil.Metrics.create () in
-    (Lp.Certify.check ~metrics:m ?point sf ~rhs ~lb:snap.P.lb ~basis, m)
-  in
-  (run point, run None)
-
-let same_outcome a b =
-  match (a, b) with
-  | ( Lp.Certify.Cert_optimal { objective = o1; values = v1; repaired = r1 },
-      Lp.Certify.Cert_optimal { objective = o2; values = v2; repaired = r2 } ) ->
-      Q.equal o1 o2 && Array.for_all2 Q.equal v1 v2 && r1 = r2
-  | Lp.Certify.Cert_infeasible, Lp.Certify.Cert_infeasible
-  | Lp.Certify.Cert_unbounded, Lp.Certify.Cert_unbounded
-  | Lp.Certify.Cert_fail, Lp.Certify.Cert_fail ->
-      true
-  | _ -> false
-
-let factorizations m = Svutil.Metrics.counter_value m "certify.factorizations"
+(* The float pass's answer for a snapshot under its own bounds. *)
+let float_answer (s : P.snapshot) =
+  Lp.Fsimplex.solve (Lp.Fsimplex.create s) ~lb:s.P.lb ~ub:s.P.ub
 
 let test_certify_beyond_recovery_bound () =
   (* min x st 1048583 x >= 1: the optimum 1/1048583 has a denominator
-     above the 2^20 recovery bound, so the float point cannot be read
-     back and the basis is certified through the exact factorization. *)
+     above the 2^20 recovery bound, so the float optimum cannot be read
+     back, and the exact solver answers through one fallback. *)
   let big = 1048583 in
   let s =
     build
@@ -347,49 +296,82 @@ let test_certify_beyond_recovery_bound () =
       ~constraints:[ ([ (0, Q.of_int big) ], P.Ge, Q.one) ]
       ~objective:[ (0, Q.one) ]
   in
-  match float_optimum s with
-  | None -> Alcotest.fail "the float pass should find the optimal basis"
-  | Some (sf, rhs, basis, point) -> (
-      let (got, m), _ = certify_both ~point s (sf, rhs, basis) in
-      Alcotest.(check int) "one factorization" 1 (factorizations m);
-      match got with
-      | Lp.Certify.Cert_optimal { objective; repaired; _ } ->
-          check_q "objective" (Q.of_ints 1 big) objective;
-          Alcotest.(check bool) "accepted, not repaired" false repaired
-      | _ -> Alcotest.fail "expected Cert_optimal")
+  (match float_answer s with
+  | Lp.Fsimplex.Optimal _ as found -> (
+      match Lp.Certify.check s found with
+      | Lp.Certify.Cert_fail -> ()
+      | _ -> Alcotest.fail "a value beyond the recovery bound must not certify")
+  | _ -> Alcotest.fail "the float pass should find the optimum");
+  let m = Svutil.Metrics.create () in
+  (match Lp.Simplex.Hybrid.solve ~metrics:m s with
+  | Lp.Simplex.Optimal { objective; _ } -> check_q "objective" (Q.of_ints 1 big) objective
+  | _ -> Alcotest.fail "expected the exact optimum");
+  Alcotest.(check int) "one fallback" 1 (counter m "certify.fallbacks");
+  Alcotest.(check int) "no accept" 0 (counter m "certify.accepts")
 
 let test_certify_perturbed_dual () =
   (* A dual moved by 1/2 still recovers as a rational, so the exact
-     check itself must reject the pair; the factorization then gives
-     the same outcome as a call without a point. *)
+     check itself must reject the pair: on the hand-built optimum above,
+     and on the float pass's own optimum of the fractional vertex. *)
+  let m = Svutil.Metrics.create () in
+  (match Lp.Certify.check ~metrics:m certify_snap_le1 (le1_answer (-0.5)) with
+  | Lp.Certify.Cert_fail -> ()
+  | _ -> Alcotest.fail "a perturbed dual must not certify");
   let s = (fun (_, snap, _) -> snap) (List.nth simplex_cases 1) in
-  match float_optimum s with
-  | None -> Alcotest.fail "the float pass should find the optimal basis"
-  | Some (sf, rhs, basis, point) ->
-      let y = Array.copy point.Lp.Fsimplex.y in
+  (match float_answer s with
+  | Lp.Fsimplex.Optimal o -> (
+      (match Lp.Certify.check ~metrics:m s (Lp.Fsimplex.Optimal o) with
+      | Lp.Certify.Cert_optimal _ -> ()
+      | _ -> Alcotest.fail "the float optimum must certify as it stands");
+      let y = Array.copy o.y in
       y.(0) <- y.(0) +. 0.5;
-      let (bad, m), (plain, _) =
-        certify_both ~point:{ point with Lp.Fsimplex.y } s (sf, rhs, basis)
-      in
-      Alcotest.(check int) "rejected pair falls back to a factorization" 1
-        (factorizations m);
-      Alcotest.(check bool) "same outcome as without a point" true
-        (same_outcome bad plain)
+      match Lp.Certify.check ~metrics:m s (Lp.Fsimplex.Optimal { o with y }) with
+      | Lp.Certify.Cert_fail -> ()
+      | _ -> Alcotest.fail "a perturbed dual must not certify")
+  | _ -> Alcotest.fail "the float pass should find the optimum");
+  Alcotest.(check int) "only the unperturbed pair accepted" 1 (counter m "certify.accepts");
+  (* The float pass offers no certificate for [certify_snap_le1] (its
+     negative costs have no upper bound): Hybrid answers through one
+     fallback. *)
+  let mh = Svutil.Metrics.create () in
+  (match Lp.Simplex.Hybrid.solve ~metrics:mh certify_snap_le1 with
+  | Lp.Simplex.Optimal { objective; _ } -> check_q "fallback optimum" Q.minus_one objective
+  | _ -> Alcotest.fail "hybrid should solve");
+  Alcotest.(check int) "one fallback" 1 (counter mh "certify.fallbacks")
+
+let test_certify_infeasible_eq () =
+  (* min x+y st x+y = 3, x, y <= 1: the Eq row's logical, fixed at 0,
+     ends above its bound with no column left to enter. Its row of B^-1,
+     negated, is an infeasibility certificate: no fallback. *)
+  let s =
+    build
+      ~vars:[ cvar ~ub:Q.one "x"; cvar ~ub:Q.one "y" ]
+      ~constraints:[ ([ (0, Q.one); (1, Q.one) ], P.Eq, Q.of_int 3) ]
+      ~objective:[ (0, Q.one); (1, Q.one) ]
+  in
+  let m = Svutil.Metrics.create () in
+  (match Lp.Simplex.Hybrid.solve ~metrics:m s with
+  | Lp.Simplex.Infeasible -> ()
+  | _ -> Alcotest.fail "expected Infeasible");
+  Alcotest.(check int) "no fallback" 0 (counter m "certify.fallbacks");
+  (* A dual of the wrong sign proves nothing. *)
+  match Lp.Certify.check s (Lp.Fsimplex.Infeasible { y = [| 1. |] }) with
+  | Lp.Certify.Cert_fail -> ()
+  | _ -> Alcotest.fail "y = 1 is no infeasibility certificate"
 
 let certify_tests =
   [
     Alcotest.test_case "accept optimal basis" `Quick test_certify_accept;
-    Alcotest.test_case "repair primal-feasible basis" `Quick test_certify_repair_primal;
-    Alcotest.test_case "repair dual-feasible basis" `Quick test_certify_repair_dual;
     Alcotest.test_case "fail on singular basis" `Quick test_certify_fallback_singular;
     Alcotest.test_case "exact optimum after float pivots" `Quick
       test_exact_after_float_pivots;
-    Alcotest.test_case "accept beyond the recovery bound" `Quick
+    Alcotest.test_case "fallback past the recovery bound" `Quick
       test_certify_beyond_recovery_bound;
     Alcotest.test_case "perturbed dual is rejected" `Quick
       test_certify_perturbed_dual;
     Alcotest.test_case "warm path across fixed columns" `Quick
       test_warm_fixed_columns;
+    Alcotest.test_case "infeasible equality row" `Quick test_certify_infeasible_eq;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -461,8 +443,8 @@ let test_ilp_cover () =
 
 let test_ilp_new_bound_pattern () =
   (* x has no upper bound, so branching on it gives a child one: that
-     node's bound pattern differs from the root layout's, and the hybrid
-     solver lays it out afresh instead of falling back to exact. *)
+     node reuses the root's warm state, with its one float layout,
+     instead of falling back to exact. *)
   let s =
     build
       ~vars:[ ivar "x"; ivar ~ub:(Q.of_int 5) "y" ]
@@ -478,7 +460,35 @@ let test_ilp_new_bound_pattern () =
   | Lp.Ilp.Optimal { objective; _ } -> check_q "hybrid optimum" Q.two objective
   | _ -> Alcotest.fail "hybrid: expected optimal");
   Alcotest.(check int) "nodes" 3 stats.Lp.Ilp.nodes;
+  Alcotest.(check (option int)) "one layout" (Some 1)
+    (Option.map fst (Svutil.Metrics.span_stats m "lp/sform"));
   Alcotest.(check int) "no fallback" 0 (Svutil.Metrics.counter_value m "certify.fallbacks")
+
+let test_ilp_infeasible_root_once () =
+  (* x + y >= 2 and x + y <= 3/2: the root LP is infeasible, and the
+     root solve that says so is the only one. *)
+  let s =
+    build
+      ~vars:[ ivar ~ub:(Q.of_int 5) "x"; ivar ~ub:(Q.of_int 5) "y" ]
+      ~constraints:
+        [
+          ([ (0, Q.one); (1, Q.one) ], P.Ge, Q.two);
+          ([ (0, Q.one); (1, Q.one) ], P.Le, Q.of_ints 3 2);
+          ([ (0, Q.one); (1, Q.minus_one) ], P.Le, Q.of_int 4);
+        ]
+      ~objective:[ (0, Q.one); (1, Q.one) ]
+  in
+  let m = Svutil.Metrics.create () in
+  let result, stats = Lp.Ilp.Hybrid.solve_with_stats ~metrics:m s in
+  (match result with
+  | Lp.Ilp.Infeasible -> ()
+  | _ -> Alcotest.fail "expected infeasible");
+  Alcotest.(check int) "nodes" 1 stats.Lp.Ilp.nodes;
+  List.iter
+    (fun path ->
+      Alcotest.(check (option int)) path (Some 1)
+        (Option.map fst (Svutil.Metrics.span_stats m path)))
+    [ "lp/sform"; "lp/float"; "lp/certify" ]
 
 let test_ilp_lp_feasible_ip_infeasible () =
   (* 2x = 1 with x in {0,1}. *)
@@ -712,14 +722,15 @@ let hybrid_agrees s =
   | Lp.Simplex.Unbounded, Lp.Simplex.Unbounded -> true
   | _ -> false
 
-(* Deterministic per-instance bound tightenings for the warm-path
-   differential: tighten, relax, and cross the first variable's bounds
-   and compare every reoptimization against a cold exact solve. *)
+(* Deterministic per-instance bound changes for the warm-path
+   differential: tighten, relax, cross and drop the first variable's
+   bounds and compare every reoptimization against a cold exact
+   solve. *)
 let hybrid_warm_agrees s =
   let s = P.all_integer s in
   match Lp.Simplex.Hybrid.warm_create s with
-  | None -> false (* bounded all-integer programs are always warmable *)
-  | Some w ->
+  | _, None -> false (* the hybrid solver always keeps a warm state *)
+  | root, Some w ->
       let check_bounds lb ub =
         let want = Lp.Simplex.Exact.solve (P.with_bounds s ~lb ~ub) in
         match (Lp.Simplex.Hybrid.warm_solve w ~lb ~ub, want) with
@@ -729,7 +740,7 @@ let hybrid_warm_agrees s =
         | _ -> false
       in
       let root_ok =
-        match (Lp.Simplex.Hybrid.warm_root w, Lp.Simplex.Exact.solve s) with
+        match (root, Lp.Simplex.Exact.solve s) with
         | Lp.Simplex.Optimal a, Lp.Simplex.Optimal b -> Q.equal a.objective b.objective
         | _ -> false
       in
@@ -744,16 +755,18 @@ let hybrid_warm_agrees s =
       && with_first (fun lb ub ->
              lb.(0) <- Q.of_int 4;
              ub.(0) <- Some Q.two)
+      && with_first (fun _ ub -> ub.(0) <- None)
       && check_bounds s.P.lb s.P.ub
 
-(* Certification with the float pass's point must give exactly the
-   outcome of certification through the exact factorization. *)
-let certify_point_agrees s =
-  match float_optimum s with
-  | None -> true
-  | Some (sf, rhs, basis, point) ->
-      let (a, _), (b, _) = certify_both ~point s (sf, rhs, basis) in
-      same_outcome a b
+(* Whatever Certify accepts from the float pass is the exact solver's
+   verdict: an accepted optimum is a feasible point at the exact
+   optimal value, and certified infeasibility is infeasibility. *)
+let certified_matches_exact s =
+  match (Lp.Certify.check s (float_answer s), Lp.Simplex.Exact.solve s) with
+  | Lp.Certify.Cert_optimal a, Lp.Simplex.Optimal b ->
+      Q.equal a.objective b.objective && feasible s a.values
+  | Lp.Certify.Cert_infeasible, Lp.Simplex.Infeasible | Lp.Certify.Cert_fail, _ -> true
+  | _ -> false
 
 let hybrid_props =
   [
@@ -784,8 +797,8 @@ let hybrid_props =
         | Lp.Ilp.Infeasible, Lp.Ilp.Infeasible -> true
         | Lp.Ilp.Unbounded, Lp.Ilp.Unbounded -> true
         | _ -> false);
-    prop "certify with and without the float point agree" gen_general_lp
-      certify_point_agrees;
+    prop "certificates match Simplex.Exact" gen_general_lp
+      certified_matches_exact;
   ]
 
 let props =
@@ -917,6 +930,7 @@ let () =
           Alcotest.test_case "simplex deadline raises" `Quick test_simplex_deadline_raises;
           Alcotest.test_case "exact zero tolerance" `Quick test_exact_zero_tolerance;
           Alcotest.test_case "presolve empty rows" `Quick test_presolve_empty_rows;
+          Alcotest.test_case "infeasible root solved once" `Quick test_ilp_infeasible_root_once;
         ] );
       ( "modeling",
         [
