@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-tables bench-smoke bench-smoke-json bench-json bench-compare lint-examples flow-examples batch-examples delta-examples serve-examples examples-smoke perfbench-smoke clean
+.PHONY: build test bench bench-tables bench-smoke bench-smoke-json bench-json bench-compare lint-examples flow-examples batch-examples delta-examples serve-examples examples-smoke perfbench-smoke fuzz-parse clean
 
 # Output path for bench-json; override to record a new baseline, e.g.
 #   make bench-json OUT=BENCH_PR2.json
@@ -188,6 +188,22 @@ perfbench-smoke:
 	  || { echo "FAIL: perfbench-smoke traced result lines"; \
 	       grep '^{' /tmp/perfbench_smoke_trace.out | cut -c1-200; exit 1; }
 	@echo "ok: perfbench-smoke (both workloads correct, no failed requests, traced replay byte-equal)"
+
+# Parser fuzz smoke: test_parse's two differentials over FUZZ_COUNT
+# mutated fixtures each, drawn from the fixed seed FUZZ_SEED. The
+# scanner must give the token-list parser's raw declarations, and
+# parse_string and spec_of_raw must elaborate as the string-table
+# reference does (same spec field by field, same error text apart from
+# the two row errors that now name their lines). Raise FUZZ_COUNT or
+# vary FUZZ_SEED for a longer sweep; a crasher becomes a fixture under
+# examples/bad/ or a test case.
+FUZZ_COUNT ?= 50000
+FUZZ_SEED ?= 27
+
+fuzz-parse:
+	dune build test/test_parse.exe $(wildcard examples/*.swf examples/bad/*.swf)
+	cd _build/default/test && PARSE_FUZZ_COUNT=$(FUZZ_COUNT) QCHECK_SEED=$(FUZZ_SEED) \
+	  ./test_parse.exe test '(scanner|elaboration)'
 
 clean:
 	dune clean

@@ -246,22 +246,174 @@ let cost t ~hidden ~privatized =
 
 (* {1 Set form}
 
-   [Requirement]'s normalization runs on name ranks, which order as the
-   names do, and the ranks map back to ids. *)
+   Every side is an id array ordered by name rank with no repeats. The
+   options are sorted as [compare] orders rank lists (side by side, a
+   prefix first), repeats are dropped, and so is every option that
+   contains another: what {!Requirement.normalize_sets} does on rank
+   lists, read through [rank] on the id arrays. *)
+
+let rec strictly_ranked rank ids i =
+  i >= Array.length ids || (rank.(ids.(i - 1)) < rank.(ids.(i)) && strictly_ranked rank ids (i + 1))
+
+(* [ids] ordered by rank without repeats; [ids] itself when it already is. *)
+let by_rank_set rank ids =
+  if strictly_ranked rank ids 1 then ids
+  else begin
+    let a = Array.copy ids in
+    Array.stable_sort (fun i j -> Int.compare rank.(i) rank.(j)) a;
+    let k = ref 0 in
+    for j = 0 to Array.length a - 1 do
+      if !k = 0 || a.(!k - 1) <> a.(j) then begin
+        a.(!k) <- a.(j);
+        incr k
+      end
+    done;
+    if !k = Array.length a then a else Array.sub a 0 !k
+  end
+
+(* Two sides in the order [compare] gives their rank lists, from
+   position [i]: a prefix first. *)
+let rec compare_side rank a b i =
+  if i = Array.length a then if i = Array.length b then 0 else -1
+  else if i = Array.length b then 1
+  else
+    let c = Int.compare rank.(a.(i)) rank.(b.(i)) in
+    if c <> 0 then c else compare_side rank a b (i + 1)
+
+let compare_option rank (i, o) (i', o') =
+  let c = compare_side rank i i' 0 in
+  if c <> 0 then c else compare_side rank o o' 0
+
+(* [a.(i ..)] is a subset of [b.(j ..)]; both ordered by rank. *)
+let rec side_subset rank a b i j =
+  i = Array.length a
+  || j < Array.length b
+     &&
+     let c = Int.compare rank.(a.(i)) rank.(b.(j)) in
+     if c = 0 then side_subset rank a b (i + 1) (j + 1) else c > 0 && side_subset rank a b i (j + 1)
+
+let contains rank (i, o) (i', o') = side_subset rank i i' 0 0 && side_subset rank o o' 0 0
+
+(* Some other option of [opts.(0 .. n - 1)] is contained in option [j]. *)
+let rec dominated rank opts n j j' =
+  j' < n && ((j' <> j && contains rank opts.(j') opts.(j)) || dominated rank opts n j (j' + 1))
+
+(* [opts], a fresh array, normalized in place: sides ordered by rank,
+   options sorted by insertion (a module has few), repeats dropped,
+   then every option that contains another. *)
+let normalize_options rank opts =
+  Array.iteri
+    (fun j (i, o) ->
+      let i' = by_rank_set rank i and o' = by_rank_set rank o in
+      if i' != i || o' != o then opts.(j) <- (i', o'))
+    opts;
+  for j = 1 to Array.length opts - 1 do
+    let x = opts.(j) in
+    let k = ref (j - 1) in
+    while !k >= 0 && compare_option rank opts.(!k) x > 0 do
+      opts.(!k + 1) <- opts.(!k);
+      decr k
+    done;
+    opts.(!k + 1) <- x
+  done;
+  let n = ref 0 in
+  for j = 0 to Array.length opts - 1 do
+    if !n = 0 || compare_option rank opts.(!n - 1) opts.(j) <> 0 then begin
+      opts.(!n) <- opts.(j);
+      incr n
+    end
+  done;
+  let n = !n in
+  let drop = Array.make n false in
+  for j = 0 to n - 1 do
+    drop.(j) <- dominated rank opts n j 0
+  done;
+  let k = ref 0 in
+  for j = 0 to n - 1 do
+    if not drop.(j) then begin
+      opts.(!k) <- opts.(j);
+      incr k
+    end
+  done;
+  if !k = Array.length opts then opts else Array.sub opts 0 !k
+
+let rec binomial n k = if k = 0 then 1 else binomial (n - 1) (k - 1) * n / k
+
+(* The subsets of [ids] of size [k], by position, in lexicographic
+   order: each keeps [ids]'s order. *)
+let of_size ids k =
+  let n = Array.length ids in
+  if k < 0 || k > n then [||]
+  else begin
+    let out = Array.make (binomial n k) [||] and pick = Array.make k 0 and next = ref 0 in
+    let rec go from j =
+      if j = k then begin
+        out.(!next) <- Array.copy pick;
+        incr next
+      end
+      else
+        for p = from to n - (k - j) do
+          pick.(j) <- ids.(p);
+          go (p + 1) (j + 1)
+        done
+    in
+    go 0 0;
+    out
+  end
+
+(* Every (inputs, outputs) choice of each size pair. The sides are
+   sorted by rank first, repeats kept (a choice that picks one attribute
+   twice shrinks when normalized, as it always has), so most choices
+   are in order already. *)
+let card_options rank ~ins ~outs card =
+  let check a =
+    if Array.length a > Svutil.Subset.max_universe then Svutil.Subset.check_universe (Array.to_list a)
+  in
+  if card <> [] then (check ins; check outs);
+  let sorted a =
+    let a = Array.copy a in
+    for j = 1 to Array.length a - 1 do
+      let x = a.(j) in
+      let k = ref (j - 1) in
+      while !k >= 0 && rank.(a.(!k)) > rank.(x) do
+        a.(!k + 1) <- a.(!k);
+        decr k
+      done;
+      a.(!k + 1) <- x
+    done;
+    a
+  in
+  let ins = sorted ins and outs = sorted outs in
+  let n_in = Array.length ins and n_out = Array.length outs in
+  let count (a, b) =
+    if a < 0 || a > n_in || b < 0 || b > n_out then 0 else binomial n_in a * binomial n_out b
+  in
+  let opts = Array.make (List.fold_left (fun acc ab -> acc + count ab) 0 card) ([||], [||]) in
+  let next = ref 0 in
+  List.iter
+    (fun (a, b) ->
+      let is = of_size ins a and os = of_size outs b in
+      Array.iter
+        (fun i ->
+          Array.iter
+            (fun o ->
+              opts.(!next) <- (i, o);
+              incr next)
+            os)
+        is)
+    card;
+  opts
+
 let to_sets t =
   if t.set_form then t
   else
-    let ranks ids = Array.fold_right (fun i acc -> t.rank.(i) :: acc) ids [] in
-    let ids ranks = Array.of_list (List.map (fun r -> t.by_rank.(r)) ranks) in
     let set_req m =
       let opts =
         match m.ireq with
-        | Card l -> Requirement.card_to_sets ~inputs:(ranks m.ins) ~outputs:(ranks m.outs) l
-        | Sets a ->
-            Requirement.normalize_sets
-              (Array.fold_right (fun (i, o) acc -> (ranks i, ranks o) :: acc) a [])
+        | Card l -> card_options t.rank ~ins:m.ins ~outs:m.outs l
+        | Sets a -> Array.copy a
       in
-      { m with ireq = Sets (Array.of_list (List.map (fun (i, o) -> (ids i, ids o)) opts)) }
+      { m with ireq = Sets (normalize_options t.rank opts) }
     in
     { t with pmods = Array.map set_req t.pmods; set_form = true }
 

@@ -153,8 +153,8 @@ val cost : t -> hidden:string list -> privatized:string list -> Rat.t
 val to_sets : t -> t
 (** Convert every cardinality requirement into the equivalent explicit
     set requirement (for the set-constraint solvers) and normalize every
-    set list: {!Requirement.card_to_sets} and
-    {!Requirement.normalize_sets} on name ranks. Returns its argument
-    when it is already in that form. *)
+    set list: the lists {!Requirement.card_to_sets} and
+    {!Requirement.normalize_sets} give on name ranks, computed on the id
+    arrays. Returns its argument when it is already in that form. *)
 
 val pp : Format.formatter -> t -> unit

@@ -157,7 +157,13 @@ let to_string = function
       if B.equal den B.one then B.to_string num
       else B.to_string num ^ "/" ^ B.to_string den
 
-let of_string s =
+let rec all_digits s p len =
+  p = len || match String.unsafe_get s p with '0' .. '9' -> all_digits s (p + 1) len | _ -> false
+
+let rec decimal s p len acc =
+  if p = len then acc else decimal s (p + 1) len ((acc * 10) + Char.code (String.unsafe_get s p) - 48)
+
+let of_big_string s =
   match String.index_opt s '/' with
   | Some i ->
       let n = B.of_string (String.sub s 0 i) in
@@ -179,6 +185,16 @@ let of_string s =
           let frac_val = make (B.of_string frac) scale in
           let base = of_bigint whole in
           if negative then sub base frac_val else add base frac_val)
+
+(* An optional sign and at most nine digits is below [small_lim], so it
+   is read natively; everything else goes through {!Bigint}. *)
+let of_string s =
+  let len = String.length s in
+  let start = if len > 0 && (s.[0] = '-' || s.[0] = '+') then 1 else 0 in
+  if len > start && len - start <= 9 && all_digits s start len then
+    let v = decimal s start len 0 in
+    of_int (if start = 1 && s.[0] = '-' then -v else v)
+  else of_big_string s
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 

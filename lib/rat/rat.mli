@@ -70,7 +70,9 @@ val to_string : t -> string
 (** ["p/q"], or just ["p"] when the value is an integer. *)
 
 val of_string : string -> t
-(** Accepts ["p"], ["p/q"] and simple decimals like ["1.25"].
+(** Accepts ["p"], ["p/q"] and simple decimals like ["1.25"]. An
+    optional sign and at most nine digits is read natively, without
+    {!Bigint}.
     @raise Invalid_argument on malformed input. *)
 
 val pp : Format.formatter -> t -> unit

@@ -16,6 +16,8 @@ let create schema rows =
     rows;
   make schema (List.sort_uniq Tuple.compare rows)
 
+let of_sorted = make
+
 let schema t = t.schema
 let rows t = t.rows
 let size t = List.length t.rows

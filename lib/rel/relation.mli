@@ -11,6 +11,11 @@ val create : Schema.t -> Tuple.t list -> t
 (** Sorts, deduplicates, and validates every row against the schema.
     @raise Invalid_argument if a row is malformed. *)
 
+val of_sorted : Schema.t -> Tuple.t list -> t
+(** {!create} for rows the caller has already checked against the
+    schema, sorted ascending by {!Tuple.compare} and deduplicated; no
+    check, no sort. *)
+
 val schema : t -> Schema.t
 val rows : t -> Tuple.t list
 val size : t -> int

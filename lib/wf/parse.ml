@@ -39,24 +39,156 @@ type spec = {
   public_mods : (int * Rat.t) array;
 }
 
-(* Mutable builder used only while scanning lines. *)
-type mod_builder = {
-  b_line : int;
-  b_name : string;
-  b_public : Rat.t option;
-  b_inputs : string list;
-  b_outputs : string list;
-  mutable b_rows : raw_row list;  (** reverse order *)
-  mutable b_fn : (string list * int) option;
-}
-
 exception Parse_error of int * string
 
 let fail lineno fmt = Printf.ksprintf (fun m -> raise (Parse_error (lineno, m))) fmt
 
 (* ------------------------------------------------------------------ *)
+(* Names                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The spec's names, one symbol each: symbol [s] stands for the string
+   [strs.(s)], allocated at the name's first occurrence and shared by
+   every later mention. A name is hashed over its bytes where it lies,
+   so finding one copies nothing, and a name of at most seven bytes is
+   its own key: its bytes and length in one int, so finding it compares
+   one int per slot. One table serves attributes, modules and builtin
+   words alike. *)
+type names = {
+  mutable strs : string array;
+  mutable count : int;
+  mutable slots : int array;  (** open addressing: symbol + 1, or 0 when free *)
+  mutable keys : int array;  (** per slot: its short name's key, or -1 *)
+}
+
+let rec same_from text start s k len =
+  k = len
+  || String.unsafe_get text (start + k) = String.unsafe_get s k
+     && same_from text start s (k + 1) len
+
+let rec bytes_le s p k acc =
+  if k < 0 then acc else bytes_le s p (k - 1) ((acc lsl 8) lor Char.code (String.unsafe_get s (p + k)))
+
+(* Bytes [p .. p + n - 1] of [s], [n <= 7], as one int (little-endian):
+   a single load where eight bytes are readable. *)
+let chunk s p n =
+  if p + 8 <= String.length s then Int64.to_int (String.get_int64_le s p) land ((1 lsl (n lsl 3)) - 1)
+  else bytes_le s p (n - 1) 0
+
+(* Every bit of [h] reaches the low bits. *)
+let fold h =
+  let h = (h lxor (h lsr 32)) * 0x4cf5ad432745937f in
+  h lxor (h lsr 31)
+
+let short_key s p len = chunk s p len lor (len lsl 56)
+
+let rec hash_from s p stop h =
+  if p = stop then fold h
+  else hash_from s (p + 1) stop ((h lxor Char.code (String.unsafe_get s p)) * 0x100000001b3)
+
+let rec probe_key nm key i =
+  if Array.unsafe_get nm.slots i = 0 || Array.unsafe_get nm.keys i = key then i
+  else probe_key nm key ((i + 1) land (Array.length nm.slots - 1))
+
+let rec probe_long nm text start len i =
+  let s = Array.unsafe_get nm.slots i - 1 in
+  if
+    s < 0
+    || Array.unsafe_get nm.keys i < 0
+       && String.length nm.strs.(s) = len
+       && same_from text start nm.strs.(s) 0 len
+  then i
+  else probe_long nm text start len ((i + 1) land (Array.length nm.slots - 1))
+
+(* The slot holding [text.[start .. stop - 1]], or the free slot where
+   it belongs. *)
+let slot nm text start stop =
+  let len = stop - start and mask = Array.length nm.slots - 1 in
+  if len <= 7 then
+    let key = short_key text start len in
+    probe_key nm key (fold key land mask)
+  else probe_long nm text start len (hash_from text start stop 0 land mask)
+
+let names () =
+  { strs = Array.make 32 ""; count = 0; slots = Array.make 64 0; keys = Array.make 64 (-1) }
+
+(* The symbol of [text.[start .. stop - 1]], or -1. *)
+let find nm text start stop = nm.slots.(slot nm text start stop) - 1
+
+let place nm i sym str =
+  let len = String.length str in
+  nm.slots.(i) <- sym + 1;
+  nm.keys.(i) <- (if len <= 7 then short_key str 0 len else -1)
+
+let intern nm text start stop =
+  let i = slot nm text start stop in
+  let s = nm.slots.(i) in
+  if s > 0 then s - 1
+  else begin
+    let sym = nm.count in
+    if sym = Array.length nm.strs then nm.strs <- Array.append nm.strs nm.strs;
+    let str =
+      if start = 0 && stop = String.length text then text else String.sub text start (stop - start)
+    in
+    nm.strs.(sym) <- str;
+    place nm i sym str;
+    nm.count <- sym + 1;
+    if 2 * nm.count > Array.length nm.slots then begin
+      nm.slots <- Array.make (2 * Array.length nm.slots) 0;
+      nm.keys <- Array.make (Array.length nm.slots) (-1);
+      for t = 0 to nm.count - 1 do
+        let str = nm.strs.(t) in
+        place nm (slot nm str 0 (String.length str)) t str
+      done
+    end;
+    sym
+  end
+
+let intern_string nm s = intern nm s 0 (String.length s)
+
+(* The declarations' names as symbols, which is all elaboration reads
+   of them. *)
+type symbols = {
+  names : names;
+  attr_sym : int array;  (** attribute declaration -> symbol *)
+  mod_sym : int array;  (** module declaration -> symbol *)
+  in_syms : int array array;  (** module declaration -> its inputs' symbols *)
+  out_syms : int array array;
+  gamma_sym : int array;  (** gamma directive -> its module's symbol, -1 for the default *)
+}
+
+let symbols_of_raw raw =
+  let nm = names () in
+  let sym = intern_string nm in
+  let syms l = Array.of_list (List.map sym l) in
+  {
+    names = nm;
+    attr_sym = Array.of_list (List.map (fun a -> sym a.a_name) raw.r_attrs);
+    mod_sym = Array.of_list (List.map (fun m -> sym m.m_name) raw.r_modules);
+    in_syms = Array.of_list (List.map (fun m -> syms m.m_inputs) raw.r_modules);
+    out_syms = Array.of_list (List.map (fun m -> syms m.m_outputs) raw.r_modules);
+    gamma_sym =
+      Array.of_list (List.map (fun g -> Option.fold ~none:(-1) ~some:sym g.g_module) raw.r_gammas);
+  }
+
+(* ------------------------------------------------------------------ *)
 (* Raw parsing: syntax only                                            *)
 (* ------------------------------------------------------------------ *)
+
+(* Mutable builder used only while scanning lines. *)
+type mod_builder = {
+  b_line : int;
+  b_sym : int;
+  b_public : Rat.t option;
+  b_in_syms : int array;
+  b_out_syms : int array;
+  mutable b_rows : raw_row list;  (** reverse order *)
+  mutable b_fn : (string list * int) option;
+}
+
+let no_module =
+  { b_line = 0; b_sym = -1; b_public = None; b_in_syms = [||]; b_out_syms = [||]; b_rows = [];
+    b_fn = None }
 
 (* The line being scanned, as token offsets into the whole text: token
    [i] is [text.[starts.(i) .. stops.(i) - 1]]. A token is a maximal run
@@ -68,6 +200,9 @@ type scan = {
   mutable n : int;
   mutable starts : int array;
   mutable stops : int array;
+  nm : names;
+  mutable latest : mod_builder array;
+      (** symbol -> its latest module declaration, or {!no_module} *)
 }
 
 let push sc start stop =
@@ -80,37 +215,42 @@ let push sc start stop =
   sc.stops.(sc.n) <- stop;
   sc.n <- sc.n + 1
 
-(* Record the tokens of [text.[p .. stop - 1]]: [gap] skips separators,
-   [word] extends the token that starts at [s]. The scanning helpers
-   take every value as a parameter, so no closure is built per line or
-   per token. *)
-let rec gap sc stop p =
-  if p < stop then
+(* Record the tokens of the line that starts at [p] and return where it
+   ends (its newline, or the end of the text): [gap] skips separators,
+   [word] extends the token that starts at [s], [comment] skips to the
+   newline. The scanning helpers take every value as a parameter, so no
+   closure is built per line or per token. *)
+let rec gap sc p =
+  if p = String.length sc.text then p
+  else
     match String.unsafe_get sc.text p with
-    | ' ' | '\t' -> gap sc stop (p + 1)
-    | '#' -> ()
-    | _ -> word sc stop p (p + 1)
+    | ' ' | '\t' -> gap sc (p + 1)
+    | '\n' -> p
+    | '#' -> comment sc (p + 1)
+    | _ -> word sc p (p + 1)
 
-and word sc stop s p =
-  if p < stop then
+and word sc s p =
+  if p = String.length sc.text then begin
+    push sc s p;
+    p
+  end
+  else
     match String.unsafe_get sc.text p with
     | ' ' | '\t' ->
         push sc s p;
-        gap sc stop (p + 1)
-    | '#' -> push sc s p
-    | _ -> word sc stop s (p + 1)
-  else push sc s p
+        gap sc (p + 1)
+    | '\n' ->
+        push sc s p;
+        p
+    | '#' ->
+        push sc s p;
+        comment sc (p + 1)
+    | _ -> word sc s (p + 1)
 
-let tokenize sc start stop =
-  sc.n <- 0;
-  gap sc stop start
+and comment sc p =
+  if p = String.length sc.text || String.unsafe_get sc.text p = '\n' then p else comment sc (p + 1)
 
 let tok sc i = String.sub sc.text sc.starts.(i) (sc.stops.(i) - sc.starts.(i))
-
-let rec same_from text start s k len =
-  k = len
-  || String.unsafe_get text (start + k) = String.unsafe_get s k
-     && same_from text start s (k + 1) len
 
 (* Token [i] equals [s], compared in place. *)
 let tok_is sc i s =
@@ -121,28 +261,116 @@ let tok_is sc i s =
 (* The first token at or after [i] equal to [kw], or [sc.n]. *)
 let rec find_tok sc i kw = if i >= sc.n || tok_is sc i kw then i else find_tok sc (i + 1) kw
 
-(* Tokens [i .. j - 1]. *)
-let rec toks sc i j = if i >= j then [] else tok sc i :: toks sc (i + 1) j
+let sym_tok sc i = intern sc.nm sc.text sc.starts.(i) sc.stops.(i)
 
+(* The symbols of tokens [i .. j - 1], left to right. Here and in
+   {!int_toks} an array of up to three is built as a literal, which
+   skips the runtime call behind [Array.make]: module sides and rows are
+   rarely longer. *)
+let sym_toks sc i j =
+  match j - i with
+  | 1 -> [| sym_tok sc i |]
+  | 2 ->
+      let a = sym_tok sc i in
+      let b = sym_tok sc (i + 1) in
+      [| a; b |]
+  | 3 ->
+      let a = sym_tok sc i in
+      let b = sym_tok sc (i + 1) in
+      let c = sym_tok sc (i + 2) in
+      [| a; b; c |]
+  | n ->
+      let v = Array.make n 0 in
+      for k = i to j - 1 do
+        v.(k - i) <- sym_tok sc k
+      done;
+      v
+
+(* The strings of symbols [syms.(i ..)]. *)
+let rec strings nm syms i =
+  if i = Array.length syms then []
+  else
+    let s = nm.strs.(syms.(i)) in
+    s :: strings nm syms (i + 1)
+
+let rec all_digits text p stop =
+  p = stop || match String.unsafe_get text p with '0' .. '9' -> all_digits text (p + 1) stop | _ -> false
+
+let rec decimal text p stop acc =
+  if p = stop then acc
+  else decimal text (p + 1) stop ((acc * 10) + Char.code (String.unsafe_get text p) - 48)
+
+(* Token [i] is an optional sign and 1 to [max] decimal digits. *)
+let plain_decimal sc i max =
+  let start = sc.starts.(i) and stop = sc.stops.(i) in
+  let d = match String.unsafe_get sc.text start with '-' | '+' -> start + 1 | _ -> start in
+  stop > d && stop - d <= max && all_digits sc.text d stop
+
+(* The value of a {!plain_decimal} token. *)
+let read_decimal sc i =
+  let start = sc.starts.(i) and stop = sc.stops.(i) in
+  match String.unsafe_get sc.text start with
+  | '-' -> -decimal sc.text (start + 1) stop 0
+  | '+' -> decimal sc.text (start + 1) stop 0
+  | _ -> decimal sc.text start stop 0
+
+(* Numbers are read in place when plain: eighteen digits stay below
+   [max_int], nine below {!Rat}'s native bound. Anything else (hex,
+   underscores, fractions, decimals, malformed text) takes the copying
+   path the values and messages have always come from. *)
 let int_tok sc i =
-  let s = tok sc i in
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> fail sc.lineno "expected an integer, got %s" s
+  let start = sc.starts.(i) in
+  let c = String.unsafe_get sc.text start in
+  if sc.stops.(i) = start + 1 && c >= '0' && c <= '9' then Char.code c - 48
+  else if plain_decimal sc i 18 then read_decimal sc i
+  else
+    let s = tok sc i in
+    match int_of_string_opt s with
+    | Some v -> v
+    | None -> fail sc.lineno "expected an integer, got %s" s
 
 (* Integer tokens [i .. j - 1], read left to right. *)
 let int_toks sc i j =
-  let v = Array.make (j - i) 0 in
-  for k = i to j - 1 do
-    v.(k - i) <- int_tok sc k
-  done;
-  v
+  match j - i with
+  | 1 -> [| int_tok sc i |]
+  | 2 ->
+      let a = int_tok sc i in
+      let b = int_tok sc (i + 1) in
+      [| a; b |]
+  | 3 ->
+      let a = int_tok sc i in
+      let b = int_tok sc (i + 1) in
+      let c = int_tok sc (i + 2) in
+      [| a; b; c |]
+  | n ->
+      let v = Array.make n 0 in
+      for k = i to j - 1 do
+        v.(k - i) <- int_tok sc k
+      done;
+      v
 
 let rat_tok sc i =
-  let s = tok sc i in
-  match Rat.of_string s with
-  | v -> v
-  | exception _ -> fail sc.lineno "expected a rational, got %s" s
+  if plain_decimal sc i 9 then Rat.of_int (read_decimal sc i)
+  else
+    let s = tok sc i in
+    match Rat.of_string s with
+    | v -> v
+    | exception _ -> fail sc.lineno "expected a rational, got %s" s
+
+(* The [dom] and [cost] options of an attribute line, from token [i]. *)
+let rec attr_opts sc a_name i dom cost =
+  if i = sc.n then { a_name; a_dom = dom; a_cost = cost; a_line = sc.lineno }
+  else if i + 1 < sc.n && tok_is sc i "dom" then attr_opts sc a_name (i + 2) (int_tok sc (i + 1)) cost
+  else if i + 1 < sc.n && tok_is sc i "cost" then attr_opts sc a_name (i + 2) dom (rat_tok sc (i + 1))
+  else fail sc.lineno "unexpected token %s" (tok sc i)
+
+(* A growable int array. *)
+type ints = { mutable a : int array; mutable len : int }
+
+let add_int v x =
+  if v.len = Array.length v.a then v.a <- Array.append v.a v.a;
+  v.a.(v.len) <- x;
+  v.len <- v.len + 1
 
 (* Fails only on token-level problems (unknown directives, malformed
    numbers, missing keywords, rows for a module that was never
@@ -150,39 +378,40 @@ let rat_tok sc i =
    attributes, arity mismatches, wiring problems — are representable in
    the result so that {!Analysis.Wfcheck} can diagnose them; they are
    re-validated by {!spec_of_raw}. One left-to-right pass over the
-   text: each line is split into token offsets, and only names and
-   numbers are copied out. *)
-let parse_raw_string text =
-  let sc = { text; lineno = 0; n = 0; starts = Array.make 16 0; stops = Array.make 16 0 } in
-  let attrs = ref [] and mods = ref [] and gammas = ref [] in
+   text: each line is split into token offsets, names are interned in
+   place and plain numbers read in place, and the declarations come
+   back with their symbols. *)
+let scan text =
+  let nm = names () in
+  let sc =
+    { text; lineno = 0; n = 0; starts = Array.make 16 0; stops = Array.make 16 0; nm;
+      latest = Array.make 32 no_module }
+  in
+  let attrs = ref [] and attr_syms = { a = Array.make 16 0; len = 0 } in
+  let mods = ref [] and n_mods = ref 0 in
+  let gammas = ref [] and gamma_syms = { a = Array.make 4 0; len = 0 } in
   (* Rows and fn attach to the most recent declaration of the name. *)
-  let by_name : (string, mod_builder) Hashtbl.t = Hashtbl.create 16 in
   let find_mod () =
-    let name = tok sc 1 in
-    match Hashtbl.find_opt by_name name with
-    | Some b -> b
-    | None -> fail sc.lineno "unknown module %s" name
+    let s = find nm text sc.starts.(1) sc.stops.(1) in
+    let b = if s >= 0 && s < Array.length sc.latest then sc.latest.(s) else no_module in
+    if b != no_module then b else fail sc.lineno "unknown module %s" (tok sc 1)
   in
   let handle () =
     let n = sc.n and lineno = sc.lineno in
     if n = 0 then ()
-    else if tok_is sc 0 "gamma" && (n = 2 || n = 3) then
-      let g_module = if n = 3 then Some (tok sc 1) else None in
-      gammas := { g_line = lineno; g_module; g_value = int_tok sc (n - 1) } :: !gammas
+    else if tok_is sc 0 "gamma" && (n = 2 || n = 3) then begin
+      let g_module, s = if n = 3 then (let s = sym_tok sc 1 in (Some nm.strs.(s), s)) else (None, -1) in
+      gammas := { g_line = lineno; g_module; g_value = int_tok sc (n - 1) } :: !gammas;
+      add_int gamma_syms s
+    end
     else if n < 2 then fail lineno "unknown directive %s" (tok sc 0)
     else if tok_is sc 0 "attr" then begin
-      let rec opts i dom cost =
-        if i = n then (dom, cost)
-        else if i + 1 < n && tok_is sc i "dom" then opts (i + 2) (int_tok sc (i + 1)) cost
-        else if i + 1 < n && tok_is sc i "cost" then opts (i + 2) dom (rat_tok sc (i + 1))
-        else fail lineno "unexpected token %s" (tok sc i)
-      in
-      let a_name = tok sc 1 in
-      let dom, cost = opts 2 2 Rat.one in
-      attrs := { a_name; a_dom = dom; a_cost = cost; a_line = lineno } :: !attrs
+      let s = sym_tok sc 1 in
+      attrs := attr_opts sc nm.strs.(s) 2 2 Rat.one :: !attrs;
+      add_int attr_syms s
     end
     else if tok_is sc 0 "module" then begin
-      let name = tok sc 1 in
+      let s = sym_tok sc 1 in
       let public, i =
         if n > 2 && tok_is sc 2 "private" then (None, 3)
         else if n > 4 && tok_is sc 2 "public" && tok_is sc 3 "cost" then
@@ -195,11 +424,14 @@ let parse_raw_string text =
       if not (o > i && tok_is sc i "inputs") then fail lineno "expected inputs ... outputs ...";
       if o = i + 1 || o = n - 1 then fail lineno "module needs inputs and outputs";
       let b =
-        { b_line = lineno; b_name = name; b_public = public; b_inputs = toks sc (i + 1) o;
-          b_outputs = toks sc (o + 1) n; b_rows = []; b_fn = None }
+        { b_line = lineno; b_sym = s; b_public = public; b_in_syms = sym_toks sc (i + 1) o;
+          b_out_syms = sym_toks sc (o + 1) n; b_rows = []; b_fn = None }
       in
       mods := b :: !mods;
-      Hashtbl.replace by_name name b
+      incr n_mods;
+      if s >= Array.length sc.latest then
+        sc.latest <- Array.append sc.latest (Array.make (Array.length nm.strs) no_module);
+      sc.latest.(s) <- b
     end
     else if tok_is sc 0 "row" then begin
       let b = find_mod () in
@@ -212,135 +444,246 @@ let parse_raw_string text =
     else if tok_is sc 0 "fn" then begin
       let b = find_mod () in
       if n = 2 then fail lineno "fn needs a builtin name";
-      b.b_fn <- Some (toks sc 2 n, lineno)
+      b.b_fn <- Some (strings nm (sym_toks sc 2 n) 0, lineno)
     end
     else fail lineno "unknown directive %s" (tok sc 0)
   in
-  let len = String.length text in
-  let rec line_end p = if p < len && String.unsafe_get text p <> '\n' then line_end (p + 1) else p in
   let rec lines start lineno =
-    let stop = line_end start in
     sc.lineno <- lineno;
-    tokenize sc start stop;
+    sc.n <- 0;
+    let stop = gap sc start in
     handle ();
-    if stop < len then lines (stop + 1) (lineno + 1)
+    if stop < String.length text then lines (stop + 1) (lineno + 1)
   in
   try
     lines 0 1;
-    let freeze b =
-      { m_line = b.b_line; m_name = b.b_name; m_public = b.b_public;
-        m_inputs = b.b_inputs; m_outputs = b.b_outputs;
-        m_rows = List.rev b.b_rows; m_fn = b.b_fn }
+    let n = !n_mods in
+    let mod_sym = Array.make n 0 and in_syms = Array.make n [||] and out_syms = Array.make n [||] in
+    (* [mods] is in reverse order: module [k] is frozen before [k - 1]. *)
+    let rec freeze k acc = function
+      | [] -> acc
+      | b :: rest ->
+          mod_sym.(k) <- b.b_sym;
+          in_syms.(k) <- b.b_in_syms;
+          out_syms.(k) <- b.b_out_syms;
+          let m =
+            { m_line = b.b_line; m_name = nm.strs.(b.b_sym); m_public = b.b_public;
+              m_inputs = strings nm b.b_in_syms 0; m_outputs = strings nm b.b_out_syms 0;
+              m_rows = List.rev b.b_rows; m_fn = b.b_fn }
+          in
+          freeze (k - 1) (m :: acc) rest
     in
+    let r_modules = freeze (n - 1) [] !mods in
     Ok
-      { r_attrs = List.rev !attrs;
-        r_modules = List.rev_map freeze !mods;
-        r_gammas = List.rev !gammas }
+      ( { r_attrs = List.rev !attrs; r_modules; r_gammas = List.rev !gammas },
+        { names = nm; attr_sym = Array.sub attr_syms.a 0 attr_syms.len; mod_sym; in_syms; out_syms;
+          gamma_sym = Array.sub gamma_syms.a 0 gamma_syms.len } )
   with Parse_error (line, msg) -> Error (Printf.sprintf "line %d: %s" line msg)
+
+let parse_raw_string text = Result.map fst (scan text)
 
 (* ------------------------------------------------------------------ *)
 (* Elaboration: raw -> spec                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The semantic validations that {!parse_raw_string} defers, and the
-   spec's one numbering: every attribute gets its declaration index
-   (first declaration of a name) and every module its position, so the
-   rest of elaboration and the workflow read ids. Errors are collected
-   with their lines and reported in file order, matching the behavior
-   of the historic single-pass parser. *)
+(* The semantic validations that {!parse_raw_string} defers, on
+   symbols, and the spec's one numbering: every attribute gets its
+   declaration index (first declaration of a name) and every module its
+   position, so the rest of elaboration and the workflow read ids.
+   Errors are reported in file order, matching the behavior of the
+   historic single-pass parser: the first of the lowest line wins. *)
 type interned = {
-  mod_ids : (string, int) Hashtbl.t;  (* module name -> declaration index *)
-  ins : int array array;  (* module -> input attribute ids *)
-  outs : int array array;  (* module -> output attribute ids *)
+  mod_of : int array;  (** symbol -> module declaration index, or -1 *)
+  ins : int array array;  (** module -> input attribute ids *)
+  outs : int array array;  (** module -> output attribute ids *)
 }
 
-let semantic_errors attrs mods =
-  let errs = ref [] in
-  let add line fmt = Printf.ksprintf (fun m -> errs := (line, m) :: !errs) fmt in
-  let attr_ids = Hashtbl.create ((2 * Array.length attrs) + 1) in
-  Array.iteri
-    (fun i a ->
-      if Hashtbl.mem attr_ids a.a_name then add a.a_line "duplicate attribute %s" a.a_name
-      else Hashtbl.add attr_ids a.a_name i)
-    attrs;
-  let mod_ids = Hashtbl.create ((2 * Array.length mods) + 1) in
+let semantic_errors sy attrs mods =
+  let first = ref None in
+  let add line fmt =
+    Printf.ksprintf
+      (fun m -> match !first with Some (l, _) when l <= line -> () | _ -> first := Some (line, m))
+      fmt
+  in
+  let n_syms = sy.names.count in
+  let attr_of = Array.make n_syms (-1) in
+  for i = 0 to Array.length attrs - 1 do
+    let s = sy.attr_sym.(i) in
+    if attr_of.(s) >= 0 then add attrs.(i).a_line "duplicate attribute %s" attrs.(i).a_name
+    else attr_of.(s) <- i
+  done;
+  let mod_of = Array.make n_syms (-1) in
   (* [seen.(i) = k]: module [k] already lists attribute [i]. *)
   let seen = Array.make (Array.length attrs) (-1) in
   let repeated = Array.make (Array.length attrs) (-1) in
-  let sides =
-    Array.mapi
-      (fun k m ->
-        if Hashtbl.mem mod_ids m.m_name then add m.m_line "duplicate module %s" m.m_name
-        else Hashtbl.add mod_ids m.m_name k;
-        let id a =
-          match Hashtbl.find_opt attr_ids a with
-          | Some i -> i
-          | None ->
-              add m.m_line "undeclared attribute %s" a;
-              -1
-        in
-        let ins = Array.of_list (List.map id m.m_inputs) in
-        let outs = Array.of_list (List.map id m.m_outputs) in
-        let once i =
-          if i >= 0 then
-            if seen.(i) <> k then seen.(i) <- k
-            else if repeated.(i) <> k then begin
-              repeated.(i) <- k;
-              add m.m_line "module %s lists attribute %s more than once" m.m_name
-                attrs.(i).a_name
-            end
-        in
-        Array.iter once ins;
-        Array.iter once outs;
-        let n_in = Array.length ins and n_out = Array.length outs in
-        List.iter
-          (fun r ->
-            if Array.length r.r_ins <> n_in then
-              add r.r_line "row arity mismatch for inputs of %s" m.m_name;
-            if Array.length r.r_outs <> n_out then
-              add r.r_line "row arity mismatch for outputs of %s" m.m_name)
-          m.m_rows;
-        (ins, outs))
-      mods
+  let ids m syms =
+    let v = Array.make (Array.length syms) 0 in
+    for j = 0 to Array.length syms - 1 do
+      let i = attr_of.(syms.(j)) in
+      if i < 0 then add m.m_line "undeclared attribute %s" sy.names.strs.(syms.(j));
+      v.(j) <- i
+    done;
+    v
   in
-  ( List.stable_sort (fun (l, _) (l', _) -> Int.compare l l') (List.rev !errs),
-    { mod_ids; ins = Array.map fst sides; outs = Array.map snd sides } )
+  let once k m v =
+    for j = 0 to Array.length v - 1 do
+      let i = v.(j) in
+      if i >= 0 then
+        if seen.(i) <> k then seen.(i) <- k
+        else if repeated.(i) <> k then begin
+          repeated.(i) <- k;
+          add m.m_line "module %s lists attribute %s more than once" m.m_name attrs.(i).a_name
+        end
+    done
+  in
+  let rec arities m n_in n_out = function
+    | [] -> ()
+    | r :: rows ->
+        if Array.length r.r_ins <> n_in then
+          add r.r_line "row arity mismatch for inputs of %s" m.m_name;
+        if Array.length r.r_outs <> n_out then
+          add r.r_line "row arity mismatch for outputs of %s" m.m_name;
+        arities m n_in n_out rows
+  in
+  let ins = Array.make (Array.length mods) [||] and outs = Array.make (Array.length mods) [||] in
+  for k = 0 to Array.length mods - 1 do
+    let m = mods.(k) and s = sy.mod_sym.(k) in
+    if mod_of.(s) >= 0 then add m.m_line "duplicate module %s" m.m_name else mod_of.(s) <- k;
+    ins.(k) <- ids m sy.in_syms.(k);
+    outs.(k) <- ids m sy.out_syms.(k);
+    once k m ins.(k);
+    once k m outs.(k);
+    arities m (Array.length ins.(k)) (Array.length outs.(k)) m.m_rows
+  done;
+  (!first, { mod_of; ins; outs })
+
+let ints_text v = String.concat " " (List.map string_of_int (Array.to_list v))
+
+(* The earliest row, in file order, whose input an earlier row gave
+   other outputs: the first row with that input and it. *)
+let fd_violation (d : raw_module) =
+  let first = Hashtbl.create 16 in
+  let rec go = function
+    | [] -> assert false
+    | r :: rest -> (
+        match Hashtbl.find_opt first r.r_ins with
+        | Some f when f.r_outs <> r.r_outs -> (f, r)
+        | Some _ -> go rest
+        | None ->
+            Hashtbl.add first r.r_ins r;
+            go rest)
+  in
+  go d.m_rows
+
+(* Rows of one table have one length, so {!Rel.Tuple.compare} is
+   lexicographic on them: over positions [i .. k - 1] here. *)
+let rec compare_from (a : int array) (b : int array) k i =
+  if i = k then 0
+  else
+    let c = Int.compare (Array.unsafe_get a i) (Array.unsafe_get b i) in
+    if c <> 0 then c else compare_from a b k (i + 1)
+
+(* Rows [a] in ascending order, by insertion: tables are small and
+   often nearly sorted. *)
+let sort_rows a k =
+  for i = 1 to Array.length a - 1 do
+    let r = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && compare_from a.(!j) r k 0 > 0 do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- r
+  done
+
+let check_values attrs (r : raw_row) ids (values : int array) =
+  for j = 0 to Array.length ids - 1 do
+    let a = attrs.(ids.(j)) and v = values.(j) in
+    if v < 0 || v >= a.a_dom then
+      failwith
+        (Printf.sprintf "line %d: row value %d outside domain 0..%d of %s" r.r_line v (a.a_dom - 1)
+           a.a_name)
+  done
+
+(* [Array.append] for a row, as a literal when it has up to four values. *)
+let join (ins : int array) (outs : int array) =
+  match (ins, outs) with
+  | [| a |], [| b |] -> [| a; b |]
+  | [| a |], [| b; c |] | [| a; b |], [| c |] -> [| a; b; c |]
+  | [| a |], [| b; c; d |] | [| a; b |], [| c; d |] | [| a; b; c |], [| d |] -> [| a; b; c; d |]
+  | _ -> Array.append ins outs
+
+(* A module given by rows, on ids: semantic checks have proven the
+   arities and the names distinct. Each value is checked against its
+   attribute's domain in file order, then the rows are sorted and the
+   duplicates dropped; rows that share an input are then adjacent, so
+   one pass finds a violated FD. Both errors name their lines. *)
+let table_module attrs (d : raw_module) ~inputs ~outputs ins outs =
+  let n_in = Array.length ins and k = Array.length ins + Array.length outs in
+  let rec check = function
+    | [] -> ()
+    | r :: rows ->
+        check_values attrs r ins r.r_ins;
+        check_values attrs r outs r.r_outs;
+        check rows
+  in
+  check d.m_rows;
+  let a = Array.make (List.length d.m_rows) [||] in
+  List.iteri (fun i r -> a.(i) <- join r.r_ins r.r_outs) d.m_rows;
+  sort_rows a k;
+  let rows = ref [] and fd_ok = ref true in
+  for i = Array.length a - 1 downto 0 do
+    match !rows with
+    | next :: _ when compare_from a.(i) next k 0 = 0 -> ()
+    | next :: _ when compare_from a.(i) next n_in 0 = 0 -> fd_ok := false
+    | _ -> rows := a.(i) :: !rows
+  done;
+  if not !fd_ok then begin
+    let f, r = fd_violation d in
+    failwith
+      (Printf.sprintf "line %d: rows at lines %d and %d give input %s of %s two outputs" r.r_line
+         f.r_line r.r_line (ints_text r.r_ins) d.m_name)
+  end;
+  Wmodule.of_checked ~name:d.m_name ~inputs ~outputs
+    (R.of_sorted (S.of_distinct (inputs @ outputs)) !rows)
+
+let rec attr_list attr ids i =
+  if i = Array.length ids then []
+  else
+    let a = attr ids.(i) in
+    a :: attr_list attr ids (i + 1)
+
+let builtin (d : raw_module) spec =
+  let ins = d.m_inputs and outs = d.m_outputs in
+  match spec with
+  | [ "identity" ] -> Library.identity ~name:d.m_name ~inputs:ins ~outputs:outs
+  | [ "negate" ] -> Library.negate_all ~name:d.m_name ~inputs:ins ~outputs:outs
+  | "constant" :: vals ->
+      Library.constant ~name:d.m_name ~inputs:ins ~outputs:outs
+        (Array.of_list (List.map int_of_string vals))
+  | [ "majority" ] | [ "and" ] | [ "or" ] | [ "xor" ] -> (
+      match (outs, List.hd spec) with
+      | [ o ], "majority" -> Library.majority ~name:d.m_name ~inputs:ins ~output:o
+      | [ o ], "and" -> Library.and_gate ~name:d.m_name ~inputs:ins ~output:o
+      | [ o ], "or" -> Library.or_gate ~name:d.m_name ~inputs:ins ~output:o
+      | [ o ], "xor" -> Library.xor_gate ~name:d.m_name ~inputs:ins ~output:o
+      | _ -> failwith (Printf.sprintf "module %s: gate builtins need one output" d.m_name))
+  | s :: _ -> failwith (Printf.sprintf "module %s: unknown builtin %s" d.m_name s)
+  | [] -> assert false
 
 (* [attr] gives the attribute an id stands for; the elaboration has
    proven a module's names distinct, so its schema needs no check. *)
-let build_module attr (d : raw_module) ins outs =
-  let inputs = List.map attr (Array.to_list ins) and outputs = List.map attr (Array.to_list outs) in
-  let booleans_only () =
-    if List.exists (fun a -> A.dom a <> 2) (inputs @ outputs) then
-      failwith (Printf.sprintf "module %s: builtins need boolean attributes" d.m_name)
-  in
+let build_module attrs attr (d : raw_module) ins outs =
+  let inputs = attr_list attr ins 0 in
+  let outputs = attr_list attr outs 0 in
   match (d.m_fn, d.m_rows) with
   | Some _, _ :: _ -> failwith (Printf.sprintf "module %s has both fn and rows" d.m_name)
-  | Some (spec, _), [] -> (
-      booleans_only ();
-      let ins = d.m_inputs and outs = d.m_outputs in
-      match spec with
-      | [ "identity" ] -> Library.identity ~name:d.m_name ~inputs:ins ~outputs:outs
-      | [ "negate" ] -> Library.negate_all ~name:d.m_name ~inputs:ins ~outputs:outs
-      | "constant" :: vals ->
-          Library.constant ~name:d.m_name ~inputs:ins ~outputs:outs
-            (Array.of_list (List.map int_of_string vals))
-      | [ "majority" ] | [ "and" ] | [ "or" ] | [ "xor" ] -> (
-          match (outs, List.hd spec) with
-          | [ o ], "majority" -> Library.majority ~name:d.m_name ~inputs:ins ~output:o
-          | [ o ], "and" -> Library.and_gate ~name:d.m_name ~inputs:ins ~output:o
-          | [ o ], "or" -> Library.or_gate ~name:d.m_name ~inputs:ins ~output:o
-          | [ o ], "xor" -> Library.xor_gate ~name:d.m_name ~inputs:ins ~output:o
-          | _ -> failwith (Printf.sprintf "module %s: gate builtins need one output" d.m_name))
-      | s :: _ -> failwith (Printf.sprintf "module %s: unknown builtin %s" d.m_name s)
-      | [] -> assert false)
+  | Some (spec, _), [] ->
+      if List.exists (fun a -> A.dom a <> 2) (inputs @ outputs) then
+        failwith (Printf.sprintf "module %s: builtins need boolean attributes" d.m_name);
+      builtin d spec
   | None, [] -> failwith (Printf.sprintf "module %s has no functionality" d.m_name)
-  | None, rows ->
-      let schema = S.of_distinct (inputs @ outputs) in
-      let table =
-        R.create schema (List.map (fun r -> Array.append r.r_ins r.r_outs) rows)
-      in
-      Wmodule.of_table ~name:d.m_name ~inputs ~outputs table
+  | None, _ -> table_module attrs d ~inputs ~outputs ins outs
 
 let default_gamma raw =
   List.fold_left
@@ -354,25 +697,26 @@ let gamma_overrides_of raw =
       match g.g_module with None -> acc | Some m -> (m, g.g_value) :: acc)
     [] raw.r_gammas
 
-let spec_of_raw raw =
+let unmade = A.make "_" ~dom:1
+
+let elaborate raw sy =
   let attrs = Array.of_list raw.r_attrs and mods = Array.of_list raw.r_modules in
-  match semantic_errors attrs mods with
-  | (line, msg) :: _, _ -> Error (Printf.sprintf "line %d: %s" line msg)
-  | [], ids -> (
+  match semantic_errors sy attrs mods with
+  | Some (line, msg), _ -> Error (Printf.sprintf "line %d: %s" line msg)
+  | None, ids -> (
       if raw.r_modules = [] then Error "no modules declared"
       else
         try
           (* One [Attr.t] per declared attribute, made on first use. *)
-          let made = Array.make (Array.length attrs) None in
+          let made = Array.make (Array.length attrs) unmade in
           let attr i =
-            match made.(i) with
-            | Some a -> a
-            | None ->
-                let a = A.make attrs.(i).a_name ~dom:attrs.(i).a_dom in
-                made.(i) <- Some a;
-                a
+            if made.(i) != unmade then made.(i)
+            else begin
+              made.(i) <- A.make attrs.(i).a_name ~dom:attrs.(i).a_dom;
+              made.(i)
+            end
           in
-          let wmods = Array.mapi (fun k d -> build_module attr d ids.ins.(k) ids.outs.(k)) mods in
+          let wmods = Array.mapi (fun k d -> build_module attrs attr d ids.ins.(k) ids.outs.(k)) mods in
           match
             Workflow.of_interned wmods ~n_attrs:(Array.length attrs) ~attr ~ins:ids.ins
               ~outs:ids.outs
@@ -385,23 +729,17 @@ let spec_of_raw raw =
                  override in file order, so the last one wins. *)
               let gamma = default_gamma raw in
               let gammas = Array.make (Array.length mods) gamma in
-              List.iter
-                (fun g ->
-                  match g.g_module with
-                  | None -> ()
-                  | Some m -> (
-                      match Hashtbl.find_opt ids.mod_ids m with
-                      | Some k -> gammas.(k) <- g.g_value
-                      | None -> ()))
+              List.iteri
+                (fun j g ->
+                  let s = sy.gamma_sym.(j) in
+                  if s >= 0 && ids.mod_of.(s) >= 0 then gammas.(ids.mod_of.(s)) <- g.g_value)
                 raw.r_gammas;
               let at = Array.make (Array.length mods) 0 in
               Array.iteri (fun i k -> at.(k) <- i) order;
-              let public_mods =
-                Array.of_list
-                  (List.filter_map Fun.id
-                     (List.mapi (fun k m -> Option.map (fun c -> (at.(k), c)) m.m_public)
-                        raw.r_modules))
-              in
+              let public_mods = ref [] in
+              for k = Array.length mods - 1 downto 0 do
+                Option.iter (fun c -> public_mods := (at.(k), c) :: !public_mods) mods.(k).m_public
+              done;
               let costs = List.map (fun a -> (a.a_name, a.a_cost)) raw.r_attrs in
               let publics =
                 List.filter_map
@@ -410,10 +748,14 @@ let spec_of_raw raw =
               in
               Ok
                 { workflow; costs; publics; gamma; gamma_overrides = gamma_overrides_of raw; raw;
-                  attr_cost; mod_gamma = Array.map (fun k -> gammas.(k)) order; public_mods }
+                  attr_cost; mod_gamma = Array.map (fun k -> gammas.(k)) order;
+                  public_mods = Array.of_list !public_mods }
         with Failure msg | Invalid_argument msg -> Error msg)
 
-let parse_string text = Result.bind (parse_raw_string text) spec_of_raw
+let spec_of_raw raw = elaborate raw (symbols_of_raw raw)
+
+let parse_string text =
+  match scan text with Ok (raw, sy) -> elaborate raw sy | Error e -> Error e
 
 let parse_raw_file path =
   match In_channel.with_open_text path In_channel.input_all with

@@ -24,10 +24,14 @@
 
     Tokens are maximal runs of characters other than space and tab; [#]
     starts a comment and only ['\n'] ends a line. The raw phase is one
-    pass over the text by offsets, and elaboration proves each
-    structural rule once, in time linear in the spec (up to sorting each
-    module's rows), so {!Analysis.Wfcheck.check_spec} need not prove
-    them again. *)
+    pass over the text by offsets: every name is interned where it lies
+    (each distinct name is allocated once and every mention shares that
+    string) and plain numbers are read in place. {!parse_string} hands
+    the interned symbols straight to elaboration, which numbers
+    attributes and modules on them and builds module tables from int
+    rows. Elaboration proves each structural rule once, in time linear
+    in the spec (up to sorting each module's rows), so
+    {!Analysis.Wfcheck.check_spec} need not prove them again. *)
 
 (** {1 Raw declarations} *)
 
@@ -99,12 +103,17 @@ val spec_of_raw : raw -> (spec, string) result
     attributes, no attribute listed twice by one module, row arities,
     builtin use, row values inside their domains, module FDs, unique
     producers, DAG wiring) and build the workflow. Declaration-level
-    errors carry a [line N:] prefix. One table numbers the attributes
-    and one the modules; the workflow is assembled from those ids
+    errors and the two row errors carry a [line N:] prefix:
+    [line N: row value V outside domain 0..D of A] and
+    [line N: rows at lines M and N give input I of MOD two outputs],
+    raised module by module once the declarations are sound. The names
+    are interned first, so attributes and modules are numbered on
+    symbols; the workflow is assembled from those ids
     ({!Workflow.of_interned}) and the spec keeps costs, gammas and
     publics by workflow id for the instance builder. *)
 
 val parse_string : string -> (spec, string) result
-(** [parse_raw_string] followed by [spec_of_raw]. *)
+(** [parse_raw_string] followed by [spec_of_raw], without interning the
+    names a second time: elaboration reads the scanner's symbols. *)
 
 val parse_file : string -> (spec, string) result

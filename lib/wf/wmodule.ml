@@ -44,6 +44,8 @@ let of_table ~name ~inputs ~outputs table =
     invalid_arg (Printf.sprintf "Wmodule %s: functional dependency I -> O violated" name);
   { name; inputs; outputs; table }
 
+let of_checked ~name ~inputs ~outputs table = { name; inputs; outputs; table }
+
 let of_partial_fun ~name ~inputs ~outputs ~defined_on f =
   let schema = S.of_list (inputs @ outputs) in
   let rows = List.map (fun x -> Array.append x (f x)) defined_on in

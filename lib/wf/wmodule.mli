@@ -15,6 +15,12 @@ val of_table :
 (** @raise Invalid_argument if input/output names overlap, the relation's
     schema is not [inputs @ outputs], or the FD [I -> O] fails. *)
 
+val of_checked :
+  name:string -> inputs:Rel.Attr.t list -> outputs:Rel.Attr.t list -> Rel.Relation.t -> t
+(** {!of_table} for a caller that has already proven what it checks
+    (distinct names, schema [inputs @ outputs], the FD), as
+    {!Parse.spec_of_raw} does on ids; no check. *)
+
 val of_fun :
   name:string ->
   inputs:Rel.Attr.t list ->

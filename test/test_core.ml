@@ -274,6 +274,67 @@ let test_to_sets_by_rank () =
         (Inst.mods (Inst.to_sets inst)))
     (Svbench.Corpus.generate ~seed:42 ())
 
+(* [Instance.to_sets] as it converted before it normalized on the id
+   arrays: rank lists through [Requirement.card_to_sets] and
+   [Requirement.normalize_sets]. The reference for every module's
+   options, order included. *)
+let reference_set_options (t : Inst.t) =
+  let ranks ids = Array.fold_right (fun i acc -> t.Inst.rank.(i) :: acc) ids [] in
+  let ids ranks = Array.of_list (List.map (fun r -> t.Inst.by_rank.(r)) ranks) in
+  Array.map
+    (fun (m : Inst.pmod) ->
+      let opts =
+        match m.Inst.ireq with
+        | Inst.Card l -> Req.card_to_sets ~inputs:(ranks m.Inst.ins) ~outputs:(ranks m.Inst.outs) l
+        | Inst.Sets a ->
+            Req.normalize_sets (Array.fold_right (fun (i, o) acc -> (ranks i, ranks o) :: acc) a [])
+      in
+      Inst.Sets (Array.of_list (List.map (fun (i, o) -> (ids i, ids o)) opts)))
+    t.Inst.pmods
+
+let to_sets_matches_reference inst =
+  let converted = Array.map (fun (m : Inst.pmod) -> m.Inst.ireq) (Inst.to_sets inst).Inst.pmods in
+  converted = reference_set_options inst
+
+(* Random instances whose name order disagrees with declaration order,
+   with module sides and set options that repeat attributes, options
+   that repeat or contain one another, and cardinality lists with sizes
+   past the arity. *)
+let gen_set_lists =
+  QCheck2.Gen.(
+    let* seed = int_range 0 1_000_000 in
+    let rng = Svutil.Rng.create seed in
+    let n = 1 + Svutil.Rng.int rng 8 in
+    let names = List.init n (fun i -> String.make 1 (Char.chr (97 + Svutil.Rng.int rng 26)) ^ string_of_int i) in
+    let pick () = List.nth names (Svutil.Rng.int rng n) in
+    let some k = List.init k (fun _ -> pick ()) in
+    let mods =
+      List.init (1 + Svutil.Rng.int rng 4) (fun k ->
+          let inputs = some (1 + Svutil.Rng.int rng 3) in
+          let outputs = some (1 + Svutil.Rng.int rng 3) in
+          let req =
+            if Svutil.Rng.int rng 3 = 0 then
+              Req.Card (List.init (Svutil.Rng.int rng 4) (fun _ -> (Svutil.Rng.int rng 4, Svutil.Rng.int rng 3)))
+            else
+              Req.Sets
+                (List.init (Svutil.Rng.int rng 7) (fun _ ->
+                     (some (Svutil.Rng.int rng 4), some (Svutil.Rng.int rng 3))))
+          in
+          { Inst.m_name = Printf.sprintf "m%d" k; inputs; outputs; req })
+    in
+    return (Inst.make ~attr_costs:(List.map (fun a -> (a, Q.one)) names) ~mods ()))
+
+let test_to_sets_on_pools () =
+  let module T = Perfbench_traffic.Traffic in
+  List.iter
+    (fun (name, wl) ->
+      List.iteri
+        (fun i w ->
+          if not (to_sets_matches_reference (T.instance w)) then
+            Alcotest.failf "%s pool member %d converts differently" name i)
+        (T.pool_workflows wl))
+    T.workloads
+
 let test_instance_validation () =
   Alcotest.check_raises "unknown attr"
     (Invalid_argument "Instance.make: m references unknown attribute z") (fun () ->
@@ -1021,6 +1082,10 @@ let () =
           Alcotest.test_case "feasibility" `Quick test_instance_feasibility;
           Alcotest.test_case "privatization closure" `Quick test_solution_of_hidden_privatizes;
           Alcotest.test_case "to_sets by rank = by name" `Quick test_to_sets_by_rank;
+          QCheck_alcotest.to_alcotest
+            (QCheck2.Test.make ~count:500 ~name:"to_sets = rank lists"
+               ~print:(Format.asprintf "%a" Inst.pp) gen_set_lists to_sets_matches_reference);
+          Alcotest.test_case "to_sets on seed-42 pools" `Quick test_to_sets_on_pools;
         ] );
       ( "objective (section 6)",
         [

@@ -274,6 +274,205 @@ module Reference = struct
     with Parse_error (line, msg) -> Error (Printf.sprintf "line %d: %s" line msg)
 end
 
+(* --- elaboration against the string-table elaboration ----------------- *)
+
+(* [spec_of_raw] as it was before elaboration moved to symbols and int
+   rows, kept verbatim as the reference: string tables for the names,
+   [Relation.create] and [Wmodule.of_table] for the module tables. Its
+   spec is a plain record with the same fields. *)
+module Elaboration_reference = struct
+  open Wf.Parse
+  module A = Rel.Attr
+  module S = Rel.Schema
+  module R = Rel.Relation
+  module Library = Wf.Library
+  module Wmodule = Wf.Wmodule
+  module Workflow = Wf.Workflow
+
+  type spec = {
+    workflow : Workflow.t;
+    costs : (string * Rat.t) list;
+    publics : (string * Rat.t) list;
+    gamma : int;
+    gamma_overrides : (string * int) list;
+    raw : raw;
+    attr_cost : Rat.t array;
+    mod_gamma : int array;
+    public_mods : (int * Rat.t) array;
+  }
+
+  (* The semantic validations that {!parse_raw_string} defers, and the
+     spec's one numbering: every attribute gets its declaration index
+     (first declaration of a name) and every module its position, so the
+     rest of elaboration and the workflow read ids. Errors are collected
+     with their lines and reported in file order, matching the behavior
+     of the historic single-pass parser. *)
+  type interned = {
+    mod_ids : (string, int) Hashtbl.t;  (* module name -> declaration index *)
+    ins : int array array;  (* module -> input attribute ids *)
+    outs : int array array;  (* module -> output attribute ids *)
+  }
+
+  let semantic_errors attrs mods =
+    let errs = ref [] in
+    let add line fmt = Printf.ksprintf (fun m -> errs := (line, m) :: !errs) fmt in
+    let attr_ids = Hashtbl.create ((2 * Array.length attrs) + 1) in
+    Array.iteri
+      (fun i a ->
+        if Hashtbl.mem attr_ids a.a_name then add a.a_line "duplicate attribute %s" a.a_name
+        else Hashtbl.add attr_ids a.a_name i)
+      attrs;
+    let mod_ids = Hashtbl.create ((2 * Array.length mods) + 1) in
+    (* [seen.(i) = k]: module [k] already lists attribute [i]. *)
+    let seen = Array.make (Array.length attrs) (-1) in
+    let repeated = Array.make (Array.length attrs) (-1) in
+    let sides =
+      Array.mapi
+        (fun k m ->
+          if Hashtbl.mem mod_ids m.m_name then add m.m_line "duplicate module %s" m.m_name
+          else Hashtbl.add mod_ids m.m_name k;
+          let id a =
+            match Hashtbl.find_opt attr_ids a with
+            | Some i -> i
+            | None ->
+                add m.m_line "undeclared attribute %s" a;
+                -1
+          in
+          let ins = Array.of_list (List.map id m.m_inputs) in
+          let outs = Array.of_list (List.map id m.m_outputs) in
+          let once i =
+            if i >= 0 then
+              if seen.(i) <> k then seen.(i) <- k
+              else if repeated.(i) <> k then begin
+                repeated.(i) <- k;
+                add m.m_line "module %s lists attribute %s more than once" m.m_name
+                  attrs.(i).a_name
+              end
+          in
+          Array.iter once ins;
+          Array.iter once outs;
+          let n_in = Array.length ins and n_out = Array.length outs in
+          List.iter
+            (fun r ->
+              if Array.length r.r_ins <> n_in then
+                add r.r_line "row arity mismatch for inputs of %s" m.m_name;
+              if Array.length r.r_outs <> n_out then
+                add r.r_line "row arity mismatch for outputs of %s" m.m_name)
+            m.m_rows;
+          (ins, outs))
+        mods
+    in
+    ( List.stable_sort (fun (l, _) (l', _) -> Int.compare l l') (List.rev !errs),
+      { mod_ids; ins = Array.map fst sides; outs = Array.map snd sides } )
+
+  (* [attr] gives the attribute an id stands for; the elaboration has
+     proven a module's names distinct, so its schema needs no check. *)
+  let build_module attr (d : raw_module) ins outs =
+    let inputs = List.map attr (Array.to_list ins) and outputs = List.map attr (Array.to_list outs) in
+    let booleans_only () =
+      if List.exists (fun a -> A.dom a <> 2) (inputs @ outputs) then
+        failwith (Printf.sprintf "module %s: builtins need boolean attributes" d.m_name)
+    in
+    match (d.m_fn, d.m_rows) with
+    | Some _, _ :: _ -> failwith (Printf.sprintf "module %s has both fn and rows" d.m_name)
+    | Some (spec, _), [] -> (
+        booleans_only ();
+        let ins = d.m_inputs and outs = d.m_outputs in
+        match spec with
+        | [ "identity" ] -> Library.identity ~name:d.m_name ~inputs:ins ~outputs:outs
+        | [ "negate" ] -> Library.negate_all ~name:d.m_name ~inputs:ins ~outputs:outs
+        | "constant" :: vals ->
+            Library.constant ~name:d.m_name ~inputs:ins ~outputs:outs
+              (Array.of_list (List.map int_of_string vals))
+        | [ "majority" ] | [ "and" ] | [ "or" ] | [ "xor" ] -> (
+            match (outs, List.hd spec) with
+            | [ o ], "majority" -> Library.majority ~name:d.m_name ~inputs:ins ~output:o
+            | [ o ], "and" -> Library.and_gate ~name:d.m_name ~inputs:ins ~output:o
+            | [ o ], "or" -> Library.or_gate ~name:d.m_name ~inputs:ins ~output:o
+            | [ o ], "xor" -> Library.xor_gate ~name:d.m_name ~inputs:ins ~output:o
+            | _ -> failwith (Printf.sprintf "module %s: gate builtins need one output" d.m_name))
+        | s :: _ -> failwith (Printf.sprintf "module %s: unknown builtin %s" d.m_name s)
+        | [] -> assert false)
+    | None, [] -> failwith (Printf.sprintf "module %s has no functionality" d.m_name)
+    | None, rows ->
+        let schema = S.of_distinct (inputs @ outputs) in
+        let table =
+          R.create schema (List.map (fun r -> Array.append r.r_ins r.r_outs) rows)
+        in
+        Wmodule.of_table ~name:d.m_name ~inputs ~outputs table
+
+  let default_gamma raw =
+    List.fold_left
+      (fun acc g -> match g.g_module with None -> g.g_value | Some _ -> acc)
+      2 raw.r_gammas
+
+  let gamma_overrides_of raw =
+    (* Reverse file order, so [List.assoc] sees the last override first. *)
+    List.fold_left
+      (fun acc g ->
+        match g.g_module with None -> acc | Some m -> (m, g.g_value) :: acc)
+      [] raw.r_gammas
+
+  let spec_of_raw raw =
+    let attrs = Array.of_list raw.r_attrs and mods = Array.of_list raw.r_modules in
+    match semantic_errors attrs mods with
+    | (line, msg) :: _, _ -> Error (Printf.sprintf "line %d: %s" line msg)
+    | [], ids -> (
+        if raw.r_modules = [] then Error "no modules declared"
+        else
+          try
+            (* One [Attr.t] per declared attribute, made on first use. *)
+            let made = Array.make (Array.length attrs) None in
+            let attr i =
+              match made.(i) with
+              | Some a -> a
+              | None ->
+                  let a = A.make attrs.(i).a_name ~dom:attrs.(i).a_dom in
+                  made.(i) <- Some a;
+                  a
+            in
+            let wmods = Array.mapi (fun k d -> build_module attr d ids.ins.(k) ids.outs.(k)) mods in
+            match
+              Workflow.of_interned wmods ~n_attrs:(Array.length attrs) ~attr ~ins:ids.ins
+                ~outs:ids.outs
+            with
+            | Error e -> Error e
+            | Ok (workflow, pos, order) ->
+                let attr_cost = Array.make (Array.length workflow.Workflow.names) Rat.zero in
+                Array.iteri (fun d p -> if p >= 0 then attr_cost.(p) <- attrs.(d).a_cost) pos;
+                (* Gammas per declared module: the default, then every
+                   override in file order, so the last one wins. *)
+                let gamma = default_gamma raw in
+                let gammas = Array.make (Array.length mods) gamma in
+                List.iter
+                  (fun g ->
+                    match g.g_module with
+                    | None -> ()
+                    | Some m -> (
+                        match Hashtbl.find_opt ids.mod_ids m with
+                        | Some k -> gammas.(k) <- g.g_value
+                        | None -> ()))
+                  raw.r_gammas;
+                let at = Array.make (Array.length mods) 0 in
+                Array.iteri (fun i k -> at.(k) <- i) order;
+                let public_mods =
+                  Array.of_list
+                    (List.filter_map Fun.id
+                       (List.mapi (fun k m -> Option.map (fun c -> (at.(k), c)) m.m_public)
+                          raw.r_modules))
+                in
+                let costs = List.map (fun a -> (a.a_name, a.a_cost)) raw.r_attrs in
+                let publics =
+                  List.filter_map
+                    (fun m -> Option.map (fun c -> (m.m_name, c)) m.m_public)
+                    raw.r_modules
+                in
+                Ok
+                  { workflow; costs; publics; gamma; gamma_overrides = gamma_overrides_of raw; raw;
+                    attr_cost; mod_gamma = Array.map (fun k -> gammas.(k)) order; public_mods }
+          with Failure msg | Invalid_argument msg -> Error msg)
+end
+
 let fixture_texts =
   lazy
     (let in_dir dir =
@@ -321,9 +520,14 @@ let gen_mutated =
     done;
     return !text)
 
+(* How many mutated fixtures each differential draws: 3,000 in the test
+   suite; [make fuzz-parse] sets PARSE_FUZZ_COUNT for a longer sweep. *)
+let fuzz_count =
+  match Sys.getenv_opt "PARSE_FUZZ_COUNT" with Some n -> int_of_string n | None -> 3000
+
 let prop_scanner_matches_reference =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:3000 ~name:"scanner = token-list parser on mutated fixtures"
+    (QCheck2.Test.make ~count:fuzz_count ~name:"scanner = token-list parser on mutated fixtures"
        ~print:(Printf.sprintf "%S") gen_mutated (fun text ->
          Wf.Parse.parse_raw_string text = Reference.parse_raw_string text))
 
@@ -333,6 +537,203 @@ let test_reference_on_fixtures () =
       Alcotest.(check bool) "same raw value" true
         (Wf.Parse.parse_raw_string text = Reference.parse_raw_string text))
     (Lazy.force fixture_texts)
+
+(* [None] when the elaborated spec and the reference's agree field by
+   field, else the first field that differs. A [Relation.t] holds a
+   lazy index, so specs are not compared with [=]. *)
+let spec_difference (spec : Wf.Parse.spec) (r : Elaboration_reference.spec) =
+  let module W = Wf.Workflow in
+  let module M = Wf.Wmodule in
+  let attrs l = List.map (fun a -> (Rel.Attr.name a, Rel.Attr.dom a)) l in
+  let w = spec.Wf.Parse.workflow and w' = r.Elaboration_reference.workflow in
+  let same_module (m : M.t) (m' : M.t) =
+    m.M.name = m'.M.name
+    && attrs m.M.inputs = attrs m'.M.inputs
+    && attrs m.M.outputs = attrs m'.M.outputs
+    && attrs (Rel.Schema.attrs (Rel.Relation.schema m.M.table))
+       = attrs (Rel.Schema.attrs (Rel.Relation.schema m'.M.table))
+    && Rel.Relation.rows m.M.table = Rel.Relation.rows m'.M.table
+  in
+  let fields =
+    [
+      ("workflow names", w.W.names = w'.W.names);
+      ("workflow schema", attrs (Rel.Schema.attrs w.W.schema) = attrs (Rel.Schema.attrs w'.W.schema));
+      ("workflow initial", attrs w.W.initial = attrs w'.W.initial);
+      ("workflow ins", w.W.ins = w'.W.ins);
+      ("workflow outs", w.W.outs = w'.W.outs);
+      ( "modules",
+        Array.length w.W.modules = Array.length w'.W.modules
+        && Array.for_all2 same_module w.W.modules w'.W.modules );
+      ("attr_cost", spec.Wf.Parse.attr_cost = r.Elaboration_reference.attr_cost);
+      ("mod_gamma", spec.Wf.Parse.mod_gamma = r.Elaboration_reference.mod_gamma);
+      ("public_mods", spec.Wf.Parse.public_mods = r.Elaboration_reference.public_mods);
+      ("costs", spec.Wf.Parse.costs = r.Elaboration_reference.costs);
+      ("publics", spec.Wf.Parse.publics = r.Elaboration_reference.publics);
+      ("gamma", spec.Wf.Parse.gamma = r.Elaboration_reference.gamma);
+      ("gamma_overrides", spec.Wf.Parse.gamma_overrides = r.Elaboration_reference.gamma_overrides);
+      ("raw", spec.Wf.Parse.raw = r.Elaboration_reference.raw);
+    ]
+  in
+  Option.map fst (List.find_opt (fun (_, same) -> not same) fields)
+
+let scans text fmt f =
+  try Scanf.sscanf text fmt f with Scanf.Scan_failure _ | End_of_file | Failure _ -> false
+
+(* The reference's two line-less row errors have line-numbered
+   successors; every other error text is unchanged. *)
+let same_error ~reference e =
+  reference = e
+  || String.starts_with ~prefix:"Relation.create: malformed row " reference
+     && scans e "line %d: row value %d outside domain 0..%d of %s%!" (fun _ v d a ->
+            a <> "" && (v < 0 || v > d))
+  || scans reference "Wmodule %s@: functional dependency I -> O violated%!" (fun m ->
+         String.ends_with ~suffix:(Printf.sprintf " of %s two outputs" m) e
+         && scans e "line %d: rows at lines %d and %d give input" (fun l f l' -> l = l' && f < l))
+
+(* [None] when [parse_string] and [spec_of_raw] on the raw layer both
+   agree with the reference on [text], else what differs. *)
+let elaboration_difference text =
+  let expected = Result.bind (Reference.parse_raw_string text) Elaboration_reference.spec_of_raw in
+  let from_raw = Result.bind (Wf.Parse.parse_raw_string text) Wf.Parse.spec_of_raw in
+  let check what got =
+    match (got, expected) with
+    | Ok spec, Ok r -> Option.map (Printf.sprintf "%s: %s differs" what) (spec_difference spec r)
+    | Error e, Error reference ->
+        if same_error ~reference e then None
+        else Some (Printf.sprintf "%s: error %S, reference %S" what e reference)
+    | Ok _, Error reference -> Some (Printf.sprintf "%s: accepted, reference %S" what reference)
+    | Error e, Ok _ -> Some (Printf.sprintf "%s: error %S, reference accepts" what e)
+  in
+  match check "parse_string" (Wf.Parse.parse_string text) with
+  | Some d -> Some d
+  | None -> check "spec_of_raw" from_raw
+
+let prop_elaboration_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:fuzz_count ~name:"mutated fixtures = reference"
+       ~print:(Printf.sprintf "%S") gen_mutated (fun text ->
+         match elaboration_difference text with
+         | None -> true
+         | Some d -> QCheck2.Test.fail_report d))
+
+(* Both perfbench pools, as generated and under three seeded
+   renamings, which shuffle every declaration list and the rows. *)
+let pool_texts =
+  lazy
+    (let module T = Perfbench_traffic.Traffic in
+     List.concat_map
+       (fun (_, wl) ->
+         let pool = T.pool_workflows wl in
+         List.map T.render pool
+         @ List.concat_map
+             (fun seed ->
+               let rng = Svutil.Rng.create seed in
+               List.map (fun w -> T.render (T.rename rng w).T.wf) pool)
+             [ 1; 2; 3 ])
+       T.workloads)
+
+let test_elaboration_on_pools () =
+  List.iteri
+    (fun i text ->
+      match elaboration_difference text with
+      | None -> ()
+      | Some d -> Alcotest.failf "pool text %d: %s" i d)
+    (Lazy.force pool_texts)
+
+let test_elaboration_on_fixtures () =
+  Array.iteri
+    (fun i text ->
+      match elaboration_difference text with
+      | None -> ()
+      | Some d -> Alcotest.failf "fixture %d: %s" i d)
+    (Lazy.force fixture_texts)
+
+(* Every mention of a name in a parsed spec — in the raw declarations,
+   the cost and gamma lists, the workflow, its modules and their tables
+   — is one string: the one made at the name's first occurrence. *)
+let shared_names (spec : Wf.Parse.spec) =
+  let module W = Wf.Workflow in
+  let module M = Wf.Wmodule in
+  let raw = spec.Wf.Parse.raw and w = spec.Wf.Parse.workflow in
+  let names l = List.map Rel.Attr.name l in
+  let mentions =
+    List.map (fun (a : Wf.Parse.raw_attr) -> a.Wf.Parse.a_name) raw.Wf.Parse.r_attrs
+    @ List.concat_map
+        (fun (m : Wf.Parse.raw_module) ->
+          (m.Wf.Parse.m_name :: m.Wf.Parse.m_inputs) @ m.Wf.Parse.m_outputs)
+        raw.Wf.Parse.r_modules
+    @ List.filter_map (fun (g : Wf.Parse.raw_gamma) -> g.Wf.Parse.g_module) raw.Wf.Parse.r_gammas
+    @ List.map fst spec.Wf.Parse.costs
+    @ List.map fst spec.Wf.Parse.publics
+    @ List.map fst spec.Wf.Parse.gamma_overrides
+    @ Array.to_list w.W.names
+    @ names (Rel.Schema.attrs w.W.schema)
+    @ names w.W.initial
+    @ List.concat_map
+        (fun (m : M.t) ->
+          (m.M.name :: names m.M.inputs)
+          @ names m.M.outputs
+          @ names (Rel.Schema.attrs (Rel.Relation.schema m.M.table)))
+        (Array.to_list w.W.modules)
+  in
+  let first = Hashtbl.create 64 in
+  List.for_all
+    (fun s ->
+      match Hashtbl.find_opt first s with
+      | Some s' -> s' == s
+      | None ->
+          Hashtbl.add first s s;
+          true)
+    mentions
+
+let test_names_interned () =
+  let texts = Array.to_list (Lazy.force fixture_texts) @ Lazy.force pool_texts in
+  List.iteri
+    (fun i text ->
+      match Wf.Parse.parse_string text with
+      | Ok spec -> if not (shared_names spec) then Alcotest.failf "text %d: a name is copied" i
+      | Error _ -> ())
+    texts
+
+(* Names past seven bytes take the table's byte-compare path, and more
+   than 32 names make it grow: a chain of 60 identity modules over
+   12-byte names, some sharing a 7-byte prefix with a short name. *)
+let test_long_names () =
+  let attr i = Printf.sprintf "attribute%03d" i and m i = Printf.sprintf "m%02d" i in
+  let b = Buffer.create 4096 in
+  for i = 0 to 60 do
+    Printf.bprintf b "attr %s\nattr %s\n" (attr i) (String.sub (attr i) 0 7 ^ string_of_int i)
+  done;
+  for i = 0 to 59 do
+    Printf.bprintf b "module %s private inputs %s outputs %s\nrow %s 0 -> 1\nrow %s 1 -> 0\n" (m i)
+      (attr i) (attr (i + 1)) (m i) (m i)
+  done;
+  Printf.bprintf b "gamma %s 3\n" (m 7);
+  let text = Buffer.contents b in
+  (match elaboration_difference text with Some d -> Alcotest.fail d | None -> ());
+  match Wf.Parse.parse_string text with
+  | Ok spec ->
+      Alcotest.(check bool) "names interned" true (shared_names spec);
+      Alcotest.(check int) "all modules" 60 (Array.length spec.Wf.Parse.workflow.Wf.Workflow.modules)
+  | Error e -> Alcotest.fail e
+
+let test_row_errors () =
+  check_err "out-of-domain value" "line 5: row value 5 outside domain 0..1 of b"
+    "attr a\nattr b\nmodule m private inputs a outputs b\nrow m 0 -> 1\nrow m 1 -> 5";
+  check_err "input value, wider domain" "line 4: row value -1 outside domain 0..2 of a"
+    "attr a dom 3\nattr b\nmodule m private inputs a outputs b\nrow m -1 -> 1";
+  check_err "two outputs" "line 5: rows at lines 4 and 5 give input 0 of m two outputs"
+    "attr a\nattr b\nmodule m private inputs a outputs b\nrow m 0 -> 1\nrow m 0 -> 0";
+  check_err "first conflict in file order"
+    "line 7: rows at lines 5 and 7 give input 1 0 of m two outputs"
+    "attr a\nattr b\nattr c\nmodule m private inputs a b outputs c\nrow m 1 0 -> 1\nrow m 0 0 -> 1\nrow m 1 0 -> 0\nrow m 0 0 -> 0\nrow m 1 0 -> 1";
+  (* Duplicate rows are no conflict, and a domain error anywhere in a
+     module's rows wins over its conflicts. *)
+  check_err "domain before conflict" "line 7: row value 2 outside domain 0..1 of b"
+    "attr a\nattr b\nmodule m private inputs a outputs b\nrow m 0 -> 1\nrow m 0 -> 1\nrow m 0 -> 0\nrow m 1 -> 2";
+  (* Semantic errors still win: this arity error is reported first. *)
+  check_err "semantic errors first" "line 6: row arity mismatch for outputs of m"
+    "attr a\nattr b\nmodule m private inputs a outputs b\nrow m 0 -> 1\nrow m 0 -> 0\nrow m 1 -> 1 1"
 
 let () =
   Alcotest.run "parse"
@@ -355,6 +756,7 @@ let () =
           Alcotest.test_case "first error wins" `Quick test_first_error_wins;
           Alcotest.test_case "build failures" `Quick test_build_failures;
           Alcotest.test_case "repeated attribute" `Quick test_repeated_attribute;
+          Alcotest.test_case "row errors name lines" `Quick test_row_errors;
         ] );
       ( "raw layer",
         [
@@ -365,5 +767,13 @@ let () =
         [
           Alcotest.test_case "fixtures = token-list parser" `Quick test_reference_on_fixtures;
           prop_scanner_matches_reference;
+        ] );
+      ( "elaboration",
+        [
+          Alcotest.test_case "fixtures = reference" `Quick test_elaboration_on_fixtures;
+          Alcotest.test_case "renamed pools = reference" `Quick test_elaboration_on_pools;
+          prop_elaboration_matches_reference;
+          Alcotest.test_case "names are interned" `Quick test_names_interned;
+          Alcotest.test_case "long names, table growth" `Quick test_long_names;
         ] );
     ]

@@ -124,6 +124,30 @@ let gen_edge_int =
 
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:300 ~name gen f)
 
+(* Decimal integers as a spec writes them: an optional sign, leading
+   zeros, 1 to 25 digits, so both sides of the native nine-digit read
+   are drawn. *)
+let gen_decimal =
+  QCheck2.Gen.(
+    let* sign = oneofl [ ""; "-"; "+" ] in
+    let* zeros = int_range 0 3 in
+    let* digits = int_range 1 25 in
+    let* body = string_size ~gen:(char_range '0' '9') (return digits) in
+    return (sign ^ String.make zeros '0' ^ body))
+
+(* [of_string] reads short decimals natively; the values and the
+   exceptions are the Bigint route's. *)
+let test_of_string_errors () =
+  List.iter
+    (fun (s, e) -> Alcotest.check_raises (Printf.sprintf "%S" s) e (fun () -> ignore (Q.of_string s)))
+    [
+      ("", Invalid_argument "Bigint.of_string: empty string");
+      ("-", Invalid_argument "Bigint.of_string: no digits");
+      ("+", Invalid_argument "Bigint.of_string: no digits");
+      ("1a", Invalid_argument "Bigint.of_string: invalid digit");
+      ("1/0", Division_by_zero);
+    ]
+
 let props =
   [
     prop "add commutes" QCheck2.Gen.(pair gen_rat gen_rat) (fun (a, b) ->
@@ -143,6 +167,9 @@ let props =
         let d = B.sub (Q.ceil a) (Q.floor a) in
         B.equal d B.zero || B.equal d B.one);
     prop "string roundtrip" gen_rat (fun a -> Q.equal a (Q.of_string (Q.to_string a)));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:1000 ~name:"of_string = bigint route" ~print:(Printf.sprintf "%S")
+         gen_decimal (fun s -> Q.of_string s = Q.of_bigint (B.of_string s)));
     prop "to_float close" gen_rat (fun a ->
         Float.abs (Q.to_float a -. (Q.to_float (Q.of_bigint (Q.num a)) /. Q.to_float (Q.of_bigint (Q.den a)))) < 1e-9);
     prop "compare antisym" QCheck2.Gen.(pair gen_rat gen_rat) (fun (a, b) ->
@@ -194,6 +221,7 @@ let () =
           Alcotest.test_case "compare" `Quick test_compare;
           Alcotest.test_case "floor/ceil" `Quick test_floor_ceil;
           Alcotest.test_case "strings" `Quick test_strings;
+          Alcotest.test_case "of_string errors" `Quick test_of_string_errors;
           Alcotest.test_case "to_float" `Quick test_to_float;
           Alcotest.test_case "sum" `Quick test_sum;
           Alcotest.test_case "int helpers" `Quick test_int_helpers;

@@ -765,6 +765,46 @@ let test_daemon_deep_nesting () =
       | Error e -> Alcotest.fail ("bad response line: " ^ e))
   | _ -> Alcotest.fail ("expected two responses, got: " ^ lines)
 
+(* A row value outside its domain and two rows that give one input two
+   outputs are parse errors that name their lines; the next line is
+   still answered. *)
+let test_daemon_row_errors () =
+  let spec rows =
+    Serve.Response.str ("attr a\nattr b\nmodule m private inputs a outputs b\n" ^ rows)
+  in
+  let input = Filename.temp_file "serve_in" ".jsonl" in
+  let output = Filename.temp_file "serve_out" ".jsonl" in
+  Out_channel.with_open_text input (fun oc ->
+      Printf.fprintf oc "{\"id\":\"dom\",\"op\":\"solve\",\"workflow\":%s}\n"
+        (spec "row m 0 -> 1\nrow m 1 -> 5\n");
+      Printf.fprintf oc "{\"id\":\"fd\",\"op\":\"solve\",\"workflow\":%s}\n"
+        (spec "row m 0 -> 1\nrow m 0 -> 0\n");
+      output_string oc "{\"id\":\"p\",\"op\":\"ping\"}\n");
+  let ic = open_in input and out = open_out output in
+  let outcome = Serve.Daemon.serve_channels (daemon ()) ic out in
+  close_in ic;
+  close_out out;
+  let lines = In_channel.with_open_text output In_channel.input_all in
+  Sys.remove input;
+  Sys.remove output;
+  Alcotest.(check bool) "eof outcome" true (outcome = `Eof);
+  let json l = match Json.of_string l with Ok j -> j | Error e -> Alcotest.fail ("bad response line: " ^ e) in
+  match List.filter (( <> ) "") (String.split_on_char '\n' lines) with
+  | [ dom; fd; pong ] ->
+      List.iter
+        (fun (line, message) ->
+          let j = json line in
+          let field f k = Option.bind (Json.member "error" j) (f k) in
+          Alcotest.(check (option string)) "kind" (Some "parse") (field Json.str_member "kind");
+          Alcotest.(check (option int)) "code" (Some 2) (field Json.int_member "code");
+          Alcotest.(check (option string)) "message" (Some message) (field Json.str_member "message"))
+        [
+          (dom, "line 5: row value 5 outside domain 0..1 of b");
+          (fd, "line 5: rows at lines 4 and 5 give input 0 of m two outputs");
+        ];
+      Alcotest.(check (option bool)) "pong" (Some true) (Json.bool_member "pong" (json pong))
+  | _ -> Alcotest.fail ("expected three responses, got: " ^ lines)
+
 (* A client that closed its end before reading: with SIGPIPE ignored,
    as the daemon arranges, the first response write fails with EPIPE
    and the loop ends the session instead of raising. *)
@@ -1026,6 +1066,7 @@ let () =
             test_daemon_closed_reader;
           Alcotest.test_case "closed stdout exits 0 with stats" `Quick
             test_daemon_closed_stdout;
+          Alcotest.test_case "row errors name their lines" `Quick test_daemon_row_errors;
         ] );
       ( "intern",
         [
