@@ -255,12 +255,29 @@ let cost t ~hidden ~privatized =
 let rec strictly_ranked rank ids i =
   i >= Array.length ids || (rank.(ids.(i - 1)) < rank.(ids.(i)) && strictly_ranked rank ids (i + 1))
 
+(* [a] sorted in place by [cmp rank], by insertion: stable, linear on
+   the sides and option lists here, which are mostly in order already,
+   and at worst quadratic, as the containment pass after it is. [cmp] is
+   a top-level function, so no closure is built per call. *)
+let insertion_sort cmp rank a =
+  for j = 1 to Array.length a - 1 do
+    let x = a.(j) in
+    let k = ref (j - 1) in
+    while !k >= 0 && cmp rank a.(!k) x > 0 do
+      a.(!k + 1) <- a.(!k);
+      decr k
+    done;
+    a.(!k + 1) <- x
+  done
+
+let compare_rank rank i j = Int.compare rank.(i) rank.(j)
+
 (* [ids] ordered by rank without repeats; [ids] itself when it already is. *)
 let by_rank_set rank ids =
   if strictly_ranked rank ids 1 then ids
   else begin
     let a = Array.copy ids in
-    Array.stable_sort (fun i j -> Int.compare rank.(i) rank.(j)) a;
+    insertion_sort compare_rank rank a;
     let k = ref 0 in
     for j = 0 to Array.length a - 1 do
       if !k = 0 || a.(!k - 1) <> a.(j) then begin
@@ -299,23 +316,15 @@ let rec dominated rank opts n j j' =
   j' < n && ((j' <> j && contains rank opts.(j') opts.(j)) || dominated rank opts n j (j' + 1))
 
 (* [opts], a fresh array, normalized in place: sides ordered by rank,
-   options sorted by insertion (a module has few), repeats dropped,
-   then every option that contains another. *)
+   options sorted (a module has few), repeats dropped, then every option
+   that contains another. *)
 let normalize_options rank opts =
   Array.iteri
     (fun j (i, o) ->
       let i' = by_rank_set rank i and o' = by_rank_set rank o in
       if i' != i || o' != o then opts.(j) <- (i', o'))
     opts;
-  for j = 1 to Array.length opts - 1 do
-    let x = opts.(j) in
-    let k = ref (j - 1) in
-    while !k >= 0 && compare_option rank opts.(!k) x > 0 do
-      opts.(!k + 1) <- opts.(!k);
-      decr k
-    done;
-    opts.(!k + 1) <- x
-  done;
+  insertion_sort compare_option rank opts;
   let n = ref 0 in
   for j = 0 to Array.length opts - 1 do
     if !n = 0 || compare_option rank opts.(!n - 1) opts.(j) <> 0 then begin
@@ -372,15 +381,7 @@ let card_options rank ~ins ~outs card =
   if card <> [] then (check ins; check outs);
   let sorted a =
     let a = Array.copy a in
-    for j = 1 to Array.length a - 1 do
-      let x = a.(j) in
-      let k = ref (j - 1) in
-      while !k >= 0 && rank.(a.(!k)) > rank.(x) do
-        a.(!k + 1) <- a.(!k);
-        decr k
-      done;
-      a.(!k + 1) <- x
-    done;
+    insertion_sort compare_rank rank a;
     a
   in
   let ins = sorted ins and outs = sorted outs in

@@ -263,28 +263,13 @@ let rec find_tok sc i kw = if i >= sc.n || tok_is sc i kw then i else find_tok s
 
 let sym_tok sc i = intern sc.nm sc.text sc.starts.(i) sc.stops.(i)
 
-(* The symbols of tokens [i .. j - 1], left to right. Here and in
-   {!int_toks} an array of up to three is built as a literal, which
-   skips the runtime call behind [Array.make]: module sides and rows are
-   rarely longer. *)
+(* The symbols of tokens [i .. j - 1], left to right. *)
 let sym_toks sc i j =
-  match j - i with
-  | 1 -> [| sym_tok sc i |]
-  | 2 ->
-      let a = sym_tok sc i in
-      let b = sym_tok sc (i + 1) in
-      [| a; b |]
-  | 3 ->
-      let a = sym_tok sc i in
-      let b = sym_tok sc (i + 1) in
-      let c = sym_tok sc (i + 2) in
-      [| a; b; c |]
-  | n ->
-      let v = Array.make n 0 in
-      for k = i to j - 1 do
-        v.(k - i) <- sym_tok sc k
-      done;
-      v
+  let v = Array.make (j - i) 0 in
+  for k = i to j - 1 do
+    v.(k - i) <- sym_tok sc k
+  done;
+  v
 
 (* The strings of symbols [syms.(i ..)]. *)
 let rec strings nm syms i =
@@ -300,29 +285,16 @@ let rec decimal text p stop acc =
   if p = stop then acc
   else decimal text (p + 1) stop ((acc * 10) + Char.code (String.unsafe_get text p) - 48)
 
-(* Token [i] is an optional sign and 1 to [max] decimal digits. *)
-let plain_decimal sc i max =
+(* An integer token is read in place when it is an optional sign and
+   at most eighteen digits, which stay below [max_int]. Anything else
+   (hex, underscores, malformed text) takes the copying path the values
+   and messages have always come from. *)
+let int_tok sc i =
   let start = sc.starts.(i) and stop = sc.stops.(i) in
   let d = match String.unsafe_get sc.text start with '-' | '+' -> start + 1 | _ -> start in
-  stop > d && stop - d <= max && all_digits sc.text d stop
-
-(* The value of a {!plain_decimal} token. *)
-let read_decimal sc i =
-  let start = sc.starts.(i) and stop = sc.stops.(i) in
-  match String.unsafe_get sc.text start with
-  | '-' -> -decimal sc.text (start + 1) stop 0
-  | '+' -> decimal sc.text (start + 1) stop 0
-  | _ -> decimal sc.text start stop 0
-
-(* Numbers are read in place when plain: eighteen digits stay below
-   [max_int], nine below {!Rat}'s native bound. Anything else (hex,
-   underscores, fractions, decimals, malformed text) takes the copying
-   path the values and messages have always come from. *)
-let int_tok sc i =
-  let start = sc.starts.(i) in
-  let c = String.unsafe_get sc.text start in
-  if sc.stops.(i) = start + 1 && c >= '0' && c <= '9' then Char.code c - 48
-  else if plain_decimal sc i 18 then read_decimal sc i
+  if stop > d && stop - d <= 18 && all_digits sc.text d stop then
+    let v = decimal sc.text d stop 0 in
+    if String.unsafe_get sc.text start = '-' then -v else v
   else
     let s = tok sc i in
     match int_of_string_opt s with
@@ -331,31 +303,17 @@ let int_tok sc i =
 
 (* Integer tokens [i .. j - 1], read left to right. *)
 let int_toks sc i j =
-  match j - i with
-  | 1 -> [| int_tok sc i |]
-  | 2 ->
-      let a = int_tok sc i in
-      let b = int_tok sc (i + 1) in
-      [| a; b |]
-  | 3 ->
-      let a = int_tok sc i in
-      let b = int_tok sc (i + 1) in
-      let c = int_tok sc (i + 2) in
-      [| a; b; c |]
-  | n ->
-      let v = Array.make n 0 in
-      for k = i to j - 1 do
-        v.(k - i) <- int_tok sc k
-      done;
-      v
+  let v = Array.make (j - i) 0 in
+  for k = i to j - 1 do
+    v.(k - i) <- int_tok sc k
+  done;
+  v
 
 let rat_tok sc i =
-  if plain_decimal sc i 9 then Rat.of_int (read_decimal sc i)
-  else
-    let s = tok sc i in
-    match Rat.of_string s with
-    | v -> v
-    | exception _ -> fail sc.lineno "expected a rational, got %s" s
+  let s = tok sc i in
+  match Rat.of_string s with
+  | v -> v
+  | exception _ -> fail sc.lineno "expected a rational, got %s" s
 
 (* The [dom] and [cost] options of an attribute line, from token [i]. *)
 let rec attr_opts sc a_name i dom cost =
@@ -379,7 +337,7 @@ let add_int v x =
    the result so that {!Analysis.Wfcheck} can diagnose them; they are
    re-validated by {!spec_of_raw}. One left-to-right pass over the
    text: each line is split into token offsets, names are interned in
-   place and plain numbers read in place, and the declarations come
+   place and plain integers read in place, and the declarations come
    back with their symbols. *)
 let scan text =
   let nm = names () in
@@ -583,18 +541,10 @@ let rec compare_from (a : int array) (b : int array) k i =
     let c = Int.compare (Array.unsafe_get a i) (Array.unsafe_get b i) in
     if c <> 0 then c else compare_from a b k (i + 1)
 
-(* Rows [a] in ascending order, by insertion: tables are small and
-   often nearly sorted. *)
-let sort_rows a k =
-  for i = 1 to Array.length a - 1 do
-    let r = a.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && compare_from a.(!j) r k 0 > 0 do
-      a.(!j + 1) <- a.(!j);
-      decr j
-    done;
-    a.(!j + 1) <- r
-  done
+(* Rows [a] in ascending order, all [k] values long. A merge sort:
+   O(r log r) on any table a request sends, and an insertion sort on the
+   few rows most modules have. *)
+let sort_rows a k = Array.stable_sort (fun r r' -> compare_from r r' k 0) a
 
 let check_values attrs (r : raw_row) ids (values : int array) =
   for j = 0 to Array.length ids - 1 do
@@ -604,14 +554,6 @@ let check_values attrs (r : raw_row) ids (values : int array) =
         (Printf.sprintf "line %d: row value %d outside domain 0..%d of %s" r.r_line v (a.a_dom - 1)
            a.a_name)
   done
-
-(* [Array.append] for a row, as a literal when it has up to four values. *)
-let join (ins : int array) (outs : int array) =
-  match (ins, outs) with
-  | [| a |], [| b |] -> [| a; b |]
-  | [| a |], [| b; c |] | [| a; b |], [| c |] -> [| a; b; c |]
-  | [| a |], [| b; c; d |] | [| a; b |], [| c; d |] | [| a; b; c |], [| d |] -> [| a; b; c; d |]
-  | _ -> Array.append ins outs
 
 (* A module given by rows, on ids: semantic checks have proven the
    arities and the names distinct. Each value is checked against its
@@ -629,7 +571,7 @@ let table_module attrs (d : raw_module) ~inputs ~outputs ins outs =
   in
   check d.m_rows;
   let a = Array.make (List.length d.m_rows) [||] in
-  List.iteri (fun i r -> a.(i) <- join r.r_ins r.r_outs) d.m_rows;
+  List.iteri (fun i r -> a.(i) <- Array.append r.r_ins r.r_outs) d.m_rows;
   sort_rows a k;
   let rows = ref [] and fd_ok = ref true in
   for i = Array.length a - 1 downto 0 do
@@ -697,8 +639,6 @@ let gamma_overrides_of raw =
       match g.g_module with None -> acc | Some m -> (m, g.g_value) :: acc)
     [] raw.r_gammas
 
-let unmade = A.make "_" ~dom:1
-
 let elaborate raw sy =
   let attrs = Array.of_list raw.r_attrs and mods = Array.of_list raw.r_modules in
   match semantic_errors sy attrs mods with
@@ -708,13 +648,14 @@ let elaborate raw sy =
       else
         try
           (* One [Attr.t] per declared attribute, made on first use. *)
-          let made = Array.make (Array.length attrs) unmade in
+          let made = Array.make (Array.length attrs) None in
           let attr i =
-            if made.(i) != unmade then made.(i)
-            else begin
-              made.(i) <- A.make attrs.(i).a_name ~dom:attrs.(i).a_dom;
-              made.(i)
-            end
+            match made.(i) with
+            | Some a -> a
+            | None ->
+                let a = A.make attrs.(i).a_name ~dom:attrs.(i).a_dom in
+                made.(i) <- Some a;
+                a
           in
           let wmods = Array.mapi (fun k d -> build_module attrs attr d ids.ins.(k) ids.outs.(k)) mods in
           match
@@ -736,10 +677,12 @@ let elaborate raw sy =
                 raw.r_gammas;
               let at = Array.make (Array.length mods) 0 in
               Array.iteri (fun i k -> at.(k) <- i) order;
-              let public_mods = ref [] in
-              for k = Array.length mods - 1 downto 0 do
-                Option.iter (fun c -> public_mods := (at.(k), c) :: !public_mods) mods.(k).m_public
-              done;
+              let public_mods =
+                Array.of_list
+                  (List.filter_map Fun.id
+                     (List.mapi (fun k m -> Option.map (fun c -> (at.(k), c)) m.m_public)
+                        raw.r_modules))
+              in
               let costs = List.map (fun a -> (a.a_name, a.a_cost)) raw.r_attrs in
               let publics =
                 List.filter_map
@@ -748,8 +691,7 @@ let elaborate raw sy =
               in
               Ok
                 { workflow; costs; publics; gamma; gamma_overrides = gamma_overrides_of raw; raw;
-                  attr_cost; mod_gamma = Array.map (fun k -> gammas.(k)) order;
-                  public_mods = Array.of_list !public_mods }
+                  attr_cost; mod_gamma = Array.map (fun k -> gammas.(k)) order; public_mods }
         with Failure msg | Invalid_argument msg -> Error msg)
 
 let spec_of_raw raw = elaborate raw (symbols_of_raw raw)

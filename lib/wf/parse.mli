@@ -26,11 +26,12 @@
     starts a comment and only ['\n'] ends a line. The raw phase is one
     pass over the text by offsets: every name is interned where it lies
     (each distinct name is allocated once and every mention shares that
-    string) and plain numbers are read in place. {!parse_string} hands
+    string) and plain integers are read in place. {!parse_string} hands
     the interned symbols straight to elaboration, which numbers
     attributes and modules on them and builds module tables from int
     rows. Elaboration proves each structural rule once, in time linear
-    in the spec (up to sorting each module's rows), so
+    in the spec up to sorting each module's rows (O(r log r) for r
+    rows), so
     {!Analysis.Wfcheck.check_spec} need not prove them again. *)
 
 (** {1 Raw declarations} *)

@@ -20,67 +20,53 @@ let ( let* ) = Result.bind
 
 (* The producer of each id, or -1; fails when two modules produce one. *)
 let producers n outs =
-  let producer = Array.make n (-1) and twice = ref false in
-  Array.iteri
-    (fun i o ->
-      for j = 0 to Array.length o - 1 do
-        if producer.(o.(j)) >= 0 then twice := true else producer.(o.(j)) <- i
-      done)
-    outs;
-  if !twice then Error "some attribute is produced by two modules" else Ok producer
+  let producer = Array.make n (-1) in
+  let exception Twice in
+  match
+    Array.iteri
+      (fun i o ->
+        Array.iter
+          (fun a -> if producer.(a) >= 0 then raise_notrace Twice else producer.(a) <- i)
+          o)
+      outs
+  with
+  | () -> Ok producer
+  | exception Twice -> Error "some attribute is produced by two modules"
 
 (* Kahn's algorithm over the module-dependency graph: m' -> m when some
-   output of m' is an input of m, one edge per pair. The queue starts
-   with the sources in index order, and each module releases its
-   dependents in index order, so ties keep the caller's order. Returns
-   module indices in topological order. *)
+   output of m' is an input of m. Returns module indices in
+   topological order. *)
 let topo_sort ins producer =
   let n = Array.length ins in
-  let indegree = Array.make n 0 and first = Array.make (n + 1) 0 and stamp = Array.make n (-1) in
-  (* [stamp.(j) = i]: the edge j -> i is counted already. *)
-  let edges fill =
-    Array.fill stamp 0 n (-1);
-    for i = 0 to n - 1 do
-      let v = ins.(i) in
-      for p = 0 to Array.length v - 1 do
-        let j = producer.(v.(p)) in
-        if j >= 0 && stamp.(j) <> i then begin
-          stamp.(j) <- i;
-          fill j i
-        end
-      done
-    done
+  let deps i =
+    Array.fold_right (fun a acc -> if producer.(a) >= 0 then producer.(a) :: acc else acc) ins.(i) []
+    |> List.sort_uniq Int.compare
   in
-  (* Count, then fill each module's dependents in increasing index. *)
-  edges (fun j i ->
-      indegree.(i) <- indegree.(i) + 1;
-      first.(j + 1) <- first.(j + 1) + 1);
-  for j = 1 to n do
-    first.(j) <- first.(j) + first.(j - 1)
-  done;
-  let next = Array.sub first 0 n and dependents = Array.make first.(n) 0 in
-  edges (fun j i ->
-      dependents.(next.(j)) <- i;
-      next.(j) <- next.(j) + 1);
-  let queue = Array.make n 0 and tail = ref 0 in
-  let release i =
-    queue.(!tail) <- i;
-    incr tail
-  in
+  let indegree = Array.make n 0 in
+  let dependents = Array.make n [] in
   for i = 0 to n - 1 do
-    if indegree.(i) = 0 then release i
+    List.iter
+      (fun j ->
+        indegree.(i) <- indegree.(i) + 1;
+        dependents.(j) <- i :: dependents.(j))
+      (deps i)
   done;
-  let head = ref 0 in
-  while !head < !tail do
-    let j = queue.(!head) in
-    incr head;
-    for e = first.(j) to first.(j + 1) - 1 do
-      let i = dependents.(e) in
-      indegree.(i) <- indegree.(i) - 1;
-      if indegree.(i) = 0 then release i
-    done
+  (* Preserve the caller's relative order among ties. *)
+  Array.iteri (fun i l -> dependents.(i) <- List.rev l) dependents;
+  let queue = Queue.create () in
+  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indegree;
+  let order = ref [] in
+  while not (Queue.is_empty queue) do
+    let i = Queue.take queue in
+    order := i :: !order;
+    List.iter
+      (fun j ->
+        indegree.(j) <- indegree.(j) - 1;
+        if indegree.(j) = 0 then Queue.add j queue)
+      dependents.(i)
   done;
-  if !tail <> n then Error "workflow contains a cycle" else Ok queue
+  if List.length !order <> n then Error "workflow contains a cycle"
+  else Ok (Array.of_list (List.rev !order))
 
 (* Order the modules, then renumber the attributes by schema position:
    the initial inputs in first-appearance order, then every module's
@@ -90,28 +76,19 @@ let assemble mods attr ins outs producer =
   let* order = topo_sort ins producer in
   let pos = Array.make (Array.length producer) (-1) in
   let next = ref 0 in
-  let place initial ids =
-    for j = 0 to Array.length ids - 1 do
-      let a = ids.(j) in
-      if pos.(a) < 0 && ((not initial) || producer.(a) < 0) then begin
-        pos.(a) <- !next;
-        incr next
-      end
-    done
+  let place a =
+    if pos.(a) < 0 then begin
+      pos.(a) <- !next;
+      incr next
+    end
   in
-  Array.iter (fun i -> place true ins.(i)) order;
+  Array.iter (fun i -> Array.iter (fun a -> if producer.(a) < 0 then place a) ins.(i)) order;
   let n_initial = !next in
-  Array.iter (fun i -> place false outs.(i)) order;
+  Array.iter (fun i -> Array.iter place outs.(i)) order;
   let by_pos = Array.make !next 0 in
   Array.iteri (fun a p -> if p >= 0 then by_pos.(p) <- a) pos;
   let schema_attrs = Array.to_list (Array.map attr by_pos) in
-  let remap ids =
-    let v = Array.make (Array.length ids) 0 in
-    for j = 0 to Array.length ids - 1 do
-      v.(j) <- pos.(ids.(j))
-    done;
-    v
-  in
+  let remap ids = Array.map (fun a -> pos.(a)) ids in
   Ok
     ( {
         modules = Array.map (fun i -> mods.(i)) order;

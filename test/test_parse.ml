@@ -717,6 +717,26 @@ let test_long_names () =
       Alcotest.(check int) "all modules" 60 (Array.length spec.Wf.Parse.workflow.Wf.Workflow.modules)
   | Error e -> Alcotest.fail e
 
+(* A table sent in descending order: sorting its rows stays
+   O(r log r), and 20,000 of them elaborate as the reference does, also
+   with a repeated row and with a conflicting row appended. *)
+let test_large_reversed_table () =
+  let n = 20_000 in
+  let b = Buffer.create (n * 20) in
+  Printf.bprintf b "attr a dom %d\nattr b dom 3\nmodule m private inputs a outputs b\n" n;
+  for v = n - 1 downto 0 do
+    Printf.bprintf b "row m %d -> %d\n" v (v mod 3)
+  done;
+  let text = Buffer.contents b in
+  List.iter
+    (fun text -> match elaboration_difference text with Some d -> Alcotest.fail d | None -> ())
+    [ text; text ^ "row m 7 -> 1\n"; text ^ "row m 7 -> 2\n" ];
+  match Wf.Parse.parse_string text with
+  | Ok spec ->
+      let m = spec.Wf.Parse.workflow.Wf.Workflow.modules.(0) in
+      Alcotest.(check int) "all rows" n (Rel.Relation.size m.Wf.Wmodule.table)
+  | Error e -> Alcotest.fail e
+
 let test_row_errors () =
   check_err "out-of-domain value" "line 5: row value 5 outside domain 0..1 of b"
     "attr a\nattr b\nmodule m private inputs a outputs b\nrow m 0 -> 1\nrow m 1 -> 5";
@@ -775,5 +795,6 @@ let () =
           prop_elaboration_matches_reference;
           Alcotest.test_case "names are interned" `Quick test_names_interned;
           Alcotest.test_case "long names, table growth" `Quick test_long_names;
+          Alcotest.test_case "large reversed table" `Quick test_large_reversed_table;
         ] );
     ]
