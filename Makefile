@@ -202,8 +202,8 @@ FUZZ_SEED ?= 27
 
 fuzz-parse:
 	dune build test/test_parse.exe $(wildcard examples/*.swf examples/bad/*.swf)
-	cd _build/default/test && PARSE_FUZZ_COUNT=$(FUZZ_COUNT) QCHECK_SEED=$(FUZZ_SEED) \
-	  ./test_parse.exe test '(scanner|elaboration)'
+	PARSE_FUZZ_COUNT=$(FUZZ_COUNT) QCHECK_SEED=$(FUZZ_SEED) \
+	  ./_build/default/test/test_parse.exe test '(scanner|elaboration)'
 
 clean:
 	dune clean

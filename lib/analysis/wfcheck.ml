@@ -112,15 +112,17 @@ let builtin_names = [ "identity"; "negate"; "constant"; "majority"; "and"; "or";
 
 (* What every pass shares: the declarations, their name tables (first
    declaration wins for lookups; later ones are W036/W037) and the
-   diagnostics emitted so far. *)
-type ctx = {
-  raw : P.raw;
+   diagnostics emitted so far. The tables are built on first use:
+   [check_spec] reads the elaborated spec's ids instead and never asks
+   for them. *)
+type names = {
   attr_tbl : (string, P.raw_attr) Hashtbl.t;
   mod_lines : (string, int) Hashtbl.t;
-  mutable diags : diagnostic list;
 }
 
-let context (raw : P.raw) =
+type ctx = { raw : P.raw; names : names Lazy.t; mutable diags : diagnostic list }
+
+let names_of (raw : P.raw) =
   let attr_tbl = Hashtbl.create 16 and mod_lines = Hashtbl.create 16 in
   List.iter
     (fun (a : P.raw_attr) ->
@@ -131,7 +133,11 @@ let context (raw : P.raw) =
       if not (Hashtbl.mem mod_lines m.P.m_name) then
         Hashtbl.add mod_lines m.P.m_name m.P.m_line)
     raw.P.r_modules;
-  { raw; attr_tbl; mod_lines; diags = [] }
+  { attr_tbl; mod_lines }
+
+let context (raw : P.raw) = { raw; names = lazy (names_of raw); diags = [] }
+let attr_tbl c = (Lazy.force c.names).attr_tbl
+let mod_lines c = (Lazy.force c.names).mod_lines
 
 let emit c ?line ~subject code fmt =
   Printf.ksprintf
@@ -139,7 +145,7 @@ let emit c ?line ~subject code fmt =
     fmt
 
 let seen c code = List.exists (fun d -> d.code = code) c.diags
-let dom_of c name = Option.map (fun a -> a.P.a_dom) (Hashtbl.find_opt c.attr_tbl name)
+let dom_of c name = Option.map (fun a -> a.P.a_dom) (Hashtbl.find_opt (attr_tbl c) name)
 
 let dom_product c names =
   List.fold_left
@@ -164,7 +170,8 @@ let duplicates c =
     c.raw.P.r_modules
 
 (* --- declaration sanity (W030–W035) ---------------------------------- *)
-let declarations c =
+(* [declared j m]: the [j]-th gamma directive's module [m] was declared. *)
+let declarations c ~declared =
   List.iter
     (fun (a : P.raw_attr) ->
       if Rat.sign a.P.a_cost < 0 then
@@ -177,10 +184,10 @@ let declarations c =
         emit c ~line:a.P.a_line ~subject:a.P.a_name "W034"
           "attribute %s has a one-value domain" a.P.a_name)
     c.raw.P.r_attrs;
-  List.iter
-    (fun (g : P.raw_gamma) ->
+  List.iteri
+    (fun j (g : P.raw_gamma) ->
       (match g.P.g_module with
-      | Some m when not (Hashtbl.mem c.mod_lines m) ->
+      | Some m when not (declared j m) ->
           emit c ~line:g.P.g_line ~subject:m "W031" "gamma override for unknown module %s" m
       | _ -> ());
       if g.P.g_value < 1 then
@@ -206,7 +213,7 @@ let wiring c =
     (fun (m : P.raw_module) ->
       List.iter
         (fun a ->
-          if not (Hashtbl.mem c.attr_tbl a) then
+          if not (Hashtbl.mem (attr_tbl c) a) then
             emit c ~line:m.P.m_line ~subject:a "W001"
               "module %s references undeclared attribute %s" m.P.m_name a)
         (Svutil.Listx.dedup (m.P.m_inputs @ m.P.m_outputs)))
@@ -473,6 +480,10 @@ let reachability c order =
     order
 
 (* --- privacy feasibility (W020) -------------------------------------- *)
+let unreachable_gamma c ~line name g bound =
+  emit c ~line ~subject:name "W020"
+    "module %s cannot reach Gamma = %d: hiding everything yields at most %d" name g bound
+
 let gamma_bounds c =
   let default_g = P.default_gamma c.raw in
   (* The last override of each module, with its line. *)
@@ -488,12 +499,24 @@ let gamma_bounds c =
           Option.value ~default:(default_g, m.P.m_line) (Hashtbl.find_opt overrides m.P.m_name)
         in
         let bound = dom_product c m.P.m_outputs in
-        if g > bound then
-          emit c ~line:g_line ~subject:m.P.m_name "W020"
-            "module %s cannot reach Gamma = %d: hiding everything yields at most %d"
-            m.P.m_name g bound
+        if g > bound then unreachable_gamma c ~line:g_line m.P.m_name g bound
       end)
     c.raw.P.r_modules
+
+(* The same check on an elaborated spec, which holds every private
+   module's gamma, the line that set it and its output attributes. *)
+let spec_gamma_bounds c (spec : P.spec) =
+  let modules = spec.P.workflow.W.modules in
+  let public = Array.make (Array.length modules) false in
+  Array.iter (fun (k, _) -> public.(k) <- true) spec.P.public_mods;
+  Array.iteri
+    (fun k (m : M.t) ->
+      if not public.(k) then begin
+        let g = spec.P.mod_gamma.(k) in
+        let bound = List.fold_left (fun acc a -> Naive.mul_sat acc (A.dom a)) 1 m.M.outputs in
+        if g > bound then unreachable_gamma c ~line:spec.P.gamma_line.(k) m.M.name g bound
+      end)
+    modules
 
 (* --- identity wirings (W021) ----------------------------------------- *)
 let identity_wirings c =
@@ -551,13 +574,13 @@ let flow c spec =
     (function
       | Flow.Useless_cost { attr; cost } ->
           let line =
-            match Hashtbl.find_opt c.attr_tbl attr with Some a -> a.P.a_line | None -> 0
+            match Hashtbl.find_opt (attr_tbl c) attr with Some a -> a.P.a_line | None -> 0
           in
           emit c ~line ~subject:attr "W050"
             "attribute %s is irrelevant to every privacy requirement yet costs %s" attr
             (Rat.to_string cost)
       | Flow.Forced_privatization { p_name; p_cost; attr } ->
-          let line = Option.value ~default:0 (Hashtbl.find_opt c.mod_lines p_name) in
+          let line = Option.value ~default:0 (Hashtbl.find_opt (mod_lines c) p_name) in
           emit c ~line ~subject:p_name "W051"
             "public module %s is privatized in every feasible solution (cost %s): attribute %s must always be hidden"
             p_name (Rat.to_string p_cost) attr)
@@ -571,7 +594,7 @@ let sorted c = List.sort compare_diagnostic c.diags
 let check_raw raw =
   let c = context raw in
   duplicates c;
-  declarations c;
+  declarations c ~declared:(fun _ m -> Hashtbl.mem (mod_lines c) m);
   let order = wiring c in
   unused_attrs c;
   let rows_ok = functionality c in
@@ -592,11 +615,14 @@ let check_raw raw =
 (* [spec_of_raw] has already rejected every duplicate (W036, W037),
    undeclared attribute (W001), second producer (W002), cycle (W003)
    and malformed module (W010, W013–W018), so the declarations are
-   sound; of the passes above only these can still emit an Error. *)
+   sound; of the passes above only these can still emit an Error. They
+   read what elaboration resolved (which override names a declared
+   module, each module's gamma and its line, its output domains), so no
+   name is hashed. *)
 let check_spec (spec : P.spec) =
   let c = context spec.P.raw in
-  declarations c;
-  gamma_bounds c;
+  declarations c ~declared:(fun j _ -> spec.P.gamma_mod.(j) >= 0);
+  spec_gamma_bounds c spec;
   derivation_width c;
   errors (sorted c)
 

@@ -62,10 +62,13 @@ val check_spec : Wf.Parse.spec -> diagnostic list
     [analyze]/[solve]/[check]/[batch], the daemon and perfbench, which
     keep only errors. {!Wf.Parse.spec_of_raw} has already rejected every
     W001–W003, W010, W013–W018, W036 and W037 case, so this runs only
-    the passes that can still emit an Error on an elaborated spec
-    (W020, W030–W033, W035, W042), through the same pass functions as
-    [check_raw]; the remaining passes emit only warnings and infos
-    ([lint] reports them through [check_raw]). Every spec comes from
+    the checks that can still emit an Error on an elaborated spec
+    (W020, W030–W033, W035, W042); the remaining passes emit only
+    warnings and infos ([lint] reports them through [check_raw]). It
+    builds no name table: W031 and W020 read what elaboration resolved
+    ({!Wf.Parse.spec}'s [gamma_mod], [mod_gamma], [gamma_line] and the
+    workflow's output domains), and the other checks read the raw
+    declarations' own fields and lines. Every spec comes from
     {!Wf.Parse.spec_of_raw}: the type is private. *)
 
 val raw_of_workflow :

@@ -1,4 +1,5 @@
 module M = Wf.Wmodule
+module A = Rel.Attr
 module St = Privacy.Standalone
 module Subset = Svutil.Subset
 
@@ -67,6 +68,79 @@ let derive m ~gamma =
   match exact_of_profiles (profiles m table) with
   | Some card when card <> [] -> Card_form card
   | _ -> Set_masks (St.minimal_hidden_masks table)
+
+(* The key's ints: Γ, |I|, |O|, the domains in [inputs @ outputs]
+   order, the row count, then every row's values. Each is folded to a
+   non-negative int (zigzag: 0, -1, 1, -2, ... to 0, 1, 2, 3, ...) and
+   written as a base-128 varint, low group first, with the high bit
+   marking a continuation. Varints are prefix-free and the counts say
+   how many ints follow, so a key decodes to one argument list. One
+   pass sizes the key and a second writes it, in loops that allocate
+   nothing but the key: the daemon builds one for every private module
+   of every request. *)
+let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
+
+(* Read as unsigned, so a folded [min_int] takes nine groups. *)
+let rec varint_bytes z = if z lsr 7 = 0 then 1 else 1 + varint_bytes (z lsr 7)
+
+let int_bytes n = varint_bytes (zigzag n)
+
+let rec put_varint b i z =
+  if z lsr 7 = 0 then begin
+    Bytes.unsafe_set b i (Char.unsafe_chr z);
+    i + 1
+  end
+  else begin
+    Bytes.unsafe_set b i (Char.unsafe_chr (z land 127 lor 128));
+    put_varint b (i + 1) (z lsr 7)
+  end
+
+let put_int b i n = put_varint b i (zigzag n)
+
+let rec doms_bytes acc = function
+  | [] -> acc
+  | a :: l -> doms_bytes (acc + int_bytes (A.dom a)) l
+
+let rec rows_bytes acc = function
+  | [] -> acc
+  | (r : int array) :: l ->
+      let acc = ref acc in
+      for i = 0 to Array.length r - 1 do
+        acc := !acc + int_bytes (Array.unsafe_get r i)
+      done;
+      rows_bytes !acc l
+
+let rec put_doms b at = function
+  | [] -> at
+  | a :: l -> put_doms b (put_int b at (A.dom a)) l
+
+let rec put_rows b at = function
+  | [] -> at
+  | (r : int array) :: l ->
+      let at = ref at in
+      for i = 0 to Array.length r - 1 do
+        at := put_int b !at (Array.unsafe_get r i)
+      done;
+      put_rows b !at l
+
+let key m ~gamma ~max_bytes =
+  let ins = m.M.inputs and outs = m.M.outputs and rows = Rel.Relation.rows m.M.table in
+  let n_in = List.length ins and n_out = List.length outs and n_rows = List.length rows in
+  let len =
+    rows_bytes
+      (doms_bytes
+         (doms_bytes (int_bytes gamma + int_bytes n_in + int_bytes n_out + int_bytes n_rows) ins)
+         outs)
+      rows
+  in
+  if len > max_bytes then None
+  else begin
+    let b = Bytes.create len in
+    let at = put_int b (put_int b (put_int b 0 gamma) n_in) n_out in
+    let at = put_int b (put_doms b (put_doms b at ins) outs) n_rows in
+    ignore (put_rows b at rows : int);
+    Some (Bytes.unsafe_to_string b)
+  end
 
 let requirement m ~gamma =
   match derive m ~gamma with

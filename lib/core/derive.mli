@@ -3,7 +3,10 @@
     Section 3.2 notes that the (exponential) standalone analysis of a
     module is amortized across the many workflows that reuse it; this
     module is that analysis. It produces the per-module requirement
-    lists consumed by the workflow Secure-View solvers.
+    lists consumed by the workflow Secure-View solvers. The amortization
+    is {!key}'s: the serve daemon keeps each distinct (table, Gamma)'s
+    {!derive} under it, so a module that many requests reuse is derived
+    once per daemon.
 
     Cardinality lists are {e sound under-approximations}: Example 6 says
     hiding {e any} k inputs of a one-one module is safe, but such a
@@ -42,3 +45,14 @@ val derive : Wf.Wmodule.t -> gamma:int -> derived
 (** {!requirement} before any name is attached: the id-level instance
     builders turn the masks into attribute ids
     ({!Instance.req_of_derived}). *)
+
+val key : Wf.Wmodule.t -> gamma:int -> max_bytes:int -> string option
+(** Everything {!derive} reads of its arguments, as one string: Γ, the
+    input and output counts, the domains of [inputs @ outputs] and the
+    rows, every int written as a zigzag varint. The encoding is
+    injective over all ints, so equal keys mean equal derivations:
+    {!derive} is a pure function of the key. Names play no part, and the
+    rows are read in the sorted order a table keeps, so renaming a
+    module or shuffling its rows leaves its key unchanged. [None] when
+    the key would be longer than [max_bytes]; its length is counted
+    before any byte is written. *)

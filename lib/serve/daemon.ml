@@ -18,12 +18,13 @@ let default_config () =
     metrics = Metrics.create ();
   }
 
-type t = { cfg : config; cache : Cache.t; mutable requests : int }
+type t = { cfg : config; cache : Cache.t; memo : Request.memo; mutable requests : int }
 
 let create cfg =
   {
     cfg;
     cache = Cache.create ~metrics:cfg.metrics ~capacity:cfg.cache_capacity ();
+    memo = Request.create_memo ~metrics:cfg.metrics ();
     requests = 0;
   }
 
@@ -86,7 +87,7 @@ let solve t id (s : Request.solve) =
   | Ok spec ->
       let inst =
         Metrics.span t.cfg.metrics "serve/derive" (fun () ->
-            Request.instance_of spec)
+            Request.instance_of ~memo:t.memo spec)
       in
       let reqm =
         if s.Request.want_metrics then Metrics.create () else Metrics.nop

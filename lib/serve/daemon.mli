@@ -7,13 +7,24 @@
     skipped. The loop is single-threaded and runs one request at a
     time; socket mode serves one connection at a time.
 
+    Beside the solution cache the daemon keeps one derivation memo
+    ({!Request.memo}) for its lifetime: each distinct (table, Gamma) of
+    a private module is derived once, and every later request that
+    carries it, under any names, reads the stored derivation. Its bounds
+    are fixed ({!Request.memo_capacity} entries, none over
+    {!Request.memo_max_bytes}); no flag or config field sets them.
+    Answers are the same as without it.
+
     Observability: the server registry collects
     [serve.{hits,misses,evictions,collisions,verify_failures}]
-    counters and [serve/{parse,preflight,derive,lookup,solve,store}]
+    counters, [serve.derive_hits] and [serve.derive_misses] (one per
+    private module derived through the memo) and
+    [serve/{parse,preflight,derive,lookup,solve,store}]
     spans: [serve/parse] covers {!Wf.Parse} alone, [serve/preflight] the
     Wfcheck static check ({!Request.check_static}) of every spec that
     parsed, [serve/derive] the requirement derivation
-    ({!Request.instance_of}) of every spec the preflight admitted.
+    ({!Request.instance_of}, memo lookups included) of every spec the
+    preflight admitted.
     [SIGUSR1] dumps the stats and registry to stderr without disturbing
     the loop; shutdown (EOF, a [shutdown] request, or end of socket
     serving) dumps them a final time. *)
@@ -35,7 +46,7 @@ val default_config : unit -> config
     verification, a fresh live registry. *)
 
 type t
-(** A running daemon: cache and counters. *)
+(** A running daemon: solution cache, derivation memo and counters. *)
 
 val create : config -> t
 

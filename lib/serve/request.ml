@@ -64,11 +64,55 @@ let spec_of_string ?(preflight = false) ?(name = inline_name) src =
   | Error e -> Error (Parse_error e)
   | Ok spec -> if preflight then check_static ~file:name spec else Ok spec
 
+(* The derivation memo --------------------------------------------- *)
+
+let memo_capacity = 1024
+let memo_max_bytes = 4096
+
+type memo = {
+  entries : Core.Derive.derived Svutil.Lru.t;
+  hits : Svutil.Metrics.counter;
+  misses : Svutil.Metrics.counter;
+}
+
+let create_memo ?(metrics = Svutil.Metrics.nop) () =
+  {
+    entries = Svutil.Lru.create memo_capacity;
+    hits = Svutil.Metrics.counter metrics "serve.derive_hits";
+    misses = Svutil.Metrics.counter metrics "serve.derive_misses";
+  }
+
+let memo_entries memo = memo.entries
+
+(* An entry's size: its key, and a word per int of the derivation. *)
+let entry_bytes key = function
+  | Core.Derive.Card_form card -> String.length key + (16 * List.length card)
+  | Core.Derive.Set_masks masks -> String.length key + (8 * List.length masks)
+
+(* [Core.Derive.derive] is a pure function of the key, so a hit returns
+   what deriving would. A module whose key or entry is over the size
+   bound is derived and not stored; an exception escapes unstored. *)
+let derive_through memo m ~gamma =
+  match Core.Derive.key m ~gamma ~max_bytes:memo_max_bytes with
+  | None ->
+      Svutil.Metrics.incr memo.misses;
+      Core.Derive.derive m ~gamma
+  | Some key -> (
+      match Svutil.Lru.find memo.entries key with
+      | Some d ->
+          Svutil.Metrics.incr memo.hits;
+          d
+      | None ->
+          Svutil.Metrics.incr memo.misses;
+          let d = Core.Derive.derive m ~gamma in
+          if entry_bytes key d <= memo_max_bytes then Svutil.Lru.add memo.entries key d;
+          d)
+
 (* The ids elaboration assigned carry straight into the instance: no
    name is looked up. Private modules keep the workflow's topological
    order and publics their declaration order, as
    [Core.Instance.of_workflow] orders them. *)
-let instance_of (spec : Wf.Parse.spec) =
+let instance_of ?memo (spec : Wf.Parse.spec) =
   let w = spec.Wf.Parse.workflow in
   let module I = Core.Instance in
   let modules = w.Wf.Workflow.modules in
@@ -86,7 +130,12 @@ let instance_of (spec : Wf.Parse.spec) =
       for k = 0 to Array.length modules - 1 do
         if not public.(k) then begin
           let m = modules.(k) and ins = w.Wf.Workflow.ins.(k) and outs = w.Wf.Workflow.outs.(k) in
-          let derived = Core.Derive.derive m ~gamma:spec.Wf.Parse.mod_gamma.(k) in
+          let gamma = spec.Wf.Parse.mod_gamma.(k) in
+          let derived =
+            match memo with
+            | None -> Core.Derive.derive m ~gamma
+            | Some memo -> derive_through memo m ~gamma
+          in
           pmods :=
             { I.mname = m.Wf.Wmodule.name; ins; outs; ireq = I.req_of_derived ~rank ~ins ~outs derived }
             :: !pmods

@@ -65,8 +65,43 @@ val check_static : file:string -> Wf.Parse.spec -> (Wf.Parse.spec, error) result
 val inline_name : string
 (** ["<request>"], the label of inline workflow text. *)
 
-val instance_of : Wf.Parse.spec -> Core.Instance.t
-(** Build the Secure-View instance (shared by CLI and daemon). *)
+(** {1 Building the instance} *)
+
+type memo
+(** A bounded memo of requirement derivations, keyed by a private
+    module's content ({!Core.Derive.key}: Gamma, the input and output
+    counts, the domains and the sorted rows) and compared in full by
+    {!Svutil.Lru}, so no digest is trusted. Renamed modules and shuffled
+    rows share an entry. A memo is mutable state for one thread: the
+    daemon owns one ({!Daemon}), while the CLI's one-shot paths and
+    [batch --jobs], which builds instances on several domains, pass
+    none. *)
+
+val memo_capacity : int
+(** 1,024 entries; a fresh entry beyond it evicts the least recently
+    used one. *)
+
+val memo_max_bytes : int
+(** 4,096: a module whose key, plus 8 bytes per int of its derivation,
+    is longer is derived but not stored. With {!memo_capacity} this
+    bounds what a memo keeps. *)
+
+val create_memo : ?metrics:Svutil.Metrics.t -> unit -> memo
+(** An empty memo. Each private module {!instance_of} derives through
+    it ticks [serve.derive_hits] or [serve.derive_misses] in [metrics]
+    (default {!Svutil.Metrics.nop}). *)
+
+val memo_entries : memo -> Core.Derive.derived Svutil.Lru.t
+(** The stored derivations by key, for tests. *)
+
+val instance_of : ?memo:memo -> Wf.Parse.spec -> Core.Instance.t
+(** Build the Secure-View instance (shared by CLI and daemon). With
+    [memo], each private module's derivation is looked up by its key
+    first and derived only on a miss; only the mapping of the derived
+    masks to this request's attribute ids
+    ({!Core.Instance.req_of_derived}) runs on a hit. The instance is the
+    same with or without a memo, and an exception from
+    {!Core.Derive.derive} is raised as without one and not stored. *)
 
 (** {1 Solver options} *)
 

@@ -36,6 +36,8 @@ type spec = {
   raw : raw;
   attr_cost : Rat.t array;
   mod_gamma : int array;
+  gamma_line : int array;
+  gamma_mod : int array;
   public_mods : (int * Rat.t) array;
 }
 
@@ -666,17 +668,25 @@ let elaborate raw sy =
           | Ok (workflow, pos, order) ->
               let attr_cost = Array.make (Array.length workflow.Workflow.names) Rat.zero in
               Array.iteri (fun d p -> if p >= 0 then attr_cost.(p) <- attrs.(d).a_cost) pos;
+              let at = Array.make (Array.length mods) 0 in
+              Array.iteri (fun i k -> at.(k) <- i) order;
               (* Gammas per declared module: the default, then every
-                 override in file order, so the last one wins. *)
+                 override in file order, so the last one wins; each
+                 with the line that set it. *)
               let gamma = default_gamma raw in
               let gammas = Array.make (Array.length mods) gamma in
+              let lines = Array.map (fun m -> m.m_line) mods in
+              let gamma_mod = Array.make (Array.length sy.gamma_sym) (-1) in
               List.iteri
                 (fun j g ->
                   let s = sy.gamma_sym.(j) in
-                  if s >= 0 && ids.mod_of.(s) >= 0 then gammas.(ids.mod_of.(s)) <- g.g_value)
+                  if s >= 0 && ids.mod_of.(s) >= 0 then begin
+                    let k = ids.mod_of.(s) in
+                    gammas.(k) <- g.g_value;
+                    lines.(k) <- g.g_line;
+                    gamma_mod.(j) <- at.(k)
+                  end)
                 raw.r_gammas;
-              let at = Array.make (Array.length mods) 0 in
-              Array.iteri (fun i k -> at.(k) <- i) order;
               let public_mods =
                 Array.of_list
                   (List.filter_map Fun.id
@@ -691,7 +701,8 @@ let elaborate raw sy =
               in
               Ok
                 { workflow; costs; publics; gamma; gamma_overrides = gamma_overrides_of raw; raw;
-                  attr_cost; mod_gamma = Array.map (fun k -> gammas.(k)) order; public_mods }
+                  attr_cost; mod_gamma = Array.map (fun k -> gammas.(k)) order;
+                  gamma_line = Array.map (fun k -> lines.(k)) order; gamma_mod; public_mods }
         with Failure msg | Invalid_argument msg -> Error msg)
 
 let spec_of_raw raw = elaborate raw (symbols_of_raw raw)

@@ -75,6 +75,13 @@ type spec = private {
   raw : raw;  (** the declarations the spec was built from, with lines *)
   attr_cost : Rat.t array;  (** workflow attribute id -> hiding cost *)
   mod_gamma : int array;  (** workflow module index -> its gamma *)
+  gamma_line : int array;
+      (** workflow module index -> the line that set its gamma: its last
+          override, else its own declaration *)
+  gamma_mod : int array;
+      (** gamma directive, in file order -> the workflow index of the
+          module it overrides; -1 for the workflow default and for a
+          module that was never declared *)
   public_mods : (int * Rat.t) array;
       (** the public modules in declaration order: workflow module
           index, privatization cost *)

@@ -6,6 +6,11 @@
 module C = Analysis.Wfcheck
 module P = Wf.Parse
 
+(* The fixtures dune copies beside the test directory, found from the
+   executable so the suite runs from any working directory. *)
+let examples = Filename.concat (Filename.dirname Sys.executable_name) "../examples"
+let example f = Filename.concat examples f
+
 let raw_of text =
   match P.parse_raw_string text with
   | Ok raw -> raw
@@ -24,9 +29,9 @@ let has code text =
 
 let test_clean () =
   Alcotest.(check (list string)) "fig1 clean" []
-    (codes_of (In_channel.with_open_text "../examples/fig1.swf" In_channel.input_all));
+    (codes_of (In_channel.with_open_text (example "fig1.swf") In_channel.input_all));
   Alcotest.(check (list string)) "genomics clean" []
-    (codes_of (In_channel.with_open_text "../examples/genomics.swf" In_channel.input_all));
+    (codes_of (In_channel.with_open_text (example "genomics.swf") In_channel.input_all));
   Alcotest.(check (list string)) "library fig1 clean" []
     (List.map
        (fun (d : C.diagnostic) -> d.C.code)
@@ -212,7 +217,7 @@ let fixtures () =
     |> List.sort compare
     |> List.map (Filename.concat dir)
   in
-  in_dir "../examples" @ in_dir "../examples/bad"
+  in_dir examples @ in_dir (example "bad")
 
 let test_check_spec_errors () =
   (* [check_spec] skips the W05x flow pass, which emits no errors, so on

@@ -17,6 +17,11 @@ module M = Wf.Wmodule
 
 let q = Alcotest.testable Q.pp Q.equal
 
+(* The fixtures dune copies beside the test directory, found from the
+   executable so the suite runs from any working directory. *)
+let examples = Filename.concat (Filename.dirname Sys.executable_name) "../examples"
+let example f = Filename.concat examples f
+
 let spec_of text =
   match P.parse_string text with
   | Ok spec -> spec
@@ -32,7 +37,7 @@ let check_ok inst fl =
 (* --- fig1: everything referenced, nothing forced ---------------------- *)
 
 let fig1_spec () =
-  spec_of (In_channel.with_open_text "../examples/fig1.swf" In_channel.input_all)
+  spec_of (In_channel.with_open_text (example "fig1.swf") In_channel.input_all)
 
 let test_fig1_open () =
   let spec = fig1_spec () in
@@ -154,7 +159,7 @@ let test_infeasible () =
 
 let test_genomics_lattice () =
   let spec =
-    spec_of (In_channel.with_open_text "../examples/genomics.swf" In_channel.input_all)
+    spec_of (In_channel.with_open_text (example "genomics.swf") In_channel.input_all)
   in
   let fl = AF.analyze spec in
   let info a = List.find (fun (i : AF.attr_info) -> i.AF.attr = a) fl.AF.attrs in

@@ -473,6 +473,10 @@ module Elaboration_reference = struct
           with Failure msg | Invalid_argument msg -> Error msg)
 end
 
+(* The fixtures dune copies beside the test directory, found from the
+   executable so the suite runs from any working directory. *)
+let examples = Filename.concat (Filename.dirname Sys.executable_name) "../examples"
+
 let fixture_texts =
   lazy
     (let in_dir dir =
@@ -482,7 +486,7 @@ let fixture_texts =
        |> List.map (fun f ->
               In_channel.with_open_text (Filename.concat dir f) In_channel.input_all)
      in
-     Array.of_list (in_dir "../examples" @ in_dir "../examples/bad"))
+     Array.of_list (in_dir examples @ in_dir (Filename.concat examples "bad")))
 
 let insertions =
   [| " "; "\t"; "#"; "\r"; "\n"; "->"; " -> "; "gamma"; "attr"; "module"; "row"; "fn";

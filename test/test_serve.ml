@@ -606,6 +606,9 @@ let test_daemon_protocol () =
     (Option.map fst (Svutil.Metrics.span_stats metrics "serve/parse"));
   Alcotest.(check (option int)) "serve/preflight spans every parsed solve" (Some 4)
     (Option.map fst (Svutil.Metrics.span_stats metrics "serve/preflight"));
+  Alcotest.(check (pair int int)) "one derivation, then two memo hits" (2, 1)
+    (Metrics.counter_value metrics "serve.derive_hits",
+     Metrics.counter_value metrics "serve.derive_misses");
   let stats, _ = response_of t {|{"id":"st","op":"stats"}|} in
   (match Json.member "stats" stats with
   | Some st ->
@@ -1003,6 +1006,215 @@ let test_pool_programs_pinned () =
   Alcotest.(check string) "MD5 of the printed programs" pool_programs_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* {1 The derivation memo}
+
+   [instance_of ~memo] must build exactly what [instance_of] builds: a
+   hit hands back what deriving would, mapped to the request's own ids.
+   [None] when the two agree, else what differs. *)
+
+let memo_differs ~memo (spec : Wf.Parse.spec) =
+  let plain = Serve.Request.instance_of spec in
+  let memoed = Serve.Request.instance_of ~memo spec in
+  let fields =
+    [
+      ("names", plain.Inst.names = memoed.Inst.names);
+      ("costs", plain.Inst.costs = memoed.Inst.costs);
+      ("rank", plain.Inst.rank = memoed.Inst.rank);
+      ("by_rank", plain.Inst.by_rank = memoed.Inst.by_rank);
+      ("pmods", plain.Inst.pmods = memoed.Inst.pmods);
+      ("pubs", plain.Inst.pubs = memoed.Inst.pubs);
+      ("set_form", plain.Inst.set_form = memoed.Inst.set_form);
+    ]
+  in
+  match List.find_opt (fun (_, same) -> not same) fields with
+  | Some (field, _) -> Some field
+  | None ->
+      if Canon.form plain <> Canon.form memoed then Some "canonical form"
+      else if snapshot_view (ip_of plain) <> snapshot_view (ip_of memoed) then Some "IP"
+      else None
+
+let memo_counts metrics =
+  (Metrics.counter_value metrics "serve.derive_hits", Metrics.counter_value metrics "serve.derive_misses")
+
+(* One memo across every generated workflow: tables recur under other
+   names, and the same spec a second time is all hits. *)
+let gen_memo_metrics = Metrics.create ()
+let gen_memo = Serve.Request.create_memo ~metrics:gen_memo_metrics ()
+
+let memo_prop (spec : Wf.Parse.spec) =
+  memo_differs ~memo:gen_memo spec = None
+  &&
+  let hits, misses = memo_counts gen_memo_metrics in
+  let inst = Serve.Request.instance_of ~memo:gen_memo spec in
+  memo_counts gen_memo_metrics = (hits + Array.length inst.Inst.pmods, misses)
+
+(* Both seed-42 pools under three seeded renamings through one memo.
+   Renaming and row shuffling keep every key, so the second and third
+   renamings derive nothing, and the pools fit the memo. *)
+let test_memo_on_pools () =
+  let module T = Perfbench_traffic.Traffic in
+  let metrics = Metrics.create () in
+  let memo = Serve.Request.create_memo ~metrics () in
+  let after_first = ref None in
+  List.iter
+    (fun seed ->
+      let rng = Svutil.Rng.create seed in
+      List.iter
+        (fun (name, wl) ->
+          List.iteri
+            (fun i w ->
+              let spec = spec_of_text name (T.render (T.rename rng w).T.wf) in
+              match memo_differs ~memo spec with
+              | None -> ()
+              | Some what ->
+                  Alcotest.failf "%s pool member %d, renaming seed %d: the memo differs in the %s"
+                    name i seed what)
+            (T.pool_workflows wl))
+        T.workloads;
+      let _, misses = memo_counts metrics in
+      match !after_first with
+      | None -> after_first := Some misses
+      | Some m -> Alcotest.(check int) (Printf.sprintf "seed %d derives nothing new" seed) m misses)
+    [ 1; 2; 3 ];
+  let entries = Serve.Request.memo_entries memo in
+  Alcotest.(check int) "no eviction" 0 (Lru.evictions entries);
+  Alcotest.(check int) "one entry per miss" (Option.get !after_first) (Lru.length entries)
+
+let spec_unchecked text =
+  match Wf.Parse.parse_string text with
+  | Ok spec -> spec
+  | Error e -> Alcotest.failf "spec rejected: %s" e
+
+let module_key (spec : Wf.Parse.spec) =
+  let w = spec.Wf.Parse.workflow in
+  Option.get
+    (Core.Derive.key w.Wf.Workflow.modules.(0) ~gamma:spec.Wf.Parse.mod_gamma.(0)
+       ~max_bytes:Serve.Request.memo_max_bytes)
+
+(* Each variant changes one thing derivation reads and gets an entry of
+   its own; a renamed copy with its rows reordered gets none. *)
+let test_memo_key_separation () =
+  let base = "gamma 2\nattr a\nattr b\nattr c\nmodule m private inputs a b outputs c\n" in
+  let variants =
+    [
+      ("base", base ^ "row m 0 0 -> 1\nrow m 1 1 -> 0\n");
+      ("gamma", "gamma 1\nattr a\nattr b\nattr c\nmodule m private inputs a b outputs c\n\
+                 row m 0 0 -> 1\nrow m 1 1 -> 0\n");
+      ("input/output split", "gamma 2\nattr a\nattr b\nattr c\nmodule m private inputs a outputs b c\n\
+                              row m 0 -> 0 1\nrow m 1 -> 1 0\n");
+      ("domain", "gamma 2\nattr a\nattr b dom 3\nattr c\nmodule m private inputs a b outputs c\n\
+                  row m 0 0 -> 1\nrow m 1 1 -> 0\n");
+      ("row value", base ^ "row m 0 0 -> 1\nrow m 1 1 -> 1\n");
+    ]
+  in
+  let metrics = Metrics.create () in
+  let memo = Serve.Request.create_memo ~metrics () in
+  let check_same what spec =
+    match memo_differs ~memo spec with
+    | None -> ()
+    | Some field -> Alcotest.failf "%s: the memo differs in the %s" what field
+  in
+  List.iter (fun (what, text) -> check_same what (spec_unchecked text)) variants;
+  Alcotest.(check (pair int int)) "every variant derived" (0, 5) (memo_counts metrics);
+  Alcotest.(check int) "five entries" 5 (Lru.length (Serve.Request.memo_entries memo));
+  check_same "renamed"
+    (spec_unchecked
+       "gamma 2\nattr z\nattr y\nattr x\nmodule q private inputs y x outputs z\n\
+        row q 1 1 -> 0\nrow q 0 0 -> 1\n");
+  Alcotest.(check (pair int int)) "renamed copy hits" (1, 5) (memo_counts metrics)
+
+(* A module whose gamma is [g]: one key per gamma. *)
+let gamma_spec g =
+  spec_unchecked
+    (Printf.sprintf "gamma %d\nattr a\nattr b\nmodule m private inputs a outputs b\n\
+                     row m 0 -> 1\nrow m 1 -> 0\n" g)
+
+let test_memo_bounds () =
+  let metrics = Metrics.create () in
+  let memo = Serve.Request.create_memo ~metrics () in
+  let entries = Serve.Request.memo_entries memo in
+  let cap = Serve.Request.memo_capacity in
+  let derive spec = ignore (Serve.Request.instance_of ~memo spec) in
+  for g = 1 to cap do
+    derive (gamma_spec g)
+  done;
+  (* Touch the oldest entry, so the second oldest is the least recently used. *)
+  derive (gamma_spec 1);
+  derive (gamma_spec (cap + 1));
+  Alcotest.(check int) "full" cap (Lru.length entries);
+  Alcotest.(check int) "one eviction" 1 (Lru.evictions entries);
+  Alcotest.(check bool) "touched entry kept" true (Lru.mem entries (module_key (gamma_spec 1)));
+  Alcotest.(check bool) "least recently used evicted" false
+    (Lru.mem entries (module_key (gamma_spec 2)));
+  Alcotest.(check bool) "newest kept" true (Lru.mem entries (module_key (gamma_spec (cap + 1))));
+  let stored_unchanged what spec =
+    let before = memo_counts metrics in
+    for _ = 1 to 2 do
+      match memo_differs ~memo spec with
+      | None -> ()
+      | Some field -> Alcotest.failf "%s: the memo differs in the %s" what field
+    done;
+    Alcotest.(check (pair int int)) (what ^ ": derived every time")
+      (fst before, snd before + 2) (memo_counts metrics);
+    Alcotest.(check bool) (what ^ ": not stored") true (Lru.length entries = cap)
+  in
+  (* Ten boolean inputs: 1,024 rows of eleven values, a key longer than
+     the bound. *)
+  let ins = List.init 10 (Printf.sprintf "i%d") in
+  let b = Buffer.create 65536 in
+  Buffer.add_string b "gamma 2\n";
+  List.iter (fun a -> Printf.bprintf b "attr %s\n" a) ins;
+  Printf.bprintf b "attr o\nmodule wide private inputs %s outputs o\n" (String.concat " " ins);
+  for v = 0 to 1023 do
+    Printf.bprintf b "row wide %s -> %d\n"
+      (String.concat " " (List.init 10 (fun j -> string_of_int ((v lsr j) land 1))))
+      (v mod 3 land 1)
+  done;
+  let long_key = spec_unchecked (Buffer.contents b) in
+  Alcotest.(check bool) "key over the bound" true
+    (Core.Derive.key long_key.Wf.Parse.workflow.Wf.Workflow.modules.(0) ~gamma:2
+       ~max_bytes:Serve.Request.memo_max_bytes
+    = None);
+  stored_unchanged "long key" long_key;
+  (* Twelve outputs of domains 2 and 3 and gamma 216: a short key, but
+     hundreds of minimal hidden sets. *)
+  let outs = List.init 12 (Printf.sprintf "o%d") in
+  let b = Buffer.create 1024 in
+  Buffer.add_string b "gamma 216\nattr a\n";
+  List.iteri (fun i o -> Printf.bprintf b "attr %s dom %d\n" o (2 + (i land 1))) outs;
+  Printf.bprintf b "module m private inputs a outputs %s\nrow m 0 -> %s\n" (String.concat " " outs)
+    (String.concat " " (List.map (fun _ -> "0") outs));
+  let many_masks = spec_unchecked (Buffer.contents b) in
+  (match Core.Derive.derive many_masks.Wf.Parse.workflow.Wf.Workflow.modules.(0) ~gamma:216 with
+  | Core.Derive.Set_masks masks ->
+      Alcotest.(check bool) "masks over the bound" true
+        (8 * List.length masks > Serve.Request.memo_max_bytes)
+  | Core.Derive.Card_form _ -> Alcotest.fail "expected the set form");
+  stored_unchanged "many masks" many_masks
+
+(* A module wider than derivation enumerates (the preflight's W042,
+   skipped here) raises as without a memo, and leaves nothing behind. *)
+let test_memo_exception () =
+  let k = Svutil.Subset.max_universe + 1 in
+  let names = List.init k (Printf.sprintf "w%d") in
+  let ins = List.filteri (fun i _ -> i < 2) names and outs = List.filteri (fun i _ -> i >= 2) names in
+  let spec =
+    spec_unchecked
+      (Printf.sprintf "%smodule m private inputs %s outputs %s\nrow m 0 0 -> %s\n"
+         (String.concat "" (List.map (Printf.sprintf "attr %s\n") names))
+         (String.concat " " ins) (String.concat " " outs)
+         (String.concat " " (List.map (fun _ -> "0") outs)))
+  in
+  let raised f = match f () with _ -> None | exception e -> Some (Printexc.to_string e) in
+  let plain = raised (fun () -> Serve.Request.instance_of spec) in
+  Alcotest.(check bool) "derivation raises" true (plain <> None);
+  let memo = Serve.Request.create_memo () in
+  for _ = 1 to 2 do
+    Alcotest.(check (option string)) "same exception through the memo" plain
+      (raised (fun () -> Serve.Request.instance_of ~memo spec))
+  done;
+  Alcotest.(check int) "nothing stored" 0 (Lru.length (Serve.Request.memo_entries memo))
+
 let () =
   Alcotest.run "serve"
     [
@@ -1078,5 +1290,15 @@ let () =
           Alcotest.test_case "instance_of = of_workflow on seed-42 pools" `Quick
             test_constructors_on_pools;
           Alcotest.test_case "pool programs pinned" `Quick test_pool_programs_pinned;
+          prop ~count:100 "instance_of ~memo = instance_of on Gen workflows"
+            ~print:(fun (spec : Wf.Parse.spec) ->
+              Format.asprintf "%a" Wf.Workflow.pp spec.Wf.Parse.workflow)
+            gen_spec memo_prop;
+          Alcotest.test_case "instance_of ~memo = instance_of on renamed pools" `Quick
+            test_memo_on_pools;
+          Alcotest.test_case "memo keys separate what derivation reads" `Quick
+            test_memo_key_separation;
+          Alcotest.test_case "memo bounds" `Quick test_memo_bounds;
+          Alcotest.test_case "derivation exceptions are not memoized" `Quick test_memo_exception;
         ] );
     ]
