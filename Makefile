@@ -28,9 +28,19 @@ bench:
 
 # The experiment tables E01–E22 without timings: every table runs to the
 # end (E10–E17 solve the hardness gadgets' ILPs through the hybrid LP
-# route). bench-smoke skips them.
+# route), and every E06 row must hold Theorem 6 (rounded cost within
+# l_max times the LP bound, the LP bound at most the exact cost).
+# bench-smoke skips them.
 bench-tables:
-	dune exec bench/main.exe -- --no-timings
+	dune exec bench/main.exe -- --no-timings > /tmp/bench_tables.out \
+	  || { cat /tmp/bench_tables.out; echo "FAIL: bench/main.exe exited nonzero"; exit 1; }
+	@cat /tmp/bench_tables.out
+	@awk '/^== / { e06 = /^== E06:/; body = 0; next } \
+	  e06 && /^-/ { body = 1; next } \
+	  e06 && body && NF { rows++; if ($$NF == "yes") held++ } \
+	  END { if (rows == 0 || held != rows) { \
+	          printf "FAIL: E06: %d of %d rows hold Theorem 6\n", held, rows; exit 1 } \
+	        printf "ok: E06: all %d rows hold Theorem 6\n", rows }' /tmp/bench_tables.out
 
 # Tiny-quota timing pass over every kernel: exercises the whole bechamel
 # harness (including the pruned-vs-naive twins) in a few seconds.

@@ -42,12 +42,6 @@ let build (inst : Instance.t) =
         x)
       inst.Instance.costs
   in
-  (* [covers u v]: u - v >= 0, with [u] created before [v]. *)
-  let covers u v =
-    P.add_term p u Rat.one;
-    P.add_term p v Rat.minus_one;
-    P.close_row p P.Ge Rat.zero
-  in
   let pub_var =
     Array.map
       (fun (pub : Instance.pub) ->
@@ -62,6 +56,10 @@ let build (inst : Instance.t) =
         w)
       inst.Instance.pubs
   in
+  (* [users.(b)]: the options of the module at hand that mention [b],
+     ascending; [[]] again once the module's rows are written. *)
+  let users = Array.make (Array.length attr_var) [] in
+  let by_rank a b = Int.compare inst.Instance.rank.(a) inst.Instance.rank.(b) in
   let mod_vars =
     Array.map
       (fun (m : Instance.pmod) ->
@@ -70,13 +68,29 @@ let build (inst : Instance.t) =
         (* (15/19): some option selected. *)
         Array.iter (fun r -> P.add_term p r Rat.one) r_vars;
         P.close_row p P.Ge Rat.one;
-        (* (16/20): selecting an option hides all its attributes. *)
-        Array.iteri
-          (fun j (ins, outs) ->
-            let hides b = covers attr_var.(b) r_vars.(j) in
-            Array.iter hides ins;
-            Array.iter hides outs)
-          options;
+        (* (16/20), summed over the options: x_b - sum_{j : b in option j}
+           r_j >= 0 per attribute the options mention, by name rank. *)
+        let mentioned = ref [] in
+        for j = Array.length options - 1 downto 0 do
+          let ins, outs = options.(j) in
+          let use b =
+            match users.(b) with
+            | j' :: _ when j' = j -> ()
+            | [] ->
+                mentioned := b :: !mentioned;
+                users.(b) <- [ j ]
+            | js -> users.(b) <- j :: js
+          in
+          Array.iter use ins;
+          Array.iter use outs
+        done;
+        List.iter
+          (fun b ->
+            P.add_term p attr_var.(b) Rat.one;
+            List.iter (fun j -> P.add_term p r_vars.(j) Rat.minus_one) users.(b);
+            P.close_row p P.Ge Rat.zero;
+            users.(b) <- [])
+          (List.sort by_rank !mentioned);
         (options, r_vars))
       inst.Instance.pmods
   in

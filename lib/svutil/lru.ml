@@ -48,8 +48,10 @@ let push_front t n =
   (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
   t.head <- Some n
 
+let is_head t n = match t.head with Some h -> h == n | None -> false
+
 let promote t n =
-  if t.head != Some n then begin
+  if not (is_head t n) then begin
     unlink t n;
     push_front t n
   end

@@ -550,6 +550,94 @@ let test_threshold_bound () =
       Alcotest.(check bool) "cost <= lmax * lp" true (Q.leq s.Sol.cost (Q.mul lmax lp))
   | `Infeasible -> Alcotest.fail "lp should be feasible"
 
+(* The set-constraint IP with the paper's rows, as [Core.Set_lp] built
+   it before it summed them: (15/19) and the w rows as now, and (16/20)
+   as one row x_b - r_ij >= 0 per option j and attribute b of it. Kept
+   verbatim as the reference the summed rows are checked against. *)
+module Set_lp_reference = struct
+  module P = Lp.Problem
+
+  let options_of (m : Inst.pmod) =
+    match m.Inst.ireq with
+    | Inst.Sets a -> a
+    | Inst.Card _ -> assert false (* removed by to_sets *)
+
+  let unit_ub = Some Q.one
+
+  let build (inst : Inst.t) =
+    let inst = Inst.to_sets inst in
+    let p = P.create () in
+    let attr_var =
+      Array.map
+        (fun c ->
+          let x = P.add_var ?ub:unit_ub ~integer:true p in
+          P.set_cost p x c;
+          x)
+        inst.Inst.costs
+    in
+    (* [covers u v]: u - v >= 0, with [u] created before [v]. *)
+    let covers u v =
+      P.add_term p u Q.one;
+      P.add_term p v Q.minus_one;
+      P.close_row p P.Ge Q.zero
+    in
+    Array.iter
+      (fun (pub : Inst.pub) ->
+        let w = P.add_var ?ub:unit_ub p in
+        P.set_cost p w pub.Inst.pcost;
+        Array.iter
+          (fun b ->
+            P.add_term p attr_var.(b) Q.minus_one;
+            P.add_term p w Q.one;
+            P.close_row p P.Ge Q.zero)
+          pub.Inst.pattrs)
+      inst.Inst.pubs;
+    Array.iter
+      (fun (m : Inst.pmod) ->
+        let options = options_of m in
+        let r_vars = Array.map (fun _ -> P.add_var ?ub:unit_ub p) options in
+        (* (15/19): some option selected. *)
+        Array.iter (fun r -> P.add_term p r Q.one) r_vars;
+        P.close_row p P.Ge Q.one;
+        (* (16/20): selecting an option hides all its attributes. *)
+        Array.iteri
+          (fun j (ins, outs) ->
+            let hides b = covers attr_var.(b) r_vars.(j) in
+            Array.iter hides ins;
+            Array.iter hides outs)
+          options)
+      inst.Inst.pmods;
+    P.snapshot p
+end
+
+let test_set_ip_on_pools () =
+  (* [Core.Exact]'s cost on every seed-42 pool member is the optimum of
+     the program with the paper's rows, solved on its own. *)
+  let module T = Perfbench_traffic.Traffic in
+  List.iter
+    (fun (name, wl) ->
+      List.iteri
+        (fun i w ->
+          let inst = T.instance w in
+          let exact =
+            match Core.Exact.solve inst with
+            | Some { Core.Exact.solution; proven_optimal = true } -> Some solution.Sol.cost
+            | Some _ -> Alcotest.failf "%s pool member %d: no proven optimum" name i
+            | None -> None
+          in
+          let reference =
+            match Lp.Ilp.Hybrid.solve (Set_lp_reference.build inst) with
+            | Lp.Ilp.Optimal { objective; _ } -> Some objective
+            | Lp.Ilp.Infeasible -> None
+            | _ -> Alcotest.failf "%s pool member %d: the paper rows' IP is unsolved" name i
+          in
+          if not (Option.equal Q.equal exact reference) then
+            Alcotest.failf "%s pool member %d: exact %s, the paper rows' optimum %s" name i
+              (Option.fold ~none:"none" ~some:Q.to_string exact)
+              (Option.fold ~none:"none" ~some:Q.to_string reference))
+        (T.pool_workflows wl))
+    T.workloads
+
 let test_infeasible_instance () =
   let inst =
     Inst.make
@@ -730,12 +818,12 @@ let test_corpus_solver_work () =
     [
       ( E.Exact,
         [
-          ("simplex.hybrid.float_pivots", 3620);
-          ("ilp.nodes", 422);
-          ("certify.accepts", 421);
-          ("simplex.warm_starts", 77);
+          ("simplex.hybrid.float_pivots", 3414);
+          ("ilp.nodes", 365);
+          ("certify.accepts", 365);
+          ("simplex.warm_starts", 20);
         ] );
-      (E.Round_set, [ ("simplex.hybrid.float_pivots", 3841); ("certify.accepts", 358) ]);
+      (E.Round_set, [ ("simplex.hybrid.float_pivots", 2976); ("certify.accepts", 358) ]);
       (E.Round_card, [ ("simplex.hybrid.float_pivots", 1877); ("certify.accepts", 131) ]);
     ]
 
@@ -974,6 +1062,23 @@ let props =
         | Lp.Simplex.Optimal a, Lp.Simplex.Optimal b -> Q.equal a.objective b.objective
         | Lp.Simplex.Infeasible, Lp.Simplex.Infeasible -> true
         | _ -> false);
+    prop "summed set rows keep the paper rows' ip optimum" gen_instance (fun (_, inst) ->
+        match
+          ( Lp.Ilp.Exact.solve (Core.Set_lp.build inst).Core.Set_lp.problem,
+            Lp.Ilp.Exact.solve (Set_lp_reference.build inst) )
+        with
+        | Lp.Ilp.Optimal a, Lp.Ilp.Optimal b -> Q.equal a.objective b.objective
+        | Lp.Ilp.Infeasible, Lp.Ilp.Infeasible -> true
+        | _ -> false);
+    prop "summed set rows bound between the paper rows' lp and the ip optimum" gen_instance
+      (fun (_, inst) ->
+        let hull = (Core.Set_lp.build inst).Core.Set_lp.problem in
+        let lp ip = Lp.Simplex.Exact.solve (Lp.Problem.relax ip) in
+        match (lp hull, lp (Set_lp_reference.build inst), Lp.Ilp.Exact.solve hull) with
+        | Lp.Simplex.Optimal h, Lp.Simplex.Optimal r, Lp.Ilp.Optimal opt ->
+            Q.leq r.objective h.objective && Q.leq h.objective opt.objective
+        | Lp.Simplex.Infeasible, Lp.Simplex.Infeasible, Lp.Ilp.Infeasible -> true
+        | _ -> false);
     prop "threshold rounding obeys the lmax bound" gen_instance (fun (_, inst) ->
         match Core.Set_lp.lp_relaxation ~mode:Lp.Simplex.Exact_mode inst with
         | `Optimal (x, lp) ->
@@ -1107,6 +1212,7 @@ let () =
           Alcotest.test_case "algorithm1 feasible" `Quick test_algorithm1_feasible;
           Alcotest.test_case "threshold bound" `Quick test_threshold_bound;
           Alcotest.test_case "infeasible instance" `Quick test_infeasible_instance;
+          Alcotest.test_case "paper set rows agree on seed-42 pools" `Quick test_set_ip_on_pools;
         ] );
       ( "engine",
         [

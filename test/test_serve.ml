@@ -106,6 +106,24 @@ let test_lru_remove_and_bounds () =
     (Invalid_argument "Lru.create: capacity must be >= 1") (fun () ->
       ignore (Lru.create 0))
 
+let test_lru_head_hit () =
+  (* A hit on the most recent entry leaves the list as it is: a find
+     then allocates only the table lookup's option and its own. *)
+  let l = Lru.create 4 in
+  List.iter (fun (k, v) -> Lru.add l k v) [ ("k1", 1); ("k2", 2); ("k3", 3) ];
+  let order = Lru.to_list l in
+  let finds = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to finds do
+    ignore (Lru.find l "k3")
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (list (pair string int))) "order unchanged" order (Lru.to_list l);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for %d head hits, at most 4 each" words finds)
+    true
+    (words <= float_of_int (4 * finds))
+
 (* ------------------------------------------------------------------ *)
 (* Svutil.Json                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -968,11 +986,10 @@ let test_constructors_on_pools () =
 (* The programs the engine solves, pinned: the IP of every seed-42 pool
    member as printed, and the reduced program presolve makes of it once
    the Flow fixings are pinned the way [Core.Exact] pins them (with the
-   kept columns and the fixed values [restore] fills in). The digest was
-   taken before the rows moved to one flat layout; any change to the
-   builders' variable or row order, to presolve's reductions or to the
-   printed form shows here. *)
-let pool_programs_digest = "c5bcc905e9c779945e02847842b8656d"
+   kept columns and the fixed values [restore] fills in). Any change to
+   the builders' variables, rows or row order, to presolve's reductions
+   or to the printed form shows here. *)
+let pool_programs_digest = "f205bac32bc94bea503eefae243b897a"
 
 let test_pool_programs_pinned () =
   let module T = Perfbench_traffic.Traffic in
@@ -1226,6 +1243,7 @@ let () =
             test_lru_replace_no_eviction;
           Alcotest.test_case "remove and bounds" `Quick
             test_lru_remove_and_bounds;
+          Alcotest.test_case "head hit stays put" `Quick test_lru_head_hit;
         ] );
       ( "json",
         [
