@@ -101,6 +101,18 @@ let random_sets rng shape ~lmax =
     ~attr_costs:(random_costs rng shape attrs)
     ~mods:(List.map module_req mods) ()
 
+(* E17's staircase: one module with options (l,0), (l-1,1), ..., (0,l)
+   over l unit-cost inputs and l unit-cost outputs. Every integral
+   solution pays l; the sum-free relaxation pays ~1. *)
+let staircase l =
+  let ins = List.init l (fun i -> Printf.sprintf "i%d" i) in
+  let outs = List.init l (fun i -> Printf.sprintf "o%d" i) in
+  let pairs = List.init (l + 1) (fun j -> (l - j, j)) in
+  I.make
+    ~attr_costs:(List.map (fun a -> (a, Rat.one)) (ins @ outs))
+    ~mods:[ { I.m_name = "m"; inputs = ins; outputs = outs; req = Req.Card pairs } ]
+    ()
+
 (* Disjoint union of independently generated blocks, every attribute
    and module name prefixed with its block index. The blocks stay
    separate coupling components, which is exactly what the incremental

@@ -86,14 +86,7 @@ let lp_model_kernel () =
       (T.pool_workflows T.Solve_uncached)
   in
   let model (inst, attr_fixings) =
-    let problem, attr_var =
-      if Core.Exact.all_cardinality inst then
-        let b = Core.Card_lp.build inst in
-        (b.Core.Card_lp.problem, b.Core.Card_lp.attr_var)
-      else
-        let b = Core.Set_lp.build inst in
-        (b.Core.Set_lp.problem, b.Core.Set_lp.attr_var)
-    in
+    let problem, attr_var, _ = Core.Exact.build_ip inst in
     let fixings =
       List.filter_map
         (fun (a, v) -> Option.map (fun j -> (attr_var.(j), v)) (Core.Instance.find inst a))

@@ -217,9 +217,10 @@ let solve_exact (req : request) =
 
 let solve_brute (req : request) =
   let phases = ref [] in
+  let deadline = D.of_ms_opt req.deadline_ms in
   match
     phase req.metrics phases "enumerate" (fun () ->
-        Exact.brute_force_checked req.inst)
+        Exact.brute_force_checked ~deadline req.inst)
   with
   | Error (Exact.Too_many_attrs { attrs; limit } as r) ->
       make_result ~metrics:req.metrics ~phases ~method_used:Brute
@@ -234,9 +235,13 @@ let solve_brute (req : request) =
       make_result ~metrics:req.metrics ~phases ~method_used:Brute
         ~stats:[ ("infeasible", "true") ]
         ()
-  | Ok (Some s) ->
+  | Ok (Some { Exact.solution = s; proven_optimal = true }) ->
       make_result ~metrics:req.metrics ~phases ~method_used:Brute ~solution:s
         ~lower_bound:s.Solution.cost ~proven_optimal:true ()
+  | Ok (Some { Exact.solution = s; proven_optimal = false }) ->
+      make_result ~metrics:req.metrics ~phases ~method_used:Brute
+        ~stats:[ ("deadline_hit", "true") ]
+        ~solution:s ()
 
 let methods = [ Greedy; Round_card; Round_set; Exact; Brute ]
 

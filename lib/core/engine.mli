@@ -19,8 +19,10 @@ type meth =
       (** Algorithm 1: cardinality-LP randomized rounding (Theorem 5);
           refuses instances with explicit set constraints *)
   | Round_set  (** set-LP [1/l_max] threshold rounding (Theorem 6) *)
-  | Exact  (** branch-and-bound on the Figure 3 / set IP *)
-  | Brute  (** exhaustive subset enumeration (small instances only) *)
+  | Exact  (** branch-and-bound on {!Exact.program}'s IP *)
+  | Brute
+      (** exhaustive subset enumeration (small instances only); a
+          deadline stops it with an unproven answer *)
 
 val meth_to_string : meth -> string
 

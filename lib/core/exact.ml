@@ -6,13 +6,36 @@ let all_cardinality (inst : Instance.t) =
       match m.Instance.ireq with Instance.Card _ -> true | Instance.Sets _ -> false)
     inst.Instance.pmods
 
+type program = Hull | Figure_3
+
+(* A cardinality module whose expansion into options would be wider
+   than its Figure 3 block: sum C(|I|,alpha)·C(|O|,beta) option columns
+   against L·(1+|I|+|O|) r/y/z columns, or a side too wide to expand. *)
+let wider_than_figure_3 (m : Instance.pmod) =
+  match m.Instance.ireq with
+  | Instance.Sets _ -> false
+  | Instance.Card card ->
+      let n_in = Array.length m.Instance.ins and n_out = Array.length m.Instance.outs in
+      n_in > Svutil.Subset.max_universe
+      || n_out > Svutil.Subset.max_universe
+      || List.fold_left
+           (fun n (a, b) -> n + (Instance.binomial n_in a * Instance.binomial n_out b))
+           0 card
+         > List.length card * (1 + n_in + n_out)
+
+let program inst =
+  if all_cardinality inst && Array.exists wider_than_figure_3 inst.Instance.pmods then
+    Figure_3
+  else Hull
+
 let build_ip inst =
-  if all_cardinality inst then
-    let { Card_lp.problem; attr_var; point_of; _ } = Card_lp.build inst in
-    (problem, attr_var, point_of)
-  else
-    let { Set_lp.problem; attr_var; point_of; _ } = Set_lp.build inst in
-    (problem, attr_var, point_of)
+  match program inst with
+  | Figure_3 ->
+      let { Card_lp.problem; attr_var; point_of; _ } = Card_lp.build inst in
+      (problem, attr_var, point_of)
+  | Hull ->
+      let { Set_lp.problem; attr_var; point_of; _ } = Set_lp.build inst in
+      (problem, attr_var, point_of)
 
 (* Cheapest feasible solution we can get without branching: the greedy
    heuristic. Its cost seeds the branch-and-bound as a strict cutoff, so
@@ -109,29 +132,39 @@ let refusal_to_string (Too_many_attrs { attrs; limit }) =
   Printf.sprintf "brute force refused: %d attributes exceeds the %d-attribute limit"
     attrs limit
 
-let brute_force_checked inst =
+(* The deadline is polled once every 256 subsets, the first before any
+   is enumerated. *)
+let brute_force_checked ?(deadline = Svutil.Deadline.none) inst =
   let attrs = Instance.n_attrs inst in
   if attrs > brute_force_limit then
     Error (Too_many_attrs { attrs; limit = brute_force_limit })
   else begin
-    let best = ref None in
-    Svutil.Subset.iter (List.init attrs Fun.id) (fun hidden ->
-        let s = Solution.of_ids inst hidden in
-        if Solution.is_feasible inst s then
-          match !best with
-          | Some b when Solution.compare_cost b s <= 0 -> ()
-          | _ -> best := Some s);
-    Ok !best
+    let best = ref None and seen = ref 0 in
+    match
+      Svutil.Subset.iter (List.init attrs Fun.id) (fun hidden ->
+          if !seen land 255 = 0 then Svutil.Deadline.check deadline;
+          incr seen;
+          let s = Solution.of_ids inst hidden in
+          if Solution.is_feasible inst s then
+            match !best with
+            | Some b when Solution.compare_cost b s <= 0 -> ()
+            | _ -> best := Some s)
+    with
+    | () -> Ok (Option.map (fun solution -> { solution; proven_optimal = true }) !best)
+    | exception Svutil.Deadline.Expired ->
+        let cut = match !best with Some _ as b -> b | None -> seed_solution inst in
+        Ok (Option.map (fun solution -> { solution; proven_optimal = false }) cut)
   end
 
 let brute_force inst =
   match brute_force_checked inst with
-  | Ok best -> best
+  | Ok best -> Option.map (fun o -> o.solution) best
   | Error r -> invalid_arg (refusal_to_string r)
 
 let lower_bound ?(mode = Lp.Simplex.Hybrid_mode) ?deadline ?metrics inst =
   let result =
-    if all_cardinality inst then Card_lp.lp_relaxation ~mode ?deadline ?metrics inst
-    else Set_lp.lp_relaxation ~mode ?deadline ?metrics inst
+    match program inst with
+    | Figure_3 -> Card_lp.lp_relaxation ~mode ?deadline ?metrics inst
+    | Hull -> Set_lp.lp_relaxation ~mode ?deadline ?metrics inst
   in
   match result with `Optimal (_, obj) -> Some obj | `Infeasible -> None

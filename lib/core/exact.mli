@@ -1,11 +1,12 @@
 (** Certified optima for Secure-View instances — the baselines the
     approximation experiments measure against.
 
-    {!solve} runs branch-and-bound on the appropriate integer program
-    (Figure 3 for all-cardinality instances, the set-constraint IP
-    otherwise). {!brute_force} enumerates hidden attribute subsets
-    directly and is used to cross-check the ILP path on small
-    instances. *)
+    {!solve} runs branch-and-bound on the integer program {!program}
+    picks: the set-constraint IP on each module's convex hull
+    ({!Set_lp}), with every cardinality list expanded into its options,
+    unless that expansion would outgrow Figure 3 ({!Card_lp}).
+    {!brute_force} enumerates hidden attribute subsets directly and is
+    used to cross-check the ILP path on small instances. *)
 
 type outcome = {
   solution : Solution.t;
@@ -17,6 +18,25 @@ type outcome = {
 val all_cardinality : Instance.t -> bool
 (** Every module requirement is in cardinality form — the instance is
     eligible for the Figure 3 IP and Algorithm 1's rounding. *)
+
+type program =
+  | Hull  (** {!Set_lp}: one convex-hull block per module *)
+  | Figure_3  (** {!Card_lp}: the paper's Figure 3 *)
+
+val program : Instance.t -> program
+(** The integer program {!solve} and {!lower_bound} build. Both have the
+    same integer optimum, and the hull's LP bound is at least Figure
+    3's. [Figure_3] only for an all-cardinality instance with a module
+    whose expansion would be wider than its Figure 3 block: more options
+    (sum over its pairs of [Instance.binomial |I| alpha *
+    Instance.binomial |O| beta]) than [L·(1+|I|+|O|)] r/y/z columns, or
+    a side over {!Svutil.Subset.max_universe}. *)
+
+val build_ip :
+  Instance.t -> Lp.Problem.snapshot * int array * (Solution.t -> Rat.t array option)
+(** {!program}'s IP: the problem, each attribute id's hiding column, and
+    the program's witnessing point for a solution ([point_of] of
+    {!Set_lp} or {!Card_lp}). *)
 
 val solve :
   ?node_limit:int ->
@@ -73,11 +93,14 @@ val brute_force_limit : int
 val refusal_to_string : refusal -> string
 
 val brute_force_checked :
-  Instance.t -> (Solution.t option, refusal) result
-(** Exhaustive search over hidden attribute subsets. [Ok None] means the
-    instance is infeasible; [Error] means the instance has more than
-    {!brute_force_limit} attributes and the search was refused without
-    enumerating anything. *)
+  ?deadline:Svutil.Deadline.t -> Instance.t -> (outcome option, refusal) result
+(** Exhaustive search over hidden attribute subsets, proven optimal when
+    it ends. [Ok None] means the instance is infeasible; [Error] means
+    the instance has more than {!brute_force_limit} attributes and the
+    search was refused without enumerating anything. [deadline] is
+    polled during the enumeration: on expiry the cheapest feasible set
+    seen so far, else the greedy solution, comes back with
+    [proven_optimal = false]. *)
 
 val brute_force : Instance.t -> Solution.t option
 (** {!brute_force_checked}, raising [Invalid_argument] on refusal.

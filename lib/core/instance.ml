@@ -346,7 +346,8 @@ let normalize_options rank opts =
   done;
   if !k = Array.length opts then opts else Array.sub opts 0 !k
 
-let rec binomial n k = if k = 0 then 1 else binomial (n - 1) (k - 1) * n / k
+let rec binomial n k =
+  if k < 0 || k > n then 0 else if k = 0 then 1 else binomial (n - 1) (k - 1) * n / k
 
 (* The subsets of [ids] of size [k], by position, in lexicographic
    order: each keeps [ids]'s order. *)
@@ -386,9 +387,7 @@ let card_options rank ~ins ~outs card =
   in
   let ins = sorted ins and outs = sorted outs in
   let n_in = Array.length ins and n_out = Array.length outs in
-  let count (a, b) =
-    if a < 0 || a > n_in || b < 0 || b > n_out then 0 else binomial n_in a * binomial n_out b
-  in
+  let count (a, b) = binomial n_in a * binomial n_out b in
   let opts = Array.make (List.fold_left (fun acc ab -> acc + count ab) 0 card) ([||], [||]) in
   let next = ref 0 in
   List.iter

@@ -150,6 +150,11 @@ val feasible : t -> hidden:string list -> privatized:string list -> bool
 
 val cost : t -> hidden:string list -> privatized:string list -> Rat.t
 
+val binomial : int -> int -> int
+(** [binomial n k]: the number of [k]-subsets of [n] elements, [0] when
+    [k] is outside [0 .. n]. A cardinality pair [(alpha, beta)] expands
+    into [binomial |I| alpha * binomial |O| beta] options. *)
+
 val to_sets : t -> t
 (** Convert every cardinality requirement into the equivalent explicit
     set requirement (for the set-constraint solvers) and normalize every

@@ -638,6 +638,87 @@ let test_set_ip_on_pools () =
         (T.pool_workflows wl))
     T.workloads
 
+(* Every all-cardinality member of both seed-42 pools and of the seed-42
+   corpus, with where it comes from. *)
+let all_card_seed42 () =
+  let module T = Perfbench_traffic.Traffic in
+  let pools =
+    List.concat_map
+      (fun (name, wl) ->
+        List.mapi (fun i w -> (Printf.sprintf "%s pool member %d" name i, T.instance w))
+          (T.pool_workflows wl))
+      T.workloads
+  in
+  let corpus =
+    List.map
+      (fun (ir : Svbench.Corpus.inst_rec) -> ("corpus " ^ ir.Svbench.Corpus.id, ir.Svbench.Corpus.inst))
+      (Svbench.Corpus.generate ~seed:42 ())
+  in
+  List.filter (fun (_, inst) -> Core.Exact.all_cardinality inst) (pools @ corpus)
+
+let test_card_ip_on_seed42 () =
+  (* [Core.Exact]'s cost on each all-cardinality instance is the exact
+     optimum of the Figure 3 program, solved on its own: the oracle does
+     not go through the program [Core.Exact] picks. *)
+  let insts = all_card_seed42 () in
+  Alcotest.(check int) "all-cardinality instances" (86 + 134 + 131) (List.length insts);
+  List.iter
+    (fun (what, inst) ->
+      let exact =
+        match Core.Exact.solve inst with
+        | Some { Core.Exact.solution; proven_optimal = true } -> Some solution.Sol.cost
+        | Some _ -> Alcotest.failf "%s: no proven optimum" what
+        | None -> None
+      in
+      let figure_3 =
+        match Lp.Ilp.Exact.solve (Core.Card_lp.build inst).Core.Card_lp.problem with
+        | Lp.Ilp.Optimal { objective; _ } -> Some objective
+        | Lp.Ilp.Infeasible -> None
+        | _ -> Alcotest.failf "%s: the Figure 3 IP is unsolved" what
+      in
+      if not (Option.equal Q.equal exact figure_3) then
+        Alcotest.failf "%s: exact %s, the Figure 3 optimum %s" what
+          (Option.fold ~none:"none" ~some:Q.to_string exact)
+          (Option.fold ~none:"none" ~some:Q.to_string figure_3))
+    insts
+
+let wide_instance () =
+  (* 26 attributes: one past the brute-force enumeration limit. *)
+  let attrs = List.init 26 (fun i -> Printf.sprintf "b%02d" i) in
+  Inst.make
+    ~attr_costs:(List.map (fun a -> (a, Q.one)) attrs)
+    ~mods:
+      [ { Inst.m_name = "m"; inputs = attrs; outputs = []; req = Req.Card [ (1, 0) ] } ]
+    ()
+
+let test_ip_route () =
+  (* The hull unless a module's options outnumber its Figure 3 columns
+     or a side is too wide to expand; both routes still solve. *)
+  let module T = Perfbench_traffic.Traffic in
+  let route what inst =
+    match Core.Exact.program inst with
+    | Core.Exact.Hull -> what ^ " hull"
+    | Core.Exact.Figure_3 -> what ^ " figure 3"
+  in
+  let member =
+    List.find Core.Exact.all_cardinality
+      (List.map T.instance (T.pool_workflows T.Solve_uncached))
+  in
+  Alcotest.(check string) "route" "all-card pool member hull" (route "all-card pool member" member);
+  List.iter
+    (fun (what, inst, program, cost) ->
+      Alcotest.(check string) "route" (what ^ " " ^ program) (route what inst);
+      match Core.Exact.solve inst with
+      | Some { Core.Exact.solution; proven_optimal = true } ->
+          Alcotest.(check string) (what ^ " cost") cost (Q.to_string solution.Sol.cost)
+      | _ -> Alcotest.failf "%s: no proven optimum" what)
+    [
+      (* 20 options against 28 columns; 70 against 45. *)
+      ("staircase l=3", Svbench.Gen_instances.staircase 3, "hull", "3");
+      ("staircase l=4", Svbench.Gen_instances.staircase 4, "figure 3", "4");
+      ("26 inputs", wide_instance (), "figure 3", "1");
+    ]
+
 let test_infeasible_instance () =
   let inst =
     Inst.make
@@ -677,15 +758,6 @@ let test_engine_methods () =
     E.methods
     [ "greedy"; "lp"; "lp"; "flow"; "enumerate" ]
 
-let wide_instance () =
-  (* 26 attributes: one past the brute-force enumeration limit. *)
-  let attrs = List.init 26 (fun i -> Printf.sprintf "b%02d" i) in
-  Inst.make
-    ~attr_costs:(List.map (fun a -> (a, Q.one)) attrs)
-    ~mods:
-      [ { Inst.m_name = "m"; inputs = attrs; outputs = []; req = Req.Card [ (1, 0) ] } ]
-    ()
-
 let test_brute_refusal () =
   let inst = wide_instance () in
   (match Core.Exact.brute_force_checked inst with
@@ -707,6 +779,32 @@ let test_brute_refusal () =
   match auto.E.solution with
   | Some s -> Alcotest.(check bool) "auto feasible" true (Sol.is_feasible inst s)
   | None -> Alcotest.fail "auto must solve the wide instance"
+
+let test_brute_deadline () =
+  (* 24 attributes: the whole enumeration takes seconds. A 50 ms budget
+     stops it, and the cheapest feasible set seen so far comes back
+     unproven, so no cache stores it. *)
+  let ins = List.init 12 (fun i -> Printf.sprintf "i%02d" i) in
+  let outs = List.init 12 (fun i -> Printf.sprintf "o%02d" i) in
+  let inst =
+    Inst.make
+      ~attr_costs:(List.mapi (fun k a -> (a, Q.of_int (1 + (k mod 5)))) (ins @ outs))
+      ~mods:[ { Inst.m_name = "m"; inputs = ins; outputs = outs; req = Req.Card [ (3, 2) ] } ]
+      ()
+  in
+  let t0 = Svutil.Deadline.now_ms () in
+  let r = E.run { (E.default_request inst) with E.meth = E.Brute; deadline_ms = Some 50. } in
+  let elapsed_ms = Svutil.Deadline.now_ms () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "returns within 50 ms + 1 s (took %.0f ms)" elapsed_ms)
+    true (elapsed_ms < 1_050.);
+  Alcotest.(check bool) "brute answered" true (r.E.method_used = E.Brute);
+  Alcotest.(check bool) "not proven optimal" false r.E.proven_optimal;
+  Alcotest.(check (option string)) "deadline_hit" (Some "true")
+    (List.assoc_opt "deadline_hit" r.E.stats);
+  match r.E.solution with
+  | Some s -> Alcotest.(check bool) "feasible" true (Sol.is_feasible inst s)
+  | None -> Alcotest.fail "a cut enumeration still answers"
 
 let test_engine_deadline_gadget () =
   (* The general set-cover gadget from the bench suite, with the budget
@@ -818,9 +916,9 @@ let test_corpus_solver_work () =
     [
       ( E.Exact,
         [
-          ("simplex.hybrid.float_pivots", 3414);
-          ("ilp.nodes", 365);
-          ("certify.accepts", 365);
+          ("simplex.hybrid.float_pivots", 2858);
+          ("ilp.nodes", 363);
+          ("certify.accepts", 363);
           ("simplex.warm_starts", 20);
         ] );
       (E.Round_set, [ ("simplex.hybrid.float_pivots", 2976); ("certify.accepts", 358) ]);
@@ -940,6 +1038,41 @@ let gen_instance =
     let costs = Wf.Gen.random_costs rng w in
     let cost a = List.assoc a costs in
     return (w, Inst.of_workflow w ~gamma:2 ~cost ()))
+
+(* Random all-cardinality instances: each module reads a few of the
+   attributes and writes a few others, with one to three (alpha, beta)
+   pairs inside its arity, random costs, and sometimes a public module. *)
+let gen_card_instance =
+  QCheck2.Gen.(
+    let* seed = int_range 0 1_000_000 in
+    let rng = Svutil.Rng.create seed in
+    let names = List.init (3 + Svutil.Rng.int rng 6) (Printf.sprintf "a%d") in
+    let mods =
+      List.init (1 + Svutil.Rng.int rng 3) (fun k ->
+          let picked = Svutil.Rng.shuffle rng names in
+          let n_in = 1 + Svutil.Rng.int rng 3 in
+          let n_out = 1 + Svutil.Rng.int rng 3 in
+          let inputs = List.filteri (fun i _ -> i < n_in) picked in
+          let outputs = List.filteri (fun i _ -> i >= n_in && i < n_in + n_out) picked in
+          let pair _ =
+            (Svutil.Rng.int rng (List.length inputs + 1), Svutil.Rng.int rng (List.length outputs + 1))
+          in
+          let req = Req.Card (List.init (1 + Svutil.Rng.int rng 3) pair) in
+          { Inst.m_name = Printf.sprintf "m%d" k; inputs; outputs; req })
+    in
+    let publics =
+      if Svutil.Rng.bool rng then
+        [
+          {
+            Inst.p_name = "p";
+            p_cost = Q.of_int (1 + Svutil.Rng.int rng 4);
+            p_attrs = Svutil.Rng.sample rng 2 names;
+          };
+        ]
+      else []
+    in
+    let attr_costs = List.map (fun a -> (a, Q.of_int (1 + Svutil.Rng.int rng 6))) names in
+    return (Inst.make ~attr_costs ~mods ~publics ()))
 
 (* A cost-preserving bijective renaming: every attribute and module
    name gains a suffix and the record lists are reversed.  Solver
@@ -1079,6 +1212,18 @@ let props =
             Q.leq r.objective h.objective && Q.leq h.objective opt.objective
         | Lp.Simplex.Infeasible, Lp.Simplex.Infeasible, Lp.Ilp.Infeasible -> true
         | _ -> false);
+    prop ~count:100 "figure 3 and hull ips share the optimum" gen_card_instance (fun inst ->
+        (* Same integer optimum, and Figure 3 LP <= hull LP <= optimum:
+           each module's hull lies inside every valid relaxation of it. *)
+        let figure_3 = (Core.Card_lp.build inst).Core.Card_lp.problem in
+        let hull = (Core.Set_lp.build inst).Core.Set_lp.problem in
+        let lp ip = Lp.Simplex.Exact.solve (Lp.Problem.relax ip) in
+        match (Lp.Ilp.Exact.solve figure_3, Lp.Ilp.Exact.solve hull, lp figure_3, lp hull) with
+        | Lp.Ilp.Optimal a, Lp.Ilp.Optimal b, Lp.Simplex.Optimal f, Lp.Simplex.Optimal h ->
+            Q.equal a.objective b.objective
+            && Q.leq f.objective h.objective
+            && Q.leq h.objective b.objective
+        | _ -> false);
     prop "threshold rounding obeys the lmax bound" gen_instance (fun (_, inst) ->
         match Core.Set_lp.lp_relaxation ~mode:Lp.Simplex.Exact_mode inst with
         | `Optimal (x, lp) ->
@@ -1213,11 +1358,15 @@ let () =
           Alcotest.test_case "threshold bound" `Quick test_threshold_bound;
           Alcotest.test_case "infeasible instance" `Quick test_infeasible_instance;
           Alcotest.test_case "paper set rows agree on seed-42 pools" `Quick test_set_ip_on_pools;
+          Alcotest.test_case "figure 3 optimum on seed-42 all-card instances" `Quick
+            test_card_ip_on_seed42;
+          Alcotest.test_case "program route" `Quick test_ip_route;
         ] );
       ( "engine",
         [
           Alcotest.test_case "methods" `Quick test_engine_methods;
           Alcotest.test_case "brute refusal" `Quick test_brute_refusal;
+          Alcotest.test_case "brute deadline" `Quick test_brute_deadline;
           Alcotest.test_case "deadline on gadget" `Quick test_engine_deadline_gadget;
           Alcotest.test_case "metrics consistency" `Quick test_engine_metrics_consistency;
           Alcotest.test_case "par batch metrics merge" `Quick test_par_batch_metrics_merge;

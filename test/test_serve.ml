@@ -445,6 +445,27 @@ let test_cache_collision_falls_back_to_solve () =
   Alcotest.(check (option q)) "and re-solves correctly" (cost_of ra)
     (cost_of ra2)
 
+let test_cache_skips_cut_brute () =
+  (* A brute enumeration the deadline cuts answers unproven: a miss
+     that leaves nothing stored. 22 attributes take seconds to
+     enumerate in full. *)
+  let names = List.init 22 (Printf.sprintf "x%02d") in
+  let half keep = List.filteri (fun i _ -> keep i) names in
+  let inst =
+    mk
+      ~attr_costs:(List.mapi (fun i a -> (a, 1 + (i mod 3))) names)
+      ~mods:[ m "m" (half (fun i -> i < 11)) (half (fun i -> i >= 11)) (Req.Card [ (2, 2) ]) ]
+      ()
+  in
+  let cache = Serve.Cache.create ~capacity:4 () in
+  let req = { (E.default_request inst) with E.meth = E.Brute; deadline_ms = Some 20. } in
+  let r, status = Serve.Cache.solve cache req in
+  Alcotest.(check string) "a miss" "miss" (Serve.Cache.status_to_string status);
+  Alcotest.(check bool) "unproven" false r.E.proven_optimal;
+  Alcotest.(check (option string)) "deadline_hit" (Some "true")
+    (List.assoc_opt "deadline_hit" r.E.stats);
+  Alcotest.(check int) "nothing stored" 0 (Serve.Cache.length cache)
+
 let test_cache_eviction_counting () =
   let metrics = Metrics.create () in
   let cache = Serve.Cache.create ~metrics ~capacity:1 () in
@@ -887,12 +908,8 @@ let snapshot_view (s : Lp.Problem.snapshot) = Format.asprintf "%a" Lp.Problem.pp
 
 (* The engine's IP and its attribute columns. *)
 let ip_with_attrs inst =
-  if Core.Exact.all_cardinality inst then
-    let b = Core.Card_lp.build inst in
-    (b.Core.Card_lp.problem, b.Core.Card_lp.attr_var)
-  else
-    let b = Core.Set_lp.build inst in
-    (b.Core.Set_lp.problem, b.Core.Set_lp.attr_var)
+  let problem, attr_var, _ = Core.Exact.build_ip inst in
+  (problem, attr_var)
 
 let ip_of inst = fst (ip_with_attrs inst)
 
@@ -988,8 +1005,9 @@ let test_constructors_on_pools () =
    the Flow fixings are pinned the way [Core.Exact] pins them (with the
    kept columns and the fixed values [restore] fills in). Any change to
    the builders' variables, rows or row order, to presolve's reductions
-   or to the printed form shows here. *)
-let pool_programs_digest = "f205bac32bc94bea503eefae243b897a"
+   or to the printed form, and any change to which program
+   [Core.Exact.program] picks, shows here. *)
+let pool_programs_digest = "0f8c373fa0ebd6a92f97d60f93e03ab2"
 
 let test_pool_programs_pinned () =
   let module T = Perfbench_traffic.Traffic in
@@ -1280,6 +1298,8 @@ let () =
             test_cache_collision_falls_back_to_solve;
           Alcotest.test_case "eviction counting" `Quick
             test_cache_eviction_counting;
+          Alcotest.test_case "cut brute answer is not stored" `Quick
+            test_cache_skips_cut_brute;
           prop ~count:40 "hit = scratch optimum, Theorem 4/8 safe"
             ~print:(fun (_, inst) -> Format.asprintf "%a" Inst.pp inst)
             gen_workflow_instance cache_soundness_prop;
