@@ -8,8 +8,6 @@ let drop_tol = 1e-12 (* eta entries below this are dropped as zero *)
 let deadline_poll_mask = 31
 let iteration_cap = 10_000
 
-type eta = { er : int; pr : float; idx : int array; vals : float array }
-
 type outcome =
   | Optimal of { basis : int array; at_upper : bool array; xb : float array; y : float array }
   | Infeasible of { y : float array }
@@ -19,12 +17,22 @@ type outcome =
    in row order, then the logical of each [Eq] row, fixed at 0.  The
    columns that may enter are exactly [0 .. nact-1].
 
+   Row [r] is stored multiplied by [sigma.(r)]: [-1] on a [Ge] row, [1]
+   otherwise, so every logical's coefficient is [+1] and the
+   all-logical basis is the identity.  With [D = diag sigma] the stored
+   matrix is [D·[A | S]]: [B^-1 A], [x_B] and the reduced costs are
+   those of the snapshot's own rows, and only the duals [y] carry [D],
+   which [optimum] and the Farkas row take back off.
+
    The entries of the columns [j < nact] are laid out flat twice: by
    column (rows ascending), for FTRAN and refactorization, and by row
    (columns ascending), for pricing.  An [Eq] row's logical is an
-   implicit unit column. *)
+   implicit unit column.
+
+   The eta file is one pool: eta [k] pivots on row [eta_row.(k)] with
+   element [eta_piv.(k)], and its other entries are the pool positions
+   [eta_start.(k) .. eta_start.(k+1)-1] of [eta_idx] / [eta_val]. *)
 type t = {
-  s : Problem.snapshot;  (* rows, right-hand sides and objective; bounds unread *)
   n : int;  (* structurals *)
   m : int;  (* rows *)
   nact : int;  (* columns that may enter: structurals, row slacks *)
@@ -36,6 +44,8 @@ type t = {
   rstart : int array;  (* row [i]'s entries are [rstart.(i) .. rstart.(i+1)-1] *)
   rcol : int array;
   rval : float array;
+  sigma : float array;  (* per row: the sign it is stored with *)
+  frhs : float array;  (* per row: its stored right-hand side *)
   fobj : float array;  (* cost over j < nact *)
   up : float array;  (* per column: upper bound (infinity when none) *)
   d : float array;  (* per column: reduced cost, updated in place *)
@@ -43,7 +53,12 @@ type t = {
   basis : int array;  (* row -> basic column *)
   inb : bool array;  (* per column: currently basic? *)
   xb : float array;  (* basic values, by row *)
-  mutable etas : eta array;
+  fb : float array;  (* per row: stored right-hand side shifted by the bounds *)
+  mutable eta_row : int array;
+  mutable eta_piv : float array;
+  mutable eta_start : int array;  (* [n_etas + 1] offsets into the pool *)
+  mutable eta_idx : int array;
+  mutable eta_val : float array;
   mutable n_etas : int;
   mutable valid : bool;  (* basis, etas and [d] are dual feasible *)
   (* scratch, sized once *)
@@ -101,21 +116,23 @@ let create (s : Problem.snapshot) =
     rcol.(p) <- j;
     rval.(p) <- v
   in
+  let sigma = Array.make m 1. and frhs = Array.make m 0. in
   for r = 0 to m - 1 do
+    let sg = if s.cmp.(r) = Problem.Ge then -1. else 1. in
+    sigma.(r) <- sg;
+    (* [0. -. b], not [-. b]: a zero right-hand side stays [+0.]. *)
+    let b = Rat.to_float s.rhs.(r) in
+    frhs.(r) <- (if sg < 0. then 0. -. b else b);
     let p = rstart.(r) - s.row_start.(r) in
     for k = s.row_start.(r) to s.row_start.(r + 1) - 1 do
-      put r s.term_var.(k) (Rat.to_float s.term_coef.(k)) (p + k)
+      put r s.term_var.(k) (sg *. Rat.to_float s.term_coef.(k)) (p + k)
     done;
-    match s.cmp.(r) with
-    | Problem.Le -> put r logical.(r) 1. (rstart.(r + 1) - 1)
-    | Problem.Ge -> put r logical.(r) (-1.) (rstart.(r + 1) - 1)
-    | Problem.Eq -> ()
+    if logical.(r) < nact then put r logical.(r) 1. (rstart.(r + 1) - 1)
   done;
   let ncols = n + m in
   let up = Array.make ncols infinity in
   Array.fill up nact (ncols - nact) 0.;
   {
-    s;
     n;
     m;
     nact;
@@ -127,6 +144,8 @@ let create (s : Problem.snapshot) =
     rstart;
     rcol;
     rval;
+    sigma;
+    frhs;
     fobj = Array.init nact (fun j -> if j < n then Rat.to_float s.obj.(j) else 0.);
     up;
     d = Array.make ncols 0.;
@@ -134,7 +153,12 @@ let create (s : Problem.snapshot) =
     basis = Array.make m (-1);
     inb = Array.make ncols false;
     xb = Array.make m 0.;
-    etas = [||];
+    fb = Array.make m 0.;
+    eta_row = Array.make 16 0;
+    eta_piv = Array.make 16 0.;
+    eta_start = Array.make 17 0;
+    eta_idx = Array.make (4 * m) 0;
+    eta_val = Array.make (4 * m) 0.;
     n_etas = 0;
     valid = false;
     w = Array.make m 0.;
@@ -148,55 +172,61 @@ let create (s : Problem.snapshot) =
 
 (* {2 Eta file} *)
 
-let push_eta t e =
-  if t.n_etas = Array.length t.etas then begin
-    let cap = max 16 (2 * Array.length t.etas) in
-    let arr = Array.make cap e in
-    Array.blit t.etas 0 arr 0 t.n_etas;
-    t.etas <- arr
+(* Append the eta of FTRANed column [w] pivoting on row [r]: its pivot
+   element and its other entries above the drop tolerance. *)
+let push_eta t ~r w =
+  let k = t.n_etas in
+  if k = Array.length t.eta_row then begin
+    let more = max 16 k in
+    t.eta_row <- Array.append t.eta_row (Array.make more 0);
+    t.eta_piv <- Array.append t.eta_piv (Array.make more 0.);
+    t.eta_start <- Array.append t.eta_start (Array.make more 0)
   end;
-  t.etas.(t.n_etas) <- e;
-  t.n_etas <- t.n_etas + 1
-
-let eta_of_dense ~r w =
-  let nnz = ref 0 in
-  for i = 0 to Array.length w - 1 do
-    if i <> r && abs_float w.(i) > drop_tol then incr nnz
-  done;
-  let idx = Array.make !nnz 0 and vals = Array.make !nnz 0. in
-  let k = ref 0 in
-  for i = 0 to Array.length w - 1 do
+  let p0 = t.eta_start.(k) in
+  if p0 + t.m > Array.length t.eta_idx then begin
+    let more = max t.m (Array.length t.eta_idx) in
+    t.eta_idx <- Array.append t.eta_idx (Array.make more 0);
+    t.eta_val <- Array.append t.eta_val (Array.make more 0.)
+  end;
+  let p = ref p0 in
+  for i = 0 to t.m - 1 do
     if i <> r && abs_float w.(i) > drop_tol then begin
-      idx.(!k) <- i;
-      vals.(!k) <- w.(i);
-      incr k
+      t.eta_idx.(!p) <- i;
+      t.eta_val.(!p) <- w.(i);
+      incr p
     end
   done;
-  { er = r; pr = w.(r); idx; vals }
+  t.eta_row.(k) <- r;
+  t.eta_piv.(k) <- w.(r);
+  t.eta_start.(k + 1) <- !p;
+  t.n_etas <- k + 1
 
 (* v := B^-1 v : apply etas oldest to newest. *)
 let ftran t v =
+  let start = t.eta_start and idx = t.eta_idx and vals = t.eta_val in
   for k = 0 to t.n_etas - 1 do
-    let e = t.etas.(k) in
-    let vr = v.(e.er) in
+    let r = t.eta_row.(k) in
+    let vr = v.(r) in
     if vr <> 0. then begin
-      let p = vr /. e.pr in
-      v.(e.er) <- p;
-      for i = 0 to Array.length e.idx - 1 do
-        v.(e.idx.(i)) <- v.(e.idx.(i)) -. (e.vals.(i) *. p)
+      let p = vr /. t.eta_piv.(k) in
+      v.(r) <- p;
+      for q = start.(k) to start.(k + 1) - 1 do
+        let i = idx.(q) in
+        v.(i) <- v.(i) -. (vals.(q) *. p)
       done
     end
   done
 
 (* y := y B^-1 (row form): apply etas newest to oldest. *)
 let btran t y =
+  let start = t.eta_start and idx = t.eta_idx and vals = t.eta_val in
   for k = t.n_etas - 1 downto 0 do
-    let e = t.etas.(k) in
     let s = ref 0. in
-    for i = 0 to Array.length e.idx - 1 do
-      s := !s +. (e.vals.(i) *. y.(e.idx.(i)))
+    for q = start.(k) to start.(k + 1) - 1 do
+      s := !s +. (vals.(q) *. y.(idx.(q)))
     done;
-    y.(e.er) <- (y.(e.er) -. !s) /. e.pr
+    let r = t.eta_row.(k) in
+    y.(r) <- (y.(r) -. !s) /. t.eta_piv.(k)
   done
 
 (* {2 Columns} *)
@@ -292,7 +322,7 @@ let refactorize t =
         end
       done;
       if !r < 0 then raise Exit;
-      push_eta t (eta_of_dense ~r:!r t.w);
+      push_eta t ~r:!r t.w;
       row_done.(!r) <- true;
       col_done.(k) <- true;
       t.basis.(!r) <- j
@@ -305,8 +335,8 @@ let refactor_threshold t = (4 * t.m) + 50
 (* {2 Primal values and duals} *)
 
 (* x_B = B^-1 (b - sum of the at-upper columns' A_j u_j), from scratch. *)
-let recompute_xb t fb =
-  Array.blit fb 0 t.xb 0 t.m;
+let recompute_xb t =
+  Array.blit t.fb 0 t.xb 0 t.m;
   for j = 0 to t.nact - 1 do
     if (not t.inb.(j)) && t.at_up.(j) then add_col t j (-.t.up.(j)) t.xb
   done;
@@ -351,15 +381,15 @@ let settle t =
 
 exception Stall
 
-(* The optimum, numbered by the snapshot, after [recompute_duals] and
-   [recompute_xb]. *)
+(* The optimum, numbered by the snapshot and with the duals of its own
+   rows, after [recompute_duals] and [recompute_xb]. *)
 let optimum t =
   Optimal
     {
       basis = Array.map (fun j -> if j < t.n then j else t.n + t.col_row.(j - t.n)) t.basis;
       at_upper = Array.init t.n (fun j -> t.at_up.(j) && not t.inb.(j));
       xb = Array.copy t.xb;
-      y = Array.copy t.rho;
+      y = Array.mapi (fun r v -> t.sigma.(r) *. v) t.rho;
     }
 
 (* A structural whose upper bound is gone since the last solve moves to
@@ -389,7 +419,7 @@ let[@inline] dual_slack t j =
    whose dual ratio is passed flip to their other bound while that
    still leaves the leaving value infeasible, and the entering column
    is the largest pivot among the first batch that would not. *)
-let iterate t ~fb ~deadline ~pivots =
+let iterate t ~deadline ~pivots =
   let m = t.m in
   let iter = ref 0 in
   let rec loop () =
@@ -409,7 +439,7 @@ let iterate t ~fb ~deadline ~pivots =
       (* Primal feasible: check the duals afresh before stopping. *)
       recompute_duals t;
       if settle t then begin
-        recompute_xb t fb;
+        recompute_xb t;
         loop ()
       end
       else `Optimal
@@ -422,14 +452,23 @@ let iterate t ~fb ~deadline ~pivots =
     t.rho.(r) <- 1.;
     btran t t.rho;
     price t t.rho;
+    (* Candidates among the columns pricing reached (every other
+       column's alpha is 0), in ascending column order, as a scan of
+       all columns would list them: ties go to the lowest index. *)
     let nc = ref 0 in
-    for j = 0 to t.nact - 1 do
+    for k = 0 to t.n_touched - 1 do
+      let j = t.touched.(k) in
       if not t.inb.(j) then begin
         let sa = s *. t.alpha.(j) in
         if t.up.(j) > 0.
            && ((t.at_up.(j) && sa > pivot_tol) || ((not t.at_up.(j)) && sa < -.pivot_tol))
         then begin
-          t.cand.(!nc) <- j;
+          let i = ref !nc in
+          while !i > 0 && t.cand.(!i - 1) > j do
+            t.cand.(!i) <- t.cand.(!i - 1);
+            decr i
+          done;
+          t.cand.(!i) <- j;
           incr nc
         end
       end
@@ -509,7 +548,7 @@ let iterate t ~fb ~deadline ~pivots =
         if t.w.(i) <> 0. then t.xb.(i) <- t.xb.(i) -. (theta_p *. t.w.(i))
       done;
       t.xb.(r) <- xq;
-      push_eta t (eta_of_dense ~r t.w);
+      push_eta t ~r t.w;
       t.inb.(p) <- false;
       t.at_up.(p) <- s < 0.;
       t.basis.(r) <- q;
@@ -517,7 +556,7 @@ let iterate t ~fb ~deadline ~pivots =
       incr pivots;
       if t.n_etas > refactor_threshold t then begin
         if not (refactorize t) then raise Stall;
-        recompute_xb t fb;
+        recompute_xb t;
         recompute_duals t
       end;
       loop ()
@@ -526,44 +565,53 @@ let iterate t ~fb ~deadline ~pivots =
   loop ()
 
 (* The all-logical basis: slacks, and the logical (fixed at 0) of each
-   [Eq] row.  It is dual feasible when every negative-cost column
-   has an upper bound to sit at; otherwise the pass stalls and the
-   caller falls back to the exact solver. *)
-let cold t fb =
+   [Eq] row.  Every stored logical column is a unit column, so the basis
+   is the identity and needs no eta.  It is dual feasible when every
+   negative-cost column has an upper bound to sit at; otherwise the
+   pass stalls and the caller falls back to the exact solver. *)
+let cold t =
   t.n_etas <- 0;
   Array.fill t.inb 0 (Array.length t.inb) false;
   for r = 0 to t.m - 1 do
     let j = t.logical.(r) in
     t.basis.(r) <- j;
-    t.inb.(j) <- true;
-    if t.s.cmp.(r) = Problem.Ge then push_eta t { er = r; pr = -1.; idx = [||]; vals = [||] }
+    t.inb.(j) <- true
   done;
   for j = 0 to t.nact - 1 do
     t.d.(j) <- (if t.inb.(j) then 0. else t.fobj.(j));
     if t.d.(j) < 0. && t.up.(j) = infinity then raise Stall;
     t.at_up.(j) <- t.d.(j) < 0.
   done;
-  recompute_xb t fb
+  recompute_xb t
+
+(* Shift the stored right-hand sides and the upper bounds by [lb], in
+   floats: [fb = frhs - A lb] column by column, which subtracts each
+   row's terms in ascending variable order. *)
+let shift t ~lb ~ub =
+  Array.blit t.frhs 0 t.fb 0 t.m;
+  for j = 0 to t.n - 1 do
+    let l = Rat.to_float lb.(j) in
+    if l <> 0. then
+      for p = t.cstart.(j) to t.cstart.(j + 1) - 1 do
+        let r = t.crow.(p) in
+        t.fb.(r) <- t.fb.(r) -. (t.cval.(p) *. l)
+      done;
+    t.up.(j) <- (match ub.(j) with None -> infinity | Some u -> Rat.to_float u -. l)
+  done
 
 let solve ?(deadline = Svutil.Deadline.none) ?(metrics = Svutil.Metrics.nop) t
     ~lb ~ub =
-  (* Shift by [lb] exactly, then convert. *)
-  let fb =
-    Array.init t.m (fun r -> Rat.to_float (Rat.sub t.s.rhs.(r) (Problem.row_value t.s r lb)))
-  in
-  for j = 0 to t.n - 1 do
-    t.up.(j) <- (match ub.(j) with None -> infinity | Some u -> Rat.to_float (Rat.sub u lb.(j)))
-  done;
+  shift t ~lb ~ub;
   let pivots = ref 0 in
   let run () =
-    match iterate t ~fb ~deadline ~pivots with
+    match iterate t ~deadline ~pivots with
     | `Optimal ->
         t.valid <- true;
-        recompute_xb t fb;
+        recompute_xb t;
         optimum t
     | `Infeasible s ->
         t.valid <- true;
-        Infeasible { y = Array.map (fun v -> s *. v) t.rho }
+        Infeasible { y = Array.mapi (fun r v -> s *. t.sigma.(r) *. v) t.rho }
   in
   (* Warm start: the basis and reduced costs of the previous solve stay
      dual feasible under new bounds, once every nonbasic column sits at
@@ -572,11 +620,11 @@ let solve ?(deadline = Svutil.Deadline.none) ?(metrics = Svutil.Metrics.nop) t
      cold start. *)
   let warm () =
     ignore (settle t);
-    recompute_xb t fb;
+    recompute_xb t;
     run ()
   in
   let flush () = Svutil.Metrics.count metrics "simplex.hybrid.float_pivots" !pivots in
-  match if t.valid && unbox t then warm () else (cold t fb; run ()) with
+  match if t.valid && unbox t then warm () else (cold t; run ()) with
   | r ->
       flush ();
       r

@@ -4,17 +4,22 @@
     that knows its float layout.  {!create} lays the columns out from
     the snapshot's rows: the structurals first, then one slack per
     [Le]/[Ge] row in row order, then one logical fixed at 0 per [Eq]
-    row.  Every column keeps its bounds [0 <= x_j <= u_j] implicitly,
-    in coordinates shifted by the node's lower bounds ([u_j] is
+    row.  A [Ge] row is stored negated, so every logical column is a
+    unit column and the all-logical basis is the identity; that only
+    flips the sign of the row's dual, which {!solve} restores.  Every
+    column keeps its bounds [0 <= x_j <= u_j] implicitly, in
+    coordinates shifted by the node's lower bounds ([u_j] is
     [ub_j - lb_j], or infinity when the variable has no upper bound;
     a slack's is infinity), and nonbasic columns sit at a bound.  The
     cold start is the all-logical basis with negative-cost columns at
-    their upper bound; one pivot loop (product-form inverse, the pivot
-    row priced row-wise over the nonzeros of its row of [B^-1], Harris
-    ratio test with bound flipping, reduced costs updated in place on
-    the columns that row touches) serves it and every warm start.  An
-    LP whose all-logical basis is not dual feasible — a negative cost
-    on a column without an upper bound — gets {!Stalled}.
+    their upper bound, with an empty eta file; one pivot loop
+    (product-form inverse kept as one flat pool of eta entries, the
+    pivot row priced row-wise over the nonzeros of its row of [B^-1],
+    Harris ratio test with bound flipping over the columns that pricing
+    reached, reduced costs updated in place on those columns) serves it
+    and every warm start.  An LP whose all-logical basis is not dual
+    feasible — a negative cost on a column without an upper bound —
+    gets {!Stalled}.
 
     Nothing it returns is trusted: {!Certify} checks the answer exactly
     on the snapshot's rows (DESIGN.md §11), so a numerical misadventure
@@ -45,7 +50,8 @@ type outcome =
           (** per variable: it is nonbasic at its upper bound (a
               nonbasic logical sits at 0) *)
       xb : float array;  (** by row: the basic column's value less its lower bound *)
-      y : float array;  (** by row: the duals [c_B B^-1] *)
+      y : float array;
+          (** by row: the duals [c_B B^-1] of the snapshot's own rows *)
     }  (** the candidate optimum, for {!Certify.check} *)
   | Infeasible of { y : float array }
       (** the dual pass found a basic value outside its bounds that no
@@ -66,6 +72,6 @@ val solve :
   outcome
 (** Minimize the objective under the given bounds ([lb <= ub]
     everywhere).  The right-hand side and the upper bounds are shifted
-    by [lb] in exact arithmetic, then converted to doubles.  Ticks
-    [simplex.hybrid.float_pivots].
+    by [lb] in doubles; {!Certify} re-checks the answer exactly on the
+    snapshot's rows and bounds.  Ticks [simplex.hybrid.float_pivots].
     @raise Svutil.Deadline.Expired via periodic polls. *)

@@ -714,6 +714,30 @@ let gen_general_lp =
     set_objective p (List.mapi (fun i c -> (i, Q.of_int c)) obj);
     return (P.snapshot p))
 
+(* Random covering programs in [Core.Set_lp]'s shape: every row [Ge],
+   coefficients 0/±1, right-hand sides 0–2, non-negative costs and
+   [0, 1] boxes.  A row asking for more than its positive terms can
+   give makes some of them infeasible.  The all-logical basis is dual
+   feasible on all of them, so the float pass never stalls. *)
+let gen_covering_lp =
+  QCheck2.Gen.(
+    let* nv = int_range 1 5 in
+    let* nc = int_range 1 5 in
+    let* rows =
+      list_size (return nc) (pair (list_size (return nv) (int_range (-1) 1)) (int_range 0 2))
+    in
+    let* obj = list_size (return nv) (int_range 0 5) in
+    let p = P.create () in
+    for _ = 1 to nv do
+      ignore (P.add_var ~ub:Q.one p)
+    done;
+    List.iter
+      (fun (coeffs, rhs) ->
+        P.add_row p (List.mapi (fun i c -> (i, Q.of_int c)) coeffs) P.Ge (Q.of_int rhs))
+      rows;
+    set_objective p (List.mapi (fun i c -> (i, Q.of_int c)) obj);
+    return (P.snapshot p))
+
 let hybrid_agrees s =
   match (Lp.Simplex.Exact.solve s, Lp.Simplex.Hybrid.solve s) with
   | Lp.Simplex.Optimal a, Lp.Simplex.Optimal b ->
@@ -768,6 +792,17 @@ let certified_matches_exact s =
   | Lp.Certify.Cert_infeasible, Lp.Simplex.Infeasible | Lp.Certify.Cert_fail, _ -> true
   | _ -> false
 
+(* On a covering program the float answer always certifies, with the
+   exact solver's verdict: a dual or Farkas row handed over with a
+   [Ge] row's sign wrong fails here, where [certified_matches_exact]
+   would accept the fallback. *)
+let covering_certifies s =
+  match (Lp.Certify.check s (float_answer s), Lp.Simplex.Exact.solve s) with
+  | Lp.Certify.Cert_optimal a, Lp.Simplex.Optimal b ->
+      Q.equal a.objective b.objective && feasible s a.values
+  | Lp.Certify.Cert_infeasible, Lp.Simplex.Infeasible -> true
+  | _ -> false
+
 let hybrid_props =
   [
     prop "hybrid equals exact on bounded LPs" gen_bounded_lp hybrid_agrees;
@@ -799,6 +834,9 @@ let hybrid_props =
         | _ -> false);
     prop "certificates match Simplex.Exact" gen_general_lp
       certified_matches_exact;
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~name:"covering programs always certify"
+         gen_covering_lp covering_certifies);
   ]
 
 let props =

@@ -1041,6 +1041,40 @@ let test_pool_programs_pinned () =
   Alcotest.(check string) "MD5 of the printed programs" pool_programs_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* The solver's work on both seed-42 pools through [Engine.run] with
+   auto routing, summed per pool. Only IEEE double arithmetic decides
+   the float pass's pivots, so a float kernel that keeps every iterate
+   keeps these sums exactly, and any change to the pivot sequence, the
+   branching or the programs shows here. *)
+let test_pool_solver_work () =
+  let module T = Perfbench_traffic.Traffic in
+  List.iter
+    (fun (name, expected) ->
+      let m = Svutil.Metrics.create () in
+      List.iter
+        (fun w -> ignore (E.run { (E.default_request (T.instance w)) with E.metrics = m }))
+        (T.pool_workflows (List.assoc name T.workloads));
+      List.iter
+        (fun (c, n) ->
+          Alcotest.(check int) (name ^ " " ^ c) n (Svutil.Metrics.counter_value m c))
+        expected)
+    [
+      ( "solve_uncached",
+        [
+          ("ilp.nodes", 310);
+          ("simplex.hybrid.float_pivots", 5063);
+          ("certify.accepts", 310);
+          ("certify.fallbacks", 0);
+        ] );
+      ( "mixed_churn",
+        [
+          ("ilp.nodes", 478);
+          ("simplex.hybrid.float_pivots", 8254);
+          ("certify.accepts", 478);
+          ("certify.fallbacks", 0);
+        ] );
+    ]
+
 (* {1 The derivation memo}
 
    [instance_of ~memo] must build exactly what [instance_of] builds: a
@@ -1328,6 +1362,7 @@ let () =
           Alcotest.test_case "instance_of = of_workflow on seed-42 pools" `Quick
             test_constructors_on_pools;
           Alcotest.test_case "pool programs pinned" `Quick test_pool_programs_pinned;
+          Alcotest.test_case "pool solver work" `Quick test_pool_solver_work;
           prop ~count:100 "instance_of ~memo = instance_of on Gen workflows"
             ~print:(fun (spec : Wf.Parse.spec) ->
               Format.asprintf "%a" Wf.Workflow.pp spec.Wf.Parse.workflow)
