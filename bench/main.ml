@@ -72,27 +72,15 @@ let front_end_kernel () =
   fun () -> List.iter front_end lines
 
 (* The LP model layer on its own: for every member of perfbench's
-   [solve_uncached] pool, build the engine's IP, pin the Flow fixings
-   the way [Core.Exact] pins them, presolve, and lay the reduced
-   program out for the float pass ([Fsimplex.create]). The instances and their attribute
-   fixings are made outside the timed region. *)
+   [solve_uncached] pool, build the engine's IP, presolve it, and lay
+   the reduced program out for the float pass ([Fsimplex.create]). The
+   instances are made outside the timed region. *)
 let lp_model_kernel () =
   let module T = Perfbench_traffic.Traffic in
-  let members =
-    List.map
-      (fun w ->
-        let inst = T.instance w in
-        (inst, Core.Flow.fixings (Core.Flow.analyze inst)))
-      (T.pool_workflows T.Solve_uncached)
-  in
-  let model (inst, attr_fixings) =
-    let problem, attr_var, _ = Core.Exact.build_ip inst in
-    let fixings =
-      List.filter_map
-        (fun (a, v) -> Option.map (fun j -> (attr_var.(j), v)) (Core.Instance.find inst a))
-        attr_fixings
-    in
-    match Lp.Presolve.run (Lp.Presolve.apply_fixings problem fixings) with
+  let members = List.map T.instance (T.pool_workflows T.Solve_uncached) in
+  let model inst =
+    let problem, _, _ = Core.Exact.build_ip inst in
+    match Lp.Presolve.run problem with
     | Lp.Presolve.Reduced { problem; _ } -> ignore (Lp.Fsimplex.create problem)
     | Lp.Presolve.Infeasible | Lp.Presolve.Solved _ -> ()
   in
@@ -142,19 +130,11 @@ let timing_tests () =
     Wf.Gen.random_workflow (Rng.create 47)
       { Wf.Gen.default with n_modules = 2; max_inputs = 2; max_outputs = 1 }
   in
-  (* Flow-rich instances: set-constraint modules whose options overlap
-     on common attributes, so Core.Flow proves In_every_option
-     must-hides that the LP relaxation only sees fractionally (it
-     splits across the options). Fixing them prunes real
-     branch-and-bound nodes; the seeds are picked so the reduction is
-     strict (9 -> 1 and 7 -> 2 nodes). *)
+  (* A flow-rich instance: set-constraint modules whose options
+     overlap on common attributes, so Core.Flow proves In_every_option
+     must-hides. *)
   let flow_inst_a =
     Svbench.Gen_instances.random_sets (Rng.create 2)
-      { Svbench.Gen_instances.default_shape with n_modules = 5 }
-      ~lmax:3
-  in
-  let flow_inst_b =
-    Svbench.Gen_instances.random_sets (Rng.create 22)
       { Svbench.Gen_instances.default_shape with n_modules = 5 }
       ~lmax:3
   in
@@ -337,21 +317,10 @@ let timing_tests () =
         ignore (Core.Derive.requirement wide_out ~gamma:4));
     stage "e18_derive_6in_3out" (fun () ->
         ignore (Core.Derive.requirement wide_in ~gamma:4));
-    (* Flow-kernel pairs: the static privacy-flow pass itself, and two
-       flow-rich instances branch-and-bound solved by the engine (which
-       pins the flow verdicts) and by the unpruned search — a single run
-       yields the pruning win (ilp.nodes with vs without,
-       ilp.static_fixed > 0). *)
+    (* The static privacy-flow pass itself (lint W050/W051 and the
+       [flow] subcommand run it). *)
     stage_m "e19_flow_analysis" (fun m ->
         ignore (Core.Flow.analyze ~metrics:m flow_inst_a));
-    stage_m "e19_ilp_static_fixing" (fun m ->
-        ignore (engine_exact ~metrics:m flow_inst_a));
-    stage_m "e19_ilp_no_static_fixing" (fun m ->
-        ignore (Core.Exact.solve_with_stats ~metrics:m flow_inst_a));
-    stage_m "e20_ilp_static_fixing" (fun m ->
-        ignore (engine_exact ~metrics:m flow_inst_b));
-    stage_m "e20_ilp_no_static_fixing" (fun m ->
-        ignore (Core.Exact.solve_with_stats ~metrics:m flow_inst_b));
   ]
   @ delta_twins "e21" card_union e21_edit
   @ delta_twins "e22" sets_union e22_edit

@@ -174,25 +174,16 @@ let solve_round_set (req : request) =
 let solve_exact (req : request) =
   let phases = ref [] in
   let deadline = D.of_ms_opt req.deadline_ms in
-  (* The static pre-pass is sound (optimum-preserving) but not free, so
-     it runs as its own phase. [Exact.solve] without [~attr_fixings] is
-     the unpruned search the flow tests and bench twins compare
-     against. *)
-  let attr_fixings =
-    phase req.metrics phases "flow" (fun () ->
-        Flow.fixings (Flow.analyze ~metrics:req.metrics req.inst))
-  in
   let outcome, (st : Lp.Ilp.stats) =
     phase req.metrics phases "search" (fun () ->
         Exact.solve_with_stats ~node_limit:req.node_limit ~deadline
-          ~metrics:req.metrics ?seed:req.warm_seed ~attr_fixings req.inst)
+          ~metrics:req.metrics ?seed:req.warm_seed req.inst)
   in
   let stats =
     (match req.warm_seed with
     | Some _ -> [ ("warm_seeded", "true") ]
     | None -> [])
     @ [
-        ("static_fixed", string_of_int (List.length attr_fixings));
         ("nodes", string_of_int st.nodes);
         ("node_limit", string_of_int st.node_limit);
         ("limit_hit", string_of_bool st.limit_hit);
@@ -249,8 +240,7 @@ let methods = [ Greedy; Round_card; Round_set; Exact; Brute ]
 
    [Auto] picks a method from three facts the request shows: the
    attribute count, the deadline and the constraint form. Brute
-   enumeration only beats the flow-pruned exact search below five
-   attributes. Under a deadline below 25 ms a branch-and-bound run
+   enumeration only beats the exact search below five attributes. Under a deadline below 25 ms a branch-and-bound run
    cannot finish its root LP reliably, so the budget goes to the LP
    rounding that matches the constraint form (Theorem 5's Algorithm 1
    on cardinality constraints, Theorem 6's threshold rounding on set

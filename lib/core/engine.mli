@@ -117,10 +117,8 @@ val run : request -> result
     [result.method_used] records the concrete method. The LP
     relaxations take the default hybrid route ({!Lp.Simplex.Hybrid_mode}:
     exact rationals, which the rounding guarantees need), and the exact
-    method first runs {!Flow.analyze} and pins its must-hide /
-    may-expose verdicts as IP variable fixings: they provably preserve
-    the optimal cost (the returned solution may differ among cost
-    ties), their count is the [static_fixed] stat and the pass is the
-    ["flow"] phase. The whole solve runs inside a ["solve"] metrics
+    method is one ["search"] phase: {!Exact.solve}'s branch and bound
+    on the hull program, whose LP rows pin what a static pre-pass
+    would, so no {!Flow} pass runs first. The whole solve runs inside a ["solve"] metrics
     span whose measurement also provides the ["total"] timings entry
     (solver phases appear under ["solve/<phase>"] in the registry). *)

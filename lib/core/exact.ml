@@ -37,65 +37,37 @@ let build_ip inst =
       let { Set_lp.problem; attr_var; point_of; _ } = Set_lp.build inst in
       (problem, attr_var, point_of)
 
-(* Cheapest feasible solution we can get without branching: the greedy
-   heuristic. Its cost seeds the branch-and-bound as a strict cutoff, so
-   the search only explores nodes that can beat it. (LP-rounding seeds
-   live inside the solver: [Lp.Ilp] rounds its own root relaxation, so
-   solving a second LP here would duplicate work on every call.) *)
-let seed_solution inst =
+(* The greedy solution, when it is feasible: the answer of a search
+   that ends without an incumbent, and of a brute-force enumeration cut
+   before it saw a feasible set. *)
+let greedy_solution inst =
   match Greedy.solve inst with
   | s when Solution.is_feasible inst s -> Some s
   | _ | (exception _) -> None
 
 let solve_with_stats ?(node_limit = Lp.Ilp.default_node_limit)
-    ?(mode = Lp.Simplex.Hybrid_mode) ?deadline ?metrics ?seed
-    ?(attr_fixings = []) inst =
+    ?(mode = Lp.Simplex.Hybrid_mode) ?deadline ?metrics ?seed inst =
   let registry = Option.value metrics ~default:Svutil.Metrics.nop in
   let problem, attr_var, point_of =
     Svutil.Metrics.span registry "lp/build" (fun () -> build_ip inst)
   in
-  (* Attribute-level pins (Core.Flow verdicts) become x-variable pins;
-     both IP forms name the hiding variables in [attr_var]. The fixings
-     preserve the optimal value, so the strict greedy cutoff below
-     stays sound: an Infeasible answer still means "nothing beats the
-     seed". *)
-  let fixings =
-    List.filter_map
-      (fun (a, v) -> Option.map (fun i -> (attr_var.(i), v)) (Instance.find inst a))
-      attr_fixings
-  in
-  (* The cutoff seed: the cheaper of the greedy solution and the
-     caller's warm seed (a parent solution in the Core.Delta re-solve
-     path). An infeasible warm seed is dropped rather than trusted. *)
+  (* The caller's warm seed (a parent solution in the Core.Delta
+     re-solve path) is the strict cutoff and, through its witnessing
+     point, the warm incumbent. An infeasible one is dropped rather
+     than trusted. *)
   let warm =
     match seed with
     | Some s when Solution.is_feasible inst s -> Some s
     | _ -> None
   in
-  let greedy = Svutil.Metrics.span registry "lp/seed" (fun () -> seed_solution inst) in
-  let seed =
-    match (greedy, warm) with
-    | Some g, Some w -> Some (if Solution.compare_cost g w <= 0 then g else w)
-    | (Some _ as g), None -> g
-    | None, w -> w
-  in
-  let cutoff = Option.map (fun (s : Solution.t) -> s.Solution.cost) seed in
-  (* Only the caller's warm seed also enters as a full-space incumbent
-     (when a witnessing point exists): if it survives presolve
-     projection the search returns it (or something strictly better) as
-     a value-carrying result instead of relying on the
-     Infeasible-under-cutoff reading. The greedy seed stays cutoff-only
-     — building and constraint-checking its point would tax every plain
-     solve for a reading the Infeasible branch already provides. *)
+  let cutoff = Option.map (fun (s : Solution.t) -> s.Solution.cost) warm in
   let incumbent = Option.bind warm point_of in
   let solve_ilp =
     match mode with
     | Lp.Simplex.Exact_mode ->
-        Lp.Ilp.Exact.solve_with_stats ~node_limit ?cutoff ?incumbent ?deadline
-          ?metrics ~fixings
+        Lp.Ilp.Exact.solve_with_stats ~node_limit ?cutoff ?incumbent ?deadline ?metrics
     | Lp.Simplex.Hybrid_mode ->
-        Lp.Ilp.Hybrid.solve_with_stats ~node_limit ?cutoff ?incumbent ?deadline
-          ?metrics ~fixings
+        Lp.Ilp.Hybrid.solve_with_stats ~node_limit ?cutoff ?incumbent ?deadline ?metrics
   in
   let finish ~proven values =
     let half = Rat.of_ints 1 2 in
@@ -109,20 +81,26 @@ let solve_with_stats ?(node_limit = Lp.Ilp.default_node_limit)
     | Lp.Ilp.Optimal { values; _ } -> finish ~proven:true values
     | Lp.Ilp.Feasible { values; _ } -> finish ~proven:false values
     | Lp.Ilp.Infeasible ->
-        (* Under a cutoff this means "nothing strictly cheaper than the
-           seed exists", which proves the seed optimal. Without one it is
-           a genuine infeasibility. *)
-        Option.map (fun solution -> { solution; proven_optimal = true }) seed
+        (* Under the warm seed's cutoff this means "nothing strictly
+           cheaper than the seed exists", which proves the seed optimal.
+           Without one it is a genuine infeasibility. *)
+        Option.map (fun solution -> { solution; proven_optimal = true }) warm
     | Lp.Ilp.Unknown ->
-        Option.map (fun solution -> { solution; proven_optimal = false }) seed
+        (* Stopped before any incumbent: the cheaper of the greedy
+           solution and the warm seed, unproven. *)
+        let fallback =
+          match (greedy_solution inst, warm) with
+          | Some g, Some w -> Some (if Solution.compare_cost g w <= 0 then g else w)
+          | (Some _ as g), None -> g
+          | None, w -> w
+        in
+        Option.map (fun solution -> { solution; proven_optimal = false }) fallback
     | Lp.Ilp.Unbounded -> assert false (* all variables live in [0,1] *)
   in
   (outcome, stats)
 
-let solve ?node_limit ?mode ?deadline ?metrics ?seed ?attr_fixings inst =
-  fst
-    (solve_with_stats ?node_limit ?mode ?deadline ?metrics ?seed ?attr_fixings
-       inst)
+let solve ?node_limit ?mode ?deadline ?metrics ?seed inst =
+  fst (solve_with_stats ?node_limit ?mode ?deadline ?metrics ?seed inst)
 
 type refusal = Too_many_attrs of { attrs : int; limit : int }
 
@@ -152,7 +130,7 @@ let brute_force_checked ?(deadline = Svutil.Deadline.none) inst =
     with
     | () -> Ok (Option.map (fun solution -> { solution; proven_optimal = true }) !best)
     | exception Svutil.Deadline.Expired ->
-        let cut = match !best with Some _ as b -> b | None -> seed_solution inst in
+        let cut = match !best with Some _ as b -> b | None -> greedy_solution inst in
         Ok (Option.map (fun solution -> { solution; proven_optimal = false }) cut)
   end
 

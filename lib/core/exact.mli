@@ -44,32 +44,28 @@ val solve :
   ?deadline:Svutil.Deadline.t ->
   ?metrics:Svutil.Metrics.t ->
   ?seed:Solution.t ->
-  ?attr_fixings:(string * Rat.t) list ->
   Instance.t ->
   outcome option
 (** [None] when the instance is infeasible. [mode] picks the simplex
     route for the node relaxations (default {!Lp.Simplex.Hybrid_mode}:
     exact answers, float basis hunting; {!Lp.Simplex.Exact_mode} pivots
-    in rationals throughout and gives the same answers). The search is
-    seeded with the greedy solution as a strict cutoff, so a run that
-    proves the seed unbeatable returns it as optimal without finding it
-    again; the LP-rounding seed lives inside {!Lp.Ilp}, which rounds its
-    own root relaxation. [deadline] bounds the branch-and-bound wall
-    clock: on expiry the best incumbent found so far (at worst the
-    greedy seed) is returned with [proven_optimal = false]. [metrics]
-    gets the [lp/build] span around the IP build and [lp/seed] around
-    the greedy seed, beside {!Lp.Ilp}'s.
+    in rationals throughout and gives the same answers). The search
+    starts with no cutoff: the hull's LP rows already pin every
+    attribute that lies in all of a module's options, and {!Lp.Ilp}
+    rounds its own root relaxation for a first incumbent. [deadline]
+    bounds the branch-and-bound wall clock: on expiry the best
+    incumbent found so far is returned with [proven_optimal = false],
+    and a search stopped before any incumbent answers the greedy
+    solution ({!Greedy.solve}, computed only then), unproven.
+    [metrics] gets the [lp/build] span around the IP build, beside
+    {!Lp.Ilp}'s.
 
     [seed] offers an externally-known feasible solution (e.g. the
     parent solution in [Core.Delta]'s incremental re-solve): the search
-    is seeded with the cheaper of it and the greedy solution, both as
-    the strict cutoff and — via the IP builders' witnessing points — as
-    a warm incumbent inside {!Lp.Ilp}. An infeasible [seed] is ignored.
-
-    [attr_fixings] pins hiding variables by attribute name before the
-    branch-and-bound runs ({!Flow.fixings} produces sound ones: the
-    optimal cost is unchanged, so the greedy cutoff logic is
-    unaffected). Names without a hiding variable are ignored. *)
+    takes its cost as the strict cutoff and — via the IP builders'
+    witnessing points — the seed as a warm incumbent inside {!Lp.Ilp};
+    a search stopped before any incumbent answers the cheaper of it and
+    the greedy solution. An infeasible [seed] is ignored. *)
 
 val solve_with_stats :
   ?node_limit:int ->
@@ -77,7 +73,6 @@ val solve_with_stats :
   ?deadline:Svutil.Deadline.t ->
   ?metrics:Svutil.Metrics.t ->
   ?seed:Solution.t ->
-  ?attr_fixings:(string * Rat.t) list ->
   Instance.t ->
   outcome option * Lp.Ilp.stats
 (** Like {!solve}, also reporting branch-and-bound search statistics

@@ -33,7 +33,6 @@ module type S = sig
     ?incumbent:Rat.t array ->
     ?deadline:Svutil.Deadline.t ->
     ?metrics:Svutil.Metrics.t ->
-    ?fixings:(int * Rat.t) list ->
     Problem.snapshot ->
     result
 
@@ -43,7 +42,6 @@ module type S = sig
     ?incumbent:Rat.t array ->
     ?deadline:Svutil.Deadline.t ->
     ?metrics:Svutil.Metrics.t ->
-    ?fixings:(int * Rat.t) list ->
     Problem.snapshot ->
     result * stats
 
@@ -99,7 +97,7 @@ module Make (Solver : Simplex.SOLVER) : S = struct
 
   let solve_with_stats ?(node_limit = default_node_limit) ?cutoff ?incumbent
       ?(deadline = Svutil.Deadline.none)
-      ?(metrics = Svutil.Metrics.nop) ?(fixings = []) (s : Problem.snapshot) =
+      ?(metrics = Svutil.Metrics.nop) (s : Problem.snapshot) =
     let finished ?root_bound ?(deadline_hit = false) nodes limit_hit =
       (* Single source of truth: the same [nodes] count feeds both the
          stats record and the registry, so the two can never drift. *)
@@ -112,17 +110,6 @@ module Make (Solver : Simplex.SOLVER) : S = struct
     if Svutil.Deadline.expired deadline then
       (Unknown, finished ~deadline_hit:true 0 false)
     else
-      (* Static fixings are pinned bounds, applied before presolve so
-         its fixpoint substitutes the variables out. [n] and the index
-         space are unchanged, so the kappa/cutoff/restore bookkeeping
-         below is oblivious to them. *)
-      let s =
-        match fixings with
-        | [] -> s
-        | fs ->
-            Svutil.Metrics.count metrics "ilp.static_fixed" (List.length fs);
-            Presolve.apply_fixings s fs
-      in
       match Svutil.Metrics.span metrics "lp/presolve" (fun () -> Presolve.run s) with
       | Presolve.Infeasible -> (Infeasible, finished 0 false)
       | Presolve.Solved { values } ->
@@ -223,8 +210,7 @@ module Make (Solver : Simplex.SOLVER) : S = struct
         in
         let pq = Svutil.Pq.create ~cmp:node_cmp in
         let seq = ref 0 in
-        let push_children parent_obj lb ub values =
-          let i = branch_var p values in
+        let push_children ~branch:i parent_obj lb ub values =
           if i < 0 then offer values
           else begin
             let fl = Rat.of_bigint (Rat.floor values.(i)) in
@@ -256,13 +242,16 @@ module Make (Solver : Simplex.SOLVER) : S = struct
         | `Solved Simplex.Unbounded -> unbounded := true
         | `Solved (Simplex.Optimal { objective; values }) ->
             root_bound := Some (Rat.add objective kappa);
+            (* An integral root point is offered as it stands:
+               both roundings would equal it. *)
+            let branch = branch_var p values in
             let open_root =
               incumbent_span (fun () ->
                   let open_root = not (dominated objective) in
-                  if open_root then seed_incumbent values;
+                  if open_root && branch >= 0 then seed_incumbent values;
                   open_root)
             in
-            if open_root then push_children objective p.Problem.lb p.Problem.ub values
+            if open_root then push_children ~branch objective p.Problem.lb p.Problem.ub values
             else Svutil.Metrics.tick metrics "ilp.pruned_bound");
         (* Best-first loop, one open node at a time. *)
         while
@@ -289,7 +278,7 @@ module Make (Solver : Simplex.SOLVER) : S = struct
               | Simplex.Unbounded -> unbounded := true
               | Simplex.Optimal { objective; values } ->
                   if not (dominated objective) then
-                    push_children objective nd.lb nd.ub values
+                    push_children ~branch:(branch_var p values) objective nd.lb nd.ub values
                   else Svutil.Metrics.tick metrics "ilp.pruned_bound"
               | exception Svutil.Deadline.Expired -> deadline_hit := true)
         done;
@@ -321,8 +310,8 @@ module Make (Solver : Simplex.SOLVER) : S = struct
           | None, true -> (Unknown, stats)
           | None, false -> (Infeasible, stats))
 
-  let solve ?node_limit ?cutoff ?incumbent ?deadline ?metrics ?fixings s =
-    fst (solve_with_stats ?node_limit ?cutoff ?incumbent ?deadline ?metrics ?fixings s)
+  let solve ?node_limit ?cutoff ?incumbent ?deadline ?metrics s =
+    fst (solve_with_stats ?node_limit ?cutoff ?incumbent ?deadline ?metrics s)
 
   (* The pre-overhaul recursive depth-first solver, verbatim: cold LP
      solve per node, fixed 1e-6 snapping tolerance. Kept as the oracle

@@ -47,7 +47,6 @@ module type S = sig
     ?incumbent:Rat.t array ->
     ?deadline:Svutil.Deadline.t ->
     ?metrics:Svutil.Metrics.t ->
-    ?fixings:(int * Rat.t) list ->
     Problem.snapshot ->
     result
   (** [node_limit] defaults to {!default_node_limit}. [cutoff] prunes
@@ -70,11 +69,6 @@ module type S = sig
       candidates) and around the projection of [incumbent],
       plus the {!Simplex} counters and spans from the node solves.
 
-      [fixings] pins variables to values before presolve
-      ({!Presolve.apply_fixings}): the caller vouches that each pin
-      preserves the optimal objective (e.g. [Core.Flow]'s static
-      must-hide / may-expose verdicts). Counts [ilp.static_fixed].
-
       [incumbent] offers a candidate point in the {e original} variable
       space (typically the solution of a nearby problem — the warm-start
       surface [Core.Delta] re-solves through). It is projected through
@@ -91,7 +85,6 @@ module type S = sig
     ?incumbent:Rat.t array ->
     ?deadline:Svutil.Deadline.t ->
     ?metrics:Svutil.Metrics.t ->
-    ?fixings:(int * Rat.t) list ->
     Problem.snapshot ->
     result * stats
 

@@ -221,33 +221,6 @@ let run (s : Problem.snapshot) =
         Reduced { problem = Problem.snapshot ~name t; restore; keep }
       end
 
-(* External variable fixings (e.g. Core.Flow's static must-hide /
-   may-expose verdicts) enter as pinned bounds, so [run]'s fixpoint
-   substitutes them out exactly like any other coincident pair. The
-   caller vouches for optimum preservation; we only check the pin is
-   inside the variable's box and respects integrality. *)
-let apply_fixings (s : Problem.snapshot) fixings =
-  match fixings with
-  | [] -> s
-  | _ ->
-      let lb = Array.copy s.Problem.lb and ub = Array.copy s.Problem.ub in
-      List.iter
-        (fun (i, v) ->
-          if i < 0 || i >= s.Problem.n then
-            invalid_arg "Presolve.apply_fixings: variable index out of range";
-          if
-            Rat.lt v lb.(i)
-            || (match ub.(i) with Some u -> Rat.gt v u | None -> false)
-            || (s.Problem.integer.(i) && not (Rat.is_integer v))
-          then
-            invalid_arg
-              (Printf.sprintf "Presolve.apply_fixings: %s = %s is outside its box"
-                 (Problem.var_name s i) (Rat.to_string v));
-          lb.(i) <- v;
-          ub.(i) <- Some v)
-        fixings;
-      Problem.with_bounds s ~lb ~ub
-
 let solve_lp ?deadline ?metrics (module S : Simplex.SOLVER) (s : Problem.snapshot) =
   match
     Svutil.Metrics.span

@@ -45,15 +45,6 @@ type outcome =
 
 val run : Problem.snapshot -> outcome
 
-val apply_fixings : Problem.snapshot -> (int * Rat.t) list -> Problem.snapshot
-(** Pin each listed variable to the given value by collapsing its
-    bounds, so a subsequent {!run} substitutes it out. The caller is
-    responsible for the fixings preserving the optimum (see
-    [Core.Flow] for the static verdicts that do, with proofs).
-    @raise Invalid_argument if an index is out of range, a value falls
-    outside the variable's current bounds, or an integer variable is
-    pinned to a fraction. *)
-
 val solve_lp :
   ?deadline:Svutil.Deadline.t ->
   ?metrics:Svutil.Metrics.t ->

@@ -756,7 +756,7 @@ let test_engine_methods () =
           Alcotest.(check bool) (name ^ " feasible") true (Sol.is_feasible inst s)
       | None -> Alcotest.fail (name ^ " must solve the simple instance"))
     E.methods
-    [ "greedy"; "lp"; "lp"; "flow"; "enumerate" ]
+    [ "greedy"; "lp"; "lp"; "search"; "enumerate" ]
 
 let test_brute_refusal () =
   let inst = wide_instance () in
@@ -858,7 +858,6 @@ let test_engine_metrics_consistency () =
         (Svutil.Metrics.span_stats m path <> None))
     [
       "solve/search/lp/build";
-      "solve/search/lp/seed";
       "solve/search/lp/presolve";
       "solve/search/lp/incumbent";
       "solve/search/lp/sform";
@@ -916,10 +915,10 @@ let test_corpus_solver_work () =
     [
       ( E.Exact,
         [
-          ("simplex.hybrid.float_pivots", 2858);
-          ("ilp.nodes", 363);
-          ("certify.accepts", 363);
-          ("simplex.warm_starts", 20);
+          ("simplex.hybrid.float_pivots", 3028);
+          ("ilp.nodes", 381);
+          ("certify.accepts", 381);
+          ("simplex.warm_starts", 23);
         ] );
       (E.Round_set, [ ("simplex.hybrid.float_pivots", 2976); ("certify.accepts", 358) ]);
       (E.Round_card, [ ("simplex.hybrid.float_pivots", 1877); ("certify.accepts", 131) ]);

@@ -1,8 +1,8 @@
 (* Privacy-flow analysis: unit fixtures for each verdict kind, the
    lattice and closures on the worked examples, and differential
    properties against the brute-force oracle — the static bounds
-   sandwich the true optimum, and solving with the flow fixings never
-   changes the answer. *)
+   sandwich the true optimum, and pinning the flow fixings on the exact
+   route's IP never changes its optimum. *)
 
 module Q = Rat
 module F = Core.Flow
@@ -216,23 +216,6 @@ let test_lint_w051 () =
   in
   Alcotest.(check (list string)) "exactly W051" [ "W051" ] (codes_of text)
 
-(* --- engine integration: the static_fixed stat ------------------------- *)
-
-(* The engine always pins the flow verdicts; [Core.Exact.solve] without
-   [~attr_fixings] is the unpruned search it must agree with. *)
-let engine_exact inst =
-  E.run { (E.default_request inst) with E.meth = E.Exact }
-
-let test_engine_static_fixed_stat () =
-  let inst = constant_inst () in
-  let with_fix = engine_exact inst in
-  Alcotest.(check (option string)) "two fixings" (Some "2")
-    (List.assoc_opt "static_fixed" with_fix.E.stats);
-  match (with_fix.E.solution, Core.Exact.solve inst) with
-  | Some a, Some { Core.Exact.solution = b; _ } ->
-      Alcotest.(check q) "same optimum" b.Sol.cost a.Sol.cost
-  | _ -> Alcotest.fail "constant instance solves either way"
-
 (* ------------------------------------------------------------------ *)
 (* Properties: random workflows, gamma-1 overrides, constant-module     *)
 (* substitutions and random publics exercise all verdict paths.         *)
@@ -287,6 +270,26 @@ let gen_case =
     in
     return (w, costs, publics, gamma_overrides, inst))
 
+let engine_exact inst = E.run { (E.default_request inst) with E.meth = E.Exact }
+
+(* The optimum of the exact route's IP with the flow verdicts pinned as
+   bounds on the hiding columns; the engine pins nothing, so the two
+   agree exactly when the verdicts keep the optimum. *)
+let pinned_optimum inst =
+  let problem, attr_var, _ = Core.Exact.build_ip inst in
+  let lb = Array.copy problem.Lp.Problem.lb and ub = Array.copy problem.Lp.Problem.ub in
+  List.iter
+    (fun (a, v) ->
+      Option.iter
+        (fun i ->
+          lb.(attr_var.(i)) <- v;
+          ub.(attr_var.(i)) <- Some v)
+        (Inst.find inst a))
+    (F.fixings (F.analyze inst));
+  match Lp.Ilp.Hybrid.solve (Lp.Problem.with_bounds problem ~lb ~ub) with
+  | Lp.Ilp.Optimal { objective; _ } -> Some objective
+  | _ -> None
+
 let props =
   [
     prop "static bounds sandwich the brute-force optimum" gen_case
@@ -299,9 +302,8 @@ let props =
         | Some _, None | None, Some _ -> false);
     prop "engine optimum is identical with and without static fixing" gen_case
       (fun (_, _, _, _, inst) ->
-        match ((engine_exact inst).E.solution, Core.Exact.solve inst) with
-        | Some a, Some { Core.Exact.solution = b; _ } ->
-            Q.equal a.Sol.cost b.Sol.cost
+        match ((engine_exact inst).E.solution, pinned_optimum inst) with
+        | Some a, Some o -> Q.equal a.Sol.cost o
         | None, None -> true
         | _ -> false);
     prop "every analysis passes its own certificate check" gen_case
@@ -353,7 +355,6 @@ let () =
         [
           Alcotest.test_case "lint W050" `Quick test_lint_w050;
           Alcotest.test_case "lint W051" `Quick test_lint_w051;
-          Alcotest.test_case "engine static_fixed stat" `Quick test_engine_static_fixed_stat;
         ] );
       ("properties", props);
     ]

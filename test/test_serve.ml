@@ -906,12 +906,10 @@ let test_daemon_closed_stdout () =
 
 let snapshot_view (s : Lp.Problem.snapshot) = Format.asprintf "%a" Lp.Problem.pp s
 
-(* The engine's IP and its attribute columns. *)
-let ip_with_attrs inst =
-  let problem, attr_var, _ = Core.Exact.build_ip inst in
-  (problem, attr_var)
-
-let ip_of inst = fst (ip_with_attrs inst)
+(* The engine's IP. *)
+let ip_of inst =
+  let problem, _, _ = Core.Exact.build_ip inst in
+  problem
 
 let answer (r : E.result) =
   (r.E.solution, r.E.lower_bound, r.E.proven_optimal, r.E.stats, r.E.method_used)
@@ -1001,13 +999,12 @@ let test_constructors_on_pools () =
     T.workloads
 
 (* The programs the engine solves, pinned: the IP of every seed-42 pool
-   member as printed, and the reduced program presolve makes of it once
-   the Flow fixings are pinned the way [Core.Exact] pins them (with the
-   kept columns and the fixed values [restore] fills in). Any change to
+   member as printed, and the reduced program presolve makes of it
+   (with the kept columns and the fixed values [restore] fills in). Any change to
    the builders' variables, rows or row order, to presolve's reductions
    or to the printed form, and any change to which program
    [Core.Exact.program] picks, shows here. *)
-let pool_programs_digest = "0f8c373fa0ebd6a92f97d60f93e03ab2"
+let pool_programs_digest = "f04d69a5d5dab26f7daae9524dd0e60b"
 
 let test_pool_programs_pinned () =
   let module T = Perfbench_traffic.Traffic in
@@ -1020,14 +1017,9 @@ let test_pool_programs_pinned () =
       List.iteri
         (fun i w ->
           let inst = Serve.Request.instance_of (spec_of_text name (T.render w)) in
-          let problem, attr_var = ip_with_attrs inst in
+          let problem = ip_of inst in
           Format.fprintf fmt "%s %d@.%a" name i P.pp problem;
-          let fixings =
-            List.filter_map
-              (fun (a, v) -> Option.map (fun j -> (attr_var.(j), v)) (Inst.find inst a))
-              (Core.Flow.fixings (Core.Flow.analyze inst))
-          in
-          match Lp.Presolve.run (Lp.Presolve.apply_fixings problem fixings) with
+          match Lp.Presolve.run problem with
           | Lp.Presolve.Infeasible -> Format.fprintf fmt "infeasible@."
           | Lp.Presolve.Solved { values } -> Format.fprintf fmt "solved %s@." (rats values)
           | Lp.Presolve.Reduced { problem = r; restore; keep } ->
@@ -1062,15 +1054,15 @@ let test_pool_solver_work () =
       ( "solve_uncached",
         [
           ("ilp.nodes", 310);
-          ("simplex.hybrid.float_pivots", 5063);
+          ("simplex.hybrid.float_pivots", 5083);
           ("certify.accepts", 310);
           ("certify.fallbacks", 0);
         ] );
       ( "mixed_churn",
         [
-          ("ilp.nodes", 478);
-          ("simplex.hybrid.float_pivots", 8254);
-          ("certify.accepts", 478);
+          ("ilp.nodes", 485);
+          ("simplex.hybrid.float_pivots", 8301);
+          ("certify.accepts", 485);
           ("certify.fallbacks", 0);
         ] );
     ]
