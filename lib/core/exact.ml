@@ -110,27 +110,48 @@ let refusal_to_string (Too_many_attrs { attrs; limit }) =
   Printf.sprintf "brute force refused: %d attributes exceeds the %d-attribute limit"
     attrs limit
 
-(* The deadline is polled once every 256 subsets, the first before any
+(* Subsets in counter order: bit [i] of [bits] hides attribute id [i],
+   and one reused [mask] follows the counter (carrying through trailing
+   hidden attributes), so a subset costs a feasibility check, plus its
+   cost when it is feasible. Feasibility needs no privatization: a
+   solution privatizes exactly the publics its mask exposes. The first
+   cheapest feasible subset wins, and only it becomes a [Solution.t].
+   The deadline is polled once every 256 subsets, the first before any
    is enumerated. *)
 let brute_force_checked ?(deadline = Svutil.Deadline.none) inst =
   let attrs = Instance.n_attrs inst in
   if attrs > brute_force_limit then
     Error (Too_many_attrs { attrs; limit = brute_force_limit })
   else begin
-    let best = ref None and seen = ref 0 in
+    let mask = Array.make attrs false in
+    let best = ref (-1) and best_cost = ref Rat.zero in
+    let winner () =
+      if !best < 0 then None
+      else Some (Solution.of_mask inst (Array.init attrs (fun i -> (!best lsr i) land 1 = 1)))
+    in
     match
-      Svutil.Subset.iter (List.init attrs Fun.id) (fun hidden ->
-          if !seen land 255 = 0 then Svutil.Deadline.check deadline;
-          incr seen;
-          let s = Solution.of_ids inst hidden in
-          if Solution.is_feasible inst s then
-            match !best with
-            | Some b when Solution.compare_cost b s <= 0 -> ()
-            | _ -> best := Some s)
+      for bits = 0 to (1 lsl attrs) - 1 do
+        if bits land 255 = 0 then Svutil.Deadline.check deadline;
+        if bits > 0 then begin
+          let i = ref 0 in
+          while mask.(!i) do
+            mask.(!i) <- false;
+            incr i
+          done;
+          mask.(!i) <- true
+        end;
+        if Instance.all_satisfied inst mask then begin
+          let c = Instance.mask_cost inst mask in
+          if !best < 0 || Rat.lt c !best_cost then begin
+            best := bits;
+            best_cost := c
+          end
+        end
+      done
     with
-    | () -> Ok (Option.map (fun solution -> { solution; proven_optimal = true }) !best)
+    | () -> Ok (Option.map (fun solution -> { solution; proven_optimal = true }) (winner ()))
     | exception Svutil.Deadline.Expired ->
-        let cut = match !best with Some _ as b -> b | None -> greedy_solution inst in
+        let cut = match winner () with Some _ as b -> b | None -> greedy_solution inst in
         Ok (Option.map (fun solution -> { solution; proven_optimal = false }) cut)
   end
 

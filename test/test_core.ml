@@ -1111,6 +1111,25 @@ let auto_cost inst =
   let r = E.run { (E.default_request inst) with E.meth = E.Auto } in
   Option.map (fun s -> s.Sol.cost) r.E.solution
 
+(* The list-based enumeration [Exact.brute_force] replaced, kept as its
+   reference: every subset as a fresh id list, a full [Solution.t] each,
+   and the first cheapest feasible one in enumeration order wins. *)
+let brute_force_reference inst =
+  let best = ref None in
+  Svutil.Subset.iter (List.init (Inst.n_attrs inst) Fun.id) (fun hidden ->
+      let s = Sol.of_ids inst hidden in
+      if Sol.is_feasible inst s then
+        match !best with Some b when Sol.compare_cost b s <= 0 -> () | _ -> best := Some s);
+  !best
+
+let brute_matches_reference inst =
+  match (Core.Exact.brute_force inst, brute_force_reference inst) with
+  | Some a, Some b ->
+      a.Sol.hidden = b.Sol.hidden && a.Sol.privatized = b.Sol.privatized
+      && Q.equal a.Sol.cost b.Sol.cost
+  | None, None -> true
+  | _ -> false
+
 let props =
   [
     prop "ilp matches brute force" gen_instance (fun (_, inst) ->
@@ -1211,6 +1230,10 @@ let props =
             Q.leq r.objective h.objective && Q.leq h.objective opt.objective
         | Lp.Simplex.Infeasible, Lp.Simplex.Infeasible, Lp.Ilp.Infeasible -> true
         | _ -> false);
+    prop ~count:100 "brute force on masks = the list-based reference" gen_instance
+      (fun (_, inst) -> brute_matches_reference inst);
+    prop ~count:100 "brute force on masks = the list-based reference, with publics"
+      gen_card_instance brute_matches_reference;
     prop ~count:100 "figure 3 and hull ips share the optimum" gen_card_instance (fun inst ->
         (* Same integer optimum, and Figure 3 LP <= hull LP <= optimum:
            each module's hull lies inside every valid relaxation of it. *)
