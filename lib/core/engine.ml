@@ -240,7 +240,8 @@ let methods = [ Greedy; Round_card; Round_set; Exact; Brute ]
 
    [Auto] picks a method from three facts the request shows: the
    attribute count, the deadline and the constraint form. Brute
-   enumeration only beats the exact search below five attributes. Under a deadline below 25 ms a branch-and-bound run
+   enumeration only beats the exact search below five attributes.
+   Under a deadline below 25 ms a branch-and-bound run
    cannot finish its root LP reliably, so the budget goes to the LP
    rounding that matches the constraint form (Theorem 5's Algorithm 1
    on cardinality constraints, Theorem 6's threshold rounding on set

@@ -117,8 +117,8 @@ val run : request -> result
     [result.method_used] records the concrete method. The LP
     relaxations take the default hybrid route ({!Lp.Simplex.Hybrid_mode}:
     exact rationals, which the rounding guarantees need), and the exact
-    method is one ["search"] phase: {!Exact.solve}'s branch and bound
-    on the hull program, whose LP rows pin what a static pre-pass
-    would, so no {!Flow} pass runs first. The whole solve runs inside a ["solve"] metrics
+    method is one ["search"] phase ({!Exact.solve}): no {!Flow} pass
+    runs first, since the hull program's LP rows already pin what its
+    verdicts would. The whole solve runs inside a ["solve"] metrics
     span whose measurement also provides the ["total"] timings entry
     (solver phases appear under ["solve/<phase>"] in the registry). *)

@@ -4,9 +4,12 @@
     {!solve} runs branch-and-bound on the integer program {!program}
     picks: the set-constraint IP on each module's convex hull
     ({!Set_lp}), with every cardinality list expanded into its options,
-    unless that expansion would outgrow Figure 3 ({!Card_lp}).
-    {!brute_force} enumerates hidden attribute subsets directly and is
-    used to cross-check the ILP path on small instances. *)
+    unless that expansion would outgrow Figure 3 ({!Card_lp}), with no
+    pre-search aid: no static fixings and no greedy cutoff, since the
+    hull's LP rows pin what they pinned. {!brute_force} enumerates
+    hidden attribute subsets directly (one reused mask, a cost only for
+    feasible ones) and is used to cross-check the ILP path on small
+    instances. *)
 
 type outcome = {
   solution : Solution.t;
@@ -90,7 +93,9 @@ val refusal_to_string : refusal -> string
 val brute_force_checked :
   ?deadline:Svutil.Deadline.t -> Instance.t -> (outcome option, refusal) result
 (** Exhaustive search over hidden attribute subsets, proven optimal when
-    it ends. [Ok None] means the instance is infeasible; [Error] means
+    it ends; among equally cheap feasible subsets the first in counter
+    order (bit [i] hides attribute id [i]) wins. [Ok None] means the
+    instance is infeasible; [Error] means
     the instance has more than {!brute_force_limit} attributes and the
     search was refused without enumerating anything. [deadline] is
     polled during the enumeration: on expiry the cheapest feasible set

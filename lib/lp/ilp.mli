@@ -6,7 +6,8 @@
 
     The solver presolves ({!Presolve}), then runs a best-first search
     over an explicit priority queue ordered by LP bound. The incumbent
-    is seeded by rounding the root LP relaxation, and nodes are
+    is seeded by rounding a fractional root LP point (an integral one
+    is the incumbent as it stands), and nodes are
     reoptimized from the parent's basis with a bounded dual-simplex
     pass ({!Simplex.SOLVER.warm_solve}). None of this changes answers:
     optima are bit-identical to the pre-overhaul depth-first solver,

@@ -1,4 +1,6 @@
 (** LP/ILP presolve: bound tightening, row elimination, variable fixing.
+    It is the only fixing pass before the search: {!Ilp} takes no
+    caller-supplied pins.
 
     [run] simplifies a {!Problem.snapshot} before any pivoting:
 

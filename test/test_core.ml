@@ -808,8 +808,9 @@ let test_brute_deadline () =
 
 let test_engine_deadline_gadget () =
   (* The general set-cover gadget from the bench suite, with the budget
-     already spent: the engine must come back immediately with the
-     greedy incumbent, flagged unproven. *)
+     already spent: the search stops before any incumbent, and the
+     engine must come back immediately with the greedy solution,
+     flagged unproven. *)
   let sc = Combinat.Set_cover.random (Svutil.Rng.create 44) ~universe:6 ~n_sets:4 in
   let inst = Reductions.Sc_general.of_set_cover sc in
   let t0 = Svutil.Deadline.now_ms () in
@@ -823,7 +824,10 @@ let test_engine_deadline_gadget () =
   Alcotest.(check bool) "deadline_hit" true
     (List.assoc_opt "deadline_hit" r.E.stats = Some "true");
   match r.E.solution with
-  | Some s -> Alcotest.(check bool) "incumbent feasible" true (Sol.is_feasible inst s)
+  | Some s ->
+      Alcotest.(check bool) "incumbent feasible" true (Sol.is_feasible inst s);
+      Alcotest.(check (list string)) "the greedy solution" (Core.Greedy.solve inst).Sol.hidden
+        s.Sol.hidden
   | None -> Alcotest.fail "gadget has a greedy incumbent"
 
 let test_engine_metrics_consistency () =
