@@ -1000,9 +1000,9 @@ let test_constructors_on_pools () =
 
 (* The programs the engine solves, pinned: the IP of every seed-42 pool
    member as printed, and the reduced program presolve makes of it
-   (with the kept columns and the fixed values [restore] fills in). Any change to
-   the builders' variables, rows or row order, to presolve's reductions
-   or to the printed form, and any change to which program
+   (with the kept columns and the fixed values [restore] fills in). Any
+   change to the builders' variables, rows or row order, to presolve's
+   reductions or to the printed form, and any change to which program
    [Core.Exact.program] picks, shows here. *)
 let pool_programs_digest = "f04d69a5d5dab26f7daae9524dd0e60b"
 
