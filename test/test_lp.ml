@@ -834,9 +834,7 @@ let hybrid_props =
         | _ -> false);
     prop "certificates match Simplex.Exact" gen_general_lp
       certified_matches_exact;
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:300 ~name:"covering programs always certify"
-         gen_covering_lp covering_certifies);
+    prop "covering programs always certify" gen_covering_lp covering_certifies;
   ]
 
 let props =
