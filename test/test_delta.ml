@@ -255,6 +255,35 @@ let test_resolve_no_state () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "resolve must refuse a state-less parent"
 
+(* The re-solves' work on the seed-42 [solve_uncached] perfbench pool:
+   each member is solved with [Engine.run], then re-solved under one
+   edit, its first attribute by name costing one more. The summed
+   nodes and float pivots of the re-solves and the count of each tier
+   are pinned, so a change to what a tier solves, or to how the search
+   it runs starts, shows here. *)
+let test_delta_solver_work () =
+  let module T = Perfbench_traffic.Traffic in
+  let metrics = Svutil.Metrics.create () in
+  let noop = ref 0 and scoped = ref 0 and full = ref 0 in
+  List.iter
+    (fun w ->
+      let inst = T.instance w in
+      let parent = run_inst inst in
+      let attr = List.hd (List.sort String.compare (Inst.attrs inst)) in
+      let cost = Q.add (Inst.attr_cost inst attr) Q.one in
+      match D.resolve ~metrics ~parent [ D.Set_cost { attr; cost } ] with
+      | Error e -> Alcotest.fail e
+      | Ok { D.reuse = D.Noop; _ } -> incr noop
+      | Ok { D.reuse = D.Scoped _; _ } -> incr scoped
+      | Ok { D.reuse = D.Full; _ } -> incr full)
+    (T.pool_workflows (List.assoc "solve_uncached" T.workloads));
+  List.iter
+    (fun (c, n) -> Alcotest.(check int) c n (Svutil.Metrics.counter_value metrics c))
+    [ ("ilp.nodes", 290); ("simplex.hybrid.float_pivots", 4770) ];
+  List.iter
+    (fun (tier, expected, got) -> Alcotest.(check int) (tier ^ " tier") expected !got)
+    [ ("noop", 0, noop); ("scoped", 39, scoped); ("full", 201, full) ]
+
 (* ------------------------------------------------------------------ *)
 (* Properties on random instances and edit scripts                     *)
 (* ------------------------------------------------------------------ *)
@@ -488,6 +517,7 @@ let () =
           Alcotest.test_case "chained edits" `Quick test_resolve_chain;
           Alcotest.test_case "state-less parent refused" `Quick
             test_resolve_no_state;
+          Alcotest.test_case "delta solver work" `Quick test_delta_solver_work;
         ] );
       ("properties", props);
     ]
