@@ -32,7 +32,7 @@ let rat_str q =
 let ratio a b = if Q.is_zero b then "inf" else Printf.sprintf "%.3f" (Q.to_float (Q.div a b))
 
 (* Certified optima go through the unified engine (same branch-and-bound
-   underneath; hybrid node relaxations, greedy-seeded cutoff). *)
+   underneath; hybrid node relaxations, no cutoff). *)
 let engine_exact ?(node_limit = 200_000) inst =
   Core.Engine.run
     {

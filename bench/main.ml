@@ -79,7 +79,7 @@ let lp_model_kernel () =
   let module T = Perfbench_traffic.Traffic in
   let members = List.map T.instance (T.pool_workflows T.Solve_uncached) in
   let model inst =
-    let problem, _, _ = Core.Exact.build_ip inst in
+    let problem, _ = Core.Exact.build_ip inst in
     match Lp.Presolve.run problem with
     | Lp.Presolve.Reduced { problem; _ } -> ignore (Lp.Fsimplex.create problem)
     | Lp.Presolve.Infeasible | Lp.Presolve.Solved _ -> ()

@@ -5,8 +5,6 @@ type variant = Full | No_pair_bound | No_sum_bound
 type built = {
   problem : Lp.Problem.snapshot;
   attr_var : int array;
-  pub_var : int array;
-  point_of : Solution.t -> Rat.t array option;
 }
 
 let card_of (m : Instance.pmod) =
@@ -58,118 +56,77 @@ let build ?(variant = Full) (inst : Instance.t) =
         x)
       costs
   in
-  let pub_var =
-    Array.map
-      (fun (pub : Instance.pub) ->
-        let w = P.add_var ?ub:unit_ub p in
-        P.set_cost p w pub.Instance.pcost;
-        (* Constraint (21): privatize a public module whenever one of its
-           attributes is hidden. *)
-        Array.iter
-          (fun b ->
-            P.add_term p attr_var.(b) Rat.minus_one;
-            P.add_term p w Rat.one;
-            P.close_row p P.Ge Rat.zero)
-          pub.Instance.pattrs;
-        w)
-      inst.Instance.pubs
-  in
-  let mod_vars =
-    Array.map
-      (fun (m : Instance.pmod) ->
-        let card = Array.of_list (card_of m) in
-        let r_vars = Array.map (fun _ -> P.add_var ?ub:unit_ub ~integer:true p) card in
-        (* (1): some option is selected. *)
-        Array.iter (fun r -> P.add_term p r Rat.one) r_vars;
-        P.close_row p P.Ge Rat.one;
-        (* y / z credit variables per option: [credits.(k).(j)] for the
-           module's [k]-th input (output) and option [j]. *)
-        let credits side =
-          Array.map (fun _ -> Array.map (fun _ -> P.add_var ?ub:unit_ub p) card) side
-        in
-        let y_vars = credits m.Instance.ins in
-        let z_vars = credits m.Instance.outs in
-        (* [quota vars j q]: sum_b vars_bj >= q * r_ij. *)
-        let quota vars j q =
-          P.add_term p r_vars.(j) (Rat.of_int (-q));
-          Array.iter (fun per_j -> P.add_term p per_j.(j) Rat.one) vars;
-          P.close_row p P.Ge Rat.zero
-        in
-        (* [at_most v u]: v - u <= 0, with [u] created before [v]. *)
-        let at_most v u =
-          P.add_term p u Rat.minus_one;
-          P.add_term p v Rat.one;
-          P.close_row p P.Le Rat.zero
-        in
+  Array.iter
+    (fun (pub : Instance.pub) ->
+      let w = P.add_var ?ub:unit_ub p in
+      P.set_cost p w pub.Instance.pcost;
+      (* Constraint (21): privatize a public module whenever one of its
+         attributes is hidden. *)
+      Array.iter
+        (fun b ->
+          P.add_term p attr_var.(b) Rat.minus_one;
+          P.add_term p w Rat.one;
+          P.close_row p P.Ge Rat.zero)
+        pub.Instance.pattrs)
+    inst.Instance.pubs;
+  Array.iter
+    (fun (m : Instance.pmod) ->
+      let card = Array.of_list (card_of m) in
+      let r_vars = Array.map (fun _ -> P.add_var ?ub:unit_ub ~integer:true p) card in
+      (* (1): some option is selected. *)
+      Array.iter (fun r -> P.add_term p r Rat.one) r_vars;
+      P.close_row p P.Ge Rat.one;
+      (* y / z credit variables per option: [credits.(k).(j)] for the
+         module's [k]-th input (output) and option [j]. *)
+      let credits side =
+        Array.map (fun _ -> Array.map (fun _ -> P.add_var ?ub:unit_ub p) card) side
+      in
+      let y_vars = credits m.Instance.ins in
+      let z_vars = credits m.Instance.outs in
+      (* [quota vars j q]: sum_b vars_bj >= q * r_ij. *)
+      let quota vars j q =
+        P.add_term p r_vars.(j) (Rat.of_int (-q));
+        Array.iter (fun per_j -> P.add_term p per_j.(j) Rat.one) vars;
+        P.close_row p P.Ge Rat.zero
+      in
+      (* [at_most v u]: v - u <= 0, with [u] created before [v]. *)
+      let at_most v u =
+        P.add_term p u Rat.minus_one;
+        P.add_term p v Rat.one;
+        P.close_row p P.Le Rat.zero
+      in
+      Array.iteri
+        (fun j (alpha, beta) ->
+          (* (2): sum_b y_bij >= alpha * r_ij. *)
+          quota y_vars j alpha;
+          (* (3): sum_b z_bij >= beta * r_ij. *)
+          quota z_vars j beta;
+          (* (6)/(7): credits only flow through the selected option. *)
+          if variant <> No_pair_bound then begin
+            let bound per_j = at_most per_j.(j) r_vars.(j) in
+            Array.iter bound y_vars;
+            Array.iter bound z_vars
+          end)
+        card;
+      (* (4)/(5): an attribute only gives credit if it is hidden. *)
+      let couple side vars =
         Array.iteri
-          (fun j (alpha, beta) ->
-            (* (2): sum_b y_bij >= alpha * r_ij. *)
-            quota y_vars j alpha;
-            (* (3): sum_b z_bij >= beta * r_ij. *)
-            quota z_vars j beta;
-            (* (6)/(7): credits only flow through the selected option. *)
-            if variant <> No_pair_bound then begin
-              let bound per_j = at_most per_j.(j) r_vars.(j) in
-              Array.iter bound y_vars;
-              Array.iter bound z_vars
-            end)
-          card;
-        (* (4)/(5): an attribute only gives credit if it is hidden. *)
-        let couple side vars =
-          Array.iteri
-            (fun k per_j ->
-              let xb = attr_var.(side.(k)) in
-              match variant with
-              | No_sum_bound -> Array.iter (fun v -> at_most v xb) per_j
-              | Full | No_pair_bound ->
-                  P.add_term p xb Rat.minus_one;
-                  Array.iter (fun v -> P.add_term p v Rat.one) per_j;
-                  P.close_row p P.Le Rat.zero)
-            vars
-        in
-        couple m.Instance.ins y_vars;
-        couple m.Instance.outs z_vars;
-        (m, card, r_vars, y_vars, z_vars))
-      inst.Instance.pmods
-  in
+          (fun k per_j ->
+            let xb = attr_var.(side.(k)) in
+            match variant with
+            | No_sum_bound -> Array.iter (fun v -> at_most v xb) per_j
+            | Full | No_pair_bound ->
+                P.add_term p xb Rat.minus_one;
+                Array.iter (fun v -> P.add_term p v Rat.one) per_j;
+                P.close_row p P.Le Rat.zero)
+          vars
+      in
+      couple m.Instance.ins y_vars;
+      couple m.Instance.outs z_vars)
+    inst.Instance.pmods;
   let names = lazy (var_names inst) in
   let problem = P.snapshot ~name:(fun i -> (Lazy.force names).(i)) p in
-  (* A full-space feasible point witnessing a given solution, for warm
-     incumbent injection ({!Lp.Ilp}): hidden attributes and exposed
-     publics set their indicators; per module the first satisfied
-     cardinality pair is selected and credited by exactly the hidden
-     attributes. [None] when the solution satisfies some module by no
-     pair — i.e. it is not actually feasible. *)
-  let point_of (s : Solution.t) =
-    let hidden = Instance.mask_of_names inst s.Solution.hidden in
-    let v = Array.make problem.P.n Rat.zero in
-    Array.iteri (fun a i -> if hidden.(a) then v.(i) <- Rat.one) attr_var;
-    Array.iteri
-      (fun j (pub : Instance.pub) -> if Instance.exposed pub hidden then v.(pub_var.(j)) <- Rat.one)
-      inst.Instance.pubs;
-    let count ids = Array.fold_left (fun n b -> if hidden.(b) then n + 1 else n) 0 ids in
-    try
-      Array.iter
-        (fun ((m : Instance.pmod), card, r_vars, y_vars, z_vars) ->
-          let n_in = count m.Instance.ins and n_out = count m.Instance.outs in
-          let rec find j =
-            if j = Array.length card then raise Exit
-            else
-              let alpha, beta = card.(j) in
-              if n_in >= alpha && n_out >= beta then j else find (j + 1)
-          in
-          let j = find 0 in
-          v.(r_vars.(j)) <- Rat.one;
-          let credit side vars =
-            Array.iteri (fun k b -> if hidden.(b) then v.(vars.(k).(j)) <- Rat.one) side
-          in
-          credit m.Instance.ins y_vars;
-          credit m.Instance.outs z_vars)
-        mod_vars;
-      Some v
-    with Exit -> None
-  in
-  { problem; attr_var; pub_var; point_of }
+  { problem; attr_var }
 
 let lp_relaxation ?variant ?(mode = Lp.Simplex.Hybrid_mode) ?deadline ?metrics
     inst =

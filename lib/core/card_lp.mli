@@ -23,12 +23,6 @@ type variant =
 type built = {
   problem : Lp.Problem.snapshot;
   attr_var : int array;  (** attribute id -> its [x] column *)
-  pub_var : int array;  (** public module index -> its [w] column *)
-  point_of : Solution.t -> Rat.t array option;
-      (** a full-space feasible point witnessing the given solution
-          (selected options and credits included), for warm incumbent
-          injection into {!Lp.Ilp}; [None] when the solution does not
-          actually satisfy every module *)
 }
 
 val build : ?variant:variant -> Instance.t -> built

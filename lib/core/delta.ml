@@ -350,14 +350,6 @@ let sub_instance (edited : Instance.t) dirty =
          (Instance.publics edited))
     ()
 
-let ratio_of solution lower_bound proven =
-  match (solution, lower_bound) with
-  | Some _, _ when proven -> Some 1.0
-  | Some (s : Solution.t), Some lb when Rat.gt lb Rat.zero ->
-      Some (Rat.to_float (Rat.div s.Solution.cost lb))
-  | Some (s : Solution.t), Some _ when Rat.is_zero s.Solution.cost -> Some 1.0
-  | _ -> None
-
 let resolve ?(node_limit = Lp.Ilp.default_node_limit) ?(metrics = Metrics.nop)
     ~(parent : Engine.result) script =
   match parent.Engine.state with
@@ -377,7 +369,7 @@ let resolve ?(node_limit = Lp.Ilp.default_node_limit) ?(metrics = Metrics.nop)
             Engine.solution;
             lower_bound;
             proven_optimal;
-            ratio = ratio_of solution lower_bound proven_optimal;
+            ratio = Engine.ratio ~proven_optimal solution lower_bound;
             timings = List.rev !phases @ [ ("total", total_ms) ];
             stats;
             method_used;
@@ -468,24 +460,9 @@ let resolve ?(node_limit = Lp.Ilp.default_node_limit) ?(metrics = Metrics.nop)
               let dirty = Listx.inter dirty_all edited_attrs in
               Metrics.count metrics "delta.dirty_attrs" (List.length dirty);
               let clean = Listx.diff edited_attrs dirty in
-              let run_sub inst warm_seed =
-                let req =
-                  {
-                    (Engine.default_request inst) with
-                    node_limit;
-                    metrics;
-                    warm_seed;
-                  }
-                in
+              let run_sub inst =
+                let req = { (Engine.default_request inst) with node_limit; metrics } in
                 phase "subsolve" (fun () -> Engine.run req)
-              in
-              let warm_of inst hidden =
-                match Solution.of_hidden inst hidden with
-                | s when Solution.is_feasible inst s ->
-                    Metrics.tick metrics "delta.reused_basis";
-                    Some s
-                | _ -> None
-                | exception Invalid_argument _ -> None
               in
               let scoped_parent =
                 if parent.Engine.proven_optimal && clean <> [] then
@@ -505,13 +482,7 @@ let resolve ?(node_limit = Lp.Ilp.default_node_limit) ?(metrics = Metrics.nop)
                       ps.Solution.hidden
                   in
                   let clean_sol = Solution.of_hidden edited clean_hidden in
-                  let sub_seed =
-                    warm_of sub
-                      (List.filter
-                         (fun a -> List.mem a dirty)
-                         ps.Solution.hidden)
-                  in
-                  let sub_res = run_sub sub sub_seed in
+                  let sub_res = run_sub sub in
                   let reuse =
                     Scoped { dirty = List.length dirty; total }
                   in
@@ -553,19 +524,9 @@ let resolve ?(node_limit = Lp.Ilp.default_node_limit) ?(metrics = Metrics.nop)
                             ~touched ~dirty edited total_ms)
               | None ->
                   (* Full tier: nothing provably reusable piecewise —
-                     re-solve outright, still warm-seeding from the
-                     patched parent solution when it stays feasible. *)
+                     re-solve outright. *)
                   Metrics.tick metrics "delta.full_fallbacks";
-                  let warm =
-                    match parent.Engine.solution with
-                    | Some (s : Solution.t) ->
-                        warm_of edited
-                          (List.filter
-                             (fun a -> List.mem a edited_attrs)
-                             s.Solution.hidden)
-                    | None -> None
-                  in
-                  let res = run_sub edited warm in
+                  let res = run_sub edited in
                   let stats = ("delta", "full") :: res.Engine.stats in
                   fun total_ms ->
                     Ok

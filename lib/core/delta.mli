@@ -14,8 +14,7 @@
       same cost, the parent answer is returned outright;
     - {e scoped}: the edit's {e dirty set} — the coupling-closure of
       the touched attributes over both the old and new wiring — is
-      re-solved as a sub-instance, warm-seeded with the parent
-      solution's dirty-side restriction, and stitched onto the parent's
+      re-solved as a sub-instance and stitched onto the parent's
       untouched (clean) side. Sound because the Secure-View objective
       and constraints decompose additively over coupling components:
       requirements are per-module, costs per-attribute, and public
@@ -23,12 +22,14 @@
       components inherit the parent's (optimal) restriction verbatim;
     - {e full fallback}: when the closure covers the instance or the
       parent result is unproven/infeasible, the edited instance is
-      solved from scratch — still seeding the exact search's incumbent
-      and cutoff with the patched parent solution when it remains
-      feasible.
+      solved from scratch.
+
+    Each sub-solve is a plain {!Engine.run} of its instance: the parent
+    solution seeds no search, since the exact route's hull program
+    usually has an integral root LP and a seed would prune almost
+    nothing.
 
     Metrics (under the caller's registry): [delta.noop],
-    [delta.reused_basis] (parent-derived warm seed accepted),
     [delta.dirty_attrs], [delta.full_fallbacks], and phase spans
     [delta/apply], [delta/canon], [delta/dirty], [delta/subsolve]. *)
 
@@ -102,7 +103,7 @@ type reuse =
   | Noop  (** canonically unchanged; parent answer returned *)
   | Scoped of { dirty : int; total : int }
       (** re-solved [dirty] of [total] attributes, clean side reused *)
-  | Full  (** from-scratch solve (with parent warm seed when feasible) *)
+  | Full  (** from-scratch solve of the edited instance *)
 
 type outcome = {
   edited : Instance.t;

@@ -17,7 +17,6 @@ type request = {
   node_limit : int;
   seed : int;
   trials : int;
-  warm_seed : Solution.t option;
   metrics : Svutil.Metrics.t;
 }
 
@@ -29,7 +28,6 @@ let default_request inst =
     node_limit = Lp.Ilp.default_node_limit;
     seed = 0;
     trials = 4;
-    warm_seed = None;
     metrics = Svutil.Metrics.nop;
   }
 
@@ -56,21 +54,21 @@ let phase metrics phases label f =
   phases := (label, ms) :: !phases;
   r
 
+let ratio ~proven_optimal solution lower_bound =
+  match (solution, lower_bound) with
+  | Some _, _ when proven_optimal -> Some 1.0
+  | Some (s : Solution.t), Some lb when Rat.gt lb Rat.zero ->
+      Some (Rat.to_float (Rat.div s.Solution.cost lb))
+  | Some (s : Solution.t), Some _ when Rat.is_zero s.Solution.cost -> Some 1.0
+  | _ -> None
+
 let make_result ~metrics ~phases ~method_used ?(stats = []) ?solution
     ?lower_bound ?(proven_optimal = false) () =
-  let ratio =
-    match (solution, lower_bound) with
-    | Some _, _ when proven_optimal -> Some 1.0
-    | Some (s : Solution.t), Some lb when Rat.gt lb Rat.zero ->
-        Some (Rat.to_float (Rat.div s.Solution.cost lb))
-    | Some (s : Solution.t), Some _ when Rat.is_zero s.Solution.cost -> Some 1.0
-    | _ -> None
-  in
   {
     solution;
     lower_bound;
     proven_optimal;
-    ratio;
+    ratio = ratio ~proven_optimal solution lower_bound;
     timings = List.rev !phases;
     stats;
     method_used;
@@ -78,18 +76,13 @@ let make_result ~metrics ~phases ~method_used ?(stats = []) ?solution
     state = None;
   }
 
-let greedy_solution inst =
-  match Greedy.solve inst with
-  | s when Solution.is_feasible inst s -> Some s
-  | _ | (exception Invalid_argument _) -> None
-
 (* When an LP-rounding method's relaxation blows its budget, fall back
    to the greedy solution rather than returning nothing: the engine
    contract is that a deadline hit degrades quality, not availability. *)
 let greedy_fallback ~phases ~method_used ~stats (req : request) =
   let solution =
     phase req.metrics phases "greedy-fallback" (fun () ->
-        greedy_solution req.inst)
+        Greedy.feasible_solution req.inst)
   in
   make_result ~metrics:req.metrics ~phases ~method_used
     ~stats:(("deadline_hit", "true") :: stats)
@@ -98,7 +91,7 @@ let greedy_fallback ~phases ~method_used ~stats (req : request) =
 let solve_greedy (req : request) =
   let phases = ref [] in
   let solution =
-    phase req.metrics phases "greedy" (fun () -> greedy_solution req.inst)
+    phase req.metrics phases "greedy" (fun () -> Greedy.feasible_solution req.inst)
   in
   let stats =
     match solution with None -> [ ("infeasible", "true") ] | Some _ -> []
@@ -177,18 +170,15 @@ let solve_exact (req : request) =
   let outcome, (st : Lp.Ilp.stats) =
     phase req.metrics phases "search" (fun () ->
         Exact.solve_with_stats ~node_limit:req.node_limit ~deadline
-          ~metrics:req.metrics ?seed:req.warm_seed req.inst)
+          ~metrics:req.metrics req.inst)
   in
   let stats =
-    (match req.warm_seed with
-    | Some _ -> [ ("warm_seeded", "true") ]
-    | None -> [])
-    @ [
-        ("nodes", string_of_int st.nodes);
-        ("node_limit", string_of_int st.node_limit);
-        ("limit_hit", string_of_bool st.limit_hit);
-        ("deadline_hit", string_of_bool st.deadline_hit);
-      ]
+    [
+      ("nodes", string_of_int st.nodes);
+      ("node_limit", string_of_int st.node_limit);
+      ("limit_hit", string_of_bool st.limit_hit);
+      ("deadline_hit", string_of_bool st.deadline_hit);
+    ]
     @
     match st.root_bound with
     | Some b -> [ ("root_bound", Rat.to_string b) ]

@@ -3,7 +3,7 @@
     method that {!choose} routes from the attribute count, the deadline
     and the constraint form.
 
-    Callers build a {!request} (instance + method + budgets + seed),
+    Callers build a {!request} (instance + method + budgets + RNG seed),
     call {!run}, and get back one {!result} shape regardless of method:
     an optional solution, an LP lower bound when one was computed, a
     proven-optimality flag, per-phase wall-clock timings, and
@@ -39,12 +39,6 @@ type request = {
       (** rounding trials; the cheapest solution wins. The first trial
           always runs; the deadline stops the others, with
           [("deadline_hit", "true")] in the stats. *)
-  warm_seed : Solution.t option;
-      (** a known feasible solution to seed the exact search with
-          (cutoff + warm incumbent; see {!Exact.solve}) — the
-          {!Delta} re-solve path passes the patched parent solution
-          here. Ignored by the non-exact methods; an infeasible seed is
-          ignored everywhere. Default [None]. *)
   metrics : Svutil.Metrics.t;
       (** observability registry threaded through every layer the solve
           touches (simplex, branch-and-bound, rounding); the default
@@ -55,8 +49,7 @@ type request = {
 
 val default_request : Instance.t -> request
 (** [meth = Auto], no deadline, {!Lp.Ilp.default_node_limit} nodes,
-    [seed = 0], [trials = 4], [warm_seed = None],
-    [metrics = Svutil.Metrics.nop]. *)
+    [seed = 0], [trials = 4], [metrics = Svutil.Metrics.nop]. *)
 
 type solved_state = {
   solved_inst : Instance.t;  (** the instance this result answers *)
@@ -75,9 +68,7 @@ type result = {
       (** an LP-relaxation (or optimality) lower bound on the optimum,
           when the method computed one *)
   proven_optimal : bool;
-  ratio : float option;
-      (** achieved approximation ratio [cost / lower_bound] when both
-          are available; [1.0] when proven optimal *)
+  ratio : float option;  (** {!ratio} of the three fields above *)
   timings : (string * float) list;
       (** per-phase wall-clock milliseconds, e.g. [("lp", _); ("round", _)];
           always includes ["total"] *)
@@ -95,6 +86,13 @@ type result = {
       (** filled by {!run} (and by {!Delta.resolve} for its edited
           results); [None] on results assembled outside the engine *)
 }
+
+val ratio : proven_optimal:bool -> Solution.t option -> Rat.t option -> float option
+(** The achieved approximation ratio of a solution against a lower
+    bound: [1.0] when proven optimal, else [cost / lower_bound] for a
+    positive bound, [1.0] for a zero-cost solution, [None] without a
+    solution or a bound. Every {!result}'s [ratio] is this rule, also
+    the ones {!Delta.resolve} and the serve cache assemble. *)
 
 val methods : meth list
 (** The concrete methods in their reporting order: greedy, round-card,

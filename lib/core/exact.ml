@@ -31,43 +31,22 @@ let program inst =
 let build_ip inst =
   match program inst with
   | Figure_3 ->
-      let { Card_lp.problem; attr_var; point_of; _ } = Card_lp.build inst in
-      (problem, attr_var, point_of)
+      let { Card_lp.problem; attr_var } = Card_lp.build inst in
+      (problem, attr_var)
   | Hull ->
-      let { Set_lp.problem; attr_var; point_of; _ } = Set_lp.build inst in
-      (problem, attr_var, point_of)
-
-(* The greedy solution, when it is feasible: the answer of a search
-   that ends without an incumbent, and of a brute-force enumeration cut
-   before it saw a feasible set. *)
-let greedy_solution inst =
-  match Greedy.solve inst with
-  | s when Solution.is_feasible inst s -> Some s
-  | _ | (exception _) -> None
+      let { Set_lp.problem; attr_var } = Set_lp.build inst in
+      (problem, attr_var)
 
 let solve_with_stats ?(node_limit = Lp.Ilp.default_node_limit)
-    ?(mode = Lp.Simplex.Hybrid_mode) ?deadline ?metrics ?seed inst =
+    ?(mode = Lp.Simplex.Hybrid_mode) ?deadline ?metrics inst =
   let registry = Option.value metrics ~default:Svutil.Metrics.nop in
-  let problem, attr_var, point_of =
+  let problem, attr_var =
     Svutil.Metrics.span registry "lp/build" (fun () -> build_ip inst)
   in
-  (* The caller's warm seed (a parent solution in the Core.Delta
-     re-solve path) is the strict cutoff and, through its witnessing
-     point, the warm incumbent. An infeasible one is dropped rather
-     than trusted. *)
-  let warm =
-    match seed with
-    | Some s when Solution.is_feasible inst s -> Some s
-    | _ -> None
-  in
-  let cutoff = Option.map (fun (s : Solution.t) -> s.Solution.cost) warm in
-  let incumbent = Option.bind warm point_of in
   let solve_ilp =
     match mode with
-    | Lp.Simplex.Exact_mode ->
-        Lp.Ilp.Exact.solve_with_stats ~node_limit ?cutoff ?incumbent ?deadline ?metrics
-    | Lp.Simplex.Hybrid_mode ->
-        Lp.Ilp.Hybrid.solve_with_stats ~node_limit ?cutoff ?incumbent ?deadline ?metrics
+    | Lp.Simplex.Exact_mode -> Lp.Ilp.Exact.solve_with_stats ~node_limit ?deadline ?metrics
+    | Lp.Simplex.Hybrid_mode -> Lp.Ilp.Hybrid.solve_with_stats ~node_limit ?deadline ?metrics
   in
   let finish ~proven values =
     let half = Rat.of_ints 1 2 in
@@ -80,27 +59,18 @@ let solve_with_stats ?(node_limit = Lp.Ilp.default_node_limit)
     match result with
     | Lp.Ilp.Optimal { values; _ } -> finish ~proven:true values
     | Lp.Ilp.Feasible { values; _ } -> finish ~proven:false values
-    | Lp.Ilp.Infeasible ->
-        (* Under the warm seed's cutoff this means "nothing strictly
-           cheaper than the seed exists", which proves the seed optimal.
-           Without one it is a genuine infeasibility. *)
-        Option.map (fun solution -> { solution; proven_optimal = true }) warm
+    | Lp.Ilp.Infeasible -> None
     | Lp.Ilp.Unknown ->
-        (* Stopped before any incumbent: the cheaper of the greedy
-           solution and the warm seed, unproven. *)
-        let fallback =
-          match (greedy_solution inst, warm) with
-          | Some g, Some w -> Some (if Solution.compare_cost g w <= 0 then g else w)
-          | (Some _ as g), None -> g
-          | None, w -> w
-        in
-        Option.map (fun solution -> { solution; proven_optimal = false }) fallback
+        (* Stopped before any incumbent: the greedy solution, unproven. *)
+        Option.map
+          (fun solution -> { solution; proven_optimal = false })
+          (Greedy.feasible_solution inst)
     | Lp.Ilp.Unbounded -> assert false (* all variables live in [0,1] *)
   in
   (outcome, stats)
 
-let solve ?node_limit ?mode ?deadline ?metrics ?seed inst =
-  fst (solve_with_stats ?node_limit ?mode ?deadline ?metrics ?seed inst)
+let solve ?node_limit ?mode ?deadline ?metrics inst =
+  fst (solve_with_stats ?node_limit ?mode ?deadline ?metrics inst)
 
 type refusal = Too_many_attrs of { attrs : int; limit : int }
 
@@ -151,7 +121,7 @@ let brute_force_checked ?(deadline = Svutil.Deadline.none) inst =
     with
     | () -> Ok (Option.map (fun solution -> { solution; proven_optimal = true }) (winner ()))
     | exception Svutil.Deadline.Expired ->
-        let cut = match winner () with Some _ as b -> b | None -> greedy_solution inst in
+        let cut = match winner () with Some _ as b -> b | None -> Greedy.feasible_solution inst in
         Ok (Option.map (fun solution -> { solution; proven_optimal = false }) cut)
   end
 

@@ -4,9 +4,12 @@
     {!solve} runs branch-and-bound on the integer program {!program}
     picks: the set-constraint IP on each module's convex hull
     ({!Set_lp}), with every cardinality list expanded into its options,
-    unless that expansion would outgrow Figure 3 ({!Card_lp}), with no
-    pre-search aid: no static fixings and no greedy cutoff, since the
-    hull's LP rows pin what they pinned. {!brute_force} enumerates
+    unless that expansion would outgrow Figure 3 ({!Card_lp}). Each
+    solve starts from its instance alone, with no pre-search aid: no
+    static fixings, no cutoff and no caller's warm seed. The hull's LP
+    rows pin what the fixings pinned, and its root LP is usually
+    integral, so a cutoff or a seed would prune almost nothing.
+    {!brute_force} enumerates
     hidden attribute subsets directly (one reused mask, a cost only for
     feasible ones) and is used to cross-check the ILP path on small
     instances. *)
@@ -35,47 +38,34 @@ val program : Instance.t -> program
     Instance.binomial |O| beta]) than [L·(1+|I|+|O|)] r/y/z columns, or
     a side over {!Svutil.Subset.max_universe}. *)
 
-val build_ip :
-  Instance.t -> Lp.Problem.snapshot * int array * (Solution.t -> Rat.t array option)
-(** {!program}'s IP: the problem, each attribute id's hiding column, and
-    the program's witnessing point for a solution ([point_of] of
-    {!Set_lp} or {!Card_lp}). *)
+val build_ip : Instance.t -> Lp.Problem.snapshot * int array
+(** {!program}'s IP: the problem and each attribute id's hiding
+    column. *)
 
 val solve :
   ?node_limit:int ->
   ?mode:Lp.Simplex.mode ->
   ?deadline:Svutil.Deadline.t ->
   ?metrics:Svutil.Metrics.t ->
-  ?seed:Solution.t ->
   Instance.t ->
   outcome option
 (** [None] when the instance is infeasible. [mode] picks the simplex
     route for the node relaxations (default {!Lp.Simplex.Hybrid_mode}:
     exact answers, float basis hunting; {!Lp.Simplex.Exact_mode} pivots
-    in rationals throughout and gives the same answers). The search
-    starts with no cutoff: the hull's LP rows already pin every
-    attribute that lies in all of a module's options, and {!Lp.Ilp}
+    in rationals throughout and gives the same answers). {!Lp.Ilp}
     rounds its own root relaxation for a first incumbent. [deadline]
     bounds the branch-and-bound wall clock: on expiry the best
     incumbent found so far is returned with [proven_optimal = false],
     and a search stopped before any incumbent answers the greedy
-    solution ({!Greedy.solve}, computed only then), unproven.
-    [metrics] gets the [lp/build] span around the IP build, beside
-    {!Lp.Ilp}'s.
-
-    [seed] offers an externally-known feasible solution (e.g. the
-    parent solution in [Core.Delta]'s incremental re-solve): the search
-    takes its cost as the strict cutoff and — via the IP builders'
-    witnessing points — the seed as a warm incumbent inside {!Lp.Ilp};
-    a search stopped before any incumbent answers the cheaper of it and
-    the greedy solution. An infeasible [seed] is ignored. *)
+    solution ({!Greedy.feasible_solution}, computed only then),
+    unproven. [metrics] gets the [lp/build] span around the IP build,
+    beside {!Lp.Ilp}'s. *)
 
 val solve_with_stats :
   ?node_limit:int ->
   ?mode:Lp.Simplex.mode ->
   ?deadline:Svutil.Deadline.t ->
   ?metrics:Svutil.Metrics.t ->
-  ?seed:Solution.t ->
   Instance.t ->
   outcome option * Lp.Ilp.stats
 (** Like {!solve}, also reporting branch-and-bound search statistics

@@ -10,3 +10,10 @@
 val solve : Instance.t -> Solution.t
 (** @raise Invalid_argument if some requirement list is empty (the
     instance is then infeasible). *)
+
+val feasible_solution : Instance.t -> Solution.t option
+(** {!solve}'s solution when it is feasible, else [None] (also when
+    {!solve} raises [Invalid_argument]). The engine's greedy method and
+    its LP-rounding fallback answer it, and so do an exact search
+    stopped before any incumbent and a brute-force enumeration cut
+    before it saw a feasible set. *)

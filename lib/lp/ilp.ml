@@ -29,8 +29,6 @@ let frac_part r = Rat.sub r (Rat.of_bigint (Rat.floor r))
 module type S = sig
   val solve :
     ?node_limit:int ->
-    ?cutoff:Rat.t ->
-    ?incumbent:Rat.t array ->
     ?deadline:Svutil.Deadline.t ->
     ?metrics:Svutil.Metrics.t ->
     Problem.snapshot ->
@@ -38,8 +36,6 @@ module type S = sig
 
   val solve_with_stats :
     ?node_limit:int ->
-    ?cutoff:Rat.t ->
-    ?incumbent:Rat.t array ->
     ?deadline:Svutil.Deadline.t ->
     ?metrics:Svutil.Metrics.t ->
     Problem.snapshot ->
@@ -95,8 +91,7 @@ module Make (Solver : Simplex.SOLVER) : S = struct
     let c = Rat.compare a.bound b.bound in
     if c <> 0 then c else compare b.seq a.seq (* newest first among ties *)
 
-  let solve_with_stats ?(node_limit = default_node_limit) ?cutoff ?incumbent
-      ?(deadline = Svutil.Deadline.none)
+  let solve_with_stats ?(node_limit = default_node_limit) ?(deadline = Svutil.Deadline.none)
       ?(metrics = Svutil.Metrics.nop) (s : Problem.snapshot) =
     let finished ?root_bound ?(deadline_hit = false) nodes limit_hit =
       (* Single source of truth: the same [nodes] count feeds both the
@@ -105,8 +100,8 @@ module Make (Solver : Simplex.SOLVER) : S = struct
       { nodes; node_limit; limit_hit; deadline_hit; root_bound }
     in
     (* A budget that is already spent buys no work at all — not even
-       presolve — so callers holding an incumbent keep it and never see
-       a claim of optimality they had no time to earn. *)
+       presolve — and no claim of optimality there was no time to
+       earn. *)
     if Svutil.Deadline.expired deadline then
       (Unknown, finished ~deadline_hit:true 0 false)
     else
@@ -115,33 +110,23 @@ module Make (Solver : Simplex.SOLVER) : S = struct
       | Presolve.Solved { values } ->
           Svutil.Metrics.count metrics "ilp.presolve_fixed" s.Problem.n;
           let objective = Problem.obj_value s values in
-          let ok = match cutoff with None -> true | Some c -> Rat.lt objective c in
-          let finished = finished ~root_bound:objective in
-          if ok then (Optimal { objective; values }, finished 0 false)
-          else (Infeasible, finished 0 false)
-      | Presolve.Reduced { problem = p; restore; keep } ->
+          (Optimal { objective; values }, finished ~root_bound:objective 0 false)
+      | Presolve.Reduced { problem = p; restore } ->
         Svutil.Metrics.count metrics "ilp.presolve_fixed" (s.Problem.n - p.Problem.n);
-        (* The cutoff lives in the original objective space; fixed
+        (* The root bound lives in the original objective space; fixed
            variables contribute a constant the reduced objective lacks. *)
         let kappa =
           let fixed = restore (Array.make p.Problem.n Rat.zero) in
           Problem.obj_value s fixed
         in
-        let cutoff = Option.map (fun c -> Rat.sub c kappa) cutoff in
         let nodes = ref 0 in
         let limit_hit = ref false in
         let deadline_hit = ref false in
         let root_bound = ref None in
         let unbounded = ref false in
         let best : (Rat.t * Rat.t array) option ref = ref None in
-        let current_cut () =
-          match (!best, cutoff) with
-          | Some (b, _), Some c -> Some (Rat.min b c)
-          | Some (b, _), None -> Some b
-          | None, c -> c
-        in
         let dominated obj =
-          match current_cut () with Some c -> Rat.geq obj c | None -> false
+          match !best with Some (b, _) -> Rat.geq obj b | None -> false
         in
         let offer values =
           let obj = Problem.obj_value p values in
@@ -172,33 +157,6 @@ module Make (Solver : Simplex.SOLVER) : S = struct
               candidate (fun v -> Rat.of_bigint (Rat.ceil v));
             ]
         in
-        (* Warm incumbent: a caller-supplied candidate point in the
-           original variable space (typically the solution of a nearby
-           problem, via [Core.Delta] or the greedy seed). It is
-           projected through [keep] — coordinates presolve fixed are
-           simply overridden, so a point that disagrees with a fixing
-           still stands in for the feasible [restore]d point it projects
-           to — and admitted only when exactly feasible for the reduced
-           problem. Unlike [offer]'s strict domination test it may sit
-           exactly at the cutoff: it then becomes the incumbent the
-           search must strictly beat, so a completed run returns it as
-           [Optimal] instead of [Infeasible]. *)
-        let incumbent_span f = Svutil.Metrics.span metrics "lp/incumbent" f in
-        (match incumbent with
-        | None -> ()
-        | Some inc ->
-            incumbent_span (fun () ->
-                let proj = Array.map (fun i -> inc.(i)) keep in
-                if feasible_point p proj then begin
-                  let obj = Problem.obj_value p proj in
-                  let ok =
-                    match cutoff with Some c -> Rat.leq obj c | None -> true
-                  in
-                  if ok then begin
-                    Svutil.Metrics.tick metrics "ilp.warm_incumbents";
-                    best := Some (obj, proj)
-                  end
-                end));
         (* The root's warm solver state, reoptimized under each later
            node's bounds. [None] when the root was not warmable; nodes
            then take a cold solve. *)
@@ -245,14 +203,9 @@ module Make (Solver : Simplex.SOLVER) : S = struct
             (* An integral root point is offered as it stands:
                both roundings would equal it. *)
             let branch = branch_var p values in
-            let open_root =
-              incumbent_span (fun () ->
-                  let open_root = not (dominated objective) in
-                  if open_root && branch >= 0 then seed_incumbent values;
-                  open_root)
-            in
-            if open_root then push_children ~branch objective p.Problem.lb p.Problem.ub values
-            else Svutil.Metrics.tick metrics "ilp.pruned_bound");
+            Svutil.Metrics.span metrics "lp/incumbent" (fun () ->
+                if branch >= 0 then seed_incumbent values);
+            push_children ~branch objective p.Problem.lb p.Problem.ub values);
         (* Best-first loop, one open node at a time. *)
         while
           (not !unbounded) && (not !deadline_hit) && (not !limit_hit)
@@ -260,8 +213,8 @@ module Make (Solver : Simplex.SOLVER) : S = struct
         do
           (* The queue is ordered by bound: once the top is dominated,
              everything is, and the incumbent is proven optimal. *)
-          (match (Svutil.Pq.peek pq, current_cut ()) with
-          | Some top, Some c when Rat.geq top.bound c ->
+          (match (Svutil.Pq.peek pq, !best) with
+          | Some top, Some (b, _) when Rat.geq top.bound b ->
               Svutil.Metrics.count metrics "ilp.pruned_bound" (Svutil.Pq.length pq);
               Svutil.Pq.clear pq
           | _ -> ());
@@ -310,8 +263,8 @@ module Make (Solver : Simplex.SOLVER) : S = struct
           | None, true -> (Unknown, stats)
           | None, false -> (Infeasible, stats))
 
-  let solve ?node_limit ?cutoff ?incumbent ?deadline ?metrics s =
-    fst (solve_with_stats ?node_limit ?cutoff ?incumbent ?deadline ?metrics s)
+  let solve ?node_limit ?deadline ?metrics s =
+    fst (solve_with_stats ?node_limit ?deadline ?metrics s)
 
   (* The pre-overhaul recursive depth-first solver, verbatim: cold LP
      solve per node, fixed 1e-6 snapping tolerance. Kept as the oracle

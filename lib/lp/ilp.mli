@@ -5,9 +5,10 @@
     baselines against which the approximation algorithms are measured.
 
     The solver presolves ({!Presolve}), then runs a best-first search
-    over an explicit priority queue ordered by LP bound. The incumbent
-    is seeded by rounding a fractional root LP point (an integral one
-    is the incumbent as it stands), and nodes are
+    over an explicit priority queue ordered by LP bound. It starts from
+    the problem alone, with no caller-supplied cutoff or starting
+    point: the first incumbent comes from rounding a fractional root LP
+    point (an integral one is the incumbent as it stands), and nodes are
     reoptimized from the parent's basis with a bounded dual-simplex
     pass ({!Simplex.SOLVER.warm_solve}). None of this changes answers:
     optima are bit-identical to the pre-overhaul depth-first solver,
@@ -44,18 +45,11 @@ val default_node_limit : int
 module type S = sig
   val solve :
     ?node_limit:int ->
-    ?cutoff:Rat.t ->
-    ?incumbent:Rat.t array ->
     ?deadline:Svutil.Deadline.t ->
     ?metrics:Svutil.Metrics.t ->
     Problem.snapshot ->
     result
-  (** [node_limit] defaults to {!default_node_limit}. [cutoff] prunes
-      the search to solutions with objective strictly below it: when the
-      search completes without finding one, the result is [Infeasible],
-      meaning "nothing better than the cutoff exists" — callers holding
-      a feasible solution at exactly the cutoff may conclude it is
-      optimal. [deadline] (default
+  (** [node_limit] defaults to {!default_node_limit}. [deadline] (default
       {!Svutil.Deadline.none}) is polled at every node pop and inside
       the simplex pivot loops: when it expires the search stops and the
       best incumbent is returned as [Feasible] ([Unknown] if there is
@@ -66,24 +60,11 @@ module type S = sig
       (always equal to [stats.nodes]), [ilp.pruned_bound],
       [ilp.presolve_fixed] and [ilp.incumbents], the [lp/presolve]
       span around presolve, the [lp/incumbent] span around the root's
-      incumbent step (its bound against the cutoff, then its rounding
-      candidates) and around the projection of [incumbent],
-      plus the {!Simplex} counters and spans from the node solves.
-
-      [incumbent] offers a candidate point in the {e original} variable
-      space (typically the solution of a nearby problem — the warm-start
-      surface [Core.Delta] re-solves through). It is projected through
-      {!Presolve.reduced.keep} and installed as the initial incumbent
-      when exactly feasible for the reduced problem and within [cutoff]
-      (non-strictly: an incumbent at the cutoff makes a completed search
-      return it as [Optimal] rather than [Infeasible]). An infeasible or
-      dominated offer is silently ignored — correctness never depends on
-      it. Ticks [ilp.warm_incumbents] when installed. *)
+      rounding candidates, plus the {!Simplex} counters and spans from
+      the node solves. *)
 
   val solve_with_stats :
     ?node_limit:int ->
-    ?cutoff:Rat.t ->
-    ?incumbent:Rat.t array ->
     ?deadline:Svutil.Deadline.t ->
     ?metrics:Svutil.Metrics.t ->
     Problem.snapshot ->

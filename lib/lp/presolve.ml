@@ -5,7 +5,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type reduced = {
   problem : Problem.snapshot;
   restore : Rat.t array -> Rat.t array;
-  keep : int array;
 }
 
 type outcome =
@@ -218,7 +217,7 @@ let run (s : Problem.snapshot) =
         in
         Log.debug (fun f -> f "reduced %d vars x %d rows -> %d vars x %d rows" n m nk !mk);
         let name j = Problem.var_name s keep.(j) in
-        Reduced { problem = Problem.snapshot ~name t; restore; keep }
+        Reduced { problem = Problem.snapshot ~name t; restore }
       end
 
 let solve_lp ?deadline ?metrics (module S : Simplex.SOLVER) (s : Problem.snapshot) =

@@ -18,7 +18,9 @@
     marks the terms of substituted variables and the rows it eliminates
     as dead and moves constants into a copy of the right-hand sides, and
     one compaction writes the surviving rows, in their original row and
-    term order, as the reduced program.
+    term order, as the reduced program. Its columns keep their original
+    names ({!Problem.var_name}), so a printed reduced program shows
+    which columns survived.
 
     The reduction preserves the optimal objective value exactly — the
     optimal vertex reported after {!reduced.restore} may differ from one
@@ -30,12 +32,6 @@ type reduced = {
   restore : Rat.t array -> Rat.t array;
       (** maps a solution of [problem] back to the full variable space,
           filling in the values of fixed variables *)
-  keep : int array;
-      (** the forward map [restore] inverts: [keep.(j)] is the original
-          index of reduced variable [j]. Callers holding a candidate
-          point in the original space (e.g. a warm incumbent from a
-          previous solve) project it onto the reduced problem with
-          [Array.map (fun i -> point.(i)) keep]. *)
 }
 
 type outcome =

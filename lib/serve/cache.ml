@@ -67,11 +67,12 @@ let hit t r =
   Some r
 
 let result_of (req : Core.Engine.request) lab e solution stats =
+  let proven_optimal = Option.is_some solution in
   {
     Core.Engine.solution;
     lower_bound = e.e_lower_bound;
-    proven_optimal = Option.is_some solution;
-    ratio = (if Option.is_some solution then Some 1.0 else None);
+    proven_optimal;
+    ratio = Core.Engine.ratio ~proven_optimal solution e.e_lower_bound;
     timings = [];
     stats;
     method_used = e.e_method;

@@ -276,7 +276,7 @@ let engine_exact inst = E.run { (E.default_request inst) with E.meth = E.Exact }
    bounds on the hiding columns; the engine pins nothing, so the two
    agree exactly when the verdicts keep the optimum. *)
 let pinned_optimum inst =
-  let problem, attr_var, _ = Core.Exact.build_ip inst in
+  let problem, attr_var = Core.Exact.build_ip inst in
   let lb = Array.copy problem.Lp.Problem.lb and ub = Array.copy problem.Lp.Problem.ub in
   List.iter
     (fun (a, v) ->

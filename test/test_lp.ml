@@ -897,18 +897,6 @@ let props =
         | Lp.Ilp.Infeasible, Lp.Ilp.Infeasible -> true
         | Lp.Ilp.Unbounded, Lp.Ilp.Unbounded -> true
         | _ -> false);
-    prop "cutoff semantics: above keeps the optimum, at prunes everything"
-      gen_bounded_lp (fun s ->
-        let s' = P.all_integer s in
-        match Lp.Ilp.Exact.solve s' with
-        | Lp.Ilp.Optimal { objective; _ } ->
-            (match Lp.Ilp.Exact.solve ~cutoff:(Q.add objective Q.one) s' with
-            | Lp.Ilp.Optimal { objective = o; _ } -> Q.equal o objective
-            | _ -> false)
-            && (match Lp.Ilp.Exact.solve ~cutoff:objective s' with
-               | Lp.Ilp.Infeasible -> true
-               | _ -> false)
-        | _ -> true);
     prop "ilp matches brute force on binary programs" gen_bounded_lp (fun s ->
         (* Restrict to 0/1 variables and check against enumeration. *)
         let n = s.P.n in

@@ -908,7 +908,7 @@ let snapshot_view (s : Lp.Problem.snapshot) = Format.asprintf "%a" Lp.Problem.pp
 
 (* The engine's IP. *)
 let ip_of inst =
-  let problem, _, _ = Core.Exact.build_ip inst in
+  let problem, _ = Core.Exact.build_ip inst in
   problem
 
 let answer (r : E.result) =
@@ -1000,11 +1000,12 @@ let test_constructors_on_pools () =
 
 (* The programs the engine solves, pinned: the IP of every seed-42 pool
    member as printed, and the reduced program presolve makes of it
-   (with the kept columns and the fixed values [restore] fills in). Any
+   (whose printed columns name the ones kept, with the fixed values
+   [restore] fills in). Any
    change to the builders' variables, rows or row order, to presolve's
    reductions or to the printed form, and any change to which program
    [Core.Exact.program] picks, shows here. *)
-let pool_programs_digest = "f04d69a5d5dab26f7daae9524dd0e60b"
+let pool_programs_digest = "6102da7194724d572d8014c2cd43d3a8"
 
 let test_pool_programs_pinned () =
   let module T = Perfbench_traffic.Traffic in
@@ -1022,11 +1023,8 @@ let test_pool_programs_pinned () =
           match Lp.Presolve.run problem with
           | Lp.Presolve.Infeasible -> Format.fprintf fmt "infeasible@."
           | Lp.Presolve.Solved { values } -> Format.fprintf fmt "solved %s@." (rats values)
-          | Lp.Presolve.Reduced { problem = r; restore; keep } ->
-              Format.fprintf fmt "keep %s@.fixed %s@.%a"
-                (String.concat " " (Array.to_list (Array.map string_of_int keep)))
-                (rats (restore (Array.make r.P.n Rat.zero)))
-                P.pp r)
+          | Lp.Presolve.Reduced { problem = r; restore } ->
+              Format.fprintf fmt "fixed %s@.%a" (rats (restore (Array.make r.P.n Rat.zero))) P.pp r)
         (T.pool_workflows wl))
     T.workloads;
   Format.pp_print_flush fmt ();
