@@ -115,16 +115,24 @@ batch-examples:
 	./_build/default/bin/secure_view_cli.exe batch examples/*.swf --jobs 4
 
 # Incremental re-solve over the shipped edit scripts: each delta file
-# names its base spec (SPEC_edit.delta -> SPEC.swf) and --verify
-# re-solves the edited instance from scratch, failing on any optimum
-# drift between the incremental and reference answers.
+# names its base spec (SPEC_edit.delta -> SPEC.swf), and its first line
+# (`# reuse: TIER`) the reuse tier the re-solve must take: noop, scoped
+# or full. --verify re-solves the edited instance from scratch, failing
+# on any optimum drift between the incremental and reference answers,
+# and the target fails when the output's `reuse` line names another
+# tier.
 delta-examples:
 	dune build bin/secure_view_cli.exe
 	@for d in examples/deltas/*.delta; do \
 	  spec=examples/$$(basename $$d .delta | sed 's/_[^_]*$$//').swf; \
-	  ./_build/default/bin/secure_view_cli.exe delta $$spec --edits $$d --verify \
-	    || { echo "FAIL: $$spec + $$d"; exit 1; }; \
-	  echo "ok: $$spec + $$d"; \
+	  want=$$(sed -n '1s/^# reuse: *//p' $$d); \
+	  out=$$(./_build/default/bin/secure_view_cli.exe delta $$spec --edits $$d --verify) \
+	    || { echo "$$out"; echo "FAIL: $$spec + $$d"; exit 1; }; \
+	  echo "$$out"; \
+	  got=$$(echo "$$out" | awk '$$1 == "reuse" { print $$2 }'); \
+	  test -n "$$want" && test "$$got" = "$$want" \
+	    || { echo "FAIL: $$d: reuse $$got, expected $${want:-a '# reuse: TIER' first line}"; exit 1; }; \
+	  echo "ok: $$spec + $$d (reuse $$got)"; \
 	done
 
 # Scripted JSON-lines session through the serve daemon, with cache hits
