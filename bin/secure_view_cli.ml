@@ -648,7 +648,8 @@ let delta_cmd =
     (Cmd.info "delta"
        ~doc:"Apply an edit script to a solved workflow and re-solve \
              incrementally (Core.Delta): no-op detection by canonical form, \
-             dirty-set scoping, warm-started branch and bound.")
+             then a fresh solve of the edit's dirty set alone when the rest \
+             can be kept.")
     Term.(const run $ file_arg $ edits_arg $ node_limit_arg $ json_arg
           $ verify_arg $ metrics_arg)
 

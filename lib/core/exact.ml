@@ -46,7 +46,8 @@ let solve_with_stats ?(node_limit = Lp.Ilp.default_node_limit)
   let solve_ilp =
     match mode with
     | Lp.Simplex.Exact_mode -> Lp.Ilp.Exact.solve_with_stats ~node_limit ?deadline ?metrics
-    | Lp.Simplex.Hybrid_mode -> Lp.Ilp.Hybrid.solve_with_stats ~node_limit ?deadline ?metrics
+    | Lp.Simplex.Hybrid_mode ->
+        Lp.Ilp.Hybrid.solve_with_stats ~node_limit ?deadline ?metrics
   in
   let finish ~proven values =
     let half = Rat.of_ints 1 2 in
@@ -121,7 +122,9 @@ let brute_force_checked ?(deadline = Svutil.Deadline.none) inst =
     with
     | () -> Ok (Option.map (fun solution -> { solution; proven_optimal = true }) (winner ()))
     | exception Svutil.Deadline.Expired ->
-        let cut = match winner () with Some _ as b -> b | None -> Greedy.feasible_solution inst in
+        let cut =
+          match winner () with Some _ as b -> b | None -> Greedy.feasible_solution inst
+        in
         Ok (Option.map (fun solution -> { solution; proven_optimal = false }) cut)
   end
 

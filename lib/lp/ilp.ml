@@ -91,8 +91,9 @@ module Make (Solver : Simplex.SOLVER) : S = struct
     let c = Rat.compare a.bound b.bound in
     if c <> 0 then c else compare b.seq a.seq (* newest first among ties *)
 
-  let solve_with_stats ?(node_limit = default_node_limit) ?(deadline = Svutil.Deadline.none)
-      ?(metrics = Svutil.Metrics.nop) (s : Problem.snapshot) =
+  let solve_with_stats ?(node_limit = default_node_limit)
+      ?(deadline = Svutil.Deadline.none) ?(metrics = Svutil.Metrics.nop)
+      (s : Problem.snapshot) =
     let finished ?root_bound ?(deadline_hit = false) nodes limit_hit =
       (* Single source of truth: the same [nodes] count feeds both the
          stats record and the registry, so the two can never drift. *)

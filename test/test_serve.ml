@@ -1024,7 +1024,9 @@ let test_pool_programs_pinned () =
           | Lp.Presolve.Infeasible -> Format.fprintf fmt "infeasible@."
           | Lp.Presolve.Solved { values } -> Format.fprintf fmt "solved %s@." (rats values)
           | Lp.Presolve.Reduced { problem = r; restore } ->
-              Format.fprintf fmt "fixed %s@.%a" (rats (restore (Array.make r.P.n Rat.zero))) P.pp r)
+              Format.fprintf fmt "fixed %s@.%a"
+                (rats (restore (Array.make r.P.n Rat.zero)))
+                P.pp r)
         (T.pool_workflows wl))
     T.workloads;
   Format.pp_print_flush fmt ();
