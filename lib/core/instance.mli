@@ -123,9 +123,6 @@ val n_modules : t -> int
 
     A mask has one slot per attribute id. *)
 
-val mask_of_names : t -> string list -> bool array
-(** Unknown names are ignored. *)
-
 val satisfied : pmod -> bool array -> bool
 (** Does the hidden mask satisfy some entry of the module's list? *)
 
